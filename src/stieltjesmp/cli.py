@@ -9,6 +9,7 @@ violation, 4 internal inconsistency, 64 usage/parse error.
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -46,36 +47,35 @@ def encode_matrix(mat) -> list:
     return [[_encode_complex(v) for v in row] for row in mat]
 
 
+def _finite(v):
+    """A JSON number that is neither a boolean nor NaN/Infinity (both of
+    which json.load accepts)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise UsageError(f"expected a finite number, got {v!r}")
+    return v
+
+
 def _decode_entry(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, list) and len(v) == 2 and all(isinstance(x, (int, float)) for x in v):
-        return complex(v[0], v[1])
-    raise UsageError(f"bad complex entry: {v!r}")
+    if isinstance(v, list) and len(v) == 2:
+        return complex(_finite(v[0]), _finite(v[1]))
+    return complex(_finite(v))
 
 
 def decode_matrix(rows) -> np.ndarray:
-    if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
-        raise UsageError("matrix must be a nested list")
+    if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows) \
+            or len({len(r) for r in rows}) != 1:
+        raise UsageError("matrix must be a nested list of equal-length rows")
     return np.array([[_decode_entry(v) for v in row] for row in rows], dtype=complex)
 
 
 def decode_sequence(doc: dict) -> MomentSequence:
+    """The document as a MomentSequence, which checks side and shapes."""
     try:
-        q = int(doc["q"])
-        alpha = float(doc["alpha"])
-        side = str(doc["side"])
-        mats = [decode_matrix(m) for m in doc["moments"]]
+        return MomentSequence(q=int(_finite(doc["q"])), alpha=float(_finite(doc["alpha"])),
+                              side=str(doc["side"]),
+                              moments=tuple(decode_matrix(m) for m in doc["moments"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed sequence document: {exc}")
-    if side not in (RIGHT, LEFT):
-        raise UsageError(f"side must be 'right' or 'left', got {side!r}")
-    if not mats:
-        raise UsageError("moments must be non-empty")
-    for m in mats:
-        if m.shape != (q, q):
-            raise UsageError(f"moment of shape {m.shape}, expected ({q},{q})")
-    return MomentSequence(q=q, alpha=alpha, side=side, moments=tuple(mats))
 
 
 def encode_sequence(seq: MomentSequence) -> dict:
@@ -93,9 +93,20 @@ def _load_doc(path: str) -> dict:
 
 def _parse_complex(text: str) -> complex:
     try:
-        return complex(text.replace("i", "j").replace(" ", ""))
+        z = complex(text.replace("i", "j").replace(" ", ""))
     except ValueError:
         raise UsageError(f"cannot parse complex number {text!r}")
+    if not math.isfinite(z.real) or not math.isfinite(z.imag):
+        raise UsageError(f"point {text!r} is not finite")
+    return z
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for real options: a finite number."""
+    v = float(text)   # argparse reports a ValueError as a usage error
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return v
 
 
 def _emit(payload: dict):
@@ -179,7 +190,7 @@ def cmd_extremal(args) -> int:
     if args.at is None:
         x = seq.alpha - 1.0 if seq.side == RIGHT else seq.alpha + 1.0
     else:
-        x = float(args.at)
+        x = args.at
     s_min, s_max = extremal(seq)
     _emit({"x": x, "s_min": encode_matrix(s_min(x)), "s_max": encode_matrix(s_max(x))})
     return EXIT_OK
@@ -287,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="seeded random Stieltjes-PD sequence")
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--m", type=int, default=4)
-    p.add_argument("--alpha", type=float, default=0.0)
+    p.add_argument("--alpha", type=_finite_float, default=0.0)
     p.add_argument("--side", choices=[RIGHT, LEFT], default=RIGHT)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_generate)
@@ -306,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extremal", help="extremal solution values at a point")
     p.add_argument("file")
-    p.add_argument("--at", default=None)
+    p.add_argument("--at", type=_finite_float, default=None)
     p.set_defaults(func=cmd_extremal)
 
     p = sub.add_parser("recover", help="molecular measure of an extremal solution")
@@ -316,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hausdorff", help="two-endpoint solvability check")
     p.add_argument("file")
-    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--beta", type=_finite_float, required=True)
     p.set_defaults(func=cmd_hausdorff)
 
     p = sub.add_parser("verify", help="full invariant suite on one sequence")

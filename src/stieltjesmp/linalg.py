@@ -6,6 +6,7 @@ Cholesky, so the same machinery serves matrices near the PSD boundary and
 matrix pencils.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,29 +48,28 @@ def as_matrix(a) -> Array:
     return m
 
 
-def _require_square(a: Array) -> Array:
+def _require_square(a) -> Array:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     return a
 
 
-def hermitize(a: Array) -> Array:
-    a = _require_square(a)
+# The underscored helpers take a square complex array that a public function
+# has already checked; each public function checks each argument once.
+
+def _hermitize(a: Array) -> Array:
     return 0.5 * (a + a.conj().T)
 
 
-def is_hermitian(a: Array, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    a = _require_square(a)
+def _is_hermitian(a: Array, tol: ToleranceConfig) -> bool:
     return np.linalg.norm(a - a.conj().T) <= tol.herm_tol * (1.0 + np.linalg.norm(a))
 
 
-def psd_class(a: Array, tol: ToleranceConfig = DEFAULT_TOL) -> str:
-    """Classify a square matrix as PD / PSD / INDEFINITE / NON_HERMITIAN."""
-    a = _require_square(a)
-    if not is_hermitian(a, tol):
+def _psd_class(a: Array, tol: ToleranceConfig) -> str:
+    if not _is_hermitian(a, tol):
         return NON_HERMITIAN
-    w = np.linalg.eigvalsh(hermitize(a))
+    w = np.linalg.eigvalsh(_hermitize(a))
     lo, hi = w[0], w[-1]
     scale = max(1.0, abs(hi), abs(lo))
     if lo > tol.psd_tol * scale:
@@ -77,6 +77,19 @@ def psd_class(a: Array, tol: ToleranceConfig = DEFAULT_TOL) -> str:
     if lo >= -tol.psd_tol * scale:
         return PSD
     return INDEFINITE
+
+
+def hermitize(a: Array) -> Array:
+    return _hermitize(_require_square(a))
+
+
+def is_hermitian(a: Array, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    return _is_hermitian(_require_square(a), tol)
+
+
+def psd_class(a: Array, tol: ToleranceConfig = DEFAULT_TOL) -> str:
+    """Classify a square matrix as PD / PSD / INDEFINITE / NON_HERMITIAN."""
+    return _psd_class(_require_square(a), tol)
 
 
 def is_psd(a: Array, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -94,7 +107,7 @@ def min_eig_hermitian_part(a: Array) -> float:
 
 def loewner_leq(a: Array, b: Array, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """A <= B in the Loewner order, within psd_tol."""
-    return is_psd(as_matrix(b) - as_matrix(a), tol)
+    return _psd_class(_require_square(b) - _require_square(a), tol) in (PD, PSD)
 
 
 def pinv(a: Array, tol: ToleranceConfig = DEFAULT_TOL) -> Array:
@@ -106,7 +119,7 @@ def pinv(a: Array, tol: ToleranceConfig = DEFAULT_TOL) -> Array:
 def inv_pd(a: Array, tol: ToleranceConfig = DEFAULT_TOL) -> Array:
     """True inverse, guarded by a PD assertion (the formulas all require PD)."""
     a = _require_square(a)
-    if psd_class(a, tol) != PD:
+    if _psd_class(a, tol) != PD:
         raise ValueError("matrix is not positive definite")
     return np.linalg.inv(a)
 
@@ -114,9 +127,9 @@ def inv_pd(a: Array, tol: ToleranceConfig = DEFAULT_TOL) -> Array:
 def sqrt_psd(a: Array, tol: ToleranceConfig = DEFAULT_TOL) -> Array:
     """PSD square root via the Hermitian eigendecomposition."""
     a = _require_square(a)
-    if psd_class(a, tol) not in (PD, PSD):
+    if _psd_class(a, tol) not in (PD, PSD):
         raise ValueError("matrix is not positive semidefinite")
-    w, v = np.linalg.eigh(hermitize(a))
+    w, v = np.linalg.eigh(_hermitize(a))
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T
 
@@ -128,13 +141,14 @@ def block_psd(a: Array, b: Array, c: Array, d: Array,
     True iff A is PSD, A A^+ B = B, C = B^* and D - C A^+ B is PSD, which is
     equivalent to the assembled block matrix being PSD.
     """
-    a, b, c, d = map(as_matrix, (a, b, c, d))
+    a = _require_square(a)
+    b, c, d = map(as_matrix, (b, c, d))
     if a.shape[0] != b.shape[0] or c.shape[0] != d.shape[0] \
             or a.shape[1] != c.shape[1] or b.shape[1] != d.shape[1]:
         raise ValueError("blocks are not conformal")
-    if not is_psd(a, tol):
+    if _psd_class(a, tol) not in (PD, PSD):
         return False
-    ap = pinv(a, tol)
+    ap = np.linalg.pinv(a, rcond=tol.pinv_cutoff)
     # all comparisons scale with the assembled matrix: the Schur corner can
     # be orders of magnitude below A without being spurious
     scale = 1.0 + np.linalg.norm(a) + np.linalg.norm(b) + np.linalg.norm(d)
@@ -145,7 +159,7 @@ def block_psd(a: Array, b: Array, c: Array, d: Array,
     schur = d - c @ ap @ b
     if np.linalg.norm(schur - schur.conj().T) > tol.herm_tol * scale:
         return False
-    return bool(np.linalg.eigvalsh(hermitize(schur))[0] >= -tol.psd_tol * scale)
+    return bool(np.linalg.eigvalsh(_hermitize(schur))[0] >= -tol.psd_tol * scale)
 
 
 def interval_sample(lower: Array, upper: Array, k: Array,
@@ -154,9 +168,10 @@ def interval_sample(lower: Array, upper: Array, k: Array,
 
     K must lie in [0, I]; K = 0 and K = I hit the endpoints exactly.
     """
-    lower, upper, k = map(as_matrix, (lower, upper, k))
+    lower, upper = map(as_matrix, (lower, upper))
+    k = _require_square(k)
     q = k.shape[0]
-    if not is_psd(k, tol) or not is_psd(np.eye(q) - k, tol):
+    if _psd_class(k, tol) not in (PD, PSD) or _psd_class(np.eye(q) - k, tol) not in (PD, PSD):
         raise ValueError("K must satisfy 0 <= K <= I")
     if np.allclose(k, 0.0, atol=tol.identity_tol):
         return lower.copy()
@@ -164,6 +179,11 @@ def interval_sample(lower: Array, upper: Array, k: Array,
         return upper.copy()
     root = sqrt_psd(upper - lower, tol)
     return lower + root @ k @ root
+
+
+def ordered_product(mats, q: int) -> Array:
+    """M_0 M_1 ... M_k multiplied left to right; the q x q identity if empty."""
+    return functools.reduce(np.matmul, mats, np.eye(q, dtype=complex))
 
 
 JTILDE = "JTILDE"

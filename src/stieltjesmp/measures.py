@@ -12,12 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Array, DEFAULT_TOL, ToleranceConfig, hermitize, is_psd, sqrt_psd
-from .moments import (
-    LEFT, RIGHT, HankelPack, MomentSequence, half, hankel, hankel_k,
-    hankel_ktilde, require_stieltjes_pd,
-)
-from .orthopoly import GENERAL, real_zeros
+from .linalg import Array, hermitize, is_psd, sqrt_psd
+from .moments import LEFT, RIGHT, MomentSequence, half, hankel, require_stieltjes_pd
+from .orthopoly import GENERAL, real_zeros, stieltjes_quadruple
 from .solutions import extremal
 
 
@@ -100,20 +97,20 @@ def _merge_atoms(atoms, masses, alpha: float, drop_tol: float):
     return out_a, out_m
 
 
-def _pencil_measure(seq: MomentSequence, m: int, tol: ToleranceConfig) -> MolecularMeasure:
+def _pencil_measure(seq: MomentSequence, m: int) -> MolecularMeasure:
     """Eigen-decomposition of the (shifted Hankel, Hankel) pencil.
 
     Gives the measure of y^* [Hshift - w H]^{-1} y with w = z - alpha
     (right) resp. alpha - z (left); atoms alpha + mu_k resp. alpha - mu_k.
+    The blocks at index half(m-1) read only s_0..s_m.
     """
-    pack = HankelPack(MomentSequence(q=seq.q, alpha=seq.alpha, side=seq.side,
-                                     moments=seq.moments[:m + 1]), tol)
+    pack = seq.pack
     n = half(m - 1)
     h = pack.h(n)
     h_sh = pack.h_shift(n)
     y = pack.y(0, n)
 
-    root_inv = np.linalg.inv(sqrt_psd(h, tol))
+    root_inv = np.linalg.inv(sqrt_psd(h))
     pencil = hermitize(root_inv @ h_sh @ root_inv.conj().T)
     mu_vals, vecs = np.linalg.eigh(pencil)
     g = y.conj().T @ root_inv.conj().T @ vecs
@@ -128,21 +125,14 @@ def _pencil_measure(seq: MomentSequence, m: int, tol: ToleranceConfig) -> Molecu
                             support_side=seq.side, alpha=seq.alpha)
 
 
-def _residue_measure(seq: MomentSequence, m: int, s_eval,
-                     tol: ToleranceConfig) -> MolecularMeasure:
+def _residue_measure(seq: MomentSequence, m: int, s_eval) -> MolecularMeasure:
     """Residue extrapolation at the candidate atoms of a rational transform.
 
     Candidates are the base point plus the real determinant zeros of the
     shifted first-kind polynomial; masses come from a two-point Richardson
     limit of (x - z) S(z) along z = x + i*eps.
     """
-    from .orthopoly import monic_orthogonal_system
-    from .moments import shift_sequence
-
-    sub = MomentSequence(q=seq.q, alpha=seq.alpha, side=seq.side,
-                         moments=seq.moments[:m + 1])
-    shifted = shift_sequence(sub)
-    p_shift = monic_orthogonal_system(shifted, tol)[half(m)]
+    p_shift = stieltjes_quadruple(seq).p_shift[half(m)]
     zeros = real_zeros(p_shift, kind=GENERAL)
     candidates = [seq.alpha] + [float(x) for x in zeros]
 
@@ -162,8 +152,7 @@ def _residue_measure(seq: MomentSequence, m: int, s_eval,
                             support_side=seq.side, alpha=seq.alpha)
 
 
-def _transported_measure(seq: MomentSequence, m: int,
-                         tol: ToleranceConfig) -> MolecularMeasure:
+def _transported_measure(seq: MomentSequence, m: int) -> MolecularMeasure:
     """Measure of the extremal with the 1/(z - alpha) prefactor, exactly.
 
     The push-forward d(nu) = |x - alpha| d(mu) has the alpha-shifted
@@ -171,16 +160,12 @@ def _transported_measure(seq: MomentSequence, m: int,
     shifted sequence.  So: run the pencil there, divide each mass by
     |x_k - alpha|, and park the remaining s_0-mass at the base point.
     """
-    from .moments import shift_sequence
-
     q, a = seq.q, seq.alpha
-    sub = MomentSequence(q=q, alpha=a, side=seq.side, moments=seq.moments[:m + 1])
     n = half(m)
     if n == 0:
         return MolecularMeasure(atoms=(a,), masses=(seq[0].copy(),),
                                 support_side=seq.side, alpha=a)
-    shifted = shift_sequence(sub)
-    nu = _pencil_measure(shifted, 2 * n - 1, tol)
+    nu = _pencil_measure(seq.shifted, 2 * n - 1)
 
     atoms, masses = [], []
     total = np.zeros((q, q), dtype=complex)
@@ -202,35 +187,32 @@ def _transported_measure(seq: MomentSequence, m: int,
                             support_side=seq.side, alpha=a)
 
 
-def recover_min(seq: MomentSequence, m: int | None = None,
-                tol: ToleranceConfig = DEFAULT_TOL) -> MolecularMeasure:
+def recover_min(seq: MomentSequence, m: int | None = None) -> MolecularMeasure:
     """Measure of the lower extremal solution.
 
     Direct pencil route on the right half-line; on the left the lower
     extremal carries the 1/(z - alpha) prefactor and is recovered through
     the transported pencil of the shifted sequence.
     """
-    require_stieltjes_pd(seq, tol)
+    require_stieltjes_pd(seq)
     if m is None:
         m = seq.kappa
     if seq.side == RIGHT:
-        return _pencil_measure(seq, m, tol)
-    return _transported_measure(seq, m, tol)
+        return _pencil_measure(seq, m)
+    return _transported_measure(seq, m)
 
 
-def recover_max(seq: MomentSequence, m: int | None = None,
-                tol: ToleranceConfig = DEFAULT_TOL) -> MolecularMeasure:
+def recover_max(seq: MomentSequence, m: int | None = None) -> MolecularMeasure:
     """Measure of the upper extremal solution (mirror of recover_min)."""
-    require_stieltjes_pd(seq, tol)
+    require_stieltjes_pd(seq)
     if m is None:
         m = seq.kappa
     if seq.side == LEFT:
-        return _pencil_measure(seq, m, tol)
-    return _transported_measure(seq, m, tol)
+        return _pencil_measure(seq, m)
+    return _transported_measure(seq, m)
 
 
-def recover_residue(seq: MomentSequence, m: int | None = None,
-                    tol: ToleranceConfig = DEFAULT_TOL) -> MolecularMeasure:
+def recover_residue(seq: MomentSequence, m: int | None = None) -> MolecularMeasure:
     """Residue-extrapolation route to the prefactor extremal's measure.
 
     Secondary, lower-precision construction kept as an independent check
@@ -239,12 +221,12 @@ def recover_residue(seq: MomentSequence, m: int | None = None,
     determinant zeros of the shifted first-kind polynomial, masses come
     from two-point Richardson limits along z = x + i*eps.
     """
-    require_stieltjes_pd(seq, tol)
+    require_stieltjes_pd(seq)
     if m is None:
         m = seq.kappa
-    s_min, s_max = extremal(seq, m, tol)
+    s_min, s_max = extremal(seq, m)
     s_eval = s_max if seq.side == RIGHT else s_min
-    return _residue_measure(seq, m, s_eval, tol)
+    return _residue_measure(seq, m, s_eval)
 
 
 @dataclass(frozen=True)
@@ -265,8 +247,7 @@ class HausdorffReport:
         return "\n".join(lines)
 
 
-def hausdorff_solvable(seq: MomentSequence, alpha: float, beta: float,
-                       tol: ToleranceConfig = DEFAULT_TOL) -> HausdorffReport:
+def hausdorff_solvable(seq: MomentSequence, alpha: float, beta: float) -> HausdorffReport:
     """Solvability of the two-endpoint moment problem on [alpha, beta].
 
     Odd count 2n+1: solvable iff both shifted Hankel blocks
@@ -278,15 +259,12 @@ def hausdorff_solvable(seq: MomentSequence, alpha: float, beta: float,
     if not alpha < beta:
         raise ValueError("need alpha < beta")
     kappa = seq.kappa
-    base = MomentSequence(q=seq.q, alpha=alpha, side=RIGHT, moments=seq.moments)
-
     if kappa % 2 == 1:
         n = (kappa - 1) // 2
-        h_right = -alpha * hankel(base, n) + hankel_k(base, n)
-        h_left = beta * hankel(base, n) - hankel_k(base, n)
-        cond = {"right-shift block": is_psd(h_right, tol),
-                "left-shift block": is_psd(h_left, tol)}
-        h_plain = is_psd(hankel(base, n), tol)
+        h, k = hankel(seq, n), hankel(seq, n, 1)
+        cond = {"right-shift block": is_psd(-alpha * h + k),
+                "left-shift block": is_psd(beta * h - k)}
+        h_plain = is_psd(h)
         one_sided = {"right": h_plain and cond["right-shift block"],
                      "left": h_plain and cond["left-shift block"]}
         solvable = cond["right-shift block"] and cond["left-shift block"]
@@ -294,11 +272,11 @@ def hausdorff_solvable(seq: MomentSequence, alpha: float, beta: float,
                                conditions=cond, one_sided=one_sided)
 
     n = kappa // 2
-    cond = {"Hankel block": is_psd(hankel(base, n), tol)}
+    cond = {"Hankel block": is_psd(hankel(seq, n))}
     if n >= 1:
-        mixed = (-alpha * beta * hankel(base, n - 1)
-                 + (alpha + beta) * hankel_k(base, n - 1)
-                 - hankel_ktilde(base, n - 1))
-        cond["two-endpoint block"] = is_psd(mixed, tol)
+        mixed = (-alpha * beta * hankel(seq, n - 1)
+                 + (alpha + beta) * hankel(seq, n - 1, 1)
+                 - hankel(seq, n - 1, 2))
+        cond["two-endpoint block"] = is_psd(mixed)
     return HausdorffReport(solvable=all(cond.values()), parity="even",
                            conditions=cond, one_sided=None)

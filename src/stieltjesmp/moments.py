@@ -10,21 +10,40 @@ parametrizations downstream.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import (
-    Array, DEFAULT_TOL, ToleranceConfig, as_matrix, block_psd, pinv,
-    psd_class, PD, PSD,
-)
+from .linalg import Array, DEFAULT_TOL, as_matrix, block_psd, psd_class, PD, PSD
 
 RIGHT = "right"
 LEFT = "left"
 
 
+def freeze(obj):
+    """Make every array reachable from a derived value object read-only."""
+    if isinstance(obj, np.ndarray):
+        obj.flags.writeable = False
+    elif isinstance(obj, (tuple, list)):
+        for x in obj:
+            freeze(x)
+    elif hasattr(obj, "__dict__"):
+        for x in vars(obj).values():
+            freeze(x)
+    return obj
+
+
 @dataclass(frozen=True)
 class MomentSequence:
-    """Finite sequence of q x q moments with base point and side tag."""
+    """Finite sequence of q x q moments with base point and side tag.
+
+    The sequence keeps its own read-only copy of the moments, checked once
+    here for shape and finiteness.  Everything derived from it (the shifted
+    sequence, the Hankel data, the classification, Q, (L, M) and the two
+    polynomial quadruples) is computed on first use and cached on the
+    sequence, so the module-level functions that return them derive each
+    one once per sequence.
+    """
 
     q: int
     alpha: float
@@ -37,7 +56,7 @@ class MomentSequence:
             raise ValueError(f"side must be '{RIGHT}' or '{LEFT}'")
         if len(self.moments) == 0:
             raise ValueError("at least one moment required")
-        mats = tuple(as_matrix(m) for m in self.moments)
+        mats = tuple(freeze(as_matrix(m).copy()) for m in self.moments)
         for m in mats:
             if m.shape != (self.q, self.q):
                 raise ValueError(f"moment has shape {m.shape}, expected ({self.q},{self.q})")
@@ -50,12 +69,46 @@ class MomentSequence:
     def __getitem__(self, j: int) -> Array:
         return self.moments[j]
 
+    @cached_property
+    def shifted(self) -> "MomentSequence":
+        return shift_sequence(self)
+
+    @cached_property
+    def pack(self) -> "HankelPack":
+        return HankelPack(self)
+
+    @cached_property
+    def classification(self) -> "SequenceClass":
+        return _classify(self)
+
+    @cached_property
+    def qparam(self):
+        from .params import StieltjesParam
+        qs = tuple((self.pack if j % 2 == 0 else self.pack.shift).hhat(j // 2)
+                   for j in range(self.kappa + 1))
+        return StieltjesParam(q=self.q, alpha=self.alpha, side=self.side, values=qs)
+
+    @cached_property
+    def ds(self):
+        from .params import _ds_param
+        return freeze(_ds_param(self))
+
+    @cached_property
+    def dyukarev(self):
+        from .resolvent import _dyukarev_quadruple
+        return freeze(_dyukarev_quadruple(self))
+
+    @cached_property
+    def quadruple(self):
+        from .orthopoly import _stieltjes_quadruple
+        return freeze(_stieltjes_quadruple(self))
+
 
 def sequence(moments, alpha: float = 0.0, side: str = RIGHT) -> MomentSequence:
     """Build a MomentSequence from scalars / arrays, inferring q."""
-    mats = [as_matrix(m) for m in moments]
-    q = mats[0].shape[0]
-    return MomentSequence(q=q, alpha=float(alpha), side=side, moments=tuple(mats))
+    moments = tuple(moments)
+    q = np.atleast_2d(moments[0]).shape[0] if moments else 0
+    return MomentSequence(q=q, alpha=float(alpha), side=side, moments=moments)
 
 
 def half(k: int) -> int:
@@ -63,69 +116,58 @@ def half(k: int) -> int:
     return k // 2
 
 
-def y_stack(seq: MomentSequence, j: int, k: int) -> Array:
+# The stack, Hankel and Schur helpers read moments by index only, so they
+# take a MomentSequence or a plain list of moment matrices alike.
+
+def y_stack(seq, j: int, k: int) -> Array:
     """Column stack (s_j; ...; s_k)."""
     return np.vstack([seq[i] for i in range(j, k + 1)])
 
 
-def z_stack(seq: MomentSequence, j: int, k: int) -> Array:
+def z_stack(seq, j: int, k: int) -> Array:
     """Row stack (s_j ... s_k)."""
     return np.hstack([seq[i] for i in range(j, k + 1)])
 
 
-def hankel(seq: MomentSequence, n: int) -> Array:
-    """Block Hankel matrix H_n = (s_{j+k})_{j,k=0..n}."""
-    q = seq.q
+def hankel(seq, n: int, offset: int = 0) -> Array:
+    """Block Hankel matrix (s_{j+k+offset})_{j,k=0..n}.
+
+    offset 0 gives H_n, offset 1 gives K_n and offset 2 gives K~_n.
+    """
+    q = seq[0].shape[0]
     h = np.empty(((n + 1) * q, (n + 1) * q), dtype=complex)
     for j in range(n + 1):
         for k in range(n + 1):
-            h[j * q:(j + 1) * q, k * q:(k + 1) * q] = seq[j + k]
+            h[j * q:(j + 1) * q, k * q:(k + 1) * q] = seq[j + k + offset]
     return h
 
 
-def hankel_k(seq: MomentSequence, n: int) -> Array:
-    """K_n = (s_{j+k+1})_{j,k=0..n}."""
-    q = seq.q
-    h = np.empty(((n + 1) * q, (n + 1) * q), dtype=complex)
-    for j in range(n + 1):
-        for k in range(n + 1):
-            h[j * q:(j + 1) * q, k * q:(k + 1) * q] = seq[j + k + 1]
-    return h
+def schur_correction(seq, n: int) -> Array:
+    """z_{n,2n-1} H_{n-1}^+ y_{n,2n-1}, the part of s_{2n} outside H^_n (n >= 1)."""
+    hp = np.linalg.pinv(hankel(seq, n - 1), rcond=DEFAULT_TOL.pinv_cutoff)
+    return z_stack(seq, n, 2 * n - 1) @ hp @ y_stack(seq, n, 2 * n - 1)
 
 
-def hankel_ktilde(seq: MomentSequence, n: int) -> Array:
-    """K~_n = (s_{j+k+2})_{j,k=0..n}."""
-    q = seq.q
-    h = np.empty(((n + 1) * q, (n + 1) * q), dtype=complex)
-    for j in range(n + 1):
-        for k in range(n + 1):
-            h[j * q:(j + 1) * q, k * q:(k + 1) * q] = seq[j + k + 2]
-    return h
-
-
-def schur_complement(seq: MomentSequence, n: int,
-                     tol: ToleranceConfig = DEFAULT_TOL) -> Array:
+def schur_complement(seq, n: int) -> Array:
     """Left Schur complement H^_n = s_{2n} - z_{n,2n-1} H_{n-1}^+ y_{n,2n-1}."""
     if n == 0:
         return seq[0].copy()
-    z = z_stack(seq, n, 2 * n - 1)
-    y = y_stack(seq, n, 2 * n - 1)
-    return seq[2 * n] - z @ pinv(hankel(seq, n - 1), tol) @ y
+    return seq[2 * n] - schur_correction(seq, n)
+
+
+def shifted_moments(mats, alpha: float, side: str) -> list:
+    """right: r_j = -alpha*s_j + s_{j+1};  left: r_j = alpha*s_j - s_{j+1}."""
+    if side == RIGHT:
+        return [-alpha * mats[j] + mats[j + 1] for j in range(len(mats) - 1)]
+    return [alpha * mats[j] - mats[j + 1] for j in range(len(mats) - 1)]
 
 
 def shift_sequence(seq: MomentSequence) -> MomentSequence:
-    """Alpha-shifted sequence; one moment shorter, same side and alpha.
-
-    right: r_j = -alpha*s_j + s_{j+1};  left: r_j = alpha*s_j - s_{j+1}.
-    """
+    """Alpha-shifted sequence; one moment shorter, same side and alpha."""
     if seq.kappa < 1:
         raise ValueError("shift needs at least two moments")
-    a = seq.alpha
-    if seq.side == RIGHT:
-        mats = tuple(-a * seq[j] + seq[j + 1] for j in range(seq.kappa))
-    else:
-        mats = tuple(a * seq[j] - seq[j + 1] for j in range(seq.kappa))
-    return MomentSequence(q=seq.q, alpha=a, side=seq.side, moments=mats,
+    return MomentSequence(q=seq.q, alpha=seq.alpha, side=seq.side,
+                          moments=tuple(shifted_moments(seq.moments, seq.alpha, seq.side)),
                           shifted_from=seq.side)
 
 
@@ -137,66 +179,50 @@ def reflect(seq: MomentSequence) -> MomentSequence:
 
 
 class HankelPack:
-    """All Hankel blocks of a sequence and of its alpha-shift, memoised."""
+    """Hankel data of a sequence; the shifted sequence's data sits in `shift`.
 
-    def __init__(self, seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL):
+    The top block H_{half(kappa)} is built once and every lower H_n is its
+    leading block.  The Schur complements are built together on first use.
+    """
+
+    def __init__(self, seq: MomentSequence):
         self.seq = seq
-        self.tol = tol
-        self.shifted = shift_sequence(seq) if seq.kappa >= 1 else None
-        self._cache = {}
 
-    def _memo(self, key, fn):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
+    @cached_property
+    def top(self) -> Array:
+        return freeze(hankel(self.seq, half(self.seq.kappa)))
+
+    @cached_property
+    def hhats(self) -> tuple:
+        return freeze(tuple(schur_complement(self.seq, n)
+                            for n in range(half(self.seq.kappa) + 1)))
+
+    @property
+    def shift(self) -> "HankelPack":
+        """The HankelPack of the alpha-shifted sequence."""
+        return self.seq.shifted.pack
 
     def h(self, n: int) -> Array:
         if not 0 <= n <= half(self.seq.kappa):
             raise IndexError(f"H_{n} not available for kappa={self.seq.kappa}")
-        return self._memo(("h", n), lambda: hankel(self.seq, n))
-
-    def k(self, n: int) -> Array:
-        if not 0 <= n <= half(self.seq.kappa - 1):
-            raise IndexError(f"K_{n} not available for kappa={self.seq.kappa}")
-        return self._memo(("k", n), lambda: hankel_k(self.seq, n))
-
-    def ktilde(self, n: int) -> Array:
-        if not 0 <= n <= half(self.seq.kappa - 2):
-            raise IndexError(f"Ktilde_{n} not available for kappa={self.seq.kappa}")
-        return self._memo(("kt", n), lambda: hankel_ktilde(self.seq, n))
+        return self.top[:(n + 1) * self.seq.q, :(n + 1) * self.seq.q]
 
     def hhat(self, n: int) -> Array:
         if not 0 <= n <= half(self.seq.kappa):
             raise IndexError(f"Hhat_{n} not available for kappa={self.seq.kappa}")
-        return self._memo(("hh", n), lambda: schur_complement(self.seq, n, self.tol))
+        return self.hhats[n]
 
     def h_shift(self, n: int) -> Array:
-        if self.shifted is None or not 0 <= n <= half(self.seq.kappa - 1):
-            raise IndexError(f"shifted H_{n} not available for kappa={self.seq.kappa}")
-        return self._memo(("hs", n), lambda: hankel(self.shifted, n))
-
-    def hhat_shift(self, n: int) -> Array:
-        if self.shifted is None or not 0 <= n <= half(self.seq.kappa - 1):
-            raise IndexError(f"shifted Hhat_{n} not available for kappa={self.seq.kappa}")
-        return self._memo(("hhs", n), lambda: schur_complement(self.shifted, n, self.tol))
+        return self.shift.h(n)
 
     def h_inv(self, n: int) -> Array:
-        return self._memo(("hi", n), lambda: np.linalg.inv(self.h(n)))
-
-    def h_shift_inv(self, n: int) -> Array:
-        return self._memo(("hsi", n), lambda: np.linalg.inv(self.h_shift(n)))
+        return np.linalg.inv(self.h(n))
 
     def y(self, j: int, k: int) -> Array:
         return y_stack(self.seq, j, k)
 
     def z(self, j: int, k: int) -> Array:
         return z_stack(self.seq, j, k)
-
-    def y_shift(self, j: int, k: int) -> Array:
-        return y_stack(self.shifted, j, k)
-
-    def z_shift(self, j: int, k: int) -> Array:
-        return z_stack(self.shifted, j, k)
 
 
 # --- structural kit ---------------------------------------------------------
@@ -317,46 +343,26 @@ class SequenceClass:
     side: str
 
 
-def _kernel_included(q_a: Array, q_b: Array, tol: ToleranceConfig) -> bool:
+def _kernel_included(q_a: Array, q_b: Array) -> bool:
     """N(Q_a) subset of N(Q_b), tested through the pinv projector of Q_a."""
-    proj = np.eye(q_a.shape[0]) - q_a @ pinv(q_a, tol)
-    return np.linalg.norm(q_b @ proj) <= tol.identity_tol * (1.0 + np.linalg.norm(q_b))
+    proj = np.eye(q_a.shape[0]) - q_a @ np.linalg.pinv(q_a, rcond=DEFAULT_TOL.pinv_cutoff)
+    return np.linalg.norm(q_b @ proj) <= DEFAULT_TOL.identity_tol * (1.0 + np.linalg.norm(q_b))
 
 
-def stieltjes_parameters_raw(seq: MomentSequence,
-                             tol: ToleranceConfig = DEFAULT_TOL) -> list:
-    """Interlaced Schur complements Q_0..Q_kappa (pinv-based, NND-safe)."""
-    pack = HankelPack(seq, tol)
-    out = []
-    for j in range(seq.kappa + 1):
-        n = j // 2
-        out.append(pack.hhat(n) if j % 2 == 0 else pack.hhat_shift(n))
-    return out
-
-
-def classify(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> SequenceClass:
-    """Hankel and alpha-Stieltjes definiteness classes of a sequence.
-
-    The Hankel class comes from the spectrum of the largest H_n.  The
-    Stieltjes class is decided through the interlaced Schur complements:
-    all PD means PD; all PSD plus the kernel-inclusion chain up to j-1
-    means the solvability class (NND) resp. the extendability class.
-    """
-    pack = HankelPack(seq, tol)
-    # PD is decided through the Schur complements (numerically robust and
-    # equivalent); NND falls back to the spectrum of the full block
-    if all(psd_class(pack.hhat(n), tol) == PD for n in range(half(seq.kappa) + 1)):
+def _classify(seq: MomentSequence) -> SequenceClass:
+    qs = seq.qparam.values
+    classes = [psd_class(qj) for qj in qs]
+    # PD is decided through the Schur complements Q_{2n} = Hhat_n (numerically
+    # robust and equivalent); NND falls back to the spectrum of the full block
+    if all(c == PD for c in classes[0::2]):
         hankel_cls = PD
     else:
-        h_cls = psd_class(pack.h(half(seq.kappa)), tol)
-        hankel_cls = NND if h_cls in (PD, PSD) else HANKEL_NO
+        hankel_cls = NND if psd_class(seq.pack.top) in (PD, PSD) else HANKEL_NO
 
-    qs = stieltjes_parameters_raw(seq, tol)
-    classes = [psd_class(qj, tol) for qj in qs]
     if all(c == PD for c in classes):
         return SequenceClass(hankel=hankel_cls, stieltjes=PD, side=seq.side)
     if all(c in (PD, PSD) for c in classes):
-        chain = [_kernel_included(qs[j], qs[j + 1], tol) for j in range(seq.kappa)]
+        chain = [_kernel_included(qs[j], qs[j + 1]) for j in range(seq.kappa)]
         if all(chain):
             return SequenceClass(hankel=hankel_cls, stieltjes=NND_EXTENDABLE, side=seq.side)
         if all(chain[:-1]):
@@ -364,19 +370,29 @@ def classify(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> Sequenc
     return SequenceClass(hankel=hankel_cls, stieltjes=STIELTJES_NO, side=seq.side)
 
 
-def is_stieltjes_pd(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    return classify(seq, tol).stieltjes == PD
+def classify(seq: MomentSequence) -> SequenceClass:
+    """Hankel and alpha-Stieltjes definiteness classes of a sequence.
+
+    The Hankel class comes from the spectrum of the largest H_n.  The
+    Stieltjes class is decided through the interlaced Schur complements:
+    all PD means PD; all PSD plus the kernel-inclusion chain up to j-1
+    means the solvability class (NND) resp. the extendability class.
+    """
+    return seq.classification
 
 
-def require_stieltjes_pd(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL):
-    if not is_stieltjes_pd(seq, tol):
+def is_stieltjes_pd(seq: MomentSequence) -> bool:
+    return seq.classification.stieltjes == PD
+
+
+def require_stieltjes_pd(seq: MomentSequence):
+    if seq.classification.stieltjes != PD:
         raise ValueError("sequence is not alpha-Stieltjes positive definite")
 
 
 # --- Potapov fundamental matrices -------------------------------------------
 
-def potapov_defect(seq: MomentSequence, s_value: Array, z: complex,
-                   tol: ToleranceConfig = DEFAULT_TOL):
+def potapov_defect(seq: MomentSequence, s_value: Array, z: complex):
     """The two fundamental block matrices tested against a candidate S(z).
 
     Returns (F_base, F_shift) for the point z (Im z != 0).  A function S
@@ -389,7 +405,7 @@ def potapov_defect(seq: MomentSequence, s_value: Array, z: complex,
     f = as_matrix(s_value)
     m = seq.kappa
     q = seq.q
-    pack = HankelPack(seq, tol)
+    pack = seq.pack
 
     def assemble(h_block, target, n):
         r = resolvent_R(q, n, z)
@@ -411,13 +427,12 @@ def potapov_defect(seq: MomentSequence, s_value: Array, z: complex,
     return base, shift
 
 
-def potapov_defect_psd(seq: MomentSequence, s_value: Array, z: complex,
-                       tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+def potapov_defect_psd(seq: MomentSequence, s_value: Array, z: complex) -> bool:
     """True iff both fundamental matrices at z are PSD (block criterion)."""
-    base, shift = potapov_defect(seq, s_value, z, tol)
+    base, shift = potapov_defect(seq, s_value, z)
 
     def split_psd(mat, nq):
-        return block_psd(mat[:nq, :nq], mat[:nq, nq:], mat[nq:, :nq], mat[nq:, nq:], tol)
+        return block_psd(mat[:nq, :nq], mat[:nq, nq:], mat[nq:, :nq], mat[nq:, nq:])
 
     q = seq.q
     return split_psd(base, base.shape[0] - q) and split_psd(shift, shift.shape[0] - q)

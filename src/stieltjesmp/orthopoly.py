@@ -10,10 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Array, DEFAULT_TOL, ToleranceConfig, as_matrix, is_pd
+from .linalg import Array, DEFAULT_TOL, is_pd, ordered_product
 from .moments import (
     RIGHT, HankelPack, MomentSequence, half, lower_triangular_S,
-    require_stieltjes_pd, shift_sequence,
+    require_stieltjes_pd,
 )
 
 MONIC = "MONIC"
@@ -21,24 +21,28 @@ GENERAL = "GENERAL"
 
 
 class MatrixPolynomial:
-    """P(z) = sum_j z^j coeffs[j] with q_rows x q_cols matrix coefficients."""
+    """P(z) = sum_j z^j coeffs[j] with q_rows x q_cols matrix coefficients.
+
+    Coefficients are taken as given (numpy matrices, not validated); trailing
+    coefficients that are exactly zero are trimmed.
+    """
 
     def __init__(self, coeffs, trim: bool = True):
-        mats = [as_matrix(c) for c in coeffs]
+        mats = list(coeffs)
         if not mats:
             raise ValueError("need at least one coefficient")
         shape = mats[0].shape
         if any(m.shape != shape for m in mats):
             raise ValueError("coefficient shapes differ")
         if trim:
-            while len(mats) > 1 and np.allclose(mats[-1], 0.0, atol=1e-300):
+            while len(mats) > 1 and not mats[-1].any():
                 mats.pop()
         self.coeffs = tuple(mats)
         self.q_rows, self.q_cols = shape
 
     @property
     def degree(self) -> int:
-        if len(self.coeffs) == 1 and np.allclose(self.coeffs[0], 0.0):
+        if len(self.coeffs) == 1 and not self.coeffs[0].any():
             return -1
         return len(self.coeffs) - 1
 
@@ -62,11 +66,9 @@ class MatrixPolynomial:
         return MatrixPolynomial([c * m for m in self.coeffs])
 
     def lmul(self, mat: Array) -> "MatrixPolynomial":
-        mat = as_matrix(mat)
         return MatrixPolynomial([mat @ c for c in self.coeffs])
 
     def rmul(self, mat: Array) -> "MatrixPolynomial":
-        mat = as_matrix(mat)
         return MatrixPolynomial([c @ mat for c in self.coeffs])
 
     def matmul(self, other: "MatrixPolynomial") -> "MatrixPolynomial":
@@ -104,12 +106,11 @@ class MatrixPolynomial:
 
     @staticmethod
     def constant(mat: Array) -> "MatrixPolynomial":
-        return MatrixPolynomial([as_matrix(mat)])
+        return MatrixPolynomial([mat])
 
     @staticmethod
     def from_coeff_row(row: Array, q_rows: int, q_cols: int) -> "MatrixPolynomial":
         """Split a block row (C_0 C_1 ... C_k) into a polynomial."""
-        row = as_matrix(row)
         k = row.shape[1] // q_cols
         return MatrixPolynomial([row[:, j * q_cols:(j + 1) * q_cols] for j in range(k)])
 
@@ -126,27 +127,26 @@ def poly_eval(p: MatrixPolynomial, z: complex) -> Array:
     return p(z)
 
 
-def _require_hankel_pd_prefix(pack: HankelPack, up_to: int, tol: ToleranceConfig):
+def _require_hankel_pd_prefix(pack: HankelPack, up_to: int):
     # all Schur complements PD is equivalent to the Hankel block being PD
     # and is far better scaled numerically
     for n in range(up_to + 1):
-        if not is_pd(pack.hhat(n), tol):
+        if not is_pd(pack.hhat(n)):
             raise ValueError("Hankel-PD prefix required")
 
 
-def monic_orthogonal_system(seq: MomentSequence,
-                            tol: ToleranceConfig = DEFAULT_TOL) -> list:
+def monic_orthogonal_system(seq: MomentSequence) -> list:
     """Monic left-orthogonal polynomials P_0..P_{half(kappa+1)}.
 
     Coefficient rows are (-z_{n,2n-1} H_{n-1}^{-1}  I); the same system
     also satisfies the three-term Favard recursion, which the tests
     cross-check.
     """
-    pack = HankelPack(seq, tol)
+    pack = seq.pack
     kappa = seq.kappa
     top = half(kappa + 1)
     if kappa >= 1:
-        _require_hankel_pd_prefix(pack, half(kappa - 1), tol)
+        _require_hankel_pd_prefix(pack, half(kappa - 1))
     q = seq.q
     out = [MatrixPolynomial.constant(np.eye(q))]
     for n in range(1, top + 1):
@@ -155,11 +155,9 @@ def monic_orthogonal_system(seq: MomentSequence,
     return out
 
 
-def second_kind_system(seq: MomentSequence,
-                       tol: ToleranceConfig = DEFAULT_TOL) -> list:
+def second_kind_system(seq: MomentSequence) -> list:
     """Second kind system: P_0 = 0, deg P_n = n-1 afterwards."""
-    polys = monic_orthogonal_system(seq, tol)
-    return [associated_polynomial(seq, p) for p in polys]
+    return [associated_polynomial(seq, p) for p in monic_orthogonal_system(seq)]
 
 
 def associated_polynomial(seq: MomentSequence, p: MatrixPolynomial) -> MatrixPolynomial:
@@ -191,8 +189,7 @@ class StieltjesQuadruple:
     phat: tuple
 
 
-def stieltjes_quadruple(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL,
-                        check: bool = True) -> StieltjesQuadruple:
+def stieltjes_quadruple(seq: MomentSequence) -> StieltjesQuadruple:
     """All four polynomial families of a Stieltjes-PD sequence.
 
     phat[n] is the polynomial attached (w.r.t. the base sequence) to
@@ -201,38 +198,40 @@ def stieltjes_quadruple(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL,
 
         (z - alpha) P_shift_n(z) = P_{n+1}(z) + Hhat_shift_n Hhat_n^{-1} P_n(z)
 
-    (sign-mirrored on the left) is verified at random points when check is on.
+    (sign-mirrored on the left) is verified at random points when the
+    quadruple is first built; the result is cached on the sequence.
     """
-    require_stieltjes_pd(seq, tol)
+    return seq.quadruple
+
+
+def _stieltjes_quadruple(seq: MomentSequence) -> StieltjesQuadruple:
+    require_stieltjes_pd(seq)
     q, a = seq.q, seq.alpha
-    p = monic_orthogonal_system(seq, tol)
-    second = second_kind_system(seq, tol)
-    shifted = shift_sequence(seq)
-    p_shift = monic_orthogonal_system(shifted, tol)
+    p = monic_orthogonal_system(seq)
+    second = [associated_polynomial(seq, pn) for pn in p]
+    p_shift = monic_orthogonal_system(seq.shifted)
 
     eye = np.eye(q)
     factor = MatrixPolynomial([-a * eye, eye]) if seq.side == RIGHT \
         else MatrixPolynomial([a * eye, -eye])
     phat = tuple(associated_polynomial(seq, factor.matmul(pn)) for pn in p_shift)
 
-    quad = StieltjesQuadruple(side=seq.side, alpha=a, p=tuple(p), second=tuple(second),
+    pack = seq.pack
+    rng = np.random.default_rng(7)
+    sgn = 1.0 if seq.side == RIGHT else -1.0
+    for n in range(min(half(seq.kappa - 1) + 1, len(p) - 1)):
+        coupling = pack.shift.hhat(n) @ np.linalg.inv(pack.hhat(n))
+        for z in rng.standard_normal(10) + 1j * rng.standard_normal(10):
+            lhs = (z - a) * p_shift[n](z)
+            term = sgn * coupling @ p[n](z)
+            rhs = p[n + 1](z) + term
+            scale = 1 + np.linalg.norm(lhs) + np.linalg.norm(term) + np.linalg.norm(rhs)
+            # guards against construction bugs; conditioning-induced noise
+            # on extreme fixtures must not trip it
+            if np.linalg.norm(lhs - rhs) > 1e-6 * scale:
+                raise AssertionError("shift identity violated; inconsistent build")
+    return StieltjesQuadruple(side=seq.side, alpha=a, p=tuple(p), second=tuple(second),
                               p_shift=tuple(p_shift), phat=phat)
-    if check:
-        pack = HankelPack(seq, tol)
-        rng = np.random.default_rng(7)
-        sgn = 1.0 if seq.side == RIGHT else -1.0
-        for n in range(min(half(seq.kappa - 1) + 1, len(p) - 1)):
-            coupling = pack.hhat_shift(n) @ np.linalg.inv(pack.hhat(n))
-            for z in rng.standard_normal(10) + 1j * rng.standard_normal(10):
-                lhs = (z - a) * p_shift[n](z)
-                term = sgn * coupling @ p[n](z)
-                rhs = p[n + 1](z) + term
-                scale = 1 + np.linalg.norm(lhs) + np.linalg.norm(term) + np.linalg.norm(rhs)
-                # guards against construction bugs; conditioning-induced noise
-                # on extreme fixtures must not trip it
-                if np.linalg.norm(lhs - rhs) > 1e-6 * scale:
-                    raise AssertionError("shift identity violated; inconsistent build")
-    return quad
 
 
 def quadruple_values_at_alpha(quad: StieltjesQuadruple) -> dict:
@@ -246,7 +245,7 @@ def quadruple_values_at_alpha(quad: StieltjesQuadruple) -> dict:
     }
 
 
-def quadruple_values_closed_form(ds, tol: ToleranceConfig = DEFAULT_TOL) -> dict:
+def quadruple_values_closed_form(ds) -> dict:
     """Alternating (L, M)-products for the values at alpha.
 
     Right half-line:
@@ -257,44 +256,40 @@ def quadruple_values_closed_form(ds, tol: ToleranceConfig = DEFAULT_TOL) -> dict
     Left half-line: the same products without the alternating signs, except
     Phat picks up a single global minus.
     """
-    ls = [as_matrix(v) for v in ds.l]
-    ms = [as_matrix(v) for v in ds.m]
-    if not all(is_pd(v, tol) for v in ls + ms):
+    ls = [np.asarray(v, dtype=complex) for v in ds.l]
+    ms = [np.asarray(v, dtype=complex) for v in ds.m]
+    if not all(is_pd(v) for v in ls + ms):
         raise ValueError("(L, M) must be PD")
     q = ds.q
     li = [np.linalg.inv(v) for v in ls]
     mi = [np.linalg.inv(v) for v in ms]
     right = ds.side == RIGHT
 
-    def prodml(n):
-        out = np.eye(q, dtype=complex)
-        for j in range(n):
-            out = out @ mi[j] @ li[j]
-        return out
-
     def sgn(n):
         return (-1.0) ** n if right else 1.0
 
     n_p = len(ls) + 1          # P_0..P_{half(kappa+1)}
     n_shift = len(ms)          # shifted families 0..half(kappa)
-    p_vals = [sgn(n) * prodml(n) for n in range(n_p)]
+    # prods[n] = prod_{j<n} M_j^{-1} L_j^{-1}
+    prods = [ordered_product((x for j in range(n) for x in (mi[j], li[j])), q)
+             for n in range(n_p)]
+    p_vals = [sgn(n) * prods[n] for n in range(n_p)]
     second_vals = [np.zeros((q, q), dtype=complex)]
     for n in range(1, n_p):
-        second_vals.append(sgn(n + 1) * prodml(n) @ sum(ls[:n]))
-    shift_vals = [sgn(n) * prodml(n) @ mi[n] @ sum(ms[:n + 1]) for n in range(n_shift)]
+        second_vals.append(sgn(n + 1) * prods[n] @ sum(ls[:n]))
+    shift_vals = [sgn(n) * prods[n] @ mi[n] @ sum(ms[:n + 1]) for n in range(n_shift)]
     phat_sign = 1.0 if right else -1.0
-    phat_vals = [phat_sign * sgn(n) * prodml(n) @ mi[n] for n in range(n_shift)]
+    phat_vals = [phat_sign * sgn(n) * prods[n] @ mi[n] for n in range(n_shift)]
     return {"p": p_vals, "second": second_vals, "p_shift": shift_vals, "phat": phat_vals}
 
 
-def eval_quadruple_at_alpha(quad: StieltjesQuadruple, ds,
-                            tol: ToleranceConfig = DEFAULT_TOL) -> dict:
+def eval_quadruple_at_alpha(quad: StieltjesQuadruple, ds) -> dict:
     """Values at alpha, checked against the closed (L, M)-products."""
     direct = quadruple_values_at_alpha(quad)
-    closed = quadruple_values_closed_form(ds, tol)
+    closed = quadruple_values_closed_form(ds)
     for key in direct:
         for got, want in zip(direct[key], closed[key]):
-            if np.linalg.norm(got - want) > tol.identity_tol * (1 + np.linalg.norm(want)):
+            if np.linalg.norm(got - want) > DEFAULT_TOL.identity_tol * (1 + np.linalg.norm(want)):
                 raise AssertionError(f"family '{key}' disagrees with closed form at alpha")
         if any(abs(np.linalg.det(v)) == 0 for v in direct[key][1:]):
             raise AssertionError(f"family '{key}' has a singular value at alpha")
@@ -317,8 +312,7 @@ def q_values_from_quadruple(quad: StieltjesQuadruple) -> list:
     return out
 
 
-def det_zeros(p: MatrixPolynomial, kind: str = GENERAL,
-              tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def det_zeros(p: MatrixPolynomial, kind: str = GENERAL) -> np.ndarray:
     """Zeros of det P(z), with multiplicity.
 
     MONIC uses the block companion linearization (leading coefficient must
@@ -338,7 +332,7 @@ def det_zeros(p: MatrixPolynomial, kind: str = GENERAL,
 
     if kind == MONIC:
         lead = p.coeffs[-1]
-        if not np.allclose(lead, np.eye(q), atol=tol.identity_tol):
+        if not np.allclose(lead, np.eye(q), atol=DEFAULT_TOL.identity_tol):
             raise ValueError("MONIC requires identity leading coefficient")
         n = deg
         comp = np.zeros((n * q, n * q), dtype=complex)
@@ -368,12 +362,12 @@ def det_zeros(p: MatrixPolynomial, kind: str = GENERAL,
     return np.roots(coeffs[:keep][::-1])
 
 
-def real_zeros(p: MatrixPolynomial, kind: str = GENERAL, im_tol: float = 1e-7) -> np.ndarray:
+def real_zeros(p: MatrixPolynomial, kind: str = GENERAL) -> np.ndarray:
     """det-zeros projected to the real axis; raises if any is genuinely complex."""
     zs = det_zeros(p, kind)
     if zs.size == 0:
         return np.array([], dtype=float)
-    bad = np.abs(zs.imag) > im_tol * (1.0 + np.abs(zs.real))
+    bad = np.abs(zs.imag) > 1e-7 * (1.0 + np.abs(zs.real))
     if np.any(bad):
         raise ValueError(f"non-real determinant zeros: {zs[bad]}")
     return np.sort(zs.real)

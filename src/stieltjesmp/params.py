@@ -14,12 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    Array, DEFAULT_TOL, ToleranceConfig, as_matrix, hermitize, inv_pd, is_pd,
-)
+from .linalg import Array, DEFAULT_TOL, as_matrix, hermitize, inv_pd, is_pd, ordered_product
 from .moments import (
-    RIGHT, HankelPack, MomentSequence, column_E, half, require_stieltjes_pd,
-    sequence, shift_sequence, stieltjes_parameters_raw,
+    RIGHT, MomentSequence, column_E, half, hankel, require_stieltjes_pd,
+    schur_correction, sequence, shifted_moments, y_stack, z_stack,
 )
 
 
@@ -72,34 +70,14 @@ class DSParam:
         return 2 * (len(self.m) - 1) if len(self.m) > len(self.l) else 2 * len(self.l) - 1
 
 
-def _prod(mats) -> Array:
-    """Ordered product M_0 M_1 ... M_k; empty product is the identity."""
-    mats = list(mats)
-    if not mats:
-        raise ValueError("need the target size for an empty product")
-    out = mats[0].copy()
-    for m in mats[1:]:
-        out = out @ m
-    return out
-
-
-def _prod_or_eye(mats, q: int) -> Array:
-    mats = list(mats)
-    if not mats:
-        return np.eye(q, dtype=complex)
-    return _prod(mats)
-
-
 # --- Q-parametrization -------------------------------------------------------
 
-def stieltjes_param(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> StieltjesParam:
+def stieltjes_param(seq: MomentSequence) -> StieltjesParam:
     """Q_{2n} = Hhat_n, Q_{2n+1} = Hhat of the shifted sequence."""
-    values = tuple(stieltjes_parameters_raw(seq, tol))
-    return StieltjesParam(q=seq.q, alpha=seq.alpha, side=seq.side, values=values)
+    return seq.qparam
 
 
-def seq_from_stieltjes_param(p: StieltjesParam,
-                             tol: ToleranceConfig = DEFAULT_TOL) -> MomentSequence:
+def seq_from_stieltjes_param(p: StieltjesParam) -> MomentSequence:
     """Recursive reconstruction; stieltjes_param is a left inverse."""
     a = p.alpha
     sgn = 1.0 if p.side == RIGHT else -1.0
@@ -107,94 +85,80 @@ def seq_from_stieltjes_param(p: StieltjesParam,
     if p.kappa >= 1:
         mats.append(a * mats[0] + sgn * as_matrix(p[1]))
     for j in range(2, p.kappa + 1):
-        seq_so_far = MomentSequence(q=p.q, alpha=a, side=p.side, moments=tuple(mats))
-        pack = HankelPack(seq_so_far, tol)
         n = j // 2
         if j % 2 == 0:
-            corr = pack.z(n, 2 * n - 1) @ np.linalg.pinv(pack.h(n - 1), rcond=tol.pinv_cutoff) \
-                @ pack.y(n, 2 * n - 1)
-            mats.append(as_matrix(p[j]) + corr)
+            mats.append(as_matrix(p[j]) + schur_correction(mats, n))
         else:
-            corr = pack.z_shift(n, 2 * n - 1) \
-                @ np.linalg.pinv(pack.h_shift(n - 1), rcond=tol.pinv_cutoff) \
-                @ pack.y_shift(n, 2 * n - 1)
+            corr = schur_correction(shifted_moments(mats, a, p.side), n)
             mats.append(a * mats[-1] + sgn * (as_matrix(p[j]) + corr))
     return MomentSequence(q=p.q, alpha=a, side=p.side, moments=tuple(mats))
 
 
 # --- canonical Hankel parametrization ----------------------------------------
 
-def _lambda_term(pack: HankelPack, n: int, tol: ToleranceConfig) -> Array:
-    """Correction Lambda_n entering C; Lambda_0 = 0."""
-    q = pack.seq.q
+def _lambda_term(seq, n: int) -> Array:
+    """Correction Lambda_n entering C; Lambda_0 = 0.  `seq` as for hankel()."""
     if n == 0:
-        return np.zeros((q, q), dtype=complex)
-    hp = np.linalg.pinv(pack.h(n - 1), rcond=tol.pinv_cutoff)
-    z_lo, z_hi = pack.z(n, 2 * n - 1), pack.z(n + 1, 2 * n)
-    y_lo, y_hi = pack.y(n, 2 * n - 1), pack.y(n + 1, 2 * n)
-    return z_lo @ hp @ y_hi + z_hi @ hp @ y_lo - z_lo @ hp @ pack.k(n - 1) @ hp @ y_lo
+        return np.zeros_like(seq[0])
+    hp = np.linalg.pinv(hankel(seq, n - 1), rcond=DEFAULT_TOL.pinv_cutoff)
+    z_lo, z_hi = z_stack(seq, n, 2 * n - 1), z_stack(seq, n + 1, 2 * n)
+    y_lo, y_hi = y_stack(seq, n, 2 * n - 1), y_stack(seq, n + 1, 2 * n)
+    return z_lo @ hp @ y_hi + z_hi @ hp @ y_lo - z_lo @ hp @ hankel(seq, n - 1, 1) @ hp @ y_lo
 
 
-def canonical_hankel_param(seq: MomentSequence,
-                           tol: ToleranceConfig = DEFAULT_TOL) -> CanonicalHankelParam:
+def canonical_hankel_param(seq: MomentSequence) -> CanonicalHankelParam:
     """D_n = Hhat_n; C_n = s_{2n-1} - Lambda_{n-1}."""
-    pack = HankelPack(seq, tol)
-    d = tuple(pack.hhat(n) for n in range(half(seq.kappa) + 1))
-    c = tuple(seq[2 * n - 1] - _lambda_term(pack, n - 1, tol)
+    d = seq.pack.hhats
+    c = tuple(seq[2 * n - 1] - _lambda_term(seq, n - 1)
               for n in range(1, half(seq.kappa + 1) + 1))
     return CanonicalHankelParam(c=c, d=d)
 
 
 def seq_from_canonical(p: CanonicalHankelParam, q: int, alpha: float = 0.0,
-                       side: str = RIGHT, tol: ToleranceConfig = DEFAULT_TOL) -> MomentSequence:
+                       side: str = RIGHT) -> MomentSequence:
     """Reconstruction s_0 = D_0, s_{2n-1} = C_n + Lambda_{n-1}, s_{2n} = D_n + corr."""
     kappa = len(p.c) + len(p.d) - 1
     mats = [as_matrix(p.d[0])]
     for j in range(1, kappa + 1):
-        seq_so_far = MomentSequence(q=q, alpha=alpha, side=side, moments=tuple(mats))
-        pack = HankelPack(seq_so_far, tol) if j >= 2 else None
         n = (j + 1) // 2
         if j % 2 == 1:
-            lam = _lambda_term(pack, n - 1, tol) if n >= 2 else np.zeros((q, q), dtype=complex)
-            mats.append(as_matrix(p.c[n - 1]) + lam)
+            mats.append(as_matrix(p.c[n - 1]) + _lambda_term(mats, n - 1))
         else:
-            corr = pack.z(n, 2 * n - 1) @ np.linalg.pinv(pack.h(n - 1), rcond=tol.pinv_cutoff) \
-                @ pack.y(n, 2 * n - 1)
-            mats.append(as_matrix(p.d[n]) + corr)
+            mats.append(as_matrix(p.d[n]) + schur_correction(mats, n))
     return MomentSequence(q=q, alpha=alpha, side=side, moments=tuple(mats))
 
 
 # --- Favard pair --------------------------------------------------------------
 
-def favard_pair(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> FavardPair:
+def favard_pair(seq: MomentSequence) -> FavardPair:
     """Three-term recursion coefficients of the monic orthogonal system.
 
     Needs the Hankel-PD prefix (s_j)_{j<=2*half(kappa-1)} so every inverse
     in the definition exists.
     """
-    pack = HankelPack(seq, tol)
+    pack = seq.pack
     kappa = seq.kappa
     for n in range(half(kappa - 1) + 1):
-        if not is_pd(pack.hhat(n), tol):
+        if not is_pd(pack.hhat(n)):
             raise ValueError("Hankel-PD prefix required for the Favard pair")
 
     b = [seq[0].copy()]
     for n in range(1, half(kappa) + 1):
-        b.append(inv_pd(pack.hhat(n - 1), tol) @ pack.hhat(n))
+        b.append(inv_pd(pack.hhat(n - 1)) @ pack.hhat(n))
     a = []
     if kappa >= 1:
-        a.append(seq[1] @ inv_pd(seq[0], tol))
+        a.append(seq[1] @ inv_pd(seq[0]))
     for n in range(1, half(kappa - 1) + 1):
         hinv = pack.h_inv(n - 1)
         row = np.hstack([-pack.z(n, 2 * n - 1) @ hinv, np.eye(seq.q)])
         col = np.vstack([-hinv @ pack.y(n, 2 * n - 1), np.eye(seq.q)])
-        a.append(row @ pack.k(n) @ col @ inv_pd(pack.hhat(n), tol))
+        a.append(row @ hankel(seq, n, 1) @ col @ inv_pd(pack.hhat(n)))
     return FavardPair(a=tuple(a), b=tuple(b))
 
 
 # --- Dyukarev-Stieltjes parametrization ---------------------------------------
 
-def ds_param(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> DSParam:
+def ds_param(seq: MomentSequence) -> DSParam:
     """PD pair (L_n, M_n) of increments of the Hankel inverses at alpha.
 
     The defining increments E^*(a) H_n^{-1} E(a) - E^*(a) H_{n-1}^{-1} E(a)
@@ -208,8 +172,12 @@ def ds_param(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> DSParam
     which is how they are computed here (no large cancelling differences).
     ds_increments exposes the raw definition for cross-checking.
     """
-    require_stieltjes_pd(seq, tol)
-    pack = HankelPack(seq, tol)
+    return seq.ds
+
+
+def _ds_param(seq: MomentSequence) -> DSParam:
+    require_stieltjes_pd(seq)
+    pack, sh = seq.pack, seq.pack.shift
     q, a = seq.q, seq.alpha
     kappa = seq.kappa
 
@@ -219,19 +187,18 @@ def ds_param(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> DSParam
         p_at_alpha = row @ column_E(q, n, a)
         m.append(hermitize(p_at_alpha.conj().T @ np.linalg.inv(pack.hhat(n)) @ p_at_alpha))
 
-    shifted0 = shift_sequence(seq)[0]
-    l = [hermitize(seq[0] @ np.linalg.inv(shifted0) @ seq[0])]
+    l = [hermitize(seq[0] @ np.linalg.inv(seq.shifted[0]) @ seq[0])]
     for n in range(1, half(kappa - 1) + 1):
-        row = np.hstack([-pack.z_shift(n, 2 * n - 1) @ pack.h_shift_inv(n - 1), np.eye(q)])
+        row = np.hstack([-sh.z(n, 2 * n - 1) @ sh.h_inv(n - 1), np.eye(q)])
         g = row @ pack.y(0, n)
-        l.append(hermitize(g.conj().T @ np.linalg.inv(pack.hhat_shift(n)) @ g))
+        l.append(hermitize(g.conj().T @ np.linalg.inv(sh.hhat(n)) @ g))
     return DSParam(q=q, alpha=a, side=seq.side, l=tuple(l), m=tuple(m))
 
 
-def ds_increments(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> DSParam:
+def ds_increments(seq: MomentSequence) -> DSParam:
     """(L, M) by the literal inverse-increment definition; for cross-checks."""
-    require_stieltjes_pd(seq, tol)
-    pack = HankelPack(seq, tol)
+    require_stieltjes_pd(seq)
+    pack, sh = seq.pack, seq.pack.shift
     q, a = seq.q, seq.alpha
     kappa = seq.kappa
 
@@ -242,19 +209,24 @@ def ds_increments(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> DS
         m.append(e_n.conj().T @ pack.h_inv(n) @ e_n
                  - e_p.conj().T @ pack.h_inv(n - 1) @ e_p)
 
-    shifted0 = shift_sequence(seq)[0]
-    l = [seq[0] @ np.linalg.inv(shifted0) @ seq[0]]
+    l = [seq[0] @ np.linalg.inv(seq.shifted[0]) @ seq[0]]
     for n in range(1, half(kappa - 1) + 1):
-        l.append(pack.z(0, n) @ pack.h_shift_inv(n) @ pack.y(0, n)
-                 - pack.z(0, n - 1) @ pack.h_shift_inv(n - 1) @ pack.y(0, n - 1))
+        l.append(pack.z(0, n) @ sh.h_inv(n) @ pack.y(0, n)
+                 - pack.z(0, n - 1) @ sh.h_inv(n - 1) @ pack.y(0, n - 1))
     return DSParam(q=q, alpha=a, side=seq.side, l=tuple(l), m=tuple(m))
 
 
-def ds_from_q(p: StieltjesParam, tol: ToleranceConfig = DEFAULT_TOL) -> DSParam:
+def _pd_values(mats, what: str) -> list:
+    """Complex copies of the parameter matrices, each checked to be PD."""
+    out = [np.asarray(v, dtype=complex) for v in mats]
+    if not all(is_pd(v) for v in out):
+        raise ValueError(f"all {what} must be PD")
+    return out
+
+
+def ds_from_q(p: StieltjesParam) -> DSParam:
     """Alternating-product map Q -> (L, M); requires all Q_j PD."""
-    qs = [as_matrix(v) for v in p.values]
-    if not all(is_pd(v, tol) for v in qs):
-        raise ValueError("all Q_j must be PD")
+    qs = _pd_values(p.values, "Q_j")
     q = p.q
     n_m = half(p.kappa) + 1
     n_l = half(p.kappa - 1) + 1 if p.kappa >= 1 else 0
@@ -264,54 +236,47 @@ def ds_from_q(p: StieltjesParam, tol: ToleranceConfig = DEFAULT_TOL) -> DSParam:
         if n == 0:
             m.append(np.linalg.inv(qs[0]))
         else:
-            g = _prod(np.linalg.inv(qs[2 * j]) @ qs[2 * j + 1] for j in range(n))
+            g = ordered_product((np.linalg.inv(qs[2 * j]) @ qs[2 * j + 1] for j in range(n)), q)
             m.append(g @ np.linalg.inv(qs[2 * n]) @ g.conj().T)
     l = []
     for n in range(n_l):
-        g = _prod_or_eye((qs[2 * j] @ np.linalg.inv(qs[2 * j + 1]) for j in range(n + 1)), q)
+        g = ordered_product((qs[2 * j] @ np.linalg.inv(qs[2 * j + 1]) for j in range(n + 1)), q)
         l.append(g @ qs[2 * n + 1] @ g.conj().T)
     return DSParam(q=q, alpha=p.alpha, side=p.side, l=tuple(l), m=tuple(m))
 
 
-def q_from_ds(d: DSParam, tol: ToleranceConfig = DEFAULT_TOL) -> StieltjesParam:
+def q_from_ds(d: DSParam) -> StieltjesParam:
     """Inverse alternating-product map (L, M) -> Q."""
-    ls = [as_matrix(v) for v in d.l]
-    ms = [as_matrix(v) for v in d.m]
-    if not all(is_pd(v, tol) for v in ls + ms):
-        raise ValueError("all L_n, M_n must be PD")
+    ls = _pd_values(d.l, "L_n, M_n")
+    ms = _pd_values(d.m, "L_n, M_n")
     q = d.q
-    kappa = d.kappa
 
     values = []
-    for j in range(kappa + 1):
+    for j in range(d.kappa + 1):
         n = j // 2
         if j % 2 == 0:
-            g = _prod_or_eye((ms[k] @ ls[k] for k in range(n)), q)
-            gi = np.linalg.inv(g)
+            gi = np.linalg.inv(ordered_product((ms[k] @ ls[k] for k in range(n)), q))
             values.append(gi.conj().T @ np.linalg.inv(ms[n]) @ gi)
         else:
-            g = _prod((ms[k] @ ls[k] for k in range(n + 1)))
-            gi = np.linalg.inv(g)
+            gi = np.linalg.inv(ordered_product((ms[k] @ ls[k] for k in range(n + 1)), q))
             values.append(gi.conj().T @ ls[n] @ gi)
     return StieltjesParam(q=q, alpha=d.alpha, side=d.side, values=tuple(values))
 
 
-def seq_from_ds(d: DSParam, tol: ToleranceConfig = DEFAULT_TOL) -> MomentSequence:
+def seq_from_ds(d: DSParam) -> MomentSequence:
     """Sequence whose DS-parametrization is d; always Stieltjes-PD."""
-    return seq_from_stieltjes_param(q_from_ds(d, tol), tol)
+    return seq_from_stieltjes_param(q_from_ds(d))
 
 
 # --- Favard cross-identities --------------------------------------------------
 
-def favard_from_q(p: StieltjesParam, tol: ToleranceConfig = DEFAULT_TOL):
+def favard_from_q(p: StieltjesParam):
     """Favard pairs of the sequence and of its shift, straight from the Q_j.
 
     Returns (pair, shifted_pair).  Odd-index signs flip between the two
     half-lines.
     """
-    qs = [as_matrix(v) for v in p.values]
-    if not all(is_pd(v, tol) for v in qs):
-        raise ValueError("all Q_j must be PD")
+    qs = _pd_values(p.values, "Q_j")
     alpha = p.alpha
     eye = np.eye(p.q, dtype=complex)
     sgn = 1.0 if p.side == RIGHT else -1.0
@@ -340,15 +305,13 @@ def favard_from_q(p: StieltjesParam, tol: ToleranceConfig = DEFAULT_TOL):
     return FavardPair(a=tuple(a), b=tuple(b)), FavardPair(a=tuple(a_sh), b=tuple(b_sh))
 
 
-def favard_from_ds(d: DSParam, tol: ToleranceConfig = DEFAULT_TOL):
+def favard_from_ds(d: DSParam):
     """Favard pairs of the sequence and of its shift from the (L, M) products.
 
     Returns (pair, shifted_pair); closed products, no sequence reconstruction.
     """
-    ls = [as_matrix(v) for v in d.l]
-    ms = [as_matrix(v) for v in d.m]
-    if not all(is_pd(v, tol) for v in ls + ms):
-        raise ValueError("all L_n, M_n must be PD")
+    ls = _pd_values(d.l, "L_n, M_n")
+    ms = _pd_values(d.m, "L_n, M_n")
     q, alpha = d.q, d.alpha
     eye = np.eye(q, dtype=complex)
     sgn = 1.0 if d.side == RIGHT else -1.0
@@ -358,10 +321,10 @@ def favard_from_ds(d: DSParam, tol: ToleranceConfig = DEFAULT_TOL):
     mi = [np.linalg.inv(v) for v in ms]
 
     def asc(pairs):
-        return _prod_or_eye(pairs, q)
+        return ordered_product(pairs, q)
 
     def desc(pairs):
-        return _prod_or_eye(reversed(list(pairs)), q)
+        return ordered_product(reversed(pairs), q)
 
     b = [mi[0].copy()]
     for n in range(1, half(kappa) + 1):
@@ -407,8 +370,7 @@ def random_pd(q: int, rng: np.random.Generator, spread: float = 0.3) -> Array:
 
 def random_stieltjes_pd_sequence(q: int, kappa: int, alpha: float = 0.0,
                                  side: str = RIGHT, seed: int = 0,
-                                 max_cond: float | None = 1e7,
-                                 tol: ToleranceConfig = DEFAULT_TOL) -> MomentSequence:
+                                 max_cond: float | None = 1e7) -> MomentSequence:
     """Seeded Stieltjes-PD sequence built through the (L, M) -> seq map.
 
     Deterministic in the seed.  Draws are resampled (from the same stream)
@@ -423,12 +385,10 @@ def random_stieltjes_pd_sequence(q: int, kappa: int, alpha: float = 0.0,
         m = tuple(random_pd(q, rng) for _ in range(half(kappa) + 1))
         l = tuple(random_pd(q, rng) for _ in range(half(kappa - 1) + 1))
         d = DSParam(q=q, alpha=float(alpha), side=side, l=l, m=m)
-        seq = seq_from_ds(d, tol)
+        seq = seq_from_ds(d)
         if max_cond is None:
             return seq
-        pack = HankelPack(seq, tol)
-        worst = max(np.linalg.cond(pack.h(half(kappa))),
-                    np.linalg.cond(pack.h_shift(half(kappa - 1))))
+        worst = max(np.linalg.cond(seq.pack.top), np.linalg.cond(seq.pack.shift.top))
         if worst <= max_cond:
             return seq
     raise RuntimeError(f"no fixture with cond <= {max_cond:g} found "

@@ -13,15 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    Array, DEFAULT_TOL, JTILDE, ToleranceConfig, hermitize, j_defect,
-    min_eig_hermitian_part, signature_matrix,
+    Array, JTILDE, hermitize, j_defect, min_eig_hermitian_part, ordered_product,
+    signature_matrix,
 )
 from .moments import (
-    RIGHT, HankelPack, MomentSequence, block_shift, first_block_column,
-    half, require_stieltjes_pd, resolvent_R, u_shift_vector, u_vector,
+    RIGHT, MomentSequence, block_shift, first_block_column, half,
+    require_stieltjes_pd, resolvent_R, u_shift_vector, u_vector,
 )
-from .orthopoly import MatrixPolynomial, StieltjesQuadruple, stieltjes_quadruple
-from .params import DSParam, ds_param
+from .orthopoly import MatrixPolynomial, stieltjes_quadruple
+from .params import ds_param
 
 
 @dataclass(frozen=True)
@@ -56,11 +56,14 @@ def _moment_poly(left: Array, mid: Array, right: Array, t: Array,
     return MatrixPolynomial(coeffs)
 
 
-def dyukarev_quadruple(seq: MomentSequence,
-                       tol: ToleranceConfig = DEFAULT_TOL) -> DyukarevQuadruple:
+def dyukarev_quadruple(seq: MomentSequence) -> DyukarevQuadruple:
     """The four resolvent block families of a Stieltjes-PD sequence."""
-    require_stieltjes_pd(seq, tol)
-    pack = HankelPack(seq, tol)
+    return seq.dyukarev
+
+
+def _dyukarev_quadruple(seq: MomentSequence) -> DyukarevQuadruple:
+    require_stieltjes_pd(seq)
+    pack = seq.pack
     q, alpha = seq.q, seq.alpha
     kappa = seq.kappa
     eye_poly = MatrixPolynomial.constant(np.eye(q))
@@ -83,7 +86,7 @@ def dyukarev_quadruple(seq: MomentSequence,
         t = block_shift(q, n - 1)
         v = first_block_column(q, n - 1)
         u_sh = u_shift_vector(seq, n - 1)
-        mid = pack.h_shift_inv(n - 1)
+        mid = pack.shift.h_inv(n - 1)
         y = pack.y(0, n - 1)
         b_list.append(_moment_poly(u_sh, mid, y, t, n - 1))
         w_d = _moment_poly(v, mid, y, t, n - 1)
@@ -133,8 +136,6 @@ class ResolventU:
 
 
 def resolvent_u(seq: MomentSequence, m: int | None = None,
-                quad: DyukarevQuadruple | None = None,
-                tol: ToleranceConfig = DEFAULT_TOL,
                 check: bool = False) -> ResolventU:
     """Block assembly of the resolvent member for index m.
 
@@ -145,8 +146,7 @@ def resolvent_u(seq: MomentSequence, m: int | None = None,
         m = seq.kappa
     if not 0 <= m <= seq.kappa:
         raise ValueError(f"index m={m} outside 0..kappa={seq.kappa}")
-    if quad is None:
-        quad = dyukarev_quadruple(seq, tol)
+    quad = dyukarev_quadruple(seq)
     poly = MatrixPolynomial.block2x2(quad.a[half(m)], quad.b[half(m + 1)],
                                      quad.c[half(m)], quad.d[half(m + 1)])
     u = ResolventU(m=m, side=seq.side, alpha=seq.alpha, q=seq.q, poly=poly)
@@ -164,9 +164,7 @@ def resolvent_u(seq: MomentSequence, m: int | None = None,
     return u
 
 
-def u_from_quadruple_polynomials(seq: MomentSequence, m: int,
-                                 quad: StieltjesQuadruple | None = None,
-                                 tol: ToleranceConfig = DEFAULT_TOL) -> ResolventU:
+def u_from_quadruple_polynomials(seq: MomentSequence, m: int) -> ResolventU:
     """Alternative route to U through the orthogonal-system quadruple.
 
     Right half-line:
@@ -177,8 +175,7 @@ def u_from_quadruple_polynomials(seq: MomentSequence, m: int,
     """
     if not 0 <= m <= seq.kappa:
         raise ValueError(f"index m={m} outside 0..kappa={seq.kappa}")
-    if quad is None:
-        quad = stieltjes_quadruple(seq, tol)
+    quad = stieltjes_quadruple(seq)
     a = seq.alpha
     q = seq.q
     n, k = half(m), half(m + 1)
@@ -218,9 +215,7 @@ class FactorChain:
         return out
 
 
-def factorize_u(seq: MomentSequence, m: int | None = None,
-                ds: DSParam | None = None,
-                tol: ToleranceConfig = DEFAULT_TOL) -> FactorChain:
+def factorize_u(seq: MomentSequence, m: int | None = None) -> FactorChain:
     """Multiplicative chain: even factors carry (alpha-z)M, odd carry L.
 
     W_{2n}(z) = [[I, 0], [(alpha-z) M_n, I]] on both half-lines;
@@ -230,8 +225,7 @@ def factorize_u(seq: MomentSequence, m: int | None = None,
         m = seq.kappa
     if not 0 <= m <= seq.kappa:
         raise ValueError(f"index m={m} outside 0..kappa={seq.kappa}")
-    if ds is None:
-        ds = ds_param(seq, tol)
+    ds = ds_param(seq)
     q, alpha = seq.q, seq.alpha
     eye = np.eye(q)
     zero = np.zeros((q, q))
@@ -250,9 +244,7 @@ def factorize_u(seq: MomentSequence, m: int | None = None,
     return FactorChain(side=seq.side, alpha=alpha, q=q, factors=tuple(factors))
 
 
-def leading_terms(seq: MomentSequence, m: int | None = None,
-                  ds: DSParam | None = None,
-                  tol: ToleranceConfig = DEFAULT_TOL) -> dict:
+def leading_terms(seq: MomentSequence, m: int | None = None) -> dict:
     """Top and bottom coefficients of A, B, C, D in powers of w.
 
     w = z - alpha on the right half-line, w = alpha - z on the left.  For
@@ -261,24 +253,17 @@ def leading_terms(seq: MomentSequence, m: int | None = None,
     """
     if m is None:
         m = seq.kappa
-    if ds is None:
-        ds = ds_param(seq, tol)
+    ds = ds_param(seq)
     q = seq.q
     eye = np.eye(q, dtype=complex)
-    ls = [np.asarray(v) for v in ds.l]
-    ms = [np.asarray(v) for v in ds.m]
+    ls, ms = ds.l, ds.m
     right = seq.side == RIGHT
     n_ac, n_bd = half(m), half(m + 1)
 
-    def prod(mats):
-        out = eye.copy()
-        for x in mats:
-            out = out @ x
-        return out
-
     n = n_ac
-    a_lead = ((-1.0) ** n) * prod(ls[j] @ ms[j + 1] for j in range(n))
-    c_lead = ((-1.0) ** (n + 1)) * ms[0] @ prod(ls[j] @ ms[j + 1] for j in range(n))
+    lm = ordered_product((ls[j] @ ms[j + 1] for j in range(n)), q)
+    a_lead = ((-1.0) ** n) * lm
+    c_lead = ((-1.0) ** (n + 1)) * ms[0] @ lm
     c_low = -sum(ms[j] for j in range(n + 1))
     if not right:
         c_lead, c_low = -c_lead, -c_low
@@ -289,9 +274,10 @@ def leading_terms(seq: MomentSequence, m: int | None = None,
         d_lead, d_low = eye.copy(), eye.copy()
         b_deg, d_deg = -1, 0
     else:
-        b_lead = ((-1.0) ** (k - 1)) * ls[0] @ prod(ms[j] @ ls[j] for j in range(1, k))
+        ml = ordered_product((ms[j] @ ls[j] for j in range(1, k)), q)
+        b_lead = ((-1.0) ** (k - 1)) * ls[0] @ ml
         b_low = sum(ls[j] for j in range(k))
-        d_lead = ((-1.0) ** k) * prod(ms[j] @ ls[j] for j in range(k))
+        d_lead = ((-1.0) ** k) * ordered_product((ms[j] @ ls[j] for j in range(k)), q)
         d_low = eye.copy()
         if not right:
             b_lead, b_low = -b_lead, -b_low
@@ -305,8 +291,7 @@ def leading_terms(seq: MomentSequence, m: int | None = None,
     }
 
 
-def coupling_builders(seq: MomentSequence, n: int,
-                      tol: ToleranceConfig = DEFAULT_TOL) -> dict:
+def coupling_builders(seq: MomentSequence, n: int) -> dict:
     """Diagnostic access to the internal coupling machinery (right side).
 
     Returns evaluators for the two 2q x 2q fundamental-matrix functions
@@ -318,7 +303,7 @@ def coupling_builders(seq: MomentSequence, n: int,
     """
     if seq.side != RIGHT:
         raise ValueError("coupling diagnostics are implemented for the right side")
-    pack = HankelPack(seq, tol)
+    pack = seq.pack
     q, alpha = seq.q, seq.alpha
     eye2 = np.eye(2 * q)
 
@@ -335,14 +320,14 @@ def coupling_builders(seq: MomentSequence, n: int,
         v = first_block_column(q, n)
         u_sh = u_shift_vector(seq, n)
         r_star = resolvent_R(q, n, np.conj(z)).conj().T
-        mid = pack.h_shift_inv(n) @ resolvent_R(q, n, alpha)
+        mid = pack.shift.h_inv(n) @ resolvent_R(q, n, alpha)
         left = np.hstack([u_sh, -v]).conj().T
         right = np.hstack([v, u_sh])
         return eye2 + (z - alpha) * left @ r_star @ mid @ right
 
     def m_const(k: int) -> Array:
         y = pack.y(0, k)
-        corner = y.conj().T @ pack.h_shift_inv(k) @ y
+        corner = y.conj().T @ pack.shift.h_inv(k) @ y
         return np.block([[np.eye(q), corner],
                          [np.zeros((q, q)), np.eye(q)]])
 
@@ -369,13 +354,9 @@ def schur_rotation(q: int, side: str = RIGHT) -> Array:
     return np.block([[-1j * eye, -1j * eye], [eye, -eye]]) / np.sqrt(2.0)
 
 
-def sigma(seq: MomentSequence, m: int | None = None,
-          u: ResolventU | None = None,
-          tol: ToleranceConfig = DEFAULT_TOL) -> MatrixPolynomial:
+def sigma(seq: MomentSequence, m: int | None = None) -> MatrixPolynomial:
     """Sigma = U * E: the generator of the Schur-class parametrization."""
-    if u is None:
-        u = resolvent_u(seq, m, tol=tol)
-    return u.poly.rmul(schur_rotation(seq.q, seq.side))
+    return resolvent_u(seq, m).poly.rmul(schur_rotation(seq.q, seq.side))
 
 
 @dataclass(frozen=True)

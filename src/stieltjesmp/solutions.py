@@ -7,17 +7,15 @@ pairs give the two extremal solutions; at a real point off the half-line
 the solution values fill the matrix interval between them exactly.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import (
-    Array, DEFAULT_TOL, ToleranceConfig, as_matrix, hermitize, is_pd, is_psd,
-    sqrt_psd,
-)
+from .linalg import Array, DEFAULT_TOL, as_matrix, hermitize, is_pd, is_psd, sqrt_psd
 from .moments import (
-    LEFT, RIGHT, HankelPack, MomentSequence, block_shift, first_block_column,
-    half, require_stieltjes_pd, resolvent_R,
+    LEFT, RIGHT, MomentSequence, block_shift, first_block_column, half,
+    require_stieltjes_pd, resolvent_R,
 )
 from .orthopoly import stieltjes_quadruple
 from .resolvent import ResolventU, dyukarev_quadruple
@@ -41,7 +39,6 @@ class StieltjesPair:
     phi: Array | None = None
     psi: Array | None = None
     f: Array | None = None
-    tol: ToleranceConfig = field(default=DEFAULT_TOL, compare=False)
 
     def __post_init__(self):
         if self.kind == CONSTANT:
@@ -50,19 +47,20 @@ class StieltjesPair:
             if np.linalg.matrix_rank(np.vstack([phi, psi])) < q:
                 raise ValueError("pair is rank deficient")
             cross = psi.conj().T @ phi
-            if np.linalg.norm(cross - cross.conj().T) > self.tol.herm_tol * (1 + np.linalg.norm(cross)):
+            if np.linalg.norm(cross - cross.conj().T) \
+                    > DEFAULT_TOL.herm_tol * (1 + np.linalg.norm(cross)):
                 raise ValueError("psi^* phi must be Hermitian")
             semidef = cross if self.side == RIGHT else -cross
-            if not is_psd(semidef, self.tol):
+            if not is_psd(semidef):
                 raise ValueError("psi^* phi has the wrong sign for this half-line")
             object.__setattr__(self, "phi", phi)
             object.__setattr__(self, "psi", psi)
         elif self.kind == SCHUR_CONSTANT:
             f = as_matrix(self.f)
             q = f.shape[0]
-            if np.linalg.norm(f.conj().T @ f - np.eye(q)) > self.tol.identity_tol * q:
+            if np.linalg.norm(f.conj().T @ f - np.eye(q)) > DEFAULT_TOL.identity_tol * q:
                 raise ValueError("Schur parameter must be unitary")
-            if not is_psd((f - f.conj().T) / 2j, self.tol):
+            if not is_psd((f - f.conj().T) / 2j):
                 raise ValueError("Schur parameter needs PSD imaginary part")
             object.__setattr__(self, "f", f)
         else:
@@ -122,119 +120,111 @@ def lft_solve_schur(sig_poly, f: Array, z: complex, q: int) -> Array:
 
 
 class ExtremalSolution:
-    """One extremal solution with its three agreeing computation routes."""
+    """One extremal solution of the truncated problem up to index m.
 
-    def __init__(self, routes: dict, side: str, alpha: float,
-                 tol: ToleranceConfig = DEFAULT_TOL):
-        self.routes = routes
-        self.side = side
-        self.alpha = alpha
-        self.tol = tol
+    Calling it evaluates the quadruple ratio B D^{-1} (bd=True) resp.
+    A C^{-1} of the cached Dyukarev quadruple; that is the one production
+    route.  The
+    resolvent-pencil closed form and the orthogonal-polynomial quotient
+    are oracles only: `routes` builds them the first time it is read, and
+    `route_spread` reports how far they are from the quadruple ratio.
+    """
+
+    def __init__(self, seq: MomentSequence, m: int, bd: bool):
+        self.seq, self.m, self.bd = seq, m, bd
+        self.side, self.alpha = seq.side, seq.alpha
+        dq = dyukarev_quadruple(seq)
+        if bd:
+            self._num, self._den = dq.b[half(m + 1)], dq.d[half(m + 1)]
+        else:
+            self._num, self._den = dq.a[half(m)], dq.c[half(m)]
 
     def __call__(self, z: complex) -> Array:
-        return self.routes["quadruple"](z)
+        return self._num(z) @ np.linalg.inv(self._den(z))
+
+    @cached_property
+    def routes(self) -> dict:
+        """The quadruple ratio and the two oracle routes, by name."""
+        pencil = _pencil_y(self.seq, self.m) if self.bd else _pencil_v(self.seq, self.m)
+        return {"quadruple": self, "pencil": pencil,
+                "polynomial": _quotient(self.seq, self.m, self.bd)}
 
     def route_spread(self, z: complex) -> float:
         vals = [r(z) for r in self.routes.values()]
         return max(float(np.linalg.norm(v - vals[0])) for v in vals[1:])
 
 
-def extremal(seq: MomentSequence, m: int | None = None,
-             tol: ToleranceConfig = DEFAULT_TOL):
+def _pencil_y(seq: MomentSequence, m: int):
+    """Closed form y^* [Hshift - (z-a) H]^{-1} y of the B D^{-1} extremal
+    (left half-line: y^* [(a-z) H - Hshift]^{-1} y), at index half(m-1)."""
+    pack, a = seq.pack, seq.alpha
+    n = half(m - 1)
+    h, h_sh, y = pack.h(n), pack.h_shift(n), pack.y(0, n)
+
+    def pencil(z):
+        if seq.side == RIGHT:
+            return y.conj().T @ np.linalg.inv(h_sh - (z - a) * h) @ y
+        return y.conj().T @ np.linalg.inv((a - z) * h - h_sh) @ y
+    return pencil
+
+
+def _pencil_v(seq: MomentSequence, m: int):
+    """Closed form of the A C^{-1} extremal through the corner-padded
+    shifted Hankel block at index half(m)."""
+    pack, q, a = seq.pack, seq.q, seq.alpha
+    n = half(m)
+    t = block_shift(q, n)
+    v = first_block_column(q, n)
+    r_alpha_inv = np.eye((n + 1) * q) - a * t
+    if 2 * n == m:
+        sh = seq.shifted
+        pad = np.zeros(((n + 1) * q, (n + 1) * q), dtype=complex)
+        if n >= 1:
+            pad[:n * q, :n * q] = pack.h_shift(n - 1)
+            pad[:n * q, n * q:] = np.vstack([sh[j] for j in range(n, 2 * n)])
+            pad[n * q:, :n * q] = np.hstack([sh[j] for j in range(n, 2 * n)])
+        h_sh = pad
+    else:
+        h_sh = pack.h_shift(n)
+    core = t @ h_sh @ t.conj().T
+    hh = r_alpha_inv @ pack.h(n) @ r_alpha_inv.conj().T
+    right = seq.side == RIGHT
+
+    def pencil(z):
+        w = (z - a) if right else (a - z)
+        mat = core - hh / w
+        return (1.0 if right else -1.0) * np.linalg.inv(v.conj().T @ np.linalg.inv(mat) @ v)
+    return pencil
+
+
+def _quotient(seq: MomentSequence, m: int, bd: bool):
+    """Orthogonal-polynomial quotient of the conjugated families."""
+    quad, a = stieltjes_quadruple(seq), seq.alpha
+    if bd:
+        p_cs = quad.p[half(m + 1)].conj_star()
+        p2_cs = quad.second[half(m + 1)].conj_star()
+        return lambda z: -p2_cs(z) @ np.linalg.inv(p_cs(z))
+    psh_cs = quad.p_shift[half(m)].conj_star()
+    phat_cs = quad.phat[half(m)].conj_star()
+    sign = -1.0 if seq.side == RIGHT else 1.0
+    return lambda z: (sign / (z - a)) * phat_cs(z) @ np.linalg.inv(psh_cs(z))
+
+
+def extremal(seq: MomentSequence, m: int | None = None):
     """(S_min, S_max) evaluators for the solution set up to index m.
 
-    Each evaluator carries three routes: the quadruple ratio, the
-    resolvent-pencil closed form and the orthogonal-polynomial quotient.
+    Each evaluator computes the quadruple ratio; its `routes` and
+    `route_spread` give the resolvent-pencil and orthogonal-polynomial
+    routes as cross-checks.  On the right half-line S_min = B D^{-1} and
+    S_max = A C^{-1}; the left half-line swaps the two.
     """
-    require_stieltjes_pd(seq, tol)
+    require_stieltjes_pd(seq)
     if m is None:
         m = seq.kappa
     if not 1 <= m <= seq.kappa:
         raise ValueError(f"index m={m} outside 1..kappa={seq.kappa}")
-    sub = MomentSequence(q=seq.q, alpha=seq.alpha, side=seq.side,
-                         moments=seq.moments[:m + 1])
-    dq = dyukarev_quadruple(sub, tol)
-    quad = stieltjes_quadruple(sub, tol)
-    pack = HankelPack(sub, tol)
-    q, a = seq.q, seq.alpha
-    right = seq.side == RIGHT
-    n_lo, n_hi = half(m - 1), half(m)
-
-    a_poly, c_poly = dq.a[n_hi], dq.c[n_hi]
-    b_poly, d_poly = dq.b[half(m + 1)], dq.d[half(m + 1)]
-
-    def ratio(num, den):
-        def f(z):
-            return num(z) @ np.linalg.inv(den(z))
-        return f
-
-    # pencil data for the y^*[...]^{-1}y closed form
-    h_lo = pack.h(n_lo)
-    h_sh_lo = pack.h_shift(n_lo)
-    y_lo = pack.y(0, n_lo)
-
-    def pencil_y(z):
-        # right: y^* [Hshift - (z-a) H]^{-1} y; left: y^* [(a-z) H - Hshift]^{-1} y
-        if right:
-            return y_lo.conj().T @ np.linalg.inv(h_sh_lo - (z - a) * h_lo) @ y_lo
-        return y_lo.conj().T @ np.linalg.inv((a - z) * h_lo - h_sh_lo) @ y_lo
-
-    # corner-padded shifted Hankel for the second pencil (index half(m))
-    h_hi = pack.h(n_hi)
-    t_hi = block_shift(q, n_hi)
-    v_hi = first_block_column(q, n_hi)
-    r_alpha_inv = np.eye((n_hi + 1) * q) - a * t_hi
-    if 2 * n_hi == m and m >= 1:
-        sh = pack.shifted
-        pad = np.zeros(((n_hi + 1) * q, (n_hi + 1) * q), dtype=complex)
-        if n_hi >= 1:
-            pad[:n_hi * q, :n_hi * q] = pack.h_shift(n_hi - 1)
-            pad[:n_hi * q, n_hi * q:] = np.vstack([sh[j] for j in range(n_hi, 2 * n_hi)])
-            pad[n_hi * q:, :n_hi * q] = np.hstack([sh[j] for j in range(n_hi, 2 * n_hi)])
-        h_sh_hi = pad
-    else:
-        h_sh_hi = pack.h_shift(n_hi)
-    core = t_hi @ h_sh_hi @ t_hi.conj().T
-    hh = r_alpha_inv @ h_hi @ r_alpha_inv.conj().T
-    pencil_sign = 1.0 if right else -1.0
-
-    def pencil_v(z):
-        w = (z - a) if right else (a - z)
-        mat = core - hh / w
-        return pencil_sign * np.linalg.inv(v_hi.conj().T @ np.linalg.inv(mat) @ v_hi)
-
-    # polynomial quotients via the conjugated families
-    p_cs = quad.p[half(m + 1)].conj_star()
-    p2_cs = quad.second[half(m + 1)].conj_star()
-    psh_cs = quad.p_shift[n_hi].conj_star()
-    phat_cs = quad.phat[n_hi].conj_star()
-
-    def poly_min_right(z):
-        return -p2_cs(z) @ np.linalg.inv(p_cs(z))
-
-    def poly_max_right(z):
-        return (-1.0 / (z - a)) * phat_cs(z) @ np.linalg.inv(psh_cs(z))
-
-    def poly_min_left(z):
-        return (1.0 / (z - a)) * phat_cs(z) @ np.linalg.inv(psh_cs(z))
-
-    poly_max_left = poly_min_right
-
-    if right:
-        s_min = ExtremalSolution({"quadruple": ratio(b_poly, d_poly),
-                                  "pencil": pencil_y,
-                                  "polynomial": poly_min_right}, seq.side, a, tol)
-        s_max = ExtremalSolution({"quadruple": ratio(a_poly, c_poly),
-                                  "pencil": pencil_v,
-                                  "polynomial": poly_max_right}, seq.side, a, tol)
-    else:
-        s_min = ExtremalSolution({"quadruple": ratio(a_poly, c_poly),
-                                  "pencil": pencil_v,
-                                  "polynomial": poly_min_left}, seq.side, a, tol)
-        s_max = ExtremalSolution({"quadruple": ratio(b_poly, d_poly),
-                                  "pencil": pencil_y,
-                                  "polynomial": poly_max_left}, seq.side, a, tol)
-    return s_min, s_max
+    bd, ac = ExtremalSolution(seq, m, True), ExtremalSolution(seq, m, False)
+    return (bd, ac) if seq.side == RIGHT else (ac, bd)
 
 
 @dataclass(frozen=True)
@@ -248,8 +238,7 @@ class WeylInterval:
         return self.upper - self.lower
 
 
-def weyl_interval(seq: MomentSequence, m: int | None = None, x: float = -1.0,
-                  tol: ToleranceConfig = DEFAULT_TOL) -> WeylInterval:
+def weyl_interval(seq: MomentSequence, m: int | None = None, x: float = -1.0) -> WeylInterval:
     """[S_min(x), S_max(x)] at a real point on the free side of the line."""
     if m is None:
         m = seq.kappa
@@ -257,20 +246,19 @@ def weyl_interval(seq: MomentSequence, m: int | None = None, x: float = -1.0,
         raise ValueError("x must lie strictly left of alpha on the right half-line")
     if seq.side == LEFT and not x > seq.alpha:
         raise ValueError("x must lie strictly right of alpha on the left half-line")
-    s_min, s_max = extremal(seq, m, tol)
+    s_min, s_max = extremal(seq, m)
     lo, hi = hermitize(s_min(x)), hermitize(s_max(x))
     # values are PD left of alpha on the right half-line, negative definite
     # right of alpha on the left one
     sign = 1.0 if seq.side == RIGHT else -1.0
-    if not is_pd(sign * lo, tol) or not is_pd(sign * hi, tol):
+    if not is_pd(sign * lo) or not is_pd(sign * hi):
         raise AssertionError("extremal values are not definite; inconsistent inputs")
-    if not is_pd(hi - lo, tol):
+    if not is_pd(hi - lo):
         raise AssertionError("Weyl interval degenerate; inconsistent inputs")
     return WeylInterval(x=float(x), lower=lo, upper=hi)
 
 
-def interval_point(seq: MomentSequence, m: int | None, x: float, k: Array,
-                   tol: ToleranceConfig = DEFAULT_TOL):
+def interval_point(seq: MomentSequence, m: int | None, x: float, k: Array):
     """Value T = S_max(x) - sqrt(gap) K sqrt(gap) plus a pair realizing it.
 
     For PD K the returned constant pair reproduces T through lft_solve at
@@ -278,23 +266,23 @@ def interval_point(seq: MomentSequence, m: int | None, x: float, k: Array,
     """
     k = as_matrix(k)
     q = seq.q
-    if not (is_psd(k, tol) and is_psd(np.eye(q) - k, tol)):
+    if not (is_psd(k) and is_psd(np.eye(q) - k)):
         raise ValueError("K must satisfy 0 <= K <= I")
     if m is None:
         m = seq.kappa
-    iv = weyl_interval(seq, m, x, tol)
-    root = sqrt_psd(iv.gap, tol)
+    iv = weyl_interval(seq, m, x)
+    root = sqrt_psd(iv.gap)
     t = hermitize(iv.upper - root @ k @ root)
 
     pair = None
-    if np.allclose(k, 0.0, atol=tol.identity_tol):
+    if np.allclose(k, 0.0, atol=DEFAULT_TOL.identity_tol):
         t = iv.upper
         pair = pair_max(q, seq.side) if seq.side == RIGHT else pair_min(q, seq.side)
-    elif np.allclose(k, np.eye(q), atol=tol.identity_tol):
+    elif np.allclose(k, np.eye(q), atol=DEFAULT_TOL.identity_tol):
         t = iv.lower
         pair = pair_min(q, seq.side) if seq.side == RIGHT else pair_max(q, seq.side)
-    elif is_pd(k, tol):
-        dq = dyukarev_quadruple(seq, tol)
+    elif is_pd(k):
+        dq = dyukarev_quadruple(seq)
         gap_inv_root = np.linalg.inv(root)
         c_x = dq.c[half(m)](x)
         c_inv = np.linalg.inv(c_x)
@@ -303,7 +291,7 @@ def interval_point(seq: MomentSequence, m: int | None, x: float, k: Array,
             w = c_inv @ mid @ c_inv.conj().T
             pair = StieltjesPair(kind=CONSTANT, side=seq.side,
                                  phi=hermitize(w), psi=np.eye(q))
-        elif is_pd(np.eye(q) - k, tol):
+        elif is_pd(np.eye(q) - k):
             mid = gap_inv_root @ (np.linalg.inv(np.eye(q) - k) @ k) @ gap_inv_root
             w = c_inv @ hermitize(mid) @ c_inv.conj().T
             pair = StieltjesPair(kind=CONSTANT, side=seq.side,
@@ -312,7 +300,7 @@ def interval_point(seq: MomentSequence, m: int | None, x: float, k: Array,
 
 
 def difference_inverse(seq: MomentSequence, m: int | None = None,
-                       z: complex = -1.0, tol: ToleranceConfig = DEFAULT_TOL) -> Array:
+                       z: complex = -1.0) -> Array:
     """Closed polynomial formula for [S_max(z) - S_min(z)]^{-1}.
 
     With w = z - alpha (right) resp. alpha - z (left) and n = half(m):
@@ -325,10 +313,8 @@ def difference_inverse(seq: MomentSequence, m: int | None = None,
     """
     if m is None:
         m = seq.kappa
-    require_stieltjes_pd(seq, tol)
-    sub = MomentSequence(q=seq.q, alpha=seq.alpha, side=seq.side,
-                         moments=seq.moments[:m + 1])
-    pack = HankelPack(sub, tol)
+    require_stieltjes_pd(seq)
+    pack = seq.pack
     q, a = seq.q, seq.alpha
     w = (z - a) if seq.side == RIGHT else (a - z)
     n = half(m)
@@ -341,7 +327,7 @@ def difference_inverse(seq: MomentSequence, m: int | None = None,
         return term1
     v_j = first_block_column(q, j)
     term2 = (w ** 2) * (v_j.conj().T @ resolvent_R(q, j, np.conj(z)).conj().T
-                        @ pack.h_shift_inv(j) @ resolvent_R(q, j, z) @ v_j)
+                        @ pack.shift.h_inv(j) @ resolvent_R(q, j, z) @ v_j)
     return term1 + term2
 
 

@@ -169,3 +169,28 @@ def test_verify_verb(capsys, f2_file, tmp_path):
                                "moments": [[[[1.0, 0.0]]], [[[-1.0, 0.0]]]]}))
     code, payload = run(capsys, "verify", str(bad))
     assert code == EXIT_NEGATIVE
+
+
+def test_decoders_reject_non_finite_and_booleans(capsys, tmp_path):
+    # json.dumps writes NaN / Infinity literals, and json.load accepts them
+    nan, inf = float("nan"), float("inf")
+    good = {"q": 1, "alpha": 0.0, "side": "right",
+            "moments": [[[[1.0, 0.0]]], [[[1.0, 0.0]]]]}
+    docs = [dict(good, moments=[good["moments"][0], bad])
+            for bad in ([[[nan, 0.0]]], [[[1.0, inf]]], [[True]], [[[1.0, False]]])]
+    docs += [dict(good, alpha=nan), dict(good, alpha=True), dict(good, q=inf)]
+    path = tmp_path / "seq.json"
+    for doc in docs:
+        path.write_text(json.dumps(doc))
+        code, _ = run(capsys, "classify", str(path))
+        assert code == EXIT_USAGE
+    path.write_text(json.dumps(good))
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"kind": "CONSTANT", "phi": [[nan]], "psi": [[1.0]]}))
+    code, _ = run(capsys, "solve", str(path), "--pair", str(pair), "--at=-1")
+    assert code == EXIT_USAGE
+    for argv in (("solve", str(path), "--pair", str(pair), "--at=nan"),
+                 ("extremal", str(path), "--at=nan"), ("extremal", str(path), "--at=x"),
+                 ("hausdorff", str(path), "--beta=inf"), ("generate", "--alpha=nan")):
+        code, _ = run(capsys, *argv)
+        assert code == EXIT_USAGE

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from stieltjesmp import (
-    HankelPack, classify, potapov_defect_psd, reflect, sequence,
-    shift_sequence,
+    HankelPack, classify, ds_param, dyukarev_quadruple, potapov_defect_psd,
+    random_stieltjes_pd_sequence, reflect, sequence, shift_sequence,
+    stieltjes_param, stieltjes_quadruple,
 )
 from stieltjesmp.moments import (
     alternating_signs, block_shift, column_E, first_block_column, half,
@@ -171,3 +172,35 @@ def test_potapov_defect_fixture(f1):
 def test_potapov_defect_rejects_real_z(f1):
     with pytest.raises(ValueError):
         potapov_defect_psd(f1, np.array([[1.0]]), 0.5)
+
+
+def test_derived_objects_are_cached():
+    s = ladder_fixture(3)
+    for build in (classify, stieltjes_param, ds_param, dyukarev_quadruple,
+                  stieltjes_quadruple):
+        assert build(s) is build(s)
+
+
+def test_cached_arrays_are_read_only():
+    # a sequence of its own: where a write succeeds it must not reach shared fixtures
+    s = random_stieltjes_pd_sequence(q=2, kappa=4, alpha=0.5, seed=2)
+    arrays = list(s.moments) + list(stieltjes_param(s).values)
+    d = ds_param(s)
+    arrays += list(d.l) + list(d.m)
+    dq, quad = dyukarev_quadruple(s), stieltjes_quadruple(s)
+    for family in (dq.a, dq.b, dq.c, dq.d, quad.p, quad.second, quad.p_shift, quad.phat):
+        for poly in family:
+            arrays += list(poly.coeffs)
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.0
+
+
+def test_sequence_keeps_its_own_copy():
+    mats = [np.array([[v]], dtype=complex) for v in (1.0, 1.0, 2.0)]
+    s = sequence(mats)
+    for m in mats:
+        m[0, 0] = -7.0
+    np.testing.assert_allclose([v.item() for v in stieltjes_param(s).values], [1, 1, 1])
+    np.testing.assert_allclose([v.item() for v in ds_param(s).m], [1, 1])
+    assert classify(s).stieltjes == "PD"

@@ -160,6 +160,12 @@ def test_det_zeros_rejects_singular():
         det_zeros(MatrixPolynomial.constant(np.zeros((2, 2))))
 
 
+def test_tiny_constant_is_not_the_zero_polynomial():
+    p = MatrixPolynomial.constant(1e-9 * np.eye(2))
+    assert p.degree == 0
+    assert det_zeros(p).size == 0
+
+
 def test_zero_localization_right():
     # all determinant zeros of the quadruple families sit in (alpha, inf)
     for i in (0, 2, 4, 6, 8):
