@@ -21,7 +21,7 @@ from .params import (
 from .orthopoly import (
     GENERAL, MONIC, MatrixPolynomial, StieltjesQuadruple,
     associated_polynomial, det_zeros, eval_quadruple_at_alpha,
-    monic_orthogonal_system, poly_eval, q_values_from_quadruple, real_zeros,
+    monic_orthogonal_system, q_values_from_quadruple, real_zeros,
     second_kind_system, stieltjes_quadruple,
 )
 from .resolvent import (

@@ -9,7 +9,7 @@ alpha*s_j - s_{j+1} (left) drive both the classification and all
 parametrizations downstream.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -33,7 +33,7 @@ def freeze(obj):
     return obj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentSequence:
     """Finite sequence of q x q moments with base point and side tag.
 
@@ -42,14 +42,15 @@ class MomentSequence:
     sequence, the Hankel data, the classification, Q, (L, M) and the two
     polynomial quadruples) is computed on first use and cached on the
     sequence, so the module-level functions that return them derive each
-    one once per sequence.
+    one once per sequence.  Equality and hashing are by identity: a
+    sequence carries its own cache, and two sequences built from equal
+    moments are two problem objects.
     """
 
     q: int
     alpha: float
     side: str
     moments: tuple
-    shifted_from: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.side not in (RIGHT, LEFT):
@@ -167,8 +168,7 @@ def shift_sequence(seq: MomentSequence) -> MomentSequence:
     if seq.kappa < 1:
         raise ValueError("shift needs at least two moments")
     return MomentSequence(q=seq.q, alpha=seq.alpha, side=seq.side,
-                          moments=tuple(shifted_moments(seq.moments, seq.alpha, seq.side)),
-                          shifted_from=seq.side)
+                          moments=tuple(shifted_moments(seq.moments, seq.alpha, seq.side)))
 
 
 def reflect(seq: MomentSequence) -> MomentSequence:
@@ -187,6 +187,7 @@ class HankelPack:
 
     def __init__(self, seq: MomentSequence):
         self.seq = seq
+        self._h_invs = {}
 
     @cached_property
     def top(self) -> Array:
@@ -216,7 +217,11 @@ class HankelPack:
         return self.shift.h(n)
 
     def h_inv(self, n: int) -> Array:
-        return np.linalg.inv(self.h(n))
+        """H_n^{-1}, inverted on first use and cached read-only per n."""
+        inv = self._h_invs.get(n)
+        if inv is None:
+            inv = self._h_invs[n] = freeze(np.linalg.inv(self.h(n)))
+        return inv
 
     def y(self, j: int, k: int) -> Array:
         return y_stack(self.seq, j, k)

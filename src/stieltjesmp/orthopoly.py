@@ -7,12 +7,13 @@ shifted system form the quadruple that rebuilds the resolvent blocks.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .linalg import Array, DEFAULT_TOL, is_pd, ordered_product
 from .moments import (
-    RIGHT, HankelPack, MomentSequence, half, lower_triangular_S,
+    RIGHT, HankelPack, MomentSequence, freeze, half, lower_triangular_S,
     require_stieltjes_pd,
 )
 
@@ -46,11 +47,22 @@ class MatrixPolynomial:
             return -1
         return len(self.coeffs) - 1
 
-    def __call__(self, z: complex) -> Array:
-        out = self.coeffs[-1].astype(complex).copy()
-        for c in reversed(self.coeffs[:-1]):
-            out = z * out + c
-        return out
+    @cached_property
+    def _stacked(self) -> tuple:
+        """Exponents 0..degree (complex, so no cast per call) and the
+        coefficients as one (degree+1, rows*cols) complex array."""
+        flat = np.array(self.coeffs, dtype=complex).reshape(len(self.coeffs), -1)
+        return freeze((np.arange(len(flat), dtype=complex), flat))
+
+    def __call__(self, z) -> Array:
+        """P(z) as one product of the powers of z with the stacked coefficients.
+
+        A scalar z gives a complex (rows, cols) matrix; a 1-D array of N
+        points gives the (N, rows, cols) stack of values.
+        """
+        z = np.asarray(z, dtype=complex)
+        exponents, flat = self._stacked
+        return ((z[..., None] ** exponents) @ flat).reshape(z.shape + (self.q_rows, self.q_cols))
 
     def __add__(self, other: "MatrixPolynomial") -> "MatrixPolynomial":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -121,10 +133,6 @@ class MatrixPolynomial:
         cs = [np.block([[p11.coeff(j), p12.coeff(j)], [p21.coeff(j), p22.coeff(j)]])
               for j in range(n)]
         return MatrixPolynomial(cs)
-
-
-def poly_eval(p: MatrixPolynomial, z: complex) -> Array:
-    return p(z)
 
 
 def _require_hankel_pd_prefix(pack: HankelPack, up_to: int):
@@ -221,15 +229,16 @@ def _stieltjes_quadruple(seq: MomentSequence) -> StieltjesQuadruple:
     sgn = 1.0 if seq.side == RIGHT else -1.0
     for n in range(min(half(seq.kappa - 1) + 1, len(p) - 1)):
         coupling = pack.shift.hhat(n) @ np.linalg.inv(pack.hhat(n))
-        for z in rng.standard_normal(10) + 1j * rng.standard_normal(10):
-            lhs = (z - a) * p_shift[n](z)
-            term = sgn * coupling @ p[n](z)
-            rhs = p[n + 1](z) + term
-            scale = 1 + np.linalg.norm(lhs) + np.linalg.norm(term) + np.linalg.norm(rhs)
-            # guards against construction bugs; conditioning-induced noise
-            # on extreme fixtures must not trip it
-            if np.linalg.norm(lhs - rhs) > 1e-6 * scale:
-                raise AssertionError("shift identity violated; inconsistent build")
+        z = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+        lhs = (z - a)[:, None, None] * p_shift[n](z)
+        term = sgn * coupling @ p[n](z)
+        rhs = p[n + 1](z) + term
+        defect, lhs_n, term_n, rhs_n = (np.linalg.norm(x, axis=(1, 2))
+                                        for x in (lhs - rhs, lhs, term, rhs))
+        # guards against construction bugs; conditioning-induced noise
+        # on extreme fixtures must not trip it
+        if np.any(defect > 1e-6 * (1 + lhs_n + term_n + rhs_n)):
+            raise AssertionError("shift identity violated; inconsistent build")
     return StieltjesQuadruple(side=seq.side, alpha=a, p=tuple(p), second=tuple(second),
                               p_shift=tuple(p_shift), phat=phat)
 

@@ -108,11 +108,6 @@ class ResolventU:
     def __call__(self, z: complex) -> Array:
         return self.poly(z)
 
-    def blocks(self, z: complex):
-        u = self.poly(z)
-        q = self.q
-        return u[:q, :q], u[:q, q:], u[q:, :q], u[q:, q:]
-
     def inverse_at(self, z: complex) -> Array:
         """J-symmetry inverse: U^{-1}(z) = Jtilde U^*(conj z) Jtilde."""
         jt = signature_matrix(JTILDE, self.q)

@@ -14,10 +14,10 @@ import numpy as np
 
 from .linalg import Array, DEFAULT_TOL, as_matrix, hermitize, is_pd, is_psd, sqrt_psd
 from .moments import (
-    LEFT, RIGHT, MomentSequence, block_shift, first_block_column, half,
-    require_stieltjes_pd, resolvent_R,
+    LEFT, RIGHT, MomentSequence, block_shift, column_E, first_block_column, freeze,
+    half, require_stieltjes_pd,
 )
-from .orthopoly import stieltjes_quadruple
+from .orthopoly import MatrixPolynomial, stieltjes_quadruple
 from .resolvent import ResolventU, dyukarev_quadruple
 
 CONSTANT = "CONSTANT"
@@ -73,6 +73,11 @@ class StieltjesPair:
         q = self.f.shape[0]
         return 1j * (np.eye(q) - self.f), np.eye(q) + self.f
 
+    @cached_property
+    def stacked(self) -> Array:
+        """[phi; psi] as one 2q x q block column, read-only."""
+        return freeze(np.vstack(self.values()).astype(complex))
+
 
 def pair_min(q: int, side: str = RIGHT) -> StieltjesPair:
     """(0, I): the pair generating the lower extremal on the right half-line."""
@@ -95,13 +100,16 @@ class SingularDenominator(ValueError):
 
 
 def lft_solve(u: ResolventU, pair: StieltjesPair, z: complex) -> Array:
-    """Evaluate the linear-fractional transformation at a point off the cut."""
+    """Evaluate the linear-fractional transformation at one point off the cut.
+
+    z is a scalar only.  U(z) [phi; psi] is one product whose two row
+    blocks are the numerator U11 phi + U12 psi and the denominator
+    U21 phi + U22 psi.
+    """
     if not _off_cut(u.side, u.alpha, z):
         raise ValueError(f"point {z} lies on the cut of this half-line")
-    phi, psi = pair.values()
-    u11, u12, u21, u22 = u.blocks(z)
-    den = u21 @ phi + u22 @ psi
-    num = u11 @ phi + u12 @ psi
+    g = u.poly(z) @ pair.stacked
+    num, den = g[:u.q], g[u.q:]
     dets = np.linalg.det(den)
     if abs(dets) < 1e-13 * max(1.0, np.linalg.norm(den) ** den.shape[0]):
         raise SingularDenominator(f"denominator singular at z={z}")
@@ -124,23 +132,28 @@ class ExtremalSolution:
 
     Calling it evaluates the quadruple ratio B D^{-1} (bd=True) resp.
     A C^{-1} of the cached Dyukarev quadruple; that is the one production
-    route.  The
-    resolvent-pencil closed form and the orthogonal-polynomial quotient
-    are oracles only: `routes` builds them the first time it is read, and
-    `route_spread` reports how far they are from the quadruple ratio.
+    route.  Numerator and denominator are one 2q x q polynomial [B; D]
+    resp. [A; C], so a call is one polynomial evaluation and one inverse.
+    z may be a scalar (a q x q value) or a 1-D array of N points (an
+    (N, q, q) stack).  The resolvent-pencil closed form and the
+    orthogonal-polynomial quotient are oracles only: `routes` builds them
+    the first time it is read, and `route_spread` reports how far they are
+    from the quadruple ratio.
     """
 
     def __init__(self, seq: MomentSequence, m: int, bd: bool):
         self.seq, self.m, self.bd = seq, m, bd
         self.side, self.alpha = seq.side, seq.alpha
         dq = dyukarev_quadruple(seq)
-        if bd:
-            self._num, self._den = dq.b[half(m + 1)], dq.d[half(m + 1)]
-        else:
-            self._num, self._den = dq.a[half(m)], dq.c[half(m)]
+        n = half(m + 1) if bd else half(m)
+        num, den = (dq.b[n], dq.d[n]) if bd else (dq.a[n], dq.c[n])
+        self._ratio = MatrixPolynomial(
+            [np.vstack([num.coeff(j), den.coeff(j)])
+             for j in range(max(len(num.coeffs), len(den.coeffs)))])
 
-    def __call__(self, z: complex) -> Array:
-        return self._num(z) @ np.linalg.inv(self._den(z))
+    def __call__(self, z) -> Array:
+        g, q = self._ratio(z), self.seq.q
+        return g[..., :q, :] @ np.linalg.inv(g[..., q:, :])
 
     @cached_property
     def routes(self) -> dict:
@@ -320,14 +333,13 @@ def difference_inverse(seq: MomentSequence, m: int | None = None,
     n = half(m)
     j = n if m % 2 == 1 else n - 1
 
-    v_n = first_block_column(q, n)
-    term1 = -w * (v_n.conj().T @ resolvent_R(q, n, np.conj(z)).conj().T
-                  @ pack.h_inv(n) @ resolvent_R(q, n, z) @ v_n)
+    # R_k(z) v_k = E_k(z), and v_k^* R_k^*(conj z) = E_k(conj z)^* = E_k(z)^T
+    e_n = column_E(q, n, z)
+    term1 = -w * (e_n.T @ pack.h_inv(n) @ e_n)
     if j < 0:
         return term1
-    v_j = first_block_column(q, j)
-    term2 = (w ** 2) * (v_j.conj().T @ resolvent_R(q, j, np.conj(z)).conj().T
-                        @ pack.shift.h_inv(j) @ resolvent_R(q, j, z) @ v_j)
+    e_j = column_E(q, j, z)
+    term2 = (w ** 2) * (e_j.T @ pack.shift.h_inv(j) @ e_j)
     return term1 + term2
 
 

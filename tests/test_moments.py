@@ -179,6 +179,9 @@ def test_derived_objects_are_cached():
     for build in (classify, stieltjes_param, ds_param, dyukarev_quadruple,
                   stieltjes_quadruple):
         assert build(s) is build(s)
+    for pack in (s.pack, s.pack.shift):
+        for n in range(half(pack.seq.kappa) + 1):
+            assert pack.h_inv(n) is pack.h_inv(n)
 
 
 def test_cached_arrays_are_read_only():
@@ -187,6 +190,7 @@ def test_cached_arrays_are_read_only():
     arrays = list(s.moments) + list(stieltjes_param(s).values)
     d = ds_param(s)
     arrays += list(d.l) + list(d.m)
+    arrays += [s.pack.h_inv(n) for n in range(3)] + [s.pack.shift.h_inv(n) for n in range(2)]
     dq, quad = dyukarev_quadruple(s), stieltjes_quadruple(s)
     for family in (dq.a, dq.b, dq.c, dq.d, quad.p, quad.second, quad.p_shift, quad.phat):
         for poly in family:
@@ -204,3 +208,12 @@ def test_sequence_keeps_its_own_copy():
     np.testing.assert_allclose([v.item() for v in stieltjes_param(s).values], [1, 1, 1])
     np.testing.assert_allclose([v.item() for v in ds_param(s).m], [1, 1])
     assert classify(s).stieltjes == "PD"
+
+
+def test_sequence_equality_is_identity():
+    s = random_stieltjes_pd_sequence(q=2, kappa=3, seed=1)
+    t = random_stieltjes_pd_sequence(q=2, kappa=3, seed=1)
+    assert all(np.array_equal(a, b) for a, b in zip(s.moments, t.moments))
+    assert {s: "s"}[s] == "s"
+    assert s == s and hash(s) == hash(s)
+    assert s != t and not s == t

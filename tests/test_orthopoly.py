@@ -20,6 +20,37 @@ def test_poly_eval_basics():
     np.testing.assert_allclose(const(1 + 2j), np.eye(2))
 
 
+def _assert_explicit_sum(got, coeffs, z):
+    """got equals sum_k z^k C_k to 1e-13 of sum_k |z|^k |C_k| (exactly, for P = 0)."""
+    want = sum(complex(z) ** k * np.asarray(c, dtype=complex) for k, c in enumerate(coeffs))
+    scale = sum(abs(complex(z)) ** k * np.linalg.norm(c) for k, c in enumerate(coeffs))
+    assert np.linalg.norm(got - want) <= 1e-13 * scale
+
+
+def test_poly_eval_matches_explicit_sum():
+    rng = np.random.default_rng(5)
+    cases = []
+    for deg in range(7):
+        for shape in ((1, 1), (2, 2), (3, 2), (2, 4)):
+            cases.append([rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                          for _ in range(deg + 1)])
+            cases.append([rng.standard_normal(shape) for _ in range(deg + 1)])
+    cases.append([np.zeros((2, 3))])
+    points = (0, 2, -1.5, 0.3 - 0.8j, np.complex128(1.1 + 0.4j))
+    grid = np.array([0.0, -2.0, 0.5 + 1.5j, -0.7 - 0.2j])
+    for coeffs in cases:
+        p = MatrixPolynomial(coeffs)
+        rows, cols = coeffs[0].shape
+        for z in points:
+            got = p(z)
+            assert got.shape == (rows, cols) and got.dtype == complex
+            _assert_explicit_sum(got, coeffs, z)
+        stack = p(grid)
+        assert stack.shape == (len(grid), rows, cols)
+        for k, z in enumerate(grid):
+            _assert_explicit_sum(stack[k], coeffs, z)
+
+
 def test_poly_arithmetic():
     rng = np.random.default_rng(0)
     a = MatrixPolynomial([rng.standard_normal((2, 2)) for _ in range(3)])

@@ -5,7 +5,8 @@ from stieltjesmp import (
     CONSTANT, SCHUR_CONSTANT, SingularDenominator, StieltjesPair,
     difference_inverse, extremal, hermitize, interval_point, is_psd,
     lft_solve, lft_solve_schur, pair_max, pair_min, potapov_defect_psd,
-    reflect, reflect_solution, resolvent_u, sequence, sigma, weyl_interval,
+    random_stieltjes_pd_sequence, reflect, reflect_solution, resolvent_u, sequence,
+    sigma, weyl_interval,
 )
 from stieltjesmp.linalg import min_eig_hermitian_part
 
@@ -67,6 +68,18 @@ def test_extremal_fixture_values(f1, f2):
     for z in (-1.0, 0.4 + 0.3j):
         np.testing.assert_allclose(s_min(z), [[1 / (1 - z)]], atol=1e-12)
         np.testing.assert_allclose(s_max(z), [[(1 - z) / (z * z - 2 * z)]], atol=1e-12)
+
+
+def test_extremal_on_an_array_matches_the_scalar_loop():
+    grid = np.array([-1.0, -0.2, 0.3 + 0.7j, 2.5 - 1.1j, -3.0 + 0.01j])
+    for q, kappa in ((1, 4), (3, 3)):
+        s = random_stieltjes_pd_sequence(q=q, kappa=kappa, alpha=0.5, seed=7)
+        for ext in extremal(s):
+            stack = ext(grid)
+            assert stack.shape == (len(grid), q, q)
+            for k, z in enumerate(grid):
+                want = ext(z)
+                assert np.linalg.norm(stack[k] - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def test_extremal_routes_agree():
