@@ -59,24 +59,45 @@ def _require_square(a) -> Array:
 # has already checked; each public function checks each argument once.
 
 def _hermitize(a: Array) -> Array:
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
+
+
+# The Hermitian test and the PD floor act on one matrix or on a (K, q, q)
+# stack alike, so psd_class and the stacked _all_pd share one definition.
+
+def _hermitian_mask(a: Array, tol: ToleranceConfig):
+    """||a - a^*||_F <= herm_tol (1 + ||a||_F), per matrix of a stack."""
+    defect = np.linalg.norm(a - a.conj().swapaxes(-1, -2), axis=(-2, -1))
+    return defect <= tol.herm_tol * (1.0 + np.linalg.norm(a, axis=(-2, -1)))
+
+
+def _psd_floor(w: Array, tol: ToleranceConfig):
+    """psd_tol * max(1, |lambda_min|, |lambda_max|) from ascending eigenvalues w."""
+    return tol.psd_tol * np.maximum(1.0, np.maximum(np.abs(w[..., -1]), np.abs(w[..., 0])))
 
 
 def _is_hermitian(a: Array, tol: ToleranceConfig) -> bool:
-    return np.linalg.norm(a - a.conj().T) <= tol.herm_tol * (1.0 + np.linalg.norm(a))
+    return bool(_hermitian_mask(a, tol))
 
 
 def _psd_class(a: Array, tol: ToleranceConfig) -> str:
     if not _is_hermitian(a, tol):
         return NON_HERMITIAN
     w = np.linalg.eigvalsh(_hermitize(a))
-    lo, hi = w[0], w[-1]
-    scale = max(1.0, abs(hi), abs(lo))
-    if lo > tol.psd_tol * scale:
+    floor = _psd_floor(w, tol)
+    if w[0] > floor:
         return PD
-    if lo >= -tol.psd_tol * scale:
+    if w[0] >= -floor:
         return PSD
     return INDEFINITE
+
+
+def _all_pd(stack: Array, tol: ToleranceConfig) -> bool:
+    """psd_class(a) == PD for every a of a (K, q, q) stack, with one batched eigvalsh."""
+    if not _hermitian_mask(stack, tol).all():
+        return False
+    w = np.linalg.eigvalsh(_hermitize(stack))
+    return bool(np.all(w[..., 0] > _psd_floor(w, tol)))
 
 
 def hermitize(a: Array) -> Array:

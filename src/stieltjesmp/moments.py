@@ -14,7 +14,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import Array, DEFAULT_TOL, as_matrix, block_psd, psd_class, PD, PSD
+from .linalg import (
+    Array, DEFAULT_TOL, _all_pd, _hermitian_mask, as_matrix, block_psd, psd_class, PD, PSD,
+)
 
 RIGHT = "right"
 LEFT = "left"
@@ -57,11 +59,8 @@ class MomentSequence:
             raise ValueError(f"side must be '{RIGHT}' or '{LEFT}'")
         if len(self.moments) == 0:
             raise ValueError("at least one moment required")
-        mats = tuple(freeze(as_matrix(m).copy()) for m in self.moments)
-        for m in mats:
-            if m.shape != (self.q, self.q):
-                raise ValueError(f"moment has shape {m.shape}, expected ({self.q},{self.q})")
-        object.__setattr__(self, "moments", mats)
+        stack = matrix_stack(self.moments, self.q, "moment")
+        object.__setattr__(self, "moments", tuple(freeze(stack)))
 
     @property
     def kappa(self) -> int:
@@ -105,6 +104,20 @@ class MomentSequence:
         return freeze(_stieltjes_quadruple(self))
 
 
+def matrix_stack(mats, q: int, what: str) -> Array:
+    """The q x q matrices of mats as one finite complex (K, q, q) copy."""
+    mats = [np.atleast_2d(np.asarray(m, dtype=complex)) for m in mats]
+    for m in mats:
+        if m.ndim != 2:
+            raise ValueError(f"expected a matrix, got ndim={m.ndim}")
+        if m.shape != (q, q):
+            raise ValueError(f"{what} has shape {m.shape}, expected ({q},{q})")
+    stack = np.array(mats)
+    if not np.isfinite(stack).all():
+        raise ValueError("matrix has non-finite entries")
+    return stack
+
+
 def sequence(moments, alpha: float = 0.0, side: str = RIGHT) -> MomentSequence:
     """Build a MomentSequence from scalars / arrays, inferring q."""
     moments = tuple(moments)
@@ -117,8 +130,8 @@ def half(k: int) -> int:
     return k // 2
 
 
-# The stack, Hankel and Schur helpers read moments by index only, so they
-# take a MomentSequence or a plain list of moment matrices alike.
+# The stack, Hankel and Schur helpers read moments by index or slice only, so
+# they take a MomentSequence or a plain list of moment matrices alike.
 
 def y_stack(seq, j: int, k: int) -> Array:
     """Column stack (s_j; ...; s_k)."""
@@ -135,12 +148,11 @@ def hankel(seq, n: int, offset: int = 0) -> Array:
 
     offset 0 gives H_n, offset 1 gives K_n and offset 2 gives K~_n.
     """
-    q = seq[0].shape[0]
-    h = np.empty(((n + 1) * q, (n + 1) * q), dtype=complex)
-    for j in range(n + 1):
-        for k in range(n + 1):
-            h[j * q:(j + 1) * q, k * q:(k + 1) * q] = seq[j + k + offset]
-    return h
+    stack = np.asarray(seq[offset:offset + 2 * n + 1], dtype=complex)
+    q = stack.shape[-1]
+    idx = np.arange(n + 1)
+    blocks = stack[idx[:, None] + idx[None, :]]
+    return blocks.transpose(0, 2, 1, 3).reshape((n + 1) * q, (n + 1) * q)
 
 
 def schur_correction(seq, n: int) -> Array:
@@ -182,7 +194,13 @@ class HankelPack:
     """Hankel data of a sequence; the shifted sequence's data sits in `shift`.
 
     The top block H_{half(kappa)} is built once and every lower H_n is its
-    leading block.  The Schur complements are built together on first use.
+    leading block.  The Schur complements are built together on first use:
+    Hhat_n = C_nn C_nn^* from the diagonal blocks of one Cholesky factor
+    H_{half(kappa)} = C C^* when every moment is Hermitian at its own scale,
+    the factorization succeeds and every Hhat_n so obtained is PD; otherwise,
+    and so for every NND or indefinite sequence, by the pinv formula of
+    schur_complement.  The rule reads this sequence only: the pack of the
+    shifted sequence makes the same choice for the odd Q_j on its own.
     """
 
     def __init__(self, seq: MomentSequence):
@@ -195,8 +213,28 @@ class HankelPack:
 
     @cached_property
     def hhats(self) -> tuple:
-        return freeze(tuple(schur_complement(self.seq, n)
-                            for n in range(half(self.seq.kappa) + 1)))
+        hhats = self._cholesky_hhats()
+        if hhats is None:
+            hhats = tuple(schur_complement(self.seq, n) for n in range(half(self.seq.kappa) + 1))
+        return freeze(hhats)
+
+    def _cholesky_hhats(self):
+        """The Hhat_n from one Cholesky factor of the top block, or None where
+        that route does not apply."""
+        # np.linalg.cholesky reads only the lower triangle, so the Hermitian
+        # test comes first, per moment: one large moment must not hide the
+        # asymmetry of a small one
+        if not _hermitian_mask(np.array(self.seq.moments), DEFAULT_TOL).all():
+            return None
+        try:
+            c = np.linalg.cholesky(self.top)
+        except np.linalg.LinAlgError:
+            return None
+        n, q = half(self.seq.kappa) + 1, self.seq.q
+        idx = np.arange(n)
+        diag = c.reshape(n, q, n, q)[idx, :, idx, :]
+        hhats = diag @ diag.conj().swapaxes(-1, -2)
+        return tuple(hhats) if _all_pd(hhats, DEFAULT_TOL) else None
 
     @property
     def shift(self) -> "HankelPack":

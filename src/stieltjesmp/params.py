@@ -14,9 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Array, DEFAULT_TOL, as_matrix, hermitize, inv_pd, is_pd, ordered_product
+from .linalg import (
+    Array, DEFAULT_TOL, _all_pd, _require_square, as_matrix, hermitize, inv_pd, is_pd,
+    ordered_product,
+)
 from .moments import (
-    RIGHT, MomentSequence, column_E, half, hankel, require_stieltjes_pd,
+    RIGHT, MomentSequence, column_E, half, hankel, matrix_stack, require_stieltjes_pd,
     schur_correction, sequence, shifted_moments, y_stack, z_stack,
 )
 
@@ -78,19 +81,56 @@ def stieltjes_param(seq: MomentSequence) -> StieltjesParam:
 
 
 def seq_from_stieltjes_param(p: StieltjesParam) -> MomentSequence:
-    """Recursive reconstruction; stieltjes_param is a left inverse."""
+    """Recursive reconstruction; stieltjes_param is a left inverse.
+
+    When every Q_j is PD the Cholesky factors C of H_n (even j) and of the
+    shifted Hshift_n (odd j) are bordered one index at a time: with y the
+    new block column above the diagonal and w = C_{n-1}^{-1} y, the new
+    diagonal moment is Q_j + w^* w and the new factor row is
+    [w^*, chol(Q_j)].  On the shifted side that moment is r_{j-1}, and
+    s_j = alpha s_{j-1} +- r_{j-1}.  Otherwise every step goes through the
+    pinv formula of schur_correction.
+    """
     a = p.alpha
     sgn = 1.0 if p.side == RIGHT else -1.0
-    mats = [as_matrix(p[0])]
+    qs = matrix_stack(p.values, p.q, "Q_j")
+    if not _all_pd(qs, DEFAULT_TOL):
+        return _seq_from_q_pinv(p, qs)
+    q = p.q
+    roots = np.linalg.cholesky(qs)
+    # factors[0] of H_{half(kappa)}, factors[1] of Hshift_{half(kappa-1)}
+    size = (half(p.kappa) + 1) * q
+    factors = (np.zeros((size, size), dtype=complex), np.zeros((size, size), dtype=complex))
+    mats, shifted = [], []
+    for j in range(p.kappa + 1):
+        n, odd = j // 2, j % 2
+        c = factors[odd]
+        value = qs[j]
+        if n:
+            w = np.linalg.solve(c[:n * q, :n * q], np.vstack((shifted if odd else mats)[n:2 * n]))
+            value = value + w.conj().T @ w
+            c[n * q:(n + 1) * q, :n * q] = w.conj().T
+        c[n * q:(n + 1) * q, n * q:(n + 1) * q] = roots[j]
+        mats.append(a * mats[-1] + sgn * value if odd else value)
+        if j:
+            shifted.append(shifted_moments(mats[-2:], a, p.side)[0])
+    return MomentSequence(q=q, alpha=a, side=p.side, moments=tuple(mats))
+
+
+def _seq_from_q_pinv(p: StieltjesParam, qs: Array) -> MomentSequence:
+    """The pinv recursion of seq_from_stieltjes_param, for Q_j not all PD."""
+    a = p.alpha
+    sgn = 1.0 if p.side == RIGHT else -1.0
+    mats = [qs[0]]
     if p.kappa >= 1:
-        mats.append(a * mats[0] + sgn * as_matrix(p[1]))
+        mats.append(a * mats[0] + sgn * qs[1])
     for j in range(2, p.kappa + 1):
         n = j // 2
         if j % 2 == 0:
-            mats.append(as_matrix(p[j]) + schur_correction(mats, n))
+            mats.append(qs[j] + schur_correction(mats, n))
         else:
             corr = schur_correction(shifted_moments(mats, a, p.side), n)
-            mats.append(a * mats[-1] + sgn * (as_matrix(p[j]) + corr))
+            mats.append(a * mats[-1] + sgn * (qs[j] + corr))
     return MomentSequence(q=p.q, alpha=a, side=p.side, moments=tuple(mats))
 
 
@@ -217,9 +257,9 @@ def ds_increments(seq: MomentSequence) -> DSParam:
 
 
 def _pd_values(mats, what: str) -> list:
-    """Complex copies of the parameter matrices, each checked to be PD."""
-    out = [np.asarray(v, dtype=complex) for v in mats]
-    if not all(is_pd(v) for v in out):
+    """The parameter matrices as complex arrays, checked together to be PD."""
+    out = [_require_square(v) for v in mats]
+    if out and not _all_pd(np.array(out), DEFAULT_TOL):
         raise ValueError(f"all {what} must be PD")
     return out
 
@@ -246,21 +286,28 @@ def ds_from_q(p: StieltjesParam) -> DSParam:
 
 
 def q_from_ds(d: DSParam) -> StieltjesParam:
-    """Inverse alternating-product map (L, M) -> Q."""
+    """Inverse alternating-product map (L, M) -> Q.
+
+    With G_n = M_0 L_0 ... M_{n-1} L_{n-1} (G_0 = I), Q_{2n} =
+    G_n^{-*} M_n^{-1} G_n^{-1} and Q_{2n+1} = G_{n+1}^{-*} L_n G_{n+1}^{-1}.
+    The G_n are one running product and are inverted together, as are the M_n.
+    """
     ls = _pd_values(d.l, "L_n, M_n")
     ms = _pd_values(d.m, "L_n, M_n")
-    q = d.q
+    g = [np.eye(d.q, dtype=complex)]
+    for m, l in zip(ms, ls):
+        g.append(g[-1] @ (m @ l))
+    gi = np.linalg.inv(np.array(g))
+    mi = np.linalg.inv(np.array(ms))
 
     values = []
     for j in range(d.kappa + 1):
         n = j // 2
         if j % 2 == 0:
-            gi = np.linalg.inv(ordered_product((ms[k] @ ls[k] for k in range(n)), q))
-            values.append(gi.conj().T @ np.linalg.inv(ms[n]) @ gi)
+            values.append(gi[n].conj().T @ mi[n] @ gi[n])
         else:
-            gi = np.linalg.inv(ordered_product((ms[k] @ ls[k] for k in range(n + 1)), q))
-            values.append(gi.conj().T @ ls[n] @ gi)
-    return StieltjesParam(q=q, alpha=d.alpha, side=d.side, values=tuple(values))
+            values.append(gi[n + 1].conj().T @ ls[n] @ gi[n + 1])
+    return StieltjesParam(q=d.q, alpha=d.alpha, side=d.side, values=tuple(values))
 
 
 def seq_from_ds(d: DSParam) -> MomentSequence:

@@ -9,6 +9,7 @@ Schur-class one.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -108,10 +109,14 @@ class ResolventU:
     def __call__(self, z: complex) -> Array:
         return self.poly(z)
 
+    @cached_property
+    def _conj_star(self) -> MatrixPolynomial:
+        return self.poly.conj_star()
+
     def inverse_at(self, z: complex) -> Array:
         """J-symmetry inverse: U^{-1}(z) = Jtilde U^*(conj z) Jtilde."""
         jt = signature_matrix(JTILDE, self.q)
-        return jt @ self.poly.conj_star()(z) @ jt
+        return jt @ self._conj_star(z) @ jt
 
     def scaled_evaluator(self):
         """The diagonal rescaling of U, defined off the base point only."""

@@ -1,0 +1,85 @@
+"""High-precision reference for the (L, M) -> Q -> moments maps.
+
+The same alternating products and the same Schur-complement recursion as
+q_from_ds and seq_from_stieltjes_param, evaluated in mpmath with exact
+inverses at DPS decimal digits, then rounded to complex128.  A test that
+compares the library against these values measures its error, not its
+agreement with itself.
+"""
+
+import mpmath as mp
+import numpy as np
+
+DPS = 60
+
+
+def _to_mp(a) -> mp.matrix:
+    return mp.matrix([[mp.mpc(complex(x)) for x in row] for row in np.atleast_2d(a)])
+
+
+def _to_np(a: mp.matrix) -> np.ndarray:
+    return np.array(a.tolist(), dtype=complex)
+
+
+def _hankel(mats, n: int, q: int) -> mp.matrix:
+    h = mp.matrix((n + 1) * q, (n + 1) * q)
+    for j in range(n + 1):
+        for k in range(n + 1):
+            for a in range(q):
+                for b in range(q):
+                    h[j * q + a, k * q + b] = mats[j + k][a, b]
+    return h
+
+
+def _stack(mats, q: int) -> mp.matrix:
+    """Column stack of the q x q matrices in mats."""
+    y = mp.matrix(len(mats) * q, q)
+    for i, m in enumerate(mats):
+        for a in range(q):
+            for b in range(q):
+                y[i * q + a, b] = m[a, b]
+    return y
+
+
+def _correction(mats, n: int, q: int) -> mp.matrix:
+    """z_{n,2n-1} H_{n-1}^{-1} y_{n,2n-1}, with z = y^* for Hermitian moments."""
+    y = _stack(mats[n:2 * n], q)
+    return y.H * mp.inverse(_hankel(mats, n - 1, q)) * y
+
+
+def q_from_lm(l, m, q: int) -> list:
+    """Q_0..Q_kappa from L_0.., M_0.. by the alternating products."""
+    kappa = 2 * (len(m) - 1) if len(m) > len(l) else 2 * len(l) - 1
+    ls, ms = [_to_mp(v) for v in l], [_to_mp(v) for v in m]
+    g = [mp.eye(q)]
+    for mk, lk in zip(ms, ls):
+        g.append(g[-1] * mk * lk)
+    gi = [mp.inverse(v) for v in g]
+    return [gi[j // 2].H * mp.inverse(ms[j // 2]) * gi[j // 2] if j % 2 == 0
+            else gi[j // 2 + 1].H * ls[j // 2] * gi[j // 2 + 1]
+            for j in range(kappa + 1)]
+
+
+def moments_from_q(qs, alpha: float, side: str, q: int) -> list:
+    """s_0..s_kappa from Q_0..Q_kappa by the Schur-complement recursion."""
+    sgn = 1 if side == "right" else -1
+    a = mp.mpf(alpha)
+    mats = [qs[0]]
+    shifted = []
+    for j in range(1, len(qs)):
+        n = j // 2
+        if j % 2 == 0:
+            mats.append(qs[j] + _correction(mats, n, q))
+        else:
+            r = qs[j] + _correction(shifted, n, q) if n else qs[j]
+            mats.append(a * mats[-1] + sgn * r)
+        shifted.append(sgn * (mats[-1] - a * mats[-2]))
+    return mats
+
+
+def oracle(l, m, alpha: float, side: str, q: int):
+    """(Q_0..Q_kappa, s_0..s_kappa) of the pair (L, M), rounded to complex128."""
+    with mp.workdps(DPS):
+        qs = q_from_lm(l, m, q)
+        mats = moments_from_q(qs, alpha, side, q)
+        return [_to_np(v) for v in qs], [_to_np(v) for v in mats]

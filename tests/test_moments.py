@@ -7,8 +7,8 @@ from stieltjesmp import (
     stieltjes_param, stieltjes_quadruple,
 )
 from stieltjesmp.moments import (
-    alternating_signs, block_shift, column_E, first_block_column, half,
-    resolvent_R, u_shift_vector,
+    alternating_signs, block_shift, column_E, first_block_column, half, hankel,
+    resolvent_R, schur_complement, u_shift_vector,
 )
 
 from conftest import ladder_fixture
@@ -25,6 +25,18 @@ def test_hankel_pack_trivial():
     pack = HankelPack(sequence([5.0]))
     np.testing.assert_allclose(pack.h(0), [[5.0]])
     np.testing.assert_allclose(pack.hhat(0), [[5.0]])
+
+
+def test_hankel_gather_matches_the_block_loop():
+    s = ladder_fixture(4)
+    for seq in (s, list(s.moments)):
+        for offset in (0, 1, 2):
+            n = half(s.kappa - offset)
+            want = np.empty(((n + 1) * s.q, (n + 1) * s.q), dtype=complex)
+            for j in range(n + 1):
+                for k in range(n + 1):
+                    want[j * s.q:(j + 1) * s.q, k * s.q:(k + 1) * s.q] = s[j + k + offset]
+            np.testing.assert_array_equal(hankel(seq, n, offset), want)
 
 
 def test_schur_complement_zero_middle():
@@ -158,6 +170,30 @@ def test_coupling_identity():
         r_inv = np.eye((n + 1) * q) - s.alpha * block_shift(q, n)
         rhs = r_inv @ pack.h(n) - block_shift(q, n) @ pack.h_shift(n)
         np.testing.assert_allclose(lhs, rhs, atol=1e-9 * (1 + np.linalg.norm(rhs)))
+
+
+@pytest.mark.parametrize("moments, want, shift_hermitian", [
+    # s0 is visibly not Hermitian, but ||H - H^*|| sits far below the
+    # tolerance scaled by ||H||, which the large s2 dominates
+    ([[[1.0, 0.5], [0.0, 1.0]], 10 * np.eye(2), 1e10 * np.eye(2)], ("NND", "NO"), True),
+    # lower triangles PD on the shifted side
+    ([[[1.0, 0.0], [0.5, 1.0]], [[2.0, 0.0], [0.3, 1.0]], [[5.0, 0.0], [0.2, 3.0]]],
+     ("NO", "NO"), False),
+    # lower triangles PD on both sides
+    ([[[1.0, 5.0], [0.0, 1.0]], [[2.0, 4.0], [0.3, 1.0]], [[30.0, 9.0], [1.0, 10.0]]],
+     ("NO", "NO"), False),
+])
+def test_non_hermitian_moments_keep_the_pinv_schur_complements(moments, want, shift_hermitian):
+    # each moment is tested for symmetry at its own scale before a Cholesky
+    # factor is taken, so a side with a non-Hermitian moment keeps the values
+    # of the pinv route and the sequence keeps its class
+    s = sequence([np.array(m, dtype=complex) for m in moments])
+    c = classify(s)
+    assert (c.hankel, c.stieltjes) == want
+    for pack in (s.pack,) if shift_hermitian else (s.pack, s.pack.shift):
+        assert pack._cholesky_hhats() is None
+        for n, v in enumerate(pack.hhats):
+            np.testing.assert_array_equal(v, schur_complement(pack.seq, n))
 
 
 def test_potapov_defect_fixture(f1):

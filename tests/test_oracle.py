@@ -1,0 +1,32 @@
+"""The (L, M) -> Q -> moments maps against the 60-digit mpmath oracle.
+
+Kept apart from test_params.py so that only this module needs mpmath; it
+is part of the `test` extra and a missing install fails here.
+"""
+
+import numpy as np
+import pytest
+
+from stieltjesmp import DSParam, seq_from_ds, sequence, stieltjes_param
+from stieltjesmp.moments import half
+from stieltjesmp.params import random_pd
+
+from oracle import oracle
+
+
+@pytest.mark.parametrize("q, kappa, q_bound", [(1, 12, 1e-6), (2, 8, 1e-8), (4, 5, 1e-10)])
+def test_lm_maps_match_the_high_precision_oracle(q, kappa, q_bound):
+    # (L, M) -> moments to 1e-10 per moment; Q back from the rounded oracle
+    # moments is limited by cond(H) ~ 1e12..1e24 here, hence the per-size bound
+    for seed in range(3):
+        for alpha, side in ((0.5, "right"), (-0.25, "left")):
+            rng = np.random.default_rng(seed)
+            m = tuple(random_pd(q, rng) for _ in range(half(kappa) + 1))
+            l = tuple(random_pd(q, rng) for _ in range(half(kappa - 1) + 1))
+            q_want, s_want = oracle(l, m, alpha, side, q)
+            s = seq_from_ds(DSParam(q=q, alpha=alpha, side=side, l=l, m=m))
+            for got, want in zip(s.moments, s_want):
+                assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+            p = stieltjes_param(sequence(s_want, alpha=alpha, side=side))
+            for got, want in zip(p.values, q_want):
+                assert np.linalg.norm(got - want) <= q_bound * np.linalg.norm(want)

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from stieltjesmp import (
-    DSParam, canonical_hankel_param, classify, ds_from_q, ds_param,
+    DSParam, StieltjesParam, canonical_hankel_param, classify, ds_from_q, ds_param,
     favard_from_ds, favard_from_q, favard_pair, q_from_ds, reflect,
     seq_from_canonical, seq_from_ds, seq_from_stieltjes_param, sequence,
     stieltjes_param,
 )
+from stieltjesmp.linalg import ordered_product
+from stieltjesmp.moments import schur_complement
 from stieltjesmp.params import ds_increments
 
-from conftest import ladder_fixture, rel_err, seq_rel_err
+from conftest import LADDER, ladder_fixture, rel_err, seq_rel_err
 
 
 def test_stieltjes_param_fixtures(f1, f2):
@@ -207,3 +209,43 @@ def test_favard_cross_scalar_examples(f1, f2, f3):
     np.testing.assert_allclose(base.a[0].item(), 1.0)   # alpha + M^{-1} L^{-1}
     base, _ = favard_from_ds(ds_param(f3))
     np.testing.assert_allclose(base.a[0].item(), -1.0)  # left: alpha - M^{-1} L^{-1}
+
+
+def test_q_from_ds_is_the_ordered_product_formula():
+    for i in range(len(LADDER)):
+        d = ds_param(ladder_fixture(i))
+        for j, v in enumerate(q_from_ds(d).values):
+            n = j // 2
+            k, mid = (n, np.linalg.inv(d.m[n])) if j % 2 == 0 else (n + 1, d.l[n])
+            gi = np.linalg.inv(ordered_product((d.m[t] @ d.l[t] for t in range(k)), d.q))
+            np.testing.assert_array_equal(v, gi.conj().T @ mid @ gi)
+
+
+def test_cholesky_schur_complements_match_the_pinv_formula():
+    for i in range(len(LADDER)):
+        s = ladder_fixture(i)
+        for pack in (s.pack, s.pack.shift):
+            chol = pack._cholesky_hhats()
+            assert chol is not None
+            for n, got in enumerate(chol):
+                np.testing.assert_array_equal(pack.hhat(n), got)
+                want = schur_complement(pack.seq, n)
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_q_values_are_the_packs_schur_complements():
+    # one route rule per side: Q_{2n} is the pack's Hhat_n and Q_{2n+1} the
+    # shifted pack's, also when only one side is PD (here Hankel PD, shift not)
+    s = sequence([1.0, -1.0, 2.0, -2.5, 5.0])
+    assert (classify(s).hankel, classify(s).stieltjes) == ("PD", "NO")
+    assert s.pack._cholesky_hhats() is not None and s.pack.shift._cholesky_hhats() is None
+    for j, v in enumerate(stieltjes_param(s).values):
+        assert v is (s.pack if j % 2 == 0 else s.pack.shift).hhat(j // 2)
+
+
+def test_q_values_of_the_wrong_shape_are_rejected():
+    p = stieltjes_param(ladder_fixture(3))   # q = 2
+    flat = StieltjesParam(q=p.q, alpha=p.alpha, side=p.side,
+                          values=tuple(v.reshape(-1) for v in p.values))
+    with pytest.raises(ValueError, match="shape"):
+        seq_from_stieltjes_param(flat)

@@ -79,6 +79,15 @@ def test_det_constant_and_j_symmetry():
             assert np.linalg.norm(ui - u.inverse_at(z)) <= 1e-9 * np.linalg.norm(ui)
 
 
+def test_inverse_at_reuses_one_conjugate_star_polynomial():
+    u = resolvent_u(ladder_fixture(3))
+    z = 0.4 - 1.1j
+    first = u.inverse_at(z)
+    assert u._conj_star is u._conj_star
+    np.testing.assert_array_equal(u.inverse_at(z), first)
+    np.testing.assert_array_equal(u._conj_star(z), u.poly.conj_star()(z))
+
+
 def test_resolvent_self_check_flag():
     s = ladder_fixture(0)
     resolvent_u(s, check=True)   # passes silently on a consistent build
