@@ -240,20 +240,17 @@ def cmd_verify(args) -> int:
     chain = factorize_u(seq)
     uq = u_from_quadruple_polynomials(seq, seq.kappa)
     det_ref = np.linalg.det(u(seq.alpha))
-    ok_det = ok_chain = ok_cross = ok_jsym = True
-    for _ in range(20):
-        z = complex(rng.standard_normal(), rng.standard_normal())
-        uz = u(z)
-        n = np.linalg.norm(uz)
-        ok_det &= abs(np.linalg.det(uz) - det_ref) <= 1e-10 * (1 + abs(det_ref))
-        ok_chain &= np.linalg.norm(chain(z) - uz) <= 1e-9 * n
-        ok_cross &= np.linalg.norm(uq(z) - uz) <= 1e-9 * n
-        ok_jsym &= np.linalg.norm(np.linalg.inv(uz) - u.inverse_at(z)) \
-            <= 1e-8 * np.linalg.norm(np.linalg.inv(uz))
-    checks["det_constant"] = bool(ok_det)
-    checks["factor_chain"] = bool(ok_chain)
-    checks["quadruple_route"] = bool(ok_cross)
-    checks["j_symmetry"] = bool(ok_jsym)
+    # 20 points z = re + i im, drawn as (re, im) pairs; each check holds at every point
+    z = rng.standard_normal(40).view(complex)
+    uz = u(z)
+    ui = np.linalg.inv(uz)
+    n = np.linalg.norm(uz, axis=(1, 2))
+    det_gap = np.abs(np.linalg.det(uz) - det_ref)
+    checks["det_constant"] = np.all(det_gap <= 1e-10 * (1 + abs(det_ref)))
+    checks["factor_chain"] = np.all(np.linalg.norm(chain(z) - uz, axis=(1, 2)) <= 1e-9 * n)
+    checks["quadruple_route"] = np.all(np.linalg.norm(uq(z) - uz, axis=(1, 2)) <= 1e-9 * n)
+    checks["j_symmetry"] = np.all(np.linalg.norm(ui - u.inverse_at(z), axis=(1, 2))
+                                  <= 1e-8 * np.linalg.norm(ui, axis=(1, 2)))
 
     samples = [complex(rng.standard_normal(), abs(rng.standard_normal()) + 0.1)
                for _ in range(10)] + [rng.standard_normal() for _ in range(5)]

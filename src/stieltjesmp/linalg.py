@@ -63,7 +63,8 @@ def _hermitize(a: Array) -> Array:
 
 
 # The Hermitian test and the PD floor act on one matrix or on a (K, q, q)
-# stack alike, so psd_class and the stacked _all_pd share one definition.
+# stack alike; _psd_classes is the one definition of the classes, and
+# psd_class and the stacked _all_pd are uses of it.
 
 def _hermitian_mask(a: Array, tol: ToleranceConfig):
     """||a - a^*||_F <= herm_tol (1 + ||a||_F), per matrix of a stack."""
@@ -76,28 +77,26 @@ def _psd_floor(w: Array, tol: ToleranceConfig):
     return tol.psd_tol * np.maximum(1.0, np.maximum(np.abs(w[..., -1]), np.abs(w[..., 0])))
 
 
-def _is_hermitian(a: Array, tol: ToleranceConfig) -> bool:
-    return bool(_hermitian_mask(a, tol))
+_CLASS_NAMES = np.array([NON_HERMITIAN, INDEFINITE, PSD, PD])
+
+
+def _psd_classes(stack: Array, tol: ToleranceConfig) -> Array:
+    """psd_class of each matrix of a (K, q, q) stack, with one batched eigvalsh."""
+    herm = _hermitian_mask(stack, tol)
+    # the mask alone classes a non-Hermitian matrix; it is zeroed before
+    # eigvalsh so that no non-finite entry reaches LAPACK
+    w = np.linalg.eigvalsh(_hermitize(np.where(herm[:, None, None], stack, 0)))
+    floor = _psd_floor(w, tol)
+    return _CLASS_NAMES[herm * (1 + (w[:, 0] >= -floor) + (w[:, 0] > floor))]
 
 
 def _psd_class(a: Array, tol: ToleranceConfig) -> str:
-    if not _is_hermitian(a, tol):
-        return NON_HERMITIAN
-    w = np.linalg.eigvalsh(_hermitize(a))
-    floor = _psd_floor(w, tol)
-    if w[0] > floor:
-        return PD
-    if w[0] >= -floor:
-        return PSD
-    return INDEFINITE
+    return str(_psd_classes(a[None], tol)[0])
 
 
 def _all_pd(stack: Array, tol: ToleranceConfig) -> bool:
-    """psd_class(a) == PD for every a of a (K, q, q) stack, with one batched eigvalsh."""
-    if not _hermitian_mask(stack, tol).all():
-        return False
-    w = np.linalg.eigvalsh(_hermitize(stack))
-    return bool(np.all(w[..., 0] > _psd_floor(w, tol)))
+    """psd_class(a) == PD for every a of a (K, q, q) stack."""
+    return bool((_psd_classes(stack, tol) == PD).all())
 
 
 def hermitize(a: Array) -> Array:
@@ -105,7 +104,7 @@ def hermitize(a: Array) -> Array:
 
 
 def is_hermitian(a: Array, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    return _is_hermitian(_require_square(a), tol)
+    return bool(_hermitian_mask(_require_square(a), tol))
 
 
 def psd_class(a: Array, tol: ToleranceConfig = DEFAULT_TOL) -> str:

@@ -12,15 +12,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Array, hermitize, is_psd, sqrt_psd
-from .moments import LEFT, RIGHT, MomentSequence, half, hankel, require_stieltjes_pd
+from .linalg import (
+    Array, DEFAULT_TOL, PD, PSD, _hermitize, _psd_classes, hermitize, is_psd, sqrt_psd,
+)
+from .moments import LEFT, RIGHT, MomentSequence, half, hankel, matrix_stack, require_stieltjes_pd
 from .orthopoly import GENERAL, real_zeros, stieltjes_quadruple
 from .solutions import extremal
 
 
 @dataclass(frozen=True)
 class MolecularMeasure:
-    """Real atoms with PSD q x q masses, supported on a tagged half-line."""
+    """Real atoms with PSD q x q masses, supported on a tagged half-line.  The
+    masses are checked once, as one stack, and kept as complex q x q arrays."""
 
     atoms: tuple
     masses: tuple
@@ -30,71 +33,74 @@ class MolecularMeasure:
     def __post_init__(self):
         if len(self.atoms) != len(self.masses):
             raise ValueError("atoms and masses must align")
-        for m in self.masses:
-            if not is_psd(m):
-                raise ValueError("mass matrices must be PSD")
+        if not self.masses:
+            return
+        stack = matrix_stack(self.masses, np.atleast_2d(self.masses[0]).shape[0], "mass")
+        if not set(_psd_classes(stack, DEFAULT_TOL)) <= {PD, PSD}:
+            raise ValueError("mass matrices must be PSD")
+        object.__setattr__(self, "masses", tuple(stack))
+        x = np.asarray(self.atoms, dtype=float)
         slack = 1e-9 * (1 + abs(self.alpha))
-        for x in self.atoms:
-            if self.support_side == RIGHT and x < self.alpha - slack:
-                raise ValueError(f"atom {x} outside [{self.alpha}, inf)")
-            if self.support_side == LEFT and x > self.alpha + slack:
-                raise ValueError(f"atom {x} outside (-inf, {self.alpha}]")
+        right = self.support_side == RIGHT
+        off = x < self.alpha - slack if right else \
+            (self.support_side == LEFT) & (x > self.alpha + slack)
+        if off.any():
+            x = self.atoms[int(np.argmax(off))]
+            raise ValueError(f"atom {x} outside [{self.alpha}, inf)" if right
+                             else f"atom {x} outside (-inf, {self.alpha}]")
 
 
 def stieltjes_transform(mu: MolecularMeasure, z: complex) -> Array:
     """sum_k M_k / (x_k - z); poles exactly at the atoms."""
-    if mu.atoms and any(abs(z - x) == 0 for x in mu.atoms):
+    dist = np.asarray(mu.atoms, dtype=float) - z
+    if np.any(dist == 0):
         raise ValueError(f"z={z} coincides with an atom")
     if not mu.atoms:
-        q = 1
-        return np.zeros((q, q), dtype=complex)
-    out = np.zeros_like(np.asarray(mu.masses[0], dtype=complex))
-    for x, mass in zip(mu.atoms, mu.masses):
-        out = out + np.asarray(mass, dtype=complex) / (x - z)
-    return out
+        return np.zeros((1, 1), dtype=complex)
+    return (np.array(mu.masses) / dist[:, None, None]).sum(axis=0)
 
 
 def measure_moments(mu: MolecularMeasure, up_to: int) -> list:
-    """Power moments sum_k x_k^j M_k for j = 0..up_to."""
+    """Power moments sum_k x_k^j M_k for j = 0..up_to, from one power table;
+    a moment that overflows float64 raises OverflowError naming its index."""
     if not mu.atoms:
         raise ValueError("empty measure has undefined matrix size")
-    out = []
-    for j in range(up_to + 1):
-        acc = np.zeros_like(np.asarray(mu.masses[0], dtype=complex))
-        for x, mass in zip(mu.atoms, mu.masses):
-            acc = acc + (x ** j) * np.asarray(mass, dtype=complex)
-        out.append(acc)
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = np.asarray(mu.atoms, dtype=float) ** np.arange(up_to + 1)[:, None]
+        moments = (powers[:, :, None, None] * np.array(mu.masses)).sum(axis=1)
+    finite = np.isfinite(moments).all(axis=(1, 2))
+    if not finite.all():
+        raise OverflowError(f"power moment {int(np.argmin(finite))} overflows float64")
+    return list(moments)
 
 
-def _merge_atoms(atoms, masses, alpha: float, drop_tol: float):
-    """Merge clustered atoms, drop negligible masses, clip to the half-line."""
+def _merge_atoms(atoms, masses: Array, alpha: float, drop_tol: float):
+    """Merge clustered atoms, drop negligible masses, clip to the half-line.
+
+    `masses` is a (K, q, q) stack.  The clusters are found by one walk over
+    the sorted atoms as Python floats; the drop test and the clip act on the
+    whole stack.  Returns the atoms as a list and the masses as a stack.
+    """
     order = np.argsort(atoms)
-    atoms = [atoms[i] for i in order]
-    masses = [masses[i] for i in order]
+    masses = masses[order]
+    traces = np.trace(masses, axis1=1, axis2=2).real.tolist()
     merged_a, merged_m = [], []
     merge_dist = 1e-7 * (1 + abs(alpha))
-    for x, m in zip(atoms, masses):
+    for x, m, w_new in zip(np.asarray(atoms, dtype=float)[order].tolist(), masses, traces):
         if merged_a and abs(x - merged_a[-1]) < merge_dist:
-            total = merged_m[-1] + m
             w_old = float(np.trace(merged_m[-1]).real)
-            w_new = float(np.trace(m).real)
             if w_old + w_new > 0:
                 merged_a[-1] = (w_old * merged_a[-1] + w_new * x) / (w_old + w_new)
-            merged_m[-1] = total
+            merged_m[-1] = merged_m[-1] + m
         else:
-            merged_a.append(float(x))
+            merged_a.append(x)
             merged_m.append(m)
-    out_a, out_m = [], []
-    scale = max((np.linalg.norm(m) for m in merged_m), default=1.0)
-    for x, m in zip(merged_a, merged_m):
-        if np.linalg.norm(m) < drop_tol * max(1.0, scale):
-            continue
-        w, v = np.linalg.eigh(hermitize(m))
-        w = np.clip(w, 0.0, None)
-        out_a.append(x)
-        out_m.append((v * w) @ v.conj().T)
-    return out_a, out_m
+    merged = np.array(merged_m)
+    norms = np.linalg.norm(merged, axis=(1, 2))
+    keep = ~(norms < drop_tol * norms.max(initial=1.0))   # scale max(1, largest norm)
+    w, v = np.linalg.eigh(_hermitize(merged[keep]))
+    clipped = (v * np.clip(w, 0.0, None)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    return np.array(merged_a)[keep].tolist(), clipped
 
 
 def _pencil_measure(seq: MomentSequence, m: int) -> MolecularMeasure:
@@ -114,13 +120,10 @@ def _pencil_measure(seq: MomentSequence, m: int) -> MolecularMeasure:
     pencil = hermitize(root_inv @ h_sh @ root_inv.conj().T)
     mu_vals, vecs = np.linalg.eigh(pencil)
     g = y.conj().T @ root_inv.conj().T @ vecs
-    atoms, masses = [], []
-    for k, mu_k in enumerate(mu_vals):
-        col = g[:, k:k + 1]
-        x = seq.alpha + mu_k if seq.side == RIGHT else seq.alpha - mu_k
-        atoms.append(float(x))
-        masses.append(col @ col.conj().T)
-    atoms, masses = _merge_atoms(atoms, masses, seq.alpha, drop_tol=1e-12)
+    atoms = seq.alpha + mu_vals if seq.side == RIGHT else seq.alpha - mu_vals
+    cols = g.T[:, :, None]   # the rank-one masses g_k g_k^*, k = 0..(n+1)q-1
+    atoms, masses = _merge_atoms(atoms, cols @ cols.conj().swapaxes(-1, -2), seq.alpha,
+                                 drop_tol=1e-12)
     return MolecularMeasure(atoms=tuple(atoms), masses=tuple(masses),
                             support_side=seq.side, alpha=seq.alpha)
 
@@ -147,7 +150,7 @@ def _residue_measure(seq: MomentSequence, m: int, s_eval) -> MolecularMeasure:
             raise ArithmeticError(f"residue extrapolation diverged at atom {x}")
         atoms.append(x)
         masses.append(mass)
-    atoms, masses = _merge_atoms(atoms, masses, seq.alpha, drop_tol=1e-6)
+    atoms, masses = _merge_atoms(atoms, np.array(masses), seq.alpha, drop_tol=1e-6)
     return MolecularMeasure(atoms=tuple(atoms), masses=tuple(masses),
                             support_side=seq.side, alpha=seq.alpha)
 
@@ -167,22 +170,18 @@ def _transported_measure(seq: MomentSequence, m: int) -> MolecularMeasure:
                                 support_side=seq.side, alpha=a)
     nu = _pencil_measure(seq.shifted, 2 * n - 1)
 
-    atoms, masses = [], []
-    total = np.zeros((q, q), dtype=complex)
-    for x, mass in zip(nu.atoms, nu.masses):
-        dist = abs(x - a)
-        if dist < 1e-10 * (1 + abs(a)):
-            raise ArithmeticError("transported pencil atom collapsed onto the base point")
-        transported = np.asarray(mass) / dist
-        atoms.append(x)
-        masses.append(transported)
-        total = total + transported
+    atoms = np.array(nu.atoms)
+    dist = np.abs(atoms - a)
+    if np.any(dist < 1e-10 * (1 + abs(a))):
+        raise ArithmeticError("transported pencil atom collapsed onto the base point")
+    transported = np.array(nu.masses).reshape(-1, q, q) / dist[:, None, None]
+    # cumsum adds in atom order from a zero block; sum() may pair the terms
+    total = np.concatenate([np.zeros((1, q, q)), transported]).cumsum(axis=0)[-1]
     remainder = hermitize(seq[0] - total)
     w, v = np.linalg.eigh(remainder)
     remainder = (v * np.clip(w, 0.0, None)) @ v.conj().T
-    atoms.append(a)
-    masses.append(remainder)
-    atoms, masses = _merge_atoms(atoms, masses, a, drop_tol=1e-12)
+    masses = np.concatenate([transported, remainder[None]])
+    atoms, masses = _merge_atoms(np.append(atoms, a), masses, a, drop_tol=1e-12)
     return MolecularMeasure(atoms=tuple(atoms), masses=tuple(masses),
                             support_side=seq.side, alpha=a)
 

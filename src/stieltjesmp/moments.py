@@ -15,7 +15,8 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
-    Array, DEFAULT_TOL, _all_pd, _hermitian_mask, as_matrix, block_psd, psd_class, PD, PSD,
+    Array, DEFAULT_TOL, _all_pd, _hermitian_mask, _psd_classes, as_matrix, block_psd, psd_class,
+    PD, PSD,
 )
 
 RIGHT = "right"
@@ -350,11 +351,12 @@ def u_shift_vector(seq: MomentSequence, n: int) -> Array:
 def lower_triangular_S(seq: MomentSequence, n: int) -> Array:
     """Block Toeplitz S_n with s_0 on the diagonal and s_j below."""
     q = seq.q
-    s = np.zeros(((n + 1) * q, (n + 1) * q), dtype=complex)
-    for j in range(n + 1):
-        for k in range(j + 1):
-            s[j * q:(j + 1) * q, k * q:(k + 1) * q] = seq[j - k]
-    return s
+    # block (j, k) is s_{j-k} for j >= k: index j-k+1 into the moments behind
+    # one zero block, clipped to that zero block above the diagonal
+    stack = np.concatenate([np.zeros((1, q, q), dtype=complex), seq[:n + 1]])
+    idx = np.arange(n + 1)
+    blocks = stack[np.maximum(idx[:, None] - idx[None, :] + 1, 0)]
+    return blocks.transpose(0, 2, 1, 3).reshape((n + 1) * q, (n + 1) * q)
 
 
 def shat_matrix(seq: MomentSequence, n: int) -> Array:
@@ -394,17 +396,17 @@ def _kernel_included(q_a: Array, q_b: Array) -> bool:
 
 def _classify(seq: MomentSequence) -> SequenceClass:
     qs = seq.qparam.values
-    classes = [psd_class(qj) for qj in qs]
+    classes = _psd_classes(matrix_stack(qs, seq.q, "Q_j"), DEFAULT_TOL)
     # PD is decided through the Schur complements Q_{2n} = Hhat_n (numerically
     # robust and equivalent); NND falls back to the spectrum of the full block
-    if all(c == PD for c in classes[0::2]):
+    if np.all(classes[0::2] == PD):
         hankel_cls = PD
     else:
         hankel_cls = NND if psd_class(seq.pack.top) in (PD, PSD) else HANKEL_NO
 
-    if all(c == PD for c in classes):
+    if np.all(classes == PD):
         return SequenceClass(hankel=hankel_cls, stieltjes=PD, side=seq.side)
-    if all(c in (PD, PSD) for c in classes):
+    if set(classes) <= {PD, PSD}:
         chain = [_kernel_included(qs[j], qs[j + 1]) for j in range(seq.kappa)]
         if all(chain):
             return SequenceClass(hankel=hankel_cls, stieltjes=NND_EXTENDABLE, side=seq.side)

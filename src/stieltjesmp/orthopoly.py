@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import Array, DEFAULT_TOL, is_pd, ordered_product
+from .linalg import Array, DEFAULT_TOL, _all_pd, is_pd, ordered_product
 from .moments import (
     RIGHT, HankelPack, MomentSequence, freeze, half, lower_triangular_S,
     require_stieltjes_pd,
@@ -129,18 +129,19 @@ class MatrixPolynomial:
     @staticmethod
     def block2x2(p11, p12, p21, p22) -> "MatrixPolynomial":
         """Assemble four q x q polynomials into one 2q x 2q polynomial."""
-        n = max(len(p.coeffs) for p in (p11, p12, p21, p22))
-        cs = [np.block([[p11.coeff(j), p12.coeff(j)], [p21.coeff(j), p22.coeff(j)]])
-              for j in range(n)]
-        return MatrixPolynomial(cs)
+        rows, cols = p11.q_rows, p11.q_cols
+        out = np.zeros((max(len(p.coeffs) for p in (p11, p12, p21, p22)),
+                        rows + p21.q_rows, cols + p12.q_cols), dtype=complex)
+        for p, r, c in ((p11, 0, 0), (p12, 0, cols), (p21, rows, 0), (p22, rows, cols)):
+            out[:len(p.coeffs), r:r + p.q_rows, c:c + p.q_cols] = p.coeffs
+        return MatrixPolynomial(out)
 
 
 def _require_hankel_pd_prefix(pack: HankelPack, up_to: int):
     # all Schur complements PD is equivalent to the Hankel block being PD
     # and is far better scaled numerically
-    for n in range(up_to + 1):
-        if not is_pd(pack.hhat(n)):
-            raise ValueError("Hankel-PD prefix required")
+    if not _all_pd(np.array(pack.hhats[:up_to + 1]), DEFAULT_TOL):
+        raise ValueError("Hankel-PD prefix required")
 
 
 def monic_orthogonal_system(seq: MomentSequence) -> list:

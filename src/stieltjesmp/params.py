@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    Array, DEFAULT_TOL, _all_pd, _require_square, as_matrix, hermitize, inv_pd, is_pd,
+    Array, DEFAULT_TOL, _all_pd, as_matrix, hermitize, inv_pd, is_pd,
     ordered_product,
 )
 from .moments import (
@@ -256,17 +256,17 @@ def ds_increments(seq: MomentSequence) -> DSParam:
     return DSParam(q=q, alpha=a, side=seq.side, l=tuple(l), m=tuple(m))
 
 
-def _pd_values(mats, what: str) -> list:
-    """The parameter matrices as complex arrays, checked together to be PD."""
-    out = [_require_square(v) for v in mats]
-    if out and not _all_pd(np.array(out), DEFAULT_TOL):
+def _pd_values(mats, q: int, what: str) -> Array:
+    """The parameter matrices as one complex (K, q, q) stack, checked together to be PD."""
+    out = matrix_stack(mats, q, what)
+    if len(out) and not _all_pd(out, DEFAULT_TOL):
         raise ValueError(f"all {what} must be PD")
     return out
 
 
 def ds_from_q(p: StieltjesParam) -> DSParam:
     """Alternating-product map Q -> (L, M); requires all Q_j PD."""
-    qs = _pd_values(p.values, "Q_j")
+    qs = _pd_values(p.values, p.q, "Q_j")
     q = p.q
     n_m = half(p.kappa) + 1
     n_l = half(p.kappa - 1) + 1 if p.kappa >= 1 else 0
@@ -292,8 +292,8 @@ def q_from_ds(d: DSParam) -> StieltjesParam:
     G_n^{-*} M_n^{-1} G_n^{-1} and Q_{2n+1} = G_{n+1}^{-*} L_n G_{n+1}^{-1}.
     The G_n are one running product and are inverted together, as are the M_n.
     """
-    ls = _pd_values(d.l, "L_n, M_n")
-    ms = _pd_values(d.m, "L_n, M_n")
+    lms = _pd_values((*d.l, *d.m), d.q, "L_n, M_n")
+    ls, ms = lms[:len(d.l)], lms[len(d.l):]
     g = [np.eye(d.q, dtype=complex)]
     for m, l in zip(ms, ls):
         g.append(g[-1] @ (m @ l))
@@ -323,7 +323,7 @@ def favard_from_q(p: StieltjesParam):
     Returns (pair, shifted_pair).  Odd-index signs flip between the two
     half-lines.
     """
-    qs = _pd_values(p.values, "Q_j")
+    qs = _pd_values(p.values, p.q, "Q_j")
     alpha = p.alpha
     eye = np.eye(p.q, dtype=complex)
     sgn = 1.0 if p.side == RIGHT else -1.0
@@ -357,8 +357,8 @@ def favard_from_ds(d: DSParam):
 
     Returns (pair, shifted_pair); closed products, no sequence reconstruction.
     """
-    ls = _pd_values(d.l, "L_n, M_n")
-    ms = _pd_values(d.m, "L_n, M_n")
+    lms = _pd_values((*d.l, *d.m), d.q, "L_n, M_n")
+    ls, ms = lms[:len(d.l)], lms[len(d.l):]
     q, alpha = d.q, d.alpha
     eye = np.eye(q, dtype=complex)
     sgn = 1.0 if d.side == RIGHT else -1.0

@@ -18,7 +18,7 @@ from .linalg import (
     signature_matrix,
 )
 from .moments import (
-    RIGHT, MomentSequence, block_shift, first_block_column, half,
+    RIGHT, MomentSequence, first_block_column, half,
     require_stieltjes_pd, resolvent_R, u_shift_vector, u_vector,
 )
 from .orthopoly import MatrixPolynomial, stieltjes_quadruple
@@ -40,21 +40,23 @@ class DyukarevQuadruple:
     d: tuple
 
 
-def _shifted_linear_combo(base: MatrixPolynomial, w_poly: MatrixPolynomial,
-                          alpha: float, sign: float) -> MatrixPolynomial:
-    """base + sign*(z - alpha)*w_poly as exact coefficients."""
-    return base + (w_poly.shift_z() + w_poly.scale(-alpha)).scale(sign)
+def _times_z_minus_alpha(w: Array, alpha: float) -> Array:
+    """Coefficient stack of (z - alpha) w(z).  A sign goes on w, not on the result,
+    so the padding sums turn an exact -0.0 into +0.0 as MatrixPolynomial's do."""
+    out = np.zeros((len(w) + 1,) + w.shape[1:], dtype=complex)
+    out[1:] += w
+    out[:-1] += -alpha * w
+    return out
 
 
-def _moment_poly(left: Array, mid: Array, right: Array, t: Array,
-                 degree: int) -> MatrixPolynomial:
-    """Polynomial with coefficients left^* (T^k)^* mid right, k = 0..degree."""
-    coeffs = []
-    cur = left.copy()
-    for _ in range(degree + 1):
-        coeffs.append(cur.conj().T @ mid @ right)
-        cur = t @ cur
-    return MatrixPolynomial(coeffs)
+def _moment_poly(left: Array, mid: Array, right: Array, degree: int) -> Array:
+    """Coefficient stack left^* (T^k)^* mid right, k = 0..degree, with T the
+    block down-shift: T^k left is left moved down k blocks."""
+    q = left.shape[1]
+    blocks = np.concatenate([np.zeros((1, q, q), dtype=complex), left.reshape(-1, q, q)])
+    idx = np.arange(len(blocks) - 1)
+    shifted = blocks[np.maximum(idx[None, :] - np.arange(degree + 1)[:, None] + 1, 0)]
+    return (shifted.reshape(degree + 1, -1, q).conj().swapaxes(-1, -2) @ mid) @ right
 
 
 def dyukarev_quadruple(seq: MomentSequence) -> DyukarevQuadruple:
@@ -67,31 +69,28 @@ def _dyukarev_quadruple(seq: MomentSequence) -> DyukarevQuadruple:
     pack = seq.pack
     q, alpha = seq.q, seq.alpha
     kappa = seq.kappa
-    eye_poly = MatrixPolynomial.constant(np.eye(q))
+    eye = np.eye(q)
     d_sign = 1.0 if seq.side == RIGHT else -1.0
 
     a_list, c_list = [], []
     for n in range(half(kappa) + 1):
-        t = block_shift(q, n)
         v = first_block_column(q, n)
-        u = u_vector(seq, n)
         mid = pack.h_inv(n) @ resolvent_R(q, n, alpha)
-        w_a = _moment_poly(u, mid, v, t, n)
-        w_c = _moment_poly(v, mid, v, t, n)
-        a_list.append(_shifted_linear_combo(eye_poly, w_a, alpha, 1.0))
-        c_list.append(_shifted_linear_combo(eye_poly.scale(0.0), w_c, alpha, -1.0))
+        a = _times_z_minus_alpha(_moment_poly(u_vector(seq, n), mid, v, n), alpha)
+        a[0] += eye
+        a_list.append(MatrixPolynomial(a))
+        c_list.append(MatrixPolynomial(_times_z_minus_alpha(-_moment_poly(v, mid, v, n), alpha)))
 
     b_list = [MatrixPolynomial.constant(np.zeros((q, q)))]
-    d_list = [eye_poly]
+    d_list = [MatrixPolynomial.constant(eye)]
     for n in range(1, half(kappa + 1) + 1):
-        t = block_shift(q, n - 1)
         v = first_block_column(q, n - 1)
-        u_sh = u_shift_vector(seq, n - 1)
         mid = pack.shift.h_inv(n - 1)
         y = pack.y(0, n - 1)
-        b_list.append(_moment_poly(u_sh, mid, y, t, n - 1))
-        w_d = _moment_poly(v, mid, y, t, n - 1)
-        d_list.append(_shifted_linear_combo(eye_poly, w_d, alpha, -d_sign))
+        b_list.append(MatrixPolynomial(_moment_poly(u_shift_vector(seq, n - 1), mid, y, n - 1)))
+        d = _times_z_minus_alpha(-d_sign * _moment_poly(v, mid, y, n - 1), alpha)
+        d[0] += eye
+        d_list.append(MatrixPolynomial(d))
     return DyukarevQuadruple(side=seq.side, alpha=alpha, a=tuple(a_list),
                              b=tuple(b_list), c=tuple(c_list), d=tuple(d_list))
 
@@ -227,20 +226,17 @@ def factorize_u(seq: MomentSequence, m: int | None = None) -> FactorChain:
         raise ValueError(f"index m={m} outside 0..kappa={seq.kappa}")
     ds = ds_param(seq)
     q, alpha = seq.q, seq.alpha
-    eye = np.eye(q)
-    zero = np.zeros((q, q))
+    ms, ls = np.array(ds.m[:m // 2 + 1]), np.array(ds.l[:(m + 1) // 2]).reshape(-1, q, q)
     sgn = 1.0 if seq.side == RIGHT else -1.0
-
-    factors = []
-    for j in range(m + 1):
-        n = j // 2
-        if j % 2 == 0:
-            c0 = np.block([[eye, zero], [alpha * np.asarray(ds.m[n]), eye]])
-            c1 = np.block([[zero, zero], [-np.asarray(ds.m[n]), zero]])
-            factors.append(MatrixPolynomial([c0, c1]))
-        else:
-            factors.append(MatrixPolynomial.constant(
-                np.block([[eye, sgn * np.asarray(ds.l[n])], [zero, eye]])))
+    # coefficients of all even factors (degree 1) and all odd ones (constant)
+    even = np.zeros((len(ms), 2, 2 * q, 2 * q), dtype=complex)
+    even[:, 0] = np.eye(2 * q)
+    even[:, 0, q:, :q] = alpha * ms
+    even[:, 1, q:, :q] = -ms
+    odd = np.tile(np.eye(2 * q, dtype=complex), (len(ls), 1, 1))
+    odd[:, :q, q:] = sgn * ls
+    factors = [MatrixPolynomial(even[j // 2]) if j % 2 == 0 else MatrixPolynomial([odd[j // 2]])
+               for j in range(m + 1)]
     return FactorChain(side=seq.side, alpha=alpha, q=q, factors=tuple(factors))
 
 

@@ -12,10 +12,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import Array, DEFAULT_TOL, as_matrix, hermitize, is_pd, is_psd, sqrt_psd
+from .linalg import (
+    Array, DEFAULT_TOL, PD, _psd_classes, as_matrix, hermitize, is_pd, is_psd, sqrt_psd,
+)
 from .moments import (
     LEFT, RIGHT, MomentSequence, block_shift, column_E, first_block_column, freeze,
-    half, require_stieltjes_pd,
+    half, matrix_stack, require_stieltjes_pd,
 )
 from .orthopoly import MatrixPolynomial, stieltjes_quadruple
 from .resolvent import ResolventU, dyukarev_quadruple
@@ -264,9 +266,11 @@ def weyl_interval(seq: MomentSequence, m: int | None = None, x: float = -1.0) ->
     # values are PD left of alpha on the right half-line, negative definite
     # right of alpha on the left one
     sign = 1.0 if seq.side == RIGHT else -1.0
-    if not is_pd(sign * lo) or not is_pd(sign * hi):
+    values = matrix_stack([sign * lo, sign * hi, hi - lo], seq.q, "extremal value")
+    classes = _psd_classes(values, DEFAULT_TOL)
+    if classes[0] != PD or classes[1] != PD:
         raise AssertionError("extremal values are not definite; inconsistent inputs")
-    if not is_pd(hi - lo):
+    if classes[2] != PD:
         raise AssertionError("Weyl interval degenerate; inconsistent inputs")
     return WeylInterval(x=float(x), lower=lo, upper=hi)
 

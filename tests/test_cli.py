@@ -171,6 +171,14 @@ def test_verify_verb(capsys, f2_file, tmp_path):
     assert code == EXIT_NEGATIVE
 
 
+def test_verify_draws_its_points_in_re_im_pairs():
+    # verify evaluates its 20 sample points as one array; the array must hold
+    # the points a loop of complex(re, im) draws made, in the same order
+    rng = np.random.default_rng(0)
+    loop = [complex(rng.standard_normal(), rng.standard_normal()) for _ in range(20)]
+    np.testing.assert_array_equal(np.random.default_rng(0).standard_normal(40).view(complex), loop)
+
+
 def test_decoders_reject_non_finite_and_booleans(capsys, tmp_path):
     # json.dumps writes NaN / Infinity literals, and json.load accepts them
     nan, inf = float("nan"), float("inf")

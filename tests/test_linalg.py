@@ -6,6 +6,7 @@ from stieltjesmp import (
     ToleranceConfig, block_psd, interval_sample, is_hermitian, j_defect,
     pinv, psd_class, signature_matrix, sqrt_psd,
 )
+from stieltjesmp.linalg import _psd_class, _psd_classes
 
 
 def test_is_hermitian_cases():
@@ -24,6 +25,17 @@ def test_psd_class_cases():
     assert psd_class(np.array([[1, 1], [1, 1]])) == PSD
     assert psd_class(np.diag([1.0, -1.0])) == INDEFINITE
     assert psd_class(np.array([[0, 1], [0, 0]])) == NON_HERMITIAN
+
+
+def test_psd_class_is_the_stacked_classifier_on_one_matrix():
+    cases = [np.eye(2), np.array([[1, 1], [1, 1]]), np.diag([1.0, -1.0]),
+             np.array([[0, 1], [0, 0]]), 1e-10 * np.eye(2), np.diag([1e-10, 1.0]),
+             np.diag([2e-10, 1.0]), -1e-10 * np.eye(2)]
+    stack = np.array(cases, dtype=complex)
+    classes = _psd_classes(stack, DEFAULT_TOL)
+    for a, cls in zip(stack, classes):
+        assert _psd_class(a, DEFAULT_TOL) == cls == _psd_classes(a[None], DEFAULT_TOL)[0]
+    assert list(classes) == [PD, PSD, INDEFINITE, NON_HERMITIAN, PSD, PSD, PD, PSD]
 
 
 def test_pinv_diagonal_and_rank_one():

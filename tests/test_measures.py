@@ -3,11 +3,13 @@ import pytest
 
 from stieltjesmp import (
     MolecularMeasure, extremal, hausdorff_solvable, is_psd, measure_moments,
-    recover_max, recover_min, sequence, stieltjes_transform,
+    recover_max, recover_min, reflect, sequence, stieltjes_transform,
 )
-from stieltjesmp.linalg import min_eig_hermitian_part, hermitize
+from stieltjesmp.linalg import min_eig_hermitian_part, hermitize, sqrt_psd
+from stieltjesmp.measures import _merge_atoms
+from stieltjesmp.moments import half
 
-from conftest import ladder_fixture, rel_err
+from conftest import LADDER, ladder_fixture, rel_err
 
 
 def test_stieltjes_transform_examples():
@@ -52,6 +54,40 @@ def test_molecular_measure_validation():
     with pytest.raises(ValueError):
         MolecularMeasure(atoms=(1.0,), masses=(-np.eye(1),),
                          support_side="right", alpha=0.0)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(atoms=(1.0, 2.0), masses=(np.eye(2),), support_side="right", alpha=0.0),
+     "atoms and masses must align"),
+    (dict(atoms=(1.0, 2.0), masses=(np.eye(2), np.diag([1.0, -1.0])),
+          support_side="right", alpha=0.0), "mass matrices must be PSD"),
+    (dict(atoms=(1.0,), masses=(np.array([[1, 1], [0, 1]]),), support_side="right", alpha=0.0),
+     "mass matrices must be PSD"),
+    (dict(atoms=(1.0,), masses=(np.array([[np.nan, 0], [0, 1]]),),
+          support_side="right", alpha=0.0), "matrix has non-finite entries"),
+    (dict(atoms=(2.0, -0.25, -1.0), masses=(np.eye(1),) * 3, support_side="right", alpha=0.5),
+     "atom -0.25 outside [0.5, inf)"),
+    (dict(atoms=(0.0, 1.5), masses=(np.eye(1),) * 2, support_side="left", alpha=1.0),
+     "atom 1.5 outside (-inf, 1.0]"),
+])
+def test_molecular_measure_errors(kwargs, message):
+    # the first offending atom is named, as when each atom was checked in turn
+    with pytest.raises(ValueError) as info:
+        MolecularMeasure(**kwargs)
+    assert str(info.value) == message
+
+
+def test_molecular_measure_accepts_scalar_masses():
+    mu = MolecularMeasure(atoms=(1.0, 3.0), masses=(2.0, 0.5), support_side="right", alpha=0.0)
+    np.testing.assert_array_equal(measure_moments(mu, 2), [[[2.5]], [[3.5]], [[6.5]]])
+
+
+def test_measure_moments_overflow_is_a_typed_error():
+    mu = MolecularMeasure(atoms=(1.0, 1e200), masses=(np.eye(2), np.eye(2)),
+                          support_side="right", alpha=0.0)
+    assert np.isfinite(measure_moments(mu, 1)).all()
+    with pytest.raises(OverflowError, match="power moment 2 "):
+        measure_moments(mu, 3)
 
 
 def test_recover_fixtures(f1, f2):
@@ -186,3 +222,90 @@ def test_hausdorff_even_block():
     assert rep.solvable
     s = sequence([1.0, 0.5, 0.6])
     assert not hausdorff_solvable(s, 0.0, 1.0).solvable
+
+
+# Per-atom reference loops for the merge, the pencil and the transported
+# pencil: the stacked recovery must reproduce their atoms and masses bit for bit.
+
+def _merge_atoms_loop(atoms, masses, alpha, drop_tol):
+    order = np.argsort(atoms)
+    atoms = [atoms[i] for i in order]
+    masses = [masses[i] for i in order]
+    merged_a, merged_m = [], []
+    merge_dist = 1e-7 * (1 + abs(alpha))
+    for x, m in zip(atoms, masses):
+        if merged_a and abs(x - merged_a[-1]) < merge_dist:
+            total = merged_m[-1] + m
+            w_old = float(np.trace(merged_m[-1]).real)
+            w_new = float(np.trace(m).real)
+            if w_old + w_new > 0:
+                merged_a[-1] = (w_old * merged_a[-1] + w_new * x) / (w_old + w_new)
+            merged_m[-1] = total
+        else:
+            merged_a.append(float(x))
+            merged_m.append(m)
+    out_a, out_m = [], []
+    scale = max((np.linalg.norm(m) for m in merged_m), default=1.0)
+    for x, m in zip(merged_a, merged_m):
+        if np.linalg.norm(m) < drop_tol * max(1.0, scale):
+            continue
+        w, v = np.linalg.eigh(hermitize(m))
+        w = np.clip(w, 0.0, None)
+        out_a.append(x)
+        out_m.append((v * w) @ v.conj().T)
+    return out_a, out_m
+
+
+def _pencil_loop(seq, m):
+    pack = seq.pack
+    n = half(m - 1)
+    root_inv = np.linalg.inv(sqrt_psd(pack.h(n)))
+    pencil = hermitize(root_inv @ pack.h_shift(n) @ root_inv.conj().T)
+    mu_vals, vecs = np.linalg.eigh(pencil)
+    g = pack.y(0, n).conj().T @ root_inv.conj().T @ vecs
+    atoms, masses = [], []
+    for k, mu_k in enumerate(mu_vals):
+        col = g[:, k:k + 1]
+        x = seq.alpha + mu_k if seq.side == "right" else seq.alpha - mu_k
+        atoms.append(float(x))
+        masses.append(col @ col.conj().T)
+    return _merge_atoms_loop(atoms, masses, seq.alpha, drop_tol=1e-12)
+
+
+def _transported_loop(seq, m):
+    q, a = seq.q, seq.alpha
+    if half(m) == 0:
+        return [a], [seq[0]]
+    atoms, masses = [], []
+    total = np.zeros((q, q), dtype=complex)
+    for x, mass in zip(*_pencil_loop(seq.shifted, 2 * half(m) - 1)):
+        transported = np.asarray(mass) / abs(x - a)
+        atoms.append(x)
+        masses.append(transported)
+        total = total + transported
+    w, v = np.linalg.eigh(hermitize(seq[0] - total))
+    atoms.append(a)
+    masses.append((v * np.clip(w, 0.0, None)) @ v.conj().T)
+    return _merge_atoms_loop(atoms, masses, a, drop_tol=1e-12)
+
+
+def test_recovered_measures_match_the_per_atom_loops():
+    for i in range(len(LADDER)):
+        for s in (ladder_fixture(i), reflect(ladder_fixture(i))):
+            pencil, transported = _pencil_loop(s, s.kappa), _transported_loop(s, s.kappa)
+            lower, upper = (pencil, transported) if s.side == "right" else (transported, pencil)
+            for mu, (atoms, masses) in ((recover_min(s), lower), (recover_max(s), upper)):
+                np.testing.assert_array_equal(mu.atoms, atoms)
+                np.testing.assert_array_equal(mu.masses, masses)
+
+
+def test_clustered_atoms_merge_like_the_loop():
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((3, 2, 1)) + 1j * rng.standard_normal((3, 2, 1))
+    masses = g @ g.conj().swapaxes(-1, -2)
+    atoms = [2.0, 1.0 + 1e-9, 1.0]
+    got_a, got_m = _merge_atoms(atoms, masses, 0.0, drop_tol=1e-12)
+    want_a, want_m = _merge_atoms_loop(atoms, list(masses), 0.0, drop_tol=1e-12)
+    assert len(got_a) == 2 and 1.0 < got_a[0] < 1.0 + 1e-9
+    np.testing.assert_array_equal(got_a, want_a)
+    np.testing.assert_array_equal(got_m, want_m)

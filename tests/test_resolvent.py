@@ -6,7 +6,10 @@ from stieltjesmp import (
     leading_terms, reflect, resolvent_u, schur_rotation, sigma,
     signature_matrix, u_from_quadruple_polynomials,
 )
-from stieltjesmp.moments import alternating_signs
+from stieltjesmp.moments import (
+    alternating_signs, block_shift, first_block_column, half, resolvent_R, u_shift_vector, u_vector,
+)
+from stieltjesmp.orthopoly import MatrixPolynomial
 
 from conftest import ladder_fixture, rel_err
 
@@ -291,3 +294,49 @@ def test_sigma_jqq_unitary_on_reals(f1):
         for x in (-2.0, -0.3, 1.4):
             defect = jqq - sig(x).conj().T @ jt @ sig(x)
             assert np.linalg.norm(defect) < 1e-9 * (1 + np.linalg.norm(sig(x)) ** 2)
+
+
+def _dyukarev_loop(seq):
+    """The quadruple from MatrixPolynomial arithmetic and T^k products with the
+    block-shift matrix, one coefficient at a time: an oracle for the stacked build."""
+    pack, q, alpha = seq.pack, seq.q, seq.alpha
+
+    def moment_poly(left, mid, right, n):
+        t, cur, coeffs = block_shift(q, n), left.copy(), []
+        for _ in range(n + 1):
+            coeffs.append(cur.conj().T @ mid @ right)
+            cur = t @ cur
+        return MatrixPolynomial(coeffs)
+
+    def combo(base, w, sign):
+        return base + (w.shift_z() + w.scale(-alpha)).scale(sign)
+
+    eye = MatrixPolynomial.constant(np.eye(q))
+    a, c = [], []
+    for n in range(half(seq.kappa) + 1):
+        v = first_block_column(q, n)
+        mid = pack.h_inv(n) @ resolvent_R(q, n, alpha)
+        a.append(combo(eye, moment_poly(u_vector(seq, n), mid, v, n), 1.0))
+        c.append(combo(eye.scale(0.0), moment_poly(v, mid, v, n), -1.0))
+    b, d = [MatrixPolynomial.constant(np.zeros((q, q)))], [eye]
+    for n in range(half(seq.kappa + 1)):
+        v, mid, y = first_block_column(q, n), pack.shift.h_inv(n), pack.y(0, n)
+        b.append(moment_poly(u_shift_vector(seq, n), mid, y, n))
+        d.append(combo(eye, moment_poly(v, mid, y, n), -1.0 if seq.side == "right" else 1.0))
+    return {"a": a, "b": b, "c": c, "d": d}
+
+
+def test_stacked_quadruple_coefficients_match_the_polynomial_loop():
+    for i in range(10):
+        for s in (ladder_fixture(i), reflect(ladder_fixture(i))):
+            dq, want = dyukarev_quadruple(s), _dyukarev_loop(s)
+            for fam in "abcd":
+                for got, ref in zip(getattr(dq, fam), want[fam], strict=True):
+                    np.testing.assert_array_equal(np.array(got.coeffs), np.array(ref.coeffs))
+            for j, w in enumerate(factorize_u(s).factors):
+                ds, n, q = s.ds, j // 2, s.q
+                eye, zero = np.eye(q), np.zeros((q, q))
+                ref = [np.block([[eye, zero], [s.alpha * ds.m[n], eye]]),
+                       np.block([[zero, zero], [-ds.m[n], zero]])] if j % 2 == 0 else \
+                    [np.block([[eye, (1 if s.side == "right" else -1) * ds.l[n]], [zero, eye]])]
+                np.testing.assert_array_equal(np.array(w.coeffs), np.array(ref))
