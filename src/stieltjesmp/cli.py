@@ -18,12 +18,12 @@ from .linalg import is_psd
 from .moments import LEFT, RIGHT, MomentSequence, classify
 from .params import (
     canonical_hankel_param, ds_param, favard_pair, random_stieltjes_pd_sequence,
-    seq_from_ds, stieltjes_param,
+    seq_from_ds, seq_from_stieltjes_param, stieltjes_param,
 )
 from .resolvent import factorize_u, j_inner_check, resolvent_u, u_from_quadruple_polynomials
 from .solutions import (
     CONSTANT, SCHUR_CONSTANT, SingularDenominator, StieltjesPair, difference_inverse,
-    extremal, lft_solve, weyl_interval,
+    extremal, lft_solve, pair_max, pair_min, weyl_interval,
 )
 from .measures import hausdorff_solvable, measure_moments, recover_max, recover_min
 
@@ -225,16 +225,10 @@ def cmd_verify(args) -> int:
         _emit({"checks": checks, "passed": False})
         return EXIT_NEGATIVE
 
-    p = stieltjes_param(seq)
-    from .params import seq_from_stieltjes_param
-    s2 = seq_from_stieltjes_param(p)
     scale = max(np.linalg.norm(m) for m in seq.moments)
-    checks["q_roundtrip"] = max(np.abs(a - b).max() for a, b in
-                                zip(seq.moments, s2.moments)) <= 1e-9 * scale
-    d = ds_param(seq)
-    s3 = seq_from_ds(d)
-    checks["ds_roundtrip"] = max(np.abs(a - b).max() for a, b in
-                                 zip(seq.moments, s3.moments)) <= 1e-9 * scale
+    for name, back in (("q_roundtrip", seq_from_stieltjes_param(stieltjes_param(seq))),
+                       ("ds_roundtrip", seq_from_ds(ds_param(seq)))):
+        checks[name] = np.abs(np.subtract(back.moments, seq.moments)).max() <= 1e-9 * scale
 
     u = resolvent_u(seq)
     chain = factorize_u(seq)
@@ -260,17 +254,20 @@ def cmd_verify(args) -> int:
         x = seq.alpha - 1.0 if seq.side == RIGHT else seq.alpha + 1.0
         iv = weyl_interval(seq, seq.kappa, x)
         checks["weyl_gap_pd"] = is_psd(iv.gap)
+        # the production extremals against the LFT of U with the trivial pairs
+        pairs = (pair_min(seq.q, seq.side), pair_max(seq.q, seq.side))
+        checks["extremal_lft"] = True
+        for ext, pair in zip(extremal(seq), pairs if seq.side == RIGHT else pairs[::-1]):
+            want = np.array([lft_solve(u, pair, zk) for zk in z])
+            checks["extremal_lft"] &= np.all(np.linalg.norm(ext(z) - want, axis=(1, 2))
+                                             <= 1e-8 * (1 + np.linalg.norm(want, axis=(1, 2))))
         gap_inv = difference_inverse(seq, seq.kappa, x)
         checks["difference_inverse"] = np.linalg.norm(
             np.linalg.inv(iv.gap) - gap_inv) <= 1e-7 * (1 + np.linalg.norm(gap_inv))
-        mu_min, mu_max = recover_min(seq), recover_max(seq)
-        mom_min = measure_moments(mu_min, seq.kappa)
-        mom_max = measure_moments(mu_max, seq.kappa)
-        ok_mom = True
-        for j in range(seq.kappa):
-            ok_mom &= np.linalg.norm(mom_min[j] - seq[j]) <= 1e-7 * (1 + np.linalg.norm(seq[j]))
-            ok_mom &= np.linalg.norm(mom_max[j] - seq[j]) <= 1e-7 * (1 + np.linalg.norm(seq[j]))
-        checks["measure_moments"] = bool(ok_mom)
+        moms = [measure_moments(mu, seq.kappa) for mu in (recover_min(seq), recover_max(seq))]
+        checks["measure_moments"] = all(
+            np.linalg.norm(mom[j] - seq[j]) <= 1e-7 * (1 + np.linalg.norm(seq[j]))
+            for mom in moms for j in range(seq.kappa))
 
     checks = {k: bool(v) for k, v in checks.items()}
     passed = all(checks.values())

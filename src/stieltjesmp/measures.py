@@ -39,6 +39,22 @@ class MolecularMeasure:
         if not set(_psd_classes(stack, DEFAULT_TOL)) <= {PD, PSD}:
             raise ValueError("mass matrices must be PSD")
         object.__setattr__(self, "masses", tuple(stack))
+        self._check_atoms()
+
+    @classmethod
+    def _checked(cls, atoms, masses: Array, support_side: str, alpha: float):
+        """Measure of a complex (K, q, q) stack _merge_atoms has clipped to
+        PSD: no second PSD test; finiteness, which the clip does not give,
+        and the atoms are still checked."""
+        if not np.isfinite(masses).all():
+            raise ValueError("matrix has non-finite entries")
+        mu = object.__new__(cls)
+        mu.__dict__.update(atoms=tuple(atoms), masses=tuple(masses),
+                           support_side=support_side, alpha=alpha)
+        mu._check_atoms()
+        return mu
+
+    def _check_atoms(self):
         x = np.asarray(self.atoms, dtype=float)
         slack = 1e-9 * (1 + abs(self.alpha))
         right = self.support_side == RIGHT
@@ -124,8 +140,7 @@ def _pencil_measure(seq: MomentSequence, m: int) -> MolecularMeasure:
     cols = g.T[:, :, None]   # the rank-one masses g_k g_k^*, k = 0..(n+1)q-1
     atoms, masses = _merge_atoms(atoms, cols @ cols.conj().swapaxes(-1, -2), seq.alpha,
                                  drop_tol=1e-12)
-    return MolecularMeasure(atoms=tuple(atoms), masses=tuple(masses),
-                            support_side=seq.side, alpha=seq.alpha)
+    return MolecularMeasure._checked(atoms, masses, seq.side, seq.alpha)
 
 
 def _residue_measure(seq: MomentSequence, m: int, s_eval) -> MolecularMeasure:
@@ -151,8 +166,7 @@ def _residue_measure(seq: MomentSequence, m: int, s_eval) -> MolecularMeasure:
         atoms.append(x)
         masses.append(mass)
     atoms, masses = _merge_atoms(atoms, np.array(masses), seq.alpha, drop_tol=1e-6)
-    return MolecularMeasure(atoms=tuple(atoms), masses=tuple(masses),
-                            support_side=seq.side, alpha=seq.alpha)
+    return MolecularMeasure._checked(atoms, masses, seq.side, seq.alpha)
 
 
 def _transported_measure(seq: MomentSequence, m: int) -> MolecularMeasure:
@@ -182,8 +196,7 @@ def _transported_measure(seq: MomentSequence, m: int) -> MolecularMeasure:
     remainder = (v * np.clip(w, 0.0, None)) @ v.conj().T
     masses = np.concatenate([transported, remainder[None]])
     atoms, masses = _merge_atoms(np.append(atoms, a), masses, a, drop_tol=1e-12)
-    return MolecularMeasure(atoms=tuple(atoms), masses=tuple(masses),
-                            support_side=seq.side, alpha=a)
+    return MolecularMeasure._checked(atoms, masses, seq.side, a)
 
 
 def recover_min(seq: MomentSequence, m: int | None = None) -> MolecularMeasure:

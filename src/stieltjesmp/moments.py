@@ -45,7 +45,8 @@ class MomentSequence:
     sequence, the Hankel data, the classification, Q, (L, M) and the two
     polynomial quadruples) is computed on first use and cached on the
     sequence, so the module-level functions that return them derive each
-    one once per sequence.  Equality and hashing are by identity: a
+    one once per sequence; so are the partial-fraction rules of the
+    extremals, per index and end.  Equality and hashing are by identity: a
     sequence carries its own cache, and two sequences built from equal
     moments are two problem objects.
     """
@@ -103,6 +104,15 @@ class MomentSequence:
     def quadruple(self):
         from .orthopoly import _stieltjes_quadruple
         return freeze(_stieltjes_quadruple(self))
+
+    def string_rule(self, m: int, wall: bool) -> tuple:
+        """Atoms and residue table of the extremal up to m that ends at the
+        wall or free (solutions._string_rule), built once per (m, end)."""
+        rules = self.__dict__.setdefault("_string_rules", {})
+        if (m, wall) not in rules:
+            from .solutions import _string_rule
+            rules[m, wall] = freeze(_string_rule(self.ds, m, wall))
+        return rules[m, wall]
 
 
 def matrix_stack(mats, q: int, what: str) -> Array:
@@ -284,20 +294,6 @@ def first_block_column(q: int, n: int) -> Array:
     v = np.zeros(((n + 1) * q, q), dtype=complex)
     v[:q, :] = np.eye(q)
     return v
-
-
-def lower_embedding(q: int, n: int) -> Array:
-    """L_n = (0_{q x nq}; I_{nq}), shape (n+1)q x nq."""
-    m = np.zeros(((n + 1) * q, n * q), dtype=complex)
-    m[q:, :] = np.eye(n * q)
-    return m
-
-
-def upper_embedding(q: int, n: int) -> Array:
-    """Lhat_n = (I_{nq}; 0_{q x nq}), shape (n+1)q x nq."""
-    m = np.zeros(((n + 1) * q, n * q), dtype=complex)
-    m[:n * q, :] = np.eye(n * q)
-    return m
 
 
 def alternating_signs(q: int, n: int) -> Array:

@@ -24,22 +24,20 @@ GENERAL = "GENERAL"
 class MatrixPolynomial:
     """P(z) = sum_j z^j coeffs[j] with q_rows x q_cols matrix coefficients.
 
-    Coefficients are taken as given (numpy matrices, not validated); trailing
-    coefficients that are exactly zero are trimmed.
+    Coefficients are taken as given (numpy matrices, not validated) and kept
+    as one (degree+1, q_rows, q_cols) stack, so freezing a polynomial sets
+    one flag; trailing coefficients that are exactly zero are trimmed.
     """
 
     def __init__(self, coeffs, trim: bool = True):
         mats = list(coeffs)
         if not mats:
             raise ValueError("need at least one coefficient")
-        shape = mats[0].shape
-        if any(m.shape != shape for m in mats):
-            raise ValueError("coefficient shapes differ")
         if trim:
             while len(mats) > 1 and not mats[-1].any():
                 mats.pop()
-        self.coeffs = tuple(mats)
-        self.q_rows, self.q_cols = shape
+        self.coeffs = np.array(mats)   # coefficients of unequal shapes raise here
+        self.q_rows, self.q_cols = self.coeffs.shape[1:]
 
     @property
     def degree(self) -> int:
@@ -70,9 +68,6 @@ class MatrixPolynomial:
         cs = [(self.coeffs[j] if j < len(self.coeffs) else zero)
               + (other.coeffs[j] if j < len(other.coeffs) else zero) for j in range(n)]
         return MatrixPolynomial(cs)
-
-    def __sub__(self, other: "MatrixPolynomial") -> "MatrixPolynomial":
-        return self + other.scale(-1.0)
 
     def scale(self, c: complex) -> "MatrixPolynomial":
         return MatrixPolynomial([c * m for m in self.coeffs])

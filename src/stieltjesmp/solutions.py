@@ -4,7 +4,8 @@ Feeding a constant parameter pair (phi, psi) through the resolvent blocks,
 S = (U11 phi + U12 psi)(U21 phi + U22 psi)^{-1}, yields the Stieltjes
 transform of a solution of the truncated moment problem.  The trivial
 pairs give the two extremal solutions; at a real point off the half-line
-the solution values fill the matrix interval between them exactly.
+the solution values fill the matrix interval between them exactly.  The
+extremals are the partial fractions of the two block strings of (L, M).
 """
 
 from dataclasses import dataclass
@@ -19,7 +20,8 @@ from .moments import (
     LEFT, RIGHT, MomentSequence, block_shift, column_E, first_block_column, freeze,
     half, matrix_stack, require_stieltjes_pd,
 )
-from .orthopoly import MatrixPolynomial, stieltjes_quadruple
+from .orthopoly import stieltjes_quadruple
+from .params import DSParam
 from .resolvent import ResolventU, dyukarev_quadruple
 
 CONSTANT = "CONSTANT"
@@ -132,41 +134,71 @@ def lft_solve_schur(sig_poly, f: Array, z: complex, q: int) -> Array:
 class ExtremalSolution:
     """One extremal solution of the truncated problem up to index m.
 
-    Calling it evaluates the quadruple ratio B D^{-1} (bd=True) resp.
-    A C^{-1} of the cached Dyukarev quadruple; that is the one production
-    route.  Numerator and denominator are one 2q x q polynomial [B; D]
-    resp. [A; C], so a call is one polynomial evaluation and one inverse.
+    It is the transfer function of the block string of (L, M), which ends
+    at a wall for bd=True (the ratio B D^{-1}) and is free, with an atom at
+    alpha, for bd=False (A C^{-1}).  A call is one row of reciprocals
+    1/(x_k - z) times the residue table of the rule the sequence caches;
     z may be a scalar (a q x q value) or a 1-D array of N points (an
-    (N, q, q) stack).  The resolvent-pencil closed form and the
-    orthogonal-polynomial quotient are oracles only: `routes` builds them
-    the first time it is read, and `route_spread` reports how far they are
-    from the quadruple ratio.
+    (N, q, q) stack), and z at an atom raises SingularDenominator.  The
+    quadruple ratio, the resolvent pencil and the orthogonal-polynomial
+    quotient are oracles only, built when `routes` is first read.
     """
 
     def __init__(self, seq: MomentSequence, m: int, bd: bool):
         self.seq, self.m, self.bd = seq, m, bd
         self.side, self.alpha = seq.side, seq.alpha
-        dq = dyukarev_quadruple(seq)
-        n = half(m + 1) if bd else half(m)
-        num, den = (dq.b[n], dq.d[n]) if bd else (dq.a[n], dq.c[n])
-        self._ratio = MatrixPolynomial(
-            [np.vstack([num.coeff(j), den.coeff(j)])
-             for j in range(max(len(num.coeffs), len(den.coeffs)))])
+        self.atoms, self.residues = seq.string_rule(m, wall=bd)
+        self._value_shape = (seq.q, seq.q)
 
     def __call__(self, z) -> Array:
-        g, q = self._ratio(z), self.seq.q
-        return g[..., :q, :] @ np.linalg.inv(g[..., q:, :])
+        z = np.asarray(z, dtype=complex)
+        gap = self.atoms - z[..., None]
+        if np.count_nonzero(gap) < gap.size:
+            raise SingularDenominator(f"an atom of this extremal lies in z={z}")
+        return np.dot(np.reciprocal(gap), self.residues).reshape(z.shape + self._value_shape)
 
     @cached_property
     def routes(self) -> dict:
-        """The quadruple ratio and the two oracle routes, by name."""
-        pencil = _pencil_y(self.seq, self.m) if self.bd else _pencil_v(self.seq, self.m)
-        return {"quadruple": self, "pencil": pencil,
-                "polynomial": _quotient(self.seq, self.m, self.bd)}
+        """The string route and the three oracle routes, by name."""
+        seq, m, bd = self.seq, self.m, self.bd
+        dq, n = dyukarev_quadruple(seq), half(m + 1) if bd else half(m)
+        num, den = (dq.b[n], dq.d[n]) if bd else (dq.a[n], dq.c[n])
+        return {"string": self, "quadruple": lambda z: num(z) @ np.linalg.inv(den(z)),
+                "pencil": _pencil_y(seq, m) if bd else _pencil_v(seq, m),
+                "polynomial": _quotient(seq, m, bd)}
 
     def route_spread(self, z: complex) -> float:
         vals = [r(z) for r in self.routes.values()]
         return max(float(np.linalg.norm(v - vals[0])) for v in vals[1:])
+
+
+def _string_rule(ds: DSParam, m: int, wall: bool) -> tuple:
+    """Atoms x_k and (K, q*q) residue table G_k of one extremal from (L, M).
+
+    Masses M_j joined by springs L_j: a free end has half(m)+1 masses and
+    one spring fewer, a wall end half(m-1)+1 of each, the last spring tied
+    to the wall.  With the block difference Delta, M_j = R_j R_j^* and
+    L_j = P_j P_j^* (one stacked Cholesky), T = R^{-1} Delta^* diag(L_j^{-1})
+    Delta R^{-*} = W^* W, W = P^{-1} Delta R^{-*} block bidiagonal.  One eigh,
+    T = V diag(lambda) V^*, gives x_k = alpha +- lambda_k and G_k = g_k g_k^*
+    with g_k = R_0^{-*} v_k, v_k from the first block row of V.
+    """
+    q = ds.q
+    nm = half(m - 1) + 1 if wall else half(m) + 1
+    nl = nm if wall else nm - 1
+    inv = np.linalg.inv(np.linalg.cholesky(np.array((*ds.m[:nm], *ds.l[:nl]), dtype=complex)))
+    ri_star, pi = inv[:nm].conj().swapaxes(-1, -2), inv[nm:]
+    w = np.zeros((nl, q, nm, q), dtype=complex)
+    j = np.arange(nl)
+    w[j, :, j, :] = pi @ ri_star[:nl]
+    w[j[:nm - 1], :, j[:nm - 1] + 1, :] = -pi[:nm - 1] @ ri_star[1:]
+    w = w.reshape(nl * q, nm * q)
+    lam, v = np.linalg.eigh(w.conj().T @ w)
+    if not wall:   # the q rigid motions of a free string: the atom sits at alpha exactly
+        lam[:q] = 0.0
+    g = (ri_star[0] @ v[:q]).T
+    atoms = ds.alpha + lam if ds.side == RIGHT else ds.alpha - lam
+    return atoms, (g[:, :, None] * g.conj()[:, None, :]).reshape(-1, q * q)
 
 
 def _pencil_y(seq: MomentSequence, m: int):
@@ -228,10 +260,11 @@ def _quotient(seq: MomentSequence, m: int, bd: bool):
 def extremal(seq: MomentSequence, m: int | None = None):
     """(S_min, S_max) evaluators for the solution set up to index m.
 
-    Each evaluator computes the quadruple ratio; its `routes` and
-    `route_spread` give the resolvent-pencil and orthogonal-polynomial
-    routes as cross-checks.  On the right half-line S_min = B D^{-1} and
-    S_max = A C^{-1}; the left half-line swaps the two.
+    Each evaluator sums the partial fractions of its block string; its
+    `routes` and `route_spread` give the quadruple-ratio, resolvent-pencil
+    and orthogonal-polynomial routes as cross-checks.  On the right
+    half-line S_min = B D^{-1} (the wall) and S_max = A C^{-1} (the free
+    end, with an atom at alpha); the left half-line swaps the two.
     """
     require_stieltjes_pd(seq)
     if m is None:
@@ -255,8 +288,6 @@ class WeylInterval:
 
 def weyl_interval(seq: MomentSequence, m: int | None = None, x: float = -1.0) -> WeylInterval:
     """[S_min(x), S_max(x)] at a real point on the free side of the line."""
-    if m is None:
-        m = seq.kappa
     if seq.side == RIGHT and not x < seq.alpha:
         raise ValueError("x must lie strictly left of alpha on the right half-line")
     if seq.side == LEFT and not x > seq.alpha:

@@ -1,10 +1,12 @@
-"""High-precision reference for the (L, M) -> Q -> moments maps.
+"""High-precision reference for the (L, M) -> Q -> moments maps and the
+extremals of the (L, M) block string.
 
 The same alternating products and the same Schur-complement recursion as
-q_from_ds and seq_from_stieltjes_param, evaluated in mpmath with exact
-inverses at DPS decimal digits, then rounded to complex128.  A test that
-compares the library against these values measures its error, not its
-agreement with itself.
+q_from_ds and seq_from_stieltjes_param, and the string's resolvent
+(K - wD)^{-1} by its definition, evaluated in mpmath with exact inverses
+at DPS decimal digits, then rounded to complex128.  A test that compares
+the library against these values measures its error, not its agreement
+with itself.
 """
 
 import mpmath as mp
@@ -83,3 +85,29 @@ def oracle(l, m, alpha: float, side: str, q: int):
         qs = q_from_lm(l, m, q)
         mats = moments_from_q(qs, alpha, side, q)
         return [_to_np(v) for v in qs], [_to_np(v) for v in mats]
+
+
+def string_value(l, m, alpha: float, side: str, q: int, z: complex):
+    """The extremal of the block string with masses m and springs l at z.
+
+    Spring j joins mass j to mass j+1, or to the wall when there is no mass
+    j+1, so len(l) == len(m) is the wall end and len(l) == len(m) - 1 the
+    free end.  The value is the first q x q block of (K - wD)^{-1}, K the
+    stiffness and D = diag(M_j), with w = z - alpha on the right half-line,
+    and minus that block with w = alpha - z on the left.  K - wD is block
+    tridiagonal, so block Gaussian elimination from its last block leaves
+    the first block's Schur complement, whose inverse is that block.
+    """
+    with mp.workdps(DPS):
+        z = mp.mpc(complex(z))
+        w = z - alpha if side == "right" else alpha - z
+        springs = [mp.inverse(_to_mp(v)) for v in l]
+        zero = mp.zeros(q, q)
+        # diagonal blocks of K - wD: the springs on both sides of mass j
+        diag = [(springs[j] if j < len(l) else zero) + (springs[j - 1] if j else zero)
+                - w * _to_mp(mj) for j, mj in enumerate(m)]
+        schur = diag[-1]
+        for j in range(len(m) - 2, -1, -1):   # off-diagonal blocks are -springs[j]
+            schur = diag[j] - springs[j] * mp.inverse(schur) * springs[j]
+        block = mp.inverse(schur)
+        return _to_np(block if side == "right" else -block)

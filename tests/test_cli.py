@@ -9,6 +9,8 @@ from stieltjesmp.cli import (
 )
 from stieltjesmp import random_stieltjes_pd_sequence
 
+from conftest import LADDER, ladder_fixture
+
 
 @pytest.fixture
 def f1_file(tmp_path):
@@ -169,6 +171,14 @@ def test_verify_verb(capsys, f2_file, tmp_path):
                                "moments": [[[[1.0, 0.0]]], [[[-1.0, 0.0]]]]}))
     code, payload = run(capsys, "verify", str(bad))
     assert code == EXIT_NEGATIVE
+
+
+def test_verify_judges_the_extremals_on_the_ladder(capsys, tmp_path):
+    path = tmp_path / "seq.json"
+    for i in range(len(LADDER)):
+        path.write_text(json.dumps(encode_sequence(ladder_fixture(i))))
+        code, payload = run(capsys, "verify", str(path))
+        assert code == EXIT_OK and payload["checks"]["extremal_lft"]
 
 
 def test_verify_draws_its_points_in_re_im_pairs():

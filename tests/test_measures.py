@@ -309,3 +309,18 @@ def test_clustered_atoms_merge_like_the_loop():
     assert len(got_a) == 2 and 1.0 < got_a[0] < 1.0 + 1e-9
     np.testing.assert_array_equal(got_a, want_a)
     np.testing.assert_array_equal(got_m, want_m)
+
+
+def test_string_rules_merge_to_the_recovered_measures():
+    # the partial fractions of each extremal, merged like the recovery routes
+    # merge theirs, are the measure recover_min / recover_max return
+    for i in range(len(LADDER)):
+        for s in (ladder_fixture(i), reflect(ladder_fixture(i))):
+            for ext, mu in zip(extremal(s), (recover_min(s), recover_max(s))):
+                atoms, masses = _merge_atoms(ext.atoms, ext.residues.reshape(-1, s.q, s.q),
+                                             s.alpha, drop_tol=1e-12)
+                assert len(atoms) == len(mu.atoms)
+                for got, want in zip(atoms, mu.atoms):
+                    assert abs(got - want) <= 1e-10 * (1 + abs(want))
+                for got, want in zip(masses, mu.masses):
+                    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)

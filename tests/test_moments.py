@@ -230,10 +230,14 @@ def test_cached_arrays_are_read_only():
     dq, quad = dyukarev_quadruple(s), stieltjes_quadruple(s)
     for family in (dq.a, dq.b, dq.c, dq.d, quad.p, quad.second, quad.p_shift, quad.phat):
         for poly in family:
-            arrays += list(poly.coeffs)
+            arrays += [poly.coeffs, *poly.coeffs]
+    for m in range(1, s.kappa + 1):
+        for wall in (False, True):
+            assert s.string_rule(m, wall) is s.string_rule(m, wall)
+            arrays += list(s.string_rule(m, wall))
     for a in arrays:
         with pytest.raises(ValueError):
-            a[0, 0] = 0.0
+            a[(0,) * a.ndim] = 0.0
 
 
 def test_sequence_keeps_its_own_copy():

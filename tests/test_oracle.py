@@ -1,4 +1,5 @@
-"""The (L, M) -> Q -> moments maps against the 60-digit mpmath oracle.
+"""The (L, M) maps and the block-string extremals against the 60-digit
+mpmath oracle.
 
 Kept apart from test_params.py so that only this module needs mpmath; it
 is part of the `test` extra and a missing install fails here.
@@ -10,8 +11,9 @@ import pytest
 from stieltjesmp import DSParam, seq_from_ds, sequence, stieltjes_param
 from stieltjesmp.moments import half
 from stieltjesmp.params import random_pd
+from stieltjesmp.solutions import _string_rule
 
-from oracle import oracle
+from oracle import oracle, string_value
 
 
 @pytest.mark.parametrize("q, kappa, q_bound", [(1, 12, 1e-6), (2, 8, 1e-8), (4, 5, 1e-10)])
@@ -30,3 +32,22 @@ def test_lm_maps_match_the_high_precision_oracle(q, kappa, q_bound):
             p = stieltjes_param(sequence(s_want, alpha=alpha, side=side))
             for got, want in zip(p.values, q_want):
                 assert np.linalg.norm(got - want) <= q_bound * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("q, kappa", [(1, 20), (2, 16), (4, 12)])
+def test_string_rule_matches_the_high_precision_string(q, kappa):
+    # (L, M) given directly: at these kappa the moments are far too ill
+    # conditioned to carry them, the string is not
+    rng = np.random.default_rng(q)
+    m = tuple(random_pd(q, rng) for _ in range(half(kappa) + 1))
+    l = tuple(random_pd(q, rng) for _ in range(half(kappa - 1) + 1))
+    for alpha, side in ((0.5, "right"), (-0.25, "left")):
+        d = DSParam(q=q, alpha=alpha, side=side, l=l, m=m)
+        free = 1.0 if side == "right" else -1.0
+        for wall in (False, True):
+            atoms, residues = _string_rule(d, kappa, wall)
+            nm = half(kappa - 1) + 1 if wall else half(kappa) + 1
+            for z in (alpha - free, alpha + 0.7 + 1.3j, alpha - 0.4 - 0.9j):
+                got = ((1.0 / (atoms - z)) @ residues).reshape(q, q)
+                want = string_value(l[:nm if wall else nm - 1], m[:nm], alpha, side, q, z)
+                assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)

@@ -82,6 +82,18 @@ def test_extremal_on_an_array_matches_the_scalar_loop():
                 assert np.linalg.norm(stack[k] - want) <= 1e-13 * np.linalg.norm(want)
 
 
+def test_extremal_at_an_atom_is_a_singular_denominator(f1):
+    # every atom of the cached rule, the free end's exact atom at alpha among them
+    for s in (f1, ladder_fixture(3), ladder_fixture(4)):
+        for ext in extremal(s):
+            assert ext.bd or s.alpha in ext.atoms
+            for x in ext.atoms:
+                with pytest.raises(SingularDenominator):
+                    ext(x)
+                with pytest.raises(SingularDenominator):
+                    ext(np.array([s.alpha + 2j, x]))
+
+
 def test_extremal_routes_agree():
     rng = np.random.default_rng(21)
     for i in range(10):
