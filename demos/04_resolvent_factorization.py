@@ -3,8 +3,9 @@
 U packs the four polynomial families into one J-inner matrix polynomial:
 det U is constant, U^{-1}(z) = Jtilde U^*(conj z) Jtilde, the defect
 Jtilde - U^* Jtilde U is PSD on the upper half-plane and vanishes on the
-real axis.  U factors into an alternating chain of constant upper
-triangles (the L_n) and linear lower triangles (the (alpha - z) M_n).
+real axis.  U is the product of an alternating chain of constant upper
+triangles (the L_n) and linear lower triangles (the (alpha - z) M_n),
+expanded once into coefficients.
 """
 
 import numpy as np
@@ -38,7 +39,7 @@ for j, w in enumerate(chain.factors):
     kind = "(alpha - z) M-block" if j % 2 == 0 else "constant L-block"
     print(f"  W_{j}: degree {w.degree} {kind}")
 err = np.linalg.norm(chain(z) - u(z)) / np.linalg.norm(u(z))
-print(f"chain product vs direct construction: {err:.2e}")
+print(f"factor-by-factor value vs expanded product: {err:.2e}")
 
 # leading structure in powers of (z - alpha)
 lt = smp.leading_terms(s)

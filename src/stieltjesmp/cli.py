@@ -109,6 +109,16 @@ def _finite_float(text: str) -> float:
     return v
 
 
+def _int_at_least(low: int):
+    """argparse type for integer options with a lower bound."""
+    def integer(text: str) -> int:   # the name argparse prints for a non-integer
+        v = int(text)   # argparse reports a ValueError as a usage error
+        if v < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return v
+    return integer
+
+
 def _emit(payload: dict):
     json.dump(payload, sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -290,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_params)
 
     p = sub.add_parser("generate", help="seeded random Stieltjes-PD sequence")
-    p.add_argument("--q", type=int, default=2)
-    p.add_argument("--m", type=int, default=4)
+    p.add_argument("--q", type=_int_at_least(1), default=2)
+    p.add_argument("--m", type=_int_at_least(0), default=4)
     p.add_argument("--alpha", type=_finite_float, default=0.0)
     p.add_argument("--side", choices=[RIGHT, LEFT], default=RIGHT)
     p.add_argument("--seed", type=int, default=0)

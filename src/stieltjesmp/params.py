@@ -217,7 +217,7 @@ def ds_param(seq: MomentSequence) -> DSParam:
 
 def _ds_param(seq: MomentSequence) -> DSParam:
     require_stieltjes_pd(seq)
-    pack, sh = seq.pack, seq.pack.shift
+    pack = seq.pack
     q, a = seq.q, seq.alpha
     kappa = seq.kappa
 
@@ -226,7 +226,10 @@ def _ds_param(seq: MomentSequence) -> DSParam:
         row = np.hstack([-pack.z(n, 2 * n - 1) @ pack.h_inv(n - 1), np.eye(q)])
         p_at_alpha = row @ column_E(q, n, a)
         m.append(hermitize(p_at_alpha.conj().T @ np.linalg.inv(pack.hhat(n)) @ p_at_alpha))
+    if kappa == 0:   # one moment: no shifted sequence and no L
+        return DSParam(q=q, alpha=a, side=seq.side, l=(), m=tuple(m))
 
+    sh = pack.shift
     l = [hermitize(seq[0] @ np.linalg.inv(seq.shifted[0]) @ seq[0])]
     for n in range(1, half(kappa - 1) + 1):
         row = np.hstack([-sh.z(n, 2 * n - 1) @ sh.h_inv(n - 1), np.eye(q)])

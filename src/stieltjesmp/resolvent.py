@@ -1,11 +1,10 @@
 """The 2q x 2q resolvent polynomial, its factorization and the Schur rescale.
 
-The four q x q polynomial families (A, B, C, D) are extracted with exact
-coefficients by expanding R_n^*(conj z) = sum_k z^k (T_n^k)^*; no sampling
-enters the construction of U itself.  The multiplicative chain of constant
-upper factors (L blocks) and linear lower factors ((z - alpha) M blocks)
-reproduces U, and U * E turns the Stieltjes-pair transformation into a
-Schur-class one.
+U is the ordered product of the chain of constant upper factors (L blocks)
+and linear lower factors ((alpha - z) M blocks) read off (L, M), expanded
+once into exact coefficients; the four q x q families (A, B, C, D) are the
+block columns of its prefix products, and nothing else builds U.  U * E
+turns the Stieltjes-pair transformation into a Schur-class one.
 """
 
 from dataclasses import dataclass
@@ -17,18 +16,17 @@ from .linalg import (
     Array, JTILDE, hermitize, j_defect, min_eig_hermitian_part, ordered_product,
     signature_matrix,
 )
-from .moments import (
-    RIGHT, MomentSequence, first_block_column, half,
-    require_stieltjes_pd, resolvent_R, u_shift_vector, u_vector,
-)
+from .moments import RIGHT, MomentSequence, half, require_stieltjes_pd
 from .orthopoly import MatrixPolynomial, stieltjes_quadruple
-from .params import ds_param
+from .params import DSParam, ds_param
 
 
 @dataclass(frozen=True)
 class DyukarevQuadruple:
     """Polynomial families A_0.., B_0.., C_0.., D_0.. with the side tag.
 
+    [A_n; C_n] is the left block column of W_0 ... W_{2n} and [B_n; D_n] the
+    right one of W_0 ... W_{2n-1}, the factors of factorize_u, so
     A_n(alpha) = I, D_n(alpha) = I, B_0 = 0, D_0 = I by construction.
     """
 
@@ -40,59 +38,57 @@ class DyukarevQuadruple:
     d: tuple
 
 
-def _times_z_minus_alpha(w: Array, alpha: float) -> Array:
-    """Coefficient stack of (z - alpha) w(z).  A sign goes on w, not on the result,
-    so the padding sums turn an exact -0.0 into +0.0 as MatrixPolynomial's do."""
-    out = np.zeros((len(w) + 1,) + w.shape[1:], dtype=complex)
-    out[1:] += w
-    out[:-1] += -alpha * w
-    return out
-
-
-def _moment_poly(left: Array, mid: Array, right: Array, degree: int) -> Array:
-    """Coefficient stack left^* (T^k)^* mid right, k = 0..degree, with T the
-    block down-shift: T^k left is left moved down k blocks."""
-    q = left.shape[1]
-    blocks = np.concatenate([np.zeros((1, q, q), dtype=complex), left.reshape(-1, q, q)])
-    idx = np.arange(len(blocks) - 1)
-    shifted = blocks[np.maximum(idx[None, :] - np.arange(degree + 1)[:, None] + 1, 0)]
-    return (shifted.reshape(degree + 1, -1, q).conj().swapaxes(-1, -2) @ mid) @ right
-
-
 def dyukarev_quadruple(seq: MomentSequence) -> DyukarevQuadruple:
-    """The four resolvent block families of a Stieltjes-PD sequence."""
+    """The four resolvent block families of a Stieltjes-PD sequence: the
+    block columns of the prefix products of the factor chain of (L, M)."""
     return seq.dyukarev
 
 
 def _dyukarev_quadruple(seq: MomentSequence) -> DyukarevQuadruple:
     require_stieltjes_pd(seq)
-    pack = seq.pack
-    q, alpha = seq.q, seq.alpha
-    kappa = seq.kappa
-    eye = np.eye(q)
-    d_sign = 1.0 if seq.side == RIGHT else -1.0
+    q = seq.q
+    xs, ys = _chain_columns(seq.ds, seq.kappa)
+    return DyukarevQuadruple(side=seq.side, alpha=seq.alpha,
+                             a=tuple(MatrixPolynomial(x[:, :q]) for x in xs),
+                             b=tuple(MatrixPolynomial(y[:, :q]) for y in ys),
+                             c=tuple(MatrixPolynomial(x[:, q:]) for x in xs),
+                             d=tuple(MatrixPolynomial(y[:, q:]) for y in ys))
 
-    a_list, c_list = [], []
-    for n in range(half(kappa) + 1):
-        v = first_block_column(q, n)
-        mid = pack.h_inv(n) @ resolvent_R(q, n, alpha)
-        a = _times_z_minus_alpha(_moment_poly(u_vector(seq, n), mid, v, n), alpha)
-        a[0] += eye
-        a_list.append(MatrixPolynomial(a))
-        c_list.append(MatrixPolynomial(_times_z_minus_alpha(-_moment_poly(v, mid, v, n), alpha)))
 
-    b_list = [MatrixPolynomial.constant(np.zeros((q, q)))]
-    d_list = [MatrixPolynomial.constant(eye)]
-    for n in range(1, half(kappa + 1) + 1):
-        v = first_block_column(q, n - 1)
-        mid = pack.shift.h_inv(n - 1)
-        y = pack.y(0, n - 1)
-        b_list.append(MatrixPolynomial(_moment_poly(u_shift_vector(seq, n - 1), mid, y, n - 1)))
-        d = _times_z_minus_alpha(-d_sign * _moment_poly(v, mid, y, n - 1), alpha)
-        d[0] += eye
-        d_list.append(MatrixPolynomial(d))
-    return DyukarevQuadruple(side=seq.side, alpha=alpha, a=tuple(a_list),
-                             b=tuple(b_list), c=tuple(c_list), d=tuple(d_list))
+def _chain_columns(ds: DSParam, m: int) -> tuple:
+    """Block columns of the prefix products P_j = W_0 W_1 ... W_j of the chain.
+
+    xs[n] is the left block column [A_n; C_n] of P_{2n}, n = 0..half(m), and
+    ys[n] the right one [B_n; D_n] of P_{2n-1}, n = 0..half(m+1), with
+    P_{-1} = I; each is a (degree+1, 2q, q) coefficient stack.  The constant
+    factor W_{2n+1} adds X (+-L_n) to Y, one batched product; the linear
+    factor W_{2n} adds Y (alpha - z) M_n to X, two shifted adds of Y M_n.
+    """
+    q, alpha = ds.q, ds.alpha
+    sgn = 1.0 if ds.side == RIGHT else -1.0
+    eye = np.eye(2 * q, dtype=complex)[None]
+    x, y = eye[..., :q], eye[..., q:]
+    zero = np.zeros((1, 2 * q, q), dtype=complex)   # each step raises one degree by one
+    xs, ys = [], [y]
+    for j in range(m + 1):
+        if j % 2 == 0:
+            ym = y @ ds.m[j // 2]
+            x = np.concatenate([x, zero])
+            x[:-1] += alpha * ym
+            x[1:] -= ym
+            xs.append(x)
+        else:
+            y = np.concatenate([y, zero]) + x @ (sgn * ds.l[j // 2])
+            ys.append(y)
+    return xs, ys
+
+
+def _chain_product(ds: DSParam, m: int) -> MatrixPolynomial:
+    """P_m = W_0 ... W_m expanded: [xs[half(m)] | ys[half(m+1)]] of _chain_columns."""
+    xs, ys = _chain_columns(ds, m)
+    x, y = xs[-1], ys[-1]
+    y = np.concatenate([y, np.zeros((len(x) - len(y),) + y.shape[1:])])   # len(y) <= len(x)
+    return MatrixPolynomial(np.concatenate([x, y], axis=2))
 
 
 @dataclass(frozen=True)
@@ -134,13 +130,9 @@ class ResolventU:
         return call
 
 
-def resolvent_u(seq: MomentSequence, m: int | None = None,
-                check: bool = False) -> ResolventU:
-    """Block assembly of the resolvent member for index m.
-
-    With check=True the determinant constancy and the J-symmetry of the
-    inverse are asserted at 20 random points before returning.
-    """
+def resolvent_u(seq: MomentSequence, m: int | None = None) -> ResolventU:
+    """The resolvent member for index m: the product W_0 ... W_m of the
+    factors of factorize_u, assembled from the quadruple's block columns."""
     if m is None:
         m = seq.kappa
     if not 0 <= m <= seq.kappa:
@@ -148,19 +140,7 @@ def resolvent_u(seq: MomentSequence, m: int | None = None,
     quad = dyukarev_quadruple(seq)
     poly = MatrixPolynomial.block2x2(quad.a[half(m)], quad.b[half(m + 1)],
                                      quad.c[half(m)], quad.d[half(m + 1)])
-    u = ResolventU(m=m, side=seq.side, alpha=seq.alpha, q=seq.q, poly=poly)
-    if check:
-        rng = np.random.default_rng(0)
-        det_ref = np.linalg.det(u(seq.alpha))
-        for _ in range(20):
-            z = complex(rng.standard_normal(), rng.standard_normal())
-            uz = u(z)
-            if abs(np.linalg.det(uz) - det_ref) > 1e-8 * (1 + abs(det_ref)):
-                raise AssertionError("determinant of the resolvent is not constant")
-            ui = np.linalg.inv(uz)
-            if np.linalg.norm(ui - u.inverse_at(z)) > 1e-7 * np.linalg.norm(ui):
-                raise AssertionError("J-symmetry of the resolvent inverse violated")
-    return u
+    return ResolventU(m=m, side=seq.side, alpha=seq.alpha, q=seq.q, poly=poly)
 
 
 def u_from_quadruple_polynomials(seq: MomentSequence, m: int) -> ResolventU:
@@ -194,18 +174,17 @@ def u_from_quadruple_polynomials(seq: MomentSequence, m: int) -> ResolventU:
 
 @dataclass(frozen=True)
 class FactorChain:
-    """Linear factors W_0..W_m whose ordered product is U_m."""
+    """Linear factors W_0..W_m whose ordered product is U_m; calling the
+    chain multiplies the factor values, product() expands the polynomial."""
 
     side: str
     alpha: float
     q: int
     factors: tuple
+    ds: DSParam
 
     def product(self) -> MatrixPolynomial:
-        out = self.factors[0]
-        for w in self.factors[1:]:
-            out = out.matmul(w)
-        return out
+        return _chain_product(self.ds, len(self.factors) - 1)
 
     def __call__(self, z: complex) -> Array:
         out = self.factors[0](z)
@@ -215,10 +194,11 @@ class FactorChain:
 
 
 def factorize_u(seq: MomentSequence, m: int | None = None) -> FactorChain:
-    """Multiplicative chain: even factors carry (alpha-z)M, odd carry L.
+    """The factors of U_m, read off (L, M): even ones carry (alpha-z)M, odd L.
 
     W_{2n}(z) = [[I, 0], [(alpha-z) M_n, I]] on both half-lines;
     W_{2n+1} = [[I, L_n], [0, I]] on the right, with -L_n on the left.
+    U_m = W_0 W_1 ... W_m is this product, as resolvent_u builds it.
     """
     if m is None:
         m = seq.kappa
@@ -237,7 +217,7 @@ def factorize_u(seq: MomentSequence, m: int | None = None) -> FactorChain:
     odd[:, :q, q:] = sgn * ls
     factors = [MatrixPolynomial(even[j // 2]) if j % 2 == 0 else MatrixPolynomial([odd[j // 2]])
                for j in range(m + 1)]
-    return FactorChain(side=seq.side, alpha=alpha, q=q, factors=tuple(factors))
+    return FactorChain(side=seq.side, alpha=alpha, q=q, factors=tuple(factors), ds=ds)
 
 
 def leading_terms(seq: MomentSequence, m: int | None = None) -> dict:
@@ -285,56 +265,6 @@ def leading_terms(seq: MomentSequence, m: int | None = None) -> dict:
         "C": {"degree": n_ac + 1, "leading": c_lead, "low": c_low},
         "D": {"degree": d_deg, "leading": d_lead, "low": d_low},
     }
-
-
-def coupling_builders(seq: MomentSequence, n: int) -> dict:
-    """Diagnostic access to the internal coupling machinery (right side).
-
-    Returns evaluators for the two 2q x 2q fundamental-matrix functions
-    ("v_even" at Hankel index n, "v_odd" at shifted index n) and the two
-    constant coupling triangles ("m_const", "m_tilde").  Their products
-    reproduce the resolvent members: v_even(z) @ m_const(n) is the
-    odd-index resolvent, v_even(z) @ m_const(n-1) the even-index one.
-    Not part of the solver API; exposed for structural testing only.
-    """
-    if seq.side != RIGHT:
-        raise ValueError("coupling diagnostics are implemented for the right side")
-    pack = seq.pack
-    q, alpha = seq.q, seq.alpha
-    eye2 = np.eye(2 * q)
-
-    def v_even(z: complex) -> Array:
-        v = first_block_column(q, n)
-        u = u_vector(seq, n)
-        r_star = resolvent_R(q, n, np.conj(z)).conj().T
-        mid = pack.h_inv(n) @ resolvent_R(q, n, alpha)
-        left = np.hstack([u, -v]).conj().T
-        right = np.hstack([v, u])
-        return eye2 + (z - alpha) * left @ r_star @ mid @ right
-
-    def v_odd(z: complex) -> Array:
-        v = first_block_column(q, n)
-        u_sh = u_shift_vector(seq, n)
-        r_star = resolvent_R(q, n, np.conj(z)).conj().T
-        mid = pack.shift.h_inv(n) @ resolvent_R(q, n, alpha)
-        left = np.hstack([u_sh, -v]).conj().T
-        right = np.hstack([v, u_sh])
-        return eye2 + (z - alpha) * left @ r_star @ mid @ right
-
-    def m_const(k: int) -> Array:
-        y = pack.y(0, k)
-        corner = y.conj().T @ pack.shift.h_inv(k) @ y
-        return np.block([[np.eye(q), corner],
-                         [np.zeros((q, q)), np.eye(q)]])
-
-    def m_tilde(k: int) -> Array:
-        r_alpha = resolvent_R(q, k, alpha)
-        v = first_block_column(q, k)
-        corner = -v.conj().T @ r_alpha.conj().T @ pack.h_inv(k) @ r_alpha @ v
-        return np.block([[np.eye(q), np.zeros((q, q))],
-                         [corner, np.eye(q)]])
-
-    return {"v_even": v_even, "v_odd": v_odd, "m_const": m_const, "m_tilde": m_tilde}
 
 
 def schur_rotation(q: int, side: str = RIGHT) -> Array:

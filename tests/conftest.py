@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 
 from stieltjesmp import random_stieltjes_pd_sequence, reflect, sequence
+from stieltjesmp.moments import (
+    block_shift, first_block_column, half, resolvent_R, u_shift_vector, u_vector,
+)
+from stieltjesmp.orthopoly import MatrixPolynomial
 
 # scalar hand-evaluated fixtures used throughout
 #   F1: q=1, alpha=0, s=(1,1)       F2: s=(1,1,2)       F3 = reflect(F1)
@@ -56,3 +60,42 @@ def rel_err(got, want) -> float:
 def seq_rel_err(s1, s2) -> float:
     scale = max(np.linalg.norm(m) for m in s1.moments)
     return max(float(np.abs(a - b).max()) for a, b in zip(s1.moments, s2.moments)) / scale
+
+
+def dyukarev_loop(seq):
+    """The quadruple from the moment polynomials: MatrixPolynomial arithmetic
+    with Hankel inverses and T^k products with the block-shift matrix, one
+    coefficient at a time.  The library builds the quadruple from the factor
+    chain of (L, M); this is the independent construction it is checked against."""
+    pack, q, alpha = seq.pack, seq.q, seq.alpha
+
+    def moment_poly(left, mid, right, n):
+        t, cur, coeffs = block_shift(q, n), left.copy(), []
+        for _ in range(n + 1):
+            coeffs.append(cur.conj().T @ mid @ right)
+            cur = t @ cur
+        return MatrixPolynomial(coeffs)
+
+    def combo(base, w, sign):
+        return base + (w.shift_z() + w.scale(-alpha)).scale(sign)
+
+    eye = MatrixPolynomial.constant(np.eye(q))
+    a, c = [], []
+    for n in range(half(seq.kappa) + 1):
+        v = first_block_column(q, n)
+        mid = pack.h_inv(n) @ resolvent_R(q, n, alpha)
+        a.append(combo(eye, moment_poly(u_vector(seq, n), mid, v, n), 1.0))
+        c.append(combo(eye.scale(0.0), moment_poly(v, mid, v, n), -1.0))
+    b, d = [MatrixPolynomial.constant(np.zeros((q, q)))], [eye]
+    for n in range(half(seq.kappa + 1)):
+        v, mid, y = first_block_column(q, n), pack.shift.h_inv(n), pack.y(0, n)
+        b.append(moment_poly(u_shift_vector(seq, n), mid, y, n))
+        d.append(combo(eye, moment_poly(v, mid, y, n), -1.0 if seq.side == "right" else 1.0))
+    return {"a": a, "b": b, "c": c, "d": d}
+
+
+def hankel_u(seq) -> MatrixPolynomial:
+    """U_kappa assembled from the moment-polynomial families of dyukarev_loop."""
+    f, m = dyukarev_loop(seq), seq.kappa
+    return MatrixPolynomial.block2x2(f["a"][half(m)], f["b"][half(m + 1)],
+                                     f["c"][half(m)], f["d"][half(m + 1)])

@@ -1,12 +1,12 @@
-"""High-precision reference for the (L, M) -> Q -> moments maps and the
-extremals of the (L, M) block string.
+"""High-precision reference for the (L, M) -> Q -> moments maps, the
+resolvent U and the extremals of the (L, M) block string.
 
 The same alternating products and the same Schur-complement recursion as
-q_from_ds and seq_from_stieltjes_param, and the string's resolvent
-(K - wD)^{-1} by its definition, evaluated in mpmath with exact inverses
-at DPS decimal digits, then rounded to complex128.  A test that compares
-the library against these values measures its error, not its agreement
-with itself.
+q_from_ds and seq_from_stieltjes_param, U as the product of the factor
+values W_0(z) ... W_m(z), and the string's resolvent (K - wD)^{-1} by its
+definition, evaluated in mpmath with exact inverses at DPS decimal digits,
+then rounded to complex128.  A test that compares the library against these
+values measures its error, not its agreement with itself.
 """
 
 import mpmath as mp
@@ -85,6 +85,27 @@ def oracle(l, m, alpha: float, side: str, q: int):
         qs = q_from_lm(l, m, q)
         mats = moments_from_q(qs, alpha, side, q)
         return [_to_np(v) for v in qs], [_to_np(v) for v in mats]
+
+
+def chain_product(l, m, alpha: float, side: str, q: int, z: complex):
+    """U(z) = W_0(z) W_1(z) ... W_kappa(z), kappa = len(m) + len(l) - 1.
+
+    W_{2n}(z) = [[I, 0], [(alpha - z) M_n, I]] on both half-lines and
+    W_{2n+1} = [[I, +-L_n], [0, I]], + on the right half-line, - on the left.
+    """
+    sgn = 1 if side == "right" else -1
+    with mp.workdps(DPS):
+        w = mp.mpf(alpha) - mp.mpc(complex(z))
+        out = mp.eye(2 * q)
+        for j in range(len(m) + len(l)):
+            f = mp.eye(2 * q)
+            block, r0, c0, scale = (m[j // 2], q, 0, w) if j % 2 == 0 else (l[j // 2], 0, q, sgn)
+            b = _to_mp(block)
+            for a in range(q):
+                for c in range(q):
+                    f[r0 + a, c0 + c] = scale * b[a, c]
+            out = out * f
+        return _to_np(out)
 
 
 def string_value(l, m, alpha: float, side: str, q: int, z: complex):

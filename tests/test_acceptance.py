@@ -11,7 +11,7 @@ import stieltjesmp as smp
 from stieltjesmp.linalg import hermitize, min_eig_hermitian_part
 from stieltjesmp.moments import alternating_signs, half
 
-from conftest import ladder_fixture, rel_err, seq_rel_err
+from conftest import hankel_u, ladder_fixture, rel_err, seq_rel_err
 
 N_FIXTURES = 50
 
@@ -26,6 +26,7 @@ def derived(i):
             "seq": s,
             "u": smp.resolvent_u(s),
             "chain": smp.factorize_u(s),
+            "u_hankel": hankel_u(s),
             "uq": smp.u_from_quadruple_polynomials(s, s.kappa),
         }
     return _derived[i]
@@ -102,13 +103,14 @@ def test_criterion_03_resolvent_invariants():
     rng = np.random.default_rng(3)
     for i in range(N_FIXTURES):
         d = derived(i)
-        s, u, chain = d["seq"], d["u"], d["chain"]
+        s, u, chain, u_hankel = d["seq"], d["u"], d["chain"], d["u_hankel"]
         det_ref = np.linalg.det(u(s.alpha))
         for _ in range(20):
             z = complex(rng.standard_normal(), rng.standard_normal())
-            uz = u(z)
+            uz, hz = u(z), u_hankel(z)
             assert abs(np.linalg.det(uz) - det_ref) <= 1e-10 * (1 + abs(det_ref))
-            assert np.linalg.norm(chain(z) - uz) <= 1e-10 * np.linalg.norm(uz)
+            # U is the chain's product, so the chain is held to the moment-polynomial U
+            assert np.linalg.norm(chain(z) - hz) <= 1e-10 * np.linalg.norm(hz)
             ui = np.linalg.inv(uz)
             assert np.linalg.norm(ui - u.inverse_at(z)) <= 1e-9 * np.linalg.norm(ui)
         samples = [complex(rng.standard_normal(), abs(rng.standard_normal()) + 0.05)
@@ -116,7 +118,7 @@ def test_criterion_03_resolvent_invariants():
         report = smp.j_inner_check(u, samples, s.q)
         assert report.min_upper_eig >= -1e-9
     _passed(3, "det U constant (1e-10), J-symmetry of U^{-1} (1e-9), "
-               "defect PSD on the upper half-plane (1e-9), factor chain (1e-10)")
+               "defect PSD on the upper half-plane (1e-9), factor chain vs moment-polynomial U (1e-10)")
 
 
 def test_criterion_04_construction_path_equivalence():

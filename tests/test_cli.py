@@ -86,6 +86,14 @@ def test_generate_deterministic(capsys):
     assert len(first["moments"]) == 4
 
 
+@pytest.mark.parametrize("flag, value", [("--q", "0"), ("--q", "-1"), ("--m", "-1")])
+def test_generate_rejects_out_of_range_sizes(capsys, flag, value):
+    # q >= 1 and m >= 0 are checked by the parser: a usage error, not a numpy one
+    assert main(["generate", flag, value]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and "expected an integer" in err
+
+
 def test_resolvent_coefficients(capsys, f1_file):
     code, payload = run(capsys, "resolvent", f1_file)
     assert code == EXIT_OK

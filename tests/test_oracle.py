@@ -1,5 +1,5 @@
-"""The (L, M) maps and the block-string extremals against the 60-digit
-mpmath oracle.
+"""The (L, M) maps, the product of the resolvent factors and the
+block-string extremals against the 60-digit mpmath oracle.
 
 Kept apart from test_params.py so that only this module needs mpmath; it
 is part of the `test` extra and a missing install fails here.
@@ -11,9 +11,10 @@ import pytest
 from stieltjesmp import DSParam, seq_from_ds, sequence, stieltjes_param
 from stieltjesmp.moments import half
 from stieltjesmp.params import random_pd
+from stieltjesmp.resolvent import _chain_product
 from stieltjesmp.solutions import _string_rule
 
-from oracle import oracle, string_value
+from oracle import chain_product, oracle, string_value
 
 
 @pytest.mark.parametrize("q, kappa, q_bound", [(1, 12, 1e-6), (2, 8, 1e-8), (4, 5, 1e-10)])
@@ -51,3 +52,18 @@ def test_string_rule_matches_the_high_precision_string(q, kappa):
                 got = ((1.0 / (atoms - z)) @ residues).reshape(q, q)
                 want = string_value(l[:nm if wall else nm - 1], m[:nm], alpha, side, q, z)
                 assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("q, kappa", [(1, 20), (2, 16), (4, 12)])
+def test_chain_product_matches_the_high_precision_product(q, kappa):
+    # the expanded U of the factor chain against the 60-digit product of the
+    # factor values, with (L, M) given directly as for the string rule
+    rng = np.random.default_rng(q)
+    m = tuple(random_pd(q, rng) for _ in range(half(kappa) + 1))
+    l = tuple(random_pd(q, rng) for _ in range(half(kappa - 1) + 1))
+    for alpha, side in ((0.5, "right"), (-0.25, "left")):
+        u = _chain_product(DSParam(q=q, alpha=alpha, side=side, l=l, m=m), kappa)
+        free = 1.0 if side == "right" else -1.0
+        for z in (alpha - free, alpha + 0.7 + 1.3j, alpha - 0.4 - 0.9j):
+            want = chain_product(l, m, alpha, side, q, z)
+            assert np.linalg.norm(u(z) - want) <= 1e-11 * np.linalg.norm(want)

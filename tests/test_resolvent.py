@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 
 from stieltjesmp import (
-    JTILDE, dyukarev_quadruple, factorize_u, j_defect, j_inner_check,
-    leading_terms, reflect, resolvent_u, schur_rotation, sigma,
+    JTILDE, ds_param, dyukarev_quadruple, factorize_u, j_defect, j_inner_check,
+    leading_terms, reflect, resolvent_u, schur_rotation, sequence, sigma,
     signature_matrix, u_from_quadruple_polynomials,
 )
 from stieltjesmp.moments import (
-    alternating_signs, block_shift, first_block_column, half, resolvent_R, u_shift_vector, u_vector,
+    alternating_signs, first_block_column, half, resolvent_R, u_shift_vector, u_vector,
 )
-from stieltjesmp.orthopoly import MatrixPolynomial
 
-from conftest import ladder_fixture, rel_err
+from conftest import dyukarev_loop, hankel_u, ladder_fixture, rel_err
 
 
 def test_quadruple_fixture_f1(f1):
@@ -67,6 +66,19 @@ def test_resolvent_m0_form():
                                    atol=1e-10)
 
 
+def test_one_moment_sequence():
+    # kappa = 0: (L, M) = ((), (s_0^{-1},)) and U_0 = W_0, with no shifted sequence
+    for side in ("right", "left"):
+        s = sequence([np.array([[2.0, 0.5j], [-0.5j, 1.0]])], alpha=0.3, side=side)
+        d = ds_param(s)
+        assert d.l == () and len(d.m) == 1
+        np.testing.assert_allclose(d.m[0], np.linalg.inv(s[0]), atol=1e-15)
+        z = 0.7 + 0.2j
+        want = np.block([[np.eye(2), np.zeros((2, 2))], [(s.alpha - z) * d.m[0], np.eye(2)]])
+        np.testing.assert_allclose(resolvent_u(s)(z), want, atol=1e-14)
+        np.testing.assert_allclose(factorize_u(s)(z), want, atol=1e-14)
+
+
 def test_det_constant_and_j_symmetry():
     rng = np.random.default_rng(9)
     for i in range(10):
@@ -91,11 +103,6 @@ def test_inverse_at_reuses_one_conjugate_star_polynomial():
     np.testing.assert_array_equal(u._conj_star(z), u.poly.conj_star()(z))
 
 
-def test_resolvent_self_check_flag():
-    s = ladder_fixture(0)
-    resolvent_u(s, check=True)   # passes silently on a consistent build
-
-
 def test_factor_chain_fixture(f1, f2):
     ch = factorize_u(f1)
     z = 0.7 + 0.3j
@@ -112,7 +119,7 @@ def test_factor_chain_reproduces_u():
     rng = np.random.default_rng(10)
     for i in range(10):
         s = ladder_fixture(i)
-        u = resolvent_u(s)
+        u = hankel_u(s)   # the moment-polynomial construction, not the chain's own product
         ch = factorize_u(s)
         prod_poly = ch.product()
         for _ in range(20):
@@ -238,11 +245,57 @@ def test_j_defect_psd_upper_half_plane():
         assert report.min_upper_eig > -1e-9
 
 
+def coupling_builders(seq, n: int) -> dict:
+    """Evaluators of the internal coupling machinery (right side).
+
+    The two 2q x 2q fundamental-matrix functions ("v_even" at Hankel index
+    n, "v_odd" at shifted index n) and the two constant coupling triangles
+    ("m_const", "m_tilde").  Their products reproduce the resolvent
+    members: v_even(z) @ m_const(n) is the odd-index resolvent,
+    v_even(z) @ m_const(n-1) the even-index one.
+    """
+    assert seq.side == "right"
+    pack = seq.pack
+    q, alpha = seq.q, seq.alpha
+    eye2 = np.eye(2 * q)
+
+    def v_even(z: complex):
+        v = first_block_column(q, n)
+        u = u_vector(seq, n)
+        r_star = resolvent_R(q, n, np.conj(z)).conj().T
+        mid = pack.h_inv(n) @ resolvent_R(q, n, alpha)
+        left = np.hstack([u, -v]).conj().T
+        right = np.hstack([v, u])
+        return eye2 + (z - alpha) * left @ r_star @ mid @ right
+
+    def v_odd(z: complex):
+        v = first_block_column(q, n)
+        u_sh = u_shift_vector(seq, n)
+        r_star = resolvent_R(q, n, np.conj(z)).conj().T
+        mid = pack.shift.h_inv(n) @ resolvent_R(q, n, alpha)
+        left = np.hstack([u_sh, -v]).conj().T
+        right = np.hstack([v, u_sh])
+        return eye2 + (z - alpha) * left @ r_star @ mid @ right
+
+    def m_const(k: int):
+        y = pack.y(0, k)
+        corner = y.conj().T @ pack.shift.h_inv(k) @ y
+        return np.block([[np.eye(q), corner],
+                         [np.zeros((q, q)), np.eye(q)]])
+
+    def m_tilde(k: int):
+        r_alpha = resolvent_R(q, k, alpha)
+        v = first_block_column(q, k)
+        corner = -v.conj().T @ r_alpha.conj().T @ pack.h_inv(k) @ r_alpha @ v
+        return np.block([[np.eye(q), np.zeros((q, q))],
+                         [corner, np.eye(q)]])
+
+    return {"v_even": v_even, "v_odd": v_odd, "m_const": m_const, "m_tilde": m_tilde}
+
+
 def test_coupling_builders_reproduce_u():
     # the fundamental-matrix functions times the constant coupling
     # triangles give the resolvent members; the triangles are J-unitary
-    from stieltjesmp.resolvent import coupling_builders
-    from stieltjesmp.moments import half
     rng = np.random.default_rng(30)
     for i in (0, 2, 4):
         s = ladder_fixture(i)
@@ -296,43 +349,20 @@ def test_sigma_jqq_unitary_on_reals(f1):
             assert np.linalg.norm(defect) < 1e-9 * (1 + np.linalg.norm(sig(x)) ** 2)
 
 
-def _dyukarev_loop(seq):
-    """The quadruple from MatrixPolynomial arithmetic and T^k products with the
-    block-shift matrix, one coefficient at a time: an oracle for the stacked build."""
-    pack, q, alpha = seq.pack, seq.q, seq.alpha
-
-    def moment_poly(left, mid, right, n):
-        t, cur, coeffs = block_shift(q, n), left.copy(), []
-        for _ in range(n + 1):
-            coeffs.append(cur.conj().T @ mid @ right)
-            cur = t @ cur
-        return MatrixPolynomial(coeffs)
-
-    def combo(base, w, sign):
-        return base + (w.shift_z() + w.scale(-alpha)).scale(sign)
-
-    eye = MatrixPolynomial.constant(np.eye(q))
-    a, c = [], []
-    for n in range(half(seq.kappa) + 1):
-        v = first_block_column(q, n)
-        mid = pack.h_inv(n) @ resolvent_R(q, n, alpha)
-        a.append(combo(eye, moment_poly(u_vector(seq, n), mid, v, n), 1.0))
-        c.append(combo(eye.scale(0.0), moment_poly(v, mid, v, n), -1.0))
-    b, d = [MatrixPolynomial.constant(np.zeros((q, q)))], [eye]
-    for n in range(half(seq.kappa + 1)):
-        v, mid, y = first_block_column(q, n), pack.shift.h_inv(n), pack.y(0, n)
-        b.append(moment_poly(u_shift_vector(seq, n), mid, y, n))
-        d.append(combo(eye, moment_poly(v, mid, y, n), -1.0 if seq.side == "right" else 1.0))
-    return {"a": a, "b": b, "c": c, "d": d}
-
-
 def test_stacked_quadruple_coefficients_match_the_polynomial_loop():
+    # the families from the chain's prefix products against the moment
+    # polynomials: equal degrees, equal values at 20 points; the factors bit for bit
+    rng = np.random.default_rng(31)
+    zs = rng.standard_normal(20) + 1j * rng.standard_normal(20)
     for i in range(10):
         for s in (ladder_fixture(i), reflect(ladder_fixture(i))):
-            dq, want = dyukarev_quadruple(s), _dyukarev_loop(s)
+            dq, want = dyukarev_quadruple(s), dyukarev_loop(s)
             for fam in "abcd":
                 for got, ref in zip(getattr(dq, fam), want[fam], strict=True):
-                    np.testing.assert_array_equal(np.array(got.coeffs), np.array(ref.coeffs))
+                    assert got.degree == ref.degree
+                    g, r = got(zs), ref(zs)
+                    assert np.all(np.linalg.norm(g - r, axis=(1, 2))
+                                  <= 1e-10 * np.linalg.norm(r, axis=(1, 2)))
             for j, w in enumerate(factorize_u(s).factors):
                 ds, n, q = s.ds, j // 2, s.q
                 eye, zero = np.eye(q), np.zeros((q, q))
