@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_int_at_least(0), default=4)
     p.add_argument("--alpha", type=_finite_float, default=0.0)
     p.add_argument("--side", choices=[RIGHT, LEFT], default=RIGHT)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("resolvent", help="2q x 2q resolvent polynomial coefficients")

@@ -10,7 +10,7 @@ parametrizations downstream.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -27,13 +27,30 @@ def freeze(obj):
     """Make every array reachable from a derived value object read-only."""
     if isinstance(obj, np.ndarray):
         obj.flags.writeable = False
-    elif isinstance(obj, (tuple, list)):
-        for x in obj:
-            freeze(x)
-    elif hasattr(obj, "__dict__"):
-        for x in vars(obj).values():
+        return obj
+    for x in obj if isinstance(obj, (tuple, list)) else vars(obj).values():
+        # ints, floats and strings reach no array: no call for them
+        if isinstance(x, (np.ndarray, tuple, list)) or hasattr(x, "__dict__"):
             freeze(x)
     return obj
+
+
+def derived(build):
+    """Cache build(obj, *args) on obj, frozen, once per args.
+
+    The value is kept in obj.__dict__ under the builder's name and the
+    (hashable) args, the way cached_property keeps its value, so whatever
+    is derived from a sequence, or from an (L, M) pair, is built once per
+    owner and comes back as the same read-only object on every call.
+    """
+    @wraps(build)
+    def cached(obj, *args):
+        key = (build.__name__, *args)
+        cache = obj.__dict__
+        if key not in cache:
+            cache[key] = freeze(build(obj, *args))
+        return cache[key]
+    return cached
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,12 +58,10 @@ class MomentSequence:
     """Finite sequence of q x q moments with base point and side tag.
 
     The sequence keeps its own read-only copy of the moments, checked once
-    here for shape and finiteness.  Everything derived from it (the shifted
-    sequence, the Hankel data, the classification, Q, (L, M) and the two
-    polynomial quadruples) is computed on first use and cached on the
-    sequence, so the module-level functions that return them derive each
-    one once per sequence; so are the partial-fraction rules of the
-    extremals, per index and end.  Equality and hashing are by identity: a
+    here for shape and finiteness.  It caches its shifted sequence and its
+    Hankel data; everything else derived from it (the classification, Q,
+    (L, M) and the two polynomial quadruples) is cached on it by its
+    builder (see derived).  Equality and hashing are by identity: a
     sequence carries its own cache, and two sequences built from equal
     moments are two problem objects.
     """
@@ -78,41 +93,6 @@ class MomentSequence:
     @cached_property
     def pack(self) -> "HankelPack":
         return HankelPack(self)
-
-    @cached_property
-    def classification(self) -> "SequenceClass":
-        return _classify(self)
-
-    @cached_property
-    def qparam(self):
-        from .params import StieltjesParam
-        qs = tuple((self.pack if j % 2 == 0 else self.pack.shift).hhat(j // 2)
-                   for j in range(self.kappa + 1))
-        return StieltjesParam(q=self.q, alpha=self.alpha, side=self.side, values=qs)
-
-    @cached_property
-    def ds(self):
-        from .params import _ds_param
-        return freeze(_ds_param(self))
-
-    @cached_property
-    def dyukarev(self):
-        from .resolvent import _dyukarev_quadruple
-        return freeze(_dyukarev_quadruple(self))
-
-    @cached_property
-    def quadruple(self):
-        from .orthopoly import _stieltjes_quadruple
-        return freeze(_stieltjes_quadruple(self))
-
-    def string_rule(self, m: int, wall: bool) -> tuple:
-        """Atoms and residue table of the extremal up to m that ends at the
-        wall or free (solutions._string_rule), built once per (m, end)."""
-        rules = self.__dict__.setdefault("_string_rules", {})
-        if (m, wall) not in rules:
-            from .solutions import _string_rule
-            rules[m, wall] = freeze(_string_rule(self.ds, m, wall))
-        return rules[m, wall]
 
 
 def matrix_stack(mats, q: int, what: str) -> Array:
@@ -216,7 +196,6 @@ class HankelPack:
 
     def __init__(self, seq: MomentSequence):
         self.seq = seq
-        self._h_invs = {}
 
     @cached_property
     def top(self) -> Array:
@@ -265,12 +244,10 @@ class HankelPack:
     def h_shift(self, n: int) -> Array:
         return self.shift.h(n)
 
+    @derived
     def h_inv(self, n: int) -> Array:
         """H_n^{-1}, inverted on first use and cached read-only per n."""
-        inv = self._h_invs.get(n)
-        if inv is None:
-            inv = self._h_invs[n] = freeze(np.linalg.inv(self.h(n)))
-        return inv
+        return np.linalg.inv(self.h(n))
 
     def y(self, j: int, k: int) -> Array:
         return y_stack(self.seq, j, k)
@@ -390,8 +367,22 @@ def _kernel_included(q_a: Array, q_b: Array) -> bool:
     return np.linalg.norm(q_b @ proj) <= DEFAULT_TOL.identity_tol * (1.0 + np.linalg.norm(q_b))
 
 
-def _classify(seq: MomentSequence) -> SequenceClass:
-    qs = seq.qparam.values
+def q_values(seq: MomentSequence) -> tuple:
+    """Interlaced Schur complements Q_{2n} = Hhat_n, Q_{2n+1} = Hhat_shift_n."""
+    pack = seq.pack
+    return tuple((pack if j % 2 == 0 else pack.shift).hhat(j // 2) for j in range(seq.kappa + 1))
+
+
+@derived
+def classify(seq: MomentSequence) -> SequenceClass:
+    """Hankel and alpha-Stieltjes definiteness classes of a sequence.
+
+    The Hankel class comes from the spectrum of the largest H_n.  The
+    Stieltjes class is decided through the interlaced Schur complements:
+    all PD means PD; all PSD plus the kernel-inclusion chain up to j-1
+    means the solvability class (NND) resp. the extendability class.
+    """
+    qs = q_values(seq)
     classes = _psd_classes(matrix_stack(qs, seq.q, "Q_j"), DEFAULT_TOL)
     # PD is decided through the Schur complements Q_{2n} = Hhat_n (numerically
     # robust and equivalent); NND falls back to the spectrum of the full block
@@ -411,23 +402,12 @@ def _classify(seq: MomentSequence) -> SequenceClass:
     return SequenceClass(hankel=hankel_cls, stieltjes=STIELTJES_NO, side=seq.side)
 
 
-def classify(seq: MomentSequence) -> SequenceClass:
-    """Hankel and alpha-Stieltjes definiteness classes of a sequence.
-
-    The Hankel class comes from the spectrum of the largest H_n.  The
-    Stieltjes class is decided through the interlaced Schur complements:
-    all PD means PD; all PSD plus the kernel-inclusion chain up to j-1
-    means the solvability class (NND) resp. the extendability class.
-    """
-    return seq.classification
-
-
 def is_stieltjes_pd(seq: MomentSequence) -> bool:
-    return seq.classification.stieltjes == PD
+    return classify(seq).stieltjes == PD
 
 
 def require_stieltjes_pd(seq: MomentSequence):
-    if seq.classification.stieltjes != PD:
+    if not is_stieltjes_pd(seq):
         raise ValueError("sequence is not alpha-Stieltjes positive definite")
 
 

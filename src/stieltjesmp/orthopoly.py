@@ -13,7 +13,7 @@ import numpy as np
 
 from .linalg import Array, DEFAULT_TOL, _all_pd, is_pd, ordered_product
 from .moments import (
-    RIGHT, HankelPack, MomentSequence, freeze, half, lower_triangular_S,
+    RIGHT, HankelPack, MomentSequence, derived, freeze, half, lower_triangular_S,
     require_stieltjes_pd,
 )
 
@@ -193,6 +193,7 @@ class StieltjesQuadruple:
     phat: tuple
 
 
+@derived
 def stieltjes_quadruple(seq: MomentSequence) -> StieltjesQuadruple:
     """All four polynomial families of a Stieltjes-PD sequence.
 
@@ -205,17 +206,14 @@ def stieltjes_quadruple(seq: MomentSequence) -> StieltjesQuadruple:
     (sign-mirrored on the left) is verified at random points when the
     quadruple is first built; the result is cached on the sequence.
     """
-    return seq.quadruple
-
-
-def _stieltjes_quadruple(seq: MomentSequence) -> StieltjesQuadruple:
     require_stieltjes_pd(seq)
     q, a = seq.q, seq.alpha
+    eye = np.eye(q)
     p = monic_orthogonal_system(seq)
     second = [associated_polynomial(seq, pn) for pn in p]
-    p_shift = monic_orthogonal_system(seq.shifted)
+    # one moment: the shifted family is the degree-0 monic polynomial alone
+    p_shift = monic_orthogonal_system(seq.shifted) if seq.kappa else [MatrixPolynomial([eye])]
 
-    eye = np.eye(q)
     factor = MatrixPolynomial([-a * eye, eye]) if seq.side == RIGHT \
         else MatrixPolynomial([a * eye, -eye])
     phat = tuple(associated_polynomial(seq, factor.matmul(pn)) for pn in p_shift)

@@ -19,8 +19,8 @@ from .linalg import (
     ordered_product,
 )
 from .moments import (
-    RIGHT, MomentSequence, column_E, half, hankel, matrix_stack, require_stieltjes_pd,
-    schur_correction, sequence, shifted_moments, y_stack, z_stack,
+    RIGHT, MomentSequence, column_E, derived, half, hankel, matrix_stack, q_values,
+    require_stieltjes_pd, schur_correction, sequence, shifted_moments, y_stack, z_stack,
 )
 
 
@@ -75,9 +75,10 @@ class DSParam:
 
 # --- Q-parametrization -------------------------------------------------------
 
+@derived
 def stieltjes_param(seq: MomentSequence) -> StieltjesParam:
     """Q_{2n} = Hhat_n, Q_{2n+1} = Hhat of the shifted sequence."""
-    return seq.qparam
+    return StieltjesParam(q=seq.q, alpha=seq.alpha, side=seq.side, values=q_values(seq))
 
 
 def seq_from_stieltjes_param(p: StieltjesParam) -> MomentSequence:
@@ -198,6 +199,7 @@ def favard_pair(seq: MomentSequence) -> FavardPair:
 
 # --- Dyukarev-Stieltjes parametrization ---------------------------------------
 
+@derived
 def ds_param(seq: MomentSequence) -> DSParam:
     """PD pair (L_n, M_n) of increments of the Hankel inverses at alpha.
 
@@ -212,10 +214,6 @@ def ds_param(seq: MomentSequence) -> DSParam:
     which is how they are computed here (no large cancelling differences).
     ds_increments exposes the raw definition for cross-checking.
     """
-    return seq.ds
-
-
-def _ds_param(seq: MomentSequence) -> DSParam:
     require_stieltjes_pd(seq)
     pack = seq.pack
     q, a = seq.q, seq.alpha

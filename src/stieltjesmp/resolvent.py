@@ -16,7 +16,7 @@ from .linalg import (
     Array, JTILDE, hermitize, j_defect, min_eig_hermitian_part, ordered_product,
     signature_matrix,
 )
-from .moments import RIGHT, MomentSequence, half, require_stieltjes_pd
+from .moments import RIGHT, MomentSequence, derived, half, require_stieltjes_pd
 from .orthopoly import MatrixPolynomial, stieltjes_quadruple
 from .params import DSParam, ds_param
 
@@ -38,16 +38,13 @@ class DyukarevQuadruple:
     d: tuple
 
 
+@derived
 def dyukarev_quadruple(seq: MomentSequence) -> DyukarevQuadruple:
     """The four resolvent block families of a Stieltjes-PD sequence: the
     block columns of the prefix products of the factor chain of (L, M)."""
-    return seq.dyukarev
-
-
-def _dyukarev_quadruple(seq: MomentSequence) -> DyukarevQuadruple:
     require_stieltjes_pd(seq)
     q = seq.q
-    xs, ys = _chain_columns(seq.ds, seq.kappa)
+    xs, ys = _chain_columns(ds_param(seq), seq.kappa)
     return DyukarevQuadruple(side=seq.side, alpha=seq.alpha,
                              a=tuple(MatrixPolynomial(x[:, :q]) for x in xs),
                              b=tuple(MatrixPolynomial(y[:, :q]) for y in ys),

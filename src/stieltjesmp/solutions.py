@@ -17,11 +17,11 @@ from .linalg import (
     Array, DEFAULT_TOL, PD, _psd_classes, as_matrix, hermitize, is_pd, is_psd, sqrt_psd,
 )
 from .moments import (
-    LEFT, RIGHT, MomentSequence, block_shift, column_E, first_block_column, freeze,
+    LEFT, RIGHT, MomentSequence, block_shift, column_E, derived, first_block_column, freeze,
     half, matrix_stack, require_stieltjes_pd,
 )
 from .orthopoly import stieltjes_quadruple
-from .params import DSParam
+from .params import DSParam, ds_param
 from .resolvent import ResolventU, dyukarev_quadruple
 
 CONSTANT = "CONSTANT"
@@ -137,7 +137,7 @@ class ExtremalSolution:
     It is the transfer function of the block string of (L, M), which ends
     at a wall for bd=True (the ratio B D^{-1}) and is free, with an atom at
     alpha, for bd=False (A C^{-1}).  A call is one row of reciprocals
-    1/(x_k - z) times the residue table of the rule the sequence caches;
+    1/(x_k - z) times the residue table of string_rule, cached on (L, M);
     z may be a scalar (a q x q value) or a 1-D array of N points (an
     (N, q, q) stack), and z at an atom raises SingularDenominator.  The
     quadruple ratio, the resolvent pencil and the orthogonal-polynomial
@@ -147,7 +147,7 @@ class ExtremalSolution:
     def __init__(self, seq: MomentSequence, m: int, bd: bool):
         self.seq, self.m, self.bd = seq, m, bd
         self.side, self.alpha = seq.side, seq.alpha
-        self.atoms, self.residues = seq.string_rule(m, wall=bd)
+        self.atoms, self.residues = string_rule(ds_param(seq), m, bd)
         self._value_shape = (seq.q, seq.q)
 
     def __call__(self, z) -> Array:
@@ -172,7 +172,8 @@ class ExtremalSolution:
         return max(float(np.linalg.norm(v - vals[0])) for v in vals[1:])
 
 
-def _string_rule(ds: DSParam, m: int, wall: bool) -> tuple:
+@derived
+def string_rule(ds: DSParam, m: int, wall: bool) -> tuple:
     """Atoms x_k and (K, q*q) residue table G_k of one extremal from (L, M).
 
     Masses M_j joined by springs L_j: a free end has half(m)+1 masses and
@@ -181,7 +182,8 @@ def _string_rule(ds: DSParam, m: int, wall: bool) -> tuple:
     L_j = P_j P_j^* (one stacked Cholesky), T = R^{-1} Delta^* diag(L_j^{-1})
     Delta R^{-*} = W^* W, W = P^{-1} Delta R^{-*} block bidiagonal.  One eigh,
     T = V diag(lambda) V^*, gives x_k = alpha +- lambda_k and G_k = g_k g_k^*
-    with g_k = R_0^{-*} v_k, v_k from the first block row of V.
+    with g_k = R_0^{-*} v_k, v_k from the first block row of V.  The rule
+    is cached on ds, so a DSParam built from (L, M) directly keeps it too.
     """
     q = ds.q
     nm = half(m - 1) + 1 if wall else half(m) + 1

@@ -86,12 +86,25 @@ def test_generate_deterministic(capsys):
     assert len(first["moments"]) == 4
 
 
-@pytest.mark.parametrize("flag, value", [("--q", "0"), ("--q", "-1"), ("--m", "-1")])
+@pytest.mark.parametrize("flag, value", [("--q", "0"), ("--q", "-1"), ("--m", "-1"),
+                                         ("--seed", "-1")])
 def test_generate_rejects_out_of_range_sizes(capsys, flag, value):
-    # q >= 1 and m >= 0 are checked by the parser: a usage error, not a numpy one
+    # q >= 1, m >= 0 and seed >= 0 are checked by the parser: a usage error,
+    # not a numpy one
     assert main(["generate", flag, value]) == EXIT_USAGE
     out, err = capsys.readouterr()
     assert out == "" and "expected an integer" in err
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_verify_passes_on_one_moment(capsys, tmp_path, side):
+    # kappa = 0 has no shifted sequence; every check that applies holds
+    code, doc = run(capsys, "generate", "--q", "2", "--m", "0", "--side", side)
+    path = tmp_path / "m0.json"
+    path.write_text(json.dumps(doc))
+    code, payload = run(capsys, "verify", str(path))
+    assert code == EXIT_OK
+    assert payload["passed"] and all(payload["checks"].values())
 
 
 def test_resolvent_coefficients(capsys, f1_file):

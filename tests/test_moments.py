@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from stieltjesmp import (
-    HankelPack, classify, ds_param, dyukarev_quadruple, potapov_defect_psd,
-    random_stieltjes_pd_sequence, reflect, sequence, shift_sequence,
-    stieltjes_param, stieltjes_quadruple,
+    DSParam, HankelPack, classify, ds_param, dyukarev_quadruple, extremal,
+    potapov_defect_psd, random_pd, random_stieltjes_pd_sequence, reflect, sequence,
+    shift_sequence, stieltjes_param, stieltjes_quadruple,
 )
 from stieltjesmp.moments import (
     alternating_signs, block_shift, column_E, first_block_column, half, hankel,
     resolvent_R, schur_complement, u_shift_vector,
 )
+from stieltjesmp.solutions import string_rule
 
 from conftest import ladder_fixture
 
@@ -210,6 +211,14 @@ def test_potapov_defect_rejects_real_z(f1):
         potapov_defect_psd(f1, np.array([[1.0]]), 0.5)
 
 
+def lm_fixture(q: int, kappa: int, seed: int) -> DSParam:
+    """An (L, M) pair built directly from random PD values, not from moments."""
+    rng = np.random.default_rng(seed)
+    m = tuple(random_pd(q, rng) for _ in range(half(kappa) + 1))
+    l = tuple(random_pd(q, rng) for _ in range(half(kappa - 1) + 1))
+    return DSParam(q=q, alpha=0.5, side="right", l=l, m=m)
+
+
 def test_derived_objects_are_cached():
     s = ladder_fixture(3)
     for build in (classify, stieltjes_param, ds_param, dyukarev_quadruple,
@@ -218,6 +227,15 @@ def test_derived_objects_are_cached():
     for pack in (s.pack, s.pack.shift):
         for n in range(half(pack.seq.kappa) + 1):
             assert pack.h_inv(n) is pack.h_inv(n)
+    # the rule is cached on the (L, M) pair, also on one that no sequence made
+    d = lm_fixture(q=2, kappa=5, seed=3)
+    for m in range(1, 6):
+        for wall in (False, True):
+            assert string_rule(d, m, wall) is string_rule(d, m, wall)
+    # the extremals read the very arrays of the cached rule
+    for ext in extremal(s):
+        atoms, residues = string_rule(ds_param(s), s.kappa, ext.bd)
+        assert ext.atoms is atoms and ext.residues is residues
 
 
 def test_cached_arrays_are_read_only():
@@ -231,10 +249,10 @@ def test_cached_arrays_are_read_only():
     for family in (dq.a, dq.b, dq.c, dq.d, quad.p, quad.second, quad.p_shift, quad.phat):
         for poly in family:
             arrays += [poly.coeffs, *poly.coeffs]
-    for m in range(1, s.kappa + 1):
-        for wall in (False, True):
-            assert s.string_rule(m, wall) is s.string_rule(m, wall)
-            arrays += list(s.string_rule(m, wall))
+    for ds in (d, lm_fixture(q=2, kappa=4, seed=2)):
+        for m in range(1, s.kappa + 1):
+            for wall in (False, True):
+                arrays += list(string_rule(ds, m, wall))
     for a in arrays:
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 0.0

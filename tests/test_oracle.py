@@ -12,7 +12,7 @@ from stieltjesmp import DSParam, seq_from_ds, sequence, stieltjes_param
 from stieltjesmp.moments import half
 from stieltjesmp.params import random_pd
 from stieltjesmp.resolvent import _chain_product
-from stieltjesmp.solutions import _string_rule
+from stieltjesmp.solutions import string_rule
 
 from oracle import chain_product, oracle, string_value
 
@@ -46,7 +46,7 @@ def test_string_rule_matches_the_high_precision_string(q, kappa):
         d = DSParam(q=q, alpha=alpha, side=side, l=l, m=m)
         free = 1.0 if side == "right" else -1.0
         for wall in (False, True):
-            atoms, residues = _string_rule(d, kappa, wall)
+            atoms, residues = string_rule(d, kappa, wall)
             nm = half(kappa - 1) + 1 if wall else half(kappa) + 1
             for z in (alpha - free, alpha + 0.7 + 1.3j, alpha - 0.4 - 0.9j):
                 got = ((1.0 / (atoms - z)) @ residues).reshape(q, q)

@@ -364,7 +364,7 @@ def test_stacked_quadruple_coefficients_match_the_polynomial_loop():
                     assert np.all(np.linalg.norm(g - r, axis=(1, 2))
                                   <= 1e-10 * np.linalg.norm(r, axis=(1, 2)))
             for j, w in enumerate(factorize_u(s).factors):
-                ds, n, q = s.ds, j // 2, s.q
+                ds, n, q = ds_param(s), j // 2, s.q
                 eye, zero = np.eye(q), np.zeros((q, q))
                 ref = [np.block([[eye, zero], [s.alpha * ds.m[n], eye]]),
                        np.block([[zero, zero], [-ds.m[n], zero]])] if j % 2 == 0 else \
