@@ -10,6 +10,7 @@ random sequence through all of them and exercises the closed cross-maps.
 import numpy as np
 
 import stieltjesmp as smp
+from stieltjesmp.moments import column_E
 
 s = smp.random_stieltjes_pd_sequence(q=2, kappa=5, alpha=-0.5, seed=42)
 scale = max(np.linalg.norm(m) for m in s.moments)
@@ -31,17 +32,31 @@ report("canonical Hankel (C, D)", smp.seq_from_canonical(ch, q=s.q, alpha=s.alph
 d = smp.ds_param(s)
 report("multiplicative pair (L, M)", smp.seq_from_ds(d))
 
-# the cross-maps are alternating products, no sequence reconstruction
+# the cross-maps are alternating products, no sequence reconstruction.
+# (L, M) is defined by increments of Hankel inverses at alpha:
+#   M_n = E_n^* H_n^{-1} E_n - E_{n-1}^* H_{n-1}^{-1} E_{n-1},
+#   L_n = z_{0,n} Hshift_n^{-1} y_{0,n} - z_{0,n-1} Hshift_{n-1}^{-1} y_{0,n-1}
+
+
+def increments(term, count):
+    vals = [term(n) for n in range(count)]
+    return vals[:1] + [b - a for a, b in zip(vals, vals[1:])]
+
+
+pack = s.pack
+e = [column_E(s.q, n, s.alpha) for n in range(len(d.m))]
+m_def = increments(lambda n: e[n].conj().T @ pack.h_inv(n) @ e[n], len(d.m))
+l_def = increments(lambda n: pack.z(0, n) @ pack.shift.h_inv(n) @ pack.y(0, n), len(d.l))
 d2 = smp.ds_from_q(p)
 err = max(np.abs(np.asarray(a) - np.asarray(b)).max() / (1 + np.linalg.norm(b))
-          for a, b in zip(list(d.l) + list(d.m), list(d2.l) + list(d2.m)))
-print(f"\nQ -> (L, M) closed product map, error {err:.2e}")
+          for a, b in zip(list(d2.l) + list(d2.m), l_def + m_def))
+print(f"\nQ -> (L, M) product map vs the Hankel-inverse increments, error {err:.2e}")
 p2 = smp.q_from_ds(d)
 err = max(np.abs(np.asarray(a) - np.asarray(b)).max() / (1 + np.linalg.norm(b))
           for a, b in zip(p.values, p2.values))
 print(f"(L, M) -> Q inverse map,        error {err:.2e}")
 
-# Favard pairs of the sequence and of its shift, from closed products
+# Favard pairs of the sequence and of its shift, from (L, M) through Q
 fp, fp_shift = smp.favard_from_ds(d)
 direct = smp.favard_pair(s)
 err = max(np.abs(np.asarray(a) - np.asarray(b)).max()

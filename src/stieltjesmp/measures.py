@@ -199,29 +199,40 @@ def _transported_measure(seq: MomentSequence, m: int) -> MolecularMeasure:
     return MolecularMeasure._checked(atoms, masses, seq.side, a)
 
 
-def recover_min(seq: MomentSequence, m: int | None = None) -> MolecularMeasure:
-    """Measure of the lower extremal solution.
+def _recover(seq: MomentSequence, m: int | None, lower: bool) -> MolecularMeasure:
+    """Check the index m, then run the pencil or the transported route.
 
-    Direct pencil route on the right half-line; on the left the lower
-    extremal carries the 1/(z - alpha) prefactor and is recovered through
-    the transported pencil of the shifted sequence.
+    The pencil route gives the B D^{-1} extremal: the lower one on the
+    right half-line, the upper one on the left.  At m = 0 it is 0 (B_0 = 0),
+    the transform of no measure of mass s_0.
     """
     require_stieltjes_pd(seq)
     if m is None:
         m = seq.kappa
-    if seq.side == RIGHT:
-        return _pencil_measure(seq, m)
-    return _transported_measure(seq, m)
+    if not 0 <= m <= seq.kappa:
+        raise ValueError(f"index m={m} outside 0..kappa={seq.kappa}")
+    if lower != (seq.side == RIGHT):
+        return _transported_measure(seq, m)
+    if m == 0:
+        raise ValueError(f"at m=0 the {'lower' if lower else 'upper'} extremal on the "
+                         f"{seq.side} half-line is B_0 D_0^-1 = 0, the transform of no "
+                         "measure of mass s_0")
+    return _pencil_measure(seq, m)
+
+
+def recover_min(seq: MomentSequence, m: int | None = None) -> MolecularMeasure:
+    """Measure of the lower extremal solution, for 0 <= m <= kappa.
+
+    Direct pencil route on the right half-line (m >= 1); on the left the
+    lower extremal carries the 1/(z - alpha) prefactor and is recovered
+    through the transported pencil of the shifted sequence.
+    """
+    return _recover(seq, m, lower=True)
 
 
 def recover_max(seq: MomentSequence, m: int | None = None) -> MolecularMeasure:
     """Measure of the upper extremal solution (mirror of recover_min)."""
-    require_stieltjes_pd(seq)
-    if m is None:
-        m = seq.kappa
-    if seq.side == LEFT:
-        return _pencil_measure(seq, m)
-    return _transported_measure(seq, m)
+    return _recover(seq, m, lower=False)
 
 
 def recover_residue(seq: MomentSequence, m: int | None = None) -> MolecularMeasure:

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    Array, DEFAULT_TOL, _all_pd, as_matrix, hermitize, inv_pd, is_pd,
-    ordered_product,
+    Array, DEFAULT_TOL, _all_pd, _hermitize, as_matrix, inv_pd, is_pd,
 )
 from .moments import (
-    RIGHT, MomentSequence, column_E, derived, half, hankel, matrix_stack, q_values,
+    RIGHT, MomentSequence, derived, half, hankel, matrix_stack, q_values,
     require_stieltjes_pd, schur_correction, sequence, shifted_moments, y_stack, z_stack,
 )
 
@@ -201,60 +200,17 @@ def favard_pair(seq: MomentSequence) -> FavardPair:
 
 @derived
 def ds_param(seq: MomentSequence) -> DSParam:
-    """PD pair (L_n, M_n) of increments of the Hankel inverses at alpha.
+    """PD pair (L_n, M_n) of the increments of the Hankel inverses at alpha.
 
-    The defining increments E^*(a) H_n^{-1} E(a) - E^*(a) H_{n-1}^{-1} E(a)
-    (resp. the z H_shift^{-1} y increments for L) collapse to one-term
-    congruences of the Schur-complement inverses,
-
-        M_n = P_n(a)^* Hhat_n^{-1} P_n(a),
-        L_n = g_n^* Hhat_shift_n^{-1} g_n,
-        g_n = (-z_shift_{n,2n-1} Hshift_{n-1}^{-1}  I) y_{0,n},
-
-    which is how they are computed here (no large cancelling differences).
-    ds_increments exposes the raw definition for cross-checking.
+    By definition M_n = E_n^*(a) H_n^{-1} E_n(a) - E_{n-1}^*(a) H_{n-1}^{-1}
+    E_{n-1}(a) and L_n = z_{0,n} Hshift_n^{-1} y_{0,n} - z_{0,n-1}
+    Hshift_{n-1}^{-1} y_{0,n-1}, the n-1 terms being 0 at n = 0.  They are
+    read off the Schur complements Q_j by ds_from_q, with no Hankel inverse
+    and no cancelling difference.  The tests keep the literal definition
+    as the Hankel reference (ds_increments).
     """
     require_stieltjes_pd(seq)
-    pack = seq.pack
-    q, a = seq.q, seq.alpha
-    kappa = seq.kappa
-
-    m = [hermitize(np.linalg.inv(seq[0]))]
-    for n in range(1, half(kappa) + 1):
-        row = np.hstack([-pack.z(n, 2 * n - 1) @ pack.h_inv(n - 1), np.eye(q)])
-        p_at_alpha = row @ column_E(q, n, a)
-        m.append(hermitize(p_at_alpha.conj().T @ np.linalg.inv(pack.hhat(n)) @ p_at_alpha))
-    if kappa == 0:   # one moment: no shifted sequence and no L
-        return DSParam(q=q, alpha=a, side=seq.side, l=(), m=tuple(m))
-
-    sh = pack.shift
-    l = [hermitize(seq[0] @ np.linalg.inv(seq.shifted[0]) @ seq[0])]
-    for n in range(1, half(kappa - 1) + 1):
-        row = np.hstack([-sh.z(n, 2 * n - 1) @ sh.h_inv(n - 1), np.eye(q)])
-        g = row @ pack.y(0, n)
-        l.append(hermitize(g.conj().T @ np.linalg.inv(sh.hhat(n)) @ g))
-    return DSParam(q=q, alpha=a, side=seq.side, l=tuple(l), m=tuple(m))
-
-
-def ds_increments(seq: MomentSequence) -> DSParam:
-    """(L, M) by the literal inverse-increment definition; for cross-checks."""
-    require_stieltjes_pd(seq)
-    pack, sh = seq.pack, seq.pack.shift
-    q, a = seq.q, seq.alpha
-    kappa = seq.kappa
-
-    m = [np.linalg.inv(seq[0])]
-    for n in range(1, half(kappa) + 1):
-        e_n = column_E(q, n, a)
-        e_p = column_E(q, n - 1, a)
-        m.append(e_n.conj().T @ pack.h_inv(n) @ e_n
-                 - e_p.conj().T @ pack.h_inv(n - 1) @ e_p)
-
-    l = [seq[0] @ np.linalg.inv(seq.shifted[0]) @ seq[0]]
-    for n in range(1, half(kappa - 1) + 1):
-        l.append(pack.z(0, n) @ sh.h_inv(n) @ pack.y(0, n)
-                 - pack.z(0, n - 1) @ sh.h_inv(n - 1) @ pack.y(0, n - 1))
-    return DSParam(q=q, alpha=a, side=seq.side, l=tuple(l), m=tuple(m))
+    return ds_from_q(stieltjes_param(seq))
 
 
 def _pd_values(mats, q: int, what: str) -> Array:
@@ -266,24 +222,26 @@ def _pd_values(mats, q: int, what: str) -> Array:
 
 
 def ds_from_q(p: StieltjesParam) -> DSParam:
-    """Alternating-product map Q -> (L, M); requires all Q_j PD."""
-    qs = _pd_values(p.values, p.q, "Q_j")
-    q = p.q
-    n_m = half(p.kappa) + 1
-    n_l = half(p.kappa - 1) + 1 if p.kappa >= 1 else 0
+    """Alternating-product map Q -> (L, M); requires all Q_j PD.
 
-    m = []
-    for n in range(n_m):
-        if n == 0:
-            m.append(np.linalg.inv(qs[0]))
+    With the running products G_0 = I, G_{n+1} = G_n Q_{2n}^{-1} Q_{2n+1}
+    and F_{-1} = I, F_n = F_{n-1} Q_{2n} Q_{2n+1}^{-1}, M_n = G_n Q_{2n}^{-1}
+    G_n^* and L_n = F_n Q_{2n+1} F_n^*.  The Q_j are inverted together, and
+    the L_n and M_n are made Hermitian together.
+    """
+    qs = _pd_values(p.values, p.q, "Q_j")
+    qi = np.linalg.inv(qs)
+    g = f = np.eye(p.q, dtype=complex)
+    l, m = [], []
+    for j in range(p.kappa + 1):
+        if j % 2 == 0:
+            m.append(g @ qi[j] @ g.conj().T)
         else:
-            g = ordered_product((np.linalg.inv(qs[2 * j]) @ qs[2 * j + 1] for j in range(n)), q)
-            m.append(g @ np.linalg.inv(qs[2 * n]) @ g.conj().T)
-    l = []
-    for n in range(n_l):
-        g = ordered_product((qs[2 * j] @ np.linalg.inv(qs[2 * j + 1]) for j in range(n + 1)), q)
-        l.append(g @ qs[2 * n + 1] @ g.conj().T)
-    return DSParam(q=q, alpha=p.alpha, side=p.side, l=tuple(l), m=tuple(m))
+            g = g @ qi[j - 1] @ qs[j]
+            f = f @ qs[j - 1] @ qi[j]
+            l.append(f @ qs[j] @ f.conj().T)
+    lm = _hermitize(np.array(l + m))
+    return DSParam(q=p.q, alpha=p.alpha, side=p.side, l=tuple(lm[:len(l)]), m=tuple(lm[len(l):]))
 
 
 def q_from_ds(d: DSParam) -> StieltjesParam:
@@ -354,53 +312,11 @@ def favard_from_q(p: StieltjesParam):
 
 
 def favard_from_ds(d: DSParam):
-    """Favard pairs of the sequence and of its shift from the (L, M) products.
+    """Favard pairs of the sequence and of its shift, from (L, M) through Q.
 
-    Returns (pair, shifted_pair); closed products, no sequence reconstruction.
+    Returns (pair, shifted_pair); no sequence reconstruction.
     """
-    lms = _pd_values((*d.l, *d.m), d.q, "L_n, M_n")
-    ls, ms = lms[:len(d.l)], lms[len(d.l):]
-    q, alpha = d.q, d.alpha
-    eye = np.eye(q, dtype=complex)
-    sgn = 1.0 if d.side == RIGHT else -1.0
-    kappa = d.kappa
-
-    li = [np.linalg.inv(v) for v in ls]
-    mi = [np.linalg.inv(v) for v in ms]
-
-    def asc(pairs):
-        return ordered_product(pairs, q)
-
-    def desc(pairs):
-        return ordered_product(reversed(pairs), q)
-
-    b = [mi[0].copy()]
-    for n in range(1, half(kappa) + 1):
-        b.append(asc([ms[j] @ ls[j] for j in range(n - 1)])
-                 @ li[n - 1] @ mi[n]
-                 @ desc([li[j] @ mi[j] for j in range(n)]))
-    a = []
-    if kappa >= 1:
-        a.append(alpha * eye + sgn * mi[0] @ li[0])
-    for n in range(1, half(kappa - 1) + 1):
-        a.append(alpha * eye + sgn * (
-            asc([mi[j] @ li[j] for j in range(n + 1)])
-            @ (ls[n - 1] + ls[n]) @ ms[n - 1]
-            @ desc([ls[j] @ ms[j] for j in range(n - 1)])))
-
-    b_sh, a_sh = [], []
-    if kappa >= 1:
-        b_sh.append(mi[0] @ li[0] @ mi[0])
-        for n in range(1, half(kappa - 1) + 1):
-            b_sh.append(asc([ms[j] @ ls[j] for j in range(n - 1)])
-                        @ ms[n - 1] @ mi[n]
-                        @ desc([li[j] @ mi[j] for j in range(n + 1)]))
-        for n in range(half(kappa - 2) + 1):
-            a_sh.append(alpha * eye + sgn * (
-                asc([mi[j] @ li[j] for j in range(n + 1)])
-                @ mi[n + 1] @ (ms[n] + ms[n + 1])
-                @ desc([ls[j] @ ms[j] for j in range(n)])))
-    return FavardPair(a=tuple(a), b=tuple(b)), FavardPair(a=tuple(a_sh), b=tuple(b_sh))
+    return favard_from_q(q_from_ds(d))
 
 
 # --- random fixtures ----------------------------------------------------------

@@ -17,10 +17,9 @@ from .linalg import (
     Array, DEFAULT_TOL, PD, _psd_classes, as_matrix, hermitize, is_pd, is_psd, sqrt_psd,
 )
 from .moments import (
-    LEFT, RIGHT, MomentSequence, block_shift, column_E, derived, first_block_column, freeze,
-    half, matrix_stack, require_stieltjes_pd,
+    LEFT, RIGHT, MomentSequence, column_E, derived, freeze, half, matrix_stack,
+    require_stieltjes_pd,
 )
-from .orthopoly import stieltjes_quadruple
 from .params import DSParam, ds_param
 from .resolvent import ResolventU, dyukarev_quadruple
 
@@ -139,9 +138,7 @@ class ExtremalSolution:
     alpha, for bd=False (A C^{-1}).  A call is one row of reciprocals
     1/(x_k - z) times the residue table of string_rule, cached on (L, M);
     z may be a scalar (a q x q value) or a 1-D array of N points (an
-    (N, q, q) stack), and z at an atom raises SingularDenominator.  The
-    quadruple ratio, the resolvent pencil and the orthogonal-polynomial
-    quotient are oracles only, built when `routes` is first read.
+    (N, q, q) stack), and z at an atom raises SingularDenominator.
     """
 
     def __init__(self, seq: MomentSequence, m: int, bd: bool):
@@ -156,20 +153,6 @@ class ExtremalSolution:
         if np.count_nonzero(gap) < gap.size:
             raise SingularDenominator(f"an atom of this extremal lies in z={z}")
         return np.dot(np.reciprocal(gap), self.residues).reshape(z.shape + self._value_shape)
-
-    @cached_property
-    def routes(self) -> dict:
-        """The string route and the three oracle routes, by name."""
-        seq, m, bd = self.seq, self.m, self.bd
-        dq, n = dyukarev_quadruple(seq), half(m + 1) if bd else half(m)
-        num, den = (dq.b[n], dq.d[n]) if bd else (dq.a[n], dq.c[n])
-        return {"string": self, "quadruple": lambda z: num(z) @ np.linalg.inv(den(z)),
-                "pencil": _pencil_y(seq, m) if bd else _pencil_v(seq, m),
-                "polynomial": _quotient(seq, m, bd)}
-
-    def route_spread(self, z: complex) -> float:
-        vals = [r(z) for r in self.routes.values()]
-        return max(float(np.linalg.norm(v - vals[0])) for v in vals[1:])
 
 
 @derived
@@ -203,70 +186,12 @@ def string_rule(ds: DSParam, m: int, wall: bool) -> tuple:
     return atoms, (g[:, :, None] * g.conj()[:, None, :]).reshape(-1, q * q)
 
 
-def _pencil_y(seq: MomentSequence, m: int):
-    """Closed form y^* [Hshift - (z-a) H]^{-1} y of the B D^{-1} extremal
-    (left half-line: y^* [(a-z) H - Hshift]^{-1} y), at index half(m-1)."""
-    pack, a = seq.pack, seq.alpha
-    n = half(m - 1)
-    h, h_sh, y = pack.h(n), pack.h_shift(n), pack.y(0, n)
-
-    def pencil(z):
-        if seq.side == RIGHT:
-            return y.conj().T @ np.linalg.inv(h_sh - (z - a) * h) @ y
-        return y.conj().T @ np.linalg.inv((a - z) * h - h_sh) @ y
-    return pencil
-
-
-def _pencil_v(seq: MomentSequence, m: int):
-    """Closed form of the A C^{-1} extremal through the corner-padded
-    shifted Hankel block at index half(m)."""
-    pack, q, a = seq.pack, seq.q, seq.alpha
-    n = half(m)
-    t = block_shift(q, n)
-    v = first_block_column(q, n)
-    r_alpha_inv = np.eye((n + 1) * q) - a * t
-    if 2 * n == m:
-        sh = seq.shifted
-        pad = np.zeros(((n + 1) * q, (n + 1) * q), dtype=complex)
-        if n >= 1:
-            pad[:n * q, :n * q] = pack.h_shift(n - 1)
-            pad[:n * q, n * q:] = np.vstack([sh[j] for j in range(n, 2 * n)])
-            pad[n * q:, :n * q] = np.hstack([sh[j] for j in range(n, 2 * n)])
-        h_sh = pad
-    else:
-        h_sh = pack.h_shift(n)
-    core = t @ h_sh @ t.conj().T
-    hh = r_alpha_inv @ pack.h(n) @ r_alpha_inv.conj().T
-    right = seq.side == RIGHT
-
-    def pencil(z):
-        w = (z - a) if right else (a - z)
-        mat = core - hh / w
-        return (1.0 if right else -1.0) * np.linalg.inv(v.conj().T @ np.linalg.inv(mat) @ v)
-    return pencil
-
-
-def _quotient(seq: MomentSequence, m: int, bd: bool):
-    """Orthogonal-polynomial quotient of the conjugated families."""
-    quad, a = stieltjes_quadruple(seq), seq.alpha
-    if bd:
-        p_cs = quad.p[half(m + 1)].conj_star()
-        p2_cs = quad.second[half(m + 1)].conj_star()
-        return lambda z: -p2_cs(z) @ np.linalg.inv(p_cs(z))
-    psh_cs = quad.p_shift[half(m)].conj_star()
-    phat_cs = quad.phat[half(m)].conj_star()
-    sign = -1.0 if seq.side == RIGHT else 1.0
-    return lambda z: (sign / (z - a)) * phat_cs(z) @ np.linalg.inv(psh_cs(z))
-
-
 def extremal(seq: MomentSequence, m: int | None = None):
     """(S_min, S_max) evaluators for the solution set up to index m.
 
-    Each evaluator sums the partial fractions of its block string; its
-    `routes` and `route_spread` give the quadruple-ratio, resolvent-pencil
-    and orthogonal-polynomial routes as cross-checks.  On the right
-    half-line S_min = B D^{-1} (the wall) and S_max = A C^{-1} (the free
-    end, with an atom at alpha); the left half-line swaps the two.
+    Each evaluator sums the partial fractions of its block string.  On the
+    right half-line S_min = B D^{-1} (the wall) and S_max = A C^{-1} (the
+    free end, with an atom at alpha); the left half-line swaps the two.
     """
     require_stieltjes_pd(seq)
     if m is None:

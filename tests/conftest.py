@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from stieltjesmp import random_stieltjes_pd_sequence, reflect, sequence
+from stieltjesmp import DSParam, random_stieltjes_pd_sequence, reflect, sequence
 from stieltjesmp.moments import (
-    block_shift, first_block_column, half, resolvent_R, u_shift_vector, u_vector,
+    block_shift, column_E, first_block_column, half, require_stieltjes_pd, resolvent_R,
+    u_shift_vector, u_vector,
 )
 from stieltjesmp.orthopoly import MatrixPolynomial
 
@@ -99,3 +100,26 @@ def hankel_u(seq) -> MatrixPolynomial:
     f, m = dyukarev_loop(seq), seq.kappa
     return MatrixPolynomial.block2x2(f["a"][half(m)], f["b"][half(m + 1)],
                                      f["c"][half(m)], f["d"][half(m + 1)])
+
+
+def ds_increments(seq) -> DSParam:
+    """(L, M) by the literal inverse-increment definition, with LU inverses
+    of the Hankel blocks.  The library reads (L, M) off the Q_j; this is the
+    Hankel construction it is checked against."""
+    require_stieltjes_pd(seq)
+    pack, sh = seq.pack, seq.pack.shift
+    q, a = seq.q, seq.alpha
+    kappa = seq.kappa
+
+    m = [np.linalg.inv(seq[0])]
+    for n in range(1, half(kappa) + 1):
+        e_n = column_E(q, n, a)
+        e_p = column_E(q, n - 1, a)
+        m.append(e_n.conj().T @ pack.h_inv(n) @ e_n
+                 - e_p.conj().T @ pack.h_inv(n - 1) @ e_p)
+
+    l = [seq[0] @ np.linalg.inv(seq.shifted[0]) @ seq[0]]
+    for n in range(1, half(kappa - 1) + 1):
+        l.append(pack.z(0, n) @ sh.h_inv(n) @ pack.y(0, n)
+                 - pack.z(0, n - 1) @ sh.h_inv(n - 1) @ pack.y(0, n - 1))
+    return DSParam(q=q, alpha=a, side=seq.side, l=tuple(l), m=tuple(m))

@@ -11,7 +11,7 @@ import stieltjesmp as smp
 from stieltjesmp.linalg import hermitize, min_eig_hermitian_part
 from stieltjesmp.moments import alternating_signs, half
 
-from conftest import hankel_u, ladder_fixture, rel_err, seq_rel_err
+from conftest import ds_increments, hankel_u, ladder_fixture, rel_err, seq_rel_err
 
 N_FIXTURES = 50
 
@@ -90,13 +90,16 @@ def test_criterion_02_roundtrips():
                                                      side=s.side)) < tol
         d = smp.ds_param(s)
         assert seq_rel_err(s, smp.seq_from_ds(d)) < tol
-        d2 = smp.ds_from_q(p)
-        for a, b in zip(list(d.l) + list(d.m), list(d2.l) + list(d2.m)):
-            assert rel_err(a, b) < tol
-        p2 = smp.q_from_ds(d2)
+        # ds_param is ds_from_q of Q; the Hankel-inverse increments check it
+        for t in (s, smp.reflect(s)):
+            d2, d_ref = smp.ds_param(t), ds_increments(t)
+            for a, b in zip(list(d2.l) + list(d2.m), list(d_ref.l) + list(d_ref.m)):
+                assert rel_err(a, b) < tol
+        p2 = smp.q_from_ds(d)
         for a, b in zip(p.values, p2.values):
             assert rel_err(a, b) < tol
-    _passed(2, f"{N_FIXTURES} fixtures: seq<->Q, seq<->(C,D), seq<->(L,M), ds<->q within 1e-9")
+    _passed(2, f"{N_FIXTURES} fixtures and reflections: seq<->Q, seq<->(C,D), seq<->(L,M), "
+               "Q->(L,M) against the Hankel increments, (L,M)->Q within 1e-9")
 
 
 def test_criterion_03_resolvent_invariants():

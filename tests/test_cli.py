@@ -162,6 +162,24 @@ def test_recover_verb(capsys, f2_file):
     np.testing.assert_allclose(payload["atoms"], [0.0, 2.0], atol=1e-9)
 
 
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_recover_on_one_moment(capsys, tmp_path, side):
+    # m = 0: the free extremal is s_0 at alpha; the wall extremal is 0 and
+    # has no measure, which is a precondition error naming that cause
+    code, doc = run(capsys, "generate", "--q", "1", "--m", "0", "--side", side)
+    path = tmp_path / "m0.json"
+    path.write_text(json.dumps(doc))
+    free, wall = ("max", "min") if side == "right" else ("min", "max")
+    code, payload = run(capsys, "recover", str(path), "--which", free)
+    assert code == EXIT_OK
+    assert payload["atoms"] == [doc["alpha"]] and payload["masses"] == doc["moments"]
+    assert main(["recover", str(path), "--which", wall]) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: at m=0 the {'lower' if wall == 'min' else 'upper'}"
+                                   f" extremal on the {side} half-line")
+
+
 def test_hausdorff_verb(capsys, tmp_path):
     doc = {"q": 1, "alpha": 0.0, "side": "right",
            "moments": [[[[1.0, 0.0]]], [[[0.5, 0.0]]]]}

@@ -3,7 +3,8 @@ import pytest
 
 from stieltjesmp import (
     MolecularMeasure, extremal, hausdorff_solvable, is_psd, measure_moments,
-    recover_max, recover_min, reflect, sequence, stieltjes_transform,
+    random_stieltjes_pd_sequence, recover_max, recover_min, reflect, sequence,
+    stieltjes_transform,
 )
 from stieltjesmp.linalg import min_eig_hermitian_part, hermitize, sqrt_psd
 from stieltjesmp.measures import _merge_atoms
@@ -120,6 +121,23 @@ def test_recover_left_mirror(f3):
     np.testing.assert_allclose(mu_min.atoms, [0.0], atol=1e-8)
     np.testing.assert_allclose(mu_max.atoms, [-1.0], atol=1e-10)
     assert all(a <= f3.alpha + 1e-9 for a in mu_min.atoms + mu_max.atoms)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_recover_checks_the_index(side):
+    s = random_stieltjes_pd_sequence(q=2, kappa=4, alpha=0.5, side=side, seed=2)
+    pencil, transported = (recover_min, recover_max) if side == "right" else \
+        (recover_max, recover_min)
+    for recover in (recover_min, recover_max):
+        for m in (-1, s.kappa + 1):
+            with pytest.raises(ValueError, match=f"index m={m} outside 0..kappa=4"):
+                recover(s, m)
+    # m = 0: the wall extremal is B_0 D_0^{-1} = 0; the free one is s_0 at alpha
+    with pytest.raises(ValueError, match=f"at m=0 the .* extremal on the {side} half-line"):
+        pencil(s, 0)
+    mu = transported(s, 0)
+    assert mu.atoms == (s.alpha,)
+    np.testing.assert_array_equal(mu.masses[0], s[0])
 
 
 def test_recovered_transforms_match_extremals():

@@ -9,9 +9,8 @@ from stieltjesmp import (
 )
 from stieltjesmp.linalg import ordered_product
 from stieltjesmp.moments import schur_complement
-from stieltjesmp.params import ds_increments
 
-from conftest import LADDER, ladder_fixture, rel_err, seq_rel_err
+from conftest import LADDER, ds_increments, ladder_fixture, rel_err, seq_rel_err
 
 
 def test_stieltjes_param_fixtures(f1, f2):
@@ -121,7 +120,7 @@ def test_cross_maps_commute_and_invert():
     for i in range(10):
         s = ladder_fixture(i)
         p = stieltjes_param(s)
-        d_direct = ds_param(s)
+        d_direct = ds_increments(s)
         d_mapped = ds_from_q(p)
         for a, b in zip(list(d_direct.l) + list(d_direct.m),
                         list(d_mapped.l) + list(d_mapped.m)):
@@ -219,6 +218,23 @@ def test_q_from_ds_is_the_ordered_product_formula():
             k, mid = (n, np.linalg.inv(d.m[n])) if j % 2 == 0 else (n + 1, d.l[n])
             gi = np.linalg.inv(ordered_product((d.m[t] @ d.l[t] for t in range(k)), d.q))
             np.testing.assert_array_equal(v, gi.conj().T @ mid @ gi)
+
+
+def test_ds_from_q_is_the_ordered_product_formula():
+    # the running products G_n = Q_0^{-1} Q_1 ... Q_{2n-1} and
+    # F_n = Q_0 Q_1^{-1} ... Q_{2n+1}^{-1} against each product formed afresh
+    for i in range(len(LADDER)):
+        p = stieltjes_param(ladder_fixture(i))
+        qs, qi = p.values, [np.linalg.inv(v) for v in p.values]
+        d = ds_from_q(p)
+        for n, got in enumerate(d.m):
+            g = ordered_product((x for t in range(n) for x in (qi[2 * t], qs[2 * t + 1])), p.q)
+            want = g @ qi[2 * n] @ g.conj().T
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        for n, got in enumerate(d.l):
+            f = ordered_product((x for t in range(n + 1) for x in (qs[2 * t], qi[2 * t + 1])), p.q)
+            want = f @ qs[2 * n + 1] @ f.conj().T
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_cholesky_schur_complements_match_the_pinv_formula():

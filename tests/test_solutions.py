@@ -3,12 +3,13 @@ import pytest
 
 from stieltjesmp import (
     CONSTANT, SCHUR_CONSTANT, SingularDenominator, StieltjesPair,
-    difference_inverse, extremal, hermitize, interval_point, is_psd,
+    difference_inverse, dyukarev_quadruple, extremal, hermitize, interval_point, is_psd,
     lft_solve, lft_solve_schur, pair_max, pair_min, potapov_defect_psd,
     random_stieltjes_pd_sequence, reflect, reflect_solution, resolvent_u, sequence,
-    sigma, weyl_interval,
+    sigma, stieltjes_quadruple, weyl_interval,
 )
 from stieltjesmp.linalg import min_eig_hermitian_part
+from stieltjesmp.moments import block_shift, first_block_column, half
 
 from conftest import ladder_fixture, rel_err
 
@@ -94,15 +95,88 @@ def test_extremal_at_an_atom_is_a_singular_denominator(f1):
                     ext(np.array([s.alpha + 2j, x]))
 
 
+# Oracle routes to the extremals, none of which goes through (L, M): the
+# Dyukarev quadruple ratio, the resolvent-pencil closed forms of the Hankel
+# blocks and the orthogonal-polynomial quotient.
+
+def _pencil_y(seq, m: int):
+    """Closed form y^* [Hshift - (z-a) H]^{-1} y of the B D^{-1} extremal
+    (left half-line: y^* [(a-z) H - Hshift]^{-1} y), at index half(m-1)."""
+    pack, a = seq.pack, seq.alpha
+    n = half(m - 1)
+    h, h_sh, y = pack.h(n), pack.h_shift(n), pack.y(0, n)
+
+    def pencil(z):
+        if seq.side == "right":
+            return y.conj().T @ np.linalg.inv(h_sh - (z - a) * h) @ y
+        return y.conj().T @ np.linalg.inv((a - z) * h - h_sh) @ y
+    return pencil
+
+
+def _pencil_v(seq, m: int):
+    """Closed form of the A C^{-1} extremal through the corner-padded
+    shifted Hankel block at index half(m)."""
+    pack, q, a = seq.pack, seq.q, seq.alpha
+    n = half(m)
+    t = block_shift(q, n)
+    v = first_block_column(q, n)
+    r_alpha_inv = np.eye((n + 1) * q) - a * t
+    if 2 * n == m:
+        sh = seq.shifted
+        pad = np.zeros(((n + 1) * q, (n + 1) * q), dtype=complex)
+        if n >= 1:
+            pad[:n * q, :n * q] = pack.h_shift(n - 1)
+            pad[:n * q, n * q:] = np.vstack([sh[j] for j in range(n, 2 * n)])
+            pad[n * q:, :n * q] = np.hstack([sh[j] for j in range(n, 2 * n)])
+        h_sh = pad
+    else:
+        h_sh = pack.h_shift(n)
+    core = t @ h_sh @ t.conj().T
+    hh = r_alpha_inv @ pack.h(n) @ r_alpha_inv.conj().T
+    right = seq.side == "right"
+
+    def pencil(z):
+        w = (z - a) if right else (a - z)
+        mat = core - hh / w
+        return (1.0 if right else -1.0) * np.linalg.inv(v.conj().T @ np.linalg.inv(mat) @ v)
+    return pencil
+
+
+def _quotient(seq, m: int, bd: bool):
+    """Orthogonal-polynomial quotient of the conjugated families."""
+    quad, a = stieltjes_quadruple(seq), seq.alpha
+    if bd:
+        p_cs = quad.p[half(m + 1)].conj_star()
+        p2_cs = quad.second[half(m + 1)].conj_star()
+        return lambda z: -p2_cs(z) @ np.linalg.inv(p_cs(z))
+    psh_cs = quad.p_shift[half(m)].conj_star()
+    phat_cs = quad.phat[half(m)].conj_star()
+    sign = -1.0 if seq.side == "right" else 1.0
+    return lambda z: (sign / (z - a)) * phat_cs(z) @ np.linalg.inv(psh_cs(z))
+
+
+def oracle_routes(ext) -> list:
+    """The three oracle routes of one ExtremalSolution."""
+    seq, m, bd = ext.seq, ext.m, ext.bd
+    dq, n = dyukarev_quadruple(seq), half(m + 1) if bd else half(m)
+    num, den = (dq.b[n], dq.d[n]) if bd else (dq.a[n], dq.c[n])
+    return [lambda z: num(z) @ np.linalg.inv(den(z)),
+            _pencil_y(seq, m) if bd else _pencil_v(seq, m),
+            _quotient(seq, m, bd)]
+
+
 def test_extremal_routes_agree():
     rng = np.random.default_rng(21)
     for i in range(10):
         s = ladder_fixture(i)
-        s_min, s_max = extremal(s)
+        exts = extremal(s)
+        routes = [oracle_routes(ext) for ext in exts]
         for _ in range(5):
             z = complex(rng.standard_normal(), rng.standard_normal() + 1e-3)
-            assert s_min.route_spread(z) < 1e-8 * (1 + np.linalg.norm(s_min(z)))
-            assert s_max.route_spread(z) < 1e-8 * (1 + np.linalg.norm(s_max(z)))
+            for ext, oracles in zip(exts, routes):
+                got = ext(z)
+                spread = max(float(np.linalg.norm(r(z) - got)) for r in oracles)
+                assert spread < 1e-8 * (1 + np.linalg.norm(got))
 
 
 def test_weyl_interval_fixtures(f1, f2):
