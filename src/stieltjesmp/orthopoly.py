@@ -7,7 +7,7 @@ shifted system form the quadruple that rebuilds the resolvent blocks.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -116,12 +116,6 @@ class MatrixPolynomial:
         return MatrixPolynomial([mat])
 
     @staticmethod
-    def from_coeff_row(row: Array, q_rows: int, q_cols: int) -> "MatrixPolynomial":
-        """Split a block row (C_0 C_1 ... C_k) into a polynomial."""
-        k = row.shape[1] // q_cols
-        return MatrixPolynomial([row[:, j * q_cols:(j + 1) * q_cols] for j in range(k)])
-
-    @staticmethod
     def block2x2(p11, p12, p21, p22) -> "MatrixPolynomial":
         """Assemble four q x q polynomials into one 2q x 2q polynomial."""
         rows, cols = p11.q_rows, p11.q_cols
@@ -139,29 +133,71 @@ def _require_hankel_pd_prefix(pack: HankelPack, up_to: int):
         raise ValueError("Hankel-PD prefix required")
 
 
+# The families are built as zero-padded coefficient stacks: entry [n, j] of a
+# (K, D, q, q) stack is the coefficient of z^j in the n-th polynomial.
+
+def _monic_rows(seq: MomentSequence) -> Array:
+    """Coefficients of the monic P_0..P_top, top = half(kappa+1), as one
+    (top+1, top+1, q, q) stack.
+
+    Row n >= 1 is the block row (-z_{n,2n-1} H_{n-1}^{-1}  I), with the
+    cached H_{n-1}^{-1}.  No positivity check: the caller makes it.
+    """
+    pack, q, top = seq.pack, seq.q, half(seq.kappa + 1)
+    rows = np.zeros((top + 1, top + 1, q, q), dtype=complex)
+    rows[np.arange(top + 1), np.arange(top + 1)] = np.eye(q)
+    for n in range(1, top + 1):
+        row = -pack.z(n, 2 * n - 1) @ pack.h_inv(n - 1)
+        rows[n, :n] = row.reshape(q, n, q).swapaxes(0, 1)
+    return rows
+
+
+def _associated(seq: MomentSequence, rows: Array) -> Array:
+    """Polynomials attached to a (K, D, r, q) coefficient stack, as a
+    (K, max(D-1, 1), r, q) stack.
+
+    Coefficient l of the polynomial attached to P is sum_{j>l} P^[j] s_{j-l-1}:
+    the block row (P^[0] ... P^[D-1]) times the block Toeplitz matrix
+    (0_{q x (D-1)q}; S_{D-2}), one product for the whole stack.  A constant
+    P gets the zero polynomial.
+    """
+    k, d, r, q = rows.shape
+    if d == 1:
+        return np.zeros((k, 1, r, q), dtype=complex)
+    toeplitz = np.vstack([np.zeros((q, (d - 1) * q)), lower_triangular_S(seq, d - 2)])
+    flat = rows.transpose(0, 2, 1, 3).reshape(k, r, d * q) @ toeplitz
+    return flat.reshape(k, r, d - 1, q).transpose(0, 2, 1, 3)
+
+
+def _polynomials(stack: Array, lag: int = 0) -> tuple:
+    """The polynomials of a coefficient stack whose n-th polynomial has degree
+    n - lag, a nonzero leading coefficient and zeros after it; the zero
+    polynomial where n - lag < 0.  No trailing zero is left to trim."""
+    return tuple(MatrixPolynomial(c[:max(n + 1 - lag, 1)], trim=False)
+                 for n, c in enumerate(stack))
+
+
+def _checked_monic_rows(seq: MomentSequence) -> Array:
+    """_monic_rows behind the Hankel-PD prefix check of the public systems."""
+    if seq.kappa >= 1:
+        _require_hankel_pd_prefix(seq.pack, half(seq.kappa - 1))
+    return _monic_rows(seq)
+
+
 def monic_orthogonal_system(seq: MomentSequence) -> list:
     """Monic left-orthogonal polynomials P_0..P_{half(kappa+1)}.
 
-    Coefficient rows are (-z_{n,2n-1} H_{n-1}^{-1}  I); the same system
-    also satisfies the three-term Favard recursion, which the tests
-    cross-check.
+    Coefficient rows are (-z_{n,2n-1} H_{n-1}^{-1}  I), read off the
+    stacked rows that stieltjes_quadruple also builds; the Hankel prefix
+    must be PD.  The same system also satisfies the three-term Favard
+    recursion, which the tests cross-check.
     """
-    pack = seq.pack
-    kappa = seq.kappa
-    top = half(kappa + 1)
-    if kappa >= 1:
-        _require_hankel_pd_prefix(pack, half(kappa - 1))
-    q = seq.q
-    out = [MatrixPolynomial.constant(np.eye(q))]
-    for n in range(1, top + 1):
-        row = np.hstack([-pack.z(n, 2 * n - 1) @ pack.h_inv(n - 1), np.eye(q)])
-        out.append(MatrixPolynomial.from_coeff_row(row, q, q))
-    return out
+    return list(_polynomials(_checked_monic_rows(seq)))
 
 
 def second_kind_system(seq: MomentSequence) -> list:
     """Second kind system: P_0 = 0, deg P_n = n-1 afterwards."""
-    return [associated_polynomial(seq, p) for p in monic_orthogonal_system(seq)]
+    return list(_polynomials(_associated(seq, _checked_monic_rows(seq)), lag=1))
 
 
 def associated_polynomial(seq: MomentSequence, p: MatrixPolynomial) -> MatrixPolynomial:
@@ -170,15 +206,12 @@ def associated_polynomial(seq: MomentSequence, p: MatrixPolynomial) -> MatrixPol
     For deg P = k >= 1 the coefficient row is
     (P^[0] ... P^[k]) (0_{q x kq}; S_{k-1}); for k <= 0 the zero polynomial.
     """
-    q = seq.q
     k = p.degree
     if k <= 0:
-        return MatrixPolynomial.constant(np.zeros((q, q)))
+        return MatrixPolynomial.constant(np.zeros((seq.q, seq.q)))
     if k - 1 > seq.kappa:
         raise ValueError("sequence too short for the associated polynomial")
-    row = np.hstack([p.coeff(j) for j in range(k + 1)])
-    toeplitz = np.vstack([np.zeros((q, k * q)), lower_triangular_S(seq, k - 1)])
-    return MatrixPolynomial.from_coeff_row(row @ toeplitz, q, q)
+    return MatrixPolynomial(_associated(seq, p.coeffs[None])[0])
 
 
 @dataclass(frozen=True)
@@ -197,44 +230,74 @@ class StieltjesQuadruple:
 def stieltjes_quadruple(seq: MomentSequence) -> StieltjesQuadruple:
     """All four polynomial families of a Stieltjes-PD sequence.
 
-    phat[n] is the polynomial attached (w.r.t. the base sequence) to
-    (z - alpha) P_shift_n(z) on the right half-line and to
-    (alpha - z) P_shift_n(z) on the left one.  The shift identity
+    P and P_shift are the monic rows of the sequence and of its shift;
+    second and phat are the polynomials attached (w.r.t. the base sequence)
+    to P_n and to (z - alpha) P_shift_n on the right half-line, resp.
+    (alpha - z) P_shift_n on the left one.  Each family is one coefficient
+    stack, and each attached family one product with the Toeplitz matrix
+    of the moments.  The shift identity
 
         (z - alpha) P_shift_n(z) = P_{n+1}(z) + Hhat_shift_n Hhat_n^{-1} P_n(z)
 
     (sign-mirrored on the left) is verified at random points when the
     quadruple is first built; the result is cached on the sequence.
     """
+    # the Stieltjes class already holds every Hhat_n of both packs PD, so
+    # the Hankel-prefix check of monic_orthogonal_system is not repeated
     require_stieltjes_pd(seq)
     q, a = seq.q, seq.alpha
-    eye = np.eye(q)
-    p = monic_orthogonal_system(seq)
-    second = [associated_polynomial(seq, pn) for pn in p]
-    # one moment: the shifted family is the degree-0 monic polynomial alone
-    p_shift = monic_orthogonal_system(seq.shifted) if seq.kappa else [MatrixPolynomial([eye])]
-
-    factor = MatrixPolynomial([-a * eye, eye]) if seq.side == RIGHT \
-        else MatrixPolynomial([a * eye, -eye])
-    phat = tuple(associated_polynomial(seq, factor.matmul(pn)) for pn in p_shift)
-
-    pack = seq.pack
-    rng = np.random.default_rng(7)
     sgn = 1.0 if seq.side == RIGHT else -1.0
-    for n in range(min(half(seq.kappa - 1) + 1, len(p) - 1)):
-        coupling = pack.shift.hhat(n) @ np.linalg.inv(pack.hhat(n))
-        z = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-        lhs = (z - a)[:, None, None] * p_shift[n](z)
-        term = sgn * coupling @ p[n](z)
-        rhs = p[n + 1](z) + term
-        defect, lhs_n, term_n, rhs_n = (np.linalg.norm(x, axis=(1, 2))
-                                        for x in (lhs - rhs, lhs, term, rhs))
-        # guards against construction bugs; conditioning-induced noise
-        # on extreme fixtures must not trip it
-        if np.any(defect > 1e-6 * (1 + lhs_n + term_n + rhs_n)):
-            raise AssertionError("shift identity violated; inconsistent build")
-    return StieltjesQuadruple(side=seq.side, alpha=a, p=tuple(p), second=tuple(second),
-                              p_shift=tuple(p_shift), phat=phat)
+    p = _monic_rows(seq)
+    # one moment: the shifted family is the degree-0 monic polynomial alone
+    p_shift = _monic_rows(seq.shifted) if seq.kappa else np.eye(q, dtype=complex)[None, None]
+    _check_shift_identity(seq, p, p_shift)
+    # sgn (z - alpha) P_shift_n as two shifted adds
+    lin = np.zeros((len(p_shift), len(p_shift) + 1, q, q), dtype=complex)
+    lin[:, 1:] = sgn * p_shift
+    lin[:, :-1] -= sgn * a * p_shift
+    return StieltjesQuadruple(side=seq.side, alpha=a, p=_polynomials(p),
+                              second=_polynomials(_associated(seq, p), lag=1),
+                              p_shift=_polynomials(p_shift),
+                              phat=_polynomials(_associated(seq, lin)))
+
+
+@lru_cache(maxsize=64)
+def _shift_identity_points(n_idx: int) -> Array:
+    """(n_idx, 10) seeded complex points, read-only and drawn once per n_idx:
+    row n is the real parts, then the imaginary parts, of the 20 normals
+    drawn after those of rows 0..n-1."""
+    draws = np.random.default_rng(7).standard_normal((n_idx, 2, 10))
+    return freeze(draws[:, 0] + 1j * draws[:, 1])
+
+
+def _check_shift_identity(seq: MomentSequence, p: Array, p_shift: Array):
+    """The shift identity at 10 seeded points per index n < half(kappa+1).
+
+    P_n, P_{n+1} and P_shift_n are evaluated at all (index, point) pairs in
+    one product, and the Hhat_n are inverted together.  A guard against
+    construction bugs: conditioning-induced noise on extreme fixtures must
+    not trip it.
+    """
+    n_idx = len(p) - 1
+    if n_idx == 0:
+        return
+    pack, q, d = seq.pack, seq.q, p.shape[1]
+    sgn = 1.0 if seq.side == RIGHT else -1.0
+    z = _shift_identity_points(n_idx)
+    coupling = np.array(pack.shift.hhats[:n_idx]) @ np.linalg.inv(np.array(pack.hhats[:n_idx]))
+    families = np.zeros((3, n_idx, d, q, q), dtype=complex)
+    families[0], families[1] = p[:-1], p[1:]
+    families[2, :, :p_shift.shape[1]] = p_shift[:n_idx]
+    powers = z[..., None] ** np.arange(d, dtype=complex)
+    p_n, p_next, p_sh = (powers @ families.reshape(3, n_idx, d, q * q)).reshape(
+        3, n_idx, 10, q, q)
+    lhs = (z - seq.alpha)[..., None, None] * p_sh
+    term = sgn * coupling[:, None] @ p_n
+    rhs = p_next + term
+    defect, lhs_n, term_n, rhs_n = np.linalg.norm(np.array([lhs - rhs, lhs, term, rhs]),
+                                                  axis=(-2, -1))
+    if np.any(defect > 1e-6 * (1 + lhs_n + term_n + rhs_n)):
+        raise AssertionError("shift identity violated; inconsistent build")
 
 
 def quadruple_values_at_alpha(quad: StieltjesQuadruple) -> dict:

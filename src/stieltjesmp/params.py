@@ -210,7 +210,9 @@ def ds_param(seq: MomentSequence) -> DSParam:
     as the Hankel reference (ds_increments).
     """
     require_stieltjes_pd(seq)
-    return ds_from_q(stieltjes_param(seq))
+    # the class just read holds every Q_j PD: no second check
+    p = stieltjes_param(seq)
+    return _ds_from_q(p, np.array(p.values, dtype=complex))
 
 
 def _pd_values(mats, q: int, what: str) -> Array:
@@ -229,7 +231,11 @@ def ds_from_q(p: StieltjesParam) -> DSParam:
     G_n^* and L_n = F_n Q_{2n+1} F_n^*.  The Q_j are inverted together, and
     the L_n and M_n are made Hermitian together.
     """
-    qs = _pd_values(p.values, p.q, "Q_j")
+    return _ds_from_q(p, _pd_values(p.values, p.q, "Q_j"))
+
+
+def _ds_from_q(p: StieltjesParam, qs: Array) -> DSParam:
+    """ds_from_q of the (K, q, q) stack qs of p's values, already known PD."""
     qi = np.linalg.inv(qs)
     g = f = np.eye(p.q, dtype=complex)
     l, m = [], []

@@ -14,7 +14,8 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
-    Array, DEFAULT_TOL, PD, _psd_classes, as_matrix, hermitize, is_pd, is_psd, sqrt_psd,
+    Array, DEFAULT_TOL, PD, _hermitize, _psd_classes, as_matrix, hermitize, is_pd, is_psd,
+    sqrt_psd,
 )
 from .moments import (
     LEFT, RIGHT, MomentSequence, column_E, derived, freeze, half, matrix_stack,
@@ -27,14 +28,15 @@ CONSTANT = "CONSTANT"
 SCHUR_CONSTANT = "SCHUR_CONSTANT"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StieltjesPair:
     """Constant parameter pair for the linear-fractional transformation.
 
     CONSTANT pairs (phi, psi) need rank [phi; psi] = q and psi^* phi
     Hermitian with psi^* phi >= 0 on the right half-line (<= 0 on the
     left).  SCHUR_CONSTANT wraps a unitary F with PSD imaginary part and
-    is mapped to (i(I - F), I + F) before use.
+    is mapped to (i(I - F), I + F) before use.  Equality and hashing are
+    by identity: the fields are arrays, and a pair caches its stacked form.
     """
 
     kind: str
@@ -220,12 +222,12 @@ def weyl_interval(seq: MomentSequence, m: int | None = None, x: float = -1.0) ->
     if seq.side == LEFT and not x > seq.alpha:
         raise ValueError("x must lie strictly right of alpha on the left half-line")
     s_min, s_max = extremal(seq, m)
-    lo, hi = hermitize(s_min(x)), hermitize(s_max(x))
+    # checked finite and square once, then made Hermitian together
+    lo, hi = _hermitize(matrix_stack([s_min(x), s_max(x)], seq.q, "extremal value"))
     # values are PD left of alpha on the right half-line, negative definite
     # right of alpha on the left one
     sign = 1.0 if seq.side == RIGHT else -1.0
-    values = matrix_stack([sign * lo, sign * hi, hi - lo], seq.q, "extremal value")
-    classes = _psd_classes(values, DEFAULT_TOL)
+    classes = _psd_classes(np.array([sign * lo, sign * hi, hi - lo]), DEFAULT_TOL)
     if classes[0] != PD or classes[1] != PD:
         raise AssertionError("extremal values are not definite; inconsistent inputs")
     if classes[2] != PD:

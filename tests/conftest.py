@@ -3,8 +3,8 @@ import pytest
 
 from stieltjesmp import DSParam, random_stieltjes_pd_sequence, reflect, sequence
 from stieltjesmp.moments import (
-    block_shift, column_E, first_block_column, half, require_stieltjes_pd, resolvent_R,
-    u_shift_vector, u_vector,
+    block_shift, column_E, first_block_column, half, lower_triangular_S, require_stieltjes_pd,
+    resolvent_R, u_shift_vector, u_vector,
 )
 from stieltjesmp.orthopoly import MatrixPolynomial
 
@@ -93,6 +93,43 @@ def dyukarev_loop(seq):
         b.append(moment_poly(u_shift_vector(seq, n), mid, y, n))
         d.append(combo(eye, moment_poly(v, mid, y, n), -1.0 if seq.side == "right" else 1.0))
     return {"a": a, "b": b, "c": c, "d": d}
+
+
+def quadruple_loop(seq):
+    """The Stieltjes quadruple one polynomial at a time: each P_n split out of
+    its block row (-z_{n,2n-1} H_{n-1}^{-1}  I), each attached polynomial from
+    its own Toeplitz product, (z - alpha) P_shift_n by MatrixPolynomial.matmul,
+    and the shift-identity points drawn index by index.  The library builds
+    each family as one coefficient stack; this is the construction it is
+    checked against."""
+    q, alpha = seq.q, seq.alpha
+    eye = np.eye(q)
+
+    def split(row, k):
+        return MatrixPolynomial([row[:, j * q:(j + 1) * q] for j in range(k)])
+
+    def monic(s):
+        pack, out = s.pack, [MatrixPolynomial.constant(eye)]
+        for n in range(1, half(s.kappa + 1) + 1):
+            out.append(split(np.hstack([-pack.z(n, 2 * n - 1) @ pack.h_inv(n - 1), eye]), n + 1))
+        return out
+
+    def attached(p):
+        k = p.degree
+        if k <= 0:
+            return MatrixPolynomial.constant(np.zeros((q, q)))
+        row = np.hstack([p.coeff(j) for j in range(k + 1)])
+        return split(row @ np.vstack([np.zeros((q, k * q)), lower_triangular_S(seq, k - 1)]), k)
+
+    p = monic(seq)
+    p_shift = monic(seq.shifted) if seq.kappa else [MatrixPolynomial.constant(eye)]
+    factor = MatrixPolynomial([-alpha * eye, eye]) if seq.side == "right" \
+        else MatrixPolynomial([alpha * eye, -eye])
+    rng = np.random.default_rng(7)
+    points = [rng.standard_normal(10) + 1j * rng.standard_normal(10)
+              for _ in range(half(seq.kappa + 1))]
+    return {"p": p, "second": [attached(pn) for pn in p], "p_shift": p_shift,
+            "phat": [attached(factor.matmul(pn)) for pn in p_shift], "points": points}
 
 
 def hankel_u(seq) -> MatrixPolynomial:

@@ -6,9 +6,11 @@ from stieltjesmp import (
     ds_param, dyukarev_quadruple, eval_quadruple_at_alpha, favard_pair,
     monic_orthogonal_system, q_values_from_quadruple, real_zeros,
     second_kind_system, sequence, shift_sequence, stieltjes_param,
-    stieltjes_quadruple,
+    random_stieltjes_pd_sequence, reflect, stieltjes_quadruple,
 )
-from conftest import ladder_fixture, rel_err
+from stieltjesmp import orthopoly
+from stieltjesmp.moments import half
+from conftest import ladder_fixture, quadruple_loop, rel_err
 
 
 def test_poly_eval_basics():
@@ -256,3 +258,84 @@ def test_associated_polynomial_degree():
     for n, p in enumerate(polys):
         ap = associated_polynomial(s, p)
         assert ap.degree == n - 1
+
+
+def _assert_families_match_the_loop(s):
+    quad, ref = stieltjes_quadruple(s), quadruple_loop(s)
+    for key in ("p", "second", "p_shift", "phat"):
+        got, want = getattr(quad, key), ref[key]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.degree == w.degree
+            if key in ("p", "p_shift"):
+                np.testing.assert_array_equal(g.coeffs, w.coeffs)
+            else:
+                assert np.linalg.norm(g.coeffs - w.coeffs) <= 1e-12 * np.linalg.norm(w.coeffs)
+    # the public systems read the same stacks
+    for g, w in zip(monic_orthogonal_system(s), ref["p"]):
+        np.testing.assert_array_equal(g.coeffs, w.coeffs)
+    for g, w in zip(second_kind_system(s), quad.second):
+        np.testing.assert_array_equal(g.coeffs, w.coeffs)
+    for pn, w in zip(ref["p"], ref["second"]):
+        g = associated_polynomial(s, pn)
+        assert g.degree == w.degree
+        assert np.linalg.norm(g.coeffs - w.coeffs) <= 1e-12 * np.linalg.norm(w.coeffs)
+
+
+def test_stacked_quadruple_matches_the_polynomial_loop():
+    # first kind and shifted rows bit for bit; the attached families to 1e-12
+    for i in range(50):
+        s = ladder_fixture(i)
+        for t in (s, reflect(s)):
+            _assert_families_match_the_loop(t)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_stacked_quadruple_with_one_moment(side):
+    s0 = np.array([[2.0, 0.5j], [-0.5j, 1.0]])
+    s = sequence([s0], alpha=0.5, side=side)
+    _assert_families_match_the_loop(s)
+    quad = stieltjes_quadruple(s)
+    assert [pn.degree for pn in quad.second] == [-1]
+    assert len(quad.p_shift) == 1
+    np.testing.assert_array_equal(quad.p_shift[0].coeffs, [np.eye(2)])
+    np.testing.assert_array_equal(quad.phat[0].coeffs, [s0 if side == "right" else -s0])
+
+
+def test_stacked_points_are_the_loop_points():
+    for i in range(10):
+        s = ladder_fixture(i)
+        want = quadruple_loop(s)["points"]
+        got = orthopoly._shift_identity_points(half(s.kappa + 1))
+        np.testing.assert_array_equal(got, np.array(want).reshape(got.shape))
+
+
+@pytest.mark.parametrize("family,n", [("p", 0), ("p", 1), ("p", 2), ("p_shift", 0),
+                                      ("p_shift", 1)])
+def test_shift_identity_check_catches_a_wrong_row(monkeypatch, family, n):
+    # a fresh sequence, so no cached quadruple; q=2, kappa=4 checks P_0..P_2
+    # and P_shift_0, P_shift_1
+    s = random_stieltjes_pd_sequence(q=2, kappa=4, alpha=0.5, side="right", seed=3)
+    target = s if family == "p" else s.shifted
+    rows = orthopoly._monic_rows
+
+    def wrong_row(seq):
+        out = rows(seq)
+        if seq is target:
+            out[n, 0] += 0.5 * np.eye(seq.q)
+        return out
+
+    monkeypatch.setattr(orthopoly, "_monic_rows", wrong_row)
+    with pytest.raises(AssertionError, match="shift identity violated"):
+        stieltjes_quadruple(s)
+
+
+def test_public_systems_keep_their_checks():
+    s = sequence([-1.0, 1.0])      # Hhat_0 = -1: the Hankel prefix is not PD
+    with pytest.raises(ValueError, match="Hankel-PD prefix"):
+        monic_orthogonal_system(s)
+    with pytest.raises(ValueError, match="Hankel-PD prefix"):
+        second_kind_system(s)
+    cubic = MatrixPolynomial([np.eye(1)] * 4)
+    with pytest.raises(ValueError, match="too short"):
+        associated_polynomial(sequence([1.0, 1.0]), cubic)

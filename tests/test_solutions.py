@@ -37,6 +37,15 @@ def test_pair_validation():
     np.testing.assert_allclose(psi, 2 * np.eye(1))
 
 
+def test_pair_equality_is_identity():
+    # the fields are arrays: value equality raised ValueError at q = 2 and
+    # hashing raised TypeError
+    a, b = pair_min(2), pair_min(2)
+    assert {a: "a"}[a] == "a"
+    assert a == a and hash(a) == hash(a)
+    assert a != b and not a == b
+
+
 def test_lft_fixture_values(f1):
     u = resolvent_u(f1)
     z = 0.2 + 0.9j
@@ -189,6 +198,16 @@ def test_weyl_interval_fixtures(f1, f2):
     iv = weyl_interval(f1, 1, -3.0)
     np.testing.assert_allclose(iv.lower, [[0.25]], atol=1e-12)
     np.testing.assert_allclose(iv.upper, [[1 / 3]], atol=1e-12)
+
+
+def test_weyl_interval_rejects_non_finite_values(f1, monkeypatch):
+    # a non-finite extremal value is bad data (ValueError), not a failed
+    # definiteness check (AssertionError)
+    import stieltjesmp.solutions as solutions
+    monkeypatch.setattr(solutions.ExtremalSolution, "__call__",
+                        lambda self, z: np.array([[np.inf + 0j]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        weyl_interval(f1)
 
 
 def test_extremal_truncation_index(f1, f2):
