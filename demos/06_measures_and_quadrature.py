@@ -1,10 +1,11 @@
 """Recovering the finitely atomic measures behind the extremal solutions.
 
-The lower extremal on the right half-line is the transform of a measure
-read off a Hermitian-definite generalized eigenproblem of the two Hankel
-blocks; the upper extremal adds an atom at the base point and follows by
-transporting the shifted sequence's pencil measure.  Both reproduce the
-prescribed moments like a quadrature rule.
+Each extremal is the transfer function of a block string of (L, M), and
+its measure is the string's rule: the eigenvalues of the block Jacobi
+matrix are the atoms and its first eigenvector blocks the masses.  The
+lower extremal on the right half-line ends at a wall (a Gauss rule); the
+upper one is free and adds an atom at the base point (a Gauss-Radau rule).
+Both reproduce the prescribed moments like a quadrature rule.
 """
 
 import numpy as np

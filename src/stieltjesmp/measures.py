@@ -2,22 +2,22 @@
 
 The extremal Stieltjes transforms are rational with poles on the support
 half-line; their measures are sums of PSD mass matrices at finitely many
-real atoms.  One extremal comes from a Hermitian-definite generalized
-eigenproblem of the two Hankel blocks (exact masses), the other from
-residue extrapolation at the determinant zeros of the shifted orthogonal
-polynomial plus the base point.
+real atoms.  Each extremal is the transfer function of a block string of
+(L, M), and its measure is that string's rule: the eigenvalues of the block
+Jacobi matrix are the atoms, its first eigenvector blocks give the masses
+(Gauss nodes for the wall end, Gauss-Radau with a node at alpha for the
+free end).  A residue-extrapolation route cross-checks the free end.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    Array, DEFAULT_TOL, PD, PSD, _hermitize, _psd_classes, hermitize, is_psd, sqrt_psd,
-)
+from .linalg import Array, DEFAULT_TOL, PD, PSD, _hermitize, _psd_classes, is_psd
 from .moments import LEFT, RIGHT, MomentSequence, half, hankel, matrix_stack, require_stieltjes_pd
 from .orthopoly import GENERAL, real_zeros, stieltjes_quadruple
-from .solutions import extremal
+from .params import ds_param
+from .solutions import extremal, string_rule
 
 
 @dataclass(frozen=True)
@@ -119,30 +119,6 @@ def _merge_atoms(atoms, masses: Array, alpha: float, drop_tol: float):
     return np.array(merged_a)[keep].tolist(), clipped
 
 
-def _pencil_measure(seq: MomentSequence, m: int) -> MolecularMeasure:
-    """Eigen-decomposition of the (shifted Hankel, Hankel) pencil.
-
-    Gives the measure of y^* [Hshift - w H]^{-1} y with w = z - alpha
-    (right) resp. alpha - z (left); atoms alpha + mu_k resp. alpha - mu_k.
-    The blocks at index half(m-1) read only s_0..s_m.
-    """
-    pack = seq.pack
-    n = half(m - 1)
-    h = pack.h(n)
-    h_sh = pack.h_shift(n)
-    y = pack.y(0, n)
-
-    root_inv = np.linalg.inv(sqrt_psd(h))
-    pencil = hermitize(root_inv @ h_sh @ root_inv.conj().T)
-    mu_vals, vecs = np.linalg.eigh(pencil)
-    g = y.conj().T @ root_inv.conj().T @ vecs
-    atoms = seq.alpha + mu_vals if seq.side == RIGHT else seq.alpha - mu_vals
-    cols = g.T[:, :, None]   # the rank-one masses g_k g_k^*, k = 0..(n+1)q-1
-    atoms, masses = _merge_atoms(atoms, cols @ cols.conj().swapaxes(-1, -2), seq.alpha,
-                                 drop_tol=1e-12)
-    return MolecularMeasure._checked(atoms, masses, seq.side, seq.alpha)
-
-
 def _residue_measure(seq: MomentSequence, m: int, s_eval) -> MolecularMeasure:
     """Residue extrapolation at the candidate atoms of a rational transform.
 
@@ -157,75 +133,52 @@ def _residue_measure(seq: MomentSequence, m: int, s_eval) -> MolecularMeasure:
     eps1, eps2 = 1e-5, 1e-6
     atoms, masses = [], []
     for x in candidates:
-        f1 = (x - (x + 1j * eps1)) * s_eval(x + 1j * eps1)
-        f2 = (x - (x + 1j * eps2)) * s_eval(x + 1j * eps2)
-        mass = (eps1 * f2 - eps2 * f1) / (eps1 - eps2)
-        mass = hermitize(mass)
+        with np.errstate(over="ignore", invalid="ignore"):   # a divergence is reported below
+            f1 = (x - (x + 1j * eps1)) * s_eval(x + 1j * eps1)
+            f2 = (x - (x + 1j * eps2)) * s_eval(x + 1j * eps2)
+            mass = (eps1 * f2 - eps2 * f1) / (eps1 - eps2)
         if not np.all(np.isfinite(mass)):
             raise ArithmeticError(f"residue extrapolation diverged at atom {x}")
         atoms.append(x)
-        masses.append(mass)
+        masses.append(_hermitize(mass))
     atoms, masses = _merge_atoms(atoms, np.array(masses), seq.alpha, drop_tol=1e-6)
     return MolecularMeasure._checked(atoms, masses, seq.side, seq.alpha)
 
 
-def _transported_measure(seq: MomentSequence, m: int) -> MolecularMeasure:
-    """Measure of the extremal with the 1/(z - alpha) prefactor, exactly.
-
-    The push-forward d(nu) = |x - alpha| d(mu) has the alpha-shifted
-    moments, and its transform is the pencil-expressible extremal of the
-    shifted sequence.  So: run the pencil there, divide each mass by
-    |x_k - alpha|, and park the remaining s_0-mass at the base point.
-    """
-    q, a = seq.q, seq.alpha
-    n = half(m)
-    if n == 0:
-        return MolecularMeasure(atoms=(a,), masses=(seq[0].copy(),),
-                                support_side=seq.side, alpha=a)
-    nu = _pencil_measure(seq.shifted, 2 * n - 1)
-
-    atoms = np.array(nu.atoms)
-    dist = np.abs(atoms - a)
-    if np.any(dist < 1e-10 * (1 + abs(a))):
-        raise ArithmeticError("transported pencil atom collapsed onto the base point")
-    transported = np.array(nu.masses).reshape(-1, q, q) / dist[:, None, None]
-    # cumsum adds in atom order from a zero block; sum() may pair the terms
-    total = np.concatenate([np.zeros((1, q, q)), transported]).cumsum(axis=0)[-1]
-    remainder = hermitize(seq[0] - total)
-    w, v = np.linalg.eigh(remainder)
-    remainder = (v * np.clip(w, 0.0, None)) @ v.conj().T
-    masses = np.concatenate([transported, remainder[None]])
-    atoms, masses = _merge_atoms(np.append(atoms, a), masses, a, drop_tol=1e-12)
-    return MolecularMeasure._checked(atoms, masses, seq.side, a)
-
-
 def _recover(seq: MomentSequence, m: int | None, lower: bool) -> MolecularMeasure:
-    """Check the index m, then run the pencil or the transported route.
+    """Check the index m, then merge the extremal's cached string rule.
 
-    The pencil route gives the B D^{-1} extremal: the lower one on the
-    right half-line, the upper one on the left.  At m = 0 it is 0 (B_0 = 0),
-    the transform of no measure of mass s_0.
+    The wall string gives the B D^{-1} extremal: the lower one on the right
+    half-line, the upper one on the left.  At m = 0 the wall extremal is 0
+    (B_0 = 0), the transform of no measure of mass s_0, and the free one is
+    s_0 at alpha.
     """
     require_stieltjes_pd(seq)
     if m is None:
         m = seq.kappa
     if not 0 <= m <= seq.kappa:
         raise ValueError(f"index m={m} outside 0..kappa={seq.kappa}")
-    if lower != (seq.side == RIGHT):
-        return _transported_measure(seq, m)
+    wall = lower == (seq.side == RIGHT)
     if m == 0:
-        raise ValueError(f"at m=0 the {'lower' if lower else 'upper'} extremal on the "
-                         f"{seq.side} half-line is B_0 D_0^-1 = 0, the transform of no "
-                         "measure of mass s_0")
-    return _pencil_measure(seq, m)
+        if wall:
+            raise ValueError(f"at m=0 the {'lower' if lower else 'upper'} extremal on the "
+                             f"{seq.side} half-line is B_0 D_0^-1 = 0, the transform of no "
+                             "measure of mass s_0")
+        return MolecularMeasure(atoms=(seq.alpha,), masses=(seq[0].copy(),),
+                                support_side=seq.side, alpha=seq.alpha)
+    atoms, residues = string_rule(ds_param(seq), m, wall)
+    atoms, masses = _merge_atoms(atoms, residues.reshape(-1, seq.q, seq.q), seq.alpha,
+                                 drop_tol=1e-12)
+    return MolecularMeasure._checked(atoms, masses, seq.side, seq.alpha)
 
 
 def recover_min(seq: MomentSequence, m: int | None = None) -> MolecularMeasure:
     """Measure of the lower extremal solution, for 0 <= m <= kappa.
 
-    Direct pencil route on the right half-line (m >= 1); on the left the
-    lower extremal carries the 1/(z - alpha) prefactor and is recovered
-    through the transported pencil of the shifted sequence.
+    The rule of the wall string on the right half-line (m >= 1), of the
+    free string, with an atom at alpha, on the left.  It reads the rule
+    extremal(seq, m) cached on (L, M), so after extremal it costs no new
+    eigendecomposition.
     """
     return _recover(seq, m, lower=True)
 
@@ -239,7 +192,7 @@ def recover_residue(seq: MomentSequence, m: int | None = None) -> MolecularMeasu
     """Residue-extrapolation route to the prefactor extremal's measure.
 
     Secondary, lower-precision construction kept as an independent check
-    of the transported-pencil route (upper extremal on the right half-line,
+    of the free-end string rule (upper extremal on the right half-line,
     lower on the left): candidate atoms are the base point plus the
     determinant zeros of the shifted first-kind polynomial, masses come
     from two-point Richardson limits along z = x + i*eps.

@@ -7,7 +7,7 @@ from stieltjesmp import (
     stieltjes_transform,
 )
 from stieltjesmp.linalg import min_eig_hermitian_part, hermitize, sqrt_psd
-from stieltjesmp.measures import _merge_atoms
+from stieltjesmp.measures import _merge_atoms, _residue_measure
 from stieltjesmp.moments import half
 
 from conftest import LADDER, ladder_fixture, rel_err
@@ -126,16 +126,15 @@ def test_recover_left_mirror(f3):
 @pytest.mark.parametrize("side", ["right", "left"])
 def test_recover_checks_the_index(side):
     s = random_stieltjes_pd_sequence(q=2, kappa=4, alpha=0.5, side=side, seed=2)
-    pencil, transported = (recover_min, recover_max) if side == "right" else \
-        (recover_max, recover_min)
+    wall, free = (recover_min, recover_max) if side == "right" else (recover_max, recover_min)
     for recover in (recover_min, recover_max):
         for m in (-1, s.kappa + 1):
             with pytest.raises(ValueError, match=f"index m={m} outside 0..kappa=4"):
                 recover(s, m)
     # m = 0: the wall extremal is B_0 D_0^{-1} = 0; the free one is s_0 at alpha
     with pytest.raises(ValueError, match=f"at m=0 the .* extremal on the {side} half-line"):
-        pencil(s, 0)
-    mu = transported(s, 0)
+        wall(s, 0)
+    mu = free(s, 0)
     assert mu.atoms == (s.alpha,)
     np.testing.assert_array_equal(mu.masses[0], s[0])
 
@@ -242,8 +241,10 @@ def test_hausdorff_even_block():
     assert not hausdorff_solvable(s, 0.0, 1.0).solvable
 
 
-# Per-atom reference loops for the merge, the pencil and the transported
-# pencil: the stacked recovery must reproduce their atoms and masses bit for bit.
+# Per-atom reference loops for the merge, the Hankel pencil and the pencil
+# transported from the shifted sequence: the stacked merge must reproduce its
+# loop bit for bit, and the two pencils are an independent oracle for the
+# string rules the recovery reads.
 
 def _merge_atoms_loop(atoms, masses, alpha, drop_tol):
     order = np.argsort(atoms)
@@ -313,8 +314,11 @@ def test_recovered_measures_match_the_per_atom_loops():
             pencil, transported = _pencil_loop(s, s.kappa), _transported_loop(s, s.kappa)
             lower, upper = (pencil, transported) if s.side == "right" else (transported, pencil)
             for mu, (atoms, masses) in ((recover_min(s), lower), (recover_max(s), upper)):
-                np.testing.assert_array_equal(mu.atoms, atoms)
-                np.testing.assert_array_equal(mu.masses, masses)
+                assert len(mu.atoms) == len(atoms)
+                for got, want in zip(mu.atoms, atoms):
+                    assert abs(got - want) <= 1e-10 * (1 + abs(want))
+                for got, want in zip(mu.masses, masses):
+                    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_clustered_atoms_merge_like_the_loop():
@@ -330,15 +334,31 @@ def test_clustered_atoms_merge_like_the_loop():
 
 
 def test_string_rules_merge_to_the_recovered_measures():
-    # the partial fractions of each extremal, merged like the recovery routes
-    # merge theirs, are the measure recover_min / recover_max return
+    # at every index, the partial fractions of each extremal, merged, are the
+    # measure recover_min / recover_max return, and it has the moments s_0..s_{m-1}
     for i in range(len(LADDER)):
         for s in (ladder_fixture(i), reflect(ladder_fixture(i))):
-            for ext, mu in zip(extremal(s), (recover_min(s), recover_max(s))):
-                atoms, masses = _merge_atoms(ext.atoms, ext.residues.reshape(-1, s.q, s.q),
-                                             s.alpha, drop_tol=1e-12)
-                assert len(atoms) == len(mu.atoms)
-                for got, want in zip(atoms, mu.atoms):
-                    assert abs(got - want) <= 1e-10 * (1 + abs(want))
-                for got, want in zip(masses, mu.masses):
-                    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+            for m in range(1, s.kappa + 1):
+                for ext, mu in zip(extremal(s, m), (recover_min(s, m), recover_max(s, m))):
+                    atoms, masses = _merge_atoms(ext.atoms, ext.residues.reshape(-1, s.q, s.q),
+                                                 s.alpha, drop_tol=1e-12)
+                    np.testing.assert_array_equal(mu.atoms, atoms)
+                    np.testing.assert_array_equal(mu.masses, masses)
+                    for got, want in zip(measure_moments(mu, m - 1), s.moments):
+                        assert rel_err(got, want) < 1e-8
+
+
+@pytest.mark.parametrize("q, kappa", [(1, 12), (2, 9)])
+def test_recovery_keeps_the_moments_of_ill_conditioned_sequences(q, kappa):
+    # Hankel pencils overflowed here (q=1) or put an atom near 3e30 (q=2)
+    s = random_stieltjes_pd_sequence(q=q, kappa=kappa, alpha=0.5, seed=1, max_cond=None)
+    for mu in (recover_min(s), recover_max(s)):
+        assert np.all(np.abs(mu.atoms) < 1e3)
+        for got, want in zip(measure_moments(mu, kappa - 1), s.moments):
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_residue_extrapolation_divergence_is_an_arithmetic_error():
+    s = ladder_fixture(0)
+    with pytest.raises(ArithmeticError, match="residue extrapolation diverged at atom"):
+        _residue_measure(s, s.kappa, lambda z: np.full((s.q, s.q), np.inf))
