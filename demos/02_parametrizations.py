@@ -10,7 +10,7 @@ random sequence through all of them and exercises the closed cross-maps.
 import numpy as np
 
 import stieltjesmp as smp
-from stieltjesmp.moments import column_E
+from stieltjesmp.moments import column_E, hankel_inv, y_stack, z_stack
 
 s = smp.random_stieltjes_pd_sequence(q=2, kappa=5, alpha=-0.5, seed=42)
 scale = max(np.linalg.norm(m) for m in s.moments)
@@ -43,10 +43,10 @@ def increments(term, count):
     return vals[:1] + [b - a for a, b in zip(vals, vals[1:])]
 
 
-pack = s.pack
 e = [column_E(s.q, n, s.alpha) for n in range(len(d.m))]
-m_def = increments(lambda n: e[n].conj().T @ pack.h_inv(n) @ e[n], len(d.m))
-l_def = increments(lambda n: pack.z(0, n) @ pack.shift.h_inv(n) @ pack.y(0, n), len(d.l))
+m_def = increments(lambda n: e[n].conj().T @ hankel_inv(s, n) @ e[n], len(d.m))
+l_def = increments(lambda n: z_stack(s, 0, n) @ hankel_inv(s.shifted, n) @ y_stack(s, 0, n),
+                   len(d.l))
 d2 = smp.ds_from_q(p)
 err = max(np.abs(np.asarray(a) - np.asarray(b)).max() / (1 + np.linalg.norm(b))
           for a, b in zip(list(d2.l) + list(d2.m), l_def + m_def))

@@ -7,7 +7,7 @@ from .linalg import (
     sqrt_psd,
 )
 from .moments import (
-    LEFT, NND, NND_EXTENDABLE, RIGHT, HankelPack, MomentSequence,
+    LEFT, NND, NND_EXTENDABLE, RIGHT, MomentSequence,
     SequenceClass, classify, half, is_stieltjes_pd, potapov_defect,
     potapov_defect_psd, reflect, sequence, shift_sequence,
 )

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import Array, DEFAULT_TOL, PD, PSD, _hermitize, _psd_classes, is_psd
-from .moments import LEFT, RIGHT, MomentSequence, half, hankel, matrix_stack, require_stieltjes_pd
+from .moments import (
+    LEFT, RIGHT, MomentSequence, half, hankel, index_m, matrix_stack, require_stieltjes_pd,
+)
 from .orthopoly import GENERAL, real_zeros, stieltjes_quadruple
 from .params import ds_param
 from .solutions import extremal, string_rule
@@ -154,10 +156,7 @@ def _recover(seq: MomentSequence, m: int | None, lower: bool) -> MolecularMeasur
     s_0 at alpha.
     """
     require_stieltjes_pd(seq)
-    if m is None:
-        m = seq.kappa
-    if not 0 <= m <= seq.kappa:
-        raise ValueError(f"index m={m} outside 0..kappa={seq.kappa}")
+    m = index_m(seq, m)
     wall = lower == (seq.side == RIGHT)
     if m == 0:
         if wall:

@@ -6,7 +6,10 @@ point alpha and a half-line tag ("right" for [alpha, inf), "left" for
 Hankel matrices H_n = (s_{j+k}), their left Schur complements and the
 alpha-shifted sequence -alpha*s_j + s_{j+1} (right) resp.
 alpha*s_j - s_{j+1} (left) drive both the classification and all
-parametrizations downstream.
+parametrizations downstream.  The Schur complements together with their
+psd classes (hhats) and the Hankel inverses (hankel_inv) are derived
+values, cached on the sequence by their builders like everything else;
+the shifted sequence carries its own.
 """
 
 from dataclasses import dataclass
@@ -15,7 +18,7 @@ from functools import cached_property, wraps
 import numpy as np
 
 from .linalg import (
-    Array, DEFAULT_TOL, _all_pd, _hermitian_mask, _psd_classes, as_matrix, block_psd, psd_class,
+    Array, DEFAULT_TOL, _hermitian_mask, _psd_classes, as_matrix, block_psd, psd_class,
     PD, PSD,
 )
 
@@ -58,12 +61,12 @@ class MomentSequence:
     """Finite sequence of q x q moments with base point and side tag.
 
     The sequence keeps its own read-only copy of the moments, checked once
-    here for shape and finiteness.  It caches its shifted sequence and its
-    Hankel data; everything else derived from it (the classification, Q,
-    (L, M) and the two polynomial quadruples) is cached on it by its
-    builder (see derived).  Equality and hashing are by identity: a
-    sequence carries its own cache, and two sequences built from equal
-    moments are two problem objects.
+    here for shape and finiteness.  It caches its shifted sequence;
+    everything else derived from it (the Schur complements and their
+    classes, the Hankel inverses, the classification, Q, (L, M) and the two
+    polynomial quadruples) is cached on it by its builder (see derived).
+    Equality and hashing are by identity: a sequence carries its own cache,
+    and two sequences built from equal moments are two problem objects.
     """
 
     q: int
@@ -89,10 +92,6 @@ class MomentSequence:
     @cached_property
     def shifted(self) -> "MomentSequence":
         return shift_sequence(self)
-
-    @cached_property
-    def pack(self) -> "HankelPack":
-        return HankelPack(self)
 
 
 def matrix_stack(mats, q: int, what: str) -> Array:
@@ -181,79 +180,68 @@ def reflect(seq: MomentSequence) -> MomentSequence:
     return MomentSequence(q=seq.q, alpha=-seq.alpha, side=side, moments=mats)
 
 
-class HankelPack:
-    """Hankel data of a sequence; the shifted sequence's data sits in `shift`.
+def _cholesky_hhats(seq: MomentSequence):
+    """The Hhat_n from one Cholesky factor of H_{half(kappa)}, or None where
+    that route does not apply."""
+    # np.linalg.cholesky reads only the lower triangle, so the Hermitian
+    # test comes first, per moment: one large moment must not hide the
+    # asymmetry of a small one
+    if not _hermitian_mask(np.array(seq.moments), DEFAULT_TOL).all():
+        return None
+    try:
+        c = np.linalg.cholesky(hankel(seq, half(seq.kappa)))
+    except np.linalg.LinAlgError:
+        return None
+    n, q = half(seq.kappa) + 1, seq.q
+    idx = np.arange(n)
+    diag = c.reshape(n, q, n, q)[idx, :, idx, :]
+    return diag @ diag.conj().swapaxes(-1, -2)
 
-    The top block H_{half(kappa)} is built once and every lower H_n is its
-    leading block.  The Schur complements are built together on first use:
-    Hhat_n = C_nn C_nn^* from the diagonal blocks of one Cholesky factor
-    H_{half(kappa)} = C C^* when every moment is Hermitian at its own scale,
-    the factorization succeeds and every Hhat_n so obtained is PD; otherwise,
-    and so for every NND or indefinite sequence, by the pinv formula of
-    schur_complement.  The rule reads this sequence only: the pack of the
-    shifted sequence makes the same choice for the odd Q_j on its own.
+
+@derived
+def hhats(seq: MomentSequence) -> tuple:
+    """The Schur complements Hhat_0..Hhat_{half(kappa)} and the psd class of each.
+
+    Returns (values, classes).  Hhat_n = C_nn C_nn^* from the diagonal
+    blocks of one Cholesky factor H_{half(kappa)} = C C^* when every moment
+    is Hermitian at its own scale, the factorization succeeds and every
+    Hhat_n so obtained is PD; otherwise, and so for every NND or indefinite
+    sequence, by the pinv formula of schur_complement, checked finite.  The
+    rule reads this sequence only: hhats(seq.shifted) makes the same choice
+    for the odd Q_j on its own.
     """
+    values = _cholesky_hhats(seq)
+    if values is not None:
+        classes = _psd_classes(values, DEFAULT_TOL)
+        if (classes == PD).all():
+            return tuple(values), classes
+    values = np.array([schur_complement(seq, n) for n in range(half(seq.kappa) + 1)])
+    if not np.isfinite(values).all():
+        raise ValueError("matrix has non-finite entries")
+    return tuple(values), _psd_classes(values, DEFAULT_TOL)
 
-    def __init__(self, seq: MomentSequence):
-        self.seq = seq
 
-    @cached_property
-    def top(self) -> Array:
-        return freeze(hankel(self.seq, half(self.seq.kappa)))
+def require_hankel_pd_prefix(seq: MomentSequence, up_to: int):
+    """Hhat_0..Hhat_up_to all PD, i.e. the Hankel block H_up_to PD."""
+    # the Schur complements are far better scaled than the Hankel block
+    if not (hhats(seq)[1][:up_to + 1] == PD).all():
+        raise ValueError("Hankel-PD prefix required")
 
-    @cached_property
-    def hhats(self) -> tuple:
-        hhats = self._cholesky_hhats()
-        if hhats is None:
-            hhats = tuple(schur_complement(self.seq, n) for n in range(half(self.seq.kappa) + 1))
-        return freeze(hhats)
 
-    def _cholesky_hhats(self):
-        """The Hhat_n from one Cholesky factor of the top block, or None where
-        that route does not apply."""
-        # np.linalg.cholesky reads only the lower triangle, so the Hermitian
-        # test comes first, per moment: one large moment must not hide the
-        # asymmetry of a small one
-        if not _hermitian_mask(np.array(self.seq.moments), DEFAULT_TOL).all():
-            return None
-        try:
-            c = np.linalg.cholesky(self.top)
-        except np.linalg.LinAlgError:
-            return None
-        n, q = half(self.seq.kappa) + 1, self.seq.q
-        idx = np.arange(n)
-        diag = c.reshape(n, q, n, q)[idx, :, idx, :]
-        hhats = diag @ diag.conj().swapaxes(-1, -2)
-        return tuple(hhats) if _all_pd(hhats, DEFAULT_TOL) else None
+@derived
+def hankel_inv(seq: MomentSequence, n: int) -> Array:
+    """H_n^{-1}, inverted on first use and cached read-only per n."""
+    if not 0 <= n <= half(seq.kappa):
+        raise IndexError(f"H_{n} not available for kappa={seq.kappa}")
+    return np.linalg.inv(hankel(seq, n))
 
-    @property
-    def shift(self) -> "HankelPack":
-        """The HankelPack of the alpha-shifted sequence."""
-        return self.seq.shifted.pack
 
-    def h(self, n: int) -> Array:
-        if not 0 <= n <= half(self.seq.kappa):
-            raise IndexError(f"H_{n} not available for kappa={self.seq.kappa}")
-        return self.top[:(n + 1) * self.seq.q, :(n + 1) * self.seq.q]
-
-    def hhat(self, n: int) -> Array:
-        if not 0 <= n <= half(self.seq.kappa):
-            raise IndexError(f"Hhat_{n} not available for kappa={self.seq.kappa}")
-        return self.hhats[n]
-
-    def h_shift(self, n: int) -> Array:
-        return self.shift.h(n)
-
-    @derived
-    def h_inv(self, n: int) -> Array:
-        """H_n^{-1}, inverted on first use and cached read-only per n."""
-        return np.linalg.inv(self.h(n))
-
-    def y(self, j: int, k: int) -> Array:
-        return y_stack(self.seq, j, k)
-
-    def z(self, j: int, k: int) -> Array:
-        return z_stack(self.seq, j, k)
+def index_m(seq: MomentSequence, m: int | None) -> int:
+    """The resolvent index m, kappa when None, checked to lie in 0..kappa."""
+    m = seq.kappa if m is None else m
+    if not 0 <= m <= seq.kappa:
+        raise ValueError(f"index m={m} outside 0..kappa={seq.kappa}")
+    return m
 
 
 # --- structural kit ---------------------------------------------------------
@@ -367,10 +355,16 @@ def _kernel_included(q_a: Array, q_b: Array) -> bool:
     return np.linalg.norm(q_b @ proj) <= DEFAULT_TOL.identity_tol * (1.0 + np.linalg.norm(q_b))
 
 
+def _interlaced(seq: MomentSequence, k: int) -> list:
+    """Part k of hhats (0 values, 1 classes), interlaced: Hhat_n at 2n and
+    the shifted sequence's Hhat_n at 2n+1."""
+    sides = (hhats(seq), hhats(seq.shifted) if seq.kappa else None)
+    return [sides[j % 2][k][j // 2] for j in range(seq.kappa + 1)]
+
+
 def q_values(seq: MomentSequence) -> tuple:
     """Interlaced Schur complements Q_{2n} = Hhat_n, Q_{2n+1} = Hhat_shift_n."""
-    pack = seq.pack
-    return tuple((pack if j % 2 == 0 else pack.shift).hhat(j // 2) for j in range(seq.kappa + 1))
+    return tuple(_interlaced(seq, 0))
 
 
 @derived
@@ -383,13 +377,13 @@ def classify(seq: MomentSequence) -> SequenceClass:
     means the solvability class (NND) resp. the extendability class.
     """
     qs = q_values(seq)
-    classes = _psd_classes(matrix_stack(qs, seq.q, "Q_j"), DEFAULT_TOL)
+    classes = np.array(_interlaced(seq, 1))
     # PD is decided through the Schur complements Q_{2n} = Hhat_n (numerically
     # robust and equivalent); NND falls back to the spectrum of the full block
     if np.all(classes[0::2] == PD):
         hankel_cls = PD
     else:
-        hankel_cls = NND if psd_class(seq.pack.top) in (PD, PSD) else HANKEL_NO
+        hankel_cls = NND if psd_class(hankel(seq, half(seq.kappa))) in (PD, PSD) else HANKEL_NO
 
     if np.all(classes == PD):
         return SequenceClass(hankel=hankel_cls, stieltjes=PD, side=seq.side)
@@ -426,7 +420,6 @@ def potapov_defect(seq: MomentSequence, s_value: Array, z: complex):
     f = as_matrix(s_value)
     m = seq.kappa
     q = seq.q
-    pack = seq.pack
 
     def assemble(h_block, target, n):
         r = resolvent_R(q, n, z)
@@ -436,14 +429,14 @@ def potapov_defect(seq: MomentSequence, s_value: Array, z: complex):
         return np.block([[h_block, col], [col.conj().T, corner]])
 
     n0 = half(m)
-    base = assemble(pack.h(n0), {"f": f, "u": u_vector(seq, n0)}, n0)
+    base = assemble(hankel(seq, n0), {"f": f, "u": u_vector(seq, n0)}, n0)
 
     n1 = half(m - 1)
     if seq.side == RIGHT:
         f_sh = (z - seq.alpha) * f
     else:
         f_sh = (seq.alpha - z) * f
-    shift = assemble(pack.h_shift(n1),
+    shift = assemble(hankel(seq.shifted, n1),
                      {"f": f_sh, "u": u_shift_vector(seq, n1)}, n1)
     return base, shift
 

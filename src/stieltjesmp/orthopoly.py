@@ -11,10 +11,10 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import Array, DEFAULT_TOL, _all_pd, is_pd, ordered_product
+from .linalg import Array, DEFAULT_TOL, is_pd, ordered_product
 from .moments import (
-    RIGHT, HankelPack, MomentSequence, derived, freeze, half, lower_triangular_S,
-    require_stieltjes_pd,
+    RIGHT, MomentSequence, derived, freeze, half, hankel_inv, hhats, lower_triangular_S,
+    require_hankel_pd_prefix, require_stieltjes_pd, z_stack,
 )
 
 MONIC = "MONIC"
@@ -126,13 +126,6 @@ class MatrixPolynomial:
         return MatrixPolynomial(out)
 
 
-def _require_hankel_pd_prefix(pack: HankelPack, up_to: int):
-    # all Schur complements PD is equivalent to the Hankel block being PD
-    # and is far better scaled numerically
-    if not _all_pd(np.array(pack.hhats[:up_to + 1]), DEFAULT_TOL):
-        raise ValueError("Hankel-PD prefix required")
-
-
 # The families are built as zero-padded coefficient stacks: entry [n, j] of a
 # (K, D, q, q) stack is the coefficient of z^j in the n-th polynomial.
 
@@ -143,11 +136,11 @@ def _monic_rows(seq: MomentSequence) -> Array:
     Row n >= 1 is the block row (-z_{n,2n-1} H_{n-1}^{-1}  I), with the
     cached H_{n-1}^{-1}.  No positivity check: the caller makes it.
     """
-    pack, q, top = seq.pack, seq.q, half(seq.kappa + 1)
+    q, top = seq.q, half(seq.kappa + 1)
     rows = np.zeros((top + 1, top + 1, q, q), dtype=complex)
     rows[np.arange(top + 1), np.arange(top + 1)] = np.eye(q)
     for n in range(1, top + 1):
-        row = -pack.z(n, 2 * n - 1) @ pack.h_inv(n - 1)
+        row = -z_stack(seq, n, 2 * n - 1) @ hankel_inv(seq, n - 1)
         rows[n, :n] = row.reshape(q, n, q).swapaxes(0, 1)
     return rows
 
@@ -179,8 +172,7 @@ def _polynomials(stack: Array, lag: int = 0) -> tuple:
 
 def _checked_monic_rows(seq: MomentSequence) -> Array:
     """_monic_rows behind the Hankel-PD prefix check of the public systems."""
-    if seq.kappa >= 1:
-        _require_hankel_pd_prefix(seq.pack, half(seq.kappa - 1))
+    require_hankel_pd_prefix(seq, half(seq.kappa - 1))
     return _monic_rows(seq)
 
 
@@ -242,7 +234,7 @@ def stieltjes_quadruple(seq: MomentSequence) -> StieltjesQuadruple:
     (sign-mirrored on the left) is verified at random points when the
     quadruple is first built; the result is cached on the sequence.
     """
-    # the Stieltjes class already holds every Hhat_n of both packs PD, so
+    # the Stieltjes class already holds every Hhat_n of both sides PD, so
     # the Hankel-prefix check of monic_orthogonal_system is not repeated
     require_stieltjes_pd(seq)
     q, a = seq.q, seq.alpha
@@ -281,10 +273,11 @@ def _check_shift_identity(seq: MomentSequence, p: Array, p_shift: Array):
     n_idx = len(p) - 1
     if n_idx == 0:
         return
-    pack, q, d = seq.pack, seq.q, p.shape[1]
+    q, d = seq.q, p.shape[1]
     sgn = 1.0 if seq.side == RIGHT else -1.0
     z = _shift_identity_points(n_idx)
-    coupling = np.array(pack.shift.hhats[:n_idx]) @ np.linalg.inv(np.array(pack.hhats[:n_idx]))
+    coupling = (np.array(hhats(seq.shifted)[0][:n_idx])
+                @ np.linalg.inv(np.array(hhats(seq)[0][:n_idx])))
     families = np.zeros((3, n_idx, d, q, q), dtype=complex)
     families[0], families[1] = p[:-1], p[1:]
     families[2, :, :p_shift.shape[1]] = p_shift[:n_idx]

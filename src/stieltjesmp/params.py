@@ -15,11 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    Array, DEFAULT_TOL, _all_pd, _hermitize, as_matrix, inv_pd, is_pd,
+    Array, DEFAULT_TOL, _all_pd, _hermitize, as_matrix,
 )
 from .moments import (
-    RIGHT, MomentSequence, derived, half, hankel, matrix_stack, q_values,
-    require_stieltjes_pd, schur_correction, sequence, shifted_moments, y_stack, z_stack,
+    RIGHT, MomentSequence, derived, half, hankel, hankel_inv, hhats, matrix_stack, q_values,
+    require_hankel_pd_prefix, require_stieltjes_pd, schur_correction, sequence,
+    shifted_moments, y_stack, z_stack,
 )
 
 
@@ -148,7 +149,7 @@ def _lambda_term(seq, n: int) -> Array:
 
 def canonical_hankel_param(seq: MomentSequence) -> CanonicalHankelParam:
     """D_n = Hhat_n; C_n = s_{2n-1} - Lambda_{n-1}."""
-    d = seq.pack.hhats
+    d = hhats(seq)[0]
     c = tuple(seq[2 * n - 1] - _lambda_term(seq, n - 1)
               for n in range(1, half(seq.kappa + 1) + 1))
     return CanonicalHankelParam(c=c, d=d)
@@ -176,23 +177,21 @@ def favard_pair(seq: MomentSequence) -> FavardPair:
     Needs the Hankel-PD prefix (s_j)_{j<=2*half(kappa-1)} so every inverse
     in the definition exists.
     """
-    pack = seq.pack
     kappa = seq.kappa
-    for n in range(half(kappa - 1) + 1):
-        if not is_pd(pack.hhat(n)):
-            raise ValueError("Hankel-PD prefix required for the Favard pair")
+    require_hankel_pd_prefix(seq, half(kappa - 1))
+    d = hhats(seq)[0]
 
     b = [seq[0].copy()]
     for n in range(1, half(kappa) + 1):
-        b.append(inv_pd(pack.hhat(n - 1)) @ pack.hhat(n))
+        b.append(np.linalg.inv(d[n - 1]) @ d[n])
     a = []
     if kappa >= 1:
-        a.append(seq[1] @ inv_pd(seq[0]))
+        a.append(seq[1] @ np.linalg.inv(seq[0]))
     for n in range(1, half(kappa - 1) + 1):
-        hinv = pack.h_inv(n - 1)
-        row = np.hstack([-pack.z(n, 2 * n - 1) @ hinv, np.eye(seq.q)])
-        col = np.vstack([-hinv @ pack.y(n, 2 * n - 1), np.eye(seq.q)])
-        a.append(row @ hankel(seq, n, 1) @ col @ inv_pd(pack.hhat(n)))
+        hinv = hankel_inv(seq, n - 1)
+        row = np.hstack([-z_stack(seq, n, 2 * n - 1) @ hinv, np.eye(seq.q)])
+        col = np.vstack([-hinv @ y_stack(seq, n, 2 * n - 1), np.eye(seq.q)])
+        a.append(row @ hankel(seq, n, 1) @ col @ np.linalg.inv(d[n]))
     return FavardPair(a=tuple(a), b=tuple(b))
 
 
@@ -358,7 +357,8 @@ def random_stieltjes_pd_sequence(q: int, kappa: int, alpha: float = 0.0,
         seq = seq_from_ds(d)
         if max_cond is None:
             return seq
-        worst = max(np.linalg.cond(seq.pack.top), np.linalg.cond(seq.pack.shift.top))
+        worst = max(np.linalg.cond(hankel(seq, half(kappa))),
+                    np.linalg.cond(hankel(seq.shifted, half(kappa - 1))))
         if worst <= max_cond:
             return seq
     raise RuntimeError(f"no fixture with cond <= {max_cond:g} found "

@@ -16,7 +16,7 @@ from .linalg import (
     Array, JTILDE, hermitize, j_defect, min_eig_hermitian_part, ordered_product,
     signature_matrix,
 )
-from .moments import RIGHT, MomentSequence, derived, half, require_stieltjes_pd
+from .moments import RIGHT, MomentSequence, derived, half, index_m, require_stieltjes_pd
 from .orthopoly import MatrixPolynomial, stieltjes_quadruple
 from .params import DSParam, ds_param
 
@@ -130,10 +130,7 @@ class ResolventU:
 def resolvent_u(seq: MomentSequence, m: int | None = None) -> ResolventU:
     """The resolvent member for index m: the product W_0 ... W_m of the
     factors of factorize_u, assembled from the quadruple's block columns."""
-    if m is None:
-        m = seq.kappa
-    if not 0 <= m <= seq.kappa:
-        raise ValueError(f"index m={m} outside 0..kappa={seq.kappa}")
+    m = index_m(seq, m)
     quad = dyukarev_quadruple(seq)
     poly = MatrixPolynomial.block2x2(quad.a[half(m)], quad.b[half(m + 1)],
                                      quad.c[half(m)], quad.d[half(m + 1)])
@@ -149,8 +146,7 @@ def u_from_quadruple_polynomials(seq: MomentSequence, m: int) -> ResolventU:
     with n = half(m), k = half(m+1) and cs(P)(z) = [P(conj z)]^*.  On the
     left half-line C carries -(a-z) instead.
     """
-    if not 0 <= m <= seq.kappa:
-        raise ValueError(f"index m={m} outside 0..kappa={seq.kappa}")
+    m = index_m(seq, m)
     quad = stieltjes_quadruple(seq)
     a = seq.alpha
     q = seq.q
@@ -197,10 +193,7 @@ def factorize_u(seq: MomentSequence, m: int | None = None) -> FactorChain:
     W_{2n+1} = [[I, L_n], [0, I]] on the right, with -L_n on the left.
     U_m = W_0 W_1 ... W_m is this product, as resolvent_u builds it.
     """
-    if m is None:
-        m = seq.kappa
-    if not 0 <= m <= seq.kappa:
-        raise ValueError(f"index m={m} outside 0..kappa={seq.kappa}")
+    m = index_m(seq, m)
     ds = ds_param(seq)
     q, alpha = seq.q, seq.alpha
     ms, ls = np.array(ds.m[:m // 2 + 1]), np.array(ds.l[:(m + 1) // 2]).reshape(-1, q, q)
@@ -224,8 +217,7 @@ def leading_terms(seq: MomentSequence, m: int | None = None) -> dict:
     A, B, D "low" is the constant term; C has no constant term, so its
     "low" is the coefficient of w.  Closed products in (L, M) throughout.
     """
-    if m is None:
-        m = seq.kappa
+    m = index_m(seq, m)
     ds = ds_param(seq)
     q = seq.q
     eye = np.eye(q, dtype=complex)

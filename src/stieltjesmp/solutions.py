@@ -18,8 +18,8 @@ from .linalg import (
     sqrt_psd,
 )
 from .moments import (
-    LEFT, RIGHT, MomentSequence, column_E, derived, freeze, half, matrix_stack,
-    require_stieltjes_pd,
+    LEFT, RIGHT, MomentSequence, column_E, derived, freeze, half, hankel_inv, index_m,
+    matrix_stack, require_stieltjes_pd,
 )
 from .params import DSParam, ds_param
 from .resolvent import ResolventU, dyukarev_quadruple
@@ -288,10 +288,8 @@ def difference_inverse(seq: MomentSequence, m: int | None = None,
     where j = n for odd m and j = n - 1 for even m, matching the two
     cases in the underlying proof.
     """
-    if m is None:
-        m = seq.kappa
+    m = index_m(seq, m)
     require_stieltjes_pd(seq)
-    pack = seq.pack
     q, a = seq.q, seq.alpha
     w = (z - a) if seq.side == RIGHT else (a - z)
     n = half(m)
@@ -299,11 +297,11 @@ def difference_inverse(seq: MomentSequence, m: int | None = None,
 
     # R_k(z) v_k = E_k(z), and v_k^* R_k^*(conj z) = E_k(conj z)^* = E_k(z)^T
     e_n = column_E(q, n, z)
-    term1 = -w * (e_n.T @ pack.h_inv(n) @ e_n)
+    term1 = -w * (e_n.T @ hankel_inv(seq, n) @ e_n)
     if j < 0:
         return term1
     e_j = column_E(q, j, z)
-    term2 = (w ** 2) * (e_j.T @ pack.shift.h_inv(j) @ e_j)
+    term2 = (w ** 2) * (e_j.T @ hankel_inv(seq.shifted, j) @ e_j)
     return term1 + term2
 
 

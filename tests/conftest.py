@@ -3,8 +3,8 @@ import pytest
 
 from stieltjesmp import DSParam, random_stieltjes_pd_sequence, reflect, sequence
 from stieltjesmp.moments import (
-    block_shift, column_E, first_block_column, half, lower_triangular_S, require_stieltjes_pd,
-    resolvent_R, u_shift_vector, u_vector,
+    block_shift, column_E, first_block_column, half, hankel, lower_triangular_S,
+    require_stieltjes_pd, resolvent_R, u_shift_vector, u_vector, y_stack, z_stack,
 )
 from stieltjesmp.orthopoly import MatrixPolynomial
 
@@ -63,12 +63,18 @@ def seq_rel_err(s1, s2) -> float:
     return max(float(np.abs(a - b).max()) for a, b in zip(s1.moments, s2.moments)) / scale
 
 
+def hankel_inverse(seq, n):
+    """H_n^{-1} of the oracles' own, inverted afresh on every call: no oracle
+    shares a cached array with the library code it checks."""
+    return np.linalg.inv(hankel(seq, n))
+
+
 def dyukarev_loop(seq):
     """The quadruple from the moment polynomials: MatrixPolynomial arithmetic
     with Hankel inverses and T^k products with the block-shift matrix, one
     coefficient at a time.  The library builds the quadruple from the factor
     chain of (L, M); this is the independent construction it is checked against."""
-    pack, q, alpha = seq.pack, seq.q, seq.alpha
+    q, alpha = seq.q, seq.alpha
 
     def moment_poly(left, mid, right, n):
         t, cur, coeffs = block_shift(q, n), left.copy(), []
@@ -84,12 +90,12 @@ def dyukarev_loop(seq):
     a, c = [], []
     for n in range(half(seq.kappa) + 1):
         v = first_block_column(q, n)
-        mid = pack.h_inv(n) @ resolvent_R(q, n, alpha)
+        mid = hankel_inverse(seq, n) @ resolvent_R(q, n, alpha)
         a.append(combo(eye, moment_poly(u_vector(seq, n), mid, v, n), 1.0))
         c.append(combo(eye.scale(0.0), moment_poly(v, mid, v, n), -1.0))
     b, d = [MatrixPolynomial.constant(np.zeros((q, q)))], [eye]
     for n in range(half(seq.kappa + 1)):
-        v, mid, y = first_block_column(q, n), pack.shift.h_inv(n), pack.y(0, n)
+        v, mid, y = first_block_column(q, n), hankel_inverse(seq.shifted, n), y_stack(seq, 0, n)
         b.append(moment_poly(u_shift_vector(seq, n), mid, y, n))
         d.append(combo(eye, moment_poly(v, mid, y, n), -1.0 if seq.side == "right" else 1.0))
     return {"a": a, "b": b, "c": c, "d": d}
@@ -109,9 +115,10 @@ def quadruple_loop(seq):
         return MatrixPolynomial([row[:, j * q:(j + 1) * q] for j in range(k)])
 
     def monic(s):
-        pack, out = s.pack, [MatrixPolynomial.constant(eye)]
+        out = [MatrixPolynomial.constant(eye)]
         for n in range(1, half(s.kappa + 1) + 1):
-            out.append(split(np.hstack([-pack.z(n, 2 * n - 1) @ pack.h_inv(n - 1), eye]), n + 1))
+            row = -z_stack(s, n, 2 * n - 1) @ hankel_inverse(s, n - 1)
+            out.append(split(np.hstack([row, eye]), n + 1))
         return out
 
     def attached(p):
@@ -144,7 +151,7 @@ def ds_increments(seq) -> DSParam:
     of the Hankel blocks.  The library reads (L, M) off the Q_j; this is the
     Hankel construction it is checked against."""
     require_stieltjes_pd(seq)
-    pack, sh = seq.pack, seq.pack.shift
+    sh = seq.shifted
     q, a = seq.q, seq.alpha
     kappa = seq.kappa
 
@@ -152,11 +159,11 @@ def ds_increments(seq) -> DSParam:
     for n in range(1, half(kappa) + 1):
         e_n = column_E(q, n, a)
         e_p = column_E(q, n - 1, a)
-        m.append(e_n.conj().T @ pack.h_inv(n) @ e_n
-                 - e_p.conj().T @ pack.h_inv(n - 1) @ e_p)
+        m.append(e_n.conj().T @ hankel_inverse(seq, n) @ e_n
+                 - e_p.conj().T @ hankel_inverse(seq, n - 1) @ e_p)
 
     l = [seq[0] @ np.linalg.inv(seq.shifted[0]) @ seq[0]]
     for n in range(1, half(kappa - 1) + 1):
-        l.append(pack.z(0, n) @ sh.h_inv(n) @ pack.y(0, n)
-                 - pack.z(0, n - 1) @ sh.h_inv(n - 1) @ pack.y(0, n - 1))
+        l.append(z_stack(seq, 0, n) @ hankel_inverse(sh, n) @ y_stack(seq, 0, n)
+                 - z_stack(seq, 0, n - 1) @ hankel_inverse(sh, n - 1) @ y_stack(seq, 0, n - 1))
     return DSParam(q=q, alpha=a, side=seq.side, l=tuple(l), m=tuple(m))

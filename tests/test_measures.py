@@ -8,7 +8,7 @@ from stieltjesmp import (
 )
 from stieltjesmp.linalg import min_eig_hermitian_part, hermitize, sqrt_psd
 from stieltjesmp.measures import _merge_atoms, _residue_measure
-from stieltjesmp.moments import half
+from stieltjesmp.moments import half, hankel, y_stack
 
 from conftest import LADDER, ladder_fixture, rel_err
 
@@ -276,12 +276,11 @@ def _merge_atoms_loop(atoms, masses, alpha, drop_tol):
 
 
 def _pencil_loop(seq, m):
-    pack = seq.pack
     n = half(m - 1)
-    root_inv = np.linalg.inv(sqrt_psd(pack.h(n)))
-    pencil = hermitize(root_inv @ pack.h_shift(n) @ root_inv.conj().T)
+    root_inv = np.linalg.inv(sqrt_psd(hankel(seq, n)))
+    pencil = hermitize(root_inv @ hankel(seq.shifted, n) @ root_inv.conj().T)
     mu_vals, vecs = np.linalg.eigh(pencil)
-    g = pack.y(0, n).conj().T @ root_inv.conj().T @ vecs
+    g = y_stack(seq, 0, n).conj().T @ root_inv.conj().T @ vecs
     atoms, masses = [], []
     for k, mu_k in enumerate(mu_vals):
         col = g[:, k:k + 1]

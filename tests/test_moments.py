@@ -1,14 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from stieltjesmp import (
-    DSParam, HankelPack, classify, ds_param, dyukarev_quadruple, extremal,
+    DSParam, classify, ds_param, dyukarev_quadruple, extremal,
     potapov_defect_psd, random_pd, random_stieltjes_pd_sequence, reflect, sequence,
     shift_sequence, stieltjes_param, stieltjes_quadruple,
 )
 from stieltjesmp.moments import (
-    alternating_signs, block_shift, column_E, first_block_column, half, hankel,
-    resolvent_R, schur_complement, u_shift_vector,
+    _cholesky_hhats, alternating_signs, block_shift, column_E, first_block_column, half,
+    hankel, hankel_inv, hhats, resolvent_R, schur_complement, u_shift_vector, z_stack,
 )
 from stieltjesmp.solutions import string_rule
 
@@ -16,16 +18,15 @@ from conftest import ladder_fixture
 
 
 def test_hankel_pack_scalar(f2):
-    pack = HankelPack(f2)
-    np.testing.assert_allclose(pack.h(1), [[1, 1], [1, 2]], atol=1e-14)
-    np.testing.assert_allclose(pack.hhat(1), [[1.0]], atol=1e-14)
-    np.testing.assert_allclose(pack.hhat(0), [[1.0]], atol=1e-14)
+    np.testing.assert_allclose(hankel(f2, 1), [[1, 1], [1, 2]], atol=1e-14)
+    np.testing.assert_allclose(hhats(f2)[0][1], [[1.0]], atol=1e-14)
+    np.testing.assert_allclose(hhats(f2)[0][0], [[1.0]], atol=1e-14)
 
 
 def test_hankel_pack_trivial():
-    pack = HankelPack(sequence([5.0]))
-    np.testing.assert_allclose(pack.h(0), [[5.0]])
-    np.testing.assert_allclose(pack.hhat(0), [[5.0]])
+    s = sequence([5.0])
+    np.testing.assert_allclose(hankel(s, 0), [[5.0]])
+    np.testing.assert_allclose(hhats(s)[0][0], [[5.0]])
 
 
 def test_hankel_gather_matches_the_block_loop():
@@ -41,8 +42,7 @@ def test_hankel_gather_matches_the_block_loop():
 
 
 def test_schur_complement_zero_middle():
-    pack = HankelPack(sequence([1.0, 0.0, 1.0]))
-    np.testing.assert_allclose(pack.hhat(1), [[1.0]], atol=1e-14)
+    np.testing.assert_allclose(hhats(sequence([1.0, 0.0, 1.0]))[0][1], [[1.0]], atol=1e-14)
 
 
 def test_shift_sequence_examples():
@@ -81,12 +81,11 @@ def test_reflect_hankel_conjugation():
     for i in range(6):
         s = ladder_fixture(i)
         t = reflect(s)
-        ps, pt = HankelPack(s), HankelPack(t)
         n = half(s.kappa)
         v = alternating_signs(s.q, n)
-        np.testing.assert_allclose(pt.h(n), v @ ps.h(n) @ v.conj().T, atol=1e-10)
-        np.testing.assert_allclose(pt.hhat(n), ps.hhat(n),
-                                   atol=1e-9 * (1 + np.linalg.norm(ps.hhat(n))))
+        np.testing.assert_allclose(hankel(t, n), v @ hankel(s, n) @ v.conj().T, atol=1e-10)
+        hs, ht = hhats(s)[0][n], hhats(t)[0][n]
+        np.testing.assert_allclose(ht, hs, atol=1e-9 * (1 + np.linalg.norm(hs)))
 
 
 def test_classify_fixtures(f1, f2):
@@ -164,12 +163,11 @@ def test_coupling_identity():
         s = ladder_fixture(i)
         if s.side != "right":
             continue
-        pack = HankelPack(s)
         n = half(s.kappa - 1)
         q = s.q
-        lhs = first_block_column(q, n) @ pack.z(0, n)
+        lhs = first_block_column(q, n) @ z_stack(s, 0, n)
         r_inv = np.eye((n + 1) * q) - s.alpha * block_shift(q, n)
-        rhs = r_inv @ pack.h(n) - block_shift(q, n) @ pack.h_shift(n)
+        rhs = r_inv @ hankel(s, n) - block_shift(q, n) @ hankel(s.shifted, n)
         np.testing.assert_allclose(lhs, rhs, atol=1e-9 * (1 + np.linalg.norm(rhs)))
 
 
@@ -191,10 +189,35 @@ def test_non_hermitian_moments_keep_the_pinv_schur_complements(moments, want, sh
     s = sequence([np.array(m, dtype=complex) for m in moments])
     c = classify(s)
     assert (c.hankel, c.stieltjes) == want
-    for pack in (s.pack,) if shift_hermitian else (s.pack, s.pack.shift):
-        assert pack._cholesky_hhats() is None
-        for n, v in enumerate(pack.hhats):
-            np.testing.assert_array_equal(v, schur_complement(pack.seq, n))
+    for side in (s,) if shift_hermitian else (s, s.shifted):
+        assert _cholesky_hhats(side) is None
+        for n, v in enumerate(hhats(side)[0]):
+            np.testing.assert_array_equal(v, schur_complement(side, n))
+
+
+def test_non_finite_schur_complements_are_rejected():
+    # the pinv Schur complement 1 - 1e300 * 1e300 * 1e300 overflows; the
+    # Hankel data are checked finite where they are built
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ValueError, match="matrix has non-finite entries"):
+            classify(sequence([1e-300, 1e300, 1.0]))
+
+
+@pytest.mark.parametrize("moments", [[1.0, 1.0, 2.0, 3.0, 7.0], [1.0, 0.0, 1.0]])
+def test_classify_classes_each_schur_complement_once(monkeypatch, moments):
+    # one batched class pass per side, in hhats; none on the interlaced Q_j
+    import stieltjesmp.moments as mod
+    calls, psd_classes = [], mod._psd_classes
+
+    def counted(stack, tol):
+        calls.append(len(stack))
+        return psd_classes(stack, tol)
+
+    monkeypatch.setattr(mod, "_psd_classes", counted)
+    s = sequence(moments)
+    classify(s)
+    assert calls == [half(s.kappa) + 1, half(s.kappa - 1) + 1]
 
 
 def test_potapov_defect_fixture(f1):
@@ -224,9 +247,10 @@ def test_derived_objects_are_cached():
     for build in (classify, stieltjes_param, ds_param, dyukarev_quadruple,
                   stieltjes_quadruple):
         assert build(s) is build(s)
-    for pack in (s.pack, s.pack.shift):
-        for n in range(half(pack.seq.kappa) + 1):
-            assert pack.h_inv(n) is pack.h_inv(n)
+    for side in (s, s.shifted):
+        assert hhats(side) is hhats(side)
+        for n in range(half(side.kappa) + 1):
+            assert hankel_inv(side, n) is hankel_inv(side, n)
     # the rule is cached on the (L, M) pair, also on one that no sequence made
     d = lm_fixture(q=2, kappa=5, seed=3)
     for m in range(1, 6):
@@ -244,7 +268,9 @@ def test_cached_arrays_are_read_only():
     arrays = list(s.moments) + list(stieltjes_param(s).values)
     d = ds_param(s)
     arrays += list(d.l) + list(d.m)
-    arrays += [s.pack.h_inv(n) for n in range(3)] + [s.pack.shift.h_inv(n) for n in range(2)]
+    arrays += [hankel_inv(s, n) for n in range(3)] + [hankel_inv(s.shifted, n) for n in range(2)]
+    for side in (s, s.shifted):
+        arrays += [*hhats(side)[0], hhats(side)[1]]
     dq, quad = dyukarev_quadruple(s), stieltjes_quadruple(s)
     for family in (dq.a, dq.b, dq.c, dq.d, quad.p, quad.second, quad.p_shift, quad.phat):
         for poly in family:

@@ -8,7 +8,7 @@ from stieltjesmp import (
     stieltjes_param,
 )
 from stieltjesmp.linalg import ordered_product
-from stieltjesmp.moments import schur_complement
+from stieltjesmp.moments import _cholesky_hhats, hhats, schur_complement
 
 from conftest import LADDER, ds_increments, ladder_fixture, rel_err, seq_rel_err
 
@@ -148,18 +148,17 @@ def test_seq_from_ds_degenerate_single_moment():
 def test_pd_sequences_have_pd_hankel_blocks():
     # every Hankel block of a PD fixture is PD and its pseudoinverse is the
     # true inverse
-    from stieltjesmp import HankelPack, is_pd, pinv
-    from stieltjesmp.moments import half
+    from stieltjesmp import is_pd, pinv
+    from stieltjesmp.moments import half, hankel
     for i in (0, 1, 6, 7):
         s = ladder_fixture(i)
-        pack = HankelPack(s)
         for n in range(half(s.kappa) + 1):
-            h = pack.h(n)
+            h = hankel(s, n)
             assert is_pd(h)
             np.testing.assert_allclose(pinv(h), np.linalg.inv(h),
                                        atol=1e-9 * (1 + np.linalg.norm(np.linalg.inv(h))))
         for n in range(half(s.kappa - 1) + 1):
-            assert is_pd(pack.h_shift(n))
+            assert is_pd(hankel(s.shifted, n))
 
 
 def test_seq_from_ds_is_pd():
@@ -240,23 +239,29 @@ def test_ds_from_q_is_the_ordered_product_formula():
 def test_cholesky_schur_complements_match_the_pinv_formula():
     for i in range(len(LADDER)):
         s = ladder_fixture(i)
-        for pack in (s.pack, s.pack.shift):
-            chol = pack._cholesky_hhats()
+        for side in (s, s.shifted):
+            chol = _cholesky_hhats(side)
             assert chol is not None
             for n, got in enumerate(chol):
-                np.testing.assert_array_equal(pack.hhat(n), got)
-                want = schur_complement(pack.seq, n)
+                np.testing.assert_array_equal(hhats(side)[0][n], got)
+                want = schur_complement(side, n)
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_q_values_are_the_packs_schur_complements():
-    # one route rule per side: Q_{2n} is the pack's Hhat_n and Q_{2n+1} the
-    # shifted pack's, also when only one side is PD (here Hankel PD, shift not)
+    # one route rule per side: Q_{2n} is the sequence's Hhat_n and Q_{2n+1}
+    # the shifted sequence's, also when only one side is PD (here Hankel PD,
+    # shift not)
     s = sequence([1.0, -1.0, 2.0, -2.5, 5.0])
     assert (classify(s).hankel, classify(s).stieltjes) == ("PD", "NO")
-    assert s.pack._cholesky_hhats() is not None and s.pack.shift._cholesky_hhats() is None
+    assert _cholesky_hhats(s) is not None and _cholesky_hhats(s.shifted) is None
     for j, v in enumerate(stieltjes_param(s).values):
-        assert v is (s.pack if j % 2 == 0 else s.pack.shift).hhat(j // 2)
+        assert v is hhats(s if j % 2 == 0 else s.shifted)[0][j // 2]
+
+
+def test_favard_pair_needs_the_hankel_pd_prefix():
+    with pytest.raises(ValueError, match="Hankel-PD prefix"):
+        favard_pair(sequence([-1.0, 1.0]))
 
 
 def test_q_values_of_the_wrong_shape_are_rejected():

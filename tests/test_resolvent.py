@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from stieltjesmp import (
-    JTILDE, ds_param, dyukarev_quadruple, factorize_u, j_defect, j_inner_check,
+    JTILDE, difference_inverse, ds_param, dyukarev_quadruple, factorize_u, j_defect, j_inner_check,
     leading_terms, reflect, resolvent_u, schur_rotation, sequence, sigma,
     signature_matrix, u_from_quadruple_polynomials,
 )
 from stieltjesmp.moments import (
-    alternating_signs, first_block_column, half, resolvent_R, u_shift_vector, u_vector,
+    alternating_signs, first_block_column, half, resolvent_R, u_shift_vector, u_vector, y_stack,
 )
 
-from conftest import dyukarev_loop, hankel_u, ladder_fixture, rel_err
+from conftest import dyukarev_loop, hankel_inverse, hankel_u, ladder_fixture, rel_err
 
 
 def test_quadruple_fixture_f1(f1):
@@ -173,6 +173,18 @@ def test_leading_terms_fixture_f2(f2):
     np.testing.assert_allclose(lt["C"]["low"], [[-2.0]])   # -(M_0 + M_1)
 
 
+@pytest.mark.parametrize("build", [leading_terms, difference_inverse])
+@pytest.mark.parametrize("offset", [-1, 1])
+def test_index_outside_zero_to_kappa_is_rejected(build, offset):
+    # m = -1 and m = kappa + 1 are named against the sequence's own kappa;
+    # m = 0 is a valid index
+    s = ladder_fixture(4)
+    m = -1 if offset < 0 else s.kappa + 1
+    with pytest.raises(ValueError, match=f"index m={m} outside 0..kappa={s.kappa}"):
+        build(s, m)
+    build(s, 0)
+
+
 def test_c_determinant_zero_localization():
     # det C vanishes only on the closed support half-line; the base point
     # is a zero of multiplicity q (the (z - alpha)^q factor), so its
@@ -255,7 +267,6 @@ def coupling_builders(seq, n: int) -> dict:
     v_even(z) @ m_const(n-1) the even-index one.
     """
     assert seq.side == "right"
-    pack = seq.pack
     q, alpha = seq.q, seq.alpha
     eye2 = np.eye(2 * q)
 
@@ -263,7 +274,7 @@ def coupling_builders(seq, n: int) -> dict:
         v = first_block_column(q, n)
         u = u_vector(seq, n)
         r_star = resolvent_R(q, n, np.conj(z)).conj().T
-        mid = pack.h_inv(n) @ resolvent_R(q, n, alpha)
+        mid = hankel_inverse(seq, n) @ resolvent_R(q, n, alpha)
         left = np.hstack([u, -v]).conj().T
         right = np.hstack([v, u])
         return eye2 + (z - alpha) * left @ r_star @ mid @ right
@@ -272,21 +283,21 @@ def coupling_builders(seq, n: int) -> dict:
         v = first_block_column(q, n)
         u_sh = u_shift_vector(seq, n)
         r_star = resolvent_R(q, n, np.conj(z)).conj().T
-        mid = pack.shift.h_inv(n) @ resolvent_R(q, n, alpha)
+        mid = hankel_inverse(seq.shifted, n) @ resolvent_R(q, n, alpha)
         left = np.hstack([u_sh, -v]).conj().T
         right = np.hstack([v, u_sh])
         return eye2 + (z - alpha) * left @ r_star @ mid @ right
 
     def m_const(k: int):
-        y = pack.y(0, k)
-        corner = y.conj().T @ pack.shift.h_inv(k) @ y
+        y = y_stack(seq, 0, k)
+        corner = y.conj().T @ hankel_inverse(seq.shifted, k) @ y
         return np.block([[np.eye(q), corner],
                          [np.zeros((q, q)), np.eye(q)]])
 
     def m_tilde(k: int):
         r_alpha = resolvent_R(q, k, alpha)
         v = first_block_column(q, k)
-        corner = -v.conj().T @ r_alpha.conj().T @ pack.h_inv(k) @ r_alpha @ v
+        corner = -v.conj().T @ r_alpha.conj().T @ hankel_inverse(seq, k) @ r_alpha @ v
         return np.block([[np.eye(q), np.zeros((q, q))],
                          [corner, np.eye(q)]])
 

@@ -9,7 +9,7 @@ from stieltjesmp import (
     sigma, stieltjes_quadruple, weyl_interval,
 )
 from stieltjesmp.linalg import min_eig_hermitian_part
-from stieltjesmp.moments import block_shift, first_block_column, half
+from stieltjesmp.moments import block_shift, first_block_column, half, hankel, y_stack
 
 from conftest import ladder_fixture, rel_err
 
@@ -111,9 +111,9 @@ def test_extremal_at_an_atom_is_a_singular_denominator(f1):
 def _pencil_y(seq, m: int):
     """Closed form y^* [Hshift - (z-a) H]^{-1} y of the B D^{-1} extremal
     (left half-line: y^* [(a-z) H - Hshift]^{-1} y), at index half(m-1)."""
-    pack, a = seq.pack, seq.alpha
+    a = seq.alpha
     n = half(m - 1)
-    h, h_sh, y = pack.h(n), pack.h_shift(n), pack.y(0, n)
+    h, h_sh, y = hankel(seq, n), hankel(seq.shifted, n), y_stack(seq, 0, n)
 
     def pencil(z):
         if seq.side == "right":
@@ -125,7 +125,7 @@ def _pencil_y(seq, m: int):
 def _pencil_v(seq, m: int):
     """Closed form of the A C^{-1} extremal through the corner-padded
     shifted Hankel block at index half(m)."""
-    pack, q, a = seq.pack, seq.q, seq.alpha
+    q, a = seq.q, seq.alpha
     n = half(m)
     t = block_shift(q, n)
     v = first_block_column(q, n)
@@ -134,14 +134,14 @@ def _pencil_v(seq, m: int):
         sh = seq.shifted
         pad = np.zeros(((n + 1) * q, (n + 1) * q), dtype=complex)
         if n >= 1:
-            pad[:n * q, :n * q] = pack.h_shift(n - 1)
+            pad[:n * q, :n * q] = hankel(sh, n - 1)
             pad[:n * q, n * q:] = np.vstack([sh[j] for j in range(n, 2 * n)])
             pad[n * q:, :n * q] = np.hstack([sh[j] for j in range(n, 2 * n)])
         h_sh = pad
     else:
-        h_sh = pack.h_shift(n)
+        h_sh = hankel(seq.shifted, n)
     core = t @ h_sh @ t.conj().T
-    hh = r_alpha_inv @ pack.h(n) @ r_alpha_inv.conj().T
+    hh = r_alpha_inv @ hankel(seq, n) @ r_alpha_inv.conj().T
     right = seq.side == "right"
 
     def pencil(z):
