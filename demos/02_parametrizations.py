@@ -10,7 +10,7 @@ random sequence through all of them and exercises the closed cross-maps.
 import numpy as np
 
 import stieltjesmp as smp
-from stieltjesmp.moments import column_E, hankel_inv, y_stack, z_stack
+from stieltjesmp.moments import hankel, y_stack, z_stack
 
 s = smp.random_stieltjes_pd_sequence(q=2, kappa=5, alpha=-0.5, seed=42)
 scale = max(np.linalg.norm(m) for m in s.moments)
@@ -36,6 +36,8 @@ report("multiplicative pair (L, M)", smp.seq_from_ds(d))
 # (L, M) is defined by increments of Hankel inverses at alpha:
 #   M_n = E_n^* H_n^{-1} E_n - E_{n-1}^* H_{n-1}^{-1} E_{n-1},
 #   L_n = z_{0,n} Hshift_n^{-1} y_{0,n} - z_{0,n-1} Hshift_{n-1}^{-1} y_{0,n-1}
+# with E_n = (I; alpha I; ...; alpha^n I); the library never forms these
+# Hankel inverses, so the script inverts the blocks itself
 
 
 def increments(term, count):
@@ -43,10 +45,14 @@ def increments(term, count):
     return vals[:1] + [b - a for a, b in zip(vals, vals[1:])]
 
 
-e = [column_E(s.q, n, s.alpha) for n in range(len(d.m))]
-m_def = increments(lambda n: e[n].conj().T @ hankel_inv(s, n) @ e[n], len(d.m))
-l_def = increments(lambda n: z_stack(s, 0, n) @ hankel_inv(s.shifted, n) @ y_stack(s, 0, n),
-                   len(d.l))
+def column_e(n):
+    return np.kron((s.alpha ** np.arange(n + 1))[:, None], np.eye(s.q))
+
+
+m_def = increments(lambda n: column_e(n).T @ np.linalg.inv(hankel(s, n)) @ column_e(n),
+                   len(d.m))
+l_def = increments(lambda n: z_stack(s, 0, n) @ np.linalg.inv(hankel(s.shifted, n))
+                   @ y_stack(s, 0, n), len(d.l))
 d2 = smp.ds_from_q(p)
 err = max(np.abs(np.asarray(a) - np.asarray(b)).max() / (1 + np.linalg.norm(b))
           for a, b in zip(list(d2.l) + list(d2.m), l_def + m_def))

@@ -26,9 +26,8 @@ inner = sum(p1.coeff(l) @ s[l + m] @ p2.coeff(m).conj().T
             for l in range(2) for m in range(3))
 print("\n<P_1, P_2> =", np.linalg.norm(inner).round(14))
 
-# the values at the base point collapse to alternating (L, M) products
-vals = smp.eval_quadruple_at_alpha(quad, smp.ds_param(s))
-print("P_2(alpha) eigenvalues:", np.linalg.eigvals(vals["p"][2]).round(4))
+# the first-kind polynomials at the base point
+print("P_2(alpha) eigenvalues:", np.linalg.eigvals(quad.p[2](s.alpha)).round(4))
 
 print("\ndeterminant zeros (all real, right of alpha = 0):")
 for name, fam in (("P", quad.p), ("P_shift", quad.p_shift), ("Phat", quad.phat)):

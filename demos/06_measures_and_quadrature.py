@@ -47,11 +47,6 @@ print("\nmoment closure (lower measure):")
 print("  moment errors:", [f"{e:.1e}" for e in errs])
 print(f"  final-moment Loewner slack: {slack:+.3e}")
 
-# the secondary residue-extrapolation route agrees at its own accuracy
-approx = smp.recover_residue(s)
-print("\nresidue-route cross-check:")
-print("  atom gap:", max(abs(a - b) for a, b in zip(approx.atoms, mu_max.atoms)))
-
 # two-endpoint solvability bridge
 short = smp.sequence([1.0, 0.5])
 print("\n[0, 1] solvability for s = (1, 0.5):")

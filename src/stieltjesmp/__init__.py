@@ -20,8 +20,7 @@ from .params import (
 )
 from .orthopoly import (
     GENERAL, MONIC, MatrixPolynomial, StieltjesQuadruple,
-    associated_polynomial, det_zeros, eval_quadruple_at_alpha,
-    monic_orthogonal_system, q_values_from_quadruple, real_zeros,
+    associated_polynomial, det_zeros, monic_orthogonal_system, real_zeros,
     second_kind_system, stieltjes_quadruple,
 )
 from .resolvent import (
@@ -37,7 +36,7 @@ from .solutions import (
 )
 from .measures import (
     HausdorffReport, MolecularMeasure, hausdorff_solvable, measure_moments,
-    recover_max, recover_min, recover_residue, stieltjes_transform,
+    recover_max, recover_min, stieltjes_transform,
 )
 
 __version__ = "0.1.0"

@@ -6,7 +6,8 @@ real atoms.  Each extremal is the transfer function of a block string of
 (L, M), and its measure is that string's rule: the eigenvalues of the block
 Jacobi matrix are the atoms, its first eigenvector blocks give the masses
 (Gauss nodes for the wall end, Gauss-Radau with a node at alpha for the
-free end).  A residue-extrapolation route cross-checks the free end.
+free end).  The rule reads (L, M) only: no orthogonal polynomial and no
+Hankel inverse enters the recovery.
 """
 
 from dataclasses import dataclass
@@ -15,11 +16,10 @@ import numpy as np
 
 from .linalg import Array, DEFAULT_TOL, PD, PSD, _hermitize, _psd_classes, is_psd
 from .moments import (
-    LEFT, RIGHT, MomentSequence, half, hankel, index_m, matrix_stack, require_stieltjes_pd,
+    LEFT, RIGHT, MomentSequence, hankel, index_m, matrix_stack, require_stieltjes_pd,
 )
-from .orthopoly import GENERAL, real_zeros, stieltjes_quadruple
 from .params import ds_param
-from .solutions import extremal, string_rule
+from .solutions import string_rule
 
 
 @dataclass(frozen=True)
@@ -121,32 +121,6 @@ def _merge_atoms(atoms, masses: Array, alpha: float, drop_tol: float):
     return np.array(merged_a)[keep].tolist(), clipped
 
 
-def _residue_measure(seq: MomentSequence, m: int, s_eval) -> MolecularMeasure:
-    """Residue extrapolation at the candidate atoms of a rational transform.
-
-    Candidates are the base point plus the real determinant zeros of the
-    shifted first-kind polynomial; masses come from a two-point Richardson
-    limit of (x - z) S(z) along z = x + i*eps.
-    """
-    p_shift = stieltjes_quadruple(seq).p_shift[half(m)]
-    zeros = real_zeros(p_shift, kind=GENERAL)
-    candidates = [seq.alpha] + [float(x) for x in zeros]
-
-    eps1, eps2 = 1e-5, 1e-6
-    atoms, masses = [], []
-    for x in candidates:
-        with np.errstate(over="ignore", invalid="ignore"):   # a divergence is reported below
-            f1 = (x - (x + 1j * eps1)) * s_eval(x + 1j * eps1)
-            f2 = (x - (x + 1j * eps2)) * s_eval(x + 1j * eps2)
-            mass = (eps1 * f2 - eps2 * f1) / (eps1 - eps2)
-        if not np.all(np.isfinite(mass)):
-            raise ArithmeticError(f"residue extrapolation diverged at atom {x}")
-        atoms.append(x)
-        masses.append(_hermitize(mass))
-    atoms, masses = _merge_atoms(atoms, np.array(masses), seq.alpha, drop_tol=1e-6)
-    return MolecularMeasure._checked(atoms, masses, seq.side, seq.alpha)
-
-
 def _recover(seq: MomentSequence, m: int | None, lower: bool) -> MolecularMeasure:
     """Check the index m, then merge the extremal's cached string rule.
 
@@ -185,23 +159,6 @@ def recover_min(seq: MomentSequence, m: int | None = None) -> MolecularMeasure:
 def recover_max(seq: MomentSequence, m: int | None = None) -> MolecularMeasure:
     """Measure of the upper extremal solution (mirror of recover_min)."""
     return _recover(seq, m, lower=False)
-
-
-def recover_residue(seq: MomentSequence, m: int | None = None) -> MolecularMeasure:
-    """Residue-extrapolation route to the prefactor extremal's measure.
-
-    Secondary, lower-precision construction kept as an independent check
-    of the free-end string rule (upper extremal on the right half-line,
-    lower on the left): candidate atoms are the base point plus the
-    determinant zeros of the shifted first-kind polynomial, masses come
-    from two-point Richardson limits along z = x + i*eps.
-    """
-    require_stieltjes_pd(seq)
-    if m is None:
-        m = seq.kappa
-    s_min, s_max = extremal(seq, m)
-    s_eval = s_max if seq.side == RIGHT else s_min
-    return _residue_measure(seq, m, s_eval)
 
 
 @dataclass(frozen=True)

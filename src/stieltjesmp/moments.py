@@ -7,9 +7,10 @@ Hankel matrices H_n = (s_{j+k}), their left Schur complements and the
 alpha-shifted sequence -alpha*s_j + s_{j+1} (right) resp.
 alpha*s_j - s_{j+1} (left) drive both the classification and all
 parametrizations downstream.  The Schur complements together with their
-psd classes (hhats) and the Hankel inverses (hankel_inv) are derived
-values, cached on the sequence by their builders like everything else;
-the shifted sequence carries its own.
+psd classes (hhats) and the monic orthogonal rows (monic_rows), which hold
+the package's one Hankel-block inverse, are derived values, cached on the
+sequence by their builders like everything else; the shifted sequence
+carries its own.
 """
 
 from dataclasses import dataclass
@@ -63,7 +64,7 @@ class MomentSequence:
     The sequence keeps its own read-only copy of the moments, checked once
     here for shape and finiteness.  It caches its shifted sequence;
     everything else derived from it (the Schur complements and their
-    classes, the Hankel inverses, the classification, Q, (L, M) and the two
+    classes, the monic rows, the classification, Q, (L, M) and the two
     polynomial quadruples) is cached on it by its builder (see derived).
     Equality and hashing are by identity: a sequence carries its own cache,
     and two sequences built from equal moments are two problem objects.
@@ -229,11 +230,23 @@ def require_hankel_pd_prefix(seq: MomentSequence, up_to: int):
 
 
 @derived
-def hankel_inv(seq: MomentSequence, n: int) -> Array:
-    """H_n^{-1}, inverted on first use and cached read-only per n."""
-    if not 0 <= n <= half(seq.kappa):
-        raise IndexError(f"H_{n} not available for kappa={seq.kappa}")
-    return np.linalg.inv(hankel(seq, n))
+def monic_rows(seq: MomentSequence) -> Array:
+    """Coefficients of the monic P_0..P_top, top = half(kappa+1), as one
+    (top+1, top+1, q, q) stack: entry [n, j] multiplies z^j in P_n.
+
+    Row n >= 1 is the block row (-z_{n,2n-1} H_{n-1}^{-1}  I), with an LU
+    inverse: the one Hankel-block inverse of the package.  The rows are
+    the matrix Christoffel-Darboux factor H_n^{-1} = R^* diag(Hhat_k^{-1}) R,
+    block row k of R being P_k, so every Hankel inverse downstream reads
+    them.  No positivity check: the caller makes it.
+    """
+    q, top = seq.q, half(seq.kappa + 1)
+    rows = np.zeros((top + 1, top + 1, q, q), dtype=complex)
+    rows[np.arange(top + 1), np.arange(top + 1)] = np.eye(q)
+    for n in range(1, top + 1):
+        row = -z_stack(seq, n, 2 * n - 1) @ np.linalg.inv(hankel(seq, n - 1))
+        rows[n, :n] = row.reshape(q, n, q).swapaxes(0, 1)
+    return rows
 
 
 def index_m(seq: MomentSequence, m: int | None) -> int:
@@ -246,27 +259,10 @@ def index_m(seq: MomentSequence, m: int | None) -> int:
 
 # --- structural kit ---------------------------------------------------------
 
-def block_shift(q: int, n: int) -> Array:
-    """T_n: (n+1)q block down-shift, nilpotent, det(I - z T_n) = 1."""
-    t = np.zeros(((n + 1) * q, (n + 1) * q), dtype=complex)
-    for j in range(n):
-        t[(j + 1) * q:(j + 2) * q, j * q:(j + 1) * q] = np.eye(q)
-    return t
-
-
 def first_block_column(q: int, n: int) -> Array:
     """v_n = (I_q; 0; ...; 0), shape (n+1)q x q."""
     v = np.zeros(((n + 1) * q, q), dtype=complex)
     v[:q, :] = np.eye(q)
-    return v
-
-
-def alternating_signs(q: int, n: int) -> Array:
-    """V_n = diag((-1)^j I_q), the reflection conjugator."""
-    blocks = [((-1) ** j) * np.eye(q) for j in range(n + 1)]
-    v = np.zeros(((n + 1) * q, (n + 1) * q), dtype=complex)
-    for j, b in enumerate(blocks):
-        v[j * q:(j + 1) * q, j * q:(j + 1) * q] = b
     return v
 
 
@@ -278,14 +274,6 @@ def resolvent_R(q: int, n: int, z: complex) -> Array:
         for k in range(j + 1):
             r[j * q:(j + 1) * q, k * q:(k + 1) * q] = (z ** (j - k)) * eye
     return r
-
-
-def column_E(q: int, n: int, z: complex) -> Array:
-    """E_n(z) = (I; zI; ...; z^n I) = R_n(z) v_n."""
-    e = np.empty(((n + 1) * q, q), dtype=complex)
-    for j in range(n + 1):
-        e[j * q:(j + 1) * q, :] = (z ** j) * np.eye(q)
-    return e
 
 
 def u_vector(seq: MomentSequence, n: int) -> Array:
@@ -318,20 +306,6 @@ def lower_triangular_S(seq: MomentSequence, n: int) -> Array:
     idx = np.arange(n + 1)
     blocks = stack[np.maximum(idx[:, None] - idx[None, :] + 1, 0)]
     return blocks.transpose(0, 2, 1, 3).reshape((n + 1) * q, (n + 1) * q)
-
-
-def shat_matrix(seq: MomentSequence, n: int) -> Array:
-    """Toeplitz companion of u_{a>n}/u_{a<n}: R_n(z) u = Shat E_n(z).
-
-    right: Shat = S_n - alpha * down(S_{n-1});  left: the negative of that.
-    """
-    q = seq.q
-    s = lower_triangular_S(seq, n)
-    down = np.zeros_like(s)
-    if n >= 1:
-        down[q:, :n * q] = lower_triangular_S(seq, n - 1)
-    shat = s - seq.alpha * down
-    return shat if seq.side == RIGHT else -shat
 
 
 # --- classification ---------------------------------------------------------

@@ -4,6 +4,9 @@ Polynomials carry their coefficients as a degree-indexed list of matrices
 (coeffs[j] multiplies z^j).  The monic left-orthogonal system, the second
 kind system, the shifted system and the associated polynomials of the
 shifted system form the quadruple that rebuilds the resolvent blocks.
+The first-kind and shifted families are the monic rows that
+moments.monic_rows caches on the sequence and on its shift, the rows
+that favard_pair and difference_inverse read too.
 """
 
 from dataclasses import dataclass
@@ -11,10 +14,10 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import Array, DEFAULT_TOL, is_pd, ordered_product
+from .linalg import Array, DEFAULT_TOL
 from .moments import (
-    RIGHT, MomentSequence, derived, freeze, half, hankel_inv, hhats, lower_triangular_S,
-    require_hankel_pd_prefix, require_stieltjes_pd, z_stack,
+    RIGHT, MomentSequence, derived, freeze, half, hhats, lower_triangular_S, monic_rows,
+    require_hankel_pd_prefix, require_stieltjes_pd,
 )
 
 MONIC = "MONIC"
@@ -129,22 +132,6 @@ class MatrixPolynomial:
 # The families are built as zero-padded coefficient stacks: entry [n, j] of a
 # (K, D, q, q) stack is the coefficient of z^j in the n-th polynomial.
 
-def _monic_rows(seq: MomentSequence) -> Array:
-    """Coefficients of the monic P_0..P_top, top = half(kappa+1), as one
-    (top+1, top+1, q, q) stack.
-
-    Row n >= 1 is the block row (-z_{n,2n-1} H_{n-1}^{-1}  I), with the
-    cached H_{n-1}^{-1}.  No positivity check: the caller makes it.
-    """
-    q, top = seq.q, half(seq.kappa + 1)
-    rows = np.zeros((top + 1, top + 1, q, q), dtype=complex)
-    rows[np.arange(top + 1), np.arange(top + 1)] = np.eye(q)
-    for n in range(1, top + 1):
-        row = -z_stack(seq, n, 2 * n - 1) @ hankel_inv(seq, n - 1)
-        rows[n, :n] = row.reshape(q, n, q).swapaxes(0, 1)
-    return rows
-
-
 def _associated(seq: MomentSequence, rows: Array) -> Array:
     """Polynomials attached to a (K, D, r, q) coefficient stack, as a
     (K, max(D-1, 1), r, q) stack.
@@ -171,16 +158,16 @@ def _polynomials(stack: Array, lag: int = 0) -> tuple:
 
 
 def _checked_monic_rows(seq: MomentSequence) -> Array:
-    """_monic_rows behind the Hankel-PD prefix check of the public systems."""
+    """monic_rows behind the Hankel-PD prefix check of the public systems."""
     require_hankel_pd_prefix(seq, half(seq.kappa - 1))
-    return _monic_rows(seq)
+    return monic_rows(seq)
 
 
 def monic_orthogonal_system(seq: MomentSequence) -> list:
     """Monic left-orthogonal polynomials P_0..P_{half(kappa+1)}.
 
     Coefficient rows are (-z_{n,2n-1} H_{n-1}^{-1}  I), read off the
-    stacked rows that stieltjes_quadruple also builds; the Hankel prefix
+    cached monic_rows that stieltjes_quadruple also reads; the Hankel prefix
     must be PD.  The same system also satisfies the three-term Favard
     recursion, which the tests cross-check.
     """
@@ -239,9 +226,9 @@ def stieltjes_quadruple(seq: MomentSequence) -> StieltjesQuadruple:
     require_stieltjes_pd(seq)
     q, a = seq.q, seq.alpha
     sgn = 1.0 if seq.side == RIGHT else -1.0
-    p = _monic_rows(seq)
+    p = monic_rows(seq)
     # one moment: the shifted family is the degree-0 monic polynomial alone
-    p_shift = _monic_rows(seq.shifted) if seq.kappa else np.eye(q, dtype=complex)[None, None]
+    p_shift = monic_rows(seq.shifted) if seq.kappa else np.eye(q, dtype=complex)[None, None]
     _check_shift_identity(seq, p, p_shift)
     # sgn (z - alpha) P_shift_n as two shifted adds
     lin = np.zeros((len(p_shift), len(p_shift) + 1, q, q), dtype=complex)
@@ -291,84 +278,6 @@ def _check_shift_identity(seq: MomentSequence, p: Array, p_shift: Array):
                                                   axis=(-2, -1))
     if np.any(defect > 1e-6 * (1 + lhs_n + term_n + rhs_n)):
         raise AssertionError("shift identity violated; inconsistent build")
-
-
-def quadruple_values_at_alpha(quad: StieltjesQuadruple) -> dict:
-    """Direct evaluations of all four families at the base point."""
-    a = quad.alpha
-    return {
-        "p": [pn(a) for pn in quad.p],
-        "second": [pn(a) for pn in quad.second],
-        "p_shift": [pn(a) for pn in quad.p_shift],
-        "phat": [pn(a) for pn in quad.phat],
-    }
-
-
-def quadruple_values_closed_form(ds) -> dict:
-    """Alternating (L, M)-products for the values at alpha.
-
-    Right half-line:
-        P_n(a)       = (-1)^n  prod_{j<n} M_j^{-1} L_j^{-1}
-        P^<s>_n(a)   = (-1)^{n+1} prod_{j<n} (M_j^{-1} L_j^{-1}) sum_{j<n} L_j
-        P_shift_n(a) = (-1)^n prod_{j<n} (M_j^{-1} L_j^{-1}) M_n^{-1} sum_{j<=n} M_j
-        Phat_n(a)    = (-1)^n prod_{j<n} (M_j^{-1} L_j^{-1}) M_n^{-1}
-    Left half-line: the same products without the alternating signs, except
-    Phat picks up a single global minus.
-    """
-    ls = [np.asarray(v, dtype=complex) for v in ds.l]
-    ms = [np.asarray(v, dtype=complex) for v in ds.m]
-    if not all(is_pd(v) for v in ls + ms):
-        raise ValueError("(L, M) must be PD")
-    q = ds.q
-    li = [np.linalg.inv(v) for v in ls]
-    mi = [np.linalg.inv(v) for v in ms]
-    right = ds.side == RIGHT
-
-    def sgn(n):
-        return (-1.0) ** n if right else 1.0
-
-    n_p = len(ls) + 1          # P_0..P_{half(kappa+1)}
-    n_shift = len(ms)          # shifted families 0..half(kappa)
-    # prods[n] = prod_{j<n} M_j^{-1} L_j^{-1}
-    prods = [ordered_product((x for j in range(n) for x in (mi[j], li[j])), q)
-             for n in range(n_p)]
-    p_vals = [sgn(n) * prods[n] for n in range(n_p)]
-    second_vals = [np.zeros((q, q), dtype=complex)]
-    for n in range(1, n_p):
-        second_vals.append(sgn(n + 1) * prods[n] @ sum(ls[:n]))
-    shift_vals = [sgn(n) * prods[n] @ mi[n] @ sum(ms[:n + 1]) for n in range(n_shift)]
-    phat_sign = 1.0 if right else -1.0
-    phat_vals = [phat_sign * sgn(n) * prods[n] @ mi[n] for n in range(n_shift)]
-    return {"p": p_vals, "second": second_vals, "p_shift": shift_vals, "phat": phat_vals}
-
-
-def eval_quadruple_at_alpha(quad: StieltjesQuadruple, ds) -> dict:
-    """Values at alpha, checked against the closed (L, M)-products."""
-    direct = quadruple_values_at_alpha(quad)
-    closed = quadruple_values_closed_form(ds)
-    for key in direct:
-        for got, want in zip(direct[key], closed[key]):
-            if np.linalg.norm(got - want) > DEFAULT_TOL.identity_tol * (1 + np.linalg.norm(want)):
-                raise AssertionError(f"family '{key}' disagrees with closed form at alpha")
-        if any(abs(np.linalg.det(v)) == 0 for v in direct[key][1:]):
-            raise AssertionError(f"family '{key}' has a singular value at alpha")
-    return direct
-
-
-def q_values_from_quadruple(quad: StieltjesQuadruple) -> list:
-    """Interlaced Schur complements recovered from the quadruple at alpha.
-
-    Right: Q_{2n} = P_n(a) Phat_n(a)^*, Q_{2n+1} = -Phat_n(a) P_{n+1}(a)^*.
-    Left:  Q_{2n} = -P_n(a) Phat_n(a)^*, Q_{2n+1} = -Phat_n(a) P_{n+1}(a)^*.
-    """
-    a = quad.alpha
-    sgn_even = 1.0 if quad.side == RIGHT else -1.0
-    out = []
-    for n in range(len(quad.phat)):
-        out.append(sgn_even * quad.p[n](a) @ quad.phat[n](a).conj().T)
-        if n + 1 < len(quad.p):
-            out.append(-quad.phat[n](a) @ quad.p[n + 1](a).conj().T)
-    return out
 
 
 def det_zeros(p: MatrixPolynomial, kind: str = GENERAL) -> np.ndarray:

@@ -18,7 +18,7 @@ from .linalg import (
     Array, DEFAULT_TOL, _all_pd, _hermitize, as_matrix,
 )
 from .moments import (
-    RIGHT, MomentSequence, derived, half, hankel, hankel_inv, hhats, matrix_stack, q_values,
+    RIGHT, MomentSequence, derived, half, hankel, hhats, matrix_stack, monic_rows, q_values,
     require_hankel_pd_prefix, require_stieltjes_pd, schur_correction, sequence,
     shifted_moments, y_stack, z_stack,
 )
@@ -174,24 +174,20 @@ def seq_from_canonical(p: CanonicalHankelParam, q: int, alpha: float = 0.0,
 def favard_pair(seq: MomentSequence) -> FavardPair:
     """Three-term recursion coefficients of the monic orthogonal system.
 
-    Needs the Hankel-PD prefix (s_j)_{j<=2*half(kappa-1)} so every inverse
-    in the definition exists.
+    B_0 = s_0, B_n = Hhat_{n-1}^{-1} Hhat_n and A_n = r_n K_n r_n^* Hhat_n^{-1},
+    with r_n the block row of the monic P_n read off the cached monic_rows
+    and Hhat_0 = s_0 itself, not its Cholesky rebuild.  Needs the Hankel-PD
+    prefix (s_j)_{j<=2*half(kappa-1)} so every inverse in the definition
+    exists.
     """
-    kappa = seq.kappa
+    kappa, q = seq.kappa, seq.q
     require_hankel_pd_prefix(seq, half(kappa - 1))
-    d = hhats(seq)[0]
-
-    b = [seq[0].copy()]
-    for n in range(1, half(kappa) + 1):
-        b.append(np.linalg.inv(d[n - 1]) @ d[n])
+    d, rows = hhats(seq)[0], monic_rows(seq)
+    b = [seq[0].copy()] + [np.linalg.inv(d[n - 1]) @ d[n] for n in range(1, half(kappa) + 1)]
     a = []
-    if kappa >= 1:
-        a.append(seq[1] @ np.linalg.inv(seq[0]))
-    for n in range(1, half(kappa - 1) + 1):
-        hinv = hankel_inv(seq, n - 1)
-        row = np.hstack([-z_stack(seq, n, 2 * n - 1) @ hinv, np.eye(seq.q)])
-        col = np.vstack([-hinv @ y_stack(seq, n, 2 * n - 1), np.eye(seq.q)])
-        a.append(row @ hankel(seq, n, 1) @ col @ np.linalg.inv(d[n]))
+    for n in range(half(kappa - 1) + 1):
+        r = rows[n, :n + 1].swapaxes(0, 1).reshape(q, (n + 1) * q)
+        a.append(r @ hankel(seq, n, 1) @ r.conj().T @ np.linalg.inv(d[n] if n else seq[0]))
     return FavardPair(a=tuple(a), b=tuple(b))
 
 

@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
-    Array, JTILDE, hermitize, j_defect, min_eig_hermitian_part, ordered_product,
+    Array, JTILDE, j_defect, min_eig_hermitian_part, ordered_product,
     signature_matrix,
 )
 from .moments import RIGHT, MomentSequence, derived, half, index_m, require_stieltjes_pd
@@ -301,7 +301,7 @@ def j_inner_check(u, z_samples, q: int) -> JInnerReport:
             max_real = max(max_real, float(np.linalg.norm(defect)))
             rows.append((z, "real", float(np.linalg.norm(defect))))
         elif z.imag > 0:
-            lam = min_eig_hermitian_part(hermitize(defect))
+            lam = min_eig_hermitian_part(defect)
             min_eig = min(min_eig, lam)
             rows.append((z, "upper", lam))
         else:

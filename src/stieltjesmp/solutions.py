@@ -14,12 +14,12 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
-    Array, DEFAULT_TOL, PD, _hermitize, _psd_classes, as_matrix, hermitize, is_pd, is_psd,
+    Array, DEFAULT_TOL, PD, _hermitize, _psd_classes, as_matrix, is_pd, is_psd,
     sqrt_psd,
 )
 from .moments import (
-    LEFT, RIGHT, MomentSequence, column_E, derived, freeze, half, hankel_inv, index_m,
-    matrix_stack, require_stieltjes_pd,
+    LEFT, RIGHT, MomentSequence, derived, freeze, half, hhats, index_m, matrix_stack,
+    monic_rows, require_stieltjes_pd,
 )
 from .params import DSParam, ds_param
 from .resolvent import ResolventU, dyukarev_quadruple
@@ -249,7 +249,7 @@ def interval_point(seq: MomentSequence, m: int | None, x: float, k: Array):
         m = seq.kappa
     iv = weyl_interval(seq, m, x)
     root = sqrt_psd(iv.gap)
-    t = hermitize(iv.upper - root @ k @ root)
+    t = _hermitize(iv.upper - root @ k @ root)
 
     pair = None
     if np.allclose(k, 0.0, atol=DEFAULT_TOL.identity_tol):
@@ -267,42 +267,46 @@ def interval_point(seq: MomentSequence, m: int | None, x: float, k: Array):
             mid = gap_inv_root @ (np.linalg.inv(k) - np.eye(q)) @ gap_inv_root
             w = c_inv @ mid @ c_inv.conj().T
             pair = StieltjesPair(kind=CONSTANT, side=seq.side,
-                                 phi=hermitize(w), psi=np.eye(q))
+                                 phi=_hermitize(w), psi=np.eye(q))
         elif is_pd(np.eye(q) - k):
             mid = gap_inv_root @ (np.linalg.inv(np.eye(q) - k) @ k) @ gap_inv_root
-            w = c_inv @ hermitize(mid) @ c_inv.conj().T
+            w = c_inv @ _hermitize(mid) @ c_inv.conj().T
             pair = StieltjesPair(kind=CONSTANT, side=seq.side,
-                                 phi=-hermitize(w), psi=np.eye(q))
+                                 phi=-_hermitize(w), psi=np.eye(q))
     return t, pair
 
 
 def difference_inverse(seq: MomentSequence, m: int | None = None,
                        z: complex = -1.0) -> Array:
-    """Closed polynomial formula for [S_max(z) - S_min(z)]^{-1}.
+    """[S_max(z) - S_min(z)]^{-1} as a Christoffel-Darboux sum of the monic rows.
 
-    With w = z - alpha (right) resp. alpha - z (left) and n = half(m):
+    With w = z - alpha (right) resp. alpha - z (left), n = half(m) and
+    j = half(m - 1):
 
-        -w v_n^* R_n^*(conj z) H_n^{-1} R_n(z) v_n
-        + w^2 v_j^* R_j^*(conj z) Hshift_j^{-1} R_j(z) v_j
+        -w sum_{k<=n} P_k(conj z)^* Q_{2k}^{-1} P_k(z)
+        + w^2 sum_{k<=j} Pshift_k(conj z)^* Q_{2k+1}^{-1} Pshift_k(z)
 
-    where j = n for odd m and j = n - 1 for even m, matching the two
-    cases in the underlying proof.
+    with P_k the monic rows of the sequence and Pshift_k those of its shift.
+    It is the closed formula -w E_n^T H_n^{-1} E_n + w^2 E_j^T Hshift_j^{-1} E_j,
+    E_k(z) = (I; zI; ...; z^k I), through the matrix Christoffel-Darboux
+    identity H_n^{-1} = R^* diag(Hhat_k^{-1}) R, block row k of R being P_k.
     """
     m = index_m(seq, m)
     require_stieltjes_pd(seq)
-    q, a = seq.q, seq.alpha
-    w = (z - a) if seq.side == RIGHT else (a - z)
-    n = half(m)
-    j = n if m % 2 == 1 else n - 1
+    w = (z - seq.alpha) if seq.side == RIGHT else (seq.alpha - z)
+    out = -w * _christoffel_darboux(seq, half(m), z)
+    if m >= 1:
+        out = out + w ** 2 * _christoffel_darboux(seq.shifted, half(m - 1), z)
+    return out
 
-    # R_k(z) v_k = E_k(z), and v_k^* R_k^*(conj z) = E_k(conj z)^* = E_k(z)^T
-    e_n = column_E(q, n, z)
-    term1 = -w * (e_n.T @ hankel_inv(seq, n) @ e_n)
-    if j < 0:
-        return term1
-    e_j = column_E(q, j, z)
-    term2 = (w ** 2) * (e_j.T @ hankel_inv(seq.shifted, j) @ e_j)
-    return term1 + term2
+
+def _christoffel_darboux(seq: MomentSequence, n: int, z: complex) -> Array:
+    """sum_{k<=n} P_k(conj z)^* Hhat_k^{-1} P_k(z) over the monic rows of seq."""
+    rows = monic_rows(seq)[:n + 1, :n + 1]
+    powers = np.asarray(z, dtype=complex) ** np.arange(n + 1)
+    p_z = np.tensordot(powers, rows, axes=(0, 1))
+    p_conj_star = np.tensordot(powers, rows.conj().swapaxes(-1, -2), axes=(0, 1))
+    return (p_conj_star @ np.linalg.solve(np.array(hhats(seq)[0][:n + 1]), p_z)).sum(axis=0)
 
 
 def reflect_solution(s_eval):

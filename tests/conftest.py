@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
 
-from stieltjesmp import DSParam, random_stieltjes_pd_sequence, reflect, sequence
-from stieltjesmp.moments import (
-    block_shift, column_E, first_block_column, half, hankel, lower_triangular_S,
-    require_stieltjes_pd, resolvent_R, u_shift_vector, u_vector, y_stack, z_stack,
+from stieltjesmp import (
+    DEFAULT_TOL, DSParam, FavardPair, extremal, is_pd, random_stieltjes_pd_sequence,
+    real_zeros, reflect, sequence, stieltjes_quadruple,
 )
-from stieltjesmp.orthopoly import MatrixPolynomial
+from stieltjesmp.linalg import _hermitize, ordered_product
+from stieltjesmp.measures import MolecularMeasure, _merge_atoms
+from stieltjesmp.moments import (
+    first_block_column, half, hankel, hhats, index_m, lower_triangular_S,
+    require_hankel_pd_prefix, require_stieltjes_pd, resolvent_R, u_shift_vector, u_vector,
+    y_stack, z_stack,
+)
+from stieltjesmp.orthopoly import GENERAL, MatrixPolynomial
 
 # scalar hand-evaluated fixtures used throughout
 #   F1: q=1, alpha=0, s=(1,1)       F2: s=(1,1,2)       F3 = reflect(F1)
@@ -67,6 +73,91 @@ def hankel_inverse(seq, n):
     """H_n^{-1} of the oracles' own, inverted afresh on every call: no oracle
     shares a cached array with the library code it checks."""
     return np.linalg.inv(hankel(seq, n))
+
+
+# --- structural kit of the Hankel oracles ----------------------------------
+
+def block_shift(q: int, n: int):
+    """T_n: (n+1)q block down-shift, nilpotent, det(I - z T_n) = 1."""
+    t = np.zeros(((n + 1) * q, (n + 1) * q), dtype=complex)
+    for j in range(n):
+        t[(j + 1) * q:(j + 2) * q, j * q:(j + 1) * q] = np.eye(q)
+    return t
+
+
+def alternating_signs(q: int, n: int):
+    """V_n = diag((-1)^j I_q), the reflection conjugator."""
+    blocks = [((-1) ** j) * np.eye(q) for j in range(n + 1)]
+    v = np.zeros(((n + 1) * q, (n + 1) * q), dtype=complex)
+    for j, b in enumerate(blocks):
+        v[j * q:(j + 1) * q, j * q:(j + 1) * q] = b
+    return v
+
+
+def column_E(q: int, n: int, z: complex):
+    """E_n(z) = (I; zI; ...; z^n I) = R_n(z) v_n."""
+    e = np.empty(((n + 1) * q, q), dtype=complex)
+    for j in range(n + 1):
+        e[j * q:(j + 1) * q, :] = (z ** j) * np.eye(q)
+    return e
+
+
+def shat_matrix(seq, n: int):
+    """Toeplitz companion of u_{a>n}/u_{a<n}: R_n(z) u = Shat E_n(z).
+
+    right: Shat = S_n - alpha * down(S_{n-1});  left: the negative of that.
+    """
+    q = seq.q
+    s = lower_triangular_S(seq, n)
+    down = np.zeros_like(s)
+    if n >= 1:
+        down[q:, :n * q] = lower_triangular_S(seq, n - 1)
+    shat = s - seq.alpha * down
+    return shat if seq.side == "right" else -shat
+
+
+# --- Hankel-inverse oracles -------------------------------------------------
+
+def difference_inverse_closed(seq, m, z):
+    """[S_max(z) - S_min(z)]^{-1} by the closed Hankel formula
+
+        -w E_n^T H_n^{-1} E_n + w^2 E_j^T Hshift_j^{-1} E_j,
+
+    w = z - alpha (right) resp. alpha - z (left), n = half(m), j = half(m - 1).
+    The library sums the monic rows (Christoffel-Darboux); this is the
+    formula it is checked against."""
+    m = index_m(seq, m)
+    require_stieltjes_pd(seq)
+    w = (z - seq.alpha) if seq.side == "right" else (seq.alpha - z)
+    e_n = column_E(seq.q, half(m), z)
+    out = -w * (e_n.T @ hankel_inverse(seq, half(m)) @ e_n)
+    if m >= 1:
+        e_j = column_E(seq.q, half(m - 1), z)
+        out = out + w ** 2 * (e_j.T @ hankel_inverse(seq.shifted, half(m - 1)) @ e_j)
+    return out
+
+
+def favard_pair_row_col(seq) -> FavardPair:
+    """The Favard pair with A_n = row K_n col Hhat_n^{-1}, where
+    row = (-z_{n,2n-1} H_{n-1}^{-1}  I) and col = (-H_{n-1}^{-1} y_{n,2n-1}; I)
+    come from the oracle's own LU inverse, and A_0 = s_1 s_0^{-1}.  The
+    library reads the row off the cached monic rows and takes col = row^*."""
+    kappa = seq.kappa
+    require_hankel_pd_prefix(seq, half(kappa - 1))
+    d = hhats(seq)[0]
+
+    b = [seq[0].copy()]
+    for n in range(1, half(kappa) + 1):
+        b.append(np.linalg.inv(d[n - 1]) @ d[n])
+    a = []
+    if kappa >= 1:
+        a.append(seq[1] @ np.linalg.inv(seq[0]))
+    for n in range(1, half(kappa - 1) + 1):
+        hinv = hankel_inverse(seq, n - 1)
+        row = np.hstack([-z_stack(seq, n, 2 * n - 1) @ hinv, np.eye(seq.q)])
+        col = np.vstack([-hinv @ y_stack(seq, n, 2 * n - 1), np.eye(seq.q)])
+        a.append(row @ hankel(seq, n, 1) @ col @ np.linalg.inv(d[n]))
+    return FavardPair(a=tuple(a), b=tuple(b))
 
 
 def dyukarev_loop(seq):
@@ -167,3 +258,122 @@ def ds_increments(seq) -> DSParam:
         l.append(z_stack(seq, 0, n) @ hankel_inverse(sh, n) @ y_stack(seq, 0, n)
                  - z_stack(seq, 0, n - 1) @ hankel_inverse(sh, n - 1) @ y_stack(seq, 0, n - 1))
     return DSParam(q=q, alpha=a, side=seq.side, l=tuple(l), m=tuple(m))
+
+
+# --- the quadruple at alpha -------------------------------------------------
+
+def quadruple_values_at_alpha(quad) -> dict:
+    """Direct evaluations of all four families at the base point."""
+    a = quad.alpha
+    return {
+        "p": [pn(a) for pn in quad.p],
+        "second": [pn(a) for pn in quad.second],
+        "p_shift": [pn(a) for pn in quad.p_shift],
+        "phat": [pn(a) for pn in quad.phat],
+    }
+
+
+def quadruple_values_closed_form(ds) -> dict:
+    """Alternating (L, M)-products for the values at alpha.
+
+    Right half-line:
+        P_n(a)       = (-1)^n  prod_{j<n} M_j^{-1} L_j^{-1}
+        P^<s>_n(a)   = (-1)^{n+1} prod_{j<n} (M_j^{-1} L_j^{-1}) sum_{j<n} L_j
+        P_shift_n(a) = (-1)^n prod_{j<n} (M_j^{-1} L_j^{-1}) M_n^{-1} sum_{j<=n} M_j
+        Phat_n(a)    = (-1)^n prod_{j<n} (M_j^{-1} L_j^{-1}) M_n^{-1}
+    Left half-line: the same products without the alternating signs, except
+    Phat picks up a single global minus.
+    """
+    ls = [np.asarray(v, dtype=complex) for v in ds.l]
+    ms = [np.asarray(v, dtype=complex) for v in ds.m]
+    if not all(is_pd(v) for v in ls + ms):
+        raise ValueError("(L, M) must be PD")
+    q = ds.q
+    li = [np.linalg.inv(v) for v in ls]
+    mi = [np.linalg.inv(v) for v in ms]
+    right = ds.side == "right"
+
+    def sgn(n):
+        return (-1.0) ** n if right else 1.0
+
+    n_p = len(ls) + 1          # P_0..P_{half(kappa+1)}
+    n_shift = len(ms)          # shifted families 0..half(kappa)
+    # prods[n] = prod_{j<n} M_j^{-1} L_j^{-1}
+    prods = [ordered_product((x for j in range(n) for x in (mi[j], li[j])), q)
+             for n in range(n_p)]
+    p_vals = [sgn(n) * prods[n] for n in range(n_p)]
+    second_vals = [np.zeros((q, q), dtype=complex)]
+    for n in range(1, n_p):
+        second_vals.append(sgn(n + 1) * prods[n] @ sum(ls[:n]))
+    shift_vals = [sgn(n) * prods[n] @ mi[n] @ sum(ms[:n + 1]) for n in range(n_shift)]
+    phat_sign = 1.0 if right else -1.0
+    phat_vals = [phat_sign * sgn(n) * prods[n] @ mi[n] for n in range(n_shift)]
+    return {"p": p_vals, "second": second_vals, "p_shift": shift_vals, "phat": phat_vals}
+
+
+def eval_quadruple_at_alpha(quad, ds) -> dict:
+    """Values at alpha, checked against the closed (L, M)-products."""
+    direct = quadruple_values_at_alpha(quad)
+    closed = quadruple_values_closed_form(ds)
+    for key in direct:
+        for got, want in zip(direct[key], closed[key]):
+            if np.linalg.norm(got - want) > DEFAULT_TOL.identity_tol * (1 + np.linalg.norm(want)):
+                raise AssertionError(f"family '{key}' disagrees with closed form at alpha")
+        if any(abs(np.linalg.det(v)) == 0 for v in direct[key][1:]):
+            raise AssertionError(f"family '{key}' has a singular value at alpha")
+    return direct
+
+
+def q_values_from_quadruple(quad) -> list:
+    """Interlaced Schur complements recovered from the quadruple at alpha.
+
+    Right: Q_{2n} = P_n(a) Phat_n(a)^*, Q_{2n+1} = -Phat_n(a) P_{n+1}(a)^*.
+    Left:  Q_{2n} = -P_n(a) Phat_n(a)^*, Q_{2n+1} = -Phat_n(a) P_{n+1}(a)^*.
+    """
+    a = quad.alpha
+    sgn_even = 1.0 if quad.side == "right" else -1.0
+    out = []
+    for n in range(len(quad.phat)):
+        out.append(sgn_even * quad.p[n](a) @ quad.phat[n](a).conj().T)
+        if n + 1 < len(quad.p):
+            out.append(-quad.phat[n](a) @ quad.p[n + 1](a).conj().T)
+    return out
+
+
+# --- residue extrapolation --------------------------------------------------
+
+def residue_measure(seq, m: int, s_eval) -> MolecularMeasure:
+    """Residue extrapolation at the candidate atoms of a rational transform.
+
+    Candidates are the base point plus the real determinant zeros of the
+    shifted first-kind polynomial; masses come from a two-point Richardson
+    limit of (x - z) S(z) along z = x + i*eps.
+    """
+    p_shift = stieltjes_quadruple(seq).p_shift[half(m)]
+    zeros = real_zeros(p_shift, kind=GENERAL)
+    candidates = [seq.alpha] + [float(x) for x in zeros]
+
+    eps1, eps2 = 1e-5, 1e-6
+    atoms, masses = [], []
+    for x in candidates:
+        with np.errstate(over="ignore", invalid="ignore"):   # a divergence is reported below
+            f1 = (x - (x + 1j * eps1)) * s_eval(x + 1j * eps1)
+            f2 = (x - (x + 1j * eps2)) * s_eval(x + 1j * eps2)
+            mass = (eps1 * f2 - eps2 * f1) / (eps1 - eps2)
+        if not np.all(np.isfinite(mass)):
+            raise ArithmeticError(f"residue extrapolation diverged at atom {x}")
+        atoms.append(x)
+        masses.append(_hermitize(mass))
+    atoms, masses = _merge_atoms(atoms, np.array(masses), seq.alpha, drop_tol=1e-6)
+    return MolecularMeasure._checked(atoms, masses, seq.side, seq.alpha)
+
+
+def recover_residue(seq, m=None) -> MolecularMeasure:
+    """Residue-extrapolation route to the free-end extremal's measure (upper
+    on the right half-line, lower on the left): a lower-precision route,
+    independent of the string rule that recover_min/recover_max read."""
+    require_stieltjes_pd(seq)
+    if m is None:
+        m = seq.kappa
+    s_min, s_max = extremal(seq, m)
+    return residue_measure(seq, m, s_max if seq.side == "right" else s_min)

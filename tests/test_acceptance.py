@@ -9,9 +9,11 @@ import numpy as np
 
 import stieltjesmp as smp
 from stieltjesmp.linalg import hermitize, min_eig_hermitian_part
-from stieltjesmp.moments import alternating_signs, half, hankel, hhats
+from stieltjesmp.moments import half, hankel, hhats
 
-from conftest import ds_increments, hankel_u, ladder_fixture, rel_err, seq_rel_err
+from conftest import (
+    alternating_signs, ds_increments, hankel_u, ladder_fixture, rel_err, seq_rel_err,
+)
 
 N_FIXTURES = 50
 

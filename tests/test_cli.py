@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from stieltjesmp.cli import (
-    EXIT_NEGATIVE, EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE,
+    EXIT_INCONSISTENT, EXIT_NEGATIVE, EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE,
     decode_matrix, decode_sequence, encode_matrix, encode_sequence, main,
 )
-from stieltjesmp import random_stieltjes_pd_sequence
+from stieltjesmp import difference_inverse, random_stieltjes_pd_sequence, weyl_interval
 
 from conftest import LADDER, ladder_fixture
 
@@ -218,6 +218,22 @@ def test_verify_judges_the_extremals_on_the_ladder(capsys, tmp_path):
         path.write_text(json.dumps(encode_sequence(ladder_fixture(i))))
         code, payload = run(capsys, "verify", str(path))
         assert code == EXIT_OK and payload["checks"]["extremal_lft"]
+
+
+def test_difference_inverse_keeps_its_digits_past_the_hankel_formula(capsys, tmp_path):
+    # here the closed Hankel formula is 4.0e-6 off inv(gap) at x = alpha - 1,
+    # past verify's 1e-7; the sum of the monic rows is 1.1e-8 off
+    s = random_stieltjes_pd_sequence(q=4, kappa=5, seed=8, max_cond=None)
+    x = s.alpha - 1.0
+    got = difference_inverse(s, s.kappa, x)
+    want = np.linalg.inv(weyl_interval(s, s.kappa, x).gap)
+    assert np.linalg.norm(want - got) <= 1e-7 * (1 + np.linalg.norm(got))
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps(encode_sequence(s)))
+    code, payload = run(capsys, "verify", str(path))
+    assert payload["checks"]["difference_inverse"]
+    # the quadruple route still fails on this sequence
+    assert code == EXIT_INCONSISTENT and not payload["checks"]["quadruple_route"]
 
 
 def test_verify_draws_its_points_in_re_im_pairs():

@@ -7,10 +7,10 @@ from stieltjesmp import (
     stieltjes_transform,
 )
 from stieltjesmp.linalg import min_eig_hermitian_part, hermitize, sqrt_psd
-from stieltjesmp.measures import _merge_atoms, _residue_measure
+from stieltjesmp.measures import _merge_atoms
 from stieltjesmp.moments import half, hankel, y_stack
 
-from conftest import LADDER, ladder_fixture, rel_err
+from conftest import LADDER, ladder_fixture, recover_residue, rel_err, residue_measure
 
 
 def test_stieltjes_transform_examples():
@@ -190,7 +190,6 @@ def test_equality_cases(f1, f2):
 
 
 def test_residue_route_agrees_with_pencil_transport():
-    from stieltjesmp import recover_residue
     for i in (0, 1, 3, 4):
         s = ladder_fixture(i)
         exact = recover_max(s) if s.side == "right" else recover_min(s)
@@ -360,4 +359,4 @@ def test_recovery_keeps_the_moments_of_ill_conditioned_sequences(q, kappa):
 def test_residue_extrapolation_divergence_is_an_arithmetic_error():
     s = ladder_fixture(0)
     with pytest.raises(ArithmeticError, match="residue extrapolation diverged at atom"):
-        _residue_measure(s, s.kappa, lambda z: np.full((s.q, s.q), np.inf))
+        residue_measure(s, s.kappa, lambda z: np.full((s.q, s.q), np.inf))

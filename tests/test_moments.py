@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from stieltjesmp import (
-    DSParam, classify, ds_param, dyukarev_quadruple, extremal,
+    DSParam, classify, difference_inverse, ds_param, dyukarev_quadruple, extremal, favard_pair,
     potapov_defect_psd, random_pd, random_stieltjes_pd_sequence, reflect, sequence,
     shift_sequence, stieltjes_param, stieltjes_quadruple,
 )
 from stieltjesmp.moments import (
-    _cholesky_hhats, alternating_signs, block_shift, column_E, first_block_column, half,
-    hankel, hankel_inv, hhats, resolvent_R, schur_complement, u_shift_vector, z_stack,
+    _cholesky_hhats, first_block_column, half, hankel, hhats, monic_rows, resolvent_R,
+    schur_complement, u_shift_vector, z_stack,
 )
 from stieltjesmp.solutions import string_rule
 
-from conftest import ladder_fixture
+from conftest import alternating_signs, block_shift, column_E, ladder_fixture, shat_matrix
 
 
 def test_hankel_pack_scalar(f2):
@@ -141,7 +141,7 @@ def test_structural_kit_shapes():
 
 def test_kit_identities_on_random_fixture():
     # R_n(z) y = S_n E_n(z), R_n(z) u_shift = Shat E_n(z)
-    from stieltjesmp.moments import lower_triangular_S, shat_matrix, y_stack
+    from stieltjesmp.moments import lower_triangular_S, y_stack
     rng = np.random.default_rng(11)
     for i in (0, 3, 5):
         s = ladder_fixture(i)
@@ -249,8 +249,7 @@ def test_derived_objects_are_cached():
         assert build(s) is build(s)
     for side in (s, s.shifted):
         assert hhats(side) is hhats(side)
-        for n in range(half(side.kappa) + 1):
-            assert hankel_inv(side, n) is hankel_inv(side, n)
+        assert monic_rows(side) is monic_rows(side)
     # the rule is cached on the (L, M) pair, also on one that no sequence made
     d = lm_fixture(q=2, kappa=5, seed=3)
     for m in range(1, 6):
@@ -262,13 +261,33 @@ def test_derived_objects_are_cached():
         assert ext.atoms is atoms and ext.residues is residues
 
 
+def test_monic_rows_hold_the_one_hankel_inverse(monkeypatch):
+    # once the rows of both sides are cached, the quadruple, favard_pair and
+    # difference_inverse read them and invert nothing larger than q x q
+    s = random_stieltjes_pd_sequence(q=2, kappa=5, alpha=0.5, seed=4)
+    rows = monic_rows(s), monic_rows(s.shifted)
+    inv, sizes = np.linalg.inv, []
+
+    def spy(a):
+        sizes.append(np.shape(a)[-1])
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", spy)
+    stieltjes_quadruple(s)
+    favard_pair(s)
+    for m in range(s.kappa + 1):
+        difference_inverse(s, m, s.alpha - 1.0 + 0.3j)
+    assert sizes and max(sizes) == s.q
+    assert monic_rows(s) is rows[0] and monic_rows(s.shifted) is rows[1]
+
+
 def test_cached_arrays_are_read_only():
     # a sequence of its own: where a write succeeds it must not reach shared fixtures
     s = random_stieltjes_pd_sequence(q=2, kappa=4, alpha=0.5, seed=2)
     arrays = list(s.moments) + list(stieltjes_param(s).values)
     d = ds_param(s)
     arrays += list(d.l) + list(d.m)
-    arrays += [hankel_inv(s, n) for n in range(3)] + [hankel_inv(s.shifted, n) for n in range(2)]
+    arrays += [monic_rows(s), monic_rows(s.shifted)]
     for side in (s, s.shifted):
         arrays += [*hhats(side)[0], hhats(side)[1]]
     dq, quad = dyukarev_quadruple(s), stieltjes_quadruple(s)

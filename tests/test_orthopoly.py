@@ -3,14 +3,15 @@ import pytest
 
 from stieltjesmp import (
     GENERAL, MONIC, MatrixPolynomial, associated_polynomial, det_zeros,
-    ds_param, dyukarev_quadruple, eval_quadruple_at_alpha, favard_pair,
-    monic_orthogonal_system, q_values_from_quadruple, real_zeros,
+    ds_param, dyukarev_quadruple, favard_pair, monic_orthogonal_system, real_zeros,
     second_kind_system, sequence, shift_sequence, stieltjes_param,
     random_stieltjes_pd_sequence, reflect, stieltjes_quadruple,
 )
 from stieltjesmp import orthopoly
 from stieltjesmp.moments import half
-from conftest import ladder_fixture, quadruple_loop, rel_err
+from conftest import (
+    eval_quadruple_at_alpha, ladder_fixture, q_values_from_quadruple, quadruple_loop, rel_err,
+)
 
 
 def test_poly_eval_basics():
@@ -317,15 +318,15 @@ def test_shift_identity_check_catches_a_wrong_row(monkeypatch, family, n):
     # and P_shift_0, P_shift_1
     s = random_stieltjes_pd_sequence(q=2, kappa=4, alpha=0.5, side="right", seed=3)
     target = s if family == "p" else s.shifted
-    rows = orthopoly._monic_rows
+    rows = orthopoly.monic_rows
 
     def wrong_row(seq):
-        out = rows(seq)
+        out = rows(seq).copy()
         if seq is target:
             out[n, 0] += 0.5 * np.eye(seq.q)
         return out
 
-    monkeypatch.setattr(orthopoly, "_monic_rows", wrong_row)
+    monkeypatch.setattr(orthopoly, "monic_rows", wrong_row)
     with pytest.raises(AssertionError, match="shift identity violated"):
         stieltjes_quadruple(s)
 

@@ -4,13 +4,15 @@ import pytest
 from stieltjesmp import (
     DSParam, StieltjesParam, canonical_hankel_param, classify, ds_from_q, ds_param,
     favard_from_ds, favard_from_q, favard_pair, q_from_ds, reflect,
-    seq_from_canonical, seq_from_ds, seq_from_stieltjes_param, sequence,
-    stieltjes_param,
+    random_stieltjes_pd_sequence, seq_from_canonical, seq_from_ds, seq_from_stieltjes_param,
+    sequence, stieltjes_param,
 )
 from stieltjesmp.linalg import ordered_product
 from stieltjesmp.moments import _cholesky_hhats, hhats, schur_complement
 
-from conftest import LADDER, ds_increments, ladder_fixture, rel_err, seq_rel_err
+from conftest import (
+    LADDER, ds_increments, favard_pair_row_col, ladder_fixture, rel_err, seq_rel_err,
+)
 
 
 def test_stieltjes_param_fixtures(f1, f2):
@@ -55,6 +57,20 @@ def test_favard_pair_fixtures(f2):
     p = favard_pair(sequence([2.0, 0.0]))
     np.testing.assert_allclose([v.item() for v in p.a], [0])
     np.testing.assert_allclose([v.item() for v in p.b], [2])
+
+
+def test_favard_pair_reads_the_monic_rows():
+    # A_n = r_n K_n r_n^* Hhat_n^{-1} from the cached rows against the
+    # row/col formula with the oracle's own LU inverses
+    seqs = [t for i in range(10) for t in (ladder_fixture(i), reflect(ladder_fixture(i)))]
+    seqs += [sequence([1.0, 0.0, 1.0]),     # NND, as in CI
+             random_stieltjes_pd_sequence(q=2, kappa=0, seed=1),
+             random_stieltjes_pd_sequence(q=2, kappa=1, alpha=0.5, seed=1)]
+    for s in seqs:
+        got, want = favard_pair(s), favard_pair_row_col(s)
+        assert (len(got.a), len(got.b)) == (len(want.a), len(want.b))
+        for a, b in zip(got.a + got.b, want.a + want.b):
+            assert rel_err(a, b) < 1e-12
 
 
 def test_favard_product_identity():

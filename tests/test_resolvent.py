@@ -7,10 +7,12 @@ from stieltjesmp import (
     signature_matrix, u_from_quadruple_polynomials,
 )
 from stieltjesmp.moments import (
-    alternating_signs, first_block_column, half, resolvent_R, u_shift_vector, u_vector, y_stack,
+    first_block_column, half, resolvent_R, u_shift_vector, u_vector, y_stack,
 )
 
-from conftest import dyukarev_loop, hankel_inverse, hankel_u, ladder_fixture, rel_err
+from conftest import (
+    alternating_signs, dyukarev_loop, hankel_inverse, hankel_u, ladder_fixture, rel_err,
+)
 
 
 def test_quadruple_fixture_f1(f1):

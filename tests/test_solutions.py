@@ -9,9 +9,9 @@ from stieltjesmp import (
     sigma, stieltjes_quadruple, weyl_interval,
 )
 from stieltjesmp.linalg import min_eig_hermitian_part
-from stieltjesmp.moments import block_shift, first_block_column, half, hankel, y_stack
+from stieltjesmp.moments import first_block_column, half, hankel, y_stack
 
-from conftest import ladder_fixture, rel_err
+from conftest import block_shift, difference_inverse_closed, ladder_fixture, rel_err
 
 
 def random_constant_pair(q, side, rng):
@@ -309,6 +309,18 @@ def test_difference_inverse_matches_direct():
             got = difference_inverse(s, s.kappa, z)
             want = np.linalg.inv(gap)
             assert rel_err(got, want) < 1e-8
+
+
+def test_difference_inverse_is_the_closed_hankel_formula():
+    # the Christoffel-Darboux sum of the monic rows against the closed
+    # formula with the oracle's own Hankel inverses, at every index m
+    for i in range(10):
+        for s in (ladder_fixture(i), reflect(ladder_fixture(i))):
+            x = s.alpha - 1.0 if s.side == "right" else s.alpha + 1.0
+            for m in range(s.kappa + 1):
+                for z in (x, x + 0.3j):
+                    got = difference_inverse(s, m, z)
+                    assert rel_err(got, difference_inverse_closed(s, m, z)) < 1e-11
 
 
 def test_reflect_solution_duality(f1, f3):
