@@ -109,27 +109,45 @@ def lft_solve(u: ResolventU, pair: StieltjesPair, z: complex) -> Array:
 
     z is a scalar only.  U(z) [phi; psi] is one product whose two row
     blocks are the numerator U11 phi + U12 psi and the denominator
-    U21 phi + U22 psi.
+    D = U21 phi + U22 psi.  D is singular when |det D| < 1e-13
+    max(1, ||D||_F^q).  inv(D) is taken first: since |det D| >=
+    sigma_min(D)^q >= ||D^{-1}||_F^{-q}, a bound at least 100 times the
+    threshold certifies D with no determinant.  Below that, det(D) decides;
+    a D that inv cannot factor at all is singular.
     """
     if not _off_cut(u.side, u.alpha, z):
         raise ValueError(f"point {z} lies on the cut of this half-line")
     g = u.poly(z) @ pair.stacked
-    num, den = g[:u.q], g[u.q:]
-    dets = np.linalg.det(den)
-    if abs(dets) < 1e-13 * max(1.0, np.linalg.norm(den) ** den.shape[0]):
-        raise SingularDenominator(f"denominator singular at z={z}")
-    return num @ np.linalg.inv(den)
+    return _divide(g[:u.q], g[u.q:], "denominator", z)
 
 
 def lft_solve_schur(sig_poly, f: Array, z: complex, q: int) -> Array:
-    """Schur-route transformation S = (S11 F + S12)(S21 F + S22)^{-1}."""
+    """Schur-route transformation S = (S11 F + S12)(S21 F + S22)^{-1},
+    with lft_solve's rule for a singular denominator."""
     s = sig_poly(z)
     f = as_matrix(f)
     num = s[:q, :q] @ f + s[:q, q:]
     den = s[q:, :q] @ f + s[q:, q:]
-    if abs(np.linalg.det(den)) < 1e-13:
-        raise SingularDenominator(f"Schur denominator singular at z={z}")
-    return num @ np.linalg.inv(den)
+    return _divide(num, den, "Schur denominator", z)
+
+
+def _divide(num: Array, den: Array, name: str, z: complex) -> Array:
+    """num den^{-1}, or SingularDenominator by the rule of lft_solve."""
+    q = den.shape[0]
+    threshold = 1e-13 * max(1.0, _frobenius(den) ** q)
+    try:
+        inv = np.linalg.inv(den)
+    except np.linalg.LinAlgError:
+        inv = None
+    # a NaN bound certifies nothing and falls through to the determinant
+    if inv is None or not _frobenius(inv) ** -q >= 100 * threshold:
+        if inv is None or abs(np.linalg.det(den)) < threshold:
+            raise SingularDenominator(f"{name} singular at z={z}")
+    return num @ inv
+
+
+def _frobenius(a: Array) -> float:
+    return np.sqrt(np.vdot(a, a).real)   # np.linalg.norm's wrapper costs more than this
 
 
 class ExtremalSolution:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from stieltjesmp import (
-    DEFAULT_TOL, DSParam, FavardPair, extremal, is_pd, random_stieltjes_pd_sequence,
-    real_zeros, reflect, sequence, stieltjes_quadruple,
+    DEFAULT_TOL, DSParam, FavardPair, SingularDenominator, extremal, is_pd,
+    random_stieltjes_pd_sequence, real_zeros, reflect, sequence, stieltjes_quadruple,
 )
 from stieltjesmp.linalg import _hermitize, ordered_product
 from stieltjesmp.measures import MolecularMeasure, _merge_atoms
@@ -13,6 +13,7 @@ from stieltjesmp.moments import (
     y_stack, z_stack,
 )
 from stieltjesmp.orthopoly import GENERAL, MatrixPolynomial
+from stieltjesmp.solutions import _off_cut
 
 # scalar hand-evaluated fixtures used throughout
 #   F1: q=1, alpha=0, s=(1,1)       F2: s=(1,1,2)       F3 = reflect(F1)
@@ -158,6 +159,27 @@ def favard_pair_row_col(seq) -> FavardPair:
         col = np.vstack([-hinv @ y_stack(seq, n, 2 * n - 1), np.eye(seq.q)])
         a.append(row @ hankel(seq, n, 1) @ col @ np.linalg.inv(d[n]))
     return FavardPair(a=tuple(a), b=tuple(b))
+
+
+def lft_solve_det(u, pair, z):
+    """The linear-fractional transformation by the determinant test alone:
+    det and inv of the denominator of U(z) [phi; psi].  The library
+    certifies the denominator from its inverse and takes det only below
+    the certificate; this is the route it is checked against."""
+    if not _off_cut(u.side, u.alpha, z):
+        raise ValueError(f"point {z} lies on the cut of this half-line")
+    num, den, det, threshold = lft_blocks(u, pair, z)
+    if det < threshold:
+        raise SingularDenominator(f"denominator singular at z={z}")
+    return num @ np.linalg.inv(den)
+
+
+def lft_blocks(u, pair, z) -> tuple:
+    """(num, den, |det den|, threshold) of lft_solve_det at z."""
+    g = u.poly(z) @ pair.stacked
+    num, den = g[:u.q], g[u.q:]
+    return num, den, abs(np.linalg.det(den)), \
+        1e-13 * max(1.0, np.linalg.norm(den) ** den.shape[0])
 
 
 def dyukarev_loop(seq):

@@ -5,8 +5,8 @@ import pytest
 
 from stieltjesmp import (
     DSParam, classify, difference_inverse, ds_param, dyukarev_quadruple, extremal, favard_pair,
-    potapov_defect_psd, random_pd, random_stieltjes_pd_sequence, reflect, sequence,
-    shift_sequence, stieltjes_param, stieltjes_quadruple,
+    lft_solve, pair_max, pair_min, potapov_defect_psd, random_pd, random_stieltjes_pd_sequence,
+    reflect, resolvent_u, sequence, shift_sequence, stieltjes_param, stieltjes_quadruple,
 )
 from stieltjesmp.moments import (
     _cholesky_hhats, first_block_column, half, hankel, hhats, monic_rows, resolvent_R,
@@ -259,6 +259,11 @@ def test_derived_objects_are_cached():
     for ext in extremal(s):
         atoms, residues = string_rule(ds_param(s), s.kappa, ext.bd)
         assert ext.atoms is atoms and ext.residues is residues
+    # lft_solve reads the block column [phi; psi] its pair built once
+    u, pair = resolvent_u(s), pair_min(s.q, s.side)
+    column = pair.stacked
+    lft_solve(u, pair, s.alpha + 1j)
+    assert pair.stacked is column
 
 
 def test_monic_rows_hold_the_one_hankel_inverse(monkeypatch):
@@ -298,6 +303,7 @@ def test_cached_arrays_are_read_only():
         for m in range(1, s.kappa + 1):
             for wall in (False, True):
                 arrays += list(string_rule(ds, m, wall))
+    arrays += [pair_min(2).stacked, pair_max(2).stacked]
     for a in arrays:
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 0.0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stieltjesmp import (
-    CONSTANT, SCHUR_CONSTANT, SingularDenominator, StieltjesPair,
+    CONSTANT, SCHUR_CONSTANT, MatrixPolynomial, ResolventU, SingularDenominator, StieltjesPair,
     difference_inverse, dyukarev_quadruple, extremal, hermitize, interval_point, is_psd,
     lft_solve, lft_solve_schur, pair_max, pair_min, potapov_defect_psd,
     random_stieltjes_pd_sequence, reflect, reflect_solution, resolvent_u, sequence,
@@ -11,7 +11,9 @@ from stieltjesmp import (
 from stieltjesmp.linalg import min_eig_hermitian_part
 from stieltjesmp.moments import first_block_column, half, hankel, y_stack
 
-from conftest import block_shift, difference_inverse_closed, ladder_fixture, rel_err
+from conftest import (
+    block_shift, difference_inverse_closed, ladder_fixture, lft_blocks, lft_solve_det, rel_err,
+)
 
 
 def random_constant_pair(q, side, rng):
@@ -62,11 +64,70 @@ def test_lft_rejects_cut_points(f1):
 
 
 def test_lft_singular_denominator():
-    # (I, 0) pair hits det C = 0 exactly at the base point boundary x -> alpha
+    # det C = 0 for the (I, 0) pair at z = 0 = alpha, but that point is on
+    # the cut: the cut ValueError fires before any denominator test.  The
+    # two tests below reach SingularDenominator off the cut.
     s = sequence([1.0, 1.0])
     u = resolvent_u(s)
     with pytest.raises((SingularDenominator, ValueError)):
         lft_solve(u, pair_max(1), 0.0)
+
+
+def test_lft_exactly_singular_denominator_off_the_cut():
+    # U(z) = [[1, 1], [0, z - i]]: with the pair (0, 1) the denominator is
+    # z - i, exactly zero at z = i, where inv itself fails
+    coeffs = np.array([[[1, 1], [0, -1j]], [[0, 0], [0, 1]]], dtype=complex)
+    u = ResolventU(m=1, side="right", alpha=0.0, q=1, poly=MatrixPolynomial(coeffs))
+    with pytest.raises(SingularDenominator):
+        lft_solve(u, pair_min(1), 1j)
+    np.testing.assert_allclose(lft_solve(u, pair_min(1), 2j), [[-1j]], atol=1e-15)
+
+
+def test_lft_next_to_an_atom_is_a_singular_denominator():
+    # the pair of an extremal has a singular denominator at each of its atoms;
+    # 1e-15 above the atom, off the cut, |det D| is still below the threshold
+    s = ladder_fixture(3)
+    u = resolvent_u(s)
+    pairs = (pair_min(s.q, s.side), pair_max(s.q, s.side))
+    for ext, pair in zip(extremal(s), pairs if s.side == "right" else pairs[::-1]):
+        for x in ext.atoms:
+            with pytest.raises(SingularDenominator):
+                lft_solve(u, pair, complex(x, 1e-15))
+
+
+def test_lft_matches_the_determinant_oracle():
+    # the certified inverse against det and inv of the same denominator: the
+    # same decision away from the threshold, the same value wherever both return
+    rng = np.random.default_rng(14)
+    offsets = [0.0] + [sign * 10.0 ** -k for k in range(2, 17) for sign in (1, -1)]
+    for i in range(10):
+        for s in (ladder_fixture(i), reflect(ladder_fixture(i))):
+            u = resolvent_u(s)
+            pairs = [pair_min(s.q, s.side), pair_max(s.q, s.side),
+                     StieltjesPair(kind=SCHUR_CONSTANT, side=s.side,
+                                   f=np.diag(np.exp(1j * rng.uniform(0.1, 3.0, s.q))))] \
+                + [random_constant_pair(s.q, s.side, rng) for _ in range(3)]
+            atoms = np.concatenate([ext.atoms for ext in extremal(s)])
+            points = {complex(x + d) for x in atoms for d in offsets} \
+                | {complex(x, d) for x in atoms for d in offsets}
+            for pair in pairs:
+                for z in points:
+                    got = _outcome(lft_solve, u, pair, z)
+                    want = _outcome(lft_solve_det, u, pair, z)
+                    if isinstance(got, np.ndarray) and isinstance(want, np.ndarray):
+                        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), \
+                            (i, s.side, z)
+                    elif got is not want:
+                        _, _, det, threshold = lft_blocks(u, pair, z)
+                        assert 0.5 <= det / threshold <= 2.0, (i, s.side, z)
+
+
+def _outcome(solve, u, pair, z):
+    """The value, or the type of the error raised."""
+    try:
+        return solve(u, pair, z)
+    except ValueError as exc:
+        return type(exc)
 
 
 def test_extremal_fixture_values(f1, f2):
@@ -355,6 +416,18 @@ def test_schur_route_matches_extremals():
         for f, ref in ((eye, s_min), (-eye, s_max)):
             got = lft_solve_schur(sig, f, complex(z), s.q)
             assert rel_err(got, ref(complex(z))) < 1e-9
+
+
+def test_schur_denominator_uses_the_relative_threshold():
+    # det = 1e2 passed the old absolute bound 1e-13; against 1e-13 ||D||_F^q
+    # (= 1e3) this cond-1e14 denominator is singular, as in lft_solve
+    den = np.diag([1e8, 1e-6])
+    sig = np.block([[np.eye(2), np.zeros((2, 2))], [np.zeros((2, 2)), den]])
+    with pytest.raises(SingularDenominator):
+        lft_solve_schur(lambda z: sig, np.eye(2), -1.0, 2)
+    sig[2:, 2:] = np.diag([1e8, 1e-4])    # det 1e4 is above the threshold
+    np.testing.assert_allclose(lft_solve_schur(lambda z: sig, np.eye(2), -1.0, 2),
+                               np.diag([1e-8, 1e4]), rtol=1e-15)
 
 
 def test_solutions_pass_potapov_criterion():
