@@ -1,12 +1,14 @@
 """Matrix polynomials and the orthogonal systems attached to a sequence.
 
-Polynomials carry their coefficients as a degree-indexed list of matrices
+Polynomials carry their coefficients as a degree-indexed stack of matrices
 (coeffs[j] multiplies z^j).  The monic left-orthogonal system, the second
 kind system, the shifted system and the associated polynomials of the
 shifted system form the quadruple that rebuilds the resolvent blocks.
-The first-kind and shifted families are the monic rows that
-moments.monic_rows caches on the sequence and on its shift, the rows
-that favard_pair and difference_inverse read too.
+stieltjes_quadruple normalises the cached factor chain of (L, M)
+(params.chain_stacks) into it, with no Hankel inverse.  The public
+systems, which take Hankel-PD-prefix sequences, and the private Hankel
+quadruple behind verify's independent quadruple route read the monic
+rows that moments.monic_rows caches on the sequence and on its shift.
 """
 
 from dataclasses import dataclass
@@ -19,6 +21,7 @@ from .moments import (
     RIGHT, MomentSequence, derived, freeze, half, hhats, lower_triangular_S, monic_rows,
     require_hankel_pd_prefix, require_stieltjes_pd,
 )
+from .params import DSParam, chain_stacks, ds_param
 
 MONIC = "MONIC"
 GENERAL = "GENERAL"
@@ -33,13 +36,15 @@ class MatrixPolynomial:
     """
 
     def __init__(self, coeffs, trim: bool = True):
-        mats = list(coeffs)
-        if not mats:
+        # one copy; a stack is taken whole, and coefficients of unequal shapes raise here
+        stack = np.array(coeffs if isinstance(coeffs, np.ndarray) else list(coeffs))
+        n = len(stack)
+        if not n:
             raise ValueError("need at least one coefficient")
         if trim:
-            while len(mats) > 1 and not mats[-1].any():
-                mats.pop()
-        self.coeffs = np.array(mats)   # coefficients of unequal shapes raise here
+            while n > 1 and not stack[n - 1].any():
+                n -= 1
+        self.coeffs = stack[:n]
         self.q_rows, self.q_cols = self.coeffs.shape[1:]
 
     @property
@@ -167,9 +172,8 @@ def monic_orthogonal_system(seq: MomentSequence) -> list:
     """Monic left-orthogonal polynomials P_0..P_{half(kappa+1)}.
 
     Coefficient rows are (-z_{n,2n-1} H_{n-1}^{-1}  I), read off the
-    cached monic_rows that stieltjes_quadruple also reads; the Hankel prefix
-    must be PD.  The same system also satisfies the three-term Favard
-    recursion, which the tests cross-check.
+    cached monic_rows; the Hankel prefix must be PD.  The same system also
+    satisfies the three-term Favard recursion, which the tests cross-check.
     """
     return list(_polynomials(_checked_monic_rows(seq)))
 
@@ -205,24 +209,78 @@ class StieltjesQuadruple:
     phat: tuple
 
 
+def _cs(stack: Array) -> Array:
+    """Coefficients of cs(P)(z) = P(conj z)^*: each one conjugate-transposed."""
+    return stack.conj().swapaxes(-1, -2)
+
+
+def _chain_families(ds: DSParam) -> tuple:
+    """The (p, second, p_shift, phat) coefficient stacks of the quadruple,
+    normalised from the chain stacks of (L, M).
+
+    With [A_n; C_n] and [B_n; D_n] the block columns of chain_stacks,
+    lead(.) the top coefficient and E_n = sum_{j<=n} D_j M_j, the factor
+    that C_n = (alpha - z) E_n carries:
+
+        P_k = lead(cs D_k)^{-1} cs(D_k)     second_k = -lead(cs D_k)^{-1} cs(B_k)
+        P_shift_n = lead(cs E_n)^{-1} cs(E_n) = -lead(cs C_n)^{-1} cs(E_n)
+        phat_n = -+lead(cs C_n)^{-1} cs(A_n)   (- right, + left)
+
+    Each family takes one stacked inv of its leading coefficients, and the
+    monic leads are set to I exactly.
+    """
+    q = ds.q
+    x, y = chain_stacks(ds)
+    nx, ny = len(x), len(y)
+    n, k = np.arange(nx), np.arange(ny)
+    d_norm = np.linalg.inv(_cs(y[k, k, q:]))[:, None]
+    c_norm = np.linalg.inv(_cs(x[n, n + 1, q:]))[:, None]
+    p = d_norm @ _cs(y[:, :, q:])
+    second = -(d_norm @ _cs(y[:, :, :q]))
+    e = np.cumsum(y[:nx, :nx, q:] @ np.array(ds.m)[:, None], axis=0)
+    p_shift = -(c_norm @ _cs(e))
+    phat = (c_norm @ _cs(x[:, :nx, :q])) * (-1.0 if ds.side == RIGHT else 1.0)
+    p[k, k] = p_shift[n, n] = np.eye(q)
+    return p, second, p_shift, phat
+
+
 @derived
 def stieltjes_quadruple(seq: MomentSequence) -> StieltjesQuadruple:
-    """All four polynomial families of a Stieltjes-PD sequence.
+    """All four polynomial families of a Stieltjes-PD sequence, read off
+    the cached factor chain of (L, M) (see _chain_families).
 
-    P and P_shift are the monic rows of the sequence and of its shift;
-    second and phat are the polynomials attached (w.r.t. the base sequence)
-    to P_n and to (z - alpha) P_shift_n on the right half-line, resp.
-    (alpha - z) P_shift_n on the left one.  Each family is one coefficient
-    stack, and each attached family one product with the Toeplitz matrix
-    of the moments.  The shift identity
+    P and P_shift are the monic orthogonal polynomials of the sequence and
+    of its shift; second and phat are the polynomials attached (w.r.t. the
+    base sequence) to P_n and to (z - alpha) P_shift_n on the right
+    half-line, resp. (alpha - z) P_shift_n on the left one.  No Hankel
+    block is inverted.  The shift identity
 
-        (z - alpha) P_shift_n(z) = P_{n+1}(z) + Hhat_shift_n Hhat_n^{-1} P_n(z)
+        (z - alpha) P_shift_n(z) = P_{n+1}(z) + Q_{2n+1} Q_{2n}^{-1} P_n(z)
 
-    (sign-mirrored on the left) is verified at random points when the
-    quadruple is first built; the result is cached on the sequence.
+    (sign-mirrored on the left, Q_{2n} = Hhat_n and Q_{2n+1} = Hhat_shift_n)
+    is verified at random points when the quadruple is first built; the
+    result is cached on the sequence.
     """
-    # the Stieltjes class already holds every Hhat_n of both sides PD, so
-    # the Hankel-prefix check of monic_orthogonal_system is not repeated
+    p, second, p_shift, phat = _chain_families(ds_param(seq))
+    _check_shift_identity(seq, p, p_shift)
+    return _quadruple(seq, p, second, p_shift, phat)
+
+
+def _quadruple(seq: MomentSequence, p, second, p_shift, phat) -> StieltjesQuadruple:
+    """The quadruple of four coefficient stacks, each polynomial cut to its degree."""
+    return StieltjesQuadruple(side=seq.side, alpha=seq.alpha, p=_polynomials(p),
+                              second=_polynomials(second, lag=1),
+                              p_shift=_polynomials(p_shift), phat=_polynomials(phat))
+
+
+@derived
+def _hankel_quadruple(seq: MomentSequence) -> StieltjesQuadruple:
+    """The quadruple from the Hankel blocks: P and P_shift the monic rows of
+    the sequence and of its shift, second and phat one product each with
+    the Toeplitz matrix of the moments, under the same shift-identity
+    check.  Only u_from_quadruple_polynomials reads it, so verify's
+    quadruple_route stays a construction independent of the chain.
+    """
     require_stieltjes_pd(seq)
     q, a = seq.q, seq.alpha
     sgn = 1.0 if seq.side == RIGHT else -1.0
@@ -234,10 +292,7 @@ def stieltjes_quadruple(seq: MomentSequence) -> StieltjesQuadruple:
     lin = np.zeros((len(p_shift), len(p_shift) + 1, q, q), dtype=complex)
     lin[:, 1:] = sgn * p_shift
     lin[:, :-1] -= sgn * a * p_shift
-    return StieltjesQuadruple(side=seq.side, alpha=a, p=_polynomials(p),
-                              second=_polynomials(_associated(seq, p), lag=1),
-                              p_shift=_polynomials(p_shift),
-                              phat=_polynomials(_associated(seq, lin)))
+    return _quadruple(seq, p, _associated(seq, p), p_shift, _associated(seq, lin))
 
 
 @lru_cache(maxsize=64)
@@ -299,15 +354,15 @@ def det_zeros(p: MatrixPolynomial, kind: str = GENERAL) -> np.ndarray:
         return np.array([], dtype=complex)
 
     if kind == MONIC:
-        lead = p.coeffs[-1]
-        if not np.allclose(lead, np.eye(q), atol=DEFAULT_TOL.identity_tol):
+        # np.allclose(lead, I, atol=identity_tol) written out: its default
+        # rtol 1e-5 scales |I|, and a NaN or an infinity fails the test
+        eye = np.eye(q)
+        if not (np.abs(p.coeffs[-1] - eye) <= DEFAULT_TOL.identity_tol + 1e-5 * eye).all():
             raise ValueError("MONIC requires identity leading coefficient")
-        n = deg
-        comp = np.zeros((n * q, n * q), dtype=complex)
-        for j in range(n - 1):
-            comp[j * q:(j + 1) * q, (j + 1) * q:(j + 2) * q] = np.eye(q)
-        for j in range(n):
-            comp[(n - 1) * q:, j * q:(j + 1) * q] = -p.coeffs[j]
+        # block companion: I on the block superdiagonal, -P^[0] ... -P^[deg-1] below
+        comp = np.zeros((deg * q, deg * q), dtype=complex)
+        comp[:-q, q:] = np.eye((deg - 1) * q)
+        comp[-q:] = -p.coeffs[:deg].swapaxes(0, 1).reshape(q, deg * q)
         return np.linalg.eigvals(comp)
 
     if kind != GENERAL:

@@ -7,7 +7,9 @@
 
 All cross-maps are alternating-product formulas in the Q_j; every map comes
 with its inverse, and the (L, M) -> sequence map doubles as the random
-generator of Stieltjes-PD fixtures.
+generator of Stieltjes-PD fixtures.  The prefix products of the factor
+chain of (L, M), which U and both polynomial quadruples read, are built
+here (chain_stacks), next to the pair they are cached on.
 """
 
 from dataclasses import dataclass
@@ -268,6 +270,40 @@ def q_from_ds(d: DSParam) -> StieltjesParam:
         else:
             values.append(gi[n + 1].conj().T @ ls[n] @ gi[n + 1])
     return StieltjesParam(q=d.q, alpha=d.alpha, side=d.side, values=tuple(values))
+
+
+@derived
+def chain_stacks(ds: DSParam) -> tuple:
+    """Block columns of the prefix products P_j = W_0 W_1 ... W_j of the
+    factor chain of (L, M), j = 0..kappa, as two zero-padded stacks (x, y).
+
+    x[n, i] is the coefficient of z^i in the left block column [A_n; C_n]
+    of P_{2n}, n = 0..half(kappa), and y[n, i] that of the right one
+    [B_n; D_n] of P_{2n-1}, n = 0..half(kappa+1), with P_{-1} = I; each
+    entry is 2q x q.  The linear factor W_{2n} = [[I, 0], [(alpha-z) M_n, I]]
+    adds Y (alpha - z) M_n to X, two shifted adds of Y M_n; the constant
+    factor W_{2n+1} = [[I, +-L_n], [0, I]] adds X (+-L_n) to Y.  A prefix
+    column does not depend on kappa, so U_m of every m <= kappa, the
+    Dyukarev quadruple and the orthogonal quadruple are all read off this
+    one build, cached on the pair.
+    """
+    q, alpha, kappa = ds.q, ds.alpha, ds.kappa
+    sgn = 1.0 if ds.side == RIGHT else -1.0
+    x = np.zeros((half(kappa) + 1, half(kappa) + 2, 2 * q, q), dtype=complex)
+    y = np.zeros((half(kappa + 1) + 1, half(kappa + 1) + 1, 2 * q, q), dtype=complex)
+    x[0, 0, :q] = y[0, 0, q:] = np.eye(q)
+    for j in range(kappa + 1):
+        n = j // 2
+        if j % 2 == 0:
+            # each step raises one degree by one: x[n] has n+2 coefficients
+            ym = y[n, :n + 1] @ ds.m[n]
+            if n:
+                x[n] = x[n - 1]
+            x[n, :n + 1] += alpha * ym
+            x[n, 1:n + 2] -= ym
+        else:
+            y[n + 1, :n + 2] = y[n, :n + 2] + x[n, :n + 2] @ (sgn * ds.l[n])
+    return x, y
 
 
 def seq_from_ds(d: DSParam) -> MomentSequence:

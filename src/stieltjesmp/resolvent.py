@@ -1,9 +1,10 @@
 """The 2q x 2q resolvent polynomial, its factorization and the Schur rescale.
 
 U is the ordered product of the chain of constant upper factors (L blocks)
-and linear lower factors ((alpha - z) M blocks) read off (L, M), expanded
-once into exact coefficients; the four q x q families (A, B, C, D) are the
-block columns of its prefix products, and nothing else builds U.  U * E
+and linear lower factors ((alpha - z) M blocks) read off (L, M).  The prefix
+products are expanded once per (L, M) pair into the cached chain stacks of
+params.chain_stacks; U_m is a slice of them, the four q x q families
+(A, B, C, D) are their block columns, and nothing else builds U.  U * E
 turns the Stieltjes-pair transformation into a Schur-class one.
 """
 
@@ -17,8 +18,8 @@ from .linalg import (
     signature_matrix,
 )
 from .moments import RIGHT, MomentSequence, derived, half, index_m, require_stieltjes_pd
-from .orthopoly import MatrixPolynomial, stieltjes_quadruple
-from .params import DSParam, ds_param
+from .orthopoly import MatrixPolynomial, _hankel_quadruple
+from .params import DSParam, chain_stacks, ds_param
 
 
 @dataclass(frozen=True)
@@ -41,51 +42,26 @@ class DyukarevQuadruple:
 @derived
 def dyukarev_quadruple(seq: MomentSequence) -> DyukarevQuadruple:
     """The four resolvent block families of a Stieltjes-PD sequence: the
-    block columns of the prefix products of the factor chain of (L, M)."""
+    block columns of the prefix products of the factor chain of (L, M),
+    wrapped from the cached chain_stacks."""
     require_stieltjes_pd(seq)
     q = seq.q
-    xs, ys = _chain_columns(ds_param(seq), seq.kappa)
+    x, y = chain_stacks(ds_param(seq))
     return DyukarevQuadruple(side=seq.side, alpha=seq.alpha,
-                             a=tuple(MatrixPolynomial(x[:, :q]) for x in xs),
-                             b=tuple(MatrixPolynomial(y[:, :q]) for y in ys),
-                             c=tuple(MatrixPolynomial(x[:, q:]) for x in xs),
-                             d=tuple(MatrixPolynomial(y[:, q:]) for y in ys))
-
-
-def _chain_columns(ds: DSParam, m: int) -> tuple:
-    """Block columns of the prefix products P_j = W_0 W_1 ... W_j of the chain.
-
-    xs[n] is the left block column [A_n; C_n] of P_{2n}, n = 0..half(m), and
-    ys[n] the right one [B_n; D_n] of P_{2n-1}, n = 0..half(m+1), with
-    P_{-1} = I; each is a (degree+1, 2q, q) coefficient stack.  The constant
-    factor W_{2n+1} adds X (+-L_n) to Y, one batched product; the linear
-    factor W_{2n} adds Y (alpha - z) M_n to X, two shifted adds of Y M_n.
-    """
-    q, alpha = ds.q, ds.alpha
-    sgn = 1.0 if ds.side == RIGHT else -1.0
-    eye = np.eye(2 * q, dtype=complex)[None]
-    x, y = eye[..., :q], eye[..., q:]
-    zero = np.zeros((1, 2 * q, q), dtype=complex)   # each step raises one degree by one
-    xs, ys = [], [y]
-    for j in range(m + 1):
-        if j % 2 == 0:
-            ym = y @ ds.m[j // 2]
-            x = np.concatenate([x, zero])
-            x[:-1] += alpha * ym
-            x[1:] -= ym
-            xs.append(x)
-        else:
-            y = np.concatenate([y, zero]) + x @ (sgn * ds.l[j // 2])
-            ys.append(y)
-    return xs, ys
+                             a=tuple(MatrixPolynomial(c[:n + 1, :q]) for n, c in enumerate(x)),
+                             b=tuple(MatrixPolynomial(c[:max(n, 1), :q]) for n, c in enumerate(y)),
+                             c=tuple(MatrixPolynomial(c[:n + 2, q:]) for n, c in enumerate(x)),
+                             d=tuple(MatrixPolynomial(c[:n + 1, q:]) for n, c in enumerate(y)))
 
 
 def _chain_product(ds: DSParam, m: int) -> MatrixPolynomial:
-    """P_m = W_0 ... W_m expanded: [xs[half(m)] | ys[half(m+1)]] of _chain_columns."""
-    xs, ys = _chain_columns(ds, m)
-    x, y = xs[-1], ys[-1]
-    y = np.concatenate([y, np.zeros((len(x) - len(y),) + y.shape[1:])])   # len(y) <= len(x)
-    return MatrixPolynomial(np.concatenate([x, y], axis=2))
+    """P_m = W_0 ... W_m expanded: [x[half(m)] | y[half(m+1)]] of chain_stacks."""
+    x, y = chain_stacks(ds)
+    n, k = half(m), half(m + 1)   # y[k] has k+1 <= n+2 coefficients
+    u = np.zeros((n + 2, 2 * ds.q, 2 * ds.q), dtype=complex)
+    u[:, :, :ds.q] = x[n, :n + 2]
+    u[:k + 1, :, ds.q:] = y[k, :k + 1]
+    return MatrixPolynomial(u)
 
 
 @dataclass(frozen=True)
@@ -129,16 +105,16 @@ class ResolventU:
 
 def resolvent_u(seq: MomentSequence, m: int | None = None) -> ResolventU:
     """The resolvent member for index m: the product W_0 ... W_m of the
-    factors of factorize_u, assembled from the quadruple's block columns."""
+    factors of factorize_u, sliced out of the cached chain_stacks."""
     m = index_m(seq, m)
-    quad = dyukarev_quadruple(seq)
-    poly = MatrixPolynomial.block2x2(quad.a[half(m)], quad.b[half(m + 1)],
-                                     quad.c[half(m)], quad.d[half(m + 1)])
-    return ResolventU(m=m, side=seq.side, alpha=seq.alpha, q=seq.q, poly=poly)
+    return ResolventU(m=m, side=seq.side, alpha=seq.alpha, q=seq.q,
+                      poly=_chain_product(ds_param(seq), m))
 
 
 def u_from_quadruple_polynomials(seq: MomentSequence, m: int) -> ResolventU:
-    """Alternative route to U through the orthogonal-system quadruple.
+    """Alternative route to U through the orthogonal-system quadruple built
+    from the Hankel blocks (monic_rows and the Toeplitz products of the
+    moments), not from the chain: verify's independent quadruple_route.
 
     Right half-line:
         A = cs(Phat_n) Phat_n(a)^{-*}      B = -cs(P2_{k}) P_{k}(a)^{-*}
@@ -147,7 +123,7 @@ def u_from_quadruple_polynomials(seq: MomentSequence, m: int) -> ResolventU:
     left half-line C carries -(a-z) instead.
     """
     m = index_m(seq, m)
-    quad = stieltjes_quadruple(seq)
+    quad = _hankel_quadruple(seq)
     a = seq.alpha
     q = seq.q
     n, k = half(m), half(m + 1)

@@ -1,5 +1,6 @@
 """High-precision reference for the (L, M) -> Q -> moments maps, the
-resolvent U and the extremals of the (L, M) block string.
+resolvent U, the top monic orthogonal polynomial and the extremals of the
+(L, M) block string.
 
 The same alternating products and the same Schur-complement recursion as
 q_from_ds and seq_from_stieltjes_param, U as the product of the factor
@@ -85,6 +86,25 @@ def oracle(l, m, alpha: float, side: str, q: int):
         qs = q_from_lm(l, m, q)
         mats = moments_from_q(qs, alpha, side, q)
         return [_to_np(v) for v in qs], [_to_np(v) for v in mats]
+
+
+def monic_top(l, m, alpha: float, side: str, q: int) -> np.ndarray:
+    """Coefficients of the monic orthogonal P_top, top = half(kappa + 1), of
+    the moments of (L, M), as a (top+1, q, q) stack rounded to complex128.
+
+    P_top has the block row (-z_{top,2top-1} H_{top-1}^{-1}  I), with the
+    moments and the exact inverse at DPS digits.
+    """
+    with mp.workdps(DPS):
+        mats = moments_from_q(q_from_lm(l, m, q), alpha, side, q)
+        top = len(mats) // 2
+        z = mp.matrix(q, top * q)
+        for j, s in enumerate(mats[top:2 * top]):
+            for a in range(q):
+                for b in range(q):
+                    z[a, j * q + b] = s[a, b]
+        row = _to_np(-z * mp.inverse(_hankel(mats, top - 1, q)))
+    return np.concatenate([row.reshape(q, top, q).swapaxes(0, 1), np.eye(q)[None]])
 
 
 def chain_product(l, m, alpha: float, side: str, q: int, z: complex):

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from stieltjesmp import (
-    DSParam, classify, difference_inverse, ds_param, dyukarev_quadruple, extremal, favard_pair,
-    lft_solve, pair_max, pair_min, potapov_defect_psd, random_pd, random_stieltjes_pd_sequence,
-    reflect, resolvent_u, sequence, shift_sequence, stieltjes_param, stieltjes_quadruple,
+    MONIC, DSParam, classify, difference_inverse, ds_param, dyukarev_quadruple, extremal,
+    factorize_u, favard_pair, lft_solve, measure_moments, pair_max, pair_min, potapov_defect_psd,
+    random_pd, random_stieltjes_pd_sequence, real_zeros, recover_max, recover_min, reflect,
+    resolvent_u, sequence, shift_sequence, stieltjes_param, stieltjes_quadruple, weyl_interval,
 )
 from stieltjesmp.moments import (
     _cholesky_hhats, first_block_column, half, hankel, hhats, monic_rows, resolvent_R,
     schur_complement, u_shift_vector, z_stack,
 )
+from stieltjesmp import orthopoly, params, solutions
+from stieltjesmp.params import chain_stacks
 from stieltjesmp.solutions import string_rule
 
 from conftest import alternating_signs, block_shift, column_E, ladder_fixture, shat_matrix
@@ -247,6 +250,7 @@ def test_derived_objects_are_cached():
     for build in (classify, stieltjes_param, ds_param, dyukarev_quadruple,
                   stieltjes_quadruple):
         assert build(s) is build(s)
+    assert chain_stacks(ds_param(s)) is chain_stacks(ds_param(s))
     for side in (s, s.shifted):
         assert hhats(side) is hhats(side)
         assert monic_rows(side) is monic_rows(side)
@@ -267,8 +271,9 @@ def test_derived_objects_are_cached():
 
 
 def test_monic_rows_hold_the_one_hankel_inverse(monkeypatch):
-    # once the rows of both sides are cached, the quadruple, favard_pair and
-    # difference_inverse read them and invert nothing larger than q x q
+    # once the rows of both sides are cached, favard_pair and difference_inverse
+    # read them and invert nothing larger than q x q; the quadruple, read off
+    # the chain, inverts only q x q leading coefficients
     s = random_stieltjes_pd_sequence(q=2, kappa=5, alpha=0.5, seed=4)
     rows = monic_rows(s), monic_rows(s.shifted)
     inv, sizes = np.linalg.inv, []
@@ -286,13 +291,32 @@ def test_monic_rows_hold_the_one_hankel_inverse(monkeypatch):
     assert monic_rows(s) is rows[0] and monic_rows(s.shifted) is rows[1]
 
 
+def test_the_solve_pipeline_never_builds_monic_rows(monkeypatch):
+    # every build layer of one solve, on a fresh sequence of each side: the
+    # quadruple and U read the chain stacks, so no Hankel block is inverted
+    def no_rows(seq):
+        raise AssertionError("monic_rows called")
+
+    for module in (orthopoly, params, solutions):
+        monkeypatch.setattr(module, "monic_rows", no_rows)
+    for side in ("right", "left"):
+        s = random_stieltjes_pd_sequence(q=2, kappa=5, alpha=0.5, side=side, seed=6)
+        classify(s), stieltjes_param(s), ds_param(s)
+        resolvent_u(s), factorize_u(s).product(), dyukarev_quadruple(s)
+        real_zeros(stieltjes_quadruple(s).p[-1], MONIC)
+        for ext in extremal(s):
+            ext(s.alpha + 1j)
+        weyl_interval(s, s.kappa, s.alpha + (-1.0 if side == "right" else 1.0))
+        measure_moments(recover_min(s), s.kappa), measure_moments(recover_max(s), s.kappa)
+
+
 def test_cached_arrays_are_read_only():
     # a sequence of its own: where a write succeeds it must not reach shared fixtures
     s = random_stieltjes_pd_sequence(q=2, kappa=4, alpha=0.5, seed=2)
     arrays = list(s.moments) + list(stieltjes_param(s).values)
     d = ds_param(s)
     arrays += list(d.l) + list(d.m)
-    arrays += [monic_rows(s), monic_rows(s.shifted)]
+    arrays += [monic_rows(s), monic_rows(s.shifted), *chain_stacks(d)]
     for side in (s, s.shifted):
         arrays += [*hhats(side)[0], hhats(side)[1]]
     dq, quad = dyukarev_quadruple(s), stieltjes_quadruple(s)

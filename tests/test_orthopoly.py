@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stieltjesmp import (
-    GENERAL, MONIC, MatrixPolynomial, associated_polynomial, det_zeros,
+    DEFAULT_TOL, GENERAL, MONIC, MatrixPolynomial, associated_polynomial, det_zeros,
     ds_param, dyukarev_quadruple, favard_pair, monic_orthogonal_system, real_zeros,
     second_kind_system, sequence, shift_sequence, stieltjes_param,
     random_stieltjes_pd_sequence, reflect, stieltjes_quadruple,
@@ -189,6 +189,45 @@ def test_det_zeros_trivial():
     np.testing.assert_allclose(zs, [-1.0, 1.0], atol=1e-10)
 
 
+def test_monic_lead_test_decides_as_allclose():
+    # leads at and around |lead - I| = atol + 1e-5 |I|, on and off the
+    # diagonal, real and complex, and non-finite: accepted iff np.allclose is
+    tol = DEFAULT_TOL.identity_tol
+    cases = [np.eye(2), np.full((2, 2), np.nan), np.diag([np.inf, 1.0])]
+    for where, edge in (((0, 0), tol + 1e-5), ((0, 1), tol)):
+        for f in (0.5, 1 - 1e-9, 1.0, 1 + 1e-9, 2.0):
+            for phase in (1.0, -1.0, 1j, np.exp(0.3j)):
+                lead = np.eye(2, dtype=complex)
+                lead[where] += f * edge * phase
+                cases.append(lead)
+    decisions = set()
+    for lead in cases:
+        p = MatrixPolynomial([np.diag([-1.0, -2.0]), lead])
+        want = bool(np.allclose(lead, np.eye(2), atol=tol))
+        try:
+            det_zeros(p, MONIC)
+            got = True
+        except ValueError:
+            got = False
+        assert got == want
+        decisions.add(got)
+    assert decisions == {True, False}
+
+
+def test_det_zeros_monic_companion_matches_the_block_loop():
+    # the sliced companion is the block matrix of the loop it replaced
+    rng = np.random.default_rng(5)
+    for q, deg in ((1, 1), (1, 4), (2, 1), (2, 3), (3, 2)):
+        coeffs = rng.standard_normal((deg, q, q)) + 1j * rng.standard_normal((deg, q, q))
+        comp = np.zeros((deg * q, deg * q), dtype=complex)
+        for j in range(deg - 1):
+            comp[j * q:(j + 1) * q, (j + 1) * q:(j + 2) * q] = np.eye(q)
+        for j in range(deg):
+            comp[(deg - 1) * q:, j * q:(j + 1) * q] = -coeffs[j]
+        p = MatrixPolynomial(list(coeffs) + [np.eye(q)])
+        np.testing.assert_array_equal(det_zeros(p, MONIC), np.linalg.eigvals(comp))
+
+
 def test_det_zeros_rejects_singular():
     with pytest.raises(ValueError):
         det_zeros(MatrixPolynomial.constant(np.zeros((2, 2))))
@@ -262,9 +301,11 @@ def test_associated_polynomial_degree():
 
 
 def _assert_families_match_the_loop(s):
-    quad, ref = stieltjes_quadruple(s), quadruple_loop(s)
+    # the Hankel families (verify's quadruple route) and the public systems:
+    # first kind and shifted rows bit for bit, the attached families to 1e-12
+    hank, ref = orthopoly._hankel_quadruple(s), quadruple_loop(s)
     for key in ("p", "second", "p_shift", "phat"):
-        got, want = getattr(quad, key), ref[key]
+        got, want = getattr(hank, key), ref[key]
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g.degree == w.degree
@@ -272,10 +313,9 @@ def _assert_families_match_the_loop(s):
                 np.testing.assert_array_equal(g.coeffs, w.coeffs)
             else:
                 assert np.linalg.norm(g.coeffs - w.coeffs) <= 1e-12 * np.linalg.norm(w.coeffs)
-    # the public systems read the same stacks
     for g, w in zip(monic_orthogonal_system(s), ref["p"]):
         np.testing.assert_array_equal(g.coeffs, w.coeffs)
-    for g, w in zip(second_kind_system(s), quad.second):
+    for g, w in zip(second_kind_system(s), hank.second):
         np.testing.assert_array_equal(g.coeffs, w.coeffs)
     for pn, w in zip(ref["p"], ref["second"]):
         g = associated_polynomial(s, pn)
@@ -283,12 +323,39 @@ def _assert_families_match_the_loop(s):
         assert np.linalg.norm(g.coeffs - w.coeffs) <= 1e-12 * np.linalg.norm(w.coeffs)
 
 
+def _chain_quadruple_error(s) -> dict:
+    """Worst relative coefficient error per family of the chain-built quadruple
+    against quadruple_loop; the degrees must be equal."""
+    quad, ref = stieltjes_quadruple(s), quadruple_loop(s)
+    worst = {}
+    for key in ("p", "second", "p_shift", "phat"):
+        got, want = getattr(quad, key), ref[key]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.degree == w.degree
+            # absolute for the zero polynomial second_0
+            scale = np.linalg.norm(w.coeffs) or 1.0
+            worst[key] = max(worst.get(key, 0.0), np.linalg.norm(g.coeffs - w.coeffs) / scale)
+    return worst
+
+
 def test_stacked_quadruple_matches_the_polynomial_loop():
-    # first kind and shifted rows bit for bit; the attached families to 1e-12
     for i in range(50):
         s = ladder_fixture(i)
         for t in (s, reflect(s)):
             _assert_families_match_the_loop(t)
+
+
+def test_chain_quadruple_matches_the_polynomial_loop():
+    # the quadruple read off the chain of (L, M) against the Hankel loop:
+    # worst 4.4e-12 (p), 2.7e-12 (second), 3.7e-13 (p_shift), 5.5e-13 (phat)
+    worst = {}
+    for i in range(50):
+        for t in (ladder_fixture(i), reflect(ladder_fixture(i))):
+            for key, err in _chain_quadruple_error(t).items():
+                worst[key] = max(worst.get(key, 0.0), err)
+    assert set(worst) == {"p", "second", "p_shift", "phat"}
+    assert max(worst.values()) <= 1e-11
 
 
 @pytest.mark.parametrize("side", ["right", "left"])
@@ -296,11 +363,14 @@ def test_stacked_quadruple_with_one_moment(side):
     s0 = np.array([[2.0, 0.5j], [-0.5j, 1.0]])
     s = sequence([s0], alpha=0.5, side=side)
     _assert_families_match_the_loop(s)
+    assert max(_chain_quadruple_error(s).values()) <= 1e-15
     quad = stieltjes_quadruple(s)
     assert [pn.degree for pn in quad.second] == [-1]
     assert len(quad.p_shift) == 1
     np.testing.assert_array_equal(quad.p_shift[0].coeffs, [np.eye(2)])
-    np.testing.assert_array_equal(quad.phat[0].coeffs, [s0 if side == "right" else -s0])
+    # phat_0 = +-M_0^{-1} with M_0 = s_0^{-1}: s_0 to a few ulp, not bit for bit
+    want = s0 if side == "right" else -s0
+    np.testing.assert_allclose(quad.phat[0].coeffs, [want], rtol=0, atol=4 * np.spacing(2.0))
 
 
 def test_stacked_points_are_the_loop_points():
@@ -315,18 +385,37 @@ def test_stacked_points_are_the_loop_points():
                                       ("p_shift", 1)])
 def test_shift_identity_check_catches_a_wrong_row(monkeypatch, family, n):
     # a fresh sequence, so no cached quadruple; q=2, kappa=4 checks P_0..P_2
-    # and P_shift_0, P_shift_1
+    # and P_shift_0, P_shift_1 of the stacks normalised from the chain
     s = random_stieltjes_pd_sequence(q=2, kappa=4, alpha=0.5, side="right", seed=3)
-    target = s if family == "p" else s.shifted
-    rows = orthopoly.monic_rows
+    families = orthopoly._chain_families
 
-    def wrong_row(seq):
-        out = rows(seq).copy()
-        if seq is target:
-            out[n, 0] += 0.5 * np.eye(seq.q)
-        return out
+    def wrong_row(ds):
+        p, second, p_shift, phat = (a.copy() for a in families(ds))
+        (p if family == "p" else p_shift)[n, 0] += 0.5 * np.eye(ds.q)
+        return p, second, p_shift, phat
 
-    monkeypatch.setattr(orthopoly, "monic_rows", wrong_row)
+    monkeypatch.setattr(orthopoly, "_chain_families", wrong_row)
+    with pytest.raises(AssertionError, match="shift identity violated"):
+        stieltjes_quadruple(s)
+
+
+@pytest.mark.parametrize("block,n", [("d", 0), ("d", 1), ("d", 2), ("c", 1)])
+def test_shift_identity_check_catches_a_wrong_chain_block(monkeypatch, block, n):
+    # a wrong block of the cached chain stacks reaches the checked rows: the
+    # constant coefficient of D_n feeds P_n and E_n, ..., the lead of C_n
+    # normalises P_shift_n (P_0 and P_shift_0 are I by construction)
+    s = random_stieltjes_pd_sequence(q=2, kappa=4, alpha=0.5, side="right", seed=3)
+    stacks, q = orthopoly.chain_stacks, s.q
+
+    def wrong_block(ds):
+        x, y = (a.copy() for a in stacks(ds))
+        if block == "d":
+            y[n, 0, q:] += 0.5 * y[n, n, q:]
+        else:
+            x[n, n + 1, q:] *= 1.5
+        return x, y
+
+    monkeypatch.setattr(orthopoly, "chain_stacks", wrong_block)
     with pytest.raises(AssertionError, match="shift identity violated"):
         stieltjes_quadruple(s)
 

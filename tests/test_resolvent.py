@@ -131,6 +131,16 @@ def test_factor_chain_reproduces_u():
             assert np.linalg.norm(prod_poly(z) - uz) <= 1e-10 * np.linalg.norm(uz)
 
 
+def test_resolvent_u_is_the_expanded_chain_bit_for_bit():
+    # U_m is a slice of the cached chain stacks, the same numbers as the
+    # chain's own expansion, for every m on both half-lines
+    for i in range(10):
+        for s in (ladder_fixture(i), reflect(ladder_fixture(i))):
+            for m in range(s.kappa + 1):
+                np.testing.assert_array_equal(resolvent_u(s, m).poly.coeffs,
+                                              factorize_u(s, m).product().coeffs)
+
+
 def test_quadruple_polynomial_route():
     rng = np.random.default_rng(12)
     for i in range(10):
