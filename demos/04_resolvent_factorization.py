@@ -48,8 +48,3 @@ for name in "ABCD":
     info = lt[name]
     print(f"  {name}: degree {info['degree']}, "
           f"|leading| = {np.linalg.norm(info['leading']):.4f}")
-
-# the alternative construction through the orthogonal quadruple
-uq = smp.u_from_quadruple_polynomials(s, s.kappa)
-err = np.linalg.norm(uq(z) - u(z)) / np.linalg.norm(u(z))
-print(f"\northogonal-quadruple route agrees to {err:.2e}")

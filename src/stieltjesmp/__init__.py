@@ -26,7 +26,7 @@ from .orthopoly import (
 from .resolvent import (
     DyukarevQuadruple, FactorChain, JInnerReport, ResolventU,
     dyukarev_quadruple, factorize_u, j_inner_check, leading_terms,
-    resolvent_u, schur_rotation, sigma, u_from_quadruple_polynomials,
+    resolvent_u, schur_rotation, sigma,
 )
 from .solutions import (
     CONSTANT, SCHUR_CONSTANT, ExtremalSolution, SingularDenominator,

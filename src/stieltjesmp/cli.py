@@ -20,7 +20,7 @@ from .params import (
     canonical_hankel_param, ds_param, favard_pair, random_stieltjes_pd_sequence,
     seq_from_ds, seq_from_stieltjes_param, stieltjes_param,
 )
-from .resolvent import factorize_u, j_inner_check, resolvent_u, u_from_quadruple_polynomials
+from .resolvent import factorize_u, j_inner_check, resolvent_u
 from .solutions import (
     CONSTANT, SCHUR_CONSTANT, SingularDenominator, StieltjesPair, difference_inverse,
     extremal, lft_solve, pair_max, pair_min, weyl_interval,
@@ -242,7 +242,6 @@ def cmd_verify(args) -> int:
 
     u = resolvent_u(seq)
     chain = factorize_u(seq)
-    uq = u_from_quadruple_polynomials(seq, seq.kappa)
     det_ref = np.linalg.det(u(seq.alpha))
     # 20 points z = re + i im, drawn as (re, im) pairs; each check holds at every point
     z = rng.standard_normal(40).view(complex)
@@ -252,7 +251,6 @@ def cmd_verify(args) -> int:
     det_gap = np.abs(np.linalg.det(uz) - det_ref)
     checks["det_constant"] = np.all(det_gap <= 1e-10 * (1 + abs(det_ref)))
     checks["factor_chain"] = np.all(np.linalg.norm(chain(z) - uz, axis=(1, 2)) <= 1e-9 * n)
-    checks["quadruple_route"] = np.all(np.linalg.norm(uq(z) - uz, axis=(1, 2)) <= 1e-9 * n)
     checks["j_symmetry"] = np.all(np.linalg.norm(ui - u.inverse_at(z), axis=(1, 2))
                                   <= 1e-8 * np.linalg.norm(ui, axis=(1, 2)))
 

@@ -8,9 +8,9 @@ alpha-shifted sequence -alpha*s_j + s_{j+1} (right) resp.
 alpha*s_j - s_{j+1} (left) drive both the classification and all
 parametrizations downstream.  The Schur complements together with their
 psd classes (hhats) and the monic orthogonal rows (monic_rows), which hold
-the package's one Hankel-block inverse, are derived values, cached on the
-sequence by their builders like everything else; the shifted sequence
-carries its own.
+the package's one Hankel-block inverse and serve the Hankel-PD-prefix
+routes only, are derived values, cached on the sequence by their builders
+like everything else; the shifted sequence carries its own.
 """
 
 from dataclasses import dataclass
@@ -235,10 +235,11 @@ def monic_rows(seq: MomentSequence) -> Array:
     (top+1, top+1, q, q) stack: entry [n, j] multiplies z^j in P_n.
 
     Row n >= 1 is the block row (-z_{n,2n-1} H_{n-1}^{-1}  I), with an LU
-    inverse: the one Hankel-block inverse of the package.  The rows are
-    the matrix Christoffel-Darboux factor H_n^{-1} = R^* diag(Hhat_k^{-1}) R,
-    block row k of R being P_k, so every Hankel inverse downstream reads
-    them.  No positivity check: the caller makes it.
+    inverse: the one Hankel-block inverse of the package.  Its readers,
+    favard_pair and the public orthogonal systems, take Hankel-PD-prefix
+    input that need not be Stieltjes-PD; a Stieltjes-PD sequence's
+    quadruple, U and difference inverse read the factor chain of (L, M)
+    instead.  No positivity check: the caller makes it.
     """
     q, top = seq.q, half(seq.kappa + 1)
     rows = np.zeros((top + 1, top + 1, q, q), dtype=complex)

@@ -5,10 +5,10 @@ Polynomials carry their coefficients as a degree-indexed stack of matrices
 kind system, the shifted system and the associated polynomials of the
 shifted system form the quadruple that rebuilds the resolvent blocks.
 stieltjes_quadruple normalises the cached factor chain of (L, M)
-(params.chain_stacks) into it, with no Hankel inverse.  The public
-systems, which take Hankel-PD-prefix sequences, and the private Hankel
-quadruple behind verify's independent quadruple route read the monic
-rows that moments.monic_rows caches on the sequence and on its shift.
+(params.chain_stacks) into it, with no Hankel inverse; it is the only
+construction of the quadruple.  The public systems, which take
+Hankel-PD-prefix sequences that need not be Stieltjes-PD, read the monic
+rows that moments.monic_rows caches on the sequence.
 """
 
 from dataclasses import dataclass
@@ -19,7 +19,7 @@ import numpy as np
 from .linalg import Array, DEFAULT_TOL
 from .moments import (
     RIGHT, MomentSequence, derived, freeze, half, hhats, lower_triangular_S, monic_rows,
-    require_hankel_pd_prefix, require_stieltjes_pd,
+    require_hankel_pd_prefix,
 )
 from .params import DSParam, chain_stacks, ds_param
 
@@ -123,16 +123,6 @@ class MatrixPolynomial:
     def constant(mat: Array) -> "MatrixPolynomial":
         return MatrixPolynomial([mat])
 
-    @staticmethod
-    def block2x2(p11, p12, p21, p22) -> "MatrixPolynomial":
-        """Assemble four q x q polynomials into one 2q x 2q polynomial."""
-        rows, cols = p11.q_rows, p11.q_cols
-        out = np.zeros((max(len(p.coeffs) for p in (p11, p12, p21, p22)),
-                        rows + p21.q_rows, cols + p12.q_cols), dtype=complex)
-        for p, r, c in ((p11, 0, 0), (p12, 0, cols), (p21, rows, 0), (p22, rows, cols)):
-            out[:len(p.coeffs), r:r + p.q_rows, c:c + p.q_cols] = p.coeffs
-        return MatrixPolynomial(out)
-
 
 # The families are built as zero-padded coefficient stacks: entry [n, j] of a
 # (K, D, q, q) stack is the coefficient of z^j in the n-th polynomial.
@@ -214,6 +204,15 @@ def _cs(stack: Array) -> Array:
     return stack.conj().swapaxes(-1, -2)
 
 
+def chain_d_e(ds: DSParam) -> tuple:
+    """The lower blocks D_k of the right chain columns [B_k; D_k], k =
+    0..half(kappa+1), and E_n = sum_{j<=n} D_j M_j, n = 0..half(kappa), as
+    two zero-padded coefficient stacks; E_n has degree n."""
+    x, y = chain_stacks(ds)
+    d = y[:, :, ds.q:]
+    return d, np.cumsum(d[:len(x), :len(x)] @ np.array(ds.m)[:, None], axis=0)
+
+
 def _chain_families(ds: DSParam) -> tuple:
     """The (p, second, p_shift, phat) coefficient stacks of the quadruple,
     normalised from the chain stacks of (L, M).
@@ -231,13 +230,13 @@ def _chain_families(ds: DSParam) -> tuple:
     """
     q = ds.q
     x, y = chain_stacks(ds)
-    nx, ny = len(x), len(y)
-    n, k = np.arange(nx), np.arange(ny)
-    d_norm = np.linalg.inv(_cs(y[k, k, q:]))[:, None]
+    d, e = chain_d_e(ds)
+    nx = len(x)
+    n, k = np.arange(nx), np.arange(len(y))
+    d_norm = np.linalg.inv(_cs(d[k, k]))[:, None]
     c_norm = np.linalg.inv(_cs(x[n, n + 1, q:]))[:, None]
-    p = d_norm @ _cs(y[:, :, q:])
+    p = d_norm @ _cs(d)
     second = -(d_norm @ _cs(y[:, :, :q]))
-    e = np.cumsum(y[:nx, :nx, q:] @ np.array(ds.m)[:, None], axis=0)
     p_shift = -(c_norm @ _cs(e))
     phat = (c_norm @ _cs(x[:, :nx, :q])) * (-1.0 if ds.side == RIGHT else 1.0)
     p[k, k] = p_shift[n, n] = np.eye(q)
@@ -263,36 +262,9 @@ def stieltjes_quadruple(seq: MomentSequence) -> StieltjesQuadruple:
     """
     p, second, p_shift, phat = _chain_families(ds_param(seq))
     _check_shift_identity(seq, p, p_shift)
-    return _quadruple(seq, p, second, p_shift, phat)
-
-
-def _quadruple(seq: MomentSequence, p, second, p_shift, phat) -> StieltjesQuadruple:
-    """The quadruple of four coefficient stacks, each polynomial cut to its degree."""
     return StieltjesQuadruple(side=seq.side, alpha=seq.alpha, p=_polynomials(p),
                               second=_polynomials(second, lag=1),
                               p_shift=_polynomials(p_shift), phat=_polynomials(phat))
-
-
-@derived
-def _hankel_quadruple(seq: MomentSequence) -> StieltjesQuadruple:
-    """The quadruple from the Hankel blocks: P and P_shift the monic rows of
-    the sequence and of its shift, second and phat one product each with
-    the Toeplitz matrix of the moments, under the same shift-identity
-    check.  Only u_from_quadruple_polynomials reads it, so verify's
-    quadruple_route stays a construction independent of the chain.
-    """
-    require_stieltjes_pd(seq)
-    q, a = seq.q, seq.alpha
-    sgn = 1.0 if seq.side == RIGHT else -1.0
-    p = monic_rows(seq)
-    # one moment: the shifted family is the degree-0 monic polynomial alone
-    p_shift = monic_rows(seq.shifted) if seq.kappa else np.eye(q, dtype=complex)[None, None]
-    _check_shift_identity(seq, p, p_shift)
-    # sgn (z - alpha) P_shift_n as two shifted adds
-    lin = np.zeros((len(p_shift), len(p_shift) + 1, q, q), dtype=complex)
-    lin[:, 1:] = sgn * p_shift
-    lin[:, :-1] -= sgn * a * p_shift
-    return _quadruple(seq, p, _associated(seq, p), p_shift, _associated(seq, lin))
 
 
 @lru_cache(maxsize=64)

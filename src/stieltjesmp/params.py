@@ -284,8 +284,8 @@ def chain_stacks(ds: DSParam) -> tuple:
     adds Y (alpha - z) M_n to X, two shifted adds of Y M_n; the constant
     factor W_{2n+1} = [[I, +-L_n], [0, I]] adds X (+-L_n) to Y.  A prefix
     column does not depend on kappa, so U_m of every m <= kappa, the
-    Dyukarev quadruple and the orthogonal quadruple are all read off this
-    one build, cached on the pair.
+    Dyukarev quadruple, the orthogonal quadruple and the difference inverse
+    are all read off this one build, cached on the pair.
     """
     q, alpha, kappa = ds.q, ds.alpha, ds.kappa
     sgn = 1.0 if ds.side == RIGHT else -1.0

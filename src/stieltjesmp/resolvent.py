@@ -4,8 +4,9 @@ U is the ordered product of the chain of constant upper factors (L blocks)
 and linear lower factors ((alpha - z) M blocks) read off (L, M).  The prefix
 products are expanded once per (L, M) pair into the cached chain stacks of
 params.chain_stacks; U_m is a slice of them, the four q x q families
-(A, B, C, D) are their block columns, and nothing else builds U.  U * E
-turns the Stieltjes-pair transformation into a Schur-class one.
+(A, B, C, D) are their block columns, and nothing else builds U: the
+Hankel routes to U live on as test oracles only.  U * E turns the
+Stieltjes-pair transformation into a Schur-class one.
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from .linalg import (
     signature_matrix,
 )
 from .moments import RIGHT, MomentSequence, derived, half, index_m, require_stieltjes_pd
-from .orthopoly import MatrixPolynomial, _hankel_quadruple
+from .orthopoly import MatrixPolynomial
 from .params import DSParam, chain_stacks, ds_param
 
 
@@ -109,36 +110,6 @@ def resolvent_u(seq: MomentSequence, m: int | None = None) -> ResolventU:
     m = index_m(seq, m)
     return ResolventU(m=m, side=seq.side, alpha=seq.alpha, q=seq.q,
                       poly=_chain_product(ds_param(seq), m))
-
-
-def u_from_quadruple_polynomials(seq: MomentSequence, m: int) -> ResolventU:
-    """Alternative route to U through the orthogonal-system quadruple built
-    from the Hankel blocks (monic_rows and the Toeplitz products of the
-    moments), not from the chain: verify's independent quadruple_route.
-
-    Right half-line:
-        A = cs(Phat_n) Phat_n(a)^{-*}      B = -cs(P2_{k}) P_{k}(a)^{-*}
-        C = -(z-a) cs(Psh_n) Phat_n(a)^{-*}  D = cs(P_{k}) P_{k}(a)^{-*}
-    with n = half(m), k = half(m+1) and cs(P)(z) = [P(conj z)]^*.  On the
-    left half-line C carries -(a-z) instead.
-    """
-    m = index_m(seq, m)
-    quad = _hankel_quadruple(seq)
-    a = seq.alpha
-    q = seq.q
-    n, k = half(m), half(m + 1)
-
-    phat_inv_star = np.linalg.inv(quad.phat[n](a)).conj().T
-    p_inv_star = np.linalg.inv(quad.p[k](a)).conj().T
-
-    a_poly = quad.phat[n].conj_star().rmul(phat_inv_star)
-    b_poly = quad.second[k].conj_star().rmul(p_inv_star).scale(-1.0)
-    d_poly = quad.p[k].conj_star().rmul(p_inv_star)
-    base = quad.p_shift[n].conj_star().rmul(phat_inv_star)
-    sign = -1.0 if seq.side == RIGHT else 1.0
-    c_poly = (base.shift_z() + base.scale(-a)).scale(sign)
-    poly = MatrixPolynomial.block2x2(a_poly, b_poly, c_poly, d_poly)
-    return ResolventU(m=m, side=seq.side, alpha=a, q=q, poly=poly)
 
 
 @dataclass(frozen=True)

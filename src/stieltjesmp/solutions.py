@@ -5,7 +5,9 @@ S = (U11 phi + U12 psi)(U21 phi + U22 psi)^{-1}, yields the Stieltjes
 transform of a solution of the truncated moment problem.  The trivial
 pairs give the two extremal solutions; at a real point off the half-line
 the solution values fill the matrix interval between them exactly.  The
-extremals are the partial fractions of the two block strings of (L, M).
+extremals are the partial fractions of the two block strings of (L, M),
+and the inverse of the interval's width is a polynomial sum over the
+factor chain of (L, M), with no matrix inverted.
 """
 
 from dataclasses import dataclass
@@ -18,9 +20,10 @@ from .linalg import (
     sqrt_psd,
 )
 from .moments import (
-    LEFT, RIGHT, MomentSequence, derived, freeze, half, hhats, index_m, matrix_stack,
-    monic_rows, require_stieltjes_pd,
+    LEFT, RIGHT, MomentSequence, derived, freeze, half, index_m, matrix_stack,
+    require_stieltjes_pd,
 )
+from .orthopoly import chain_d_e
 from .params import DSParam, ds_param
 from .resolvent import ResolventU, dyukarev_quadruple
 
@@ -296,35 +299,38 @@ def interval_point(seq: MomentSequence, m: int | None, x: float, k: Array):
 
 def difference_inverse(seq: MomentSequence, m: int | None = None,
                        z: complex = -1.0) -> Array:
-    """[S_max(z) - S_min(z)]^{-1} as a Christoffel-Darboux sum of the monic rows.
+    """[S_max(z) - S_min(z)]^{-1} as a sum over the factor chain of (L, M).
 
-    With w = z - alpha (right) resp. alpha - z (left), n = half(m) and
-    j = half(m - 1):
+    With w = z - alpha (right) resp. alpha - z (left), n = half(m),
+    j = half(m - 1), D_k the lower block of the chain column [B_k; D_k]
+    and E_k = sum_{i<=k} D_i M_i (orthopoly.chain_d_e):
 
-        -w sum_{k<=n} P_k(conj z)^* Q_{2k}^{-1} P_k(z)
-        + w^2 sum_{k<=j} Pshift_k(conj z)^* Q_{2k+1}^{-1} Pshift_k(z)
+        -w sum_{k<=n} D_k(z) M_k D_k(conj z)^* + w^2 sum_{k<=j} E_k(z) L_k E_k(conj z)^*
 
-    with P_k the monic rows of the sequence and Pshift_k those of its shift.
-    It is the closed formula -w E_n^T H_n^{-1} E_n + w^2 E_j^T Hshift_j^{-1} E_j,
-    E_k(z) = (I; zI; ...; z^k I), through the matrix Christoffel-Darboux
-    identity H_n^{-1} = R^* diag(Hhat_k^{-1}) R, block row k of R being P_k.
+    It is the closed formula -w V_n^T H_n^{-1} V_n + w^2 V_j^T Hshift_j^{-1} V_j,
+    V_k(z) = (I; zI; ...; z^k I), through the matrix Christoffel-Darboux
+    identity H_n^{-1} = R^* diag(Hhat_k^{-1}) R, block row k of R the monic
+    P_k = lead(cs D_k)^{-1} cs(D_k): the weight lead^{-*} Hhat_k^{-1} lead^{-1}
+    is M_k, and on the shifted side L_k.  Nothing is inverted.
     """
     m = index_m(seq, m)
     require_stieltjes_pd(seq)
+    ds = ds_param(seq)
     w = (z - seq.alpha) if seq.side == RIGHT else (seq.alpha - z)
-    out = -w * _christoffel_darboux(seq, half(m), z)
+    d, e = chain_d_e(ds)
+    out = -w * _weighted_sum(d, ds.m, half(m), z)
     if m >= 1:
-        out = out + w ** 2 * _christoffel_darboux(seq.shifted, half(m - 1), z)
+        out = out + w ** 2 * _weighted_sum(e, ds.l, half(m - 1), z)
     return out
 
 
-def _christoffel_darboux(seq: MomentSequence, n: int, z: complex) -> Array:
-    """sum_{k<=n} P_k(conj z)^* Hhat_k^{-1} P_k(z) over the monic rows of seq."""
-    rows = monic_rows(seq)[:n + 1, :n + 1]
+def _weighted_sum(stack: Array, weights: tuple, n: int, z: complex) -> Array:
+    """sum_{k<=n} F_k(z) W_k F_k(conj z)^* over a coefficient stack, F_k of degree k."""
+    fam = stack[:n + 1, :n + 1]
     powers = np.asarray(z, dtype=complex) ** np.arange(n + 1)
-    p_z = np.tensordot(powers, rows, axes=(0, 1))
-    p_conj_star = np.tensordot(powers, rows.conj().swapaxes(-1, -2), axes=(0, 1))
-    return (p_conj_star @ np.linalg.solve(np.array(hhats(seq)[0][:n + 1]), p_z)).sum(axis=0)
+    f_z = np.tensordot(powers, fam, axes=(0, 1))
+    f_conj_star = np.tensordot(powers, fam.conj().swapaxes(-1, -2), axes=(0, 1))
+    return (f_z @ np.array(weights[:n + 1]) @ f_conj_star).sum(axis=0)
 
 
 def reflect_solution(s_eval):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stieltjesmp import (
-    DEFAULT_TOL, DSParam, FavardPair, SingularDenominator, extremal, is_pd,
+    DEFAULT_TOL, DSParam, FavardPair, ResolventU, SingularDenominator, extremal, is_pd,
     random_stieltjes_pd_sequence, real_zeros, reflect, sequence, stieltjes_quadruple,
 )
 from stieltjesmp.linalg import _hermitize, ordered_product
@@ -125,8 +125,8 @@ def difference_inverse_closed(seq, m, z):
         -w E_n^T H_n^{-1} E_n + w^2 E_j^T Hshift_j^{-1} E_j,
 
     w = z - alpha (right) resp. alpha - z (left), n = half(m), j = half(m - 1).
-    The library sums the monic rows (Christoffel-Darboux); this is the
-    formula it is checked against."""
+    The library sums over the factor chain of (L, M), inverting nothing;
+    this is the formula it is checked against."""
     m = index_m(seq, m)
     require_stieltjes_pd(seq)
     w = (z - seq.alpha) if seq.side == "right" else (seq.alpha - z)
@@ -252,11 +252,44 @@ def quadruple_loop(seq):
             "phat": [attached(factor.matmul(pn)) for pn in p_shift], "points": points}
 
 
+def block2x2(p11, p12, p21, p22) -> MatrixPolynomial:
+    """Four q x q polynomials assembled into one 2q x 2q polynomial."""
+    rows, cols = p11.q_rows, p11.q_cols
+    out = np.zeros((max(len(p.coeffs) for p in (p11, p12, p21, p22)),
+                    rows + p21.q_rows, cols + p12.q_cols), dtype=complex)
+    for p, r, c in ((p11, 0, 0), (p12, 0, cols), (p21, rows, 0), (p22, rows, cols)):
+        out[:len(p.coeffs), r:r + p.q_rows, c:c + p.q_cols] = p.coeffs
+    return MatrixPolynomial(out)
+
+
 def hankel_u(seq) -> MatrixPolynomial:
     """U_kappa assembled from the moment-polynomial families of dyukarev_loop."""
     f, m = dyukarev_loop(seq), seq.kappa
-    return MatrixPolynomial.block2x2(f["a"][half(m)], f["b"][half(m + 1)],
-                                     f["c"][half(m)], f["d"][half(m + 1)])
+    return block2x2(f["a"][half(m)], f["b"][half(m + 1)], f["c"][half(m)], f["d"][half(m + 1)])
+
+
+def quadruple_u(seq, m) -> ResolventU:
+    """U_m assembled from the Hankel families of quadruple_loop.
+
+    Right half-line:
+        A = cs(Phat_n) Phat_n(a)^{-*}      B = -cs(P2_{k}) P_{k}(a)^{-*}
+        C = -(z-a) cs(Psh_n) Phat_n(a)^{-*}  D = cs(P_{k}) P_{k}(a)^{-*}
+    with n = half(m), k = half(m+1) and cs(P)(z) = [P(conj z)]^*.  On the
+    left half-line C carries -(a-z) instead.  The library slices U out of
+    the factor chain of (L, M); this is the orthogonal-polynomial route it
+    is checked against."""
+    m = index_m(seq, m)
+    quad, a = quadruple_loop(seq), seq.alpha
+    n, k = half(m), half(m + 1)
+    phat_inv_star = np.linalg.inv(quad["phat"][n](a)).conj().T
+    p_inv_star = np.linalg.inv(quad["p"][k](a)).conj().T
+    base = quad["p_shift"][n].conj_star().rmul(phat_inv_star)
+    sign = -1.0 if seq.side == "right" else 1.0
+    poly = block2x2(quad["phat"][n].conj_star().rmul(phat_inv_star),
+                    quad["second"][k].conj_star().rmul(p_inv_star).scale(-1.0),
+                    (base.shift_z() + base.scale(-a)).scale(sign),
+                    quad["p"][k].conj_star().rmul(p_inv_star))
+    return ResolventU(m=m, side=seq.side, alpha=a, q=seq.q, poly=poly)
 
 
 def ds_increments(seq) -> DSParam:

@@ -12,7 +12,8 @@ from stieltjesmp.linalg import hermitize, min_eig_hermitian_part
 from stieltjesmp.moments import half, hankel, hhats
 
 from conftest import (
-    alternating_signs, ds_increments, hankel_u, ladder_fixture, rel_err, seq_rel_err,
+    alternating_signs, ds_increments, hankel_u, ladder_fixture, quadruple_u, rel_err,
+    seq_rel_err,
 )
 
 N_FIXTURES = 50
@@ -29,7 +30,7 @@ def derived(i):
             "u": smp.resolvent_u(s),
             "chain": smp.factorize_u(s),
             "u_hankel": hankel_u(s),
-            "uq": smp.u_from_quadruple_polynomials(s, s.kappa),
+            "uq": quadruple_u(s, s.kappa),
         }
     return _derived[i]
 

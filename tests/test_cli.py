@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from stieltjesmp.cli import (
-    EXIT_INCONSISTENT, EXIT_NEGATIVE, EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE,
+    EXIT_NEGATIVE, EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE,
     decode_matrix, decode_sequence, encode_matrix, encode_sequence, main,
 )
-from stieltjesmp import difference_inverse, random_stieltjes_pd_sequence, weyl_interval
+from stieltjesmp import (
+    DSParam, difference_inverse, random_pd, random_stieltjes_pd_sequence, seq_from_ds, sequence,
+    weyl_interval,
+)
 
 from conftest import LADDER, ladder_fixture
 
@@ -220,20 +223,40 @@ def test_verify_judges_the_extremals_on_the_ladder(capsys, tmp_path):
         assert code == EXIT_OK and payload["checks"]["extremal_lft"]
 
 
-def test_difference_inverse_keeps_its_digits_past_the_hankel_formula(capsys, tmp_path):
-    # here the closed Hankel formula is 4.0e-6 off inv(gap) at x = alpha - 1,
-    # past verify's 1e-7; the sum of the monic rows is 1.1e-8 off
-    s = random_stieltjes_pd_sequence(q=4, kappa=5, seed=8, max_cond=None)
+def _assert_verify_passes_with_an_accurate_difference_inverse(capsys, tmp_path, s):
+    # difference_inverse within 1e-10 of inv(gap) at x = alpha - 1, and every
+    # check of verify holds; the Hankel quadruple route is no check of verify
     x = s.alpha - 1.0
     got = difference_inverse(s, s.kappa, x)
     want = np.linalg.inv(weyl_interval(s, s.kappa, x).gap)
-    assert np.linalg.norm(want - got) <= 1e-7 * (1 + np.linalg.norm(got))
+    assert np.linalg.norm(want - got) <= 1e-10 * (1 + np.linalg.norm(got))
     path = tmp_path / "seq.json"
     path.write_text(json.dumps(encode_sequence(s)))
     code, payload = run(capsys, "verify", str(path))
-    assert payload["checks"]["difference_inverse"]
-    # the quadruple route still fails on this sequence
-    assert code == EXIT_INCONSISTENT and not payload["checks"]["quadruple_route"]
+    assert code == EXIT_OK and payload["passed"] and all(payload["checks"].values())
+    assert payload["checks"]["difference_inverse"] and "quadruple_route" not in payload["checks"]
+
+
+def test_difference_inverse_keeps_its_digits_past_the_hankel_formula(capsys, tmp_path):
+    # here the closed Hankel formula is 4.0e-6 off inv(gap) at x = alpha - 1,
+    # past verify's 1e-7, and the sum of the Hankel monic rows 1.1e-8; the sum
+    # over the chain of (L, M) is 2.8e-12 off
+    s = random_stieltjes_pd_sequence(q=4, kappa=5, seed=8, max_cond=None)
+    _assert_verify_passes_with_an_accurate_difference_inverse(capsys, tmp_path, s)
+
+
+@pytest.mark.parametrize("kappa", [9, 10])
+def test_verify_passes_on_ill_conditioned_lm_draws(capsys, tmp_path, kappa):
+    # q = 2 draws of (L, M), then their moments: the Hankel quadruple raised a
+    # bare AssertionError from its shift-identity check at kappa = 9 (cond(H_4)
+    # about 1e17), and at kappa = 10 it and the Hankel-row difference inverse
+    # missed verify's bounds; the chain routes pass both
+    rng = np.random.default_rng([1, 2, kappa, 2])
+    m = tuple(random_pd(2, rng) for _ in range(kappa // 2 + 1))
+    l = tuple(random_pd(2, rng) for _ in range((kappa - 1) // 2 + 1))
+    ds = DSParam(q=2, alpha=0.5, side="right", l=l, m=m)
+    s = sequence(list(seq_from_ds(ds).moments), alpha=0.5, side="right")
+    _assert_verify_passes_with_an_accurate_difference_inverse(capsys, tmp_path, s)
 
 
 def test_verify_draws_its_points_in_re_im_pairs():

@@ -271,9 +271,10 @@ def test_derived_objects_are_cached():
 
 
 def test_monic_rows_hold_the_one_hankel_inverse(monkeypatch):
-    # once the rows of both sides are cached, favard_pair and difference_inverse
-    # read them and invert nothing larger than q x q; the quadruple, read off
-    # the chain, inverts only q x q leading coefficients
+    # once the rows are cached, favard_pair reads them and inverts nothing
+    # larger than q x q; the quadruple, read off the chain, inverts only q x q
+    # leading coefficients, and difference_inverse, a sum over the chain,
+    # inverts nothing
     s = random_stieltjes_pd_sequence(q=2, kappa=5, alpha=0.5, seed=4)
     rows = monic_rows(s), monic_rows(s.shifted)
     inv, sizes = np.linalg.inv, []
@@ -285,20 +286,24 @@ def test_monic_rows_hold_the_one_hankel_inverse(monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", spy)
     stieltjes_quadruple(s)
     favard_pair(s)
+    n_inv = len(sizes)
     for m in range(s.kappa + 1):
         difference_inverse(s, m, s.alpha - 1.0 + 0.3j)
-    assert sizes and max(sizes) == s.q
+    assert sizes and max(sizes) == s.q and len(sizes) == n_inv
     assert monic_rows(s) is rows[0] and monic_rows(s.shifted) is rows[1]
 
 
 def test_the_solve_pipeline_never_builds_monic_rows(monkeypatch):
-    # every build layer of one solve, on a fresh sequence of each side: the
-    # quadruple and U read the chain stacks, so no Hankel block is inverted
+    # every build layer of one solve, on a fresh sequence of each side, and
+    # difference_inverse at every m: the quadruple, U and the difference
+    # inverse read the chain stacks, so no Hankel block is inverted
     def no_rows(seq):
         raise AssertionError("monic_rows called")
 
+    # raising=False: solutions does not import the rows, and a stub there
+    # catches any future import
     for module in (orthopoly, params, solutions):
-        monkeypatch.setattr(module, "monic_rows", no_rows)
+        monkeypatch.setattr(module, "monic_rows", no_rows, raising=False)
     for side in ("right", "left"):
         s = random_stieltjes_pd_sequence(q=2, kappa=5, alpha=0.5, side=side, seed=6)
         classify(s), stieltjes_param(s), ds_param(s)
@@ -308,6 +313,8 @@ def test_the_solve_pipeline_never_builds_monic_rows(monkeypatch):
             ext(s.alpha + 1j)
         weyl_interval(s, s.kappa, s.alpha + (-1.0 if side == "right" else 1.0))
         measure_moments(recover_min(s), s.kappa), measure_moments(recover_max(s), s.kappa)
+        for m in range(s.kappa + 1):
+            difference_inverse(s, m, s.alpha - 1.0 + 0.3j)
 
 
 def test_cached_arrays_are_read_only():

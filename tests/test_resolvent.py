@@ -4,14 +4,15 @@ import pytest
 from stieltjesmp import (
     JTILDE, difference_inverse, ds_param, dyukarev_quadruple, factorize_u, j_defect, j_inner_check,
     leading_terms, reflect, resolvent_u, schur_rotation, sequence, sigma,
-    signature_matrix, u_from_quadruple_polynomials,
+    signature_matrix,
 )
 from stieltjesmp.moments import (
     first_block_column, half, resolvent_R, u_shift_vector, u_vector, y_stack,
 )
 
 from conftest import (
-    alternating_signs, dyukarev_loop, hankel_inverse, hankel_u, ladder_fixture, rel_err,
+    alternating_signs, dyukarev_loop, hankel_inverse, hankel_u, ladder_fixture, quadruple_u,
+    rel_err,
 )
 
 
@@ -146,7 +147,7 @@ def test_quadruple_polynomial_route():
     for i in range(10):
         s = ladder_fixture(i)
         u = resolvent_u(s)
-        uq = u_from_quadruple_polynomials(s, s.kappa)
+        uq = quadruple_u(s, s.kappa)
         for _ in range(8):
             z = complex(rng.standard_normal(), rng.standard_normal())
             assert np.linalg.norm(uq(z) - u(z)) <= 1e-9 * np.linalg.norm(u(z))
