@@ -3,8 +3,7 @@
 from .linalg import (
     DEFAULT_TOL, INDEFINITE, JQ, JQQ, JTILDE, NON_HERMITIAN, PD, PSD,
     ToleranceConfig, block_psd, hermitize, interval_sample, is_hermitian,
-    is_pd, is_psd, j_defect, loewner_leq, pinv, psd_class, signature_matrix,
-    sqrt_psd,
+    is_pd, is_psd, j_defect, pinv, psd_class, signature_matrix, sqrt_psd,
 )
 from .moments import (
     LEFT, NND, NND_EXTENDABLE, RIGHT, MomentSequence,

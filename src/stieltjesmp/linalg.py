@@ -3,7 +3,8 @@
 Everything operates on plain numpy arrays with complex128 entries; all
 functions are pure.  Positivity is decided by Hermitian eigenvalues, not
 Cholesky, so the same machinery serves matrices near the PSD boundary and
-matrix pencils.
+matrix pencils.  Every threshold lives in DEFAULT_TOL and no function takes
+one, so a matrix has one class wherever the package asks for it.
 """
 
 import functools
@@ -66,58 +67,59 @@ def _hermitize(a: Array) -> Array:
 # stack alike; _psd_classes is the one definition of the classes, and
 # psd_class and the stacked _all_pd are uses of it.
 
-def _hermitian_mask(a: Array, tol: ToleranceConfig):
+def _hermitian_mask(a: Array):
     """||a - a^*||_F <= herm_tol (1 + ||a||_F), per matrix of a stack."""
     defect = np.linalg.norm(a - a.conj().swapaxes(-1, -2), axis=(-2, -1))
-    return defect <= tol.herm_tol * (1.0 + np.linalg.norm(a, axis=(-2, -1)))
+    return defect <= DEFAULT_TOL.herm_tol * (1.0 + np.linalg.norm(a, axis=(-2, -1)))
 
 
-def _psd_floor(w: Array, tol: ToleranceConfig):
+def _psd_floor(w: Array):
     """psd_tol * max(1, |lambda_min|, |lambda_max|) from ascending eigenvalues w."""
-    return tol.psd_tol * np.maximum(1.0, np.maximum(np.abs(w[..., -1]), np.abs(w[..., 0])))
+    top = np.maximum(np.abs(w[..., -1]), np.abs(w[..., 0]))
+    return DEFAULT_TOL.psd_tol * np.maximum(1.0, top)
 
 
 _CLASS_NAMES = np.array([NON_HERMITIAN, INDEFINITE, PSD, PD])
 
 
-def _psd_classes(stack: Array, tol: ToleranceConfig) -> Array:
+def _psd_classes(stack: Array) -> Array:
     """psd_class of each matrix of a (K, q, q) stack, with one batched eigvalsh."""
-    herm = _hermitian_mask(stack, tol)
+    herm = _hermitian_mask(stack)
     # the mask alone classes a non-Hermitian matrix; it is zeroed before
     # eigvalsh so that no non-finite entry reaches LAPACK
     w = np.linalg.eigvalsh(_hermitize(np.where(herm[:, None, None], stack, 0)))
-    floor = _psd_floor(w, tol)
+    floor = _psd_floor(w)
     return _CLASS_NAMES[herm * (1 + (w[:, 0] >= -floor) + (w[:, 0] > floor))]
 
 
-def _psd_class(a: Array, tol: ToleranceConfig) -> str:
-    return str(_psd_classes(a[None], tol)[0])
+def _psd_class(a: Array) -> str:
+    return str(_psd_classes(a[None])[0])
 
 
-def _all_pd(stack: Array, tol: ToleranceConfig) -> bool:
+def _all_pd(stack: Array) -> bool:
     """psd_class(a) == PD for every a of a (K, q, q) stack."""
-    return bool((_psd_classes(stack, tol) == PD).all())
+    return bool((_psd_classes(stack) == PD).all())
 
 
 def hermitize(a: Array) -> Array:
     return _hermitize(_require_square(a))
 
 
-def is_hermitian(a: Array, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    return bool(_hermitian_mask(_require_square(a), tol))
+def is_hermitian(a: Array) -> bool:
+    return bool(_hermitian_mask(_require_square(a)))
 
 
-def psd_class(a: Array, tol: ToleranceConfig = DEFAULT_TOL) -> str:
+def psd_class(a: Array) -> str:
     """Classify a square matrix as PD / PSD / INDEFINITE / NON_HERMITIAN."""
-    return _psd_class(_require_square(a), tol)
+    return _psd_class(_require_square(a))
 
 
-def is_psd(a: Array, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    return psd_class(a, tol) in (PD, PSD)
+def is_psd(a: Array) -> bool:
+    return psd_class(a) in (PD, PSD)
 
 
-def is_pd(a: Array, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    return psd_class(a, tol) == PD
+def is_pd(a: Array) -> bool:
+    return psd_class(a) == PD
 
 
 def min_eig_hermitian_part(a: Array) -> float:
@@ -125,37 +127,23 @@ def min_eig_hermitian_part(a: Array) -> float:
     return float(np.linalg.eigvalsh(hermitize(a))[0])
 
 
-def loewner_leq(a: Array, b: Array, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """A <= B in the Loewner order, within psd_tol."""
-    return _psd_class(_require_square(b) - _require_square(a), tol) in (PD, PSD)
-
-
-def pinv(a: Array, tol: ToleranceConfig = DEFAULT_TOL) -> Array:
+def pinv(a: Array) -> Array:
     """Moore-Penrose inverse with a relative singular-value cutoff."""
     a = as_matrix(a)
-    return np.linalg.pinv(a, rcond=tol.pinv_cutoff)
+    return np.linalg.pinv(a, rcond=DEFAULT_TOL.pinv_cutoff)
 
 
-def inv_pd(a: Array, tol: ToleranceConfig = DEFAULT_TOL) -> Array:
-    """True inverse, guarded by a PD assertion (the formulas all require PD)."""
-    a = _require_square(a)
-    if _psd_class(a, tol) != PD:
-        raise ValueError("matrix is not positive definite")
-    return np.linalg.inv(a)
-
-
-def sqrt_psd(a: Array, tol: ToleranceConfig = DEFAULT_TOL) -> Array:
+def sqrt_psd(a: Array) -> Array:
     """PSD square root via the Hermitian eigendecomposition."""
     a = _require_square(a)
-    if _psd_class(a, tol) not in (PD, PSD):
+    if _psd_class(a) not in (PD, PSD):
         raise ValueError("matrix is not positive semidefinite")
     w, v = np.linalg.eigh(_hermitize(a))
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def block_psd(a: Array, b: Array, c: Array, d: Array,
-              tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+def block_psd(a: Array, b: Array, c: Array, d: Array) -> bool:
     """PSD test for [[A,B],[C,D]] via the Schur-complement criterion.
 
     True iff A is PSD, A A^+ B = B, C = B^* and D - C A^+ B is PSD, which is
@@ -166,8 +154,9 @@ def block_psd(a: Array, b: Array, c: Array, d: Array,
     if a.shape[0] != b.shape[0] or c.shape[0] != d.shape[0] \
             or a.shape[1] != c.shape[1] or b.shape[1] != d.shape[1]:
         raise ValueError("blocks are not conformal")
-    if _psd_class(a, tol) not in (PD, PSD):
+    if _psd_class(a) not in (PD, PSD):
         return False
+    tol = DEFAULT_TOL
     ap = np.linalg.pinv(a, rcond=tol.pinv_cutoff)
     # all comparisons scale with the assembled matrix: the Schur corner can
     # be orders of magnitude below A without being spurious
@@ -182,8 +171,7 @@ def block_psd(a: Array, b: Array, c: Array, d: Array,
     return bool(np.linalg.eigvalsh(_hermitize(schur))[0] >= -tol.psd_tol * scale)
 
 
-def interval_sample(lower: Array, upper: Array, k: Array,
-                    tol: ToleranceConfig = DEFAULT_TOL) -> Array:
+def interval_sample(lower: Array, upper: Array, k: Array) -> Array:
     """Point A + sqrt(B-A) K sqrt(B-A) of the matrix interval [A, B].
 
     K must lie in [0, I]; K = 0 and K = I hit the endpoints exactly.
@@ -191,13 +179,13 @@ def interval_sample(lower: Array, upper: Array, k: Array,
     lower, upper = map(as_matrix, (lower, upper))
     k = _require_square(k)
     q = k.shape[0]
-    if _psd_class(k, tol) not in (PD, PSD) or _psd_class(np.eye(q) - k, tol) not in (PD, PSD):
+    if not set(_psd_classes(np.array([k, np.eye(q) - k]))) <= {PD, PSD}:
         raise ValueError("K must satisfy 0 <= K <= I")
-    if np.allclose(k, 0.0, atol=tol.identity_tol):
+    if np.allclose(k, 0.0, atol=DEFAULT_TOL.identity_tol):
         return lower.copy()
-    if np.allclose(k, np.eye(q), atol=tol.identity_tol):
+    if np.allclose(k, np.eye(q), atol=DEFAULT_TOL.identity_tol):
         return upper.copy()
-    root = sqrt_psd(upper - lower, tol)
+    root = sqrt_psd(upper - lower)
     return lower + root @ k @ root
 
 

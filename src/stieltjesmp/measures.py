@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Array, DEFAULT_TOL, PD, PSD, _hermitize, _psd_classes, is_psd
+from .linalg import Array, PD, PSD, _hermitize, _psd_classes, is_psd
 from .moments import (
     LEFT, RIGHT, MomentSequence, hankel, index_m, matrix_stack, require_stieltjes_pd,
 )
@@ -38,7 +38,7 @@ class MolecularMeasure:
         if not self.masses:
             return
         stack = matrix_stack(self.masses, np.atleast_2d(self.masses[0]).shape[0], "mass")
-        if not set(_psd_classes(stack, DEFAULT_TOL)) <= {PD, PSD}:
+        if not set(_psd_classes(stack)) <= {PD, PSD}:
             raise ValueError("mass matrices must be PSD")
         object.__setattr__(self, "masses", tuple(stack))
         self._check_atoms()

@@ -187,7 +187,7 @@ def _cholesky_hhats(seq: MomentSequence):
     # np.linalg.cholesky reads only the lower triangle, so the Hermitian
     # test comes first, per moment: one large moment must not hide the
     # asymmetry of a small one
-    if not _hermitian_mask(np.array(seq.moments), DEFAULT_TOL).all():
+    if not _hermitian_mask(np.array(seq.moments)).all():
         return None
     try:
         c = np.linalg.cholesky(hankel(seq, half(seq.kappa)))
@@ -213,13 +213,13 @@ def hhats(seq: MomentSequence) -> tuple:
     """
     values = _cholesky_hhats(seq)
     if values is not None:
-        classes = _psd_classes(values, DEFAULT_TOL)
+        classes = _psd_classes(values)
         if (classes == PD).all():
             return tuple(values), classes
     values = np.array([schur_complement(seq, n) for n in range(half(seq.kappa) + 1)])
     if not np.isfinite(values).all():
         raise ValueError("matrix has non-finite entries")
-    return tuple(values), _psd_classes(values, DEFAULT_TOL)
+    return tuple(values), _psd_classes(values)
 
 
 def require_hankel_pd_prefix(seq: MomentSequence, up_to: int):

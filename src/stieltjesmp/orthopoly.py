@@ -80,20 +80,8 @@ class MatrixPolynomial:
     def scale(self, c: complex) -> "MatrixPolynomial":
         return MatrixPolynomial([c * m for m in self.coeffs])
 
-    def lmul(self, mat: Array) -> "MatrixPolynomial":
-        return MatrixPolynomial([mat @ c for c in self.coeffs])
-
     def rmul(self, mat: Array) -> "MatrixPolynomial":
         return MatrixPolynomial([c @ mat for c in self.coeffs])
-
-    def matmul(self, other: "MatrixPolynomial") -> "MatrixPolynomial":
-        """Polynomial product (self * other), coefficients convolved."""
-        zero = np.zeros((self.q_rows, other.q_cols), dtype=complex)
-        out = [zero.copy() for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-        for j, cj in enumerate(self.coeffs):
-            for k, ck in enumerate(other.coeffs):
-                out[j + k] = out[j + k] + cj @ ck
-        return MatrixPolynomial(out)
 
     def shift_z(self) -> "MatrixPolynomial":
         """Multiply by z."""
@@ -103,16 +91,6 @@ class MatrixPolynomial:
     def conj_star(self) -> "MatrixPolynomial":
         """Polynomial z -> [P(conj(z))]^*: conjugate-transpose coefficients."""
         return MatrixPolynomial([c.conj().T for c in self.coeffs])
-
-    def compose_affine(self, a: complex, b: complex) -> "MatrixPolynomial":
-        """Coefficients of w -> P(a + b w); used to expand around alpha."""
-        zero = np.zeros((self.q_rows, self.q_cols), dtype=complex)
-        out = MatrixPolynomial([zero])
-        for c in reversed(self.coeffs):
-            # out <- out*(a + b w) + c, Horner in the new variable
-            shifted = out.scale(b).shift_z() + out.scale(a)
-            out = shifted + MatrixPolynomial([c])
-        return out
 
     def coeff(self, j: int) -> Array:
         if j < len(self.coeffs):

@@ -97,7 +97,7 @@ def seq_from_stieltjes_param(p: StieltjesParam) -> MomentSequence:
     a = p.alpha
     sgn = 1.0 if p.side == RIGHT else -1.0
     qs = matrix_stack(p.values, p.q, "Q_j")
-    if not _all_pd(qs, DEFAULT_TOL):
+    if not _all_pd(qs):
         return _seq_from_q_pinv(p, qs)
     q = p.q
     roots = np.linalg.cholesky(qs)
@@ -215,7 +215,7 @@ def ds_param(seq: MomentSequence) -> DSParam:
 def _pd_values(mats, q: int, what: str) -> Array:
     """The parameter matrices as one complex (K, q, q) stack, checked together to be PD."""
     out = matrix_stack(mats, q, what)
-    if len(out) and not _all_pd(out, DEFAULT_TOL):
+    if len(out) and not _all_pd(out):
         raise ValueError(f"all {what} must be PD")
     return out
 
@@ -358,14 +358,14 @@ def favard_from_ds(d: DSParam):
 
 # --- random fixtures ----------------------------------------------------------
 
-def random_pd(q: int, rng: np.random.Generator, spread: float = 0.3) -> Array:
+def random_pd(q: int, rng: np.random.Generator) -> Array:
     """G G^* + 0.1 I with seeded complex Gaussian G: strictly PD.
 
-    The default Gaussian scale keeps long products of these matrices (and
+    The Gaussian scale 0.3 keeps long products of these matrices (and
     hence the Hankel blocks of generated sequences) well enough conditioned
     for 1e-9 round-trips at desk sizes.
     """
-    g = spread * (rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q)))
+    g = 0.3 * (rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q)))
     return g @ g.conj().T + 0.1 * np.eye(q)
 
 
@@ -377,7 +377,8 @@ def random_stieltjes_pd_sequence(q: int, kappa: int, alpha: float = 0.0,
     Deterministic in the seed.  Draws are resampled (from the same stream)
     until the top Hankel blocks have condition number below max_cond, so
     the fixtures stay in the regime where the 1e-9/1e-10 identity checks
-    are numerically meaningful; pass max_cond=None to disable.
+    are numerically meaningful; pass max_cond=None to disable.  When no
+    draw meets max_cond, the sizes are out of its reach: ValueError.
     """
     rng = np.random.default_rng(seed)
     if kappa < 1:
@@ -393,5 +394,5 @@ def random_stieltjes_pd_sequence(q: int, kappa: int, alpha: float = 0.0,
                     np.linalg.cond(hankel(seq.shifted, half(kappa - 1))))
         if worst <= max_cond:
             return seq
-    raise RuntimeError(f"no fixture with cond <= {max_cond:g} found "
-                       f"(q={q}, kappa={kappa}); raise max_cond")
+    raise ValueError(f"no fixture with cond <= {max_cond:g} found in 400 draws "
+                     f"(q={q}, kappa={kappa})")

@@ -18,7 +18,7 @@ from .linalg import (
     Array, JTILDE, j_defect, min_eig_hermitian_part, ordered_product,
     signature_matrix,
 )
-from .moments import RIGHT, MomentSequence, derived, half, index_m, require_stieltjes_pd
+from .moments import RIGHT, MomentSequence, derived, half, index_m
 from .orthopoly import MatrixPolynomial
 from .params import DSParam, chain_stacks, ds_param
 
@@ -45,7 +45,6 @@ def dyukarev_quadruple(seq: MomentSequence) -> DyukarevQuadruple:
     """The four resolvent block families of a Stieltjes-PD sequence: the
     block columns of the prefix products of the factor chain of (L, M),
     wrapped from the cached chain_stacks."""
-    require_stieltjes_pd(seq)
     q = seq.q
     x, y = chain_stacks(ds_param(seq))
     return DyukarevQuadruple(side=seq.side, alpha=seq.alpha,

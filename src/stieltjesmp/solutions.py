@@ -16,8 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
-    Array, DEFAULT_TOL, PD, _hermitize, _psd_classes, as_matrix, is_pd, is_psd,
-    sqrt_psd,
+    Array, DEFAULT_TOL, NON_HERMITIAN, PD, PSD, _hermitize, _psd_classes, as_matrix, is_psd,
+    psd_class, sqrt_psd,
 )
 from .moments import (
     LEFT, RIGHT, MomentSequence, derived, freeze, half, index_m, matrix_stack,
@@ -54,12 +54,11 @@ class StieltjesPair:
             q = phi.shape[0]
             if np.linalg.matrix_rank(np.vstack([phi, psi])) < q:
                 raise ValueError("pair is rank deficient")
-            cross = psi.conj().T @ phi
-            if np.linalg.norm(cross - cross.conj().T) \
-                    > DEFAULT_TOL.herm_tol * (1 + np.linalg.norm(cross)):
+            sign = 1.0 if self.side == RIGHT else -1.0
+            cls = psd_class(sign * (psi.conj().T @ phi))
+            if cls == NON_HERMITIAN:
                 raise ValueError("psi^* phi must be Hermitian")
-            semidef = cross if self.side == RIGHT else -cross
-            if not is_psd(semidef):
+            if cls not in (PD, PSD):
                 raise ValueError("psi^* phi has the wrong sign for this half-line")
             object.__setattr__(self, "phi", phi)
             object.__setattr__(self, "psi", psi)
@@ -248,7 +247,7 @@ def weyl_interval(seq: MomentSequence, m: int | None = None, x: float = -1.0) ->
     # values are PD left of alpha on the right half-line, negative definite
     # right of alpha on the left one
     sign = 1.0 if seq.side == RIGHT else -1.0
-    classes = _psd_classes(np.array([sign * lo, sign * hi, hi - lo]), DEFAULT_TOL)
+    classes = _psd_classes(np.array([sign * lo, sign * hi, hi - lo]))
     if classes[0] != PD or classes[1] != PD:
         raise AssertionError("extremal values are not definite; inconsistent inputs")
     if classes[2] != PD:
@@ -262,9 +261,11 @@ def interval_point(seq: MomentSequence, m: int | None, x: float, k: Array):
     For PD K the returned constant pair reproduces T through lft_solve at
     x; for boundary K the matching extremal pair is returned instead.
     """
-    k = as_matrix(k)
     q = seq.q
-    if not (is_psd(k) and is_psd(np.eye(q) - k)):
+    k = matrix_stack([k], q, "K")[0]
+    # one class pass serves 0 <= K <= I and the PD tests of K and I - K below
+    classes = _psd_classes(np.array([k, np.eye(q) - k]))
+    if not set(classes) <= {PD, PSD}:
         raise ValueError("K must satisfy 0 <= K <= I")
     if m is None:
         m = seq.kappa
@@ -279,7 +280,7 @@ def interval_point(seq: MomentSequence, m: int | None, x: float, k: Array):
     elif np.allclose(k, np.eye(q), atol=DEFAULT_TOL.identity_tol):
         t = iv.lower
         pair = pair_min(q, seq.side) if seq.side == RIGHT else pair_max(q, seq.side)
-    elif is_pd(k):
+    elif classes[0] == PD:
         dq = dyukarev_quadruple(seq)
         gap_inv_root = np.linalg.inv(root)
         c_x = dq.c[half(m)](x)
@@ -289,7 +290,7 @@ def interval_point(seq: MomentSequence, m: int | None, x: float, k: Array):
             w = c_inv @ mid @ c_inv.conj().T
             pair = StieltjesPair(kind=CONSTANT, side=seq.side,
                                  phi=_hermitize(w), psi=np.eye(q))
-        elif is_pd(np.eye(q) - k):
+        elif classes[1] == PD:
             mid = gap_inv_root @ (np.linalg.inv(np.eye(q) - k) @ k) @ gap_inv_root
             w = c_inv @ _hermitize(mid) @ c_inv.conj().T
             pair = StieltjesPair(kind=CONSTANT, side=seq.side,
@@ -314,7 +315,6 @@ def difference_inverse(seq: MomentSequence, m: int | None = None,
     is M_k, and on the shifted side L_k.  Nothing is inverted.
     """
     m = index_m(seq, m)
-    require_stieltjes_pd(seq)
     ds = ds_param(seq)
     w = (z - seq.alpha) if seq.side == RIGHT else (seq.alpha - z)
     d, e = chain_d_e(ds)

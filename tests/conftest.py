@@ -217,8 +217,8 @@ def dyukarev_loop(seq):
 def quadruple_loop(seq):
     """The Stieltjes quadruple one polynomial at a time: each P_n split out of
     its block row (-z_{n,2n-1} H_{n-1}^{-1}  I), each attached polynomial from
-    its own Toeplitz product, (z - alpha) P_shift_n by MatrixPolynomial.matmul,
-    and the shift-identity points drawn index by index.  The library builds
+    its own Toeplitz product, (z - alpha) P_shift_n as a shifted coefficient
+    stack, and the shift-identity points drawn index by index.  The library builds
     each family as one coefficient stack; this is the construction it is
     checked against."""
     q, alpha = seq.q, seq.alpha
@@ -243,13 +243,13 @@ def quadruple_loop(seq):
 
     p = monic(seq)
     p_shift = monic(seq.shifted) if seq.kappa else [MatrixPolynomial.constant(eye)]
-    factor = MatrixPolynomial([-alpha * eye, eye]) if seq.side == "right" \
-        else MatrixPolynomial([alpha * eye, -eye])
+    sign = 1.0 if seq.side == "right" else -1.0
     rng = np.random.default_rng(7)
     points = [rng.standard_normal(10) + 1j * rng.standard_normal(10)
               for _ in range(half(seq.kappa + 1))]
     return {"p": p, "second": [attached(pn) for pn in p], "p_shift": p_shift,
-            "phat": [attached(factor.matmul(pn)) for pn in p_shift], "points": points}
+            "phat": [attached((pn.shift_z() + pn.scale(-alpha)).scale(sign)) for pn in p_shift],
+            "points": points}
 
 
 def block2x2(p11, p12, p21, p22) -> MatrixPolynomial:

@@ -89,6 +89,16 @@ def test_generate_deterministic(capsys):
     assert len(first["moments"]) == 4
 
 
+def test_generate_past_the_fixture_bound_is_a_precondition_error(capsys):
+    # no q = 2, kappa = 6 draw meets the default max_cond = 1e7: the sizes
+    # ask for what the generator cannot give, not an internal failure
+    with pytest.raises(ValueError, match=r"cond <= 1e\+07 .*\(q=2, kappa=6\)"):
+        random_stieltjes_pd_sequence(q=2, kappa=6, seed=0)
+    assert main(["generate", "--q", "2", "--m", "6", "--seed", "0"]) == EXIT_PRECONDITION
+    out, err = capsys.readouterr()
+    assert out == "" and "cond <= 1e+07" in err and "(q=2, kappa=6)" in err
+
+
 @pytest.mark.parametrize("flag, value", [("--q", "0"), ("--q", "-1"), ("--m", "-1"),
                                          ("--seed", "-1")])
 def test_generate_rejects_out_of_range_sizes(capsys, flag, value):

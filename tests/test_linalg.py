@@ -1,6 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
 
+import stieltjesmp
 from stieltjesmp import (
     DEFAULT_TOL, INDEFINITE, JQ, JQQ, JTILDE, NON_HERMITIAN, PD, PSD,
     ToleranceConfig, block_psd, interval_sample, is_hermitian, j_defect,
@@ -32,9 +35,9 @@ def test_psd_class_is_the_stacked_classifier_on_one_matrix():
              np.array([[0, 1], [0, 0]]), 1e-10 * np.eye(2), np.diag([1e-10, 1.0]),
              np.diag([2e-10, 1.0]), -1e-10 * np.eye(2)]
     stack = np.array(cases, dtype=complex)
-    classes = _psd_classes(stack, DEFAULT_TOL)
+    classes = _psd_classes(stack)
     for a, cls in zip(stack, classes):
-        assert _psd_class(a, DEFAULT_TOL) == cls == _psd_classes(a[None], DEFAULT_TOL)[0]
+        assert _psd_class(a) == cls == _psd_classes(a[None])[0]
     assert list(classes) == [PD, PSD, INDEFINITE, NON_HERMITIAN, PSD, PSD, PD, PSD]
 
 
@@ -154,3 +157,28 @@ def test_tolerance_config_validation():
         ToleranceConfig(herm_tol=0.0)
     with pytest.raises(ValueError):
         ToleranceConfig(psd_tol=1e-20)
+
+
+def _public_callables():
+    """The functions stieltjesmp exports and the public methods (and
+    constructors) of the classes it exports, by qualified name."""
+    for name, obj in vars(stieltjesmp).items():
+        if name.startswith("_"):
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj) and obj.__module__.startswith("stieltjesmp"):
+            for attr in vars(obj):
+                member = getattr(obj, attr)
+                if (attr == "__init__" or not attr.startswith("_")) \
+                        and (inspect.isfunction(member) or inspect.ismethod(member)):
+                    yield f"{name}.{attr}", member
+
+
+def test_no_public_callable_takes_a_tolerance():
+    # thresholds live in DEFAULT_TOL only: no per-call override anywhere
+    names = dict(_public_callables())
+    assert {"is_pd", "psd_class", "random_pd", "MatrixPolynomial.scale"} <= set(names)
+    knobs = [f"{name}({p})" for name, fn in names.items()
+             for p in inspect.signature(fn).parameters if p in ("tol", "spread")]
+    assert knobs == []

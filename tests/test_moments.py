@@ -213,9 +213,9 @@ def test_classify_classes_each_schur_complement_once(monkeypatch, moments):
     import stieltjesmp.moments as mod
     calls, psd_classes = [], mod._psd_classes
 
-    def counted(stack, tol):
+    def counted(stack):
         calls.append(len(stack))
-        return psd_classes(stack, tol)
+        return psd_classes(stack)
 
     monkeypatch.setattr(mod, "_psd_classes", counted)
     s = sequence(moments)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from stieltjesmp import (
-    DSParam, StieltjesParam, canonical_hankel_param, classify, ds_from_q, ds_param,
-    favard_from_ds, favard_from_q, favard_pair, q_from_ds, reflect,
+    DSParam, StieltjesParam, canonical_hankel_param, classify, difference_inverse, ds_from_q,
+    ds_param, dyukarev_quadruple, favard_from_ds, favard_from_q, favard_pair, q_from_ds, reflect,
     random_stieltjes_pd_sequence, seq_from_canonical, seq_from_ds, seq_from_stieltjes_param,
     sequence, stieltjes_param,
 )
@@ -106,8 +106,12 @@ def test_ds_param_matches_increment_definition():
 
 
 def test_ds_param_requires_pd():
-    with pytest.raises(ValueError):
-        ds_param(sequence([1.0, -1.0]))
+    # indefinite (Q_1 = -1) and NND (Q_1 = 0) input; the builders that read
+    # (L, M) through ds_param name the class with no check of their own
+    for moments in ([1.0, -1.0], [1.0, 0.0, 1.0]):
+        for build in (ds_param, dyukarev_quadruple, difference_inverse):
+            with pytest.raises(ValueError, match="not alpha-Stieltjes positive definite"):
+                build(sequence(moments))
 
 
 def test_ds_reflect_duality():
