@@ -7,7 +7,7 @@ from .linalg import (
 )
 from .moments import (
     LEFT, NND, NND_EXTENDABLE, RIGHT, MomentSequence,
-    SequenceClass, classify, half, is_stieltjes_pd, potapov_defect,
+    SequenceClass, classify, half, potapov_defect,
     potapov_defect_psd, reflect, sequence, shift_sequence,
 )
 from .params import (

@@ -15,9 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import Array, PD, PSD, _hermitize, _psd_classes, is_psd
-from .moments import (
-    LEFT, RIGHT, MomentSequence, hankel, index_m, matrix_stack, require_stieltjes_pd,
-)
+from .moments import LEFT, RIGHT, MomentSequence, hankel, index_m, matrix_stack
 from .params import ds_param
 from .solutions import string_rule
 
@@ -127,9 +125,9 @@ def _recover(seq: MomentSequence, m: int | None, lower: bool) -> MolecularMeasur
     The wall string gives the B D^{-1} extremal: the lower one on the right
     half-line, the upper one on the left.  At m = 0 the wall extremal is 0
     (B_0 = 0), the transform of no measure of mass s_0, and the free one is
-    s_0 at alpha.
+    s_0 at alpha.  ds_param, the Stieltjes-PD gate, comes first.
     """
-    require_stieltjes_pd(seq)
+    ds = ds_param(seq)
     m = index_m(seq, m)
     wall = lower == (seq.side == RIGHT)
     if m == 0:
@@ -139,7 +137,7 @@ def _recover(seq: MomentSequence, m: int | None, lower: bool) -> MolecularMeasur
                              "measure of mass s_0")
         return MolecularMeasure(atoms=(seq.alpha,), masses=(seq[0].copy(),),
                                 support_side=seq.side, alpha=seq.alpha)
-    atoms, residues = string_rule(ds_param(seq), m, wall)
+    atoms, residues = string_rule(ds, m, wall)
     atoms, masses = _merge_atoms(atoms, residues.reshape(-1, seq.q, seq.q), seq.alpha,
                                  drop_tol=1e-12)
     return MolecularMeasure._checked(atoms, masses, seq.side, seq.alpha)

@@ -371,15 +371,6 @@ def classify(seq: MomentSequence) -> SequenceClass:
     return SequenceClass(hankel=hankel_cls, stieltjes=STIELTJES_NO, side=seq.side)
 
 
-def is_stieltjes_pd(seq: MomentSequence) -> bool:
-    return classify(seq).stieltjes == PD
-
-
-def require_stieltjes_pd(seq: MomentSequence):
-    if not is_stieltjes_pd(seq):
-        raise ValueError("sequence is not alpha-Stieltjes positive definite")
-
-
 # --- Potapov fundamental matrices -------------------------------------------
 
 def potapov_defect(seq: MomentSequence, s_value: Array, z: complex):

@@ -6,19 +6,21 @@ kind system, the shifted system and the associated polynomials of the
 shifted system form the quadruple that rebuilds the resolvent blocks.
 stieltjes_quadruple normalises the cached factor chain of (L, M)
 (params.chain_stacks) into it, with no Hankel inverse; it is the only
-construction of the quadruple.  The public systems, which take
+construction of the quadruple, and after ds_param it reads no moment.  The
+shift identity that couples P and P_shift is checked by the tests, against
+the coupling of (L, M), not at run time.  The public systems, which take
 Hankel-PD-prefix sequences that need not be Stieltjes-PD, read the monic
 rows that moments.monic_rows caches on the sequence.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .linalg import Array, DEFAULT_TOL
 from .moments import (
-    RIGHT, MomentSequence, derived, freeze, half, hhats, lower_triangular_S, monic_rows,
+    RIGHT, MomentSequence, derived, freeze, half, lower_triangular_S, monic_rows,
     require_hankel_pd_prefix,
 )
 from .params import DSParam, chain_stacks, ds_param
@@ -230,59 +232,13 @@ def stieltjes_quadruple(seq: MomentSequence) -> StieltjesQuadruple:
     of its shift; second and phat are the polynomials attached (w.r.t. the
     base sequence) to P_n and to (z - alpha) P_shift_n on the right
     half-line, resp. (alpha - z) P_shift_n on the left one.  No Hankel
-    block is inverted.  The shift identity
-
-        (z - alpha) P_shift_n(z) = P_{n+1}(z) + Q_{2n+1} Q_{2n}^{-1} P_n(z)
-
-    (sign-mirrored on the left, Q_{2n} = Hhat_n and Q_{2n+1} = Hhat_shift_n)
-    is verified at random points when the quadruple is first built; the
-    result is cached on the sequence.
+    block is inverted, and after ds_param no moment is read; the result is
+    cached on the sequence.
     """
     p, second, p_shift, phat = _chain_families(ds_param(seq))
-    _check_shift_identity(seq, p, p_shift)
     return StieltjesQuadruple(side=seq.side, alpha=seq.alpha, p=_polynomials(p),
                               second=_polynomials(second, lag=1),
                               p_shift=_polynomials(p_shift), phat=_polynomials(phat))
-
-
-@lru_cache(maxsize=64)
-def _shift_identity_points(n_idx: int) -> Array:
-    """(n_idx, 10) seeded complex points, read-only and drawn once per n_idx:
-    row n is the real parts, then the imaginary parts, of the 20 normals
-    drawn after those of rows 0..n-1."""
-    draws = np.random.default_rng(7).standard_normal((n_idx, 2, 10))
-    return freeze(draws[:, 0] + 1j * draws[:, 1])
-
-
-def _check_shift_identity(seq: MomentSequence, p: Array, p_shift: Array):
-    """The shift identity at 10 seeded points per index n < half(kappa+1).
-
-    P_n, P_{n+1} and P_shift_n are evaluated at all (index, point) pairs in
-    one product, and the Hhat_n are inverted together.  A guard against
-    construction bugs: conditioning-induced noise on extreme fixtures must
-    not trip it.
-    """
-    n_idx = len(p) - 1
-    if n_idx == 0:
-        return
-    q, d = seq.q, p.shape[1]
-    sgn = 1.0 if seq.side == RIGHT else -1.0
-    z = _shift_identity_points(n_idx)
-    coupling = (np.array(hhats(seq.shifted)[0][:n_idx])
-                @ np.linalg.inv(np.array(hhats(seq)[0][:n_idx])))
-    families = np.zeros((3, n_idx, d, q, q), dtype=complex)
-    families[0], families[1] = p[:-1], p[1:]
-    families[2, :, :p_shift.shape[1]] = p_shift[:n_idx]
-    powers = z[..., None] ** np.arange(d, dtype=complex)
-    p_n, p_next, p_sh = (powers @ families.reshape(3, n_idx, d, q * q)).reshape(
-        3, n_idx, 10, q, q)
-    lhs = (z - seq.alpha)[..., None, None] * p_sh
-    term = sgn * coupling[:, None] @ p_n
-    rhs = p_next + term
-    defect, lhs_n, term_n, rhs_n = np.linalg.norm(np.array([lhs - rhs, lhs, term, rhs]),
-                                                  axis=(-2, -1))
-    if np.any(defect > 1e-6 * (1 + lhs_n + term_n + rhs_n)):
-        raise AssertionError("shift identity violated; inconsistent build")
 
 
 def det_zeros(p: MatrixPolynomial, kind: str = GENERAL) -> np.ndarray:

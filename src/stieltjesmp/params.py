@@ -17,12 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    Array, DEFAULT_TOL, _all_pd, _hermitize, as_matrix,
+    Array, DEFAULT_TOL, PD, _all_pd, _hermitize, as_matrix,
 )
 from .moments import (
-    RIGHT, MomentSequence, derived, half, hankel, hhats, matrix_stack, monic_rows, q_values,
-    require_hankel_pd_prefix, require_stieltjes_pd, schur_correction, sequence,
-    shifted_moments, y_stack, z_stack,
+    RIGHT, MomentSequence, classify, derived, half, hankel, hhats, matrix_stack, monic_rows,
+    q_values, require_hankel_pd_prefix, schur_correction, sequence, shifted_moments, y_stack,
+    z_stack,
 )
 
 
@@ -205,8 +205,12 @@ def ds_param(seq: MomentSequence) -> DSParam:
     read off the Schur complements Q_j by ds_from_q, with no Hankel inverse
     and no cancelling difference.  The tests keep the literal definition
     as the Hankel reference (ds_increments).
+
+    This is the package's one alpha-Stieltjes-PD gate: every builder that
+    needs a Stieltjes-PD sequence reads it through here.
     """
-    require_stieltjes_pd(seq)
+    if classify(seq).stieltjes != PD:
+        raise ValueError("sequence is not alpha-Stieltjes positive definite")
     # the class just read holds every Q_j PD: no second check
     p = stieltjes_param(seq)
     return _ds_from_q(p, np.array(p.values, dtype=complex))
@@ -316,36 +320,21 @@ def seq_from_ds(d: DSParam) -> MomentSequence:
 def favard_from_q(p: StieltjesParam):
     """Favard pairs of the sequence and of its shift, straight from the Q_j.
 
-    Returns (pair, shifted_pair).  Odd-index signs flip between the two
-    half-lines.
+    Returns (pair, shifted_pair).  One index j = 0..kappa serves both:
+    B(j) = Q_j for j < 2 and Q_{j-2}^{-1} Q_j after that, and
+    A(j) = alpha I +- (Q_{j+1} Q_j^{-1} + Q_j Q_{j-1}^{-1}), the second term
+    from j = 1 on (+ right, - left); even j give the pair, odd j the
+    shifted pair.  The Q_j are inverted together.
     """
     qs = _pd_values(p.values, p.q, "Q_j")
-    alpha = p.alpha
+    qi = np.linalg.inv(qs)
     eye = np.eye(p.q, dtype=complex)
     sgn = 1.0 if p.side == RIGHT else -1.0
-    kappa = p.kappa
-
-    def qinv(j):
-        return np.linalg.inv(qs[j])
-
-    b = [qs[0].copy()]
-    for n in range(1, half(kappa) + 1):
-        b.append(qinv(2 * n - 2) @ qs[2 * n])
-    a = []
-    if kappa >= 1:
-        a.append(alpha * eye + sgn * qs[1] @ qinv(0))
-    for n in range(1, half(kappa - 1) + 1):
-        a.append(alpha * eye + sgn * (qs[2 * n + 1] @ qinv(2 * n) + qs[2 * n] @ qinv(2 * n - 1)))
-
-    b_sh, a_sh = [], []
-    if kappa >= 1:
-        b_sh.append(qs[1].copy())
-        for n in range(1, half(kappa - 1) + 1):
-            b_sh.append(qinv(2 * n - 1) @ qs[2 * n + 1])
-        for n in range(half(kappa - 2) + 1):
-            a_sh.append(alpha * eye
-                        + sgn * (qs[2 * n + 2] @ qinv(2 * n + 1) + qs[2 * n + 1] @ qinv(2 * n)))
-    return FavardPair(a=tuple(a), b=tuple(b)), FavardPair(a=tuple(a_sh), b=tuple(b_sh))
+    b = [qs[j] if j < 2 else qi[j - 2] @ qs[j] for j in range(p.kappa + 1)]
+    a = [p.alpha * eye + sgn * (qs[j + 1] @ qi[j] + (qs[j] @ qi[j - 1] if j else 0.0))
+         for j in range(p.kappa)]
+    return (FavardPair(a=tuple(a[0::2]), b=tuple(b[0::2])),
+            FavardPair(a=tuple(a[1::2]), b=tuple(b[1::2])))
 
 
 def favard_from_ds(d: DSParam):

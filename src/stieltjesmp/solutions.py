@@ -21,7 +21,6 @@ from .linalg import (
 )
 from .moments import (
     LEFT, RIGHT, MomentSequence, derived, freeze, half, index_m, matrix_stack,
-    require_stieltjes_pd,
 )
 from .orthopoly import chain_d_e
 from .params import DSParam, ds_param
@@ -215,7 +214,7 @@ def extremal(seq: MomentSequence, m: int | None = None):
     right half-line S_min = B D^{-1} (the wall) and S_max = A C^{-1} (the
     free end, with an atom at alpha); the left half-line swaps the two.
     """
-    require_stieltjes_pd(seq)
+    ds_param(seq)   # the Stieltjes-PD gate comes before the index check
     if m is None:
         m = seq.kappa
     if not 1 <= m <= seq.kappa:

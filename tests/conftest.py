@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from stieltjesmp import (
-    DEFAULT_TOL, DSParam, FavardPair, ResolventU, SingularDenominator, extremal, is_pd,
-    random_stieltjes_pd_sequence, real_zeros, reflect, sequence, stieltjes_quadruple,
+    DEFAULT_TOL, DSParam, FavardPair, ResolventU, SingularDenominator, ds_param, extremal,
+    is_pd, q_from_ds, random_stieltjes_pd_sequence, real_zeros, reflect, sequence,
+    stieltjes_quadruple,
 )
 from stieltjesmp.linalg import _hermitize, ordered_product
 from stieltjesmp.measures import MolecularMeasure, _merge_atoms
 from stieltjesmp.moments import (
     first_block_column, half, hankel, hhats, index_m, lower_triangular_S,
-    require_hankel_pd_prefix, require_stieltjes_pd, resolvent_R, u_shift_vector, u_vector,
+    require_hankel_pd_prefix, resolvent_R, u_shift_vector, u_vector,
     y_stack, z_stack,
 )
 from stieltjesmp.orthopoly import GENERAL, MatrixPolynomial
@@ -128,7 +129,7 @@ def difference_inverse_closed(seq, m, z):
     The library sums over the factor chain of (L, M), inverting nothing;
     this is the formula it is checked against."""
     m = index_m(seq, m)
-    require_stieltjes_pd(seq)
+    ds_param(seq)   # the Stieltjes-PD gate
     w = (z - seq.alpha) if seq.side == "right" else (seq.alpha - z)
     e_n = column_E(seq.q, half(m), z)
     out = -w * (e_n.T @ hankel_inverse(seq, half(m)) @ e_n)
@@ -252,6 +253,27 @@ def quadruple_loop(seq):
             "points": points}
 
 
+def shift_identity_defect(seq) -> float:
+    """Worst defect of the shift identity of stieltjes_quadruple(seq),
+
+        (z - alpha) P_shift_n(z) = P_{n+1}(z) +- Q_{2n+1} Q_{2n}^{-1} P_n(z)
+
+    (+ right, - left), n < half(kappa+1), at the points of quadruple_loop,
+    each defect relative to 1 + the norms of its three terms.  The coupling
+    is read off q_from_ds of the (L, M) the quadruple is built from.  The
+    library checks no identity at run time; this is the check."""
+    quad, qs = stieltjes_quadruple(seq), q_from_ds(ds_param(seq)).values
+    sign = 1.0 if seq.side == "right" else -1.0
+    worst = 0.0
+    for n, z in enumerate(quadruple_loop(seq)["points"]):
+        lhs = (z - seq.alpha)[:, None, None] * quad.p_shift[n](z)
+        term = sign * (qs[2 * n + 1] @ np.linalg.inv(qs[2 * n])) @ quad.p[n](z)
+        rhs = quad.p[n + 1](z) + term
+        defect, *norms = (np.linalg.norm(x, axis=(1, 2)) for x in (lhs - rhs, lhs, term, rhs))
+        worst = max(worst, float(np.max(defect / (1.0 + sum(norms)))))
+    return worst
+
+
 def block2x2(p11, p12, p21, p22) -> MatrixPolynomial:
     """Four q x q polynomials assembled into one 2q x 2q polynomial."""
     rows, cols = p11.q_rows, p11.q_cols
@@ -296,7 +318,7 @@ def ds_increments(seq) -> DSParam:
     """(L, M) by the literal inverse-increment definition, with LU inverses
     of the Hankel blocks.  The library reads (L, M) off the Q_j; this is the
     Hankel construction it is checked against."""
-    require_stieltjes_pd(seq)
+    ds_param(seq)   # the Stieltjes-PD gate
     sh = seq.shifted
     q, a = seq.q, seq.alpha
     kappa = seq.kappa
@@ -427,7 +449,7 @@ def recover_residue(seq, m=None) -> MolecularMeasure:
     """Residue-extrapolation route to the free-end extremal's measure (upper
     on the right half-line, lower on the left): a lower-precision route,
     independent of the string rule that recover_min/recover_max read."""
-    require_stieltjes_pd(seq)
+    ds_param(seq)   # the Stieltjes-PD gate
     if m is None:
         m = seq.kappa
     s_min, s_max = extremal(seq, m)

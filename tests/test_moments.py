@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import numpy as np
@@ -313,6 +314,33 @@ def test_the_solve_pipeline_never_builds_monic_rows(monkeypatch):
             ext(s.alpha + 1j)
         weyl_interval(s, s.kappa, s.alpha + (-1.0 if side == "right" else 1.0))
         measure_moments(recover_min(s), s.kappa), measure_moments(recover_max(s), s.kappa)
+        for m in range(s.kappa + 1):
+            difference_inverse(s, m, s.alpha - 1.0 + 0.3j)
+
+
+def test_after_ds_param_the_solve_path_reads_no_moment_class(monkeypatch):
+    # ds_param is the one Stieltjes-PD gate: once it is cached on a fresh
+    # sequence, no builder classifies the moments or reads their Schur
+    # complements again
+    seqs = [sequence(t.moments, alpha=t.alpha, side=t.side)
+            for t in map(ladder_fixture, range(10))]
+    for s in seqs:
+        ds_param(s)
+
+    def no_class(seq):
+        raise AssertionError("moments classified after ds_param")
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "stieltjesmp"]:
+        for name in ("classify", "hhats"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, no_class)
+    for s in seqs:
+        stieltjes_quadruple(s), dyukarev_quadruple(s), resolvent_u(s), factorize_u(s)
+        for ext in extremal(s):
+            ext(s.alpha + 1j)
+        weyl_interval(s, s.kappa, s.alpha + (-1.0 if s.side == "right" else 1.0))
+        for m in range(1, s.kappa + 1):
+            recover_min(s, m), recover_max(s, m)
         for m in range(s.kappa + 1):
             difference_inverse(s, m, s.alpha - 1.0 + 0.3j)
 

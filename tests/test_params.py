@@ -3,9 +3,10 @@ import pytest
 
 from stieltjesmp import (
     DSParam, StieltjesParam, canonical_hankel_param, classify, difference_inverse, ds_from_q,
-    ds_param, dyukarev_quadruple, favard_from_ds, favard_from_q, favard_pair, q_from_ds, reflect,
-    random_stieltjes_pd_sequence, seq_from_canonical, seq_from_ds, seq_from_stieltjes_param,
-    sequence, stieltjes_param,
+    ds_param, dyukarev_quadruple, extremal, favard_from_ds, favard_from_q, favard_pair,
+    q_from_ds, recover_max, recover_min, reflect, random_stieltjes_pd_sequence,
+    seq_from_canonical, seq_from_ds, seq_from_stieltjes_param, sequence, stieltjes_param,
+    weyl_interval,
 )
 from stieltjesmp.linalg import ordered_product
 from stieltjesmp.moments import _cholesky_hhats, hhats, schur_complement
@@ -109,9 +110,14 @@ def test_ds_param_requires_pd():
     # indefinite (Q_1 = -1) and NND (Q_1 = 0) input; the builders that read
     # (L, M) through ds_param name the class with no check of their own
     for moments in ([1.0, -1.0], [1.0, 0.0, 1.0]):
-        for build in (ds_param, dyukarev_quadruple, difference_inverse):
+        for build in (ds_param, dyukarev_quadruple, difference_inverse, extremal,
+                      weyl_interval, recover_min, recover_max):
             with pytest.raises(ValueError, match="not alpha-Stieltjes positive definite"):
                 build(sequence(moments))
+    # the class is named before the index is checked
+    for build in (extremal, recover_min, recover_max):
+        with pytest.raises(ValueError, match="not alpha-Stieltjes positive definite"):
+            build(sequence([1.0, -1.0]), 5)
 
 
 def test_ds_reflect_duality():
