@@ -32,12 +32,14 @@ for k in range(4):
     hi = np.linalg.eigvalsh(iv.upper - val)[0]
     print(f"  pair {k}: min-eig(S - S_min) = {lo:+.4f},  min-eig(S_max - S) = {hi:+.4f}")
 
-# conversely every interior interval point is hit by a constructed pair
-k_mid = 0.3 * np.eye(2)
-t, pair = smp.interval_point(s, s.kappa, x, k_mid)
-val = smp.lft_solve(u, pair, complex(x))
-print(f"\ninterval point at K = 0.3 I reproduced by its pair: "
-      f"error {np.linalg.norm(val - t):.2e}")
+# conversely every interval point, endpoints and singular K included, is hit
+# by the pair U(x)^{-1} [T; I], which the J-symmetry of U gives with no inverse
+print()
+for k, name in ((0.3 * np.eye(2), "0.3 I"), (np.diag([0.0, 0.7]), "diag(0, 0.7)")):
+    t, pair = smp.interval_point(s, s.kappa, x, k)
+    val = smp.lft_solve(u, pair, complex(x))
+    print(f"interval point at K = {name} reproduced by its pair: "
+          f"error {np.linalg.norm(val - t):.2e}")
 
 # the gap inverse is a polynomial sum over the factor chain, with no inverse:
 # -w sum D_k(z) M_k D_k(conj z)^* + w^2 sum E_k(z) L_k E_k(conj z)^*

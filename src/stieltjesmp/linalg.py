@@ -7,7 +7,6 @@ matrix pencils.  Every threshold lives in DEFAULT_TOL and no function takes
 one, so a matrix has one class wherever the package asks for it.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,11 +186,6 @@ def interval_sample(lower: Array, upper: Array, k: Array) -> Array:
         return upper.copy()
     root = sqrt_psd(upper - lower)
     return lower + root @ k @ root
-
-
-def ordered_product(mats, q: int) -> Array:
-    """M_0 M_1 ... M_k multiplied left to right; the q x q identity if empty."""
-    return functools.reduce(np.matmul, mats, np.eye(q, dtype=complex))
 
 
 JTILDE = "JTILDE"

@@ -10,7 +10,10 @@ parametrizations downstream.  The Schur complements together with their
 psd classes (hhats) and the monic orthogonal rows (monic_rows), which hold
 the package's one Hankel-block inverse and serve the Hankel-PD-prefix
 routes only, are derived values, cached on the sequence by their builders
-like everything else; the shifted sequence carries its own.
+like everything else; the shifted sequence carries its own.  Potapov's
+fundamental matrices, the test of a candidate solution value, border the
+Hankel blocks with one column that a recurrence over the moments builds,
+with no block Toeplitz matrix formed.
 """
 
 from dataclasses import dataclass
@@ -260,44 +263,6 @@ def index_m(seq: MomentSequence, m: int | None) -> int:
 
 # --- structural kit ---------------------------------------------------------
 
-def first_block_column(q: int, n: int) -> Array:
-    """v_n = (I_q; 0; ...; 0), shape (n+1)q x q."""
-    v = np.zeros(((n + 1) * q, q), dtype=complex)
-    v[:q, :] = np.eye(q)
-    return v
-
-
-def resolvent_R(q: int, n: int, z: complex) -> Array:
-    """R_n(z) = (I - z T_n)^{-1}; block lower triangular with powers of z."""
-    r = np.zeros(((n + 1) * q, (n + 1) * q), dtype=complex)
-    eye = np.eye(q)
-    for j in range(n + 1):
-        for k in range(j + 1):
-            r[j * q:(j + 1) * q, k * q:(k + 1) * q] = (z ** (j - k)) * eye
-    return r
-
-
-def u_vector(seq: MomentSequence, n: int) -> Array:
-    """u_n = (0; y_{0,n-1}); u_0 = 0."""
-    q = seq.q
-    u = np.zeros(((n + 1) * q, q), dtype=complex)
-    if n >= 1:
-        u[q:, :] = y_stack(seq, 0, n - 1)
-    return u
-
-
-def u_shift_vector(seq: MomentSequence, n: int) -> Array:
-    """Shifted companion of u_n for the sequence's own side.
-
-    right: u_{a>n} = y_{0,n} - alpha u_n;  left: u_{a<n} = -y_{0,n} + alpha u_n.
-    """
-    y = y_stack(seq, 0, n)
-    u = u_vector(seq, n)
-    if seq.side == RIGHT:
-        return y - seq.alpha * u
-    return -y + seq.alpha * u
-
-
 def lower_triangular_S(seq: MomentSequence, n: int) -> Array:
     """Block Toeplitz S_n with s_0 on the diagonal and s_j below."""
     q = seq.q
@@ -379,40 +344,50 @@ def potapov_defect(seq: MomentSequence, s_value: Array, z: complex):
     Returns (F_base, F_shift) for the point z (Im z != 0).  A function S
     solves the moment problem iff both are PSD throughout the upper
     half-plane for a right sequence, resp. the lower half-plane for a
-    left one; the caller runs psd_class / block_psd on the results.
+    left one; potapov_defect_psd decides that.  Each is
+    [[H, c], [c^*, (f - f^*)/(z - conj z)]] with H the Hankel block at
+    index n and c = R_n(z) (v_n f + u) the column of the block Toeplitz
+    resolvent R_n(z) = (I - z T_n)^{-1}, taken by the recurrence
+    c_0 = f + u_0, c_j = z c_{j-1} + u_j:
+
+        base:  n = half(kappa),    f,                       u = (0; s_0; ...; s_{n-1})
+        shift: n = half(kappa-1),  f_sh = +-(z - alpha) f,  u = (+-s_0; r_0; ...; r_{n-1})
+
+    with r the shifted moments and + on the right half-line.  For kappa = 0
+    the shifted matrix is its q x q corner alone.
     """
     if z.imag == 0:
         raise ValueError("defect matrices are only defined off the real axis")
     f = as_matrix(s_value)
-    m = seq.kappa
-    q = seq.q
+    sign = 1.0 if seq.side == RIGHT else -1.0
 
-    def assemble(h_block, target, n):
-        r = resolvent_R(q, n, z)
-        v = first_block_column(q, n)
-        col = r @ (v @ target["f"] + target["u"])
-        corner = (target["f"] - target["f"].conj().T) / (z - np.conj(z))
-        return np.block([[h_block, col], [col.conj().T, corner]])
+    def corner(f):
+        return (f - f.conj().T) / (z - np.conj(z))
 
-    n0 = half(m)
-    base = assemble(hankel(seq, n0), {"f": f, "u": u_vector(seq, n0)}, n0)
+    def assemble(h_block, f, head, w):
+        col = [f + head]
+        for w_j in w:
+            col.append(z * col[-1] + w_j)
+        col = np.vstack(col)
+        return np.block([[h_block, col], [col.conj().T, corner(f)]])
 
-    n1 = half(m - 1)
-    if seq.side == RIGHT:
-        f_sh = (z - seq.alpha) * f
-    else:
-        f_sh = (seq.alpha - z) * f
-    shift = assemble(hankel(seq.shifted, n1),
-                     {"f": f_sh, "u": u_shift_vector(seq, n1)}, n1)
-    return base, shift
+    n0, n1 = half(seq.kappa), half(seq.kappa - 1)
+    base = assemble(hankel(seq, n0), f, 0.0, seq[:n0])
+    f_sh = sign * (z - seq.alpha) * f
+    if n1 < 0:
+        return base, corner(f_sh)
+    return base, assemble(hankel(seq.shifted, n1), f_sh, sign * seq[0], seq.shifted[:n1])
 
 
 def potapov_defect_psd(seq: MomentSequence, s_value: Array, z: complex) -> bool:
-    """True iff both fundamental matrices at z are PSD (block criterion)."""
-    base, shift = potapov_defect(seq, s_value, z)
+    """True iff both fundamental matrices at z are PSD: block criterion on
+    [[H, c], [c^*, corner]], and the class of a lone q x q corner."""
+    q = seq.q
 
-    def split_psd(mat, nq):
+    def split_psd(mat):
+        nq = len(mat) - q
+        if nq == 0:
+            return psd_class(mat) in (PD, PSD)
         return block_psd(mat[:nq, :nq], mat[:nq, nq:], mat[nq:, :nq], mat[nq:, nq:])
 
-    q = seq.q
-    return split_psd(base, base.shape[0] - q) and split_psd(shift, shift.shape[0] - q)
+    return all(split_psd(mat) for mat in potapov_defect(seq, s_value, z))

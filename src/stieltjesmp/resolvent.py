@@ -15,8 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
-    Array, JTILDE, j_defect, min_eig_hermitian_part, ordered_product,
-    signature_matrix,
+    Array, JTILDE, j_defect, min_eig_hermitian_part, signature_matrix,
 )
 from .moments import RIGHT, MomentSequence, derived, half, index_m
 from .orthopoly import MatrixPolynomial
@@ -94,11 +93,11 @@ class ResolventU:
             w = (z - a) if side == RIGHT else (a - z)
             if w == 0:
                 raise ValueError("scaled resolvent undefined at the base point")
-            left = np.block([[w * np.eye(q), np.zeros((q, q))],
-                             [np.zeros((q, q)), np.eye(q)]])
-            right = np.block([[np.eye(q) / w, np.zeros((q, q))],
-                              [np.zeros((q, q)), np.eye(q)]])
-            return left @ self.poly(z) @ right
+            # diag(w I, I) U diag(I / w, I): U12 scaled by w, U21 by 1/w
+            u = self.poly(z)
+            u[:q, q:] *= w
+            u[q:, :q] /= w
+            return u
 
         return call
 
@@ -161,44 +160,33 @@ def leading_terms(seq: MomentSequence, m: int | None = None) -> dict:
 
     w = z - alpha on the right half-line, w = alpha - z on the left.  For
     A, B, D "low" is the constant term; C has no constant term, so its
-    "low" is the coefficient of w.  Closed products in (L, M) throughout.
+    "low" is the coefficient of w.  A leading coefficient of degree d is
+    sign^d times the top z^d coefficient of the cached chain stacks, sign
+    the sign of w in z; the low terms are closed sums in (L, M).
     """
     m = index_m(seq, m)
     ds = ds_param(seq)
     q = seq.q
+    x, y = chain_stacks(ds)
     eye = np.eye(q, dtype=complex)
-    ls, ms = ds.l, ds.m
     right = seq.side == RIGHT
-    n_ac, n_bd = half(m), half(m + 1)
+    sign = 1.0 if right else -1.0
+    n, k = half(m), half(m + 1)
 
-    n = n_ac
-    lm = ordered_product((ls[j] @ ms[j + 1] for j in range(n)), q)
-    a_lead = ((-1.0) ** n) * lm
-    c_lead = ((-1.0) ** (n + 1)) * ms[0] @ lm
-    c_low = -sum(ms[j] for j in range(n + 1))
-    if not right:
-        c_lead, c_low = -c_lead, -c_low
-
-    k = n_bd
+    m_sum = sum(ds.m[j] for j in range(n + 1))
+    c_low = -m_sum if right else m_sum
     if k == 0:
         b_lead = b_low = np.zeros((q, q), dtype=complex)
-        d_lead, d_low = eye.copy(), eye.copy()
-        b_deg, d_deg = -1, 0
     else:
-        ml = ordered_product((ms[j] @ ls[j] for j in range(1, k)), q)
-        b_lead = ((-1.0) ** (k - 1)) * ls[0] @ ml
-        b_low = sum(ls[j] for j in range(k))
-        d_lead = ((-1.0) ** k) * ordered_product((ms[j] @ ls[j] for j in range(k)), q)
-        d_low = eye.copy()
-        if not right:
-            b_lead, b_low = -b_lead, -b_low
-        b_deg, d_deg = k - 1, k
+        b_lead = sign ** (k - 1) * y[k, k - 1, :q]
+        l_sum = sum(ds.l[j] for j in range(k))
+        b_low = l_sum if right else -l_sum
     return {
         "variable": "z-alpha" if right else "alpha-z",
-        "A": {"degree": n_ac, "leading": a_lead, "low": eye.copy()},
-        "B": {"degree": b_deg, "leading": b_lead, "low": b_low},
-        "C": {"degree": n_ac + 1, "leading": c_lead, "low": c_low},
-        "D": {"degree": d_deg, "leading": d_lead, "low": d_low},
+        "A": {"degree": n, "leading": sign ** n * x[n, n, :q], "low": eye.copy()},
+        "B": {"degree": k - 1, "leading": b_lead, "low": b_low},
+        "C": {"degree": n + 1, "leading": sign ** (n + 1) * x[n, n + 1, q:], "low": c_low},
+        "D": {"degree": k, "leading": sign ** k * y[k, k, q:], "low": eye.copy()},
     }
 
 

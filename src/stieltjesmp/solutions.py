@@ -3,11 +3,12 @@
 Feeding a constant parameter pair (phi, psi) through the resolvent blocks,
 S = (U11 phi + U12 psi)(U21 phi + U22 psi)^{-1}, yields the Stieltjes
 transform of a solution of the truncated moment problem.  The trivial
-pairs give the two extremal solutions; at a real point off the half-line
-the solution values fill the matrix interval between them exactly.  The
-extremals are the partial fractions of the two block strings of (L, M),
-and the inverse of the interval's width is a polynomial sum over the
-factor chain of (L, M), with no matrix inverted.
+pairs give the two extremal solutions; at a real point x off the half-line
+the solution values fill the matrix interval between them exactly, and
+each point T of it is reached by the pair U(x)^{-1} [T; I], read off U by
+its J-symmetry.  The extremals are the partial fractions of the two block
+strings of (L, M), and the inverse of the interval's width is a polynomial
+sum over the factor chain of (L, M), with no matrix inverted.
 """
 
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from .moments import (
 )
 from .orthopoly import chain_d_e
 from .params import DSParam, ds_param
-from .resolvent import ResolventU, dyukarev_quadruple
+from .resolvent import ResolventU, resolvent_u
 
 CONSTANT = "CONSTANT"
 SCHUR_CONSTANT = "SCHUR_CONSTANT"
@@ -248,53 +249,30 @@ def weyl_interval(seq: MomentSequence, m: int | None = None, x: float = -1.0) ->
     sign = 1.0 if seq.side == RIGHT else -1.0
     classes = _psd_classes(np.array([sign * lo, sign * hi, hi - lo]))
     if classes[0] != PD or classes[1] != PD:
-        raise AssertionError("extremal values are not definite; inconsistent inputs")
+        raise ArithmeticError("extremal values are not definite; inconsistent inputs")
     if classes[2] != PD:
-        raise AssertionError("Weyl interval degenerate; inconsistent inputs")
+        raise ArithmeticError("Weyl interval degenerate; inconsistent inputs")
     return WeylInterval(x=float(x), lower=lo, upper=hi)
 
 
 def interval_point(seq: MomentSequence, m: int | None, x: float, k: Array):
     """Value T = S_max(x) - sqrt(gap) K sqrt(gap) plus a pair realizing it.
 
-    For PD K the returned constant pair reproduces T through lft_solve at
-    x; for boundary K the matching extremal pair is returned instead.
+    For every K in [0, I] the pair is [phi; psi] = U(x)^{-1} [T; I], so that
+    U(x) [phi; psi] = [T; I] and lft_solve gives T back at x.  On the real
+    line the J-symmetry of U gives U(x)^{-1} = Jtilde U(x)^* Jtilde, so no
+    matrix is inverted and no K is a special case: K = 0 and K = I give
+    pairs equivalent to the extremal ones.
     """
     q = seq.q
     k = matrix_stack([k], q, "K")[0]
-    # one class pass serves 0 <= K <= I and the PD tests of K and I - K below
-    classes = _psd_classes(np.array([k, np.eye(q) - k]))
-    if not set(classes) <= {PD, PSD}:
+    if not set(_psd_classes(np.array([k, np.eye(q) - k]))) <= {PD, PSD}:
         raise ValueError("K must satisfy 0 <= K <= I")
-    if m is None:
-        m = seq.kappa
     iv = weyl_interval(seq, m, x)
     root = sqrt_psd(iv.gap)
     t = _hermitize(iv.upper - root @ k @ root)
-
-    pair = None
-    if np.allclose(k, 0.0, atol=DEFAULT_TOL.identity_tol):
-        t = iv.upper
-        pair = pair_max(q, seq.side) if seq.side == RIGHT else pair_min(q, seq.side)
-    elif np.allclose(k, np.eye(q), atol=DEFAULT_TOL.identity_tol):
-        t = iv.lower
-        pair = pair_min(q, seq.side) if seq.side == RIGHT else pair_max(q, seq.side)
-    elif classes[0] == PD:
-        dq = dyukarev_quadruple(seq)
-        gap_inv_root = np.linalg.inv(root)
-        c_x = dq.c[half(m)](x)
-        c_inv = np.linalg.inv(c_x)
-        if seq.side == RIGHT:
-            mid = gap_inv_root @ (np.linalg.inv(k) - np.eye(q)) @ gap_inv_root
-            w = c_inv @ mid @ c_inv.conj().T
-            pair = StieltjesPair(kind=CONSTANT, side=seq.side,
-                                 phi=_hermitize(w), psi=np.eye(q))
-        elif classes[1] == PD:
-            mid = gap_inv_root @ (np.linalg.inv(np.eye(q) - k) @ k) @ gap_inv_root
-            w = c_inv @ _hermitize(mid) @ c_inv.conj().T
-            pair = StieltjesPair(kind=CONSTANT, side=seq.side,
-                                 phi=-_hermitize(w), psi=np.eye(q))
-    return t, pair
+    g = resolvent_u(seq, m).inverse_at(x) @ np.vstack([t, np.eye(q)])
+    return t, StieltjesPair(kind=CONSTANT, side=seq.side, phi=g[:q], psi=g[q:])
 
 
 def difference_inverse(seq: MomentSequence, m: int | None = None,

@@ -1,17 +1,18 @@
+import functools
+
 import numpy as np
 import pytest
 
 from stieltjesmp import (
     DEFAULT_TOL, DSParam, FavardPair, ResolventU, SingularDenominator, ds_param, extremal,
-    is_pd, q_from_ds, random_stieltjes_pd_sequence, real_zeros, reflect, sequence,
-    stieltjes_quadruple,
+    is_pd, q_from_ds, random_pd, random_stieltjes_pd_sequence, real_zeros, reflect,
+    seq_from_ds, sequence, stieltjes_quadruple,
 )
-from stieltjesmp.linalg import _hermitize, ordered_product
+from stieltjesmp.linalg import _hermitize
 from stieltjesmp.measures import MolecularMeasure, _merge_atoms
 from stieltjesmp.moments import (
-    first_block_column, half, hankel, hhats, index_m, lower_triangular_S,
-    require_hankel_pd_prefix, resolvent_R, u_shift_vector, u_vector,
-    y_stack, z_stack,
+    half, hankel, hhats, index_m, lower_triangular_S, require_hankel_pd_prefix, y_stack,
+    z_stack,
 )
 from stieltjesmp.orthopoly import GENERAL, MatrixPolynomial
 from stieltjesmp.solutions import _off_cut
@@ -60,6 +61,17 @@ def ladder_fixture(i: int):
     return _cache[i]
 
 
+def lm_draw(seed: int, q: int, kappa: int, draw: int):
+    """The moments of one lm-ladder draw: (L, M) drawn with random_pd from
+    the seed vector (seed, q, kappa, draw), as the benchmark draws them,
+    with alpha = 0.5 on the right half-line, as a fresh sequence."""
+    rng = np.random.default_rng([seed, q, kappa, draw])
+    m = tuple(random_pd(q, rng) for _ in range(half(kappa) + 1))
+    l = tuple(random_pd(q, rng) for _ in range(half(kappa - 1) + 1))
+    ds = DSParam(q=q, alpha=0.5, side="right", l=l, m=m)
+    return sequence(list(seq_from_ds(ds).moments), alpha=0.5, side="right")
+
+
 def rel_err(got, want) -> float:
     got = np.asarray(got, dtype=complex)
     want = np.asarray(want, dtype=complex)
@@ -77,7 +89,50 @@ def hankel_inverse(seq, n):
     return np.linalg.inv(hankel(seq, n))
 
 
+def ordered_product(mats, q: int):
+    """M_0 M_1 ... M_k multiplied left to right; the q x q identity if empty."""
+    return functools.reduce(np.matmul, mats, np.eye(q, dtype=complex))
+
+
 # --- structural kit of the Hankel oracles ----------------------------------
+
+def first_block_column(q: int, n: int):
+    """v_n = (I_q; 0; ...; 0), shape (n+1)q x q."""
+    v = np.zeros(((n + 1) * q, q), dtype=complex)
+    v[:q, :] = np.eye(q)
+    return v
+
+
+def resolvent_R(q: int, n: int, z: complex):
+    """R_n(z) = (I - z T_n)^{-1}; block lower triangular with powers of z."""
+    r = np.zeros(((n + 1) * q, (n + 1) * q), dtype=complex)
+    eye = np.eye(q)
+    for j in range(n + 1):
+        for k in range(j + 1):
+            r[j * q:(j + 1) * q, k * q:(k + 1) * q] = (z ** (j - k)) * eye
+    return r
+
+
+def u_vector(seq, n: int):
+    """u_n = (0; y_{0,n-1}); u_0 = 0."""
+    q = seq.q
+    u = np.zeros(((n + 1) * q, q), dtype=complex)
+    if n >= 1:
+        u[q:, :] = y_stack(seq, 0, n - 1)
+    return u
+
+
+def u_shift_vector(seq, n: int):
+    """Shifted companion of u_n for the sequence's own side.
+
+    right: u_{a>n} = y_{0,n} - alpha u_n;  left: u_{a<n} = -y_{0,n} + alpha u_n.
+    """
+    y = y_stack(seq, 0, n)
+    u = u_vector(seq, n)
+    if seq.side == "right":
+        return y - seq.alpha * u
+    return -y + seq.alpha * u
+
 
 def block_shift(q: int, n: int):
     """T_n: (n+1)q block down-shift, nilpotent, det(I - z T_n) = 1."""
@@ -415,6 +470,28 @@ def q_values_from_quadruple(quad) -> list:
         if n + 1 < len(quad.p):
             out.append(-quad.phat[n](a) @ quad.p[n + 1](a).conj().T)
     return out
+
+
+def leading_closed(seq, m) -> dict:
+    """Leading coefficients of A, B, C, D in powers of w as closed ordered
+    products in (L, M), n = half(m), k = half(m+1):
+
+        A = (-1)^n prod_{j<n} L_j M_{j+1}        C = -+(-1)^n M_0 prod_{j<n} L_j M_{j+1}
+        B = +-(-1)^{k-1} L_0 prod_{0<j<k} M_j L_j   D = (-1)^k prod_{j<k} M_j L_j
+
+    (upper signs on the right half-line; B = 0 for k = 0).  The library
+    reads them off the chain stacks; these are the products it is checked
+    against."""
+    ds, q = ds_param(seq), seq.q
+    ls, ms = ds.l, ds.m
+    n, k = half(m), half(m + 1)
+    flip = 1.0 if seq.side == "right" else -1.0
+    lm = ordered_product((ls[j] @ ms[j + 1] for j in range(n)), q)
+    b = np.zeros((q, q), dtype=complex) if k == 0 else \
+        flip * (-1.0) ** (k - 1) * ls[0] @ ordered_product((ms[j] @ ls[j] for j in range(1, k)), q)
+    return {"A": (-1.0) ** n * lm, "B": b,
+            "C": flip * (-1.0) ** (n + 1) * ms[0] @ lm,
+            "D": (-1.0) ** k * ordered_product((ms[j] @ ls[j] for j in range(k)), q)}
 
 
 # --- residue extrapolation --------------------------------------------------

@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from stieltjesmp.cli import (
-    EXIT_NEGATIVE, EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE,
+    EXIT_INCONSISTENT, EXIT_NEGATIVE, EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE,
     decode_matrix, decode_sequence, encode_matrix, encode_sequence, main,
 )
 from stieltjesmp import (
-    DSParam, difference_inverse, random_pd, random_stieltjes_pd_sequence, seq_from_ds, sequence,
-    weyl_interval,
+    difference_inverse, random_stieltjes_pd_sequence, sequence, weyl_interval,
 )
 
-from conftest import LADDER, ladder_fixture
+from conftest import LADDER, ladder_fixture, lm_draw
 
 
 @pytest.fixture
@@ -225,6 +224,21 @@ def test_verify_verb(capsys, f2_file, tmp_path):
     assert code == EXIT_NEGATIVE
 
 
+@pytest.mark.parametrize("value", [1.0, -1.0])
+def test_verify_reports_a_degenerate_weyl_interval(capsys, f1_file, monkeypatch, value):
+    # both extremals stubbed to one value: weyl_interval raises its
+    # ArithmeticError, and verify records weyl_gap_pd false, skips the
+    # gap-dependent difference_inverse check and still emits its document
+    import stieltjesmp.solutions as solutions
+    monkeypatch.setattr(solutions.ExtremalSolution, "__call__",
+                        lambda self, z: np.full(np.shape(z) + (1, 1), value, dtype=complex))
+    code, payload = run(capsys, "verify", f1_file)
+    assert code == EXIT_INCONSISTENT and payload is not None and not payload["passed"]
+    assert payload["checks"]["weyl_gap_pd"] is False
+    assert "difference_inverse" not in payload["checks"]
+    assert payload["checks"]["measure_moments"] and payload["checks"]["j_inner"]
+
+
 def test_verify_judges_the_extremals_on_the_ladder(capsys, tmp_path):
     path = tmp_path / "seq.json"
     for i in range(len(LADDER)):
@@ -261,11 +275,7 @@ def test_verify_passes_on_ill_conditioned_lm_draws(capsys, tmp_path, kappa):
     # bare AssertionError from its shift-identity check at kappa = 9 (cond(H_4)
     # about 1e17), and at kappa = 10 it and the Hankel-row difference inverse
     # missed verify's bounds; the chain routes pass both
-    rng = np.random.default_rng([1, 2, kappa, 2])
-    m = tuple(random_pd(2, rng) for _ in range(kappa // 2 + 1))
-    l = tuple(random_pd(2, rng) for _ in range((kappa - 1) // 2 + 1))
-    ds = DSParam(q=2, alpha=0.5, side="right", l=l, m=m)
-    s = sequence(list(seq_from_ds(ds).moments), alpha=0.5, side="right")
+    s = lm_draw(1, 2, kappa, 2)
     _assert_verify_passes_with_an_accurate_difference_inverse(capsys, tmp_path, s)
 
 

@@ -6,19 +6,22 @@ import pytest
 
 from stieltjesmp import (
     MONIC, DSParam, classify, difference_inverse, ds_param, dyukarev_quadruple, extremal,
-    factorize_u, favard_pair, lft_solve, measure_moments, pair_max, pair_min, potapov_defect_psd,
-    random_pd, random_stieltjes_pd_sequence, real_zeros, recover_max, recover_min, reflect,
-    resolvent_u, sequence, shift_sequence, stieltjes_param, stieltjes_quadruple, weyl_interval,
+    factorize_u, favard_pair, lft_solve, measure_moments, pair_max, pair_min, potapov_defect,
+    potapov_defect_psd, random_pd, random_stieltjes_pd_sequence, real_zeros, recover_max,
+    recover_min, reflect, resolvent_u, sequence, shift_sequence, stieltjes_param,
+    stieltjes_quadruple, weyl_interval,
 )
 from stieltjesmp.moments import (
-    _cholesky_hhats, first_block_column, half, hankel, hhats, monic_rows, resolvent_R,
-    schur_complement, u_shift_vector, z_stack,
+    _cholesky_hhats, half, hankel, hhats, monic_rows, schur_complement, z_stack,
 )
 from stieltjesmp import orthopoly, params, solutions
 from stieltjesmp.params import chain_stacks
 from stieltjesmp.solutions import string_rule
 
-from conftest import alternating_signs, block_shift, column_E, ladder_fixture, shat_matrix
+from conftest import (
+    alternating_signs, block_shift, column_E, first_block_column, ladder_fixture, resolvent_R,
+    shat_matrix, u_shift_vector,
+)
 
 
 def test_hankel_pack_scalar(f2):
@@ -231,6 +234,21 @@ def test_potapov_defect_fixture(f1):
             val = np.array([[s_fun(z)]])
             assert potapov_defect_psd(f1, val, z)
     assert not potapov_defect_psd(f1, np.array([[0.0]]), 1j)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_potapov_defect_at_kappa_zero(side):
+    # one moment: the shifted matrix is its q x q corner alone; delta_0 and
+    # the one-atom measure at +-1 solve the problem, twice delta_0 does not
+    s = sequence([1.0], side=side)
+    atom = 1.0 if side == "right" else -1.0
+    for z0 in (1j, 2j, -1 + 0.5j, 0.3 + 3j):
+        z = z0 if side == "right" else z0.conjugate()
+        base, shift = potapov_defect(s, np.array([[-1.0 / z]]), z)
+        assert base.shape == (2, 2) and shift.shape == (1, 1)
+        for val in (-1.0 / z, 1.0 / (atom - z)):
+            assert potapov_defect_psd(s, np.array([[val]]), z)
+        assert not potapov_defect_psd(s, np.array([[-2.0 / z]]), z)
 
 
 def test_potapov_defect_rejects_real_z(f1):

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from stieltjesmp import (
-    DEFAULT_TOL, GENERAL, MONIC, DSParam, MatrixPolynomial, associated_polynomial, det_zeros,
-    ds_param, dyukarev_quadruple, favard_pair, monic_orthogonal_system, random_pd, real_zeros,
-    second_kind_system, seq_from_ds, sequence, shift_sequence, stieltjes_param,
-    random_stieltjes_pd_sequence, reflect, stieltjes_quadruple,
+    DEFAULT_TOL, GENERAL, MONIC, MatrixPolynomial, associated_polynomial, det_zeros, ds_param,
+    dyukarev_quadruple, favard_pair, monic_orthogonal_system, real_zeros, second_kind_system,
+    sequence, shift_sequence, stieltjes_param, random_stieltjes_pd_sequence, reflect,
+    stieltjes_quadruple,
 )
 from stieltjesmp import orthopoly
 from conftest import (
-    eval_quadruple_at_alpha, ladder_fixture, q_values_from_quadruple, quadruple_loop, rel_err,
-    shift_identity_defect,
+    eval_quadruple_at_alpha, ladder_fixture, lm_draw, q_values_from_quadruple, quadruple_loop,
+    rel_err, shift_identity_defect,
 )
 
 
@@ -380,12 +380,7 @@ def test_quadruple_builds_on_ill_conditioned_lm_draws(seed, q, kappa, draw):
     # the moment-side coupling rejected these valid inputs (defects 2.8e-6 to
     # 2e-4); against the (L, M) the quadruple is built from, the identity
     # holds to about 1e-8
-    rng = np.random.default_rng([seed, q, kappa, draw])
-    m = tuple(random_pd(q, rng) for _ in range(kappa // 2 + 1))
-    l = tuple(random_pd(q, rng) for _ in range((kappa - 1) // 2 + 1))
-    ds = DSParam(q=q, alpha=0.5, side="right", l=l, m=m)
-    s = sequence(seq_from_ds(ds).moments, alpha=0.5, side="right")
-    assert shift_identity_defect(s) <= 1e-6   # builds the quadruple
+    assert shift_identity_defect(lm_draw(seed, q, kappa, draw)) <= 1e-6   # builds the quadruple
 
 
 @pytest.mark.parametrize("family,n", [("p", 0), ("p", 1), ("p", 2), ("p_shift", 0),

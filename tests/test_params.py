@@ -8,11 +8,11 @@ from stieltjesmp import (
     seq_from_canonical, seq_from_ds, seq_from_stieltjes_param, sequence, stieltjes_param,
     weyl_interval,
 )
-from stieltjesmp.linalg import ordered_product
 from stieltjesmp.moments import _cholesky_hhats, hhats, schur_complement
 
 from conftest import (
-    LADDER, ds_increments, favard_pair_row_col, ladder_fixture, rel_err, seq_rel_err,
+    LADDER, ds_increments, favard_pair_row_col, ladder_fixture, ordered_product, rel_err,
+    seq_rel_err,
 )
 
 

@@ -6,13 +6,11 @@ from stieltjesmp import (
     leading_terms, reflect, resolvent_u, schur_rotation, sequence, sigma,
     signature_matrix,
 )
-from stieltjesmp.moments import (
-    first_block_column, half, resolvent_R, u_shift_vector, u_vector, y_stack,
-)
+from stieltjesmp.moments import half, y_stack
 
 from conftest import (
-    alternating_signs, dyukarev_loop, hankel_inverse, hankel_u, ladder_fixture, quadruple_u,
-    rel_err,
+    alternating_signs, dyukarev_loop, first_block_column, hankel_inverse, hankel_u,
+    ladder_fixture, leading_closed, quadruple_u, rel_err, resolvent_R, u_shift_vector, u_vector,
 )
 
 
@@ -158,27 +156,32 @@ def test_quadruple_polynomial_route():
 
 
 def test_leading_terms():
+    # a leading coefficient of degree d is sign^d times the top coefficient
+    # of the chain-built family, bit for bit, and the closed ordered (L, M)
+    # products agree to 1e-14; every m, the fixtures and their reflections
     for i in range(10):
-        s = ladder_fixture(i)
-        lt = leading_terms(s)
-        dq = dyukarev_quadruple(s)
-        m = s.kappa
-        blocks = {"A": dq.a[half(m)], "B": dq.b[half(m + 1)],
-                  "C": dq.c[half(m)], "D": dq.d[half(m + 1)]}
-        # in w = sign (z - alpha): coefficient d of P is sign^d P^[d], the
-        # constant term P(alpha) and the coefficient of w sign P'(alpha)
-        sign = 1.0 if s.side == "right" else -1.0
-        for name, poly in blocks.items():
-            info = lt[name]
-            assert poly.degree == info["degree"]
-            if info["degree"] >= 0:
-                top = sign ** info["degree"] * poly.coeff(info["degree"])
-                assert rel_err(top, info["leading"]) < 1e-8
-            if name == "C":
-                low = sign * sum(j * s.alpha ** (j - 1) * c for j, c in enumerate(poly.coeffs) if j)
-            else:
-                low = poly(s.alpha)
-            assert rel_err(low, info["low"]) < 1e-8
+        for s in (ladder_fixture(i), reflect(ladder_fixture(i))):
+            dq = dyukarev_quadruple(s)
+            # in w = sign (z - alpha): coefficient d of P is sign^d P^[d], the
+            # constant term P(alpha) and the coefficient of w sign P'(alpha)
+            sign = 1.0 if s.side == "right" else -1.0
+            for m in range(s.kappa + 1):
+                lt, closed = leading_terms(s, m), leading_closed(s, m)
+                blocks = {"A": dq.a[half(m)], "B": dq.b[half(m + 1)],
+                          "C": dq.c[half(m)], "D": dq.d[half(m + 1)]}
+                for name, poly in blocks.items():
+                    info = lt[name]
+                    assert poly.degree == info["degree"]
+                    if info["degree"] >= 0:
+                        top = sign ** info["degree"] * poly.coeffs[info["degree"]]
+                        np.testing.assert_array_equal(info["leading"], top)
+                    assert rel_err(info["leading"], closed[name]) < 1e-14
+                    if name == "C":
+                        low = sign * sum(j * s.alpha ** (j - 1) * c
+                                         for j, c in enumerate(poly.coeffs) if j)
+                    else:
+                        low = poly(s.alpha)
+                    assert rel_err(low, info["low"]) < 1e-8
 
 
 def test_leading_terms_fixture_f2(f2):

@@ -9,10 +9,11 @@ from stieltjesmp import (
     sigma, stieltjes_quadruple, weyl_interval,
 )
 from stieltjesmp.linalg import min_eig_hermitian_part
-from stieltjesmp.moments import first_block_column, half, hankel, y_stack
+from stieltjesmp.moments import half, hankel, y_stack
 
 from conftest import (
-    block_shift, difference_inverse_closed, ladder_fixture, lft_blocks, lft_solve_det, rel_err,
+    block_shift, difference_inverse_closed, first_block_column, ladder_fixture, lft_blocks,
+    lft_solve_det, lm_draw, rel_err,
 )
 
 
@@ -263,11 +264,26 @@ def test_weyl_interval_fixtures(f1, f2):
 
 def test_weyl_interval_rejects_non_finite_values(f1, monkeypatch):
     # a non-finite extremal value is bad data (ValueError), not a failed
-    # definiteness check (AssertionError)
+    # definiteness check (ArithmeticError)
     import stieltjesmp.solutions as solutions
     monkeypatch.setattr(solutions.ExtremalSolution, "__call__",
                         lambda self, z: np.array([[np.inf + 0j]]))
     with pytest.raises(ValueError, match="non-finite"):
+        weyl_interval(f1)
+
+
+@pytest.mark.parametrize("value, message", [
+    (1.0, "Weyl interval degenerate; inconsistent inputs"),
+    (-1.0, "extremal values are not definite; inconsistent inputs"),
+])
+def test_weyl_interval_failures_are_arithmetic_errors(f1, monkeypatch, value, message):
+    # both extremals return one value: the gap is 0, and for a negative value
+    # the values are not definite either; each is an internal inconsistency
+    # (ArithmeticError), not a bare AssertionError
+    import stieltjesmp.solutions as solutions
+    monkeypatch.setattr(solutions.ExtremalSolution, "__call__",
+                        lambda self, z: np.full(np.shape(z) + (1, 1), value, dtype=complex))
+    with pytest.raises(ArithmeticError, match=message):
         weyl_interval(f1)
 
 
@@ -329,19 +345,39 @@ def test_interval_point_endpoints_and_midpoint(f1):
     np.testing.assert_allclose(lft_solve(u, pair, -1.0), [[0.75]], atol=1e-10)
 
 
+def _assert_interval_pairs_reproduce(s, m, x, ks):
+    u = resolvent_u(s, m)
+    for k in ks:
+        t, pair = interval_point(s, m, x, k)
+        assert isinstance(pair, StieltjesPair) and pair.side == s.side
+        assert rel_err(lft_solve(u, pair, complex(x)), t) < 1e-12
+
+
 def test_interval_point_pair_reproduces_value():
+    # U(x)^{-1} [T; I] is a pair for every K in [0, I]: PD, 0, I and singular
+    # PSD K (a zero or a unit eigenvalue), at every m on both half-lines
     rng = np.random.default_rng(23)
-    for i in range(8):
-        s = ladder_fixture(i)
-        x = s.alpha - 1.0 if s.side == "right" else s.alpha + 1.0
-        q = s.q
-        w, _ = np.linalg.qr(rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q)))
-        k = w @ np.diag(rng.uniform(0.1, 0.9, q)) @ w.conj().T
-        t, pair = interval_point(s, s.kappa, x, k)
-        assert pair is not None
-        u = resolvent_u(s)
-        val = lft_solve(u, pair, complex(x))
-        assert rel_err(val, t) < 1e-8
+    for i in range(10):
+        for s in (ladder_fixture(i), reflect(ladder_fixture(i))):
+            q = s.q
+            x = s.alpha - 1.0 if s.side == "right" else s.alpha + 1.0
+            w, _ = np.linalg.qr(rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q)))
+            ks = [np.zeros((q, q)), np.eye(q),
+                  w @ np.diag(rng.uniform(0.1, 0.9, q)) @ w.conj().T]
+            if q > 1:
+                ks += [w @ np.diag(np.r_[0.0, rng.uniform(0.1, 0.9, q - 1)]) @ w.conj().T,
+                       w @ np.diag(np.r_[rng.uniform(0.1, 0.9, q - 1), 1.0]) @ w.conj().T]
+            for m in range(1, s.kappa + 1):
+                _assert_interval_pairs_reproduce(s, m, x, ks)
+
+
+@pytest.mark.parametrize("kappa", [9, 10])
+def test_interval_point_pairs_on_ill_conditioned_lm_draws(kappa):
+    # the q = 2 lm-ladder draws of test_cli's verify test
+    s = lm_draw(1, 2, kappa, 2)
+    ks = [np.zeros((2, 2)), np.eye(2), np.diag([0.3, 0.6]), np.diag([0.0, 0.5]),
+          np.array([[0.5, 0.5], [0.5, 0.5]])]
+    _assert_interval_pairs_reproduce(s, kappa, -0.5, ks)
 
 
 def test_interval_point_monotone_in_k(f2):
