@@ -2,13 +2,13 @@
 
 from .linalg import (
     DEFAULT_TOL, INDEFINITE, JQ, JQQ, JTILDE, NON_HERMITIAN, PD, PSD,
-    ToleranceConfig, block_psd, hermitize, interval_sample, is_hermitian,
-    is_pd, is_psd, j_defect, pinv, psd_class, signature_matrix, sqrt_psd,
+    ToleranceConfig, block_psd, hermitize, is_hermitian, is_pd, is_psd,
+    j_defect, pinv, psd_class, signature_matrix, sqrt_psd,
 )
 from .moments import (
     LEFT, NND, NND_EXTENDABLE, RIGHT, MomentSequence,
     SequenceClass, classify, half, potapov_defect,
-    potapov_defect_psd, reflect, sequence, shift_sequence,
+    potapov_defect_psd, reflect, sequence, shift_sequence, side_sign,
 )
 from .params import (
     CanonicalHankelParam, DSParam, FavardPair, StieltjesParam,

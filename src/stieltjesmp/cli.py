@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .moments import LEFT, RIGHT, MomentSequence, classify
+from .moments import LEFT, RIGHT, MomentSequence, classify, side_sign
 from .params import (
     canonical_hankel_param, ds_param, favard_pair, random_stieltjes_pd_sequence,
     seq_from_ds, seq_from_stieltjes_param, stieltjes_param,
@@ -196,10 +196,7 @@ def cmd_solve(args) -> int:
 
 def cmd_extremal(args) -> int:
     seq = decode_sequence(_load_doc(args.file))
-    if args.at is None:
-        x = seq.alpha - 1.0 if seq.side == RIGHT else seq.alpha + 1.0
-    else:
-        x = args.at
+    x = seq.alpha - side_sign(seq.side) if args.at is None else args.at
     s_min, s_max = extremal(seq)
     _emit({"x": x, "s_min": encode_matrix(s_min(x)), "s_max": encode_matrix(s_max(x))})
     return EXIT_OK
@@ -258,21 +255,21 @@ def cmd_verify(args) -> int:
     checks["j_inner"] = j_inner_check(u, samples, seq.q).passed
 
     if seq.kappa >= 1:
-        x = seq.alpha - 1.0 if seq.side == RIGHT else seq.alpha + 1.0
         try:
-            iv = weyl_interval(seq, seq.kappa, x)
+            iv = weyl_interval(seq, seq.kappa)
         except ArithmeticError:   # extremal values not definite, or their gap not PD
             iv = None
         checks["weyl_gap_pd"] = iv is not None
-        # the production extremals against the LFT of U with the trivial pairs
-        pairs = (pair_min(seq.q, seq.side), pair_max(seq.q, seq.side))
+        # the production extremals against the LFT of U with the trivial
+        # pairs: (0, I) gives the wall extremal B D^-1, (I, 0) the free A C^-1
         checks["extremal_lft"] = True
-        for ext, pair in zip(extremal(seq), pairs if seq.side == RIGHT else pairs[::-1]):
+        for ext in extremal(seq):
+            pair = (pair_min if ext.bd else pair_max)(seq.q, seq.side)
             want = np.array([lft_solve(u, pair, zk) for zk in z])
             checks["extremal_lft"] &= np.all(np.linalg.norm(ext(z) - want, axis=(1, 2))
                                              <= 1e-8 * (1 + np.linalg.norm(want, axis=(1, 2))))
         if iv is not None:
-            gap_inv = difference_inverse(seq, seq.kappa, x)
+            gap_inv = difference_inverse(seq, seq.kappa, iv.x)
             checks["difference_inverse"] = np.linalg.norm(
                 np.linalg.inv(iv.gap) - gap_inv) <= 1e-7 * (1 + np.linalg.norm(gap_inv))
         moms = [measure_moments(mu, seq.kappa) for mu in (recover_min(seq), recover_max(seq))]

@@ -170,24 +170,6 @@ def block_psd(a: Array, b: Array, c: Array, d: Array) -> bool:
     return bool(np.linalg.eigvalsh(_hermitize(schur))[0] >= -tol.psd_tol * scale)
 
 
-def interval_sample(lower: Array, upper: Array, k: Array) -> Array:
-    """Point A + sqrt(B-A) K sqrt(B-A) of the matrix interval [A, B].
-
-    K must lie in [0, I]; K = 0 and K = I hit the endpoints exactly.
-    """
-    lower, upper = map(as_matrix, (lower, upper))
-    k = _require_square(k)
-    q = k.shape[0]
-    if not set(_psd_classes(np.array([k, np.eye(q) - k]))) <= {PD, PSD}:
-        raise ValueError("K must satisfy 0 <= K <= I")
-    if np.allclose(k, 0.0, atol=DEFAULT_TOL.identity_tol):
-        return lower.copy()
-    if np.allclose(k, np.eye(q), atol=DEFAULT_TOL.identity_tol):
-        return upper.copy()
-    root = sqrt_psd(upper - lower)
-    return lower + root @ k @ root
-
-
 JTILDE = "JTILDE"
 JQ = "JQ"
 JQQ = "JQQ"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import Array, PD, PSD, _hermitize, _psd_classes, is_psd
-from .moments import LEFT, RIGHT, MomentSequence, hankel, index_m, matrix_stack
+from .moments import RIGHT, MomentSequence, hankel, index_m, matrix_stack, side_sign
 from .params import ds_param
 from .solutions import string_rule
 
@@ -57,12 +57,11 @@ class MolecularMeasure:
     def _check_atoms(self):
         x = np.asarray(self.atoms, dtype=float)
         slack = 1e-9 * (1 + abs(self.alpha))
-        right = self.support_side == RIGHT
-        off = x < self.alpha - slack if right else \
-            (self.support_side == LEFT) & (x > self.alpha + slack)
+        sign = side_sign(self.support_side)
+        off = sign * x < sign * self.alpha - slack
         if off.any():
             x = self.atoms[int(np.argmax(off))]
-            raise ValueError(f"atom {x} outside [{self.alpha}, inf)" if right
+            raise ValueError(f"atom {x} outside [{self.alpha}, inf)" if sign > 0
                              else f"atom {x} outside (-inf, {self.alpha}]")
 
 

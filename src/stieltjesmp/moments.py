@@ -2,7 +2,8 @@
 
 A sequence s_0..s_kappa of complex q x q matrices together with a base
 point alpha and a half-line tag ("right" for [alpha, inf), "left" for
-(-inf, alpha]) is the basic object everything else consumes.  The block
+(-inf, alpha]) is the basic object everything else consumes; side_sign
+turns the tag into the +-1 that every side formula of the package reads.  The block
 Hankel matrices H_n = (s_{j+k}), their left Schur complements and the
 alpha-shifted sequence -alpha*s_j + s_{j+1} (right) resp.
 alpha*s_j - s_{j+1} (left) drive both the classification and all
@@ -28,6 +29,17 @@ from .linalg import (
 
 RIGHT = "right"
 LEFT = "left"
+
+
+def side_sign(side: str) -> float:
+    """+1.0 on the right half-line [alpha, inf), -1.0 on the left one
+    (-inf, alpha]: the one place that reads a side tag.  Any other tag is a
+    ValueError."""
+    if side == RIGHT:
+        return 1.0
+    if side == LEFT:
+        return -1.0
+    raise ValueError(f"side must be '{RIGHT}' or '{LEFT}'")
 
 
 def freeze(obj):
@@ -79,8 +91,7 @@ class MomentSequence:
     moments: tuple
 
     def __post_init__(self):
-        if self.side not in (RIGHT, LEFT):
-            raise ValueError(f"side must be '{RIGHT}' or '{LEFT}'")
+        side_sign(self.side)
         if len(self.moments) == 0:
             raise ValueError("at least one moment required")
         stack = matrix_stack(self.moments, self.q, "moment")
@@ -162,11 +173,11 @@ def schur_complement(seq, n: int) -> Array:
     return seq[2 * n] - schur_correction(seq, n)
 
 
-def shifted_moments(mats, alpha: float, side: str) -> list:
-    """right: r_j = -alpha*s_j + s_{j+1};  left: r_j = alpha*s_j - s_{j+1}."""
-    if side == RIGHT:
-        return [-alpha * mats[j] + mats[j + 1] for j in range(len(mats) - 1)]
-    return [alpha * mats[j] - mats[j + 1] for j in range(len(mats) - 1)]
+def shifted_moments(mats, alpha: float, side: str) -> Array:
+    """The stack r_j = +-(s_{j+1} - alpha*s_j), + on the right half-line, - on
+    the left, one matrix shorter than mats."""
+    mats = np.asarray(mats)
+    return side_sign(side) * (mats[1:] - alpha * mats[:-1])
 
 
 def shift_sequence(seq: MomentSequence) -> MomentSequence:
@@ -359,7 +370,7 @@ def potapov_defect(seq: MomentSequence, s_value: Array, z: complex):
     if z.imag == 0:
         raise ValueError("defect matrices are only defined off the real axis")
     f = as_matrix(s_value)
-    sign = 1.0 if seq.side == RIGHT else -1.0
+    sign = side_sign(seq.side)
 
     def corner(f):
         return (f - f.conj().T) / (z - np.conj(z))

@@ -20,8 +20,8 @@ import numpy as np
 
 from .linalg import Array, DEFAULT_TOL
 from .moments import (
-    RIGHT, MomentSequence, derived, freeze, half, lower_triangular_S, monic_rows,
-    require_hankel_pd_prefix,
+    MomentSequence, derived, freeze, half, lower_triangular_S, monic_rows,
+    require_hankel_pd_prefix, side_sign,
 )
 from .params import DSParam, chain_stacks, ds_param
 
@@ -218,7 +218,7 @@ def _chain_families(ds: DSParam) -> tuple:
     p = d_norm @ _cs(d)
     second = -(d_norm @ _cs(y[:, :, :q]))
     p_shift = -(c_norm @ _cs(e))
-    phat = (c_norm @ _cs(x[:, :nx, :q])) * (-1.0 if ds.side == RIGHT else 1.0)
+    phat = (c_norm @ _cs(x[:, :nx, :q])) * -side_sign(ds.side)
     p[k, k] = p_shift[n, n] = np.eye(q)
     return p, second, p_shift, phat
 

@@ -21,8 +21,8 @@ from .linalg import (
 )
 from .moments import (
     RIGHT, MomentSequence, classify, derived, half, hankel, hhats, matrix_stack, monic_rows,
-    q_values, require_hankel_pd_prefix, schur_correction, sequence, shifted_moments, y_stack,
-    z_stack,
+    q_values, require_hankel_pd_prefix, schur_correction, sequence, shifted_moments, side_sign,
+    y_stack, z_stack,
 )
 
 
@@ -95,7 +95,7 @@ def seq_from_stieltjes_param(p: StieltjesParam) -> MomentSequence:
     pinv formula of schur_correction.
     """
     a = p.alpha
-    sgn = 1.0 if p.side == RIGHT else -1.0
+    sgn = side_sign(p.side)
     qs = matrix_stack(p.values, p.q, "Q_j")
     if not _all_pd(qs):
         return _seq_from_q_pinv(p, qs)
@@ -104,26 +104,26 @@ def seq_from_stieltjes_param(p: StieltjesParam) -> MomentSequence:
     # factors[0] of H_{half(kappa)}, factors[1] of Hshift_{half(kappa-1)}
     size = (half(p.kappa) + 1) * q
     factors = (np.zeros((size, size), dtype=complex), np.zeros((size, size), dtype=complex))
-    mats, shifted = [], []
+    mats = []
     for j in range(p.kappa + 1):
         n, odd = j // 2, j % 2
         c = factors[odd]
         value = qs[j]
         if n:
-            w = np.linalg.solve(c[:n * q, :n * q], np.vstack((shifted if odd else mats)[n:2 * n]))
+            # the block column s_n..s_{2n-1}, resp. r_n..r_{2n-1} of the shifted sequence
+            col = shifted_moments(mats[n:2 * n + 1], a, p.side) if odd else mats[n:2 * n]
+            w = np.linalg.solve(c[:n * q, :n * q], np.reshape(col, (n * q, q)))
             value = value + w.conj().T @ w
             c[n * q:(n + 1) * q, :n * q] = w.conj().T
         c[n * q:(n + 1) * q, n * q:(n + 1) * q] = roots[j]
         mats.append(a * mats[-1] + sgn * value if odd else value)
-        if j:
-            shifted.append(shifted_moments(mats[-2:], a, p.side)[0])
     return MomentSequence(q=q, alpha=a, side=p.side, moments=tuple(mats))
 
 
 def _seq_from_q_pinv(p: StieltjesParam, qs: Array) -> MomentSequence:
     """The pinv recursion of seq_from_stieltjes_param, for Q_j not all PD."""
     a = p.alpha
-    sgn = 1.0 if p.side == RIGHT else -1.0
+    sgn = side_sign(p.side)
     mats = [qs[0]]
     if p.kappa >= 1:
         mats.append(a * mats[0] + sgn * qs[1])
@@ -292,7 +292,7 @@ def chain_stacks(ds: DSParam) -> tuple:
     are all read off this one build, cached on the pair.
     """
     q, alpha, kappa = ds.q, ds.alpha, ds.kappa
-    sgn = 1.0 if ds.side == RIGHT else -1.0
+    sgn = side_sign(ds.side)
     x = np.zeros((half(kappa) + 1, half(kappa) + 2, 2 * q, q), dtype=complex)
     y = np.zeros((half(kappa + 1) + 1, half(kappa + 1) + 1, 2 * q, q), dtype=complex)
     x[0, 0, :q] = y[0, 0, q:] = np.eye(q)
@@ -329,7 +329,7 @@ def favard_from_q(p: StieltjesParam):
     qs = _pd_values(p.values, p.q, "Q_j")
     qi = np.linalg.inv(qs)
     eye = np.eye(p.q, dtype=complex)
-    sgn = 1.0 if p.side == RIGHT else -1.0
+    sgn = side_sign(p.side)
     b = [qs[j] if j < 2 else qi[j - 2] @ qs[j] for j in range(p.kappa + 1)]
     a = [p.alpha * eye + sgn * (qs[j + 1] @ qi[j] + (qs[j] @ qi[j - 1] if j else 0.0))
          for j in range(p.kappa)]

@@ -17,7 +17,7 @@ import numpy as np
 from .linalg import (
     Array, JTILDE, j_defect, min_eig_hermitian_part, signature_matrix,
 )
-from .moments import RIGHT, MomentSequence, derived, half, index_m
+from .moments import RIGHT, MomentSequence, derived, half, index_m, side_sign
 from .orthopoly import MatrixPolynomial
 from .params import DSParam, chain_stacks, ds_param
 
@@ -87,10 +87,10 @@ class ResolventU:
 
     def scaled_evaluator(self):
         """The diagonal rescaling of U, defined off the base point only."""
-        a, q, side = self.alpha, self.q, self.side
+        a, q, sign = self.alpha, self.q, side_sign(self.side)
 
         def call(z: complex) -> Array:
-            w = (z - a) if side == RIGHT else (a - z)
+            w = sign * (z - a)
             if w == 0:
                 raise ValueError("scaled resolvent undefined at the base point")
             # diag(w I, I) U diag(I / w, I): U12 scaled by w, U21 by 1/w
@@ -142,14 +142,13 @@ def factorize_u(seq: MomentSequence, m: int | None = None) -> FactorChain:
     ds = ds_param(seq)
     q, alpha = seq.q, seq.alpha
     ms, ls = np.array(ds.m[:m // 2 + 1]), np.array(ds.l[:(m + 1) // 2]).reshape(-1, q, q)
-    sgn = 1.0 if seq.side == RIGHT else -1.0
     # coefficients of all even factors (degree 1) and all odd ones (constant)
     even = np.zeros((len(ms), 2, 2 * q, 2 * q), dtype=complex)
     even[:, 0] = np.eye(2 * q)
     even[:, 0, q:, :q] = alpha * ms
     even[:, 1, q:, :q] = -ms
     odd = np.tile(np.eye(2 * q, dtype=complex), (len(ls), 1, 1))
-    odd[:, :q, q:] = sgn * ls
+    odd[:, :q, q:] = side_sign(seq.side) * ls
     factors = [MatrixPolynomial(even[j // 2]) if j % 2 == 0 else MatrixPolynomial([odd[j // 2]])
                for j in range(m + 1)]
     return FactorChain(side=seq.side, alpha=alpha, q=q, factors=tuple(factors), ds=ds)
@@ -169,20 +168,17 @@ def leading_terms(seq: MomentSequence, m: int | None = None) -> dict:
     q = seq.q
     x, y = chain_stacks(ds)
     eye = np.eye(q, dtype=complex)
-    right = seq.side == RIGHT
-    sign = 1.0 if right else -1.0
+    sign = side_sign(seq.side)
     n, k = half(m), half(m + 1)
 
-    m_sum = sum(ds.m[j] for j in range(n + 1))
-    c_low = -m_sum if right else m_sum
+    c_low = -sign * sum(ds.m[j] for j in range(n + 1))
     if k == 0:
         b_lead = b_low = np.zeros((q, q), dtype=complex)
     else:
         b_lead = sign ** (k - 1) * y[k, k - 1, :q]
-        l_sum = sum(ds.l[j] for j in range(k))
-        b_low = l_sum if right else -l_sum
+        b_low = sign * sum(ds.l[j] for j in range(k))
     return {
-        "variable": "z-alpha" if right else "alpha-z",
+        "variable": "z-alpha" if sign > 0 else "alpha-z",
         "A": {"degree": n, "leading": sign ** n * x[n, n, :q], "low": eye.copy()},
         "B": {"degree": k - 1, "leading": b_lead, "low": b_low},
         "C": {"degree": n + 1, "leading": sign ** (n + 1) * x[n, n + 1, q:], "low": c_low},
@@ -193,14 +189,13 @@ def leading_terms(seq: MomentSequence, m: int | None = None) -> dict:
 def schur_rotation(q: int, side: str = RIGHT) -> Array:
     """Constant unitary E with j_qq = E^* Jtilde E; right and left variants.
 
-    The left variant differs from the right one only by the sign pattern
-    of the lower row; both are fixed so the j_qq identity actually holds
-    (a harmless column sign normalizes the usual left-side convention).
+    The left variant differs from the right one only by the sign of its
+    second block column, side_sign(side); both are fixed so the j_qq
+    identity actually holds (a harmless column sign normalizes the usual
+    left-side convention).
     """
-    eye = np.eye(q)
-    if side == RIGHT:
-        return np.block([[-1j * eye, 1j * eye], [eye, eye]]) / np.sqrt(2.0)
-    return np.block([[-1j * eye, -1j * eye], [eye, -eye]]) / np.sqrt(2.0)
+    eye, sign = np.eye(q), side_sign(side)
+    return np.block([[-1j * eye, sign * 1j * eye], [eye, sign * eye]]) / np.sqrt(2.0)
 
 
 def sigma(seq: MomentSequence, m: int | None = None) -> MatrixPolynomial:

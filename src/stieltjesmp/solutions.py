@@ -21,11 +21,11 @@ from .linalg import (
     psd_class, sqrt_psd,
 )
 from .moments import (
-    LEFT, RIGHT, MomentSequence, derived, freeze, half, index_m, matrix_stack,
+    RIGHT, MomentSequence, derived, freeze, half, index_m, matrix_stack, side_sign,
 )
 from .orthopoly import chain_d_e
 from .params import DSParam, ds_param
-from .resolvent import ResolventU, resolvent_u
+from .resolvent import ResolventU, resolvent_u, schur_rotation
 
 CONSTANT = "CONSTANT"
 SCHUR_CONSTANT = "SCHUR_CONSTANT"
@@ -37,9 +37,13 @@ class StieltjesPair:
 
     CONSTANT pairs (phi, psi) need rank [phi; psi] = q and psi^* phi
     Hermitian with psi^* phi >= 0 on the right half-line (<= 0 on the
-    left).  SCHUR_CONSTANT wraps a unitary F with PSD imaginary part and
-    is mapped to (i(I - F), I + F) before use.  Equality and hashing are
-    by identity: the fields are arrays, and a pair caches its stacked form.
+    left).  SCHUR_CONSTANT wraps a unitary F with PSD imaginary part; its
+    (phi, psi) is set once, here, to sqrt(2) E [F; I] with E the
+    schur_rotation of its half-line: (i(I - F), I + F) on the right and
+    (-i(I + F), F - I) on the left, so lft_solve of the pair is
+    lft_solve_schur(sigma, F).  The side is checked on both kinds.  Equality
+    and hashing are by identity: the fields are arrays, and a pair caches
+    its stacked form.
     """
 
     kind: str
@@ -54,8 +58,7 @@ class StieltjesPair:
             q = phi.shape[0]
             if np.linalg.matrix_rank(np.vstack([phi, psi])) < q:
                 raise ValueError("pair is rank deficient")
-            sign = 1.0 if self.side == RIGHT else -1.0
-            cls = psd_class(sign * (psi.conj().T @ phi))
+            cls = psd_class(side_sign(self.side) * (psi.conj().T @ phi))
             if cls == NON_HERMITIAN:
                 raise ValueError("psi^* phi must be Hermitian")
             if cls not in (PD, PSD):
@@ -69,16 +72,16 @@ class StieltjesPair:
                 raise ValueError("Schur parameter must be unitary")
             if not is_psd((f - f.conj().T) / 2j):
                 raise ValueError("Schur parameter needs PSD imaginary part")
+            g = np.sqrt(2.0) * schur_rotation(q, self.side) @ np.vstack([f, np.eye(q)])
             object.__setattr__(self, "f", f)
+            object.__setattr__(self, "phi", g[:q])
+            object.__setattr__(self, "psi", g[q:])
         else:
             raise ValueError(f"unknown pair kind: {self.kind}")
 
     def values(self):
         """(phi, psi) actually fed into the transformation."""
-        if self.kind == CONSTANT:
-            return self.phi, self.psi
-        q = self.f.shape[0]
-        return 1j * (np.eye(q) - self.f), np.eye(q) + self.f
+        return self.phi, self.psi
 
     @cached_property
     def stacked(self) -> Array:
@@ -87,19 +90,23 @@ class StieltjesPair:
 
 
 def pair_min(q: int, side: str = RIGHT) -> StieltjesPair:
-    """(0, I): the pair generating the lower extremal on the right half-line."""
+    """(0, I), the pair of the wall extremal B D^{-1}: the lower one on the
+    right half-line, the upper one on the left.  side only validates: the
+    pair is (0, I) on both half-lines."""
     return StieltjesPair(kind=CONSTANT, side=side, phi=np.zeros((q, q)), psi=np.eye(q))
 
 
 def pair_max(q: int, side: str = RIGHT) -> StieltjesPair:
-    """(I, 0): the pair generating the upper extremal on the right half-line."""
+    """(I, 0), the pair of the free extremal A C^{-1}: the upper one on the
+    right half-line, the lower one on the left.  side only validates."""
     return StieltjesPair(kind=CONSTANT, side=side, phi=np.eye(q), psi=np.zeros((q, q)))
 
 
 def _off_cut(side: str, alpha: float, z: complex) -> bool:
     if z.imag != 0:
         return True
-    return z.real < alpha if side == RIGHT else z.real > alpha
+    sign = side_sign(side)
+    return sign * z.real < sign * alpha
 
 
 class SingularDenominator(ValueError):
@@ -204,7 +211,7 @@ def string_rule(ds: DSParam, m: int, wall: bool) -> tuple:
     if not wall:   # the q rigid motions of a free string: the atom sits at alpha exactly
         lam[:q] = 0.0
     g = (ri_star[0] @ v[:q]).T
-    atoms = ds.alpha + lam if ds.side == RIGHT else ds.alpha - lam
+    atoms = ds.alpha + side_sign(ds.side) * lam
     return atoms, (g[:, :, None] * g.conj()[:, None, :]).reshape(-1, q * q)
 
 
@@ -235,24 +242,28 @@ class WeylInterval:
         return self.upper - self.lower
 
 
-def weyl_interval(seq: MomentSequence, m: int | None = None, x: float = -1.0) -> WeylInterval:
-    """[S_min(x), S_max(x)] at a real point on the free side of the line."""
-    if seq.side == RIGHT and not x < seq.alpha:
-        raise ValueError("x must lie strictly left of alpha on the right half-line")
-    if seq.side == LEFT and not x > seq.alpha:
-        raise ValueError("x must lie strictly right of alpha on the left half-line")
+def weyl_interval(seq: MomentSequence, m: int | None = None,
+                  x: float | None = None) -> WeylInterval:
+    """[S_min(x), S_max(x)] at a real point x off the half-line.
+
+    x defaults to the free point alpha - side_sign(side), one unit off the
+    half-line: alpha - 1 on the right, alpha + 1 on the left.
+    """
+    sign = side_sign(seq.side)
+    x = seq.alpha - sign if x is None else float(x)
+    if not _off_cut(seq.side, seq.alpha, x):
+        raise ValueError(f"x={x} lies on the cut of the {seq.side} half-line")
     s_min, s_max = extremal(seq, m)
     # checked finite and square once, then made Hermitian together
     lo, hi = _hermitize(matrix_stack([s_min(x), s_max(x)], seq.q, "extremal value"))
     # values are PD left of alpha on the right half-line, negative definite
     # right of alpha on the left one
-    sign = 1.0 if seq.side == RIGHT else -1.0
     classes = _psd_classes(np.array([sign * lo, sign * hi, hi - lo]))
     if classes[0] != PD or classes[1] != PD:
         raise ArithmeticError("extremal values are not definite; inconsistent inputs")
     if classes[2] != PD:
         raise ArithmeticError("Weyl interval degenerate; inconsistent inputs")
-    return WeylInterval(x=float(x), lower=lo, upper=hi)
+    return WeylInterval(x=x, lower=lo, upper=hi)
 
 
 def interval_point(seq: MomentSequence, m: int | None, x: float, k: Array):
@@ -293,7 +304,7 @@ def difference_inverse(seq: MomentSequence, m: int | None = None,
     """
     m = index_m(seq, m)
     ds = ds_param(seq)
-    w = (z - seq.alpha) if seq.side == RIGHT else (seq.alpha - z)
+    w = side_sign(seq.side) * (z - seq.alpha)
     d, e = chain_d_e(ds)
     out = -w * _weighted_sum(d, ds.m, half(m), z)
     if m >= 1:

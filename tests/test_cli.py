@@ -8,8 +8,9 @@ from stieltjesmp.cli import (
     decode_matrix, decode_sequence, encode_matrix, encode_sequence, main,
 )
 from stieltjesmp import (
-    difference_inverse, random_stieltjes_pd_sequence, sequence, weyl_interval,
+    difference_inverse, random_stieltjes_pd_sequence, reflect, sequence, weyl_interval,
 )
+from stieltjesmp.linalg import min_eig_hermitian_part
 
 from conftest import LADDER, ladder_fixture, lm_draw
 
@@ -151,6 +152,36 @@ def test_solve_with_schur_pair(capsys, f1_file, tmp_path):
     assert code == EXIT_OK
     np.testing.assert_allclose(decode_matrix(payload["values"][0]["s"]), [[0.5]],
                                atol=1e-12)
+
+
+def test_schur_solve_on_the_left_lies_in_the_weyl_interval(capsys, tmp_path):
+    # the CI files: a left sequence with alpha = 1 and F = diag(i, 1).  With
+    # the right rotation on the left pair, S(2) lay 0.31 above S_max(2)
+    assert main(["generate", "--q", "2", "--m", "5", "--side", "left", "--alpha", "1",
+                 "--seed", "3"]) == EXIT_OK
+    seq = tmp_path / "left.json"
+    seq.write_text(capsys.readouterr().out)
+    pair = tmp_path / "schur.json"
+    pair.write_text(json.dumps({"kind": "SCHUR_CONSTANT",
+                                "f": [[[0, 1], [0, 0]], [[0, 0], [1, 0]]]}))
+    code, solved = run(capsys, "solve", str(seq), "--pair", str(pair), "--at=2")
+    assert code == EXIT_OK
+    code, ext = run(capsys, "extremal", str(seq), "--at=2")
+    assert code == EXIT_OK
+    t = decode_matrix(solved["values"][0]["s"])
+    lo, hi = decode_matrix(ext["s_min"]), decode_matrix(ext["s_max"])
+    tol = 1e-8 * (1 + np.linalg.norm(hi))
+    assert min_eig_hermitian_part(t - lo) >= -tol
+    assert min_eig_hermitian_part(hi - t) >= -tol
+
+
+def test_extremal_prints_the_free_point_of_weyl_interval(capsys, tmp_path):
+    path = tmp_path / "seq.json"
+    for i in range(4):
+        for s in (ladder_fixture(i), reflect(ladder_fixture(i))):
+            path.write_text(json.dumps(encode_sequence(s)))
+            code, payload = run(capsys, "extremal", str(path))
+            assert code == EXIT_OK and payload["x"] == weyl_interval(s).x
 
 
 def test_solve_on_cut_is_precondition_error(capsys, f1_file, tmp_path):

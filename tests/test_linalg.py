@@ -6,8 +6,8 @@ import pytest
 import stieltjesmp
 from stieltjesmp import (
     DEFAULT_TOL, INDEFINITE, JQ, JQQ, JTILDE, NON_HERMITIAN, PD, PSD,
-    ToleranceConfig, block_psd, interval_sample, is_hermitian, j_defect,
-    pinv, psd_class, signature_matrix, sqrt_psd,
+    ToleranceConfig, block_psd, is_hermitian, j_defect, pinv, psd_class,
+    signature_matrix, sqrt_psd,
 )
 from stieltjesmp.linalg import _psd_class, _psd_classes
 
@@ -103,33 +103,6 @@ def test_block_psd_matches_assembled_spectrum():
         assert block_psd(a, b, c, d) == want
         hits += want
     assert 0 < hits < 200
-
-
-def test_interval_sample_endpoints_and_midpoint():
-    a = np.zeros((1, 1))
-    b = 4.0 * np.eye(1)
-    np.testing.assert_array_equal(interval_sample(a, b, np.zeros((1, 1))), a)
-    np.testing.assert_array_equal(interval_sample(a, b, np.eye(1)), b)
-    np.testing.assert_allclose(interval_sample(a, b, 0.5 * np.eye(1)), [[2.0]], atol=1e-14)
-
-
-def test_interval_sample_stays_inside():
-    rng = np.random.default_rng(4)
-    for _ in range(10):
-        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        gap = g @ g.conj().T
-        a = -np.eye(3)
-        b = a + gap
-        u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-        k = u @ np.diag(rng.uniform(0, 1, 3)) @ u.conj().T
-        x = interval_sample(a, b, k)
-        assert psd_class(x - a) in (PD, PSD)
-        assert psd_class(b - x) in (PD, PSD)
-
-
-def test_interval_sample_rejects_bad_k():
-    with pytest.raises(ValueError):
-        interval_sample(np.zeros((1, 1)), np.eye(1), 2.0 * np.eye(1))
 
 
 @pytest.mark.parametrize("kind", [JTILDE, JQ, JQQ])

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from stieltjesmp import (
-    MONIC, DSParam, classify, difference_inverse, ds_param, dyukarev_quadruple, extremal,
+    CONSTANT, MONIC, SCHUR_CONSTANT, DSParam, MolecularMeasure, StieltjesPair,
+    StieltjesParam, classify, difference_inverse, ds_param, dyukarev_quadruple, extremal,
     factorize_u, favard_pair, lft_solve, measure_moments, pair_max, pair_min, potapov_defect,
     potapov_defect_psd, random_pd, random_stieltjes_pd_sequence, real_zeros, recover_max,
-    recover_min, reflect, resolvent_u, sequence, shift_sequence, stieltjes_param,
-    stieltjes_quadruple, weyl_interval,
+    recover_min, reflect, resolvent_u, schur_rotation, seq_from_ds, seq_from_stieltjes_param,
+    sequence, shift_sequence, side_sign, stieltjes_param, stieltjes_quadruple, weyl_interval,
 )
 from stieltjesmp.moments import (
     _cholesky_hhats, half, hankel, hhats, monic_rows, schur_complement, z_stack,
@@ -59,6 +60,34 @@ def test_shift_sequence_examples():
     np.testing.assert_allclose(shift_sequence(s)[0], [[1.0]])
     s = sequence([1.0, -1.0], alpha=0.0, side="left")
     np.testing.assert_allclose(shift_sequence(s)[0], [[1.0]])
+
+
+def test_a_misspelled_side_raises_everywhere_it_is_read():
+    # every reader of a side tag goes through side_sign: "Right" built the
+    # left chain and the left atoms, and the measure skipped its atom check
+    assert side_sign("right") == 1.0 and side_sign("left") == -1.0
+    for build in (lambda: side_sign("up"), lambda: sequence([1.0, 1.0], side="Right")):
+        with pytest.raises(ValueError, match="side must be 'right' or 'left'"):
+            build()
+    one = (np.eye(1),)
+    ds = DSParam(q=1, alpha=0.0, side="Right", l=one, m=one + one)
+    for build in (lambda: chain_stacks(ds), lambda: string_rule(ds, 2, False),
+                  lambda: string_rule(ds, 2, True), lambda: seq_from_ds(ds)):
+        with pytest.raises(ValueError, match="side must be"):
+            build()
+    with pytest.raises(ValueError, match="side must be"):
+        seq_from_stieltjes_param(StieltjesParam(q=1, alpha=0.0, side="up", values=one + one))
+    with pytest.raises(ValueError, match="side must be"):
+        StieltjesPair(kind=CONSTANT, side="up", phi=np.eye(1), psi=np.eye(1))
+    with pytest.raises(ValueError, match="side must be"):
+        StieltjesPair(kind=SCHUR_CONSTANT, side="up", f=np.eye(1))
+    for pair in (pair_min, pair_max):
+        with pytest.raises(ValueError, match="side must be"):
+            pair(1, "up")
+    with pytest.raises(ValueError, match="side must be"):
+        schur_rotation(1, "up")
+    with pytest.raises(ValueError, match="side must be"):
+        MolecularMeasure(atoms=(-3.0,), masses=one, support_side="Right", alpha=0.0)
 
 
 def test_shift_requires_two_moments():

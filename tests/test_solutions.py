@@ -6,7 +6,7 @@ from stieltjesmp import (
     difference_inverse, dyukarev_quadruple, extremal, hermitize, interval_point, is_psd,
     lft_solve, lft_solve_schur, pair_max, pair_min, potapov_defect_psd,
     random_stieltjes_pd_sequence, reflect, reflect_solution, resolvent_u, sequence,
-    sigma, stieltjes_quadruple, weyl_interval,
+    side_sign, sigma, stieltjes_quadruple, weyl_interval,
 )
 from stieltjesmp.linalg import min_eig_hermitian_part
 from stieltjesmp.moments import half, hankel, y_stack
@@ -343,14 +343,20 @@ def test_interval_point_endpoints_and_midpoint(f1):
     np.testing.assert_allclose(t, [[0.75]], atol=1e-12)
     u = resolvent_u(f1)
     np.testing.assert_allclose(lft_solve(u, pair, -1.0), [[0.75]], atol=1e-10)
+    for k in (2.0 * np.eye(1), -0.1 * np.eye(1)):
+        with pytest.raises(ValueError, match="0 <= K <= I"):
+            interval_point(f1, 1, -1.0, k)
 
 
 def _assert_interval_pairs_reproduce(s, m, x, ks):
-    u = resolvent_u(s, m)
+    u, iv = resolvent_u(s, m), weyl_interval(s, m, x)
+    tol = 1e-8 * (1 + np.linalg.norm(iv.upper))
     for k in ks:
         t, pair = interval_point(s, m, x, k)
         assert isinstance(pair, StieltjesPair) and pair.side == s.side
         assert rel_err(lft_solve(u, pair, complex(x)), t) < 1e-12
+        assert min(min_eig_hermitian_part(t - iv.lower),
+                   min_eig_hermitian_part(iv.upper - t)) >= -tol
 
 
 def test_interval_point_pair_reproduces_value():
@@ -452,6 +458,49 @@ def test_schur_route_matches_extremals():
         for f, ref in ((eye, s_min), (-eye, s_max)):
             got = lft_solve_schur(sig, f, complex(z), s.q)
             assert rel_err(got, ref(complex(z))) < 1e-9
+
+
+def random_schur_parameter(q, rng):
+    """Unitary F = V diag(e^{i theta}) V^* with theta in [0, pi]: Im F is PSD."""
+    v, _ = np.linalg.qr(rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q)))
+    return (v * np.exp(1j * rng.uniform(0.0, np.pi, q))) @ v.conj().T
+
+
+def test_schur_pairs_on_both_half_lines():
+    # a Schur pair is sqrt(2) E [F; I], E the rotation of its own half-line:
+    # its LFT is the Sigma route's, solves the problem (Potapov, on the
+    # solution half-plane) and lies in the Weyl interval at the free point.
+    # The right rotation on a left pair missed Sigma by up to 1.9 relative
+    rng = np.random.default_rng(20)
+    for i in range(10):
+        for s in (ladder_fixture(i), reflect(ladder_fixture(i))):
+            u, sig, iv = resolvent_u(s), sigma(s), weyl_interval(s)
+            assert iv.x == s.alpha - side_sign(s.side)
+            tol = 1e-8 * (1 + np.linalg.norm(iv.upper))
+            for _ in range(3):
+                f = random_schur_parameter(s.q, rng)
+                pair = StieltjesPair(kind=SCHUR_CONSTANT, side=s.side, f=f)
+                for _ in range(2):
+                    z = complex(rng.standard_normal(),
+                                side_sign(s.side) * (abs(rng.standard_normal()) + 0.2))
+                    got = lft_solve(u, pair, z)
+                    assert rel_err(got, lft_solve_schur(sig, f, z, s.q)) < 1e-12, (i, s.side)
+                    assert potapov_defect_psd(s, got, z), (i, s.side)
+                t = lft_solve(u, pair, complex(iv.x))
+                assert min_eig_hermitian_part(t - iv.lower) >= -tol, (i, s.side)
+                assert min_eig_hermitian_part(iv.upper - t) >= -tol, (i, s.side)
+
+
+def test_weyl_interval_defaults_to_the_free_point():
+    # x defaults to alpha - 1 on the right and alpha + 1 on the left; the
+    # fixed default -1.0 raised for every left sequence with alpha > -1
+    for i in range(10):
+        for s in (ladder_fixture(i), reflect(ladder_fixture(i))):
+            x = s.alpha - 1.0 if s.side == "right" else s.alpha + 1.0
+            iv, explicit = weyl_interval(s), weyl_interval(s, s.kappa, x)
+            assert iv.x == x
+            np.testing.assert_array_equal(iv.lower, explicit.lower)
+            np.testing.assert_array_equal(iv.upper, explicit.upper)
 
 
 def test_schur_denominator_uses_the_relative_threshold():
