@@ -22,7 +22,7 @@ print("  shifted-attached:", [p.degree for p in quad.phat])
 
 # orthogonality: <P_j, P_k> = sum P_j^[l] s_{l+m} (P_k^[m])^* vanishes
 p1, p2 = quad.p[1], quad.p[2]
-inner = sum(p1.coeff(l) @ s[l + m] @ p2.coeff(m).conj().T
+inner = sum(p1.coeffs[l] @ s[l + m] @ p2.coeffs[m].conj().T
             for l in range(2) for m in range(3))
 print("\n<P_1, P_2> =", np.linalg.norm(inner).round(14))
 

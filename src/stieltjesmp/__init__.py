@@ -2,8 +2,8 @@
 
 from .linalg import (
     DEFAULT_TOL, INDEFINITE, JQ, JQQ, JTILDE, NON_HERMITIAN, PD, PSD,
-    ToleranceConfig, block_psd, hermitize, is_hermitian, is_pd, is_psd,
-    j_defect, pinv, psd_class, signature_matrix, sqrt_psd,
+    block_psd, hermitize, is_psd, j_defect, psd_class, signature_matrix,
+    sqrt_psd,
 )
 from .moments import (
     LEFT, NND, NND_EXTENDABLE, RIGHT, MomentSequence,
@@ -18,9 +18,9 @@ from .params import (
     seq_from_stieltjes_param, stieltjes_param,
 )
 from .orthopoly import (
-    GENERAL, MONIC, MatrixPolynomial, StieltjesQuadruple,
-    associated_polynomial, det_zeros, monic_orthogonal_system, real_zeros,
-    second_kind_system, stieltjes_quadruple,
+    GENERAL, MONIC, MatrixPolynomial, StieltjesQuadruple, det_zeros,
+    monic_orthogonal_system, real_zeros, second_kind_system,
+    stieltjes_quadruple,
 )
 from .resolvent import (
     DyukarevQuadruple, FactorChain, JInnerReport, ResolventU,
@@ -31,7 +31,7 @@ from .solutions import (
     CONSTANT, SCHUR_CONSTANT, ExtremalSolution, SingularDenominator,
     StieltjesPair, WeylInterval, difference_inverse, extremal,
     interval_point, lft_solve, lft_solve_schur, pair_max, pair_min,
-    reflect_solution, weyl_interval,
+    weyl_interval,
 )
 from .measures import (
     HausdorffReport, MolecularMeasure, hausdorff_solvable, measure_moments,

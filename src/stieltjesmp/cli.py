@@ -22,7 +22,7 @@ from .params import (
 from .resolvent import factorize_u, j_inner_check, resolvent_u
 from .solutions import (
     CONSTANT, SCHUR_CONSTANT, SingularDenominator, StieltjesPair, difference_inverse,
-    extremal, lft_solve, pair_max, pair_min, weyl_interval,
+    _off_cut, extremal, lft_solve, pair_max, pair_min, weyl_interval,
 )
 from .measures import hausdorff_solvable, measure_moments, recover_max, recover_min
 
@@ -196,8 +196,10 @@ def cmd_solve(args) -> int:
 
 def cmd_extremal(args) -> int:
     seq = decode_sequence(_load_doc(args.file))
+    s_min, s_max = extremal(seq)   # the Stieltjes-PD gate first, as in solve
     x = seq.alpha - side_sign(seq.side) if args.at is None else args.at
-    s_min, s_max = extremal(seq)
+    if not _off_cut(seq.side, seq.alpha, x):
+        raise ValueError(f"point {complex(x)} lies on the cut of this half-line")
     _emit({"x": x, "s_min": encode_matrix(s_min(x)), "s_max": encode_matrix(s_max(x))})
     return EXIT_OK
 

@@ -33,6 +33,7 @@ class MolecularMeasure:
     def __post_init__(self):
         if len(self.atoms) != len(self.masses):
             raise ValueError("atoms and masses must align")
+        side_sign(self.support_side)   # an empty measure checks its side too
         if not self.masses:
             return
         stack = matrix_stack(self.masses, np.atleast_2d(self.masses[0]).shape[0], "mass")

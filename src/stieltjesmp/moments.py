@@ -23,8 +23,8 @@ from functools import cached_property, wraps
 import numpy as np
 
 from .linalg import (
-    Array, DEFAULT_TOL, _hermitian_mask, _psd_classes, as_matrix, block_psd, psd_class,
-    PD, PSD,
+    Array, DEFAULT_TOL, _hermitian_mask, _pinv, _psd_classes, as_matrix, block_psd,
+    psd_class, PD, PSD,
 )
 
 RIGHT = "right"
@@ -162,7 +162,7 @@ def hankel(seq, n: int, offset: int = 0) -> Array:
 
 def schur_correction(seq, n: int) -> Array:
     """z_{n,2n-1} H_{n-1}^+ y_{n,2n-1}, the part of s_{2n} outside H^_n (n >= 1)."""
-    hp = np.linalg.pinv(hankel(seq, n - 1), rcond=DEFAULT_TOL.pinv_cutoff)
+    hp = _pinv(hankel(seq, n - 1))
     return z_stack(seq, n, 2 * n - 1) @ hp @ y_stack(seq, n, 2 * n - 1)
 
 
@@ -287,8 +287,7 @@ def lower_triangular_S(seq: MomentSequence, n: int) -> Array:
 
 # --- classification ---------------------------------------------------------
 
-HANKEL_NO = "NO"
-STIELTJES_NO = "NO"
+NO = "NO"
 NND = "NND"
 NND_EXTENDABLE = "NND_EXTENDABLE"
 
@@ -302,7 +301,7 @@ class SequenceClass:
 
 def _kernel_included(q_a: Array, q_b: Array) -> bool:
     """N(Q_a) subset of N(Q_b), tested through the pinv projector of Q_a."""
-    proj = np.eye(q_a.shape[0]) - q_a @ np.linalg.pinv(q_a, rcond=DEFAULT_TOL.pinv_cutoff)
+    proj = np.eye(q_a.shape[0]) - q_a @ _pinv(q_a)
     return np.linalg.norm(q_b @ proj) <= DEFAULT_TOL.identity_tol * (1.0 + np.linalg.norm(q_b))
 
 
@@ -334,7 +333,7 @@ def classify(seq: MomentSequence) -> SequenceClass:
     if np.all(classes[0::2] == PD):
         hankel_cls = PD
     else:
-        hankel_cls = NND if psd_class(hankel(seq, half(seq.kappa))) in (PD, PSD) else HANKEL_NO
+        hankel_cls = NND if psd_class(hankel(seq, half(seq.kappa))) in (PD, PSD) else NO
 
     if np.all(classes == PD):
         return SequenceClass(hankel=hankel_cls, stieltjes=PD, side=seq.side)
@@ -344,7 +343,7 @@ def classify(seq: MomentSequence) -> SequenceClass:
             return SequenceClass(hankel=hankel_cls, stieltjes=NND_EXTENDABLE, side=seq.side)
         if all(chain[:-1]):
             return SequenceClass(hankel=hankel_cls, stieltjes=NND, side=seq.side)
-    return SequenceClass(hankel=hankel_cls, stieltjes=STIELTJES_NO, side=seq.side)
+    return SequenceClass(hankel=hankel_cls, stieltjes=NO, side=seq.side)
 
 
 # --- Potapov fundamental matrices -------------------------------------------

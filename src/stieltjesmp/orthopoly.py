@@ -37,15 +37,14 @@ class MatrixPolynomial:
     one flag; trailing coefficients that are exactly zero are trimmed.
     """
 
-    def __init__(self, coeffs, trim: bool = True):
+    def __init__(self, coeffs):
         # one copy; a stack is taken whole, and coefficients of unequal shapes raise here
         stack = np.array(coeffs if isinstance(coeffs, np.ndarray) else list(coeffs))
         n = len(stack)
         if not n:
             raise ValueError("need at least one coefficient")
-        if trim:
-            while n > 1 and not stack[n - 1].any():
-                n -= 1
+        while n > 1 and not stack[n - 1].any():
+            n -= 1
         self.coeffs = stack[:n]
         self.q_rows, self.q_cols = self.coeffs.shape[1:]
 
@@ -72,36 +71,12 @@ class MatrixPolynomial:
         exponents, flat = self._stacked
         return ((z[..., None] ** exponents) @ flat).reshape(z.shape + (self.q_rows, self.q_cols))
 
-    def __add__(self, other: "MatrixPolynomial") -> "MatrixPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        zero = np.zeros((self.q_rows, self.q_cols), dtype=complex)
-        cs = [(self.coeffs[j] if j < len(self.coeffs) else zero)
-              + (other.coeffs[j] if j < len(other.coeffs) else zero) for j in range(n)]
-        return MatrixPolynomial(cs)
-
-    def scale(self, c: complex) -> "MatrixPolynomial":
-        return MatrixPolynomial([c * m for m in self.coeffs])
-
     def rmul(self, mat: Array) -> "MatrixPolynomial":
         return MatrixPolynomial([c @ mat for c in self.coeffs])
-
-    def shift_z(self) -> "MatrixPolynomial":
-        """Multiply by z."""
-        zero = np.zeros((self.q_rows, self.q_cols), dtype=complex)
-        return MatrixPolynomial([zero] + [c.copy() for c in self.coeffs], trim=False)
 
     def conj_star(self) -> "MatrixPolynomial":
         """Polynomial z -> [P(conj(z))]^*: conjugate-transpose coefficients."""
         return MatrixPolynomial([c.conj().T for c in self.coeffs])
-
-    def coeff(self, j: int) -> Array:
-        if j < len(self.coeffs):
-            return self.coeffs[j].copy()
-        return np.zeros((self.q_rows, self.q_cols), dtype=complex)
-
-    @staticmethod
-    def constant(mat: Array) -> "MatrixPolynomial":
-        return MatrixPolynomial([mat])
 
 
 # The families are built as zero-padded coefficient stacks: entry [n, j] of a
@@ -127,9 +102,8 @@ def _associated(seq: MomentSequence, rows: Array) -> Array:
 def _polynomials(stack: Array, lag: int = 0) -> tuple:
     """The polynomials of a coefficient stack whose n-th polynomial has degree
     n - lag, a nonzero leading coefficient and zeros after it; the zero
-    polynomial where n - lag < 0.  No trailing zero is left to trim."""
-    return tuple(MatrixPolynomial(c[:max(n + 1 - lag, 1)], trim=False)
-                 for n, c in enumerate(stack))
+    polynomial where n - lag < 0."""
+    return tuple(MatrixPolynomial(c[:max(n + 1 - lag, 1)]) for n, c in enumerate(stack))
 
 
 def _checked_monic_rows(seq: MomentSequence) -> Array:
@@ -151,20 +125,6 @@ def monic_orthogonal_system(seq: MomentSequence) -> list:
 def second_kind_system(seq: MomentSequence) -> list:
     """Second kind system: P_0 = 0, deg P_n = n-1 afterwards."""
     return list(_polynomials(_associated(seq, _checked_monic_rows(seq)), lag=1))
-
-
-def associated_polynomial(seq: MomentSequence, p: MatrixPolynomial) -> MatrixPolynomial:
-    """Polynomial attached to P through the lower Toeplitz matrix of the moments.
-
-    For deg P = k >= 1 the coefficient row is
-    (P^[0] ... P^[k]) (0_{q x kq}; S_{k-1}); for k <= 0 the zero polynomial.
-    """
-    k = p.degree
-    if k <= 0:
-        return MatrixPolynomial.constant(np.zeros((seq.q, seq.q)))
-    if k - 1 > seq.kappa:
-        raise ValueError("sequence too short for the associated polynomial")
-    return MatrixPolynomial(_associated(seq, p.coeffs[None])[0])
 
 
 @dataclass(frozen=True)

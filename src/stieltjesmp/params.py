@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    Array, DEFAULT_TOL, PD, _all_pd, _hermitize, as_matrix,
+    Array, PD, _all_pd, _hermitize, _pinv, as_matrix,
 )
 from .moments import (
     RIGHT, MomentSequence, classify, derived, half, hankel, hhats, matrix_stack, monic_rows,
@@ -143,7 +143,7 @@ def _lambda_term(seq, n: int) -> Array:
     """Correction Lambda_n entering C; Lambda_0 = 0.  `seq` as for hankel()."""
     if n == 0:
         return np.zeros_like(seq[0])
-    hp = np.linalg.pinv(hankel(seq, n - 1), rcond=DEFAULT_TOL.pinv_cutoff)
+    hp = _pinv(hankel(seq, n - 1))
     z_lo, z_hi = z_stack(seq, n, 2 * n - 1), z_stack(seq, n + 1, 2 * n)
     y_lo, y_hi = y_stack(seq, n, 2 * n - 1), y_stack(seq, n + 1, 2 * n)
     return z_lo @ hp @ y_hi + z_hi @ hp @ y_lo - z_lo @ hp @ hankel(seq, n - 1, 1) @ hp @ y_lo

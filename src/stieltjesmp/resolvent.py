@@ -85,22 +85,6 @@ class ResolventU:
         jt = signature_matrix(JTILDE, self.q)
         return jt @ self._conj_star(z) @ jt
 
-    def scaled_evaluator(self):
-        """The diagonal rescaling of U, defined off the base point only."""
-        a, q, sign = self.alpha, self.q, side_sign(self.side)
-
-        def call(z: complex) -> Array:
-            w = sign * (z - a)
-            if w == 0:
-                raise ValueError("scaled resolvent undefined at the base point")
-            # diag(w I, I) U diag(I / w, I): U12 scaled by w, U21 by 1/w
-            u = self.poly(z)
-            u[:q, q:] *= w
-            u[q:, :q] /= w
-            return u
-
-        return call
-
 
 def resolvent_u(seq: MomentSequence, m: int | None = None) -> ResolventU:
     """The resolvent member for index m: the product W_0 ... W_m of the
@@ -113,16 +97,12 @@ def resolvent_u(seq: MomentSequence, m: int | None = None) -> ResolventU:
 @dataclass(frozen=True)
 class FactorChain:
     """Linear factors W_0..W_m whose ordered product is U_m; calling the
-    chain multiplies the factor values, product() expands the polynomial."""
+    chain multiplies the factor values (resolvent_u expands the product)."""
 
     side: str
     alpha: float
     q: int
     factors: tuple
-    ds: DSParam
-
-    def product(self) -> MatrixPolynomial:
-        return _chain_product(self.ds, len(self.factors) - 1)
 
     def __call__(self, z: complex) -> Array:
         out = self.factors[0](z)
@@ -151,7 +131,7 @@ def factorize_u(seq: MomentSequence, m: int | None = None) -> FactorChain:
     odd[:, :q, q:] = side_sign(seq.side) * ls
     factors = [MatrixPolynomial(even[j // 2]) if j % 2 == 0 else MatrixPolynomial([odd[j // 2]])
                for j in range(m + 1)]
-    return FactorChain(side=seq.side, alpha=alpha, q=q, factors=tuple(factors), ds=ds)
+    return FactorChain(side=seq.side, alpha=alpha, q=q, factors=tuple(factors))
 
 
 def leading_terms(seq: MomentSequence, m: int | None = None) -> dict:

@@ -167,7 +167,10 @@ class ExtremalSolution:
     alpha, for bd=False (A C^{-1}).  A call is one row of reciprocals
     1/(x_k - z) times the residue table of string_rule, cached on (L, M);
     z may be a scalar (a q x q value) or a 1-D array of N points (an
-    (N, q, q) stack), and z at an atom raises SingularDenominator.
+    (N, q, q) stack), and z at an atom raises SingularDenominator.  z is
+    not checked against the cut: off the atoms the sum is the Stieltjes
+    transform of the extremal's measure, finite on the half-line too, and
+    the callers that need a point off it (weyl_interval, the CLI) check it.
     """
 
     def __init__(self, seq: MomentSequence, m: int, bd: bool):
@@ -319,10 +322,3 @@ def _weighted_sum(stack: Array, weights: tuple, n: int, z: complex) -> Array:
     f_z = np.tensordot(powers, fam, axes=(0, 1))
     f_conj_star = np.tensordot(powers, fam.conj().swapaxes(-1, -2), axes=(0, 1))
     return (f_z @ np.array(weights[:n + 1]) @ f_conj_star).sum(axis=0)
-
-
-def reflect_solution(s_eval):
-    """Map a solution evaluator to the mirrored half-line: S~(z) = -S(-z)."""
-    def mirrored(z: complex) -> Array:
-        return -s_eval(-z)
-    return mirrored

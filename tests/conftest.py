@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from stieltjesmp import (
-    DEFAULT_TOL, DSParam, FavardPair, ResolventU, SingularDenominator, ds_param, extremal,
-    is_pd, q_from_ds, random_pd, random_stieltjes_pd_sequence, real_zeros, reflect,
+    DEFAULT_TOL, PD, DSParam, FavardPair, ResolventU, SingularDenominator, ds_param, extremal,
+    psd_class, q_from_ds, random_pd, random_stieltjes_pd_sequence, real_zeros, reflect,
     seq_from_ds, sequence, stieltjes_quadruple,
 )
 from stieltjesmp.linalg import _hermitize
@@ -92,6 +92,21 @@ def hankel_inverse(seq, n):
 def ordered_product(mats, q: int):
     """M_0 M_1 ... M_k multiplied left to right; the q x q identity if empty."""
     return functools.reduce(np.matmul, mats, np.eye(q, dtype=complex))
+
+
+# --- coefficient-stack kit of the polynomial oracles -------------------------
+
+def stack_sum(*stacks):
+    """Sum of (deg+1, rows, cols) coefficient stacks of unequal lengths."""
+    n = max(len(c) for c in stacks)
+    return sum(np.concatenate([c, np.zeros((n - len(c),) + c.shape[1:], dtype=complex)])
+               for c in stacks)
+
+
+def times_w(stack, alpha: float, sign: float):
+    """Coefficients of sign (z - alpha) P(z) from the coefficient stack of P."""
+    zero = np.zeros((1,) + stack.shape[1:], dtype=complex)
+    return sign * (np.concatenate([zero, stack]) - alpha * np.concatenate([stack, zero]))
 
 
 # --- structural kit of the Hankel oracles ----------------------------------
@@ -250,22 +265,22 @@ def dyukarev_loop(seq):
         for _ in range(n + 1):
             coeffs.append(cur.conj().T @ mid @ right)
             cur = t @ cur
-        return MatrixPolynomial(coeffs)
+        return np.array(coeffs)
 
     def combo(base, w, sign):
-        return base + (w.shift_z() + w.scale(-alpha)).scale(sign)
+        return MatrixPolynomial(stack_sum(base, times_w(w, alpha, sign)))
 
-    eye = MatrixPolynomial.constant(np.eye(q))
+    eye, zero = np.eye(q, dtype=complex)[None], np.zeros((1, q, q), dtype=complex)
     a, c = [], []
     for n in range(half(seq.kappa) + 1):
         v = first_block_column(q, n)
         mid = hankel_inverse(seq, n) @ resolvent_R(q, n, alpha)
         a.append(combo(eye, moment_poly(u_vector(seq, n), mid, v, n), 1.0))
-        c.append(combo(eye.scale(0.0), moment_poly(v, mid, v, n), -1.0))
-    b, d = [MatrixPolynomial.constant(np.zeros((q, q)))], [eye]
+        c.append(combo(zero, moment_poly(v, mid, v, n), -1.0))
+    b, d = [MatrixPolynomial(zero)], [MatrixPolynomial(eye)]
     for n in range(half(seq.kappa + 1)):
         v, mid, y = first_block_column(q, n), hankel_inverse(seq.shifted, n), y_stack(seq, 0, n)
-        b.append(moment_poly(u_shift_vector(seq, n), mid, y, n))
+        b.append(MatrixPolynomial(moment_poly(u_shift_vector(seq, n), mid, y, n)))
         d.append(combo(eye, moment_poly(v, mid, y, n), -1.0 if seq.side == "right" else 1.0))
     return {"a": a, "b": b, "c": c, "d": d}
 
@@ -284,7 +299,7 @@ def quadruple_loop(seq):
         return MatrixPolynomial([row[:, j * q:(j + 1) * q] for j in range(k)])
 
     def monic(s):
-        out = [MatrixPolynomial.constant(eye)]
+        out = [MatrixPolynomial([eye])]
         for n in range(1, half(s.kappa + 1) + 1):
             row = -z_stack(s, n, 2 * n - 1) @ hankel_inverse(s, n - 1)
             out.append(split(np.hstack([row, eye]), n + 1))
@@ -293,18 +308,19 @@ def quadruple_loop(seq):
     def attached(p):
         k = p.degree
         if k <= 0:
-            return MatrixPolynomial.constant(np.zeros((q, q)))
-        row = np.hstack([p.coeff(j) for j in range(k + 1)])
+            return MatrixPolynomial([np.zeros((q, q))])
+        row = np.hstack(list(p.coeffs))
         return split(row @ np.vstack([np.zeros((q, k * q)), lower_triangular_S(seq, k - 1)]), k)
 
     p = monic(seq)
-    p_shift = monic(seq.shifted) if seq.kappa else [MatrixPolynomial.constant(eye)]
+    p_shift = monic(seq.shifted) if seq.kappa else [MatrixPolynomial([eye])]
     sign = 1.0 if seq.side == "right" else -1.0
     rng = np.random.default_rng(7)
     points = [rng.standard_normal(10) + 1j * rng.standard_normal(10)
               for _ in range(half(seq.kappa + 1))]
     return {"p": p, "second": [attached(pn) for pn in p], "p_shift": p_shift,
-            "phat": [attached((pn.shift_z() + pn.scale(-alpha)).scale(sign)) for pn in p_shift],
+            "phat": [attached(MatrixPolynomial(times_w(pn.coeffs, alpha, sign)))
+                     for pn in p_shift],
             "points": points}
 
 
@@ -363,10 +379,20 @@ def quadruple_u(seq, m) -> ResolventU:
     base = quad["p_shift"][n].conj_star().rmul(phat_inv_star)
     sign = -1.0 if seq.side == "right" else 1.0
     poly = block2x2(quad["phat"][n].conj_star().rmul(phat_inv_star),
-                    quad["second"][k].conj_star().rmul(p_inv_star).scale(-1.0),
-                    (base.shift_z() + base.scale(-a)).scale(sign),
+                    MatrixPolynomial(-quad["second"][k].conj_star().rmul(p_inv_star).coeffs),
+                    MatrixPolynomial(times_w(base.coeffs, a, sign)),
                     quad["p"][k].conj_star().rmul(p_inv_star))
     return ResolventU(m=m, side=seq.side, alpha=a, q=seq.q, poly=poly)
+
+
+def scaled_u(u: ResolventU, z: complex):
+    """diag(w I, I) U(z) diag(I / w, I), w = z - alpha (right) resp. alpha - z
+    (left): U12 scaled by w and U21 by 1/w, off the base point."""
+    q, w = u.q, (z - u.alpha) if u.side == "right" else (u.alpha - z)
+    out = u(z)
+    out[:q, q:] *= w
+    out[q:, :q] /= w
+    return out
 
 
 def ds_increments(seq) -> DSParam:
@@ -418,7 +444,7 @@ def quadruple_values_closed_form(ds) -> dict:
     """
     ls = [np.asarray(v, dtype=complex) for v in ds.l]
     ms = [np.asarray(v, dtype=complex) for v in ds.m]
-    if not all(is_pd(v) for v in ls + ms):
+    if not all(psd_class(v) == PD for v in ls + ms):
         raise ValueError("(L, M) must be PD")
     q = ds.q
     li = [np.linalg.inv(v) for v in ls]

@@ -192,6 +192,22 @@ def test_solve_on_cut_is_precondition_error(capsys, f1_file, tmp_path):
     assert code == EXIT_PRECONDITION
 
 
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_extremal_on_cut_is_precondition_error(capsys, tmp_path, side):
+    # like solve, extremal --at refuses a point of the half-line, alpha
+    # included; the default point, one unit off it, still prints
+    s = ladder_fixture(0) if side == "right" else reflect(ladder_fixture(0))
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps(encode_sequence(s)))
+    sign = 1.0 if side == "right" else -1.0
+    for x in (s.alpha, s.alpha + 0.5 * sign):
+        assert main(["extremal", str(path), f"--at={x}"]) == EXIT_PRECONDITION
+        out, err = capsys.readouterr()
+        assert out == "" and "lies on the cut of this half-line" in err
+    code, payload = run(capsys, "extremal", str(path))
+    assert code == EXIT_OK and payload["x"] == s.alpha - sign
+
+
 def test_extremal_verb(capsys, f1_file):
     code, payload = run(capsys, "extremal", f1_file, "--at=-1")
     assert code == EXIT_OK

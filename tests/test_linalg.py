@@ -1,4 +1,7 @@
+import ast
+import functools
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,21 +9,23 @@ import pytest
 import stieltjesmp
 from stieltjesmp import (
     DEFAULT_TOL, INDEFINITE, JQ, JQQ, JTILDE, NON_HERMITIAN, PD, PSD,
-    ToleranceConfig, block_psd, is_hermitian, j_defect, pinv, psd_class,
-    signature_matrix, sqrt_psd,
+    block_psd, j_defect, psd_class, signature_matrix, sqrt_psd,
 )
-from stieltjesmp.linalg import _psd_class, _psd_classes
+from stieltjesmp.linalg import _pinv, _psd_class, _psd_classes
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_is_hermitian_cases():
-    assert is_hermitian(np.array([[0, -1j], [1j, 0]]))
-    assert is_hermitian(np.eye(3))
-    assert not is_hermitian(np.array([[0, 1], [0, 0]]))
+    # the Hermitian rule is the one psd_class applies before any eigenvalue
+    assert psd_class(np.array([[0, -1j], [1j, 0]])) != NON_HERMITIAN
+    assert psd_class(np.eye(3)) != NON_HERMITIAN
+    assert psd_class(np.array([[0, 1], [0, 0]])) == NON_HERMITIAN
 
 
 def test_is_hermitian_rejects_non_square():
     with pytest.raises(ValueError):
-        is_hermitian(np.ones((2, 3)))
+        psd_class(np.ones((2, 3)))
 
 
 def test_psd_class_cases():
@@ -42,16 +47,16 @@ def test_psd_class_is_the_stacked_classifier_on_one_matrix():
 
 
 def test_pinv_diagonal_and_rank_one():
-    np.testing.assert_allclose(pinv(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]), atol=1e-14)
-    np.testing.assert_allclose(pinv(np.eye(4)), np.eye(4), atol=1e-14)
-    np.testing.assert_allclose(pinv(np.ones((2, 2))), 0.25 * np.ones((2, 2)), atol=1e-14)
+    np.testing.assert_allclose(_pinv(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]), atol=1e-14)
+    np.testing.assert_allclose(_pinv(np.eye(4)), np.eye(4), atol=1e-14)
+    np.testing.assert_allclose(_pinv(np.ones((2, 2))), 0.25 * np.ones((2, 2)), atol=1e-14)
 
 
 def test_pinv_penrose_identities():
     rng = np.random.default_rng(1)
     for _ in range(20):
         a = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-        ap = pinv(a)
+        ap = _pinv(a)
         tol = DEFAULT_TOL.identity_tol
         assert np.linalg.norm(a @ ap @ a - a) < tol * (1 + np.linalg.norm(a))
         assert np.linalg.norm(ap @ a @ ap - ap) < tol * (1 + np.linalg.norm(ap))
@@ -125,33 +130,88 @@ def test_j_defect_cases():
     np.testing.assert_allclose(j_defect(jt, w), np.diag([2.0, 0.0]), atol=1e-14)
 
 
-def test_tolerance_config_validation():
-    with pytest.raises(ValueError):
-        ToleranceConfig(herm_tol=0.0)
-    with pytest.raises(ValueError):
-        ToleranceConfig(psd_tol=1e-20)
+def _public_surface():
+    """The names stieltjesmp exports, and the constructor and the public
+    methods and properties of each class it exports, by qualified name."""
+    for name, obj in vars(stieltjesmp).items():
+        if name.startswith("_") or inspect.ismodule(obj):
+            continue
+        yield name, obj
+        if inspect.isclass(obj) and obj.__module__.startswith("stieltjesmp"):
+            for attr, raw in vars(obj).items():
+                member = getattr(obj, attr)
+                if (attr == "__init__" or not attr.startswith("_")) \
+                        and (inspect.isfunction(member) or inspect.ismethod(member)
+                             or isinstance(raw, (property, functools.cached_property))):
+                    yield f"{name}.{attr}", member
 
 
 def _public_callables():
-    """The functions stieltjesmp exports and the public methods (and
-    constructors) of the classes it exports, by qualified name."""
-    for name, obj in vars(stieltjesmp).items():
-        if name.startswith("_"):
-            continue
-        if inspect.isfunction(obj):
+    """The functions of the public surface: exported functions, methods and
+    constructors."""
+    for name, obj in _public_surface():
+        if inspect.isfunction(obj) or inspect.ismethod(obj):
             yield name, obj
-        elif inspect.isclass(obj) and obj.__module__.startswith("stieltjesmp"):
-            for attr in vars(obj):
-                member = getattr(obj, attr)
-                if (attr == "__init__" or not attr.startswith("_")) \
-                        and (inspect.isfunction(member) or inspect.ismethod(member)):
-                    yield f"{name}.{attr}", member
 
 
 def test_no_public_callable_takes_a_tolerance():
     # thresholds live in DEFAULT_TOL only: no per-call override anywhere
     names = dict(_public_callables())
-    assert {"is_pd", "psd_class", "random_pd", "MatrixPolynomial.scale"} <= set(names)
+    assert {"psd_class", "random_pd", "MatrixPolynomial.rmul"} <= set(names)
     knobs = [f"{name}({p})" for name, fn in names.items()
              for p in inspect.signature(fn).parameters if p in ("tol", "spread")]
     assert knobs == []
+
+
+# Exported with no reader outside the tests: objects the paper defines,
+# which the tests check against the production route.
+PAPER_OBJECTS = {
+    "dyukarev_quadruple", "DyukarevQuadruple",   # the resolvent blocks A, B, C, D
+    "second_kind_system",    # the second kind polynomials of a Hankel-PD prefix
+    "potapov_defect_psd",    # the Potapov criterion a solution value satisfies
+}
+
+
+class _Reader(ast.NodeVisitor):
+    """The names a module loads and the attributes it reads, each outside a
+    def of the same name.  An attribute of `smp`, the name under which the
+    demos and the bench hold the package, reads an exported name."""
+
+    def __init__(self):
+        self.names, self.attrs, self._defs = set(), set(), []
+
+    def _scope(self, node):
+        self._defs.append(node.name)
+        self.generic_visit(node)
+        self._defs.pop()
+
+    visit_FunctionDef = visit_ClassDef = _scope
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load) and node.id not in self._defs:
+            self.names.add(node.id)
+
+    def visit_Attribute(self, node):
+        if node.attr not in self._defs:
+            self.attrs.add(node.attr)
+            base = node.value
+            if getattr(base, "id", getattr(base, "attr", None)) == "smp":
+                self.names.add(node.attr)
+        self.generic_visit(node)
+
+
+def test_public_surface_has_a_reader():
+    # every exported name, and every public method or property of an exported
+    # class, is read by the package (its re-exports in __init__ aside), the
+    # CLI, a demo or the bench, or is on PAPER_OBJECTS; what only the tests
+    # read belongs in tests/conftest.py
+    reader = _Reader()
+    paths = [p for p in (ROOT / "src" / "stieltjesmp").glob("*.py") if p.name != "__init__.py"]
+    for path in paths + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py")):
+        reader.visit(ast.parse(path.read_text(), str(path)))
+    surface = [name for name, _ in _public_surface() if not name.endswith(".__init__")]
+    assert PAPER_OBJECTS <= set(surface)
+    unread = [name for name in surface if name not in PAPER_OBJECTS
+              and (name.split(".")[1] not in reader.attrs if "." in name
+                   else name not in reader.names)]
+    assert unread == []

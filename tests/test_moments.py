@@ -86,8 +86,9 @@ def test_a_misspelled_side_raises_everywhere_it_is_read():
             pair(1, "up")
     with pytest.raises(ValueError, match="side must be"):
         schur_rotation(1, "up")
-    with pytest.raises(ValueError, match="side must be"):
-        MolecularMeasure(atoms=(-3.0,), masses=one, support_side="Right", alpha=0.0)
+    for atoms, masses in (((-3.0,), one), ((), ())):   # an empty measure too
+        with pytest.raises(ValueError, match="side must be"):
+            MolecularMeasure(atoms=atoms, masses=masses, support_side="Right", alpha=0.0)
 
 
 def test_shift_requires_two_moments():
@@ -355,7 +356,7 @@ def test_the_solve_pipeline_never_builds_monic_rows(monkeypatch):
     for side in ("right", "left"):
         s = random_stieltjes_pd_sequence(q=2, kappa=5, alpha=0.5, side=side, seed=6)
         classify(s), stieltjes_param(s), ds_param(s)
-        resolvent_u(s), factorize_u(s).product(), dyukarev_quadruple(s)
+        resolvent_u(s), factorize_u(s)(s.alpha + 1j), dyukarev_quadruple(s)
         real_zeros(stieltjes_quadruple(s).p[-1], MONIC)
         for ext in extremal(s):
             ext(s.alpha + 1j)

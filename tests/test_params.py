@@ -174,17 +174,18 @@ def test_seq_from_ds_degenerate_single_moment():
 def test_pd_sequences_have_pd_hankel_blocks():
     # every Hankel block of a PD fixture is PD and its pseudoinverse is the
     # true inverse
-    from stieltjesmp import is_pd, pinv
+    from stieltjesmp import PD, psd_class
+    from stieltjesmp.linalg import _pinv
     from stieltjesmp.moments import half, hankel
     for i in (0, 1, 6, 7):
         s = ladder_fixture(i)
         for n in range(half(s.kappa) + 1):
             h = hankel(s, n)
-            assert is_pd(h)
-            np.testing.assert_allclose(pinv(h), np.linalg.inv(h),
+            assert psd_class(h) == PD
+            np.testing.assert_allclose(_pinv(h), np.linalg.inv(h),
                                        atol=1e-9 * (1 + np.linalg.norm(np.linalg.inv(h))))
         for n in range(half(s.kappa - 1) + 1):
-            assert is_pd(hankel(s.shifted, n))
+            assert psd_class(hankel(s.shifted, n)) == PD
 
 
 def test_seq_from_ds_is_pd():
