@@ -27,6 +27,9 @@ class ToleranceConfig:
     psd_tol: float = 1e-10
     pinv_cutoff: float = 1e-12
     identity_tol: float = 1e-9
+    atom_merge: float = 1e-7     # atoms closer than this times (1 + |alpha|) are one
+    mass_drop: float = 1e-12     # a mass below this times max(1, largest mass) is dropped
+    j_inner_tol: float = 1e-8
 
 
 DEFAULT_TOL = ToleranceConfig()

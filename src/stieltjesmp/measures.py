@@ -5,16 +5,16 @@ half-line; their measures are sums of PSD mass matrices at finitely many
 real atoms.  Each extremal is the transfer function of a block string of
 (L, M), and its measure is that string's rule: the eigenvalues of the block
 Jacobi matrix are the atoms, its first eigenvector blocks give the masses
-(Gauss nodes for the wall end, Gauss-Radau with a node at alpha for the
-free end).  The rule reads (L, M) only: no orthogonal polynomial and no
-Hankel inverse enters the recovery.
+(Gauss nodes for the wall end, Gauss-Radau for the free end: one node at
+alpha with the summed mass of the q rigid motions).  The rule reads (L, M)
+only, and its Gram sums are the masses as they are, not rebuilt.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Array, PD, PSD, _hermitize, _psd_classes, is_psd
+from .linalg import Array, DEFAULT_TOL, PD, PSD, _psd_classes, is_psd
 from .moments import RIGHT, MomentSequence, hankel, index_m, matrix_stack, side_sign
 from .params import ds_param
 from .solutions import string_rule
@@ -44,9 +44,9 @@ class MolecularMeasure:
 
     @classmethod
     def _checked(cls, atoms, masses: Array, support_side: str, alpha: float):
-        """Measure of a complex (K, q, q) stack _merge_atoms has clipped to
-        PSD: no second PSD test; finiteness, which the clip does not give,
-        and the atoms are still checked."""
+        """Measure of a complex (K, q, q) stack of Gram sums g g^*, Hermitian
+        and PSD to rounding: no PSD test; finiteness, which the construction
+        does not give, and the atoms are still checked."""
         if not np.isfinite(masses).all():
             raise ValueError("matrix has non-finite entries")
         mu = object.__new__(cls)
@@ -90,33 +90,32 @@ def measure_moments(mu: MolecularMeasure, up_to: int) -> list:
     return list(moments)
 
 
-def _merge_atoms(atoms, masses: Array, alpha: float, drop_tol: float):
-    """Merge clustered atoms, drop negligible masses, clip to the half-line.
+def _merge_atoms(atoms, masses: Array, alpha: float):
+    """Sort the atoms, merge clustered ones and drop negligible masses.
 
-    `masses` is a (K, q, q) stack.  The clusters are found by one walk over
-    the sorted atoms as Python floats; the drop test and the clip act on the
-    whole stack.  Returns the atoms as a list and the masses as a stack.
+    `masses` is a (K, q, q) stack, summed and never rebuilt.  A walk over the
+    sorted atoms merges those closer than atom_merge (1 + |alpha|); it runs
+    only when two neighbours are that close.  Returns a list and a stack.
     """
     order = np.argsort(atoms)
-    masses = masses[order]
-    traces = np.trace(masses, axis1=1, axis2=2).real.tolist()
-    merged_a, merged_m = [], []
-    merge_dist = 1e-7 * (1 + abs(alpha))
-    for x, m, w_new in zip(np.asarray(atoms, dtype=float)[order].tolist(), masses, traces):
-        if merged_a and abs(x - merged_a[-1]) < merge_dist:
-            w_old = float(np.trace(merged_m[-1]).real)
-            if w_old + w_new > 0:
-                merged_a[-1] = (w_old * merged_a[-1] + w_new * x) / (w_old + w_new)
-            merged_m[-1] = merged_m[-1] + m
-        else:
-            merged_a.append(x)
-            merged_m.append(m)
-    merged = np.array(merged_m)
-    norms = np.linalg.norm(merged, axis=(1, 2))
-    keep = ~(norms < drop_tol * norms.max(initial=1.0))   # scale max(1, largest norm)
-    w, v = np.linalg.eigh(_hermitize(merged[keep]))
-    clipped = (v * np.clip(w, 0.0, None)[:, None, :]) @ v.conj().swapaxes(-1, -2)
-    return np.array(merged_a)[keep].tolist(), clipped
+    x, masses = np.asarray(atoms, dtype=float)[order], masses[order]
+    merge_dist = DEFAULT_TOL.atom_merge * (1 + abs(alpha))
+    if np.count_nonzero(np.diff(x) < merge_dist):
+        traces = np.trace(masses, axis1=1, axis2=2).real.tolist()
+        merged_a, merged_m = [], []
+        for x_new, m, w_new in zip(x.tolist(), masses, traces):
+            if merged_a and abs(x_new - merged_a[-1]) < merge_dist:
+                w_old = float(np.trace(merged_m[-1]).real)
+                if w_old + w_new > 0:
+                    merged_a[-1] = (w_old * merged_a[-1] + w_new * x_new) / (w_old + w_new)
+                merged_m[-1] = merged_m[-1] + m
+            else:
+                merged_a.append(x_new)
+                merged_m.append(m)
+        x, masses = np.array(merged_a), np.array(merged_m)
+    norms = np.linalg.norm(masses, axis=(1, 2))
+    keep = ~(norms < DEFAULT_TOL.mass_drop * norms.max(initial=1.0))   # scale max(1, largest norm)
+    return x[keep].tolist(), masses[keep]
 
 
 def _recover(seq: MomentSequence, m: int | None, lower: bool) -> MolecularMeasure:
@@ -138,8 +137,7 @@ def _recover(seq: MomentSequence, m: int | None, lower: bool) -> MolecularMeasur
         return MolecularMeasure(atoms=(seq.alpha,), masses=(seq[0].copy(),),
                                 support_side=seq.side, alpha=seq.alpha)
     atoms, residues = string_rule(ds, m, wall)
-    atoms, masses = _merge_atoms(atoms, residues.reshape(-1, seq.q, seq.q), seq.alpha,
-                                 drop_tol=1e-12)
+    atoms, masses = _merge_atoms(atoms, residues.reshape(-1, seq.q, seq.q), seq.alpha)
     return MolecularMeasure._checked(atoms, masses, seq.side, seq.alpha)
 
 
@@ -148,8 +146,8 @@ def recover_min(seq: MomentSequence, m: int | None = None) -> MolecularMeasure:
 
     The rule of the wall string on the right half-line (m >= 1), of the
     free string, with an atom at alpha, on the left.  It reads the rule
-    extremal(seq, m) cached on (L, M), so after extremal it costs no new
-    eigendecomposition.
+    extremal(seq, m) cached on (L, M), so after extremal it costs no
+    factorization and no eigendecomposition: a sort and the drop test.
     """
     return _recover(seq, m, lower=True)
 

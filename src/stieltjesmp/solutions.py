@@ -188,34 +188,43 @@ class ExtremalSolution:
 
 
 @derived
+def _string_factors(ds: DSParam) -> Array:
+    """inv(chol) of the stack (M_0.., L_0..), which the rules of both ends read."""
+    return np.linalg.inv(np.linalg.cholesky(np.array((*ds.m, *ds.l), dtype=complex)))
+
+
+@derived
 def string_rule(ds: DSParam, m: int, wall: bool) -> tuple:
     """Atoms x_k and (K, q*q) residue table G_k of one extremal from (L, M).
 
     Masses M_j joined by springs L_j: a free end has half(m)+1 masses and
     one spring fewer, a wall end half(m-1)+1 of each, the last spring tied
     to the wall.  With the block difference Delta, M_j = R_j R_j^* and
-    L_j = P_j P_j^* (one stacked Cholesky), T = R^{-1} Delta^* diag(L_j^{-1})
-    Delta R^{-*} = W^* W, W = P^{-1} Delta R^{-*} block bidiagonal.  One eigh,
-    T = V diag(lambda) V^*, gives x_k = alpha +- lambda_k and G_k = g_k g_k^*
-    with g_k = R_0^{-*} v_k, v_k from the first block row of V.  The rule
-    is cached on ds, so a DSParam built from (L, M) directly keeps it too.
+    L_j = P_j P_j^* (one stacked Cholesky, shared by both ends), T = R^{-1}
+    Delta^* diag(L_j^{-1}) Delta R^{-*} = W^* W, W = P^{-1} Delta R^{-*} block
+    bidiagonal.  One eigh, T = V diag(lambda) V^*, gives x_k = alpha +- lambda_k
+    and G_k = g_k g_k^* with g_k = R_0^{-*} v_k, v_k from the first block row
+    of V.  The q rigid motions of a free string (the kernel of W) are one node
+    at alpha exactly, with the sum of their residues.  The rule is cached on
+    ds, so a DSParam built from (L, M) directly keeps it too.
     """
     q = ds.q
     nm = half(m - 1) + 1 if wall else half(m) + 1
     nl = nm if wall else nm - 1
-    inv = np.linalg.inv(np.linalg.cholesky(np.array((*ds.m[:nm], *ds.l[:nl]), dtype=complex)))
-    ri_star, pi = inv[:nm].conj().swapaxes(-1, -2), inv[nm:]
-    w = np.zeros((nl, q, nm, q), dtype=complex)
-    j = np.arange(nl)
-    w[j, :, j, :] = pi @ ri_star[:nl]
-    w[j[:nm - 1], :, j[:nm - 1] + 1, :] = -pi[:nm - 1] @ ri_star[1:]
-    w = w.reshape(nl * q, nm * q)
+    inv = _string_factors(ds)
+    ri_star, pi = inv[:nm].conj().swapaxes(-1, -2), inv[len(ds.m):len(ds.m) + nl]
+    # block (i, k) of W at i nm + k: the diagonal is every (nm+1)-th block from 0
+    w = np.zeros((nl * nm, q, q), dtype=complex)
+    w[::nm + 1] = pi @ ri_star[:nl]
+    w[1::nm + 1] = -pi[:nm - 1] @ ri_star[1:]
+    w = w.reshape(nl, nm, q, q).swapaxes(1, 2).reshape(nl * q, nm * q)
     lam, v = np.linalg.eigh(w.conj().T @ w)
-    if not wall:   # the q rigid motions of a free string: the atom sits at alpha exactly
-        lam[:q] = 0.0
-    g = (ri_star[0] @ v[:q]).T
-    atoms = ds.alpha + side_sign(ds.side) * lam
-    return atoms, (g[:, :, None] * g.conj()[:, None, :]).reshape(-1, q * q)
+    g = np.ascontiguousarray((ri_star[0] @ v[:q]).T)   # so the residue table is C-contiguous
+    residues = g[:, :, None] * g.conj()[:, None, :]
+    if not wall:   # the q rigid motions: one node at alpha exactly, their residues summed
+        lam[q - 1], residues[q - 1] = 0.0, residues[:q].sum(axis=0)
+        lam, residues = lam[q - 1:], residues[q - 1:]
+    return ds.alpha + side_sign(ds.side) * lam, residues.reshape(-1, q * q)
 
 
 def extremal(seq: MomentSequence, m: int | None = None):

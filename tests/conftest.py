@@ -9,7 +9,7 @@ from stieltjesmp import (
     seq_from_ds, sequence, stieltjes_quadruple,
 )
 from stieltjesmp.linalg import _hermitize
-from stieltjesmp.measures import MolecularMeasure, _merge_atoms
+from stieltjesmp.measures import MolecularMeasure
 from stieltjesmp.moments import (
     half, hankel, hhats, index_m, lower_triangular_S, require_hankel_pd_prefix, y_stack,
     z_stack,
@@ -520,7 +520,37 @@ def leading_closed(seq, m) -> dict:
             "D": (-1.0) ** k * ordered_product((ms[j] @ ls[j] for j in range(k)), q)}
 
 
-# --- residue extrapolation --------------------------------------------------
+# --- atom merge and residue extrapolation ------------------------------------
+
+def merge_atoms_loop(atoms, masses, alpha, drop_tol):
+    """Per-atom loop of measures._merge_atoms: sort, merge atoms closer than
+    atom_merge (1 + |alpha|) at their trace-weighted mean, drop masses below
+    drop_tol max(1, largest norm).  The masses are summed, never rebuilt."""
+    order = np.argsort(atoms)
+    atoms = [atoms[i] for i in order]
+    masses = [masses[i] for i in order]
+    merged_a, merged_m = [], []
+    merge_dist = DEFAULT_TOL.atom_merge * (1 + abs(alpha))
+    for x, m in zip(atoms, masses):
+        if merged_a and abs(x - merged_a[-1]) < merge_dist:
+            total = merged_m[-1] + m
+            w_old = float(np.trace(merged_m[-1]).real)
+            w_new = float(np.trace(m).real)
+            if w_old + w_new > 0:
+                merged_a[-1] = (w_old * merged_a[-1] + w_new * x) / (w_old + w_new)
+            merged_m[-1] = total
+        else:
+            merged_a.append(float(x))
+            merged_m.append(m)
+    out_a, out_m = [], []
+    scale = max((np.linalg.norm(m) for m in merged_m), default=1.0)
+    for x, m in zip(merged_a, merged_m):
+        if np.linalg.norm(m) < drop_tol * max(1.0, scale):
+            continue
+        out_a.append(x)
+        out_m.append(m)
+    return out_a, out_m
+
 
 def residue_measure(seq, m: int, s_eval) -> MolecularMeasure:
     """Residue extrapolation at the candidate atoms of a rational transform.
@@ -544,8 +574,11 @@ def residue_measure(seq, m: int, s_eval) -> MolecularMeasure:
             raise ArithmeticError(f"residue extrapolation diverged at atom {x}")
         atoms.append(x)
         masses.append(_hermitize(mass))
-    atoms, masses = _merge_atoms(atoms, np.array(masses), seq.alpha, drop_tol=1e-6)
-    return MolecularMeasure._checked(atoms, masses, seq.side, seq.alpha)
+    atoms, masses = merge_atoms_loop(atoms, masses, seq.alpha, drop_tol=1e-6)
+    # extrapolated masses are PSD only to the extrapolation error: clipped
+    w, v = np.linalg.eigh(_hermitize(np.array(masses)))
+    clipped = (v * np.clip(w, 0.0, None)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    return MolecularMeasure._checked(atoms, clipped, seq.side, seq.alpha)
 
 
 def recover_residue(seq, m=None) -> MolecularMeasure:

@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 
 from stieltjesmp import (
-    MolecularMeasure, extremal, hausdorff_solvable, is_psd, measure_moments,
-    random_stieltjes_pd_sequence, recover_max, recover_min, reflect, sequence,
+    PD, PSD, MolecularMeasure, ds_param, extremal, hausdorff_solvable, is_psd, measure_moments,
+    psd_class, random_stieltjes_pd_sequence, recover_max, recover_min, reflect, sequence,
     stieltjes_transform,
 )
-from stieltjesmp.linalg import min_eig_hermitian_part, hermitize, sqrt_psd
+from stieltjesmp.linalg import DEFAULT_TOL, min_eig_hermitian_part, hermitize, sqrt_psd
 from stieltjesmp.measures import _merge_atoms
 from stieltjesmp.moments import half, hankel, y_stack
 
-from conftest import LADDER, ladder_fixture, recover_residue, rel_err, residue_measure
+from conftest import (
+    LADDER, ladder_fixture, merge_atoms_loop, recover_residue, rel_err, residue_measure,
+)
 
 
 def test_stieltjes_transform_examples():
@@ -240,38 +242,13 @@ def test_hausdorff_even_block():
     assert not hausdorff_solvable(s, 0.0, 1.0).solvable
 
 
-# Per-atom reference loops for the merge, the Hankel pencil and the pencil
-# transported from the shifted sequence: the stacked merge must reproduce its
-# loop bit for bit, and the two pencils are an independent oracle for the
-# string rules the recovery reads.
+# Per-atom reference loops for the Hankel pencil and the pencil transported
+# from the shifted sequence, merged by conftest's merge_atoms_loop: the
+# stacked merge must reproduce that loop bit for bit, and the two pencils are
+# an independent oracle for the string rules the recovery reads.
 
-def _merge_atoms_loop(atoms, masses, alpha, drop_tol):
-    order = np.argsort(atoms)
-    atoms = [atoms[i] for i in order]
-    masses = [masses[i] for i in order]
-    merged_a, merged_m = [], []
-    merge_dist = 1e-7 * (1 + abs(alpha))
-    for x, m in zip(atoms, masses):
-        if merged_a and abs(x - merged_a[-1]) < merge_dist:
-            total = merged_m[-1] + m
-            w_old = float(np.trace(merged_m[-1]).real)
-            w_new = float(np.trace(m).real)
-            if w_old + w_new > 0:
-                merged_a[-1] = (w_old * merged_a[-1] + w_new * x) / (w_old + w_new)
-            merged_m[-1] = total
-        else:
-            merged_a.append(float(x))
-            merged_m.append(m)
-    out_a, out_m = [], []
-    scale = max((np.linalg.norm(m) for m in merged_m), default=1.0)
-    for x, m in zip(merged_a, merged_m):
-        if np.linalg.norm(m) < drop_tol * max(1.0, scale):
-            continue
-        w, v = np.linalg.eigh(hermitize(m))
-        w = np.clip(w, 0.0, None)
-        out_a.append(x)
-        out_m.append((v * w) @ v.conj().T)
-    return out_a, out_m
+def _merge_atoms_loop(atoms, masses, alpha):
+    return merge_atoms_loop(atoms, masses, alpha, drop_tol=DEFAULT_TOL.mass_drop)
 
 
 def _pencil_loop(seq, m):
@@ -286,7 +263,7 @@ def _pencil_loop(seq, m):
         x = seq.alpha + mu_k if seq.side == "right" else seq.alpha - mu_k
         atoms.append(float(x))
         masses.append(col @ col.conj().T)
-    return _merge_atoms_loop(atoms, masses, seq.alpha, drop_tol=1e-12)
+    return _merge_atoms_loop(atoms, masses, seq.alpha)
 
 
 def _transported_loop(seq, m):
@@ -303,7 +280,7 @@ def _transported_loop(seq, m):
     w, v = np.linalg.eigh(hermitize(seq[0] - total))
     atoms.append(a)
     masses.append((v * np.clip(w, 0.0, None)) @ v.conj().T)
-    return _merge_atoms_loop(atoms, masses, a, drop_tol=1e-12)
+    return _merge_atoms_loop(atoms, masses, a)
 
 
 def test_recovered_measures_match_the_per_atom_loops():
@@ -324,24 +301,28 @@ def test_clustered_atoms_merge_like_the_loop():
     g = rng.standard_normal((3, 2, 1)) + 1j * rng.standard_normal((3, 2, 1))
     masses = g @ g.conj().swapaxes(-1, -2)
     atoms = [2.0, 1.0 + 1e-9, 1.0]
-    got_a, got_m = _merge_atoms(atoms, masses, 0.0, drop_tol=1e-12)
-    want_a, want_m = _merge_atoms_loop(atoms, list(masses), 0.0, drop_tol=1e-12)
+    got_a, got_m = _merge_atoms(atoms, masses, 0.0)
+    want_a, want_m = _merge_atoms_loop(atoms, list(masses), 0.0)
     assert len(got_a) == 2 and 1.0 < got_a[0] < 1.0 + 1e-9
     np.testing.assert_array_equal(got_a, want_a)
     np.testing.assert_array_equal(got_m, want_m)
 
 
 def test_string_rules_merge_to_the_recovered_measures():
-    # at every index, the partial fractions of each extremal, merged, are the
-    # measure recover_min / recover_max return, and it has the moments s_0..s_{m-1}
+    # at every index, the partial fractions of each extremal, merged (here and
+    # by the loop), are the measure recover_min / recover_max return, and it
+    # has the moments s_0..s_{m-1}
     for i in range(len(LADDER)):
         for s in (ladder_fixture(i), reflect(ladder_fixture(i))):
             for m in range(1, s.kappa + 1):
                 for ext, mu in zip(extremal(s, m), (recover_min(s, m), recover_max(s, m))):
-                    atoms, masses = _merge_atoms(ext.atoms, ext.residues.reshape(-1, s.q, s.q),
-                                                 s.alpha, drop_tol=1e-12)
+                    residues = ext.residues.reshape(-1, s.q, s.q)
+                    atoms, masses = _merge_atoms(ext.atoms, residues, s.alpha)
                     np.testing.assert_array_equal(mu.atoms, atoms)
                     np.testing.assert_array_equal(mu.masses, masses)
+                    want_a, want_m = _merge_atoms_loop(list(ext.atoms), list(residues), s.alpha)
+                    np.testing.assert_array_equal(mu.atoms, want_a)
+                    np.testing.assert_array_equal(mu.masses, want_m)
                     for got, want in zip(measure_moments(mu, m - 1), s.moments):
                         assert rel_err(got, want) < 1e-8
 
@@ -352,8 +333,49 @@ def test_recovery_keeps_the_moments_of_ill_conditioned_sequences(q, kappa):
     s = random_stieltjes_pd_sequence(q=q, kappa=kappa, alpha=0.5, seed=1, max_cond=None)
     for mu in (recover_min(s), recover_max(s)):
         assert np.all(np.abs(mu.atoms) < 1e3)
+        # the masses are the rule's Gram sums, not rebuilt: PSD without a clip
+        assert {psd_class(mass) for mass in mu.masses} <= {PD, PSD}
         for got, want in zip(measure_moments(mu, kappa - 1), s.moments):
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_recovery_after_extremal_factors_nothing(monkeypatch):
+    # the measures are the cached string rules, sorted and summed: once
+    # extremal(s, m) has built them, recovery makes no LAPACK call
+    seqs = [t for i in range(len(LADDER)) for t in (ladder_fixture(i), reflect(ladder_fixture(i)))]
+    for s in seqs:
+        for m in range(1, s.kappa + 1):
+            extremal(s, m)
+
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("LAPACK called during recovery")
+
+    for name in ("eigh", "eigvalsh", "cholesky", "inv"):
+        monkeypatch.setattr(np.linalg, name, no_lapack)
+    for s in seqs:
+        for m in range(1, s.kappa + 1):
+            for mu in (recover_min(s, m), recover_max(s, m)):
+                assert len(mu.atoms) == len(mu.masses) > 0
+
+
+def test_the_free_end_has_one_node_at_alpha_with_the_rigid_motion_mass():
+    # the q rigid motions of a free string are the vectors (R_j^* c)_j, so
+    # the sum of their q residues g_k g_k^* is (M_0 + ... + M_{half(m)})^{-1};
+    # the rule gives it as one node at alpha exactly, and every recovered
+    # mass is PSD
+    for i in range(len(LADDER)):
+        for s in (ladder_fixture(i), reflect(ladder_fixture(i))):
+            ds = ds_param(s)
+            for m in range(1, s.kappa + 1):
+                lo, hi = extremal(s, m)
+                free, mu = (hi, recover_max(s, m)) if s.side == "right" else (lo, recover_min(s, m))
+                assert np.count_nonzero(free.atoms == s.alpha) == 1
+                node = mu.atoms.index(s.alpha)
+                assert node == (0 if s.side == "right" else len(mu.atoms) - 1)
+                want = np.linalg.inv(sum(ds.m[:half(m) + 1]))
+                assert np.linalg.norm(mu.masses[node] - want) <= 1e-12 * np.linalg.norm(want)
+                for mass in recover_min(s, m).masses + recover_max(s, m).masses:
+                    assert psd_class(mass) in (PD, PSD)
 
 
 def test_residue_extrapolation_divergence_is_an_arithmetic_error():

@@ -366,6 +366,39 @@ def test_the_solve_pipeline_never_builds_monic_rows(monkeypatch):
             difference_inverse(s, m, s.alpha - 1.0 + 0.3j)
 
 
+@pytest.mark.parametrize("i", [0, 1])   # ladder fixtures 0 and 1: right and left half-line
+def test_one_solve_keeps_its_lapack_budget(monkeypatch, i):
+    # the call sequence of one benchmark solve op on a fresh sequence.  The
+    # budget: a cholesky and an eigvalsh for the Schur complements of the
+    # sequence and of its shift, one inv for Q -> (L, M), two for the
+    # quadruple's leading coefficients, one stacked cholesky and inv of
+    # (L, M) for both string ends, one eigh per end, one eigvalsh for the
+    # Weyl interval and the eigvals of the top polynomial's companion.  A
+    # new factorization on this path has to raise the pin here on purpose.
+    t = ladder_fixture(i)
+    names = ("cholesky", "inv", "eigh", "eigvalsh", "eigvals")
+    counts = dict.fromkeys(names, 0)
+
+    def counted(name, f):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+        return call
+
+    for name in names:
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    s = sequence(t.moments, alpha=t.alpha, side=t.side)
+    classify(s), stieltjes_param(s), ds_param(s), resolvent_u(s), factorize_u(s)
+    real_zeros(stieltjes_quadruple(s).p[-1], MONIC)
+    sign = side_sign(s.side)
+    for ext in extremal(s):
+        for z in (s.alpha + 0.7 + 1.3j, s.alpha - 0.4 - 0.9j, s.alpha - 2.5 * sign, s.alpha - sign):
+            ext(z)
+    weyl_interval(s, s.kappa, s.alpha - sign)
+    measure_moments(recover_min(s), s.kappa), measure_moments(recover_max(s), s.kappa)
+    assert counts == {"cholesky": 3, "inv": 4, "eigh": 2, "eigvalsh": 3, "eigvals": 1}
+
+
 def test_after_ds_param_the_solve_path_reads_no_moment_class(monkeypatch):
     # ds_param is the one Stieltjes-PD gate: once it is cached on a fresh
     # sequence, no builder classifies the moments or reads their Schur

@@ -3,9 +3,9 @@ import pytest
 
 from stieltjesmp import (
     DEFAULT_TOL, GENERAL, MONIC, MatrixPolynomial, det_zeros, ds_param,
-    dyukarev_quadruple, favard_pair, monic_orthogonal_system, real_zeros, second_kind_system,
-    sequence, shift_sequence, stieltjes_param, random_stieltjes_pd_sequence, reflect,
-    stieltjes_quadruple,
+    dyukarev_quadruple, factorize_u, favard_pair, monic_orthogonal_system, real_zeros,
+    second_kind_system, sequence, shift_sequence, stieltjes_param,
+    random_stieltjes_pd_sequence, reflect, stieltjes_quadruple,
 )
 from stieltjesmp import orthopoly
 from conftest import (
@@ -61,6 +61,26 @@ def test_poly_arithmetic():
     z = 0.7 - 0.4j
     np.testing.assert_allclose(a.rmul(m)(z), a(z) @ m, atol=1e-12)
     np.testing.assert_allclose(a.conj_star()(z), a(np.conj(z)).conj().T, atol=1e-12)
+
+
+def test_polynomials_cut_from_a_frozen_stack_share_it():
+    # a caller's writeable array is copied once; a frozen stack is shared, so
+    # each quadruple family and the factors of factorize_u are views of one
+    # stack, with no copy per polynomial
+    owned = np.zeros((3, 2, 2))
+    owned[1] = 1.0
+    poly = MatrixPolynomial(owned)
+    assert not np.shares_memory(poly.coeffs, owned) and poly.degree == 1
+    owned.setflags(write=False)
+    assert MatrixPolynomial(owned).coeffs.base is owned
+    s = ladder_fixture(5)
+    quad = stieltjes_quadruple(s)
+    for family in (quad.p, quad.second, quad.p_shift, quad.phat):
+        bases = {id(poly.coeffs.base) for poly in family}
+        assert len(bases) == 1 and family[0].coeffs.base is not None
+    factors = factorize_u(s).factors
+    assert len({id(w.coeffs.base) for w in factors}) == 1 and factors[0].coeffs.base is not None
+    assert [w.degree for w in factors] == [1 - j % 2 for j in range(s.kappa + 1)]
 
 
 def test_monic_system_fixture(f1, f2):
