@@ -21,8 +21,8 @@ from .params import (
 )
 from .resolvent import factorize_u, j_inner_check, resolvent_u
 from .solutions import (
-    CONSTANT, SCHUR_CONSTANT, SingularDenominator, StieltjesPair, difference_inverse,
-    _off_cut, extremal, lft_solve, pair_max, pair_min, weyl_interval,
+    CONSTANT, SCHUR_CONSTANT, StieltjesPair, difference_inverse, _off_cut, extremal,
+    lft_solve, pair_max, pair_min, weyl_interval,
 )
 from .measures import hausdorff_solvable, measure_moments, recover_max, recover_min
 
@@ -132,23 +132,15 @@ def cmd_classify(args) -> int:
     return EXIT_OK if cls.stieltjes in ("PD", "NND", "NND_EXTENDABLE") else EXIT_NEGATIVE
 
 
+# the builder of each parametrization and its matrix sequences, in output order
+PARAMS = {"q": (stieltjes_param, ("values",)), "hankel": (canonical_hankel_param, ("c", "d")),
+          "favard": (favard_pair, ("a", "b")), "ds": (ds_param, ("l", "m"))}
+
+
 def cmd_params(args) -> int:
-    seq = decode_sequence(_load_doc(args.file))
-    if args.kind == "q":
-        p = stieltjes_param(seq)
-        _emit({"kind": "q", "values": [encode_matrix(v) for v in p.values]})
-    elif args.kind == "hankel":
-        p = canonical_hankel_param(seq)
-        _emit({"kind": "hankel", "c": [encode_matrix(v) for v in p.c],
-               "d": [encode_matrix(v) for v in p.d]})
-    elif args.kind == "favard":
-        p = favard_pair(seq)
-        _emit({"kind": "favard", "a": [encode_matrix(v) for v in p.a],
-               "b": [encode_matrix(v) for v in p.b]})
-    else:
-        p = ds_param(seq)
-        _emit({"kind": "ds", "l": [encode_matrix(v) for v in p.l],
-               "m": [encode_matrix(v) for v in p.m]})
+    build, fields = PARAMS[args.kind]
+    p = build(decode_sequence(_load_doc(args.file)))
+    _emit({"kind": args.kind, **{f: [encode_matrix(v) for v in getattr(p, f)] for f in fields}})
     return EXIT_OK
 
 
@@ -207,7 +199,7 @@ def cmd_extremal(args) -> int:
 def cmd_recover(args) -> int:
     seq = decode_sequence(_load_doc(args.file))
     mu = recover_min(seq) if args.which == "min" else recover_max(seq)
-    _emit({"atoms": list(mu.atoms), "masses": [encode_matrix(m) for m in mu.masses],
+    _emit({"atoms": mu.atoms.tolist(), "masses": [encode_matrix(m) for m in mu.masses],
            "side": mu.support_side})
     return EXIT_OK
 
@@ -233,7 +225,7 @@ def cmd_verify(args) -> int:
         _emit({"checks": checks, "passed": False})
         return EXIT_NEGATIVE
 
-    scale = max(np.linalg.norm(m) for m in seq.moments)
+    scale = np.linalg.norm(seq.moments, axis=(1, 2)).max()
     for name, back in (("q_roundtrip", seq_from_stieltjes_param(stieltjes_param(seq))),
                        ("ds_roundtrip", seq_from_ds(ds_param(seq)))):
         checks[name] = np.abs(np.subtract(back.moments, seq.moments)).max() <= 1e-9 * scale
@@ -296,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("params", help="one of the four parametrizations")
     p.add_argument("file")
-    p.add_argument("--kind", choices=["q", "hankel", "favard", "ds"], default="q")
+    p.add_argument("--kind", choices=list(PARAMS), default="q")
     p.set_defaults(func=cmd_params)
 
     p = sub.add_parser("generate", help="seeded random Stieltjes-PD sequence")
@@ -351,10 +343,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SingularDenominator as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError) as exc:   # a SingularDenominator is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except (AssertionError, ArithmeticError, RuntimeError) as exc:

@@ -7,7 +7,8 @@ real atoms.  Each extremal is the transfer function of a block string of
 Jacobi matrix are the atoms, its first eigenvector blocks give the masses
 (Gauss nodes for the wall end, Gauss-Radau for the free end: one node at
 alpha with the summed mass of the q rigid motions).  The rule reads (L, M)
-only, and its Gram sums are the masses as they are, not rebuilt.
+only, and its Gram sums are the masses as they are, not rebuilt: a measure
+holds a float array of atoms and one read-only (K, q, q) stack of masses.
 """
 
 from dataclasses import dataclass
@@ -15,79 +16,73 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import Array, DEFAULT_TOL, PD, PSD, _psd_classes, is_psd
-from .moments import RIGHT, MomentSequence, hankel, index_m, matrix_stack, side_sign
+from .moments import RIGHT, MomentSequence, freeze, hankel, index_m, matrix_stack, side_sign
 from .params import ds_param
 from .solutions import string_rule
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MolecularMeasure:
-    """Real atoms with PSD q x q masses, supported on a tagged half-line.  The
-    masses are checked once, as one stack, and kept as complex q x q arrays."""
+    """Real atoms with PSD q x q masses, supported on a tagged half-line.
 
-    atoms: tuple
-    masses: tuple
+    atoms is a read-only float (K,) array and masses a read-only complex
+    (K, q, q) stack (matrix_stack), (0, 1, 1) with no atom unless given as
+    (0, q, q).  Side, shapes, finiteness, the support of the atoms and the
+    PSD masses are checked once, here.  Equality is by identity.
+    """
+
+    atoms: Array
+    masses: Array
     support_side: str
     alpha: float
 
     def __post_init__(self):
-        if len(self.atoms) != len(self.masses):
-            raise ValueError("atoms and masses must align")
-        side_sign(self.support_side)   # an empty measure checks its side too
-        if not self.masses:
-            return
-        stack = matrix_stack(self.masses, np.atleast_2d(self.masses[0]).shape[0], "mass")
-        if not set(_psd_classes(stack)) <= {PD, PSD}:
+        self._check_fields()
+        if not set(_psd_classes(self.masses)) <= {PD, PSD}:
             raise ValueError("mass matrices must be PSD")
-        object.__setattr__(self, "masses", tuple(stack))
-        self._check_atoms()
 
     @classmethod
     def _checked(cls, atoms, masses: Array, support_side: str, alpha: float):
-        """Measure of a complex (K, q, q) stack of Gram sums g g^*, Hermitian
-        and PSD to rounding: no PSD test; finiteness, which the construction
-        does not give, and the atoms are still checked."""
-        if not np.isfinite(masses).all():
-            raise ValueError("matrix has non-finite entries")
+        """Measure of a stack of Gram sums g g^*, PSD to rounding: all checks but PSD."""
         mu = object.__new__(cls)
-        mu.__dict__.update(atoms=tuple(atoms), masses=tuple(masses),
-                           support_side=support_side, alpha=alpha)
-        mu._check_atoms()
+        mu.__dict__.update(atoms=atoms, masses=masses, support_side=support_side, alpha=alpha)
+        mu._check_fields()
         return mu
 
-    def _check_atoms(self):
-        x = np.asarray(self.atoms, dtype=float)
-        slack = 1e-9 * (1 + abs(self.alpha))
-        sign = side_sign(self.support_side)
-        off = sign * x < sign * self.alpha - slack
+    def _check_fields(self):
+        """Every check but the PSD test; sets atoms and masses to their stacks."""
+        sign = side_sign(self.support_side)   # an empty measure checks its side too
+        x, masses = freeze(np.array(self.atoms, dtype=float)), self.masses
+        if x.ndim != 1 or len(x) != len(masses):
+            raise ValueError("atoms and masses must align")
+        shape = np.shape(masses[0]) if len(masses) else np.shape(masses)[1:]
+        self.__dict__.update(atoms=x, masses=matrix_stack(masses, shape[0] if shape else 1, "mass"))
+        off = ~np.isfinite(x) | (sign * x < sign * self.alpha - 1e-9 * (1 + abs(self.alpha)))
         if off.any():
-            x = self.atoms[int(np.argmax(off))]
+            x = x[int(np.argmax(off))]
             raise ValueError(f"atom {x} outside [{self.alpha}, inf)" if sign > 0
                              else f"atom {x} outside (-inf, {self.alpha}]")
 
 
 def stieltjes_transform(mu: MolecularMeasure, z: complex) -> Array:
     """sum_k M_k / (x_k - z); poles exactly at the atoms."""
-    dist = np.asarray(mu.atoms, dtype=float) - z
+    dist = mu.atoms - z
     if np.any(dist == 0):
         raise ValueError(f"z={z} coincides with an atom")
-    if not mu.atoms:
-        return np.zeros((1, 1), dtype=complex)
-    return (np.array(mu.masses) / dist[:, None, None]).sum(axis=0)
+    return (mu.masses / dist[:, None, None]).sum(axis=0)
 
 
-def measure_moments(mu: MolecularMeasure, up_to: int) -> list:
-    """Power moments sum_k x_k^j M_k for j = 0..up_to, from one power table;
-    a moment that overflows float64 raises OverflowError naming its index."""
-    if not mu.atoms:
-        raise ValueError("empty measure has undefined matrix size")
+def measure_moments(mu: MolecularMeasure, up_to: int) -> Array:
+    """Power moments sum_k x_k^j M_k for j = 0..up_to as one (up_to+1, q, q)
+    stack, from one power table; a moment that overflows float64 raises
+    OverflowError naming its index."""
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = np.asarray(mu.atoms, dtype=float) ** np.arange(up_to + 1)[:, None]
-        moments = (powers[:, :, None, None] * np.array(mu.masses)).sum(axis=1)
+        powers = mu.atoms ** np.arange(up_to + 1)[:, None]
+        moments = (powers[:, :, None, None] * mu.masses).sum(axis=1)
     finite = np.isfinite(moments).all(axis=(1, 2))
     if not finite.all():
         raise OverflowError(f"power moment {int(np.argmin(finite))} overflows float64")
-    return list(moments)
+    return moments
 
 
 def _merge_atoms(atoms, masses: Array, alpha: float):
@@ -95,7 +90,7 @@ def _merge_atoms(atoms, masses: Array, alpha: float):
 
     `masses` is a (K, q, q) stack, summed and never rebuilt.  A walk over the
     sorted atoms merges those closer than atom_merge (1 + |alpha|); it runs
-    only when two neighbours are that close.  Returns a list and a stack.
+    only when two neighbours are that close.  Returns two read-only stacks.
     """
     order = np.argsort(atoms)
     x, masses = np.asarray(atoms, dtype=float)[order], masses[order]
@@ -115,7 +110,7 @@ def _merge_atoms(atoms, masses: Array, alpha: float):
         x, masses = np.array(merged_a), np.array(merged_m)
     norms = np.linalg.norm(masses, axis=(1, 2))
     keep = ~(norms < DEFAULT_TOL.mass_drop * norms.max(initial=1.0))   # scale max(1, largest norm)
-    return x[keep].tolist(), masses[keep]
+    return freeze(x[keep]), freeze(masses[keep])
 
 
 def _recover(seq: MomentSequence, m: int | None, lower: bool) -> MolecularMeasure:
@@ -134,7 +129,7 @@ def _recover(seq: MomentSequence, m: int | None, lower: bool) -> MolecularMeasur
             raise ValueError(f"at m=0 the {'lower' if lower else 'upper'} extremal on the "
                              f"{seq.side} half-line is B_0 D_0^-1 = 0, the transform of no "
                              "measure of mass s_0")
-        return MolecularMeasure(atoms=(seq.alpha,), masses=(seq[0].copy(),),
+        return MolecularMeasure(atoms=(seq.alpha,), masses=seq.moments[:1],
                                 support_side=seq.side, alpha=seq.alpha)
     atoms, residues = string_rule(ds, m, wall)
     atoms, masses = _merge_atoms(atoms, residues.reshape(-1, seq.q, seq.q), seq.alpha)

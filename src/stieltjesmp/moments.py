@@ -1,7 +1,8 @@
 """Moment sequences, block Hankel structures and positivity classification.
 
-A sequence s_0..s_kappa of complex q x q matrices together with a base
-point alpha and a half-line tag ("right" for [alpha, inf), "left" for
+A sequence s_0..s_kappa of complex q x q matrices, held as one read-only
+(kappa+1, q, q) stack like every matrix sequence of the package
+(matrix_stack), together with a base point alpha and a half-line tag ("right" for [alpha, inf), "left" for
 (-inf, alpha]) is the basic object everything else consumes; side_sign
 turns the tag into the +-1 that every side formula of the package reads.  The block
 Hankel matrices H_n = (s_{j+k}), their left Schur complements and the
@@ -76,11 +77,12 @@ def derived(build):
 class MomentSequence:
     """Finite sequence of q x q moments with base point and side tag.
 
-    The sequence keeps its own read-only copy of the moments, checked once
-    here for shape and finiteness.  It caches its shifted sequence;
-    everything else derived from it (the Schur complements and their
-    classes, the monic rows, the classification, Q, (L, M) and the two
-    polynomial quadruples) is cached on it by its builder (see derived).
+    The moments are one read-only complex (kappa+1, q, q) stack; side,
+    shape and finiteness are checked once, here (matrix_stack).  The
+    sequence caches its shifted sequence; everything else derived from it
+    (the Schur complements and their classes, the monic rows, the
+    classification, Q, (L, M) and the two polynomial quadruples) is cached
+    on it by its builder (see derived).
     Equality and hashing are by identity: a sequence carries its own cache,
     and two sequences built from equal moments are two problem objects.
     """
@@ -88,14 +90,13 @@ class MomentSequence:
     q: int
     alpha: float
     side: str
-    moments: tuple
+    moments: Array
 
     def __post_init__(self):
         side_sign(self.side)
-        if len(self.moments) == 0:
+        object.__setattr__(self, "moments", matrix_stack(self.moments, self.q, "moment"))
+        if not len(self.moments):
             raise ValueError("at least one moment required")
-        stack = matrix_stack(self.moments, self.q, "moment")
-        object.__setattr__(self, "moments", tuple(freeze(stack)))
 
     @property
     def kappa(self) -> int:
@@ -110,23 +111,29 @@ class MomentSequence:
 
 
 def matrix_stack(mats, q: int, what: str) -> Array:
-    """The q x q matrices of mats as one finite complex (K, q, q) copy."""
-    mats = [np.atleast_2d(np.asarray(m, dtype=complex)) for m in mats]
-    for m in mats:
-        if m.ndim != 2:
-            raise ValueError(f"expected a matrix, got ndim={m.ndim}")
-        if m.shape != (q, q):
-            raise ValueError(f"{what} has shape {m.shape}, expected ({q},{q})")
-    stack = np.array(mats)
-    if not np.isfinite(stack).all():
+    """mats, a (K, q, q) array or a sequence of q x q matrices or scalars, as
+    one read-only finite complex (K, q, q) stack: the format of every matrix
+    sequence the package holds.  A read-only complex stack is shared, and
+    anything else copied once; shape and finiteness are checked every time.
+    """
+    if isinstance(mats, np.ndarray) and mats.ndim == 3:
+        shapes = [mats.shape[1:]]
+    else:
+        mats = [np.atleast_2d(m) for m in mats]
+        shapes = [m.shape for m in mats]
+    bad = [shape for shape in shapes if shape != (q, q)]
+    if bad:
+        raise ValueError(f"{what} has shape {bad[0]}, expected ({q},{q})")
+    if not isinstance(mats, np.ndarray) or mats.dtype != complex or mats.flags.writeable:
+        mats = freeze(np.array(mats, dtype=complex).reshape(-1, q, q))   # (0, q, q) if empty
+    if not np.isfinite(mats).all():
         raise ValueError("matrix has non-finite entries")
-    return stack
+    return mats
 
 
 def sequence(moments, alpha: float = 0.0, side: str = RIGHT) -> MomentSequence:
-    """Build a MomentSequence from scalars / arrays, inferring q."""
-    moments = tuple(moments)
-    q = np.atleast_2d(moments[0]).shape[0] if moments else 0
+    """Build a MomentSequence from scalars or matrices, inferring q."""
+    q = np.atleast_2d(moments[0]).shape[0] if len(moments) else 0
     return MomentSequence(q=q, alpha=float(alpha), side=side, moments=moments)
 
 
@@ -185,14 +192,14 @@ def shift_sequence(seq: MomentSequence) -> MomentSequence:
     if seq.kappa < 1:
         raise ValueError("shift needs at least two moments")
     return MomentSequence(q=seq.q, alpha=seq.alpha, side=seq.side,
-                          moments=tuple(shifted_moments(seq.moments, seq.alpha, seq.side)))
+                          moments=freeze(shifted_moments(seq.moments, seq.alpha, seq.side)))
 
 
 def reflect(seq: MomentSequence) -> MomentSequence:
     """t_j = (-1)^j s_j with alpha -> -alpha and the side flipped."""
-    mats = tuple(((-1) ** j) * seq[j] for j in range(seq.kappa + 1))
+    mats = ((-1) ** np.arange(seq.kappa + 1))[:, None, None] * seq.moments
     side = LEFT if seq.side == RIGHT else RIGHT
-    return MomentSequence(q=seq.q, alpha=-seq.alpha, side=side, moments=mats)
+    return MomentSequence(q=seq.q, alpha=-seq.alpha, side=side, moments=freeze(mats))
 
 
 def _cholesky_hhats(seq: MomentSequence):
@@ -201,7 +208,7 @@ def _cholesky_hhats(seq: MomentSequence):
     # np.linalg.cholesky reads only the lower triangle, so the Hermitian
     # test comes first, per moment: one large moment must not hide the
     # asymmetry of a small one
-    if not _hermitian_mask(np.array(seq.moments)).all():
+    if not _hermitian_mask(seq.moments).all():
         return None
     try:
         c = np.linalg.cholesky(hankel(seq, half(seq.kappa)))
@@ -217,11 +224,11 @@ def _cholesky_hhats(seq: MomentSequence):
 def hhats(seq: MomentSequence) -> tuple:
     """The Schur complements Hhat_0..Hhat_{half(kappa)} and the psd class of each.
 
-    Returns (values, classes).  Hhat_n = C_nn C_nn^* from the diagonal
-    blocks of one Cholesky factor H_{half(kappa)} = C C^* when every moment
-    is Hermitian at its own scale, the factorization succeeds and every
-    Hhat_n so obtained is PD; otherwise, and so for every NND or indefinite
-    sequence, by the pinv formula of schur_complement, checked finite.  The
+    Returns (values, classes), two stacks.  Hhat_n = C_nn C_nn^* from the
+    diagonal blocks of one Cholesky factor H_{half(kappa)} = C C^* when every
+    moment is Hermitian at its own scale, the factorization succeeds and
+    every Hhat_n so obtained is PD; otherwise, and so for every NND or
+    indefinite sequence, by the pinv formula of schur_complement.  The
     rule reads this sequence only: hhats(seq.shifted) makes the same choice
     for the odd Q_j on its own.
     """
@@ -229,11 +236,10 @@ def hhats(seq: MomentSequence) -> tuple:
     if values is not None:
         classes = _psd_classes(values)
         if (classes == PD).all():
-            return tuple(values), classes
-    values = np.array([schur_complement(seq, n) for n in range(half(seq.kappa) + 1)])
-    if not np.isfinite(values).all():
-        raise ValueError("matrix has non-finite entries")
-    return tuple(values), _psd_classes(values)
+            return values, classes
+    values = matrix_stack([schur_complement(seq, n) for n in range(half(seq.kappa) + 1)],
+                          seq.q, "Hhat_n")
+    return values, _psd_classes(values)
 
 
 def require_hankel_pd_prefix(seq: MomentSequence, up_to: int):
@@ -305,16 +311,20 @@ def _kernel_included(q_a: Array, q_b: Array) -> bool:
     return np.linalg.norm(q_b @ proj) <= DEFAULT_TOL.identity_tol * (1.0 + np.linalg.norm(q_b))
 
 
-def _interlaced(seq: MomentSequence, k: int) -> list:
-    """Part k of hhats (0 values, 1 classes), interlaced: Hhat_n at 2n and
-    the shifted sequence's Hhat_n at 2n+1."""
-    sides = (hhats(seq), hhats(seq.shifted) if seq.kappa else None)
-    return [sides[j % 2][k][j // 2] for j in range(seq.kappa + 1)]
+def _interlaced(seq: MomentSequence, k: int) -> Array:
+    """Part k of hhats (0 values, 1 classes) as one stack, interlaced: Hhat_n
+    at 2n and the shifted sequence's Hhat_n at 2n+1."""
+    even = hhats(seq)[k]
+    odd = hhats(seq.shifted)[k] if seq.kappa else even[:0]
+    out = np.empty((seq.kappa + 1,) + even.shape[1:], dtype=even.dtype)
+    out[0::2], out[1::2] = even, odd
+    return out
 
 
-def q_values(seq: MomentSequence) -> tuple:
-    """Interlaced Schur complements Q_{2n} = Hhat_n, Q_{2n+1} = Hhat_shift_n."""
-    return tuple(_interlaced(seq, 0))
+@derived
+def q_values(seq: MomentSequence) -> Array:
+    """Interlaced Schur complements Q_{2n} = Hhat_n, Q_{2n+1} = Hhat_shift_n, one stack."""
+    return _interlaced(seq, 0)
 
 
 @derived
@@ -327,7 +337,7 @@ def classify(seq: MomentSequence) -> SequenceClass:
     means the solvability class (NND) resp. the extendability class.
     """
     qs = q_values(seq)
-    classes = np.array(_interlaced(seq, 1))
+    classes = _interlaced(seq, 1)
     # PD is decided through the Schur complements Q_{2n} = Hhat_n (numerically
     # robust and equivalent); NND falls back to the spectrum of the full block
     if np.all(classes[0::2] == PD):

@@ -152,7 +152,7 @@ def chain_d_e(ds: DSParam) -> tuple:
     two zero-padded coefficient stacks; E_n has degree n."""
     x, y = chain_stacks(ds)
     d = y[:, :, ds.q:]
-    return d, np.cumsum(d[:len(x), :len(x)] @ np.array(ds.m)[:, None], axis=0)
+    return d, np.cumsum(d[:len(x), :len(x)] @ ds.m[:, None], axis=0)
 
 
 def _chain_families(ds: DSParam) -> tuple:
@@ -167,16 +167,16 @@ def _chain_families(ds: DSParam) -> tuple:
         P_shift_n = lead(cs E_n)^{-1} cs(E_n) = -lead(cs C_n)^{-1} cs(E_n)
         phat_n = -+lead(cs C_n)^{-1} cs(A_n)   (- right, + left)
 
-    Each family takes one stacked inv of its leading coefficients, and the
-    monic leads are set to I exactly.
+    The leading coefficients of both families are inverted in one stacked
+    inv, and the monic leads are set to I exactly.
     """
     q = ds.q
     x, y = chain_stacks(ds)
     d, e = chain_d_e(ds)
     nx = len(x)
     n, k = np.arange(nx), np.arange(len(y))
-    d_norm = np.linalg.inv(_cs(d[k, k]))[:, None]
-    c_norm = np.linalg.inv(_cs(x[n, n + 1, q:]))[:, None]
+    norm = np.linalg.inv(_cs(np.concatenate([d[k, k], x[n, n + 1, q:]])))[:, None]
+    d_norm, c_norm = norm[:len(y)], norm[len(y):]
     p = d_norm @ _cs(d)
     second = -(d_norm @ _cs(y[:, :, :q]))
     p_shift = -(c_norm @ _cs(e))

@@ -5,7 +5,9 @@
 * Favard recursion pair (A_n, B_n) of the orthogonal system,
 * the PD pair (L_n, M_n) driving the multiplicative resolvent structure.
 
-All cross-maps are alternating-product formulas in the Q_j; every map comes
+Q, L and M are held as read-only (K, q, q) stacks, as the moments are; the
+canonical Hankel and Favard pairs are output records of tuples.  All
+cross-maps are alternating-product formulas in the Q_j; every map comes
 with its inverse, and the (L, M) -> sequence map doubles as the random
 generator of Stieltjes-PD fixtures.  The prefix products of the factor
 chain of (L, M), which U and both polynomial quadruples read, are built
@@ -16,31 +18,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    Array, PD, _all_pd, _hermitize, _pinv, as_matrix,
-)
+from .linalg import Array, PD, _all_pd, _hermitize, _pinv
 from .moments import (
-    RIGHT, MomentSequence, classify, derived, half, hankel, hhats, matrix_stack, monic_rows,
-    q_values, require_hankel_pd_prefix, schur_correction, sequence, shifted_moments, side_sign,
-    y_stack, z_stack,
+    RIGHT, MomentSequence, classify, derived, freeze, half, hankel, hhats, matrix_stack,
+    monic_rows, q_values, require_hankel_pd_prefix, schur_correction, sequence,
+    shifted_moments, side_sign, y_stack, z_stack,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StieltjesParam:
-    """Interlaced Schur complements Q_0..Q_kappa; PD iff the sequence is."""
+    """Interlaced Schur complements Q_0..Q_kappa; PD iff the sequence is.
+
+    values is a (kappa+1, q, q) stack, held and checked as the moments of a
+    MomentSequence are; equality is by identity."""
 
     q: int
     alpha: float
     side: str
-    values: tuple
+    values: Array
+
+    def __post_init__(self):
+        side_sign(self.side)
+        object.__setattr__(self, "values", matrix_stack(self.values, self.q, "Q_j"))
+        if not len(self.values):
+            raise ValueError("at least one Q_j required")
 
     @property
     def kappa(self) -> int:
         return len(self.values) - 1
-
-    def __getitem__(self, j: int) -> Array:
-        return self.values[j]
 
 
 @dataclass(frozen=True)
@@ -59,20 +65,32 @@ class FavardPair:
     b: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DSParam:
-    """PD pair L_0..L_{half(kappa-1)}, M_0..M_{half(kappa)} plus side data."""
+    """PD pair L_0..L_{half(kappa-1)}, M_0..M_{half(kappa)} plus side data.
+
+    l and m are stacks held and checked as the moments of a MomentSequence
+    are, l (0, q, q) at kappa = 0; their lengths must fit one kappa.  The
+    maps that need L_n, M_n PD check it.  Equality is by identity.
+    """
 
     q: int
     alpha: float
     side: str
-    l: tuple
-    m: tuple
+    l: Array
+    m: Array
+
+    def __post_init__(self):
+        side_sign(self.side)
+        l, m = matrix_stack(self.l, self.q, "L_n"), matrix_stack(self.m, self.q, "M_n")
+        if not len(m) or len(m) - len(l) not in (0, 1):
+            raise ValueError(f"(L, M) lengths do not fit: len(l) = {len(l)}, len(m) = {len(m)}; "
+                             "need len(m) >= 1 and len(m) - len(l) in {0, 1}")
+        self.__dict__.update(l=l, m=m)
 
     @property
     def kappa(self) -> int:
-        # len(m) = half(kappa)+1 and len(l) = half(kappa-1)+1 pin kappa down
-        return 2 * (len(self.m) - 1) if len(self.m) > len(self.l) else 2 * len(self.l) - 1
+        return len(self.l) + len(self.m) - 1   # half(kappa-1) + half(kappa) = kappa - 1
 
 
 # --- Q-parametrization -------------------------------------------------------
@@ -94,17 +112,14 @@ def seq_from_stieltjes_param(p: StieltjesParam) -> MomentSequence:
     s_j = alpha s_{j-1} +- r_{j-1}.  Otherwise every step goes through the
     pinv formula of schur_correction.
     """
-    a = p.alpha
-    sgn = side_sign(p.side)
-    qs = matrix_stack(p.values, p.q, "Q_j")
+    a, q, qs, sgn = p.alpha, p.q, p.values, side_sign(p.side)
     if not _all_pd(qs):
-        return _seq_from_q_pinv(p, qs)
-    q = p.q
+        return _seq_from_q_pinv(p)
     roots = np.linalg.cholesky(qs)
     # factors[0] of H_{half(kappa)}, factors[1] of Hshift_{half(kappa-1)}
     size = (half(p.kappa) + 1) * q
     factors = (np.zeros((size, size), dtype=complex), np.zeros((size, size), dtype=complex))
-    mats = []
+    mats = np.empty_like(qs)
     for j in range(p.kappa + 1):
         n, odd = j // 2, j % 2
         c = factors[odd]
@@ -116,14 +131,13 @@ def seq_from_stieltjes_param(p: StieltjesParam) -> MomentSequence:
             value = value + w.conj().T @ w
             c[n * q:(n + 1) * q, :n * q] = w.conj().T
         c[n * q:(n + 1) * q, n * q:(n + 1) * q] = roots[j]
-        mats.append(a * mats[-1] + sgn * value if odd else value)
-    return MomentSequence(q=q, alpha=a, side=p.side, moments=tuple(mats))
+        mats[j] = a * mats[j - 1] + sgn * value if odd else value
+    return MomentSequence(q=q, alpha=a, side=p.side, moments=freeze(mats))
 
 
-def _seq_from_q_pinv(p: StieltjesParam, qs: Array) -> MomentSequence:
+def _seq_from_q_pinv(p: StieltjesParam) -> MomentSequence:
     """The pinv recursion of seq_from_stieltjes_param, for Q_j not all PD."""
-    a = p.alpha
-    sgn = side_sign(p.side)
+    a, qs, sgn = p.alpha, p.values, side_sign(p.side)
     mats = [qs[0]]
     if p.kappa >= 1:
         mats.append(a * mats[0] + sgn * qs[1])
@@ -134,7 +148,7 @@ def _seq_from_q_pinv(p: StieltjesParam, qs: Array) -> MomentSequence:
         else:
             corr = schur_correction(shifted_moments(mats, a, p.side), n)
             mats.append(a * mats[-1] + sgn * (qs[j] + corr))
-    return MomentSequence(q=p.q, alpha=a, side=p.side, moments=tuple(mats))
+    return MomentSequence(q=p.q, alpha=a, side=p.side, moments=mats)
 
 
 # --- canonical Hankel parametrization ----------------------------------------
@@ -151,24 +165,23 @@ def _lambda_term(seq, n: int) -> Array:
 
 def canonical_hankel_param(seq: MomentSequence) -> CanonicalHankelParam:
     """D_n = Hhat_n; C_n = s_{2n-1} - Lambda_{n-1}."""
-    d = hhats(seq)[0]
     c = tuple(seq[2 * n - 1] - _lambda_term(seq, n - 1)
               for n in range(1, half(seq.kappa + 1) + 1))
-    return CanonicalHankelParam(c=c, d=d)
+    return CanonicalHankelParam(c=c, d=tuple(hhats(seq)[0]))
 
 
 def seq_from_canonical(p: CanonicalHankelParam, q: int, alpha: float = 0.0,
                        side: str = RIGHT) -> MomentSequence:
     """Reconstruction s_0 = D_0, s_{2n-1} = C_n + Lambda_{n-1}, s_{2n} = D_n + corr."""
-    kappa = len(p.c) + len(p.d) - 1
-    mats = [as_matrix(p.d[0])]
-    for j in range(1, kappa + 1):
+    c, d = matrix_stack(p.c, q, "C_n"), matrix_stack(p.d, q, "D_n")
+    mats = [d[0]]
+    for j in range(1, len(c) + len(d)):
         n = (j + 1) // 2
         if j % 2 == 1:
-            mats.append(as_matrix(p.c[n - 1]) + _lambda_term(mats, n - 1))
+            mats.append(c[n - 1] + _lambda_term(mats, n - 1))
         else:
-            mats.append(as_matrix(p.d[n]) + schur_correction(mats, n))
-    return MomentSequence(q=q, alpha=alpha, side=side, moments=tuple(mats))
+            mats.append(d[n] + schur_correction(mats, n))
+    return MomentSequence(q=q, alpha=alpha, side=side, moments=mats)
 
 
 # --- Favard pair --------------------------------------------------------------
@@ -212,16 +225,13 @@ def ds_param(seq: MomentSequence) -> DSParam:
     if classify(seq).stieltjes != PD:
         raise ValueError("sequence is not alpha-Stieltjes positive definite")
     # the class just read holds every Q_j PD: no second check
-    p = stieltjes_param(seq)
-    return _ds_from_q(p, np.array(p.values, dtype=complex))
+    return _ds_from_q(stieltjes_param(seq))
 
 
-def _pd_values(mats, q: int, what: str) -> Array:
-    """The parameter matrices as one complex (K, q, q) stack, checked together to be PD."""
-    out = matrix_stack(mats, q, what)
-    if len(out) and not _all_pd(out):
+def _require_pd(stack: Array, what: str):
+    """The matrices of a (K, q, q) stack, checked together to be PD."""
+    if not _all_pd(stack):
         raise ValueError(f"all {what} must be PD")
-    return out
 
 
 def ds_from_q(p: StieltjesParam) -> DSParam:
@@ -232,11 +242,13 @@ def ds_from_q(p: StieltjesParam) -> DSParam:
     G_n^* and L_n = F_n Q_{2n+1} F_n^*.  The Q_j are inverted together, the
     sandwiches batched, and the L_n and M_n made Hermitian together.
     """
-    return _ds_from_q(p, _pd_values(p.values, p.q, "Q_j"))
+    _require_pd(p.values, "Q_j")
+    return _ds_from_q(p)
 
 
-def _ds_from_q(p: StieltjesParam, qs: Array) -> DSParam:
-    """ds_from_q of the (K, q, q) stack qs of p's values, already known PD."""
+def _ds_from_q(p: StieltjesParam) -> DSParam:
+    """ds_from_q of p, whose values are already known PD."""
+    qs = p.values
     qi = np.linalg.inv(qs)
     eye = np.eye(p.q, dtype=complex)
     g, f = [eye], [eye]
@@ -245,8 +257,8 @@ def _ds_from_q(p: StieltjesParam, qs: Array) -> DSParam:
         f.append(f[-1] @ qs[j - 1] @ qi[j])
     g, f = np.array(g[:half(p.kappa) + 1]), np.array(f[1:]).reshape(-1, p.q, p.q)
     l = f @ qs[1::2] @ f.conj().swapaxes(-1, -2)
-    lm = _hermitize(np.concatenate([l, g @ qi[0::2] @ g.conj().swapaxes(-1, -2)]))
-    return DSParam(q=p.q, alpha=p.alpha, side=p.side, l=tuple(lm[:len(l)]), m=tuple(lm[len(l):]))
+    lm = freeze(_hermitize(np.concatenate([l, g @ qi[0::2] @ g.conj().swapaxes(-1, -2)])))
+    return DSParam(q=p.q, alpha=p.alpha, side=p.side, l=lm[:len(l)], m=lm[len(l):])
 
 
 def q_from_ds(d: DSParam) -> StieltjesParam:
@@ -256,22 +268,16 @@ def q_from_ds(d: DSParam) -> StieltjesParam:
     G_n^{-*} M_n^{-1} G_n^{-1} and Q_{2n+1} = G_{n+1}^{-*} L_n G_{n+1}^{-1}.
     The G_n are one running product and are inverted together, as are the M_n.
     """
-    lms = _pd_values((*d.l, *d.m), d.q, "L_n, M_n")
-    ls, ms = lms[:len(d.l)], lms[len(d.l):]
+    _require_pd(np.concatenate([d.l, d.m]), "L_n, M_n")
     g = [np.eye(d.q, dtype=complex)]
-    for m, l in zip(ms, ls):
+    for m, l in zip(d.m, d.l):
         g.append(g[-1] @ (m @ l))
     gi = np.linalg.inv(np.array(g))
-    mi = np.linalg.inv(np.array(ms))
-
-    values = []
-    for j in range(d.kappa + 1):
-        n = j // 2
-        if j % 2 == 0:
-            values.append(gi[n].conj().T @ mi[n] @ gi[n])
-        else:
-            values.append(gi[n + 1].conj().T @ ls[n] @ gi[n + 1])
-    return StieltjesParam(q=d.q, alpha=d.alpha, side=d.side, values=tuple(values))
+    gs = gi.conj().swapaxes(-1, -2)
+    values = np.empty((d.kappa + 1, d.q, d.q), dtype=complex)
+    values[0::2] = gs[:len(d.m)] @ np.linalg.inv(d.m) @ gi[:len(d.m)]
+    values[1::2] = gs[1:] @ d.l @ gi[1:]
+    return StieltjesParam(q=d.q, alpha=d.alpha, side=d.side, values=freeze(values))
 
 
 @derived
@@ -324,7 +330,8 @@ def favard_from_q(p: StieltjesParam):
     from j = 1 on (+ right, - left); even j give the pair, odd j the
     shifted pair.  The Q_j are inverted together.
     """
-    qs = _pd_values(p.values, p.q, "Q_j")
+    qs = p.values
+    _require_pd(qs, "Q_j")
     qi = np.linalg.inv(qs)
     eye = np.eye(p.q, dtype=complex)
     sgn = side_sign(p.side)
@@ -357,29 +364,24 @@ def random_pd(q: int, rng: np.random.Generator) -> Array:
 
 
 def random_stieltjes_pd_sequence(q: int, kappa: int, alpha: float = 0.0,
-                                 side: str = RIGHT, seed: int = 0,
-                                 max_cond: float | None = 1e7) -> MomentSequence:
+                                 side: str = RIGHT, seed: int = 0) -> MomentSequence:
     """Seeded Stieltjes-PD sequence built through the (L, M) -> seq map.
 
     Deterministic in the seed.  Draws are resampled (from the same stream)
-    until the top Hankel blocks have condition number below max_cond, so
-    the fixtures stay in the regime where the 1e-9/1e-10 identity checks
-    are numerically meaningful; pass max_cond=None to disable.  When no
-    draw meets max_cond, the sizes are out of its reach: ValueError.
+    until the top Hankel blocks have condition number at most 1e7, so the
+    sequences stay in the regime where the 1e-9/1e-10 identity checks of
+    verify are numerically meaningful.  When no draw in 400 meets that
+    bound, the sizes are out of its reach: ValueError.
     """
     rng = np.random.default_rng(seed)
     if kappa < 1:
         return sequence([random_pd(q, rng)], alpha=alpha, side=side)
     for attempt in range(400):
-        m = tuple(random_pd(q, rng) for _ in range(half(kappa) + 1))
-        l = tuple(random_pd(q, rng) for _ in range(half(kappa - 1) + 1))
-        d = DSParam(q=q, alpha=float(alpha), side=side, l=l, m=m)
-        seq = seq_from_ds(d)
-        if max_cond is None:
-            return seq
+        m = [random_pd(q, rng) for _ in range(half(kappa) + 1)]
+        l = [random_pd(q, rng) for _ in range(half(kappa - 1) + 1)]
+        seq = seq_from_ds(DSParam(q=q, alpha=float(alpha), side=side, l=l, m=m))
         worst = max(np.linalg.cond(hankel(seq, half(kappa))),
                     np.linalg.cond(hankel(seq.shifted, half(kappa - 1))))
-        if worst <= max_cond:
+        if worst <= 1e7:
             return seq
-    raise ValueError(f"no fixture with cond <= {max_cond:g} found in 400 draws "
-                     f"(q={q}, kappa={kappa})")
+    raise ValueError(f"no fixture with cond <= 1e+07 found in 400 draws (q={q}, kappa={kappa})")

@@ -121,7 +121,7 @@ def factorize_u(seq: MomentSequence, m: int | None = None) -> FactorChain:
     m = index_m(seq, m)
     ds = ds_param(seq)
     q, alpha = seq.q, seq.alpha
-    ms, ls = np.array(ds.m[:m // 2 + 1]), np.array(ds.l[:(m + 1) // 2]).reshape(-1, q, q)
+    ms, ls = ds.m[:m // 2 + 1], ds.l[:(m + 1) // 2]
     # the coefficients of all m+1 factors as one frozen stack: the odd ones are
     # constant, so each polynomial trims to its own view of it
     w = np.zeros((m + 1, 2, 2 * q, 2 * q), dtype=complex)
@@ -150,12 +150,13 @@ def leading_terms(seq: MomentSequence, m: int | None = None) -> dict:
     sign = side_sign(seq.side)
     n, k = half(m), half(m + 1)
 
-    c_low = -sign * sum(ds.m[j] for j in range(n + 1))
+    # cumsum adds in index order, where a sum over a q = 1 stack may pair terms
+    c_low = -sign * np.cumsum(ds.m[:n + 1], axis=0)[-1]
     if k == 0:
         b_lead = b_low = np.zeros((q, q), dtype=complex)
     else:
         b_lead = sign ** (k - 1) * y[k, k - 1, :q]
-        b_low = sign * sum(ds.l[j] for j in range(k))
+        b_low = sign * np.cumsum(ds.l[:k], axis=0)[-1]
     return {
         "variable": "z-alpha" if sign > 0 else "alpha-z",
         "A": {"degree": n, "leading": sign ** n * x[n, n, :q], "low": eye.copy()},

@@ -190,7 +190,7 @@ class ExtremalSolution:
 @derived
 def _string_factors(ds: DSParam) -> Array:
     """inv(chol) of the stack (M_0.., L_0..), which the rules of both ends read."""
-    return np.linalg.inv(np.linalg.cholesky(np.array((*ds.m, *ds.l), dtype=complex)))
+    return np.linalg.inv(np.linalg.cholesky(np.concatenate([ds.m, ds.l])))
 
 
 @derived
@@ -324,10 +324,10 @@ def difference_inverse(seq: MomentSequence, m: int | None = None,
     return out
 
 
-def _weighted_sum(stack: Array, weights: tuple, n: int, z: complex) -> Array:
+def _weighted_sum(stack: Array, weights: Array, n: int, z: complex) -> Array:
     """sum_{k<=n} F_k(z) W_k F_k(conj z)^* over a coefficient stack, F_k of degree k."""
     fam = stack[:n + 1, :n + 1]
     powers = np.asarray(z, dtype=complex) ** np.arange(n + 1)
     f_z = np.tensordot(powers, fam, axes=(0, 1))
     f_conj_star = np.tensordot(powers, fam.conj().swapaxes(-1, -2), axes=(0, 1))
-    return (f_z @ np.array(weights[:n + 1]) @ f_conj_star).sum(axis=0)
+    return (f_z @ weights[:n + 1] @ f_conj_star).sum(axis=0)

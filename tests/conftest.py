@@ -5,8 +5,8 @@ import pytest
 
 from stieltjesmp import (
     DEFAULT_TOL, PD, DSParam, FavardPair, ResolventU, SingularDenominator, ds_param, extremal,
-    psd_class, q_from_ds, random_pd, random_stieltjes_pd_sequence, real_zeros, reflect,
-    seq_from_ds, sequence, stieltjes_quadruple,
+    psd_class, q_from_ds, random_pd, real_zeros, reflect, seq_from_ds, sequence,
+    stieltjes_quadruple,
 )
 from stieltjesmp.linalg import _hermitize
 from stieltjesmp.measures import MolecularMeasure
@@ -50,14 +50,37 @@ ALPHAS = [-0.5, 0.0, 0.5, 1.0]
 _cache = {}
 
 
+def fixture_draws(q: int, kappa: int, alpha: float, side: str, seed: int):
+    """The sequences random_stieltjes_pd_sequence draws from, in stream
+    order: M_0.. then L_0.. drawn by random_pd from the seed, mapped to
+    moments by seq_from_ds (kappa >= 1)."""
+    rng = np.random.default_rng(seed)
+    while True:
+        m = [random_pd(q, rng) for _ in range(half(kappa) + 1)]
+        l = [random_pd(q, rng) for _ in range(half(kappa - 1) + 1)]
+        yield seq_from_ds(DSParam(q=q, alpha=float(alpha), side=side, l=l, m=m))
+
+
+def random_fixture(q: int, kappa: int, alpha: float = 0.0, side: str = "right",
+                   seed: int = 0, max_cond: float | None = 1e7):
+    """random_stieltjes_pd_sequence with a bound of the fixture's own on the
+    condition of the top Hankel blocks: the first draw within max_cond of 400,
+    or the first draw for max_cond=None."""
+    for _, seq in zip(range(400), fixture_draws(q, kappa, alpha, side, seed)):
+        worst = max(np.linalg.cond(hankel(seq, half(kappa))),
+                    np.linalg.cond(hankel(seq.shifted, half(kappa - 1))))
+        if max_cond is None or worst <= max_cond:
+            return seq
+    raise ValueError(f"no fixture with cond <= {max_cond:g} in 400 draws (q={q}, kappa={kappa})")
+
+
 def ladder_fixture(i: int):
     """Deterministic random Stieltjes-PD sequence number i of the ladder."""
     if i not in _cache:
         q, kappa, max_cond = LADDER[i % len(LADDER)]
         alpha = ALPHAS[i % len(ALPHAS)]
         side = "right" if i % 2 == 0 else "left"
-        _cache[i] = random_stieltjes_pd_sequence(
-            q=q, kappa=kappa, alpha=alpha, side=side, seed=i, max_cond=max_cond)
+        _cache[i] = random_fixture(q, kappa, alpha, side, seed=i, max_cond=max_cond)
     return _cache[i]
 
 

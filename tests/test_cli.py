@@ -12,7 +12,7 @@ from stieltjesmp import (
 )
 from stieltjesmp.linalg import min_eig_hermitian_part
 
-from conftest import LADDER, ladder_fixture, lm_draw
+from conftest import LADDER, ladder_fixture, lm_draw, random_fixture
 
 
 @pytest.fixture
@@ -312,7 +312,7 @@ def test_difference_inverse_keeps_its_digits_past_the_hankel_formula(capsys, tmp
     # here the closed Hankel formula is 4.0e-6 off inv(gap) at x = alpha - 1,
     # past verify's 1e-7, and the sum of the Hankel monic rows 1.1e-8; the sum
     # over the chain of (L, M) is 2.8e-12 off
-    s = random_stieltjes_pd_sequence(q=4, kappa=5, seed=8, max_cond=None)
+    s = random_fixture(q=4, kappa=5, seed=8, max_cond=None)
     _assert_verify_passes_with_an_accurate_difference_inverse(capsys, tmp_path, s)
 
 

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from stieltjesmp import (
-    CONSTANT, MONIC, SCHUR_CONSTANT, DSParam, MolecularMeasure, StieltjesPair,
+    CONSTANT, MONIC, SCHUR_CONSTANT, DSParam, MolecularMeasure, MomentSequence, StieltjesPair,
     StieltjesParam, classify, difference_inverse, ds_param, dyukarev_quadruple, extremal,
     factorize_u, favard_pair, lft_solve, measure_moments, pair_max, pair_min, potapov_defect,
     potapov_defect_psd, random_pd, random_stieltjes_pd_sequence, real_zeros, recover_max,
-    recover_min, reflect, resolvent_u, schur_rotation, seq_from_ds, seq_from_stieltjes_param,
-    sequence, shift_sequence, side_sign, stieltjes_param, stieltjes_quadruple, weyl_interval,
+    recover_min, reflect, resolvent_u, schur_rotation, seq_from_ds, sequence, shift_sequence,
+    side_sign, stieltjes_param, stieltjes_quadruple, weyl_interval,
 )
 from stieltjesmp.moments import (
     _cholesky_hhats, half, hankel, hhats, monic_rows, schur_complement, z_stack,
@@ -70,13 +70,10 @@ def test_a_misspelled_side_raises_everywhere_it_is_read():
         with pytest.raises(ValueError, match="side must be 'right' or 'left'"):
             build()
     one = (np.eye(1),)
-    ds = DSParam(q=1, alpha=0.0, side="Right", l=one, m=one + one)
-    for build in (lambda: chain_stacks(ds), lambda: string_rule(ds, 2, False),
-                  lambda: string_rule(ds, 2, True), lambda: seq_from_ds(ds)):
-        with pytest.raises(ValueError, match="side must be"):
-            build()
     with pytest.raises(ValueError, match="side must be"):
-        seq_from_stieltjes_param(StieltjesParam(q=1, alpha=0.0, side="up", values=one + one))
+        DSParam(q=1, alpha=0.0, side="Right", l=one, m=one + one)
+    with pytest.raises(ValueError, match="side must be"):
+        StieltjesParam(q=1, alpha=0.0, side="up", values=one + one)
     with pytest.raises(ValueError, match="side must be"):
         StieltjesPair(kind=CONSTANT, side="up", phi=np.eye(1), psi=np.eye(1))
     with pytest.raises(ValueError, match="side must be"):
@@ -370,11 +367,12 @@ def test_the_solve_pipeline_never_builds_monic_rows(monkeypatch):
 def test_one_solve_keeps_its_lapack_budget(monkeypatch, i):
     # the call sequence of one benchmark solve op on a fresh sequence.  The
     # budget: a cholesky and an eigvalsh for the Schur complements of the
-    # sequence and of its shift, one inv for Q -> (L, M), two for the
-    # quadruple's leading coefficients, one stacked cholesky and inv of
-    # (L, M) for both string ends, one eigh per end, one eigvalsh for the
-    # Weyl interval and the eigvals of the top polynomial's companion.  A
-    # new factorization on this path has to raise the pin here on purpose.
+    # sequence and of its shift, one inv for Q -> (L, M), one stacked inv of
+    # the leading coefficients of both quadruple families, one stacked
+    # cholesky and inv of (L, M) for both string ends, one eigh per end, one
+    # eigvalsh for the Weyl interval and the eigvals of the top polynomial's
+    # companion.  A new factorization on this path has to raise the pin here
+    # on purpose.
     t = ladder_fixture(i)
     names = ("cholesky", "inv", "eigh", "eigvalsh", "eigvals")
     counts = dict.fromkeys(names, 0)
@@ -396,7 +394,7 @@ def test_one_solve_keeps_its_lapack_budget(monkeypatch, i):
             ext(z)
     weyl_interval(s, s.kappa, s.alpha - sign)
     measure_moments(recover_min(s), s.kappa), measure_moments(recover_max(s), s.kappa)
-    assert counts == {"cholesky": 3, "inv": 4, "eigh": 2, "eigvalsh": 3, "eigvals": 1}
+    assert counts == {"cholesky": 3, "inv": 3, "eigh": 2, "eigvalsh": 3, "eigvals": 1}
 
 
 def test_after_ds_param_the_solve_path_reads_no_moment_class(monkeypatch):
@@ -447,6 +445,104 @@ def test_cached_arrays_are_read_only():
     for a in arrays:
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 0.0
+
+
+# the four forms a matrix sequence may be given in; the frozen one is shared
+def _frozen(mats):
+    a = np.array(mats, dtype=complex)
+    a.setflags(write=False)
+    return a
+
+
+FORMS = {"tuple": tuple, "list": list, "writeable": lambda mats: np.array(mats, dtype=complex),
+         "frozen": _frozen}
+
+
+def _held(form, side):
+    """(field, given input, q) for every sequence field of the four classes,
+    each built from inputs of one form on one half-line."""
+    t = ladder_fixture(3 if side == "right" else 4)   # q = 2, kappa = 4 and 3
+    d = ds_param(t)
+    given = {"moments": form(list(t.moments)), "scalars": form([1.0, 1.0, 2.0]),
+             "values": form(list(stieltjes_param(t).values)), "l": form(list(d.l)),
+             "m": form(list(d.m)), "masses": form([np.eye(2), np.diag([1.0, 0.0])])}
+    atoms = np.array([3.0, 5.0]) * side_sign(side)
+    built = {
+        "moments": sequence(given["moments"], alpha=t.alpha, side=side).moments,
+        "scalars": sequence(given["scalars"], side=side).moments,
+        "values": StieltjesParam(q=2, alpha=t.alpha, side=side, values=given["values"]).values,
+        "l": DSParam(q=2, alpha=t.alpha, side=side, l=given["l"], m=given["m"]).l,
+        "m": DSParam(q=2, alpha=t.alpha, side=side, l=given["l"], m=given["m"]).m,
+        "masses": MolecularMeasure(atoms=atoms, masses=given["masses"], support_side=side,
+                                   alpha=0.0).masses,
+    }
+    for name, field in built.items():
+        yield field, given[name], 1 if name == "scalars" else 2
+    mu = MolecularMeasure(atoms=atoms, masses=given["masses"], support_side=side, alpha=0.0)
+    yield mu.atoms, atoms, None
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("form", FORMS)
+def test_every_held_sequence_is_one_frozen_stack(form, side):
+    # moments, Q, (L, M) and the masses are read-only complex (K, q, q)
+    # stacks, the atoms a read-only float (K,) array, whatever form they were
+    # given in; no field is an alias of an array its caller can still write,
+    # and a frozen stack is taken as it is
+    for field, given, q in _held(FORMS[form], side):
+        assert isinstance(field, np.ndarray) and not field.flags.writeable
+        if q is None:
+            assert field.dtype == float and field.shape == (len(given),)
+        else:
+            assert field.dtype == complex and field.shape == (len(given), q, q)
+        np.testing.assert_array_equal(field, np.reshape(given, field.shape))
+        for arr in [given] + list(given):
+            if isinstance(arr, np.ndarray) and arr.flags.writeable:
+                assert not np.shares_memory(field, arr)
+        if form == "frozen" and np.ndim(given) == 3:
+            assert field is given
+
+
+def test_a_bad_sequence_field_is_rejected_at_construction():
+    # shape, finiteness and side are checked when each of the four classes is
+    # built, not where a field is read
+    eye, bad = np.eye(2), np.eye(2)
+    bad[0, 1] = np.nan
+    builds = {
+        "moment": lambda mats, side: MomentSequence(q=2, alpha=0.0, side=side, moments=mats),
+        "Q_j": lambda mats, side: StieltjesParam(q=2, alpha=0.0, side=side, values=mats),
+        "M_n": lambda mats, side: DSParam(q=2, alpha=0.0, side=side, l=(eye,), m=mats),
+        "mass": lambda mats, side: MolecularMeasure(atoms=(1.0, 2.0), masses=mats,
+                                                    support_side=side, alpha=0.0),
+    }
+    for what, build in builds.items():
+        build((eye, eye), "right")
+        with pytest.raises(ValueError, match=rf"{what} has shape \(2, 3\), expected \(2,2\)"):
+            build((eye, np.ones((2, 3))), "right")
+        with pytest.raises(ValueError, match="matrix has non-finite entries"):
+            build((eye, bad), "right")
+        with pytest.raises(ValueError, match="side must be"):
+            build((eye, eye), "Right")
+    with pytest.raises(ValueError, match="atom nan outside"):
+        MolecularMeasure(atoms=(1.0, np.nan), masses=(eye, eye), support_side="right", alpha=0.0)
+
+
+@pytest.mark.parametrize("n_l, n_m", [(3, 1), (0, 2), (2, 0), (0, 0)])
+def test_ds_param_lengths_that_fit_no_kappa_are_rejected(n_l, n_m):
+    # len(m) - len(l) must be 0 or 1 with len(m) >= 1: the misfits used to
+    # build, and q_from_ds and seq_from_ds then raised a bare IndexError
+    eye = np.eye(2)
+    with pytest.raises(ValueError, match=f"len\\(l\\) = {n_l}, len\\(m\\) = {n_m}"):
+        DSParam(q=2, alpha=0.0, side="right", l=(eye,) * n_l, m=(eye,) * n_m)
+
+
+def test_lengths_that_fit_build_and_no_q_j_is_rejected():
+    eye = np.eye(2)
+    for n_l, n_m, kappa in ((0, 1, 0), (1, 1, 1), (1, 2, 2), (2, 2, 3)):
+        d = DSParam(q=2, alpha=0.0, side="right", l=(eye,) * n_l, m=(eye,) * n_m)
+        assert d.kappa == kappa and seq_from_ds(d).kappa == kappa
+    with pytest.raises(ValueError, match="at least one Q_j required"):
+        StieltjesParam(q=2, alpha=0.0, side="right", values=())
 
 
 def test_sequence_keeps_its_own_copy():

@@ -1,18 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from stieltjesmp import (
-    DSParam, StieltjesParam, canonical_hankel_param, classify, difference_inverse, ds_from_q,
-    ds_param, dyukarev_quadruple, extremal, favard_from_ds, favard_from_q, favard_pair,
-    q_from_ds, recover_max, recover_min, reflect, random_stieltjes_pd_sequence,
-    seq_from_canonical, seq_from_ds, seq_from_stieltjes_param, sequence, stieltjes_param,
-    weyl_interval,
+    CanonicalHankelParam, DSParam, StieltjesParam, canonical_hankel_param, classify,
+    difference_inverse, ds_from_q, ds_param, dyukarev_quadruple, extremal, favard_from_ds,
+    favard_from_q, favard_pair, q_from_ds, recover_max, recover_min, reflect,
+    random_stieltjes_pd_sequence, seq_from_canonical, seq_from_ds, seq_from_stieltjes_param,
+    sequence, stieltjes_param, weyl_interval,
 )
 from stieltjesmp.moments import _cholesky_hhats, hhats, schur_complement
 
 from conftest import (
-    LADDER, ds_increments, favard_pair_row_col, ladder_fixture, ordered_product, rel_err,
-    seq_rel_err,
+    LADDER, ds_increments, favard_pair_row_col, fixture_draws, ladder_fixture, ordered_product,
+    rel_err, seq_rel_err,
 )
 
 
@@ -283,7 +285,16 @@ def test_q_values_are_the_packs_schur_complements():
     assert (classify(s).hankel, classify(s).stieltjes) == ("PD", "NO")
     assert _cholesky_hhats(s) is not None and _cholesky_hhats(s.shifted) is None
     for j, v in enumerate(stieltjes_param(s).values):
-        assert v is hhats(s if j % 2 == 0 else s.shifted)[0][j // 2]
+        assert v.tobytes() == hhats(s if j % 2 == 0 else s.shifted)[0][j // 2].tobytes()
+
+
+def test_canonical_entries_of_the_wrong_shape_are_rejected():
+    # a scalar C_1 at q = 2 was added to the 2 x 2 correction and broadcast
+    # into an all-ones s_1
+    with pytest.raises(ValueError, match=r"C_n has shape \(1, 1\), expected \(2,2\)"):
+        seq_from_canonical(CanonicalHankelParam(c=(1.0,), d=(np.eye(2), np.eye(2))), q=2)
+    with pytest.raises(ValueError, match=r"D_n has shape \(1, 1\), expected \(2,2\)"):
+        seq_from_canonical(CanonicalHankelParam(c=(np.eye(2),), d=(np.eye(2), 3.0)), q=2)
 
 
 def test_favard_pair_needs_the_hankel_pd_prefix():
@@ -293,7 +304,27 @@ def test_favard_pair_needs_the_hankel_pd_prefix():
 
 def test_q_values_of_the_wrong_shape_are_rejected():
     p = stieltjes_param(ladder_fixture(3))   # q = 2
-    flat = StieltjesParam(q=p.q, alpha=p.alpha, side=p.side,
-                          values=tuple(v.reshape(-1) for v in p.values))
     with pytest.raises(ValueError, match="shape"):
-        seq_from_stieltjes_param(flat)
+        StieltjesParam(q=p.q, alpha=p.alpha, side=p.side,
+                       values=tuple(v.reshape(-1) for v in p.values))
+
+
+# the draw, counted from 0 in the seed's stream, that ladder fixture i was
+# when random_stieltjes_pd_sequence still took the rung's max_cond
+LADDER_DRAWS = [4, 2, 56, 0, 3, 159, 0, 0, 0, 2, 2, 7, 12, 0, 4, 4, 0, 1, 0, 1,
+                0, 0, 63, 0, 1, 231, 0, 0, 0, 2, 0, 10, 24, 0, 7, 0, 0, 0, 0, 2,
+                0, 3, 51, 0, 3, 179, 0, 0, 0, 3]
+
+
+def test_ladder_fixtures_keep_their_draws():
+    # the conftest bound per rung picks the same draw of the same stream as
+    # the library's generator did, so every fixture keeps its bits; on the
+    # rungs at the library's bound 1e7 the two are the same call
+    for i, k in enumerate(LADDER_DRAWS):
+        s = ladder_fixture(i)
+        q, kappa, bound = LADDER[i % len(LADDER)]
+        draw = next(itertools.islice(fixture_draws(q, kappa, s.alpha, s.side, seed=i), k, None))
+        assert s.moments.tobytes() == draw.moments.tobytes()
+        if bound == 1e7:
+            t = random_stieltjes_pd_sequence(q, kappa, s.alpha, s.side, seed=i)
+            assert t.moments.tobytes() == s.moments.tobytes()

@@ -73,7 +73,7 @@ def test_one_moment_sequence():
     for side in ("right", "left"):
         s = sequence([np.array([[2.0, 0.5j], [-0.5j, 1.0]])], alpha=0.3, side=side)
         d = ds_param(s)
-        assert d.l == () and len(d.m) == 1
+        assert d.l.shape == (0, 2, 2) and len(d.m) == 1
         np.testing.assert_allclose(d.m[0], np.linalg.inv(s[0]), atol=1e-15)
         z = 0.7 + 0.2j
         want = np.block([[np.eye(2), np.zeros((2, 2))], [(s.alpha - z) * d.m[0], np.eye(2)]])
