@@ -14,14 +14,14 @@ import sys
 
 import numpy as np
 
-from .moments import LEFT, RIGHT, MomentSequence, classify, side_sign
+from .moments import LEFT, RIGHT, MomentSequence, classify
 from .params import (
     canonical_hankel_param, ds_param, favard_pair, random_stieltjes_pd_sequence,
     seq_from_ds, seq_from_stieltjes_param, stieltjes_param,
 )
 from .resolvent import factorize_u, j_inner_check, resolvent_u
 from .solutions import (
-    CONSTANT, SCHUR_CONSTANT, StieltjesPair, difference_inverse, _off_cut, extremal,
+    CONSTANT, SCHUR_CONSTANT, StieltjesPair, difference_inverse, _free_point, _off_cut, extremal,
     lft_solve, pair_max, pair_min, weyl_interval,
 )
 from .measures import hausdorff_solvable, measure_moments, recover_max, recover_min
@@ -70,7 +70,10 @@ def decode_matrix(rows) -> np.ndarray:
 def decode_sequence(doc: dict) -> MomentSequence:
     """The document as a MomentSequence, which checks side and shapes."""
     try:
-        return MomentSequence(q=int(_finite(doc["q"])), alpha=float(_finite(doc["alpha"])),
+        q = _finite(doc["q"])
+        if q != int(q):   # 2.0 is 2, and 1.9 is no q
+            raise ValueError(f"q must be an integer, got {q!r}")
+        return MomentSequence(q=int(q), alpha=float(_finite(doc["alpha"])),
                               side=str(doc["side"]),
                               moments=tuple(decode_matrix(m) for m in doc["moments"]))
     except (KeyError, TypeError, ValueError) as exc:
@@ -189,7 +192,7 @@ def cmd_solve(args) -> int:
 def cmd_extremal(args) -> int:
     seq = decode_sequence(_load_doc(args.file))
     s_min, s_max = extremal(seq)   # the Stieltjes-PD gate first, as in solve
-    x = seq.alpha - side_sign(seq.side) if args.at is None else args.at
+    x = _free_point(seq.side, seq.alpha) if args.at is None else args.at
     if not _off_cut(seq.side, seq.alpha, x):
         raise ValueError(f"point {complex(x)} lies on the cut of this half-line")
     _emit({"x": x, "s_min": encode_matrix(s_min(x)), "s_max": encode_matrix(s_max(x))})

@@ -18,7 +18,7 @@ import numpy as np
 from .linalg import Array, DEFAULT_TOL, PD, PSD, _psd_classes, is_psd
 from .moments import RIGHT, MomentSequence, freeze, hankel, index_m, matrix_stack, side_sign
 from .params import ds_param
-from .solutions import string_rule
+from .solutions import _partial_fractions, string_rule
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,12 +64,10 @@ class MolecularMeasure:
                              else f"atom {x} outside (-inf, {self.alpha}]")
 
 
-def stieltjes_transform(mu: MolecularMeasure, z: complex) -> Array:
-    """sum_k M_k / (x_k - z); poles exactly at the atoms."""
-    dist = mu.atoms - z
-    if np.any(dist == 0):
-        raise ValueError(f"z={z} coincides with an atom")
-    return (mu.masses / dist[:, None, None]).sum(axis=0)
+def stieltjes_transform(mu: MolecularMeasure, z) -> Array:
+    """sum_k M_k / (x_k - z) at a scalar z or a 1-D array, as an extremal is evaluated."""
+    q = mu.masses.shape[-1]
+    return _partial_fractions(mu.atoms, mu.masses.reshape(-1, q * q), z, q)
 
 
 def measure_moments(mu: MolecularMeasure, up_to: int) -> Array:

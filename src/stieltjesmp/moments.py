@@ -2,20 +2,15 @@
 
 A sequence s_0..s_kappa of complex q x q matrices, held as one read-only
 (kappa+1, q, q) stack like every matrix sequence of the package
-(matrix_stack), together with a base point alpha and a half-line tag ("right" for [alpha, inf), "left" for
-(-inf, alpha]) is the basic object everything else consumes; side_sign
-turns the tag into the +-1 that every side formula of the package reads.  The block
-Hankel matrices H_n = (s_{j+k}), their left Schur complements and the
-alpha-shifted sequence -alpha*s_j + s_{j+1} (right) resp.
-alpha*s_j - s_{j+1} (left) drive both the classification and all
-parametrizations downstream.  The Schur complements together with their
-psd classes (hhats) and the monic orthogonal rows (monic_rows), which hold
-the package's one Hankel-block inverse and serve the Hankel-PD-prefix
-routes only, are derived values, cached on the sequence by their builders
-like everything else; the shifted sequence carries its own.  Potapov's
-fundamental matrices, the test of a candidate solution value, border the
-Hankel blocks with one column that a recurrence over the moments builds,
-with no block Toeplitz matrix formed.
+(matrix_stack), with a base point alpha and a half-line tag ("right" for
+[alpha, inf), "left" for (-inf, alpha]; side_sign reads it) is the basic
+object everything else consumes.  The block Hankel matrices H_n =
+(s_{j+k}), their left Schur complements and the alpha-shifted sequence
++-(s_{j+1} - alpha*s_j) drive both the classification and all
+parametrizations downstream.  The Schur complements with their psd classes
+(hhats) and the monic orthogonal rows (monic_rows), which hold the
+package's one Hankel-block inverse, are cached on the sequence by their
+builders (derived) like everything else derived from it.
 """
 
 from dataclasses import dataclass
@@ -44,24 +39,20 @@ def side_sign(side: str) -> float:
 
 
 def freeze(obj):
-    """Make every array reachable from a derived value object read-only."""
-    if isinstance(obj, np.ndarray):
-        obj.setflags(write=False)   # half the cost of assigning obj.flags.writeable
-        return obj
-    for x in obj if isinstance(obj, (tuple, list)) else vars(obj).values():
-        # ints, floats and strings reach no array: no call for them
-        if isinstance(x, (np.ndarray, tuple, list)) or hasattr(x, "__dict__"):
-            freeze(x)
+    """Make one array, or each array of a tuple, read-only; obj comes back."""
+    for a in obj if isinstance(obj, tuple) else (obj,):
+        if isinstance(a, np.ndarray):
+            a.setflags(write=False)   # half the cost of assigning a.flags.writeable
     return obj
 
 
 def derived(build):
-    """Cache build(obj, *args) on obj, frozen, once per args.
-
-    The value is kept in obj.__dict__ under the builder's name and the
-    (hashable) args, the way cached_property keeps its value, so whatever
-    is derived from a sequence, or from an (L, M) pair, is built once per
-    owner and comes back as the same read-only object on every call.
+    """Cache build(obj, *args) on obj once per args: in obj.__dict__ under
+    the builder's name and the (hashable) args, as cached_property keeps its
+    value.  derived only caches: it freezes the arrays a builder returns,
+    alone or in a tuple, and nothing deeper, since every object of the
+    package freezes the arrays it holds when it is built (matrix_stack,
+    MatrixPolynomial, StieltjesPair).
     """
     @wraps(build)
     def cached(obj, *args):

@@ -32,16 +32,16 @@ GENERAL = "GENERAL"
 class MatrixPolynomial:
     """P(z) = sum_j z^j coeffs[j] with q_rows x q_cols matrix coefficients.
 
-    Coefficients are taken as given (not validated) as one (degree+1, q_rows,
-    q_cols) stack, so freezing a polynomial sets one flag: a frozen stack is
-    shared, anything else copied once.  Exactly zero trailing ones are trimmed.
+    Coefficients are taken as given (not validated) as one read-only
+    (degree+1, q_rows, q_cols) stack: a frozen stack is shared, anything else
+    copied once and the copy frozen.  Exactly zero trailing ones are trimmed.
     """
 
     def __init__(self, coeffs):
         stack = coeffs
         if not isinstance(coeffs, np.ndarray) or coeffs.flags.writeable:
             # one copy; a stack is taken whole, and coefficients of unequal shapes raise here
-            stack = np.array(coeffs if isinstance(coeffs, np.ndarray) else list(coeffs))
+            stack = freeze(np.array(coeffs if isinstance(coeffs, np.ndarray) else list(coeffs)))
         n = len(stack)
         if not n:
             raise ValueError("need at least one coefficient")

@@ -12,7 +12,6 @@ sum over the factor chain of (L, M), with no matrix inverted.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -41,9 +40,9 @@ class StieltjesPair:
     (phi, psi) is set once, here, to sqrt(2) E [F; I] with E the
     schur_rotation of its half-line: (i(I - F), I + F) on the right and
     (-i(I + F), F - I) on the left, so lft_solve of the pair is
-    lft_solve_schur(sigma, F).  The side is checked on both kinds.  Equality
-    and hashing are by identity: the fields are arrays, and a pair caches
-    its stacked form.
+    lft_solve_schur(sigma, F).  The side is checked on both kinds.  phi, psi,
+    F and stacked, the block column [phi; psi] that lft_solve reads, are held
+    read-only by matrix_stack's rule before any check.  Equality is identity.
     """
 
     kind: str
@@ -54,39 +53,38 @@ class StieltjesPair:
 
     def __post_init__(self):
         if self.kind == CONSTANT:
-            phi, psi = as_matrix(self.phi), as_matrix(self.psi)
-            q = phi.shape[0]
-            if np.linalg.matrix_rank(np.vstack([phi, psi])) < q:
+            phi, psi = _held(self.phi, "phi"), _held(self.psi, "psi")
+            g, q = freeze(np.vstack([phi, psi])), len(phi)
+            if np.linalg.matrix_rank(g) < q:
                 raise ValueError("pair is rank deficient")
             cls = psd_class(side_sign(self.side) * (psi.conj().T @ phi))
             if cls == NON_HERMITIAN:
                 raise ValueError("psi^* phi must be Hermitian")
             if cls not in (PD, PSD):
                 raise ValueError("psi^* phi has the wrong sign for this half-line")
-            object.__setattr__(self, "phi", phi)
-            object.__setattr__(self, "psi", psi)
         elif self.kind == SCHUR_CONSTANT:
-            f = as_matrix(self.f)
+            f = _held(self.f, "f")
             q = f.shape[0]
             if np.linalg.norm(f.conj().T @ f - np.eye(q)) > DEFAULT_TOL.identity_tol * q:
                 raise ValueError("Schur parameter must be unitary")
             if not is_psd((f - f.conj().T) / 2j):
                 raise ValueError("Schur parameter needs PSD imaginary part")
-            g = np.sqrt(2.0) * schur_rotation(q, self.side) @ np.vstack([f, np.eye(q)])
-            object.__setattr__(self, "f", f)
-            object.__setattr__(self, "phi", g[:q])
-            object.__setattr__(self, "psi", g[q:])
+            g = freeze(np.sqrt(2.0) * schur_rotation(q, self.side) @ np.vstack([f, np.eye(q)]))
+            phi, psi = g[:q], g[q:]
+            self.__dict__["f"] = f
         else:
             raise ValueError(f"unknown pair kind: {self.kind}")
+        self.__dict__.update(phi=phi, psi=psi, stacked=g)
 
     def values(self):
         """(phi, psi) actually fed into the transformation."""
         return self.phi, self.psi
 
-    @cached_property
-    def stacked(self) -> Array:
-        """[phi; psi] as one 2q x q block column, read-only."""
-        return freeze(np.vstack(self.values()).astype(complex))
+
+def _held(a, what: str) -> Array:
+    """One square matrix or a scalar as a read-only complex matrix (matrix_stack)."""
+    a = np.atleast_2d(a)   # no copy of an array
+    return matrix_stack(a[None], len(a), what)[0]
 
 
 def pair_min(q: int, side: str = RIGHT) -> StieltjesPair:
@@ -100,6 +98,11 @@ def pair_max(q: int, side: str = RIGHT) -> StieltjesPair:
     """(I, 0), the pair of the free extremal A C^{-1}: the upper one on the
     right half-line, the lower one on the left.  side only validates."""
     return StieltjesPair(kind=CONSTANT, side=side, phi=np.eye(q), psi=np.zeros((q, q)))
+
+
+def _free_point(side: str, alpha: float) -> float:
+    """The default real point, one unit off the half-line: alpha -+ 1."""
+    return alpha - side_sign(side)
 
 
 def _off_cut(side: str, alpha: float, z: complex) -> bool:
@@ -164,27 +167,30 @@ class ExtremalSolution:
 
     It is the transfer function of the block string of (L, M), which ends
     at a wall for bd=True (the ratio B D^{-1}) and is free, with an atom at
-    alpha, for bd=False (A C^{-1}).  A call is one row of reciprocals
-    1/(x_k - z) times the residue table of string_rule, cached on (L, M);
-    z may be a scalar (a q x q value) or a 1-D array of N points (an
-    (N, q, q) stack), and z at an atom raises SingularDenominator.  z is
-    not checked against the cut: off the atoms the sum is the Stieltjes
-    transform of the extremal's measure, finite on the half-line too, and
-    the callers that need a point off it (weyl_interval, the CLI) check it.
+    alpha, for bd=False (A C^{-1}).  A call sums the partial fractions of
+    the residue table of string_rule, cached on (L, M).  z is not checked
+    against the cut: off the atoms the sum is the Stieltjes transform of
+    the extremal's measure, finite on the half-line too, and the callers
+    that need a point off it (weyl_interval, the CLI) check it.
     """
 
     def __init__(self, seq: MomentSequence, m: int, bd: bool):
         self.seq, self.m, self.bd = seq, m, bd
         self.side, self.alpha = seq.side, seq.alpha
         self.atoms, self.residues = string_rule(ds_param(seq), m, bd)
-        self._value_shape = (seq.q, seq.q)
 
     def __call__(self, z) -> Array:
-        z = np.asarray(z, dtype=complex)
-        gap = self.atoms - z[..., None]
-        if np.count_nonzero(gap) < gap.size:
-            raise SingularDenominator(f"an atom of this extremal lies in z={z}")
-        return np.dot(np.reciprocal(gap), self.residues).reshape(z.shape + self._value_shape)
+        return _partial_fractions(self.atoms, self.residues, z, self.seq.q)
+
+
+def _partial_fractions(atoms: Array, residues: Array, z, q: int) -> Array:
+    """sum_k G_k / (x_k - z) over a (K, q*q) residue table: a q x q value at a
+    scalar z, an (N, q, q) stack at N points; z at an atom: SingularDenominator."""
+    z = np.asarray(z, dtype=complex)
+    gap = atoms - z[..., None]
+    if np.count_nonzero(gap) < gap.size:
+        raise SingularDenominator(f"an atom lies in z={z}")
+    return np.dot(np.reciprocal(gap), residues).reshape(z.shape + (q, q))
 
 
 @derived
@@ -262,7 +268,7 @@ def weyl_interval(seq: MomentSequence, m: int | None = None,
     half-line: alpha - 1 on the right, alpha + 1 on the left.
     """
     sign = side_sign(seq.side)
-    x = seq.alpha - sign if x is None else float(x)
+    x = _free_point(seq.side, seq.alpha) if x is None else float(x)
     if not _off_cut(seq.side, seq.alpha, x):
         raise ValueError(f"x={x} lies on the cut of the {seq.side} half-line")
     s_min, s_max = extremal(seq, m)
@@ -299,12 +305,12 @@ def interval_point(seq: MomentSequence, m: int | None, x: float, k: Array):
 
 
 def difference_inverse(seq: MomentSequence, m: int | None = None,
-                       z: complex = -1.0) -> Array:
+                       z: complex | None = None) -> Array:
     """[S_max(z) - S_min(z)]^{-1} as a sum over the factor chain of (L, M).
 
-    With w = z - alpha (right) resp. alpha - z (left), n = half(m),
-    j = half(m - 1), D_k the lower block of the chain column [B_k; D_k]
-    and E_k = sum_{i<=k} D_i M_i (orthopoly.chain_d_e):
+    z defaults to weyl_interval's free point.  With w = z - alpha (right)
+    resp. alpha - z (left), n = half(m), j = half(m - 1), D_k the lower block
+    of the chain column [B_k; D_k] and E_k = sum_{i<=k} D_i M_i (chain_d_e):
 
         -w sum_{k<=n} D_k(z) M_k D_k(conj z)^* + w^2 sum_{k<=j} E_k(z) L_k E_k(conj z)^*
 
@@ -316,6 +322,7 @@ def difference_inverse(seq: MomentSequence, m: int | None = None,
     """
     m = index_m(seq, m)
     ds = ds_param(seq)
+    z = _free_point(seq.side, seq.alpha) if z is None else z
     w = side_sign(seq.side) * (z - seq.alpha)
     d, e = chain_d_e(ds)
     out = -w * _weighted_sum(d, ds.m, half(m), z)

@@ -95,6 +95,35 @@ def lm_draw(seed: int, q: int, kappa: int, draw: int):
     return sequence(list(seq_from_ds(ds).moments), alpha=0.5, side="right")
 
 
+def writeable_arrays(*objs) -> list:
+    """Paths of the writeable arrays reachable from objs through tuples,
+    lists, dict values and instance attributes (cached values included),
+    each object visited once.  The package freezes what it holds when it is
+    built and walks no object graph; this walk is the check of that rule."""
+    seen, found = set(), []
+
+    def walk(obj, path):
+        if isinstance(obj, (str, bytes, int, float, complex, type)) or id(obj) in seen:
+            return
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            if obj.flags.writeable:
+                found.append(path)
+        elif isinstance(obj, (tuple, list)):
+            for i, x in enumerate(obj):
+                walk(x, f"{path}[{i}]")
+        elif isinstance(obj, dict):
+            for k, x in obj.items():
+                walk(x, f"{path}[{k!r}]")
+        elif hasattr(obj, "__dict__"):
+            for k, x in vars(obj).items():
+                walk(x, f"{path}.{k}")
+
+    for i, obj in enumerate(objs):
+        walk(obj, f"<{i}: {type(obj).__name__}>")
+    return found
+
+
 def rel_err(got, want) -> float:
     got = np.asarray(got, dtype=complex)
     want = np.asarray(want, dtype=complex)

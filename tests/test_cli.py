@@ -334,6 +334,19 @@ def test_verify_draws_its_points_in_re_im_pairs():
     np.testing.assert_array_equal(np.random.default_rng(0).standard_normal(40).view(complex), loop)
 
 
+def test_a_q_that_is_not_an_integer_is_a_usage_error(capsys, tmp_path):
+    # q = 1.9 used to be truncated to 1 and classified; an integral float
+    # such as 2.0 is still the integer it names
+    path = tmp_path / "seq.json"
+    scalar = {"alpha": 0.0, "side": "right", "moments": [[[1.0]], [[1.0]], [[2.0]]]}
+    matrix = encode_sequence(ladder_fixture(3))   # q = 2
+    for doc, q, want in ((scalar, 1.9, EXIT_USAGE), (scalar, 1.0, EXIT_OK),
+                         (matrix, 2.5, EXIT_USAGE), (matrix, 2.0, EXIT_OK), (matrix, 2, EXIT_OK)):
+        path.write_text(json.dumps(dict(doc, q=q)))
+        assert main(["classify", str(path)]) == want
+        assert ("q must be an integer" in capsys.readouterr().err) == (want == EXIT_USAGE)
+
+
 def test_decoders_reject_non_finite_and_booleans(capsys, tmp_path):
     # json.dumps writes NaN / Infinity literals, and json.load accepts them
     nan, inf = float("nan"), float("inf")

@@ -3,8 +3,8 @@ import pytest
 
 from stieltjesmp import (
     PD, PSD, MolecularMeasure, ds_param, extremal, hausdorff_solvable, is_psd, measure_moments,
-    psd_class, random_stieltjes_pd_sequence, recover_max, recover_min, reflect, sequence,
-    stieltjes_transform,
+    SingularDenominator, psd_class, random_stieltjes_pd_sequence, recover_max, recover_min,
+    reflect, sequence, stieltjes_transform,
 )
 from stieltjesmp.linalg import DEFAULT_TOL, min_eig_hermitian_part, hermitize, sqrt_psd
 from stieltjesmp.measures import _merge_atoms
@@ -30,10 +30,26 @@ def test_stieltjes_transform_examples():
 
 
 def test_stieltjes_transform_rejects_atom():
+    # an atom is a singular denominator, as for the extremals: a ValueError
     delta = MolecularMeasure(atoms=(1.0,), masses=(np.eye(1),),
                              support_side="right", alpha=0.0)
-    with pytest.raises(ValueError):
-        stieltjes_transform(delta, 1.0 + 0j)
+    for z in (1.0 + 0j, np.array([2j, 1.0])):
+        with pytest.raises(SingularDenominator):
+            stieltjes_transform(delta, z)
+
+
+def test_stieltjes_transform_takes_an_array_of_points():
+    # the extremals' evaluation rule: N points give an (N, q, q) stack whose
+    # rows are the values at each point
+    rng = np.random.default_rng(5)
+    for i in range(6):
+        s = ladder_fixture(i)
+        z = rng.standard_normal(8) + 1j * (np.abs(rng.standard_normal(8)) + 1e-2)
+        for mu in (recover_min(s), recover_max(s)):
+            values = stieltjes_transform(mu, z)
+            assert values.shape == (len(z), s.q, s.q)
+            for zk, value in zip(z, values):
+                np.testing.assert_allclose(value, stieltjes_transform(mu, zk), rtol=1e-14)
 
 
 def test_stieltjes_transform_empty_measure():

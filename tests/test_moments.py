@@ -13,7 +13,8 @@ from stieltjesmp import (
     side_sign, stieltjes_param, stieltjes_quadruple, weyl_interval,
 )
 from stieltjesmp.moments import (
-    _cholesky_hhats, half, hankel, hhats, monic_rows, schur_complement, z_stack,
+    _cholesky_hhats, freeze, half, hankel, hhats, monic_rows, q_values, schur_complement,
+    z_stack,
 )
 from stieltjesmp import orthopoly, params, solutions
 from stieltjesmp.params import chain_stacks
@@ -21,7 +22,7 @@ from stieltjesmp.solutions import string_rule
 
 from conftest import (
     alternating_signs, block_shift, column_E, first_block_column, ladder_fixture, resolvent_R,
-    shat_matrix, u_shift_vector,
+    shat_matrix, u_shift_vector, writeable_arrays,
 )
 
 
@@ -424,27 +425,43 @@ def test_after_ds_param_the_solve_path_reads_no_moment_class(monkeypatch):
             difference_inverse(s, m, s.alpha - 1.0 + 0.3j)
 
 
-def test_cached_arrays_are_read_only():
-    # a sequence of its own: where a write succeeds it must not reach shared fixtures
-    s = random_stieltjes_pd_sequence(q=2, kappa=4, alpha=0.5, seed=2)
-    arrays = list(s.moments) + list(stieltjes_param(s).values)
-    d = ds_param(s)
-    arrays += list(d.l) + list(d.m)
-    arrays += [monic_rows(s), monic_rows(s.shifted), *chain_stacks(d)]
-    for side in (s, s.shifted):
-        arrays += [*hhats(side)[0], hhats(side)[1]]
-    dq, quad = dyukarev_quadruple(s), stieltjes_quadruple(s)
-    for family in (dq.a, dq.b, dq.c, dq.d, quad.p, quad.second, quad.p_shift, quad.phat):
-        for poly in family:
-            arrays += [poly.coeffs, *poly.coeffs]
-    for ds in (d, lm_fixture(q=2, kappa=4, seed=2)):
-        for m in range(1, s.kappa + 1):
-            for wall in (False, True):
-                arrays += list(string_rule(ds, m, wall))
-    arrays += [pair_min(2).stacked, pair_max(2).stacked]
-    for a in arrays:
-        with pytest.raises(ValueError):
-            a[(0,) * a.ndim] = 0.0
+def test_every_array_the_solve_path_holds_is_read_only():
+    # read-only at birth: every array held by a sequence (its cache and its
+    # shift's included), its (L, M) pair with the cached chain and string
+    # rules, U after inverse_at, the factor chain, both extremals, both
+    # recovered measures and four pairs is read-only, and a pair built from
+    # the caller's writeable arrays holds copies that a later write misses
+    d_direct = lm_fixture(q=2, kappa=4, seed=2)
+    for m in range(1, 5):
+        for wall in (False, True):
+            string_rule(d_direct, m, wall)
+    held = [d_direct]
+    for s in [ladder_fixture(i) for i in range(50)] + [reflect(ladder_fixture(i)) for i in range(50)]:
+        stieltjes_param(s), q_values(s), monic_rows(s), monic_rows(s.shifted)
+        stieltjes_quadruple(s), dyukarev_quadruple(s), chain_stacks(ds_param(s))
+        z = s.alpha + 1j
+        for m in range(s.kappa + 1):
+            u = resolvent_u(s, m)
+            u.inverse_at(z)
+            held += [u, factorize_u(s, m)]
+            if m:
+                held += [*extremal(s, m), recover_min(s, m), recover_max(s, m)]
+        eye = np.eye(s.q, dtype=complex)   # complex: a pair could alias it with no cast
+        given = {"phi": side_sign(s.side) * eye, "psi": eye.copy(), "f": 1j * eye}
+        pairs = [pair_min(s.q, s.side), pair_max(s.q, s.side),
+                 StieltjesPair(kind=CONSTANT, side=s.side, phi=given["phi"], psi=given["psi"]),
+                 StieltjesPair(kind=SCHUR_CONSTANT, side=s.side, f=given["f"])]
+        values = [lft_solve(u, pair, z) for pair in pairs]
+        for a in given.values():
+            a[...] = np.nan
+        for pair in pairs[2:]:
+            assert np.isfinite(pair.stacked).all() and np.isfinite(pair.phi).all()
+        assert all(np.array_equal(lft_solve(u, pair, z), v) for pair, v in zip(pairs, values))
+        held += [s, ds_param(s), *pairs]
+    assert writeable_arrays(*held) == []
+    # matrix_stack's rule: a frozen complex matrix is shared, not copied
+    frozen = freeze(np.eye(2, dtype=complex))
+    assert np.shares_memory(StieltjesPair(kind=CONSTANT, phi=frozen, psi=frozen).phi, frozen)
 
 
 # the four forms a matrix sequence may be given in; the frozen one is shared

@@ -1,0 +1,78 @@
+"""Property tests of the read-only rule over drawn ladder problems.
+
+Each example draws a LADDER rung, an ALPHAS value, a side and a seed, builds
+the problem with random_fixture and runs the solve pipeline.  The example
+count is bounded and derandomized, so every run checks the same 30 problems
+in under a second.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from stieltjesmp import (
+    CONSTANT, DSParam, MatrixPolynomial, MolecularMeasure, ResolventU, StieltjesPair,
+    dyukarev_quadruple, ds_param, extremal, factorize_u, lft_solve, pair_max, pair_min,
+    recover_max, recover_min, resolvent_u, seq_from_ds, sequence, side_sign,
+    stieltjes_param, stieltjes_quadruple, stieltjes_transform,
+)
+
+from conftest import ALPHAS, LADDER, random_fixture, writeable_arrays
+
+
+def _build(given: dict, alpha: float, side: str):
+    """A MomentSequence, a DSParam, a CONSTANT pair, a MatrixPolynomial (as
+    the U of a ResolventU) and a MolecularMeasure, each built from the
+    arrays of given."""
+    seq = sequence(given["moments"], alpha=alpha, side=side)
+    d = DSParam(q=seq.q, alpha=alpha, side=side, l=given["l"], m=given["m"])
+    pair = StieltjesPair(kind=CONSTANT, side=side, phi=given["phi"], psi=given["psi"])
+    u = ResolventU(m=seq.kappa, side=side, alpha=alpha, q=seq.q,
+                   poly=MatrixPolynomial(given["coeffs"]))
+    mu = MolecularMeasure(atoms=given["atoms"], masses=given["masses"], support_side=side,
+                          alpha=alpha)
+    return seq, d, pair, u, mu
+
+
+def _values(seq, d, pair, u, mu, z: complex) -> list:
+    """The arrays the five objects hold and the values lft_solve and the
+    transforms read off them at z."""
+    return [seq.moments, resolvent_u(seq).poly.coeffs, lft_solve(resolvent_u(seq), pair, z),
+            d.l, d.m, seq_from_ds(d).moments, pair.phi, pair.psi, pair.stacked,
+            u.poly.coeffs, lft_solve(u, pair, z), mu.atoms, mu.masses,
+            stieltjes_transform(mu, z)]
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(rung=st.sampled_from(LADDER), alpha=st.sampled_from(ALPHAS),
+       side=st.sampled_from(["right", "left"]), seed=st.integers(0, 999))
+def test_the_solve_pipeline_holds_read_only_arrays_no_caller_can_write(rung, alpha, side, seed):
+    q, kappa, max_cond = rung
+    s = random_fixture(q, kappa, alpha, side, seed=seed, max_cond=max_cond)
+    z = alpha + 1j
+    u = resolvent_u(s)
+    u.inverse_at(z)
+    pairs = [pair_min(q, side), pair_max(q, side)]
+    for pair in pairs:
+        lft_solve(u, pair, z)
+    d, mu = ds_param(s), recover_max(s)
+    out = [s, d, stieltjes_param(s), stieltjes_quadruple(s), dyukarev_quadruple(s), u,
+           factorize_u(s), *extremal(s), recover_min(s), mu, *pairs]
+    assert writeable_arrays(*out) == []
+
+    # the five classes copy a writeable input once, so a write after
+    # construction, before or after first use, changes neither what the
+    # object holds nor what lft_solve and the transforms read off it
+    source = {"moments": s.moments, "l": d.l, "m": d.m, "phi": side_sign(side) * np.eye(q),
+              "psi": np.eye(q), "coeffs": u.poly.coeffs, "atoms": mu.atoms, "masses": mu.masses}
+    want = _values(*_build({k: np.array(v) for k, v in source.items()}, alpha, side), z)
+    for first_use in (False, True):
+        given = {k: np.array(v, dtype=complex if k != "atoms" else float)
+                 for k, v in source.items()}
+        objs = _build(given, alpha, side)
+        if first_use:
+            _values(*objs, z)
+        for a in given.values():
+            a[...] = np.nan
+        got = _values(*objs, z)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert writeable_arrays(*objs) == []

@@ -13,7 +13,7 @@ from stieltjesmp.moments import half, hankel, y_stack
 
 from conftest import (
     block_shift, difference_inverse_closed, first_block_column, ladder_fixture, lft_blocks,
-    lft_solve_det, lm_draw, rel_err,
+    lft_solve_det, lm_draw, random_fixture, rel_err,
 )
 
 
@@ -399,6 +399,20 @@ def test_difference_inverse_fixtures(f1, f2):
     np.testing.assert_allclose(difference_inverse(f1, 1, z), [[-z + z * z]], atol=1e-13)
     np.testing.assert_allclose(difference_inverse(f2, 2, -1.0), [[6.0]], atol=1e-12)
     np.testing.assert_allclose(difference_inverse(f1, 1, 0.0), [[0.0]], atol=1e-13)
+
+
+def test_difference_inverse_defaults_to_the_free_point():
+    # the default point is weyl_interval's, alpha - side_sign(side), on both
+    # half-lines; the old default -1 lay on the support of a left sequence at
+    # alpha = 0 and of a right one at alpha = -3
+    cases = [ladder_fixture(i) for i in range(4)] + [reflect(ladder_fixture(i)) for i in range(4)]
+    cases += [random_fixture(2, 3, 0.0, "left", seed=1), random_fixture(2, 3, -3.0, "right", seed=1)]
+    for s in cases:
+        x = s.alpha - side_sign(s.side)
+        assert x == weyl_interval(s).x
+        assert difference_inverse(s).tobytes() == difference_inverse(s, s.kappa, x).tobytes()
+        for m in range(s.kappa + 1):
+            assert difference_inverse(s, m).tobytes() == difference_inverse(s, m, x).tobytes()
 
 
 def test_difference_inverse_matches_direct():
