@@ -156,11 +156,10 @@ def cmd_generate(args) -> int:
 
 def cmd_resolvent(args) -> int:
     seq = decode_sequence(_load_doc(args.file))
-    m = seq.kappa if args.m is None else args.m
-    u = resolvent_u(seq, m)
-    out = {"m": m, "coefficients": [encode_matrix(c) for c in u.poly.coeffs]}
+    u = resolvent_u(seq, args.m)
+    out = {"m": u.m, "coefficients": [encode_matrix(c) for c in u.poly.coeffs]}
     if args.factor:
-        chain = factorize_u(seq, m)
+        chain = factorize_u(seq, u.m)
         out["factors"] = [[encode_matrix(c) for c in w.coeffs] for w in chain.factors]
     _emit(out)
     return EXIT_OK

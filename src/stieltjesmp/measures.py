@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import Array, DEFAULT_TOL, PD, PSD, _psd_classes, is_psd
-from .moments import RIGHT, MomentSequence, freeze, hankel, index_m, matrix_stack, side_sign
-from .params import ds_param
+from .moments import RIGHT, MomentSequence, freeze, hankel, matrix_stack, side_sign
+from .params import _door
 from .solutions import _partial_fractions, string_rule
 
 
@@ -112,26 +112,25 @@ def _merge_atoms(atoms, masses: Array, alpha: float):
 
 
 def _recover(seq: MomentSequence, m: int | None, lower: bool) -> MolecularMeasure:
-    """Check the index m, then merge the extremal's cached string rule.
+    """The door (the gate, then m in 0..kappa), then the merged string rule.
 
     The wall string gives the B D^{-1} extremal: the lower one on the right
     half-line, the upper one on the left.  At m = 0 the wall extremal is 0
     (B_0 = 0), the transform of no measure of mass s_0, and the free one is
-    s_0 at alpha.  ds_param, the Stieltjes-PD gate, comes first.
+    s_0 at alpha, the one moment the solve path reads past the door.
     """
-    ds = ds_param(seq)
-    m = index_m(seq, m)
-    wall = lower == (seq.side == RIGHT)
+    ds, m = _door(seq, m)
+    wall = lower == (ds.side == RIGHT)
     if m == 0:
         if wall:
             raise ValueError(f"at m=0 the {'lower' if lower else 'upper'} extremal on the "
-                             f"{seq.side} half-line is B_0 D_0^-1 = 0, the transform of no "
+                             f"{ds.side} half-line is B_0 D_0^-1 = 0, the transform of no "
                              "measure of mass s_0")
-        return MolecularMeasure(atoms=(seq.alpha,), masses=seq.moments[:1],
-                                support_side=seq.side, alpha=seq.alpha)
+        return MolecularMeasure(atoms=(ds.alpha,), masses=seq.moments[:1],
+                                support_side=ds.side, alpha=ds.alpha)
     atoms, residues = string_rule(ds, m, wall)
-    atoms, masses = _merge_atoms(atoms, residues.reshape(-1, seq.q, seq.q), seq.alpha)
-    return MolecularMeasure._checked(atoms, masses, seq.side, seq.alpha)
+    atoms, masses = _merge_atoms(atoms, residues.reshape(-1, ds.q, ds.q), ds.alpha)
+    return MolecularMeasure._checked(atoms, masses, ds.side, ds.alpha)
 
 
 def recover_min(seq: MomentSequence, m: int | None = None) -> MolecularMeasure:

@@ -261,14 +261,6 @@ def monic_rows(seq: MomentSequence) -> Array:
     return rows
 
 
-def index_m(seq: MomentSequence, m: int | None) -> int:
-    """The resolvent index m, kappa when None, checked to lie in 0..kappa."""
-    m = seq.kappa if m is None else m
-    if not 0 <= m <= seq.kappa:
-        raise ValueError(f"index m={m} outside 0..kappa={seq.kappa}")
-    return m
-
-
 # --- structural kit ---------------------------------------------------------
 
 def lower_triangular_S(seq: MomentSequence, n: int) -> Array:

@@ -59,8 +59,8 @@ class MatrixPolynomial:
     @cached_property
     def _stacked(self) -> tuple:
         """Exponents 0..degree (complex, so no cast per call) and the
-        coefficients as one (degree+1, rows*cols) complex array."""
-        flat = np.array(self.coeffs, dtype=complex).reshape(len(self.coeffs), -1)
+        coefficients as one (degree+1, rows*cols) complex view of the stack."""
+        flat = np.asarray(self.coeffs, dtype=complex).reshape(len(self.coeffs), -1)
         return freeze((np.arange(len(flat), dtype=complex), flat))
 
     def __call__(self, z) -> Array:
@@ -197,8 +197,9 @@ def stieltjes_quadruple(seq: MomentSequence) -> StieltjesQuadruple:
     block is inverted, and after ds_param no moment is read; the result is
     cached on the sequence.
     """
-    p, second, p_shift, phat = freeze(_chain_families(ds_param(seq)))
-    return StieltjesQuadruple(side=seq.side, alpha=seq.alpha, p=_polynomials(p),
+    ds = ds_param(seq)
+    p, second, p_shift, phat = freeze(_chain_families(ds))
+    return StieltjesQuadruple(side=ds.side, alpha=ds.alpha, p=_polynomials(p),
                               second=_polynomials(second, lag=1),
                               p_shift=_polynomials(p_shift), phat=_polynomials(phat))
 

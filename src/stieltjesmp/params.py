@@ -11,7 +11,8 @@ cross-maps are alternating-product formulas in the Q_j; every map comes
 with its inverse, and the (L, M) -> sequence map doubles as the random
 generator of Stieltjes-PD fixtures.  The prefix products of the factor
 chain of (L, M), which U and both polynomial quadruples read, are built
-here (chain_stacks), next to the pair they are cached on.
+here (chain_stacks), next to the pair they are cached on.  Each solve-path
+entry opens with the gate ds_param (_door) and then reads the DSParam alone.
 """
 
 from dataclasses import dataclass
@@ -226,6 +227,16 @@ def ds_param(seq: MomentSequence) -> DSParam:
         raise ValueError("sequence is not alpha-Stieltjes positive definite")
     # the class just read holds every Q_j PD: no second check
     return _ds_from_q(stieltjes_param(seq))
+
+
+def _door(seq: MomentSequence, m: int | None, low: int = 0) -> tuple:
+    """(ds_param(seq), m): the gate, then m (kappa when None) checked in low..kappa.
+    Solve-path entries open here: the class comes before m, m before x, x before K."""
+    ds = ds_param(seq)
+    m = ds.kappa if m is None else m
+    if not low <= m <= ds.kappa:
+        raise ValueError(f"index m={m} outside {low}..kappa={ds.kappa}")
+    return ds, m
 
 
 def _require_pd(stack: Array, what: str):

@@ -17,9 +17,9 @@ import numpy as np
 from .linalg import (
     Array, DEFAULT_TOL, JTILDE, j_defect, min_eig_hermitian_part, signature_matrix,
 )
-from .moments import RIGHT, MomentSequence, derived, freeze, half, index_m, side_sign
+from .moments import RIGHT, MomentSequence, derived, freeze, half, side_sign
 from .orthopoly import MatrixPolynomial
-from .params import DSParam, chain_stacks, ds_param
+from .params import DSParam, _door, chain_stacks, ds_param
 
 
 @dataclass(frozen=True)
@@ -44,9 +44,9 @@ def dyukarev_quadruple(seq: MomentSequence) -> DyukarevQuadruple:
     """The four resolvent block families of a Stieltjes-PD sequence: the
     block columns of the prefix products of the factor chain of (L, M),
     wrapped from the cached chain_stacks."""
-    q = seq.q
-    x, y = chain_stacks(ds_param(seq))
-    return DyukarevQuadruple(side=seq.side, alpha=seq.alpha,
+    ds = ds_param(seq)
+    q, (x, y) = ds.q, chain_stacks(ds)
+    return DyukarevQuadruple(side=ds.side, alpha=ds.alpha,
                              a=tuple(MatrixPolynomial(c[:n + 1, :q]) for n, c in enumerate(x)),
                              b=tuple(MatrixPolynomial(c[:max(n, 1), :q]) for n, c in enumerate(y)),
                              c=tuple(MatrixPolynomial(c[:n + 2, q:]) for n, c in enumerate(x)),
@@ -89,9 +89,8 @@ class ResolventU:
 def resolvent_u(seq: MomentSequence, m: int | None = None) -> ResolventU:
     """The resolvent member for index m: the product W_0 ... W_m of the
     factors of factorize_u, sliced out of the cached chain_stacks."""
-    m = index_m(seq, m)
-    return ResolventU(m=m, side=seq.side, alpha=seq.alpha, q=seq.q,
-                      poly=_chain_product(ds_param(seq), m))
+    ds, m = _door(seq, m)
+    return ResolventU(m=m, side=ds.side, alpha=ds.alpha, q=ds.q, poly=_chain_product(ds, m))
 
 
 @dataclass(frozen=True)
@@ -118,9 +117,8 @@ def factorize_u(seq: MomentSequence, m: int | None = None) -> FactorChain:
     W_{2n+1} = [[I, L_n], [0, I]] on the right, with -L_n on the left.
     U_m = W_0 W_1 ... W_m is this product, as resolvent_u builds it.
     """
-    m = index_m(seq, m)
-    ds = ds_param(seq)
-    q, alpha = seq.q, seq.alpha
+    ds, m = _door(seq, m)
+    q, alpha = ds.q, ds.alpha
     ms, ls = ds.m[:m // 2 + 1], ds.l[:(m + 1) // 2]
     # the coefficients of all m+1 factors as one frozen stack: the odd ones are
     # constant, so each polynomial trims to its own view of it
@@ -128,8 +126,8 @@ def factorize_u(seq: MomentSequence, m: int | None = None) -> FactorChain:
     w[:, 0] = np.eye(2 * q)
     w[0::2, 0, q:, :q] = alpha * ms
     w[0::2, 1, q:, :q] = -ms
-    w[1::2, 0, :q, q:] = side_sign(seq.side) * ls
-    return FactorChain(side=seq.side, alpha=alpha, q=q,
+    w[1::2, 0, :q, q:] = side_sign(ds.side) * ls
+    return FactorChain(side=ds.side, alpha=alpha, q=q,
                        factors=tuple(map(MatrixPolynomial, freeze(w))))
 
 
@@ -142,12 +140,10 @@ def leading_terms(seq: MomentSequence, m: int | None = None) -> dict:
     sign^d times the top z^d coefficient of the cached chain stacks, sign
     the sign of w in z; the low terms are closed sums in (L, M).
     """
-    m = index_m(seq, m)
-    ds = ds_param(seq)
-    q = seq.q
-    x, y = chain_stacks(ds)
+    ds, m = _door(seq, m)
+    q, (x, y) = ds.q, chain_stacks(ds)
     eye = np.eye(q, dtype=complex)
-    sign = side_sign(seq.side)
+    sign = side_sign(ds.side)
     n, k = half(m), half(m + 1)
 
     # cumsum adds in index order, where a sum over a q = 1 stack may pair terms
@@ -180,7 +176,8 @@ def schur_rotation(q: int, side: str = RIGHT) -> Array:
 
 def sigma(seq: MomentSequence, m: int | None = None) -> MatrixPolynomial:
     """Sigma = U * E: the generator of the Schur-class parametrization."""
-    return resolvent_u(seq, m).poly.rmul(schur_rotation(seq.q, seq.side))
+    ds, m = _door(seq, m)
+    return _chain_product(ds, m).rmul(schur_rotation(ds.q, ds.side))
 
 
 @dataclass(frozen=True)

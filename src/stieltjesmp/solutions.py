@@ -8,7 +8,8 @@ the solution values fill the matrix interval between them exactly, and
 each point T of it is reached by the pair U(x)^{-1} [T; I], read off U by
 its J-symmetry.  The extremals are the partial fractions of the two block
 strings of (L, M), and the inverse of the interval's width is a polynomial
-sum over the factor chain of (L, M), with no matrix inverted.
+sum over the factor chain of (L, M), with no matrix inverted.  Each entry
+opens with params._door (the gate, then m) and reads (L, M) alone after it.
 """
 
 from dataclasses import dataclass
@@ -19,11 +20,9 @@ from .linalg import (
     Array, DEFAULT_TOL, NON_HERMITIAN, PD, PSD, _hermitize, _psd_classes, as_matrix, is_psd,
     psd_class, sqrt_psd,
 )
-from .moments import (
-    RIGHT, MomentSequence, derived, freeze, half, index_m, matrix_stack, side_sign,
-)
+from .moments import RIGHT, MomentSequence, derived, freeze, half, matrix_stack, side_sign
 from .orthopoly import chain_d_e
-from .params import DSParam, ds_param
+from .params import DSParam, _door
 from .resolvent import ResolventU, resolvent_u, schur_rotation
 
 CONSTANT = "CONSTANT"
@@ -129,15 +128,19 @@ def lft_solve(u: ResolventU, pair: StieltjesPair, z: complex) -> Array:
     """
     if not _off_cut(u.side, u.alpha, z):
         raise ValueError(f"point {z} lies on the cut of this half-line")
+    if len(pair.stacked) != 2 * u.q:
+        raise ValueError(f"pair is {len(pair.phi)} x {len(pair.phi)}, U has {u.q} x {u.q} blocks")
     g = u.poly(z) @ pair.stacked
     return _divide(g[:u.q], g[u.q:], "denominator", z)
 
 
 def lft_solve_schur(sig_poly, f: Array, z: complex, q: int) -> Array:
     """Schur-route transformation S = (S11 F + S12)(S21 F + S22)^{-1},
-    with lft_solve's rule for a singular denominator."""
-    s = sig_poly(z)
-    f = as_matrix(f)
+    with lft_solve's rule for a singular denominator; F must be q x q and
+    sigma 2q x 2q."""
+    s, f = sig_poly(z), as_matrix(f)
+    if f.shape != (q, q) or s.shape != (2 * q, 2 * q):
+        raise ValueError(f"Schur parameter {f.shape} and sigma {s.shape} do not fit q={q}")
     num = s[:q, :q] @ f + s[:q, q:]
     den = s[q:, :q] @ f + s[q:, q:]
     return _divide(num, den, "Schur denominator", z)
@@ -165,7 +168,8 @@ def _frobenius(a: Array) -> float:
 class ExtremalSolution:
     """One extremal solution of the truncated problem up to index m.
 
-    It is the transfer function of the block string of (L, M), which ends
+    Built from (L, M), it holds the rule, m, bd and q and no sequence.  It
+    is the transfer function of the block string of (L, M), which ends
     at a wall for bd=True (the ratio B D^{-1}) and is free, with an atom at
     alpha, for bd=False (A C^{-1}).  A call sums the partial fractions of
     the residue table of string_rule, cached on (L, M).  z is not checked
@@ -174,13 +178,12 @@ class ExtremalSolution:
     that need a point off it (weyl_interval, the CLI) check it.
     """
 
-    def __init__(self, seq: MomentSequence, m: int, bd: bool):
-        self.seq, self.m, self.bd = seq, m, bd
-        self.side, self.alpha = seq.side, seq.alpha
-        self.atoms, self.residues = string_rule(ds_param(seq), m, bd)
+    def __init__(self, ds: DSParam, m: int, bd: bool):
+        self.m, self.bd, self.q = m, bd, ds.q
+        self.atoms, self.residues = string_rule(ds, m, bd)
 
     def __call__(self, z) -> Array:
-        return _partial_fractions(self.atoms, self.residues, z, self.seq.q)
+        return _partial_fractions(self.atoms, self.residues, z, self.q)
 
 
 def _partial_fractions(atoms: Array, residues: Array, z, q: int) -> Array:
@@ -240,13 +243,9 @@ def extremal(seq: MomentSequence, m: int | None = None):
     right half-line S_min = B D^{-1} (the wall) and S_max = A C^{-1} (the
     free end, with an atom at alpha); the left half-line swaps the two.
     """
-    ds_param(seq)   # the Stieltjes-PD gate comes before the index check
-    if m is None:
-        m = seq.kappa
-    if not 1 <= m <= seq.kappa:
-        raise ValueError(f"index m={m} outside 1..kappa={seq.kappa}")
-    bd, ac = ExtremalSolution(seq, m, True), ExtremalSolution(seq, m, False)
-    return (bd, ac) if seq.side == RIGHT else (ac, bd)
+    ds, m = _door(seq, m, 1)
+    bd, ac = ExtremalSolution(ds, m, True), ExtremalSolution(ds, m, False)
+    return (bd, ac) if ds.side == RIGHT else (ac, bd)
 
 
 @dataclass(frozen=True)
@@ -267,13 +266,14 @@ def weyl_interval(seq: MomentSequence, m: int | None = None,
     x defaults to the free point alpha - side_sign(side), one unit off the
     half-line: alpha - 1 on the right, alpha + 1 on the left.
     """
-    sign = side_sign(seq.side)
-    x = _free_point(seq.side, seq.alpha) if x is None else float(x)
-    if not _off_cut(seq.side, seq.alpha, x):
-        raise ValueError(f"x={x} lies on the cut of the {seq.side} half-line")
+    ds, m = _door(seq, m, 1)
+    sign = side_sign(ds.side)
+    x = _free_point(ds.side, ds.alpha) if x is None else float(x)
+    if not _off_cut(ds.side, ds.alpha, x):
+        raise ValueError(f"x={x} lies on the cut of the {ds.side} half-line")
     s_min, s_max = extremal(seq, m)
     # checked finite and square once, then made Hermitian together
-    lo, hi = _hermitize(matrix_stack([s_min(x), s_max(x)], seq.q, "extremal value"))
+    lo, hi = _hermitize(matrix_stack([s_min(x), s_max(x)], ds.q, "extremal value"))
     # values are PD left of alpha on the right half-line, negative definite
     # right of alpha on the left one
     classes = _psd_classes(np.array([sign * lo, sign * hi, hi - lo]))
@@ -284,24 +284,25 @@ def weyl_interval(seq: MomentSequence, m: int | None = None,
     return WeylInterval(x=x, lower=lo, upper=hi)
 
 
-def interval_point(seq: MomentSequence, m: int | None, x: float, k: Array):
+def interval_point(seq: MomentSequence, m: int | None, x: float | None, k: Array):
     """Value T = S_max(x) - sqrt(gap) K sqrt(gap) plus a pair realizing it.
 
     For every K in [0, I] the pair is [phi; psi] = U(x)^{-1} [T; I], so that
     U(x) [phi; psi] = [T; I] and lft_solve gives T back at x.  On the real
     line the J-symmetry of U gives U(x)^{-1} = Jtilde U(x)^* Jtilde, so no
     matrix is inverted and no K is a special case: K = 0 and K = I give
-    pairs equivalent to the extremal ones.
+    pairs equivalent to the extremal ones.  x defaults to weyl_interval's
+    free point, where the pair is then built; weyl_interval checks x before K.
     """
-    q = seq.q
+    ds, m = _door(seq, m, 1)
+    q, iv = ds.q, weyl_interval(seq, m, x)
     k = matrix_stack([k], q, "K")[0]
     if not set(_psd_classes(np.array([k, np.eye(q) - k]))) <= {PD, PSD}:
         raise ValueError("K must satisfy 0 <= K <= I")
-    iv = weyl_interval(seq, m, x)
     root = sqrt_psd(iv.gap)
     t = _hermitize(iv.upper - root @ k @ root)
-    g = resolvent_u(seq, m).inverse_at(x) @ np.vstack([t, np.eye(q)])
-    return t, StieltjesPair(kind=CONSTANT, side=seq.side, phi=g[:q], psi=g[q:])
+    g = resolvent_u(seq, m).inverse_at(iv.x) @ np.vstack([t, np.eye(q)])
+    return t, StieltjesPair(kind=CONSTANT, side=ds.side, phi=g[:q], psi=g[q:])
 
 
 def difference_inverse(seq: MomentSequence, m: int | None = None,
@@ -320,10 +321,9 @@ def difference_inverse(seq: MomentSequence, m: int | None = None,
     P_k = lead(cs D_k)^{-1} cs(D_k): the weight lead^{-*} Hhat_k^{-1} lead^{-1}
     is M_k, and on the shifted side L_k.  Nothing is inverted.
     """
-    m = index_m(seq, m)
-    ds = ds_param(seq)
-    z = _free_point(seq.side, seq.alpha) if z is None else z
-    w = side_sign(seq.side) * (z - seq.alpha)
+    ds, m = _door(seq, m)
+    z = _free_point(ds.side, ds.alpha) if z is None else z
+    w = side_sign(ds.side) * (z - ds.alpha)
     d, e = chain_d_e(ds)
     out = -w * _weighted_sum(d, ds.m, half(m), z)
     if m >= 1:

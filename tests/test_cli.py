@@ -334,6 +334,23 @@ def test_verify_draws_its_points_in_re_im_pairs():
     np.testing.assert_array_equal(np.random.default_rng(0).standard_normal(40).view(complex), loop)
 
 
+def test_the_class_is_named_before_the_index(capsys, tmp_path):
+    path = tmp_path / "nnd.json"
+    path.write_text(json.dumps({"q": 1, "alpha": 0, "side": "right",
+                                "moments": [[[1]], [[0]], [[1]]]}))
+    assert main(["resolvent", "--m", "9", str(path)]) == EXIT_PRECONDITION
+    assert "not alpha-Stieltjes positive definite" in capsys.readouterr().err
+
+
+def test_solve_names_both_sizes_of_a_pair_that_does_not_fit(capsys, tmp_path):
+    seq, pair = tmp_path / "seq.json", tmp_path / "pair.json"
+    seq.write_text(json.dumps(encode_sequence(random_stieltjes_pd_sequence(q=2, kappa=4,
+                                                                           seed=7))))
+    pair.write_text(json.dumps({"kind": "CONSTANT", "phi": [[1]], "psi": [[1]]}))
+    assert main(["solve", str(seq), "--pair", str(pair), "--at=-1"]) == EXIT_PRECONDITION
+    assert "pair is 1 x 1, U has 2 x 2 blocks" in capsys.readouterr().err
+
+
 def test_a_q_that_is_not_an_integer_is_a_usage_error(capsys, tmp_path):
     # q = 1.9 used to be truncated to 1 and classified; an integral float
     # such as 2.0 is still the integer it names

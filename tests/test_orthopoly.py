@@ -5,7 +5,7 @@ from stieltjesmp import (
     DEFAULT_TOL, GENERAL, MONIC, MatrixPolynomial, det_zeros, ds_param,
     dyukarev_quadruple, factorize_u, favard_pair, monic_orthogonal_system, real_zeros,
     second_kind_system, sequence, shift_sequence, stieltjes_param,
-    random_stieltjes_pd_sequence, reflect, stieltjes_quadruple,
+    random_stieltjes_pd_sequence, reflect, resolvent_u, stieltjes_quadruple,
 )
 from stieltjesmp import orthopoly
 from conftest import (
@@ -81,6 +81,9 @@ def test_polynomials_cut_from_a_frozen_stack_share_it():
     factors = factorize_u(s).factors
     assert len({id(w.coeffs.base) for w in factors}) == 1 and factors[0].coeffs.base is not None
     assert [w.degree for w in factors] == [1 - j % 2 for j in range(s.kappa + 1)]
+    # evaluation reads a view of a contiguous complex stack, not a second copy
+    for poly in (*quad.p, *factors, resolvent_u(s).poly):
+        assert np.shares_memory(poly._stacked[1], poly.coeffs)
 
 
 def test_monic_system_fixture(f1, f2):

@@ -5,10 +5,11 @@ import pytest
 
 from stieltjesmp import (
     CanonicalHankelParam, DSParam, StieltjesParam, canonical_hankel_param, classify,
-    difference_inverse, ds_from_q, ds_param, dyukarev_quadruple, extremal, favard_from_ds,
-    favard_from_q, favard_pair, q_from_ds, recover_max, recover_min, reflect,
-    random_stieltjes_pd_sequence, seq_from_canonical, seq_from_ds, seq_from_stieltjes_param,
-    sequence, stieltjes_param, weyl_interval,
+    difference_inverse, ds_from_q, ds_param, dyukarev_quadruple, extremal, factorize_u,
+    favard_from_ds, favard_from_q, favard_pair, interval_point, leading_terms, q_from_ds,
+    recover_max, recover_min, reflect, random_stieltjes_pd_sequence, resolvent_u,
+    seq_from_canonical, seq_from_ds, seq_from_stieltjes_param, sequence, sigma,
+    stieltjes_param, stieltjes_quadruple, weyl_interval,
 )
 from stieltjesmp.moments import _cholesky_hhats, hhats, schur_complement
 
@@ -116,10 +117,88 @@ def test_ds_param_requires_pd():
                       weyl_interval, recover_min, recover_max):
             with pytest.raises(ValueError, match="not alpha-Stieltjes positive definite"):
                 build(sequence(moments))
-    # the class is named before the index is checked
-    for build in (extremal, recover_min, recover_max):
+    # the class is named before the index is checked, and before a point or K
+    bad = sequence([1.0, -1.0])
+    for build in (extremal, recover_min, recover_max, resolvent_u, factorize_u, leading_terms,
+                  sigma, difference_inverse, lambda s, m: weyl_interval(s, m, 1.0),
+                  lambda s, m: interval_point(s, m, None, 2.0)):
         with pytest.raises(ValueError, match="not alpha-Stieltjes positive definite"):
-            build(sequence([1.0, -1.0]), 5)
+            build(bad, 5)
+
+
+def test_one_precedence_gate_index_point_k(f1):
+    # behind the gate: the index before the point, the point before K
+    for m, x, message in ((5, 1.0, "index m=5 outside 1..kappa=1"),
+                          (0, 1.0, "index m=0 outside 1..kappa=1"),
+                          (1, 1.0, "x=1.0 lies on the cut of the right half-line"),
+                          (1, -1.0, "K must satisfy 0 <= K <= I")):
+        with pytest.raises(ValueError, match=message):
+            interval_point(f1, m, x, 2.0)
+        if "K" not in message:
+            with pytest.raises(ValueError, match=message):
+                weyl_interval(f1, m, x)
+    for build in (resolvent_u, factorize_u, leading_terms, sigma, difference_inverse,
+                  recover_min, recover_max):
+        with pytest.raises(ValueError, match="index m=2 outside 0..kappa=1"):
+            build(f1, 2)
+
+
+class _LMOnly:
+    """A stand-in for a sequence that holds only the DSParam cached for it:
+    ds_param finds the pair in the cache that derived keeps in __dict__, and
+    any other read of the stand-in raises."""
+
+    def __init__(self, seq):
+        vars(self)[("ds_param",)] = ds_param(seq)
+
+    def __getattr__(self, name):
+        raise LookupError(f"the solve path read {name} off the sequence")
+
+
+def _dump(obj) -> list:
+    """The bytes of every array and the repr of every other leaf of a result,
+    through tuples, lists, dicts and public instance attributes (no caches),
+    in order."""
+    if isinstance(obj, np.ndarray):
+        return [repr((obj.dtype, obj.shape)).encode(), obj.tobytes()]
+    if isinstance(obj, (tuple, list)):
+        return [b for x in obj for b in _dump(x)]
+    if isinstance(obj, dict):
+        return [b for k, x in obj.items() for b in [repr(k).encode(), *_dump(x)]]
+    if hasattr(obj, "__dict__"):
+        return [b for k, x in vars(obj).items() if isinstance(k, str) and k[0] != "_"
+                for b in [k.encode(), *_dump(x)]]
+    return [repr(obj).encode()]
+
+
+def _solve_path(s, k: int, q: int) -> dict:
+    """The twelve entries of the solve path at m = k, and interval_point at
+    its default point."""
+    return {"resolvent_u": lambda: resolvent_u(s, k), "factorize_u": lambda: factorize_u(s, k),
+            "leading_terms": lambda: leading_terms(s, k), "sigma": lambda: sigma(s, k),
+            "difference_inverse": lambda: difference_inverse(s, k),
+            "extremal": lambda: extremal(s, k), "weyl_interval": lambda: weyl_interval(s, k),
+            "interval_point": lambda: interval_point(s, k, None, 0.5 * np.eye(q)),
+            "recover_min": lambda: recover_min(s, k), "recover_max": lambda: recover_max(s, k),
+            "dyukarev_quadruple": lambda: dyukarev_quadruple(s),
+            "stieltjes_quadruple": lambda: stieltjes_quadruple(s)}
+
+
+def test_the_solve_path_reads_lm_alone():
+    # every entry gives the same bytes on a stand-in that holds (L, M) alone;
+    # the one read past the door is the free mass s_0 at m = 0
+    for i in range(50):
+        for s in (ladder_fixture(i), reflect(ladder_fixture(i))):
+            k, lm_only = s.kappa, _LMOnly(s)
+            want, got = _solve_path(s, k, s.q), _solve_path(lm_only, k, s.q)
+            for name in want:
+                assert _dump(got[name]()) == _dump(want[name]()), name
+            wall, free = (recover_min, recover_max) if s.side == "right" else \
+                (recover_max, recover_min)
+            with pytest.raises(ValueError, match="at m=0"):
+                wall(lm_only, 0)
+            with pytest.raises(LookupError, match="read moments"):
+                free(lm_only, 0)
 
 
 def test_ds_reflect_duality():

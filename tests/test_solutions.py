@@ -226,9 +226,9 @@ def _quotient(seq, m: int, bd: bool):
     return lambda z: (sign / (z - a)) * phat_cs(z) @ np.linalg.inv(psh_cs(z))
 
 
-def oracle_routes(ext) -> list:
-    """The three oracle routes of one ExtremalSolution."""
-    seq, m, bd = ext.seq, ext.m, ext.bd
+def oracle_routes(seq, ext) -> list:
+    """The three oracle routes of one ExtremalSolution of seq."""
+    m, bd = ext.m, ext.bd
     dq, n = dyukarev_quadruple(seq), half(m + 1) if bd else half(m)
     num, den = (dq.b[n], dq.d[n]) if bd else (dq.a[n], dq.c[n])
     return [lambda z: num(z) @ np.linalg.inv(den(z)),
@@ -241,7 +241,7 @@ def test_extremal_routes_agree():
     for i in range(10):
         s = ladder_fixture(i)
         exts = extremal(s)
-        routes = [oracle_routes(ext) for ext in exts]
+        routes = [oracle_routes(s, ext) for ext in exts]
         for _ in range(5):
             z = complex(rng.standard_normal(), rng.standard_normal() + 1e-3)
             for ext, oracles in zip(exts, routes):
@@ -375,6 +375,28 @@ def test_interval_point_pair_reproduces_value():
                        w @ np.diag(np.r_[rng.uniform(0.1, 0.9, q - 1), 1.0]) @ w.conj().T]
             for m in range(1, s.kappa + 1):
                 _assert_interval_pairs_reproduce(s, m, x, ks)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_interval_point_defaults_to_the_free_point(side):
+    # x = None is weyl_interval's free point, and the pair is built there too
+    s = random_stieltjes_pd_sequence(q=2, kappa=4, alpha=0.5, side=side, seed=7)
+    k = np.diag([0.25, 0.75])
+    got, want = interval_point(s, 4, None, k), interval_point(s, 4, 0.5 - side_sign(side), k)
+    for a, b in zip((got[0], got[1].phi, got[1].psi), (want[0], want[1].phi, want[1].psi)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_a_parameter_of_another_size_is_a_value_error():
+    # a parameter of another size is a ValueError that names both sizes
+    s = random_stieltjes_pd_sequence(q=2, kappa=4, seed=7)
+    pair = StieltjesPair(kind=CONSTANT, phi=np.eye(1), psi=np.eye(1))
+    with pytest.raises(ValueError, match="pair is 1 x 1, U has 2 x 2 blocks"):
+        lft_solve(resolvent_u(s), pair, -1.0)
+    for q in (2, 1):   # q must fit both F and sigma
+        with pytest.raises(ValueError, match=rf"Schur parameter \(1, 1\) and sigma \(4, 4\) "
+                                             rf"do not fit q={q}"):
+            lft_solve_schur(sigma(s), np.eye(1), -1.0, q)
 
 
 @pytest.mark.parametrize("kappa", [9, 10])
