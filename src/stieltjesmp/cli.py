@@ -21,7 +21,7 @@ from .params import (
 )
 from .resolvent import factorize_u, j_inner_check, resolvent_u
 from .solutions import (
-    CONSTANT, SCHUR_CONSTANT, StieltjesPair, difference_inverse, _free_point, _off_cut, extremal,
+    CONSTANT, SCHUR_CONSTANT, StieltjesPair, difference_inverse, _free_point, _point, extremal,
     lft_solve, pair_max, pair_min, weyl_interval,
 )
 from .measures import hausdorff_solvable, measure_moments, recover_max, recover_min
@@ -191,9 +191,7 @@ def cmd_solve(args) -> int:
 def cmd_extremal(args) -> int:
     seq = decode_sequence(_load_doc(args.file))
     s_min, s_max = extremal(seq)   # the Stieltjes-PD gate first, as in solve
-    x = _free_point(seq.side, seq.alpha) if args.at is None else args.at
-    if not _off_cut(seq.side, seq.alpha, x):
-        raise ValueError(f"point {complex(x)} lies on the cut of this half-line")
+    x = _free_point(seq.side, seq.alpha) if args.at is None else _point(args.at, seq)
     _emit({"x": x, "s_min": encode_matrix(s_min(x)), "s_max": encode_matrix(s_max(x))})
     return EXIT_OK
 

@@ -1,7 +1,9 @@
 """Complex-matrix primitives shared by the whole package.
 
 Everything operates on plain numpy arrays with complex128 entries; all
-functions are pure.  Positivity is decided by Hermitian eigenvalues, not
+functions are pure.  One rule holds every matrix from outside, of the
+expected size, finite, complex and read-only: matrix_stack for a sequence
+of them, _matrix for one.  Positivity is decided by Hermitian eigenvalues, not
 Cholesky, so the same machinery serves matrices near the PSD boundary and
 matrix pencils.  Every threshold lives in DEFAULT_TOL and no function takes
 one, so a matrix has one class wherever the package asks for it.
@@ -35,24 +37,44 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
-def as_matrix(a) -> Array:
-    m = np.atleast_2d(np.asarray(a, dtype=complex))
-    if m.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+def freeze(obj):
+    """Make one array, or each array of a tuple, read-only; obj comes back."""
+    for a in obj if isinstance(obj, tuple) else (obj,):
+        if isinstance(a, np.ndarray):
+            a.setflags(write=False)   # half the cost of assigning a.flags.writeable
+    return obj
+
+
+def matrix_stack(mats, q: int, what: str) -> Array:
+    """mats, a (K, q, q) array or a sequence of q x q matrices or scalars, as
+    one read-only finite complex (K, q, q) stack: the format of every matrix
+    sequence the package holds.  A read-only complex stack is shared, and
+    anything else copied once; shape and finiteness are checked every time.
+    """
+    if isinstance(mats, np.ndarray) and mats.ndim == 3:
+        shapes = [mats.shape[1:]]
+    else:
+        mats = [np.atleast_2d(m) for m in mats]
+        shapes = [m.shape for m in mats]
+    bad = [shape for shape in shapes if shape != (q, q)]
+    if bad:
+        raise ValueError(f"{what} has shape {bad[0]}, expected ({q},{q})")
+    if not isinstance(mats, np.ndarray) or mats.dtype != complex or mats.flags.writeable:
+        mats = freeze(np.array(mats, dtype=complex).reshape(-1, q, q))   # (0, q, q) if empty
+    if not np.isfinite(mats).all():
         raise ValueError("matrix has non-finite entries")
-    return m
+    return mats
 
 
-def _require_square(a) -> Array:
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    return a
+def _matrix(a, q: int | None = None, what: str = "matrix") -> Array:
+    """One matrix or a scalar by matrix_stack's rule: q x q (square of any
+    size when q is None), finite, complex and read-only."""
+    a = np.atleast_2d(a)   # no copy of an array
+    return matrix_stack(a[None], len(a) if q is None else q, what)[0]
 
 
 # The underscored helpers take a square complex array that a public function
-# has already checked; each public function checks each argument once.
+# has already checked (_matrix); each public function checks each argument once.
 
 def _hermitize(a: Array) -> Array:
     return 0.5 * (a + a.conj().swapaxes(-1, -2))
@@ -97,12 +119,12 @@ def _all_pd(stack: Array) -> bool:
 
 
 def hermitize(a: Array) -> Array:
-    return _hermitize(_require_square(a))
+    return _hermitize(_matrix(a))
 
 
 def psd_class(a: Array) -> str:
     """Classify a square matrix as PD / PSD / INDEFINITE / NON_HERMITIAN."""
-    return _psd_class(_require_square(a))
+    return _psd_class(_matrix(a))
 
 
 def is_psd(a: Array) -> bool:
@@ -121,7 +143,7 @@ def _pinv(a: Array) -> Array:
 
 def sqrt_psd(a: Array) -> Array:
     """PSD square root via the Hermitian eigendecomposition."""
-    a = _require_square(a)
+    a = _matrix(a)
     if _psd_class(a) not in (PD, PSD):
         raise ValueError("matrix is not positive semidefinite")
     w, v = np.linalg.eigh(_hermitize(a))
@@ -135,11 +157,12 @@ def block_psd(a: Array, b: Array, c: Array, d: Array) -> bool:
     True iff A is PSD, A A^+ B = B, C = B^* and D - C A^+ B is PSD, which is
     equivalent to the assembled block matrix being PSD.
     """
-    a = _require_square(a)
-    b, c, d = map(as_matrix, (b, c, d))
-    if a.shape[0] != b.shape[0] or c.shape[0] != d.shape[0] \
-            or a.shape[1] != c.shape[1] or b.shape[1] != d.shape[1]:
+    blocks = [np.atleast_2d(x) for x in (a, b, c, d)]
+    n, k = len(blocks[0]), len(blocks[3])
+    if [x.shape for x in blocks] != [(n, n), (n, k), (k, n), (k, k)]:
         raise ValueError("blocks are not conformal")
+    full = _matrix(np.block([blocks[:2], blocks[2:]]))
+    a, b, c, d = full[:n, :n], full[:n, n:], full[n:, :n], full[n:, n:]
     if _psd_class(a) not in (PD, PSD):
         return False
     tol = DEFAULT_TOL
@@ -180,8 +203,6 @@ def signature_matrix(kind: str, q: int) -> Array:
 
 def j_defect(j: Array, a: Array) -> Array:
     """Defect J - A^* J A; PSD means J-contractive, ~0 means J-unitary."""
-    j = _require_square(j)
-    a = _require_square(a)
-    if j.shape != a.shape:
-        raise ValueError("signature matrix and argument sizes differ")
+    j = _matrix(j)
+    a = _matrix(a, len(j), "argument")
     return j - a.conj().T @ j @ a

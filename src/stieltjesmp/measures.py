@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Array, DEFAULT_TOL, PD, PSD, _psd_classes, is_psd
-from .moments import RIGHT, MomentSequence, freeze, hankel, matrix_stack, side_sign
+from .linalg import Array, DEFAULT_TOL, PD, PSD, _psd_classes, freeze, is_psd, matrix_stack
+from .moments import RIGHT, MomentSequence, hankel, side_sign
 from .params import _door
 from .solutions import _partial_fractions, string_rule
 

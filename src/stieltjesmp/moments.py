@@ -2,8 +2,8 @@
 
 A sequence s_0..s_kappa of complex q x q matrices, held as one read-only
 (kappa+1, q, q) stack like every matrix sequence of the package
-(matrix_stack), with a base point alpha and a half-line tag ("right" for
-[alpha, inf), "left" for (-inf, alpha]; side_sign reads it) is the basic
+(linalg.matrix_stack), with a base point alpha and a half-line tag ("right"
+for [alpha, inf), "left" for (-inf, alpha]; side_sign reads it) is the basic
 object everything else consumes.  The block Hankel matrices H_n =
 (s_{j+k}), their left Schur complements and the alpha-shifted sequence
 +-(s_{j+1} - alpha*s_j) drive both the classification and all
@@ -19,8 +19,8 @@ from functools import cached_property, wraps
 import numpy as np
 
 from .linalg import (
-    Array, DEFAULT_TOL, _hermitian_mask, _pinv, _psd_classes, as_matrix, block_psd,
-    psd_class, PD, PSD,
+    Array, DEFAULT_TOL, _hermitian_mask, _matrix, _pinv, _psd_classes, block_psd, freeze,
+    matrix_stack, psd_class, PD, PSD,
 )
 
 RIGHT = "right"
@@ -36,14 +36,6 @@ def side_sign(side: str) -> float:
     if side == LEFT:
         return -1.0
     raise ValueError(f"side must be '{RIGHT}' or '{LEFT}'")
-
-
-def freeze(obj):
-    """Make one array, or each array of a tuple, read-only; obj comes back."""
-    for a in obj if isinstance(obj, tuple) else (obj,):
-        if isinstance(a, np.ndarray):
-            a.setflags(write=False)   # half the cost of assigning a.flags.writeable
-    return obj
 
 
 def derived(build):
@@ -99,27 +91,6 @@ class MomentSequence:
     @cached_property
     def shifted(self) -> "MomentSequence":
         return shift_sequence(self)
-
-
-def matrix_stack(mats, q: int, what: str) -> Array:
-    """mats, a (K, q, q) array or a sequence of q x q matrices or scalars, as
-    one read-only finite complex (K, q, q) stack: the format of every matrix
-    sequence the package holds.  A read-only complex stack is shared, and
-    anything else copied once; shape and finiteness are checked every time.
-    """
-    if isinstance(mats, np.ndarray) and mats.ndim == 3:
-        shapes = [mats.shape[1:]]
-    else:
-        mats = [np.atleast_2d(m) for m in mats]
-        shapes = [m.shape for m in mats]
-    bad = [shape for shape in shapes if shape != (q, q)]
-    if bad:
-        raise ValueError(f"{what} has shape {bad[0]}, expected ({q},{q})")
-    if not isinstance(mats, np.ndarray) or mats.dtype != complex or mats.flags.writeable:
-        mats = freeze(np.array(mats, dtype=complex).reshape(-1, q, q))   # (0, q, q) if empty
-    if not np.isfinite(mats).all():
-        raise ValueError("matrix has non-finite entries")
-    return mats
 
 
 def sequence(moments, alpha: float = 0.0, side: str = RIGHT) -> MomentSequence:
@@ -361,7 +332,7 @@ def potapov_defect(seq: MomentSequence, s_value: Array, z: complex):
     """
     if z.imag == 0:
         raise ValueError("defect matrices are only defined off the real axis")
-    f = as_matrix(s_value)
+    f = _matrix(s_value, seq.q, "S value")
     sign = side_sign(seq.side)
 
     def corner(f):

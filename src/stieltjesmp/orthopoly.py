@@ -18,10 +18,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import Array, DEFAULT_TOL
+from .linalg import Array, DEFAULT_TOL, freeze
 from .moments import (
-    MomentSequence, derived, freeze, half, lower_triangular_S, monic_rows,
-    require_hankel_pd_prefix, side_sign,
+    MomentSequence, derived, half, lower_triangular_S, monic_rows, require_hankel_pd_prefix,
+    side_sign,
 )
 from .params import DSParam, chain_stacks, ds_param
 

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Array, PD, _all_pd, _hermitize, _pinv
+from .linalg import Array, PD, _all_pd, _hermitize, _pinv, freeze, matrix_stack
 from .moments import (
-    RIGHT, MomentSequence, classify, derived, freeze, half, hankel, hhats, matrix_stack,
-    monic_rows, q_values, require_hankel_pd_prefix, schur_correction, sequence,
-    shifted_moments, side_sign, y_stack, z_stack,
+    RIGHT, MomentSequence, classify, derived, half, hankel, hhats, monic_rows, q_values,
+    require_hankel_pd_prefix, schur_correction, sequence, shifted_moments, side_sign,
+    y_stack, z_stack,
 )
 
 

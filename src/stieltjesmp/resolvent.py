@@ -15,9 +15,9 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
-    Array, DEFAULT_TOL, JTILDE, j_defect, min_eig_hermitian_part, signature_matrix,
+    Array, DEFAULT_TOL, JTILDE, freeze, j_defect, min_eig_hermitian_part, signature_matrix,
 )
-from .moments import RIGHT, MomentSequence, derived, freeze, half, side_sign
+from .moments import RIGHT, MomentSequence, derived, half, side_sign
 from .orthopoly import MatrixPolynomial
 from .params import DSParam, _door, chain_stacks, ds_param
 
@@ -98,9 +98,6 @@ class FactorChain:
     """Linear factors W_0..W_m whose ordered product is U_m; calling the
     chain multiplies the factor values (resolvent_u expands the product)."""
 
-    side: str
-    alpha: float
-    q: int
     factors: tuple
 
     def __call__(self, z: complex) -> Array:
@@ -127,8 +124,7 @@ def factorize_u(seq: MomentSequence, m: int | None = None) -> FactorChain:
     w[0::2, 0, q:, :q] = alpha * ms
     w[0::2, 1, q:, :q] = -ms
     w[1::2, 0, :q, q:] = side_sign(ds.side) * ls
-    return FactorChain(side=ds.side, alpha=alpha, q=q,
-                       factors=tuple(map(MatrixPolynomial, freeze(w))))
+    return FactorChain(tuple(map(MatrixPolynomial, freeze(w))))
 
 
 def leading_terms(seq: MomentSequence, m: int | None = None) -> dict:

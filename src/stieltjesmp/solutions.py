@@ -12,15 +12,16 @@ sum over the factor chain of (L, M), with no matrix inverted.  Each entry
 opens with params._door (the gate, then m) and reads (L, M) alone after it.
 """
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import (
-    Array, DEFAULT_TOL, NON_HERMITIAN, PD, PSD, _hermitize, _psd_classes, as_matrix, is_psd,
-    psd_class, sqrt_psd,
+    Array, DEFAULT_TOL, NON_HERMITIAN, PD, PSD, _hermitize, _matrix, _psd_classes, freeze,
+    is_psd, matrix_stack, psd_class, sqrt_psd,
 )
-from .moments import RIGHT, MomentSequence, derived, freeze, half, matrix_stack, side_sign
+from .moments import RIGHT, MomentSequence, derived, half, side_sign
 from .orthopoly import chain_d_e
 from .params import DSParam, _door
 from .resolvent import ResolventU, resolvent_u, schur_rotation
@@ -39,9 +40,9 @@ class StieltjesPair:
     (phi, psi) is set once, here, to sqrt(2) E [F; I] with E the
     schur_rotation of its half-line: (i(I - F), I + F) on the right and
     (-i(I + F), F - I) on the left, so lft_solve of the pair is
-    lft_solve_schur(sigma, F).  The side is checked on both kinds.  phi, psi,
-    F and stacked, the block column [phi; psi] that lft_solve reads, are held
-    read-only by matrix_stack's rule before any check.  Equality is identity.
+    lft_solve_schur(sigma, F).  The side is checked on both kinds.  phi, psi
+    (phi's size), F and stacked, the column [phi; psi] lft_solve reads, are
+    held by the one matrix rule before any other check.  Equality is identity.
     """
 
     kind: str
@@ -52,7 +53,8 @@ class StieltjesPair:
 
     def __post_init__(self):
         if self.kind == CONSTANT:
-            phi, psi = _held(self.phi, "phi"), _held(self.psi, "psi")
+            phi = _matrix(self.phi, what="phi")
+            psi = _matrix(self.psi, len(phi), "psi")
             g, q = freeze(np.vstack([phi, psi])), len(phi)
             if np.linalg.matrix_rank(g) < q:
                 raise ValueError("pair is rank deficient")
@@ -62,7 +64,7 @@ class StieltjesPair:
             if cls not in (PD, PSD):
                 raise ValueError("psi^* phi has the wrong sign for this half-line")
         elif self.kind == SCHUR_CONSTANT:
-            f = _held(self.f, "f")
+            f = _matrix(self.f, what="f")
             q = f.shape[0]
             if np.linalg.norm(f.conj().T @ f - np.eye(q)) > DEFAULT_TOL.identity_tol * q:
                 raise ValueError("Schur parameter must be unitary")
@@ -78,12 +80,6 @@ class StieltjesPair:
     def values(self):
         """(phi, psi) actually fed into the transformation."""
         return self.phi, self.psi
-
-
-def _held(a, what: str) -> Array:
-    """One square matrix or a scalar as a read-only complex matrix (matrix_stack)."""
-    a = np.atleast_2d(a)   # no copy of an array
-    return matrix_stack(a[None], len(a), what)[0]
 
 
 def pair_min(q: int, side: str = RIGHT) -> StieltjesPair:
@@ -104,11 +100,18 @@ def _free_point(side: str, alpha: float) -> float:
     return alpha - side_sign(side)
 
 
-def _off_cut(side: str, alpha: float, z: complex) -> bool:
-    if z.imag != 0:
-        return True
-    sign = side_sign(side)
-    return sign * z.real < sign * alpha
+def _point(z, cut=None):
+    """The one point rule: z back if it is finite and, when cut (anything
+    with side and alpha) is given, off cut's half-line; else a ValueError
+    that names z.  Scalar Python: lft_solve pays it at every point."""
+    if not cmath.isfinite(z):
+        raise ValueError(f"point {z} is not finite")
+    if cut is not None and z.imag == 0:
+        sign = side_sign(cut.side)
+        if not sign * z.real < sign * cut.alpha:
+            span = f"[{cut.alpha}, inf)" if sign > 0 else f"(-inf, {cut.alpha}]"
+            raise ValueError(f"point {z} lies on the cut, the {cut.side} half-line {span}")
+    return z
 
 
 class SingularDenominator(ValueError):
@@ -124,10 +127,10 @@ def lft_solve(u: ResolventU, pair: StieltjesPair, z: complex) -> Array:
     max(1, ||D||_F^q).  inv(D) is taken first: since |det D| >=
     sigma_min(D)^q >= ||D^{-1}||_F^{-q}, a bound at least 100 times the
     threshold certifies D with no determinant.  Below that, det(D) decides;
-    a D that inv cannot factor at all is singular.
+    a D that inv cannot factor at all is singular.  z follows the point rule
+    (_point), and a value that overflows float64 is a ValueError naming z.
     """
-    if not _off_cut(u.side, u.alpha, z):
-        raise ValueError(f"point {z} lies on the cut of this half-line")
+    _point(z, u)
     if len(pair.stacked) != 2 * u.q:
         raise ValueError(f"pair is {len(pair.phi)} x {len(pair.phi)}, U has {u.q} x {u.q} blocks")
     g = u.poly(z) @ pair.stacked
@@ -136,9 +139,9 @@ def lft_solve(u: ResolventU, pair: StieltjesPair, z: complex) -> Array:
 
 def lft_solve_schur(sig_poly, f: Array, z: complex, q: int) -> Array:
     """Schur-route transformation S = (S11 F + S12)(S21 F + S22)^{-1},
-    with lft_solve's rule for a singular denominator; F must be q x q and
-    sigma 2q x 2q."""
-    s, f = sig_poly(z), as_matrix(f)
+    with lft_solve's rule for a singular denominator and for overflow; F must
+    be q x q and sigma 2q x 2q.  z need only be finite: sigma has no side."""
+    s, f = sig_poly(_point(z)), _matrix(f, what="Schur parameter")
     if f.shape != (q, q) or s.shape != (2 * q, 2 * q):
         raise ValueError(f"Schur parameter {f.shape} and sigma {s.shape} do not fit q={q}")
     num = s[:q, :q] @ f + s[:q, q:]
@@ -147,15 +150,18 @@ def lft_solve_schur(sig_poly, f: Array, z: complex, q: int) -> Array:
 
 
 def _divide(num: Array, den: Array, name: str, z: complex) -> Array:
-    """num den^{-1}, or SingularDenominator by the rule of lft_solve."""
+    """num den^{-1}, or SingularDenominator or overflow by the rules of lft_solve."""
     q = den.shape[0]
     threshold = 1e-13 * max(1.0, _frobenius(den) ** q)
     try:
         inv = np.linalg.inv(den)
     except np.linalg.LinAlgError:
         inv = None
-    # a NaN bound certifies nothing and falls through to the determinant
+    # a NaN bound certifies nothing and falls through to the determinant; an
+    # overflow in U(z) leaves NaN in den, so it is never certified
     if inv is None or not _frobenius(inv) ** -q >= 100 * threshold:
+        if not (np.isfinite(num).all() and np.isfinite(den).all()):
+            raise ValueError(f"value at point {z} overflows float64")
         if inv is None or abs(np.linalg.det(den)) < threshold:
             raise SingularDenominator(f"{name} singular at z={z}")
     return num @ inv
@@ -264,13 +270,12 @@ def weyl_interval(seq: MomentSequence, m: int | None = None,
     """[S_min(x), S_max(x)] at a real point x off the half-line.
 
     x defaults to the free point alpha - side_sign(side), one unit off the
-    half-line: alpha - 1 on the right, alpha + 1 on the left.
+    half-line: alpha - 1 on the right, alpha + 1 on the left.  x follows
+    the point rule (_point).
     """
     ds, m = _door(seq, m, 1)
     sign = side_sign(ds.side)
-    x = _free_point(ds.side, ds.alpha) if x is None else float(x)
-    if not _off_cut(ds.side, ds.alpha, x):
-        raise ValueError(f"x={x} lies on the cut of the {ds.side} half-line")
+    x = _free_point(ds.side, ds.alpha) if x is None else float(_point(x, ds))
     s_min, s_max = extremal(seq, m)
     # checked finite and square once, then made Hermitian together
     lo, hi = _hermitize(matrix_stack([s_min(x), s_max(x)], ds.q, "extremal value"))
@@ -296,7 +301,7 @@ def interval_point(seq: MomentSequence, m: int | None, x: float | None, k: Array
     """
     ds, m = _door(seq, m, 1)
     q, iv = ds.q, weyl_interval(seq, m, x)
-    k = matrix_stack([k], q, "K")[0]
+    k = _matrix(k, q, "K")
     if not set(_psd_classes(np.array([k, np.eye(q) - k]))) <= {PD, PSD}:
         raise ValueError("K must satisfy 0 <= K <= I")
     root = sqrt_psd(iv.gap)
@@ -309,7 +314,8 @@ def difference_inverse(seq: MomentSequence, m: int | None = None,
                        z: complex | None = None) -> Array:
     """[S_max(z) - S_min(z)]^{-1} as a sum over the factor chain of (L, M).
 
-    z defaults to weyl_interval's free point.  With w = z - alpha (right)
+    z defaults to weyl_interval's free point, else need only be finite
+    (_point); an overflow is a ValueError naming z.  With w = z - alpha (right)
     resp. alpha - z (left), n = half(m), j = half(m - 1), D_k the lower block
     of the chain column [B_k; D_k] and E_k = sum_{i<=k} D_i M_i (chain_d_e):
 
@@ -322,12 +328,17 @@ def difference_inverse(seq: MomentSequence, m: int | None = None,
     is M_k, and on the shifted side L_k.  Nothing is inverted.
     """
     ds, m = _door(seq, m)
-    z = _free_point(ds.side, ds.alpha) if z is None else z
+    z = _free_point(ds.side, ds.alpha) if z is None else _point(z)
     w = side_sign(ds.side) * (z - ds.alpha)
     d, e = chain_d_e(ds)
     out = -w * _weighted_sum(d, ds.m, half(m), z)
-    if m >= 1:
-        out = out + w ** 2 * _weighted_sum(e, ds.l, half(m - 1), z)
+    try:
+        if m >= 1:
+            out = out + w ** 2 * _weighted_sum(e, ds.l, half(m - 1), z)
+    except OverflowError:   # w ** 2 of a Python float
+        out = None
+    if out is None or not np.isfinite(out).all():
+        raise ValueError(f"value at point {z} overflows float64")
     return out
 
 

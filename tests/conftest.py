@@ -16,7 +16,7 @@ from stieltjesmp.moments import (
 )
 from stieltjesmp.orthopoly import GENERAL, MatrixPolynomial
 from stieltjesmp.params import _door
-from stieltjesmp.solutions import _off_cut
+from stieltjesmp.solutions import _point
 
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_makereport(item, call):
@@ -302,8 +302,7 @@ def lft_solve_det(u, pair, z):
     det and inv of the denominator of U(z) [phi; psi].  The library
     certifies the denominator from its inverse and takes det only below
     the certificate; this is the route it is checked against."""
-    if not _off_cut(u.side, u.alpha, z):
-        raise ValueError(f"point {z} lies on the cut of this half-line")
+    _point(z, u)
     num, den, det, threshold = lft_blocks(u, pair, z)
     if det < threshold:
         raise SingularDenominator(f"denominator singular at z={z}")

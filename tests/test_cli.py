@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from stieltjesmp.cli import (
     decode_matrix, decode_sequence, encode_matrix, encode_sequence, main,
 )
 from stieltjesmp import (
-    difference_inverse, random_stieltjes_pd_sequence, reflect, sequence, weyl_interval,
+    difference_inverse, interval_point, lft_solve, pair_min, random_stieltjes_pd_sequence,
+    reflect, resolvent_u, sequence, weyl_interval,
 )
 from stieltjesmp.linalg import min_eig_hermitian_part
 
@@ -203,9 +205,50 @@ def test_extremal_on_cut_is_precondition_error(capsys, tmp_path, side):
     for x in (s.alpha, s.alpha + 0.5 * sign):
         assert main(["extremal", str(path), f"--at={x}"]) == EXIT_PRECONDITION
         out, err = capsys.readouterr()
-        assert out == "" and "lies on the cut of this half-line" in err
+        assert out == "" and f"point {x} lies on the cut, the {side} half-line" in err
     code, payload = run(capsys, "extremal", str(path))
     assert code == EXIT_OK and payload["x"] == s.alpha - sign
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_one_cut_message_across_the_point_entries(capsys, tmp_path, side):
+    # lft_solve, weyl_interval, interval_point and the solve and extremal
+    # verbs refuse a point of the half-line with one message that names the
+    # point and the half-line
+    s = ladder_fixture(0) if side == "right" else reflect(ladder_fixture(0))
+    x = s.alpha + (0.5 if side == "right" else -0.5)
+    span = f"[{s.alpha}, inf)" if side == "right" else f"(-inf, {s.alpha}]"
+    seq, pair = tmp_path / "seq.json", tmp_path / "pair.json"
+    seq.write_text(json.dumps(encode_sequence(s)))
+    pair.write_text(json.dumps({"kind": "CONSTANT", "phi": encode_matrix(np.zeros((s.q, s.q))),
+                                "psi": encode_matrix(np.eye(s.q))}))
+    for call in (lambda: lft_solve(resolvent_u(s), pair_min(s.q, side), x),
+                 lambda: weyl_interval(s, None, x),
+                 lambda: interval_point(s, None, x, 0.5 * np.eye(s.q))):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"point {x} lies on the cut, the {side} half-line {span}"
+    for z, argv in ((complex(x), ["solve", str(seq), "--pair", str(pair), f"--at={x}"]),
+                    (x, ["extremal", str(seq), f"--at={x}"])):
+        assert main(argv) == EXIT_PRECONDITION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: point {z} lies on the cut, the {side} half-line {span}\n"
+
+
+def test_solve_at_an_overflowing_point_exits_3(capsys, tmp_path):
+    # CI's sequence and pair-right.json: at -1e200 solve printed eight NaN
+    # entries and exited 0; numpy's own overflow warnings come before the error
+    assert main(["generate", "--q", "2", "--m", "4", "--seed", "7"]) == EXIT_OK
+    seq, pair = tmp_path / "seq.json", tmp_path / "pair-right.json"
+    seq.write_text(capsys.readouterr().out)
+    pair.write_text('{"kind": "CONSTANT", "phi": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], '
+                    '"psi": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["solve", str(seq), "--pair", str(pair), "--at=-1e200"]) == EXIT_PRECONDITION
+    out, err = capsys.readouterr()
+    assert out == "" and "value at point (-1e+200+0j) overflows float64" in err
 
 
 def test_extremal_verb(capsys, f1_file):

@@ -1,6 +1,7 @@
 import ast
 import functools
 import inspect
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +9,9 @@ import pytest
 
 import stieltjesmp
 from stieltjesmp import (
-    DEFAULT_TOL, INDEFINITE, JQ, JQQ, JTILDE, NON_HERMITIAN, PD, PSD,
-    block_psd, j_defect, psd_class, signature_matrix, sqrt_psd,
+    CONSTANT, DEFAULT_TOL, INDEFINITE, JQ, JQQ, JTILDE, NON_HERMITIAN, PD, PSD, StieltjesPair,
+    block_psd, j_defect, potapov_defect, psd_class, random_stieltjes_pd_sequence,
+    signature_matrix, sqrt_psd,
 )
 from stieltjesmp.linalg import _pinv, _psd_class, _psd_classes
 
@@ -108,6 +110,22 @@ def test_block_psd_matches_assembled_spectrum():
         assert block_psd(a, b, c, d) == want
         hits += want
     assert 0 < hits < 200
+
+
+def test_a_matrix_of_the_wrong_size_names_both_sizes():
+    # the one matrix rule checks each matrix against the size it must have:
+    # potapov_defect's S value against q (numpy's concatenate message leaked),
+    # psi against phi (numpy's vstack message) and j_defect's argument
+    # against J
+    s = random_stieltjes_pd_sequence(1, 4, seed=1)
+    for call, message in (
+            (lambda: potapov_defect(s, np.eye(2), 1j), "S value has shape (2, 2), expected (1,1)"),
+            (lambda: StieltjesPair(kind=CONSTANT, phi=np.eye(2), psi=np.eye(1)),
+             "psi has shape (1, 1), expected (2,2)"),
+            (lambda: j_defect(signature_matrix(JTILDE, 1), np.eye(3)),
+             "argument has shape (3, 3), expected (2,2)")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
 
 @pytest.mark.parametrize("kind", [JTILDE, JQ, JQQ])

@@ -12,9 +12,9 @@ from stieltjesmp import (
     recover_min, reflect, resolvent_u, schur_rotation, seq_from_ds, sequence, shift_sequence,
     side_sign, stieltjes_param, stieltjes_quadruple, weyl_interval,
 )
+from stieltjesmp.linalg import freeze
 from stieltjesmp.moments import (
-    _cholesky_hhats, freeze, half, hankel, hhats, monic_rows, q_values, schur_complement,
-    z_stack,
+    _cholesky_hhats, half, hankel, hhats, monic_rows, q_values, schur_complement, z_stack,
 )
 from stieltjesmp import orthopoly, params, solutions
 from stieltjesmp.params import chain_stacks

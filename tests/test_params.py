@@ -130,7 +130,7 @@ def test_one_precedence_gate_index_point_k(f1):
     # behind the gate: the index before the point, the point before K
     for m, x, message in ((5, 1.0, "index m=5 outside 1..kappa=1"),
                           (0, 1.0, "index m=0 outside 1..kappa=1"),
-                          (1, 1.0, "x=1.0 lies on the cut of the right half-line"),
+                          (1, 1.0, r"point 1.0 lies on the cut, the right half-line \[0.0, inf\)"),
                           (1, -1.0, "K must satisfy 0 <= K <= I")):
         with pytest.raises(ValueError, match=message):
             interval_point(f1, m, x, 2.0)

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -573,3 +576,41 @@ def test_solutions_pass_potapov_criterion():
             z = complex(z0.real, flip * z0.imag)
             assert potapov_defect_psd(s, s_min(z), z)
             assert potapov_defect_psd(s, s_max(z), z)
+
+
+def _point_entries(s):
+    """Every entry that evaluates a q = 1 sequence at one given point."""
+    u, sig = resolvent_u(s), sigma(s)
+    return {"lft_solve": lambda z: lft_solve(u, pair_min(1), z),
+            "lft_solve_schur": lambda z: lft_solve_schur(sig, np.eye(1), z, 1),
+            "difference_inverse": lambda z: difference_inverse(s, z=z),
+            "weyl_interval": lambda z: weyl_interval(s, x=z),
+            "interval_point": lambda z: interval_point(s, None, z, 0.5)}
+
+
+@pytest.mark.parametrize("z", [np.nan, np.inf, -np.inf, complex(np.nan, 1)], ids=repr)
+@pytest.mark.parametrize("entry", ["lft_solve", "lft_solve_schur", "difference_inverse",
+                                   "weyl_interval", "interval_point"])
+def test_a_point_that_is_not_finite_is_named(entry, z):
+    # the point rule's first check: nan and -inf used to give [[nan+nanj]] in
+    # lft_solve and difference_inverse, nan was "on the cut" in weyl_interval
+    # and -inf an ArithmeticError there
+    call = _point_entries(random_stieltjes_pd_sequence(1, 4, seed=1))[entry]
+    with pytest.raises(ValueError, match=re.escape(f"point {z} is not finite")):
+        call(z)
+
+
+def test_an_overflowing_value_is_named_not_returned():
+    # finite points where float64 overflows: lft_solve returned NaN, and
+    # difference_inverse a non-finite value at -1e100 and a bare OverflowError
+    # at -1e200; numpy's own overflow warnings come before the error
+    s2, s1 = (random_stieltjes_pd_sequence(q, kappa, seed=1) for q, kappa in ((2, 5), (1, 4)))
+    cases = [(-1e200, lambda z: lft_solve(resolvent_u(s2), pair_max(2), z)),
+             (-1e200, lambda z: lft_solve_schur(sigma(s2), np.eye(2), z, 2)),
+             (-1e100, lambda z: difference_inverse(s1, z=z)),
+             (-1e200, lambda z: difference_inverse(s1, z=z))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for z, call in cases:
+            with pytest.raises(ValueError, match=re.escape(f"value at point {z} overflows")):
+                call(z)
