@@ -4,7 +4,8 @@ Verbs: classify, params, generate, resolvent, solve, extremal, recover,
 hausdorff, verify.  Sequences travel as {"q", "alpha", "side", "moments"}
 documents with complex entries encoded as [re, im]; matrices are row-major
 nested lists.  Exit codes: 0 ok, 2 negative classification, 3 precondition
-violation, 4 internal inconsistency, 64 usage/parse error.
+violation, 4 internal inconsistency, 64 usage/parse error.  No verb prints
+NaN or Infinity: a verb prints its whole result or nothing.
 """
 
 import argparse
@@ -14,14 +15,14 @@ import sys
 
 import numpy as np
 
-from .moments import LEFT, RIGHT, MomentSequence, classify
+from .moments import LEFT, RIGHT, MomentSequence, _point, _value, classify
 from .params import (
     canonical_hankel_param, ds_param, favard_pair, random_stieltjes_pd_sequence,
     seq_from_ds, seq_from_stieltjes_param, stieltjes_param,
 )
 from .resolvent import factorize_u, j_inner_check, resolvent_u
 from .solutions import (
-    CONSTANT, SCHUR_CONSTANT, StieltjesPair, difference_inverse, _free_point, _point, extremal,
+    CONSTANT, SCHUR_CONSTANT, StieltjesPair, difference_inverse, _free_point, extremal,
     lft_solve, pair_max, pair_min, weyl_interval,
 )
 from .measures import hausdorff_solvable, measure_moments, recover_max, recover_min
@@ -122,8 +123,9 @@ def _int_at_least(low: int):
 
 
 def _emit(payload: dict):
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    """payload as JSON on stdout, serialized whole before anything is written:
+    NaN or Infinity in it is a ValueError (exit 3) with stdout left empty."""
+    sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def cmd_classify(args) -> int:
@@ -192,7 +194,8 @@ def cmd_extremal(args) -> int:
     seq = decode_sequence(_load_doc(args.file))
     s_min, s_max = extremal(seq)   # the Stieltjes-PD gate first, as in solve
     x = _free_point(seq.side, seq.alpha) if args.at is None else _point(args.at, seq)
-    _emit({"x": x, "s_min": encode_matrix(s_min(x)), "s_max": encode_matrix(s_max(x))})
+    _emit({"x": x, "s_min": encode_matrix(_value(s_min(x), x)),
+           "s_max": encode_matrix(_value(s_max(x), x))})
     return EXIT_OK
 
 

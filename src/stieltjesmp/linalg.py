@@ -5,8 +5,10 @@ functions are pure.  One rule holds every matrix from outside, of the
 expected size, finite, complex and read-only: matrix_stack for a sequence
 of them, _matrix for one.  Positivity is decided by Hermitian eigenvalues, not
 Cholesky, so the same machinery serves matrices near the PSD boundary and
-matrix pencils.  Every threshold lives in DEFAULT_TOL and no function takes
-one, so a matrix has one class wherever the package asks for it.
+matrix pencils.  Every threshold of the library lives in DEFAULT_TOL and no
+function takes one, so a matrix has one class wherever the package asks for
+it.  The seven check thresholds of the CLI's verify stay in cli.cmd_verify
+until verify becomes a library report with its thresholds here.
 """
 
 from dataclasses import dataclass
@@ -32,6 +34,12 @@ class ToleranceConfig:
     atom_merge: float = 1e-7     # atoms closer than this times (1 + |alpha|) are one
     mass_drop: float = 1e-12     # a mass below this times max(1, largest mass) is dropped
     j_inner_tol: float = 1e-8
+    real_sample: float = 1e-14   # a J-inner sample with |Im z| below this is real
+    singular_det: float = 1e-13  # |det D| below this times max(1, ||D||_F^q) is singular
+    real_zero: float = 1e-7      # a det zero with |Im| above this times (1 + |Re|) is non-real
+    det_drop: float = 1e-10      # det coefficients below this times the largest are dropped
+    monic_rtol: float = 1e-5     # np.allclose's rtol on MONIC's leading coefficient against I
+    atom_slack: float = 1e-9     # an atom may lie this times (1 + |alpha|) past alpha
 
 
 DEFAULT_TOL = ToleranceConfig()

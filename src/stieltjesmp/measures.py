@@ -57,7 +57,8 @@ class MolecularMeasure:
             raise ValueError("atoms and masses must align")
         shape = np.shape(masses[0]) if len(masses) else np.shape(masses)[1:]
         self.__dict__.update(atoms=x, masses=matrix_stack(masses, shape[0] if shape else 1, "mass"))
-        off = ~np.isfinite(x) | (sign * x < sign * self.alpha - 1e-9 * (1 + abs(self.alpha)))
+        slack = DEFAULT_TOL.atom_slack * (1 + abs(self.alpha))
+        off = ~np.isfinite(x) | (sign * x < sign * self.alpha - slack)
         if off.any():
             x = x[int(np.argmax(off))]
             raise ValueError(f"atom {x} outside [{self.alpha}, inf)" if sign > 0
@@ -65,7 +66,11 @@ class MolecularMeasure:
 
 
 def stieltjes_transform(mu: MolecularMeasure, z) -> Array:
-    """sum_k M_k / (x_k - z) at a scalar z or a 1-D array, as an extremal is evaluated."""
+    """sum_k M_k / (x_k - z) at a scalar z or a 1-D array, as an extremal is evaluated.
+
+    Like an extremal's call it is an unchecked hot evaluator: it takes neither
+    the point rule nor the value rule of moments (_point, _value), and a
+    caller that evaluates it at a point of its own caller applies both."""
     q = mu.masses.shape[-1]
     return _partial_fractions(mu.atoms, mu.masses.reshape(-1, q * q), z, q)
 

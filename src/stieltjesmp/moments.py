@@ -13,6 +13,7 @@ package's one Hankel-block inverse, are cached on the sequence by their
 builders (derived) like everything else derived from it.
 """
 
+import cmath
 from dataclasses import dataclass
 from functools import cached_property, wraps
 
@@ -36,6 +37,34 @@ def side_sign(side: str) -> float:
     if side == LEFT:
         return -1.0
     raise ValueError(f"side must be '{RIGHT}' or '{LEFT}'")
+
+
+# The two rules of every entry that evaluates at a caller's point: the point
+# rule before the evaluation, the value rule on what it computed there.  The
+# per-point evaluators of the hot path (ExtremalSolution, stieltjes_transform,
+# ResolventU, MatrixPolynomial) take neither; their callers do.
+
+def _point(z, cut=None):
+    """The one point rule: z back if it is finite and, when cut (anything
+    with side and alpha) is given, off cut's half-line; else a ValueError
+    that names z.  Scalar Python: lft_solve pays it at every point."""
+    if not cmath.isfinite(z):
+        raise ValueError(f"point {z} is not finite")
+    if cut is not None and z.imag == 0:
+        sign = side_sign(cut.side)
+        if not sign * z.real < sign * cut.alpha:
+            span = f"[{cut.alpha}, inf)" if sign > 0 else f"(-inf, {cut.alpha}]"
+            raise ValueError(f"point {z} lies on the cut, the {cut.side} half-line {span}")
+    return z
+
+
+def _value(a: Array, z) -> Array:
+    """The one value rule: a, computed at the point z, back if every entry is
+    finite; else a ValueError that names z, since at a point that passed the
+    point rule only a float64 overflow leaves a non-finite entry."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"value at point {z} overflows float64")
+    return a
 
 
 def derived(build):
@@ -315,7 +344,8 @@ def classify(seq: MomentSequence) -> SequenceClass:
 def potapov_defect(seq: MomentSequence, s_value: Array, z: complex):
     """The two fundamental block matrices tested against a candidate S(z).
 
-    Returns (F_base, F_shift) for the point z (Im z != 0).  A function S
+    Returns (F_base, F_shift) for the point z, which follows the point rule
+    and must have Im z != 0; both follow the value rule.  A function S
     solves the moment problem iff both are PSD throughout the upper
     half-plane for a right sequence, resp. the lower half-plane for a
     left one; potapov_defect_psd decides that.  Each is
@@ -330,7 +360,7 @@ def potapov_defect(seq: MomentSequence, s_value: Array, z: complex):
     with r the shifted moments and + on the right half-line.  For kappa = 0
     the shifted matrix is its q x q corner alone.
     """
-    if z.imag == 0:
+    if _point(z).imag == 0:
         raise ValueError("defect matrices are only defined off the real axis")
     f = _matrix(s_value, seq.q, "S value")
     sign = side_sign(seq.side)
@@ -348,9 +378,9 @@ def potapov_defect(seq: MomentSequence, s_value: Array, z: complex):
     n0, n1 = half(seq.kappa), half(seq.kappa - 1)
     base = assemble(hankel(seq, n0), f, 0.0, seq[:n0])
     f_sh = sign * (z - seq.alpha) * f
-    if n1 < 0:
-        return base, corner(f_sh)
-    return base, assemble(hankel(seq.shifted, n1), f_sh, sign * seq[0], seq.shifted[:n1])
+    shift = corner(f_sh) if n1 < 0 else assemble(
+        hankel(seq.shifted, n1), f_sh, sign * seq[0], seq.shifted[:n1])
+    return _value(base, z), _value(shift, z)
 
 
 def potapov_defect_psd(seq: MomentSequence, s_value: Array, z: complex) -> bool:

@@ -224,9 +224,9 @@ def det_zeros(p: MatrixPolynomial, kind: str = GENERAL) -> np.ndarray:
 
     if kind == MONIC:
         # np.allclose(lead, I, atol=identity_tol) written out: its default
-        # rtol 1e-5 scales |I|, and a NaN or an infinity fails the test
-        eye = np.eye(q)
-        if not (np.abs(p.coeffs[-1] - eye) <= DEFAULT_TOL.identity_tol + 1e-5 * eye).all():
+        # rtol scales |I|, and a NaN or an infinity fails the test
+        eye, tol = np.eye(q), DEFAULT_TOL
+        if not (np.abs(p.coeffs[-1] - eye) <= tol.identity_tol + tol.monic_rtol * eye).all():
             raise ValueError("MONIC requires identity leading coefficient")
         # block companion: I on the block superdiagonal, -P^[0] ... -P^[deg-1] below
         comp = np.zeros((deg * q, deg * q), dtype=complex)
@@ -241,13 +241,13 @@ def det_zeros(p: MatrixPolynomial, kind: str = GENERAL) -> np.ndarray:
     n_nodes = deg * q + 1
     radius = 1.0
     nodes = radius * np.exp(2j * np.pi * np.arange(n_nodes) / n_nodes)
-    vals = np.array([np.linalg.det(p(z)) for z in nodes])
+    vals = np.linalg.det(p(nodes))
     coeffs = (np.fft.fft(vals) / n_nodes) / radius ** np.arange(n_nodes)
     scale = np.max(np.abs(coeffs))
     if scale == 0:
         raise ValueError("identically singular polynomial")
     keep = n_nodes
-    while keep > 1 and abs(coeffs[keep - 1]) < 1e-10 * scale:
+    while keep > 1 and abs(coeffs[keep - 1]) < DEFAULT_TOL.det_drop * scale:
         keep -= 1
     if keep == 1:
         return np.array([], dtype=complex)
@@ -259,7 +259,7 @@ def real_zeros(p: MatrixPolynomial, kind: str = GENERAL) -> np.ndarray:
     zs = det_zeros(p, kind)
     if zs.size == 0:
         return np.array([], dtype=float)
-    bad = np.abs(zs.imag) > 1e-7 * (1.0 + np.abs(zs.real))
+    bad = np.abs(zs.imag) > DEFAULT_TOL.real_zero * (1.0 + np.abs(zs.real))
     if np.any(bad):
         raise ValueError(f"non-real determinant zeros: {zs[bad]}")
     return np.sort(zs.real)

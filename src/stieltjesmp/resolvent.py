@@ -197,7 +197,7 @@ def j_inner_check(u, z_samples, q: int) -> JInnerReport:
     max_real, min_eig = 0.0, np.inf
     for z in z_samples:
         defect = j_defect(jt, u(z))
-        if abs(z.imag) < 1e-14:
+        if abs(z.imag) < DEFAULT_TOL.real_sample:
             max_real = max(max_real, float(np.linalg.norm(defect)))
         elif z.imag > 0:
             min_eig = min(min_eig, min_eig_hermitian_part(defect))

@@ -9,19 +9,20 @@ each point T of it is reached by the pair U(x)^{-1} [T; I], read off U by
 its J-symmetry.  The extremals are the partial fractions of the two block
 strings of (L, M), and the inverse of the interval's width is a polynomial
 sum over the factor chain of (L, M), with no matrix inverted.  Each entry
-opens with params._door (the gate, then m) and reads (L, M) alone after it.
+opens with params._door (the gate, then m) and reads (L, M) alone after it;
+an entry that evaluates at a caller's point takes the point and the value
+rules of moments (_point, _value) and no check of its own.
 """
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import (
     Array, DEFAULT_TOL, NON_HERMITIAN, PD, PSD, _hermitize, _matrix, _psd_classes, freeze,
-    is_psd, matrix_stack, psd_class, sqrt_psd,
+    is_psd, psd_class, sqrt_psd,
 )
-from .moments import RIGHT, MomentSequence, derived, half, side_sign
+from .moments import RIGHT, MomentSequence, _point, _value, derived, half, side_sign
 from .orthopoly import chain_d_e
 from .params import DSParam, _door
 from .resolvent import ResolventU, resolvent_u, schur_rotation
@@ -100,20 +101,6 @@ def _free_point(side: str, alpha: float) -> float:
     return alpha - side_sign(side)
 
 
-def _point(z, cut=None):
-    """The one point rule: z back if it is finite and, when cut (anything
-    with side and alpha) is given, off cut's half-line; else a ValueError
-    that names z.  Scalar Python: lft_solve pays it at every point."""
-    if not cmath.isfinite(z):
-        raise ValueError(f"point {z} is not finite")
-    if cut is not None and z.imag == 0:
-        sign = side_sign(cut.side)
-        if not sign * z.real < sign * cut.alpha:
-            span = f"[{cut.alpha}, inf)" if sign > 0 else f"(-inf, {cut.alpha}]"
-            raise ValueError(f"point {z} lies on the cut, the {cut.side} half-line {span}")
-    return z
-
-
 class SingularDenominator(ValueError):
     """U21 phi + U22 psi singular at the requested point."""
 
@@ -123,12 +110,13 @@ def lft_solve(u: ResolventU, pair: StieltjesPair, z: complex) -> Array:
 
     z is a scalar only.  U(z) [phi; psi] is one product whose two row
     blocks are the numerator U11 phi + U12 psi and the denominator
-    D = U21 phi + U22 psi.  D is singular when |det D| < 1e-13
-    max(1, ||D||_F^q).  inv(D) is taken first: since |det D| >=
-    sigma_min(D)^q >= ||D^{-1}||_F^{-q}, a bound at least 100 times the
-    threshold certifies D with no determinant.  Below that, det(D) decides;
-    a D that inv cannot factor at all is singular.  z follows the point rule
-    (_point), and a value that overflows float64 is a ValueError naming z.
+    D = U21 phi + U22 psi.  D is singular when |det D| <
+    DEFAULT_TOL.singular_det max(1, ||D||_F^q).  inv(D) is taken first:
+    since |det D| >= sigma_min(D)^q >= ||D^{-1}||_F^{-q}, a bound at least
+    100 times the threshold certifies D with no determinant.  Below that, det(D) decides;
+    a D that inv cannot factor at all is singular.  z follows the point rule,
+    and the value rule holds num and D where the certificate fails, so the
+    certified path makes no finiteness test.
     """
     _point(z, u)
     if len(pair.stacked) != 2 * u.q:
@@ -152,7 +140,7 @@ def lft_solve_schur(sig_poly, f: Array, z: complex, q: int) -> Array:
 def _divide(num: Array, den: Array, name: str, z: complex) -> Array:
     """num den^{-1}, or SingularDenominator or overflow by the rules of lft_solve."""
     q = den.shape[0]
-    threshold = 1e-13 * max(1.0, _frobenius(den) ** q)
+    threshold = DEFAULT_TOL.singular_det * max(1.0, _frobenius(den) ** q)
     try:
         inv = np.linalg.inv(den)
     except np.linalg.LinAlgError:
@@ -160,8 +148,8 @@ def _divide(num: Array, den: Array, name: str, z: complex) -> Array:
     # a NaN bound certifies nothing and falls through to the determinant; an
     # overflow in U(z) leaves NaN in den, so it is never certified
     if inv is None or not _frobenius(inv) ** -q >= 100 * threshold:
-        if not (np.isfinite(num).all() and np.isfinite(den).all()):
-            raise ValueError(f"value at point {z} overflows float64")
+        _value(num, z)
+        _value(den, z)
         if inv is None or abs(np.linalg.det(den)) < threshold:
             raise SingularDenominator(f"{name} singular at z={z}")
     return num @ inv
@@ -180,8 +168,10 @@ class ExtremalSolution:
     alpha, for bd=False (A C^{-1}).  A call sums the partial fractions of
     the residue table of string_rule, cached on (L, M).  z is not checked
     against the cut: off the atoms the sum is the Stieltjes transform of
-    the extremal's measure, finite on the half-line too, and the callers
-    that need a point off it (weyl_interval, the CLI) check it.
+    the extremal's measure, finite on the half-line too.  A call is one of
+    the unchecked hot evaluators: it takes neither the point rule nor the
+    value rule of moments, and the entries that evaluate it at a caller's
+    point (weyl_interval and the CLI's extremal) apply both.
     """
 
     def __init__(self, ds: DSParam, m: int, bd: bool):
@@ -271,14 +261,13 @@ def weyl_interval(seq: MomentSequence, m: int | None = None,
 
     x defaults to the free point alpha - side_sign(side), one unit off the
     half-line: alpha - 1 on the right, alpha + 1 on the left.  x follows
-    the point rule (_point).
+    the point rule, and the two extremal values the value rule.
     """
     ds, m = _door(seq, m, 1)
     sign = side_sign(ds.side)
     x = _free_point(ds.side, ds.alpha) if x is None else float(_point(x, ds))
     s_min, s_max = extremal(seq, m)
-    # checked finite and square once, then made Hermitian together
-    lo, hi = _hermitize(matrix_stack([s_min(x), s_max(x)], ds.q, "extremal value"))
+    lo, hi = _hermitize(_value(np.array([s_min(x), s_max(x)]), x))
     # values are PD left of alpha on the right half-line, negative definite
     # right of alpha on the left one
     classes = _psd_classes(np.array([sign * lo, sign * hi, hi - lo]))
@@ -314,8 +303,8 @@ def difference_inverse(seq: MomentSequence, m: int | None = None,
                        z: complex | None = None) -> Array:
     """[S_max(z) - S_min(z)]^{-1} as a sum over the factor chain of (L, M).
 
-    z defaults to weyl_interval's free point, else need only be finite
-    (_point); an overflow is a ValueError naming z.  With w = z - alpha (right)
+    z defaults to weyl_interval's free point, else need only be finite (the
+    point rule); the value follows the value rule.  With w = z - alpha (right)
     resp. alpha - z (left), n = half(m), j = half(m - 1), D_k the lower block
     of the chain column [B_k; D_k] and E_k = sum_{i<=k} D_i M_i (chain_d_e):
 
@@ -329,17 +318,12 @@ def difference_inverse(seq: MomentSequence, m: int | None = None,
     """
     ds, m = _door(seq, m)
     z = _free_point(ds.side, ds.alpha) if z is None else _point(z)
-    w = side_sign(ds.side) * (z - ds.alpha)
+    w = side_sign(ds.side) * np.subtract(z, ds.alpha)   # a numpy scalar: w ** 2 overflows to inf
     d, e = chain_d_e(ds)
     out = -w * _weighted_sum(d, ds.m, half(m), z)
-    try:
-        if m >= 1:
-            out = out + w ** 2 * _weighted_sum(e, ds.l, half(m - 1), z)
-    except OverflowError:   # w ** 2 of a Python float
-        out = None
-    if out is None or not np.isfinite(out).all():
-        raise ValueError(f"value at point {z} overflows float64")
-    return out
+    if m >= 1:
+        out = out + w ** 2 * _weighted_sum(e, ds.l, half(m - 1), z)
+    return _value(out, z)
 
 
 def _weighted_sum(stack: Array, weights: Array, n: int, z: complex) -> Array:

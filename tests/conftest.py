@@ -12,11 +12,10 @@ from stieltjesmp import (
 from stieltjesmp.linalg import _hermitize
 from stieltjesmp.measures import MolecularMeasure
 from stieltjesmp.moments import (
-    half, hankel, hhats, lower_triangular_S, require_hankel_pd_prefix, y_stack, z_stack,
+    _point, half, hankel, hhats, lower_triangular_S, require_hankel_pd_prefix, y_stack, z_stack,
 )
 from stieltjesmp.orthopoly import GENERAL, MatrixPolynomial
 from stieltjesmp.params import _door
-from stieltjesmp.solutions import _point
 
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_makereport(item, call):

@@ -251,6 +251,31 @@ def test_solve_at_an_overflowing_point_exits_3(capsys, tmp_path):
     assert out == "" and "value at point (-1e+200+0j) overflows float64" in err
 
 
+def test_extremal_at_an_overflowing_point_exits_3(capsys, tmp_path):
+    # CI's sequence: -1e-320 passes the point rule, but the free end's atom at
+    # alpha = 0 overflows its value; extremal printed eight NaN entries and
+    # exited 0
+    assert main(["generate", "--q", "2", "--m", "4", "--seed", "7"]) == EXIT_OK
+    seq = tmp_path / "seq.json"
+    seq.write_text(capsys.readouterr().out)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["extremal", str(seq), "--at=-1e-320"]) == EXIT_PRECONDITION
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: value at point -1e-320 overflows float64\n"
+
+
+def test_output_holding_nan_exits_3_and_prints_nothing(capsys, monkeypatch):
+    # _emit serializes before it writes and refuses NaN and Infinity, which
+    # json.dump wrote as bare NaN and Infinity tokens
+    import stieltjesmp.cli as cli
+    monkeypatch.setattr(cli, "cmd_generate",
+                        lambda args: cli._emit({"ok": 1.0, "x": float("nan")}) or EXIT_OK)
+    assert main(["generate"]) == EXIT_PRECONDITION
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
 def test_extremal_verb(capsys, f1_file):
     code, payload = run(capsys, "extremal", f1_file, "--at=-1")
     assert code == EXIT_OK

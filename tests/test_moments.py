@@ -280,7 +280,7 @@ def test_potapov_defect_at_kappa_zero(side):
 
 
 def test_potapov_defect_rejects_real_z(f1):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="only defined off the real axis"):
         potapov_defect_psd(f1, np.array([[1.0]]), 0.5)
 
 

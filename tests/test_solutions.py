@@ -7,7 +7,7 @@ import pytest
 from stieltjesmp import (
     CONSTANT, SCHUR_CONSTANT, MatrixPolynomial, ResolventU, SingularDenominator, StieltjesPair,
     difference_inverse, dyukarev_quadruple, extremal, hermitize, interval_point, is_psd,
-    lft_solve, lft_solve_schur, pair_max, pair_min, potapov_defect_psd,
+    lft_solve, lft_solve_schur, pair_max, pair_min, potapov_defect, potapov_defect_psd,
     random_stieltjes_pd_sequence, reflect, resolvent_u, sequence,
     side_sign, sigma, stieltjes_quadruple, weyl_interval,
 )
@@ -266,12 +266,12 @@ def test_weyl_interval_fixtures(f1, f2):
 
 
 def test_weyl_interval_rejects_non_finite_values(f1, monkeypatch):
-    # a non-finite extremal value is bad data (ValueError), not a failed
-    # definiteness check (ArithmeticError)
+    # a non-finite extremal value is an overflow at x (ValueError, by the value
+    # rule), not a failed definiteness check (ArithmeticError)
     import stieltjesmp.solutions as solutions
     monkeypatch.setattr(solutions.ExtremalSolution, "__call__",
                         lambda self, z: np.array([[np.inf + 0j]]))
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match=re.escape("value at point -1.0 overflows float64")):
         weyl_interval(f1)
 
 
@@ -585,30 +585,37 @@ def _point_entries(s):
             "lft_solve_schur": lambda z: lft_solve_schur(sig, np.eye(1), z, 1),
             "difference_inverse": lambda z: difference_inverse(s, z=z),
             "weyl_interval": lambda z: weyl_interval(s, x=z),
-            "interval_point": lambda z: interval_point(s, None, z, 0.5)}
+            "interval_point": lambda z: interval_point(s, None, z, 0.5),
+            "potapov_defect": lambda z: potapov_defect(s, 0.5, z)}
 
 
-@pytest.mark.parametrize("z", [np.nan, np.inf, -np.inf, complex(np.nan, 1)], ids=repr)
+@pytest.mark.parametrize("z", [np.nan, np.inf, -np.inf, complex(np.nan, 1), complex(1, np.inf)],
+                         ids=repr)
 @pytest.mark.parametrize("entry", ["lft_solve", "lft_solve_schur", "difference_inverse",
-                                   "weyl_interval", "interval_point"])
+                                   "weyl_interval", "interval_point", "potapov_defect"])
 def test_a_point_that_is_not_finite_is_named(entry, z):
     # the point rule's first check: nan and -inf used to give [[nan+nanj]] in
     # lft_solve and difference_inverse, nan was "on the cut" in weyl_interval
-    # and -inf an ArithmeticError there
+    # and -inf an ArithmeticError there; potapov_defect called nan real and
+    # returned non-finite blocks at complex(nan, 1) and complex(1, inf)
     call = _point_entries(random_stieltjes_pd_sequence(1, 4, seed=1))[entry]
     with pytest.raises(ValueError, match=re.escape(f"point {z} is not finite")):
         call(z)
 
 
 def test_an_overflowing_value_is_named_not_returned():
-    # finite points where float64 overflows: lft_solve returned NaN, and
+    # finite points where float64 overflows: lft_solve returned NaN,
     # difference_inverse a non-finite value at -1e100 and a bare OverflowError
-    # at -1e200; numpy's own overflow warnings come before the error
+    # at -1e200, weyl_interval next to the free end's atom at alpha = 0 a
+    # "matrix has non-finite entries" that did not name x, and potapov_defect
+    # non-finite blocks; numpy's own overflow warnings come before the error
     s2, s1 = (random_stieltjes_pd_sequence(q, kappa, seed=1) for q, kappa in ((2, 5), (1, 4)))
     cases = [(-1e200, lambda z: lft_solve(resolvent_u(s2), pair_max(2), z)),
              (-1e200, lambda z: lft_solve_schur(sigma(s2), np.eye(2), z, 2)),
              (-1e100, lambda z: difference_inverse(s1, z=z)),
-             (-1e200, lambda z: difference_inverse(s1, z=z))]
+             (-1e200, lambda z: difference_inverse(s1, z=z)),
+             (-1e-320, lambda z: weyl_interval(s2, x=z)),
+             (1e200j, lambda z: potapov_defect(s1, 0.5, z))]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for z, call in cases:
