@@ -35,7 +35,7 @@ from .solutions import (
 )
 from .measures import (
     HausdorffReport, MolecularMeasure, hausdorff_solvable, measure_moments,
-    recover_max, recover_min, stieltjes_transform,
+    recover_max, recover_min, stieltjes_transform, verify,
 )
 
 __version__ = "0.1.0"

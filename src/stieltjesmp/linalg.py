@@ -7,8 +7,7 @@ of them, _matrix for one.  Positivity is decided by Hermitian eigenvalues, not
 Cholesky, so the same machinery serves matrices near the PSD boundary and
 matrix pencils.  Every threshold of the library lives in DEFAULT_TOL and no
 function takes one, so a matrix has one class wherever the package asks for
-it.  The seven check thresholds of the CLI's verify stay in cli.cmd_verify
-until verify becomes a library report with its thresholds here.
+it.
 """
 
 from dataclasses import dataclass
@@ -40,6 +39,14 @@ class ToleranceConfig:
     det_drop: float = 1e-10      # det coefficients below this times the largest are dropped
     monic_rtol: float = 1e-5     # np.allclose's rtol on MONIC's leading coefficient against I
     atom_slack: float = 1e-9     # an atom may lie this times (1 + |alpha|) past alpha
+    # the measured checks of measures.verify, each on its worst relative error
+    roundtrip_tol: float = 1e-9            # q_roundtrip and ds_roundtrip
+    det_constant_tol: float = 1e-10
+    factor_chain_tol: float = 1e-9
+    j_symmetry_tol: float = 1e-8
+    extremal_lft_tol: float = 1e-8
+    difference_inverse_tol: float = 1e-7
+    measure_moments_tol: float = 1e-7
 
 
 DEFAULT_TOL = ToleranceConfig()

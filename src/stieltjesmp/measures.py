@@ -12,13 +12,18 @@ holds a float array of atoms and one read-only (K, q, q) stack of masses.
 """
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
 from .linalg import Array, DEFAULT_TOL, PD, PSD, _psd_classes, freeze, is_psd, matrix_stack
-from .moments import RIGHT, MomentSequence, hankel, side_sign
-from .params import _door
-from .solutions import _partial_fractions, string_rule
+from .moments import RIGHT, MomentSequence, classify, hankel, side_sign
+from .params import _door, ds_param, seq_from_ds, seq_from_stieltjes_param, stieltjes_param
+from .resolvent import factorize_u, j_inner_check, resolvent_u
+from .solutions import (
+    _partial_fractions, difference_inverse, extremal, lft_solve, pair_max, pair_min, string_rule,
+    weyl_interval,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,3 +210,79 @@ def hausdorff_solvable(seq: MomentSequence, alpha: float, beta: float) -> Hausdo
         cond["two-endpoint block"] = is_psd(mixed)
     return HausdorffReport(solvable=all(cond.values()), parity="even",
                            conditions=cond, one_sided=None)
+
+
+@dataclass(frozen=True)
+class Check:
+    """One check of verify; a measured one also holds its worst relative
+    error over its points and its DEFAULT_TOL field."""
+
+    passed: bool
+    value: float | None = None
+    threshold: float | None = None
+
+
+def _measured(errors, threshold: float) -> Check:
+    value = float(np.max(errors))   # NaN stays NaN and fails
+    return Check(value <= threshold, value, threshold)
+
+
+def verify(seq: MomentSequence) -> MappingProxyType:
+    """Full invariant sweep over one sequence: a read-only map from the name of each check,
+    in the order they run, to its Check.  A sequence that is not Stieltjes-PD gets
+    stieltjes_pd alone, kappa = 0 stops after j_inner, and a failed weyl_gap_pd drops
+    difference_inverse, which needs the gap.  The points are drawn from default_rng(0)."""
+    checks = {"stieltjes_pd": Check(classify(seq).stieltjes == PD)}
+    if not checks["stieltjes_pd"].passed:
+        return MappingProxyType(checks)
+    tol, rng = DEFAULT_TOL, np.random.default_rng(0)
+    scale = np.linalg.norm(seq.moments, axis=(1, 2)).max()
+    for name, back in (("q_roundtrip", seq_from_stieltjes_param(stieltjes_param(seq))),
+                       ("ds_roundtrip", seq_from_ds(ds_param(seq)))):
+        checks[name] = _measured(np.abs(np.subtract(back.moments, seq.moments)).max() / scale,
+                                 tol.roundtrip_tol)
+
+    u, chain = resolvent_u(seq), factorize_u(seq)
+    det_ref = np.linalg.det(u(seq.alpha))
+    # 20 points z = re + i im, drawn as (re, im) pairs; each check holds at every point
+    z = rng.standard_normal(40).view(complex)
+    uz = u(z)
+    ui = np.linalg.inv(uz)
+    checks["det_constant"] = _measured(np.abs(np.linalg.det(uz) - det_ref) / (1 + abs(det_ref)),
+                                       tol.det_constant_tol)
+    checks["factor_chain"] = _measured(np.linalg.norm(chain(z) - uz, axis=(1, 2))
+                                       / np.linalg.norm(uz, axis=(1, 2)), tol.factor_chain_tol)
+    checks["j_symmetry"] = _measured(np.linalg.norm(ui - u.inverse_at(z), axis=(1, 2))
+                                     / np.linalg.norm(ui, axis=(1, 2)), tol.j_symmetry_tol)
+
+    samples = [complex(rng.standard_normal(), abs(rng.standard_normal()) + 0.1)
+               for _ in range(10)] + [rng.standard_normal() for _ in range(5)]
+    inner = j_inner_check(u, samples, seq.q)   # passed compares strictly
+    checks["j_inner"] = Check(inner.passed, max(inner.max_real_defect, -inner.min_upper_eig),
+                              tol.j_inner_tol)
+
+    if seq.kappa >= 1:
+        try:
+            iv = weyl_interval(seq, seq.kappa)
+        except ArithmeticError:   # extremal values not definite, or their gap not PD
+            iv = None
+        checks["weyl_gap_pd"] = Check(iv is not None)
+        # the production extremals against the LFT of U with the trivial
+        # pairs: (0, I) gives the wall extremal B D^-1, (I, 0) the free A C^-1
+        errors = []
+        for ext in extremal(seq):
+            pair = (pair_min if ext.bd else pair_max)(seq.q, seq.side)
+            want = np.array([lft_solve(u, pair, zk) for zk in z])
+            errors.append(np.linalg.norm(ext(z) - want, axis=(1, 2))
+                          / (1 + np.linalg.norm(want, axis=(1, 2))))
+        checks["extremal_lft"] = _measured(errors, tol.extremal_lft_tol)
+        if iv is not None:
+            gap_inv = difference_inverse(seq, seq.kappa, iv.x)
+            checks["difference_inverse"] = _measured(
+                np.linalg.norm(np.linalg.inv(iv.gap) - gap_inv) / (1 + np.linalg.norm(gap_inv)),
+                tol.difference_inverse_tol)
+        moms = [measure_moments(mu, seq.kappa) for mu in (recover_min(seq), recover_max(seq))]
+        checks["measure_moments"] = _measured(
+            [np.linalg.norm(mom[j] - seq[j]) / (1 + np.linalg.norm(seq[j]))
+             for mom in moms for j in range(seq.kappa)], tol.measure_moments_tol)
+    return MappingProxyType(checks)

@@ -116,11 +116,14 @@ def lft_solve(u: ResolventU, pair: StieltjesPair, z: complex) -> Array:
     100 times the threshold certifies D with no determinant.  Below that, det(D) decides;
     a D that inv cannot factor at all is singular.  z follows the point rule,
     and the value rule holds num and D where the certificate fails, so the
-    certified path makes no finiteness test.
+    certified path makes no finiteness test.  Precedence: the cut, the size,
+    the pair's half-line, the singularity.
     """
     _point(z, u)
     if len(pair.stacked) != 2 * u.q:
         raise ValueError(f"pair is {len(pair.phi)} x {len(pair.phi)}, U has {u.q} x {u.q} blocks")
+    if pair.side != u.side:
+        raise ValueError(f"pair is for the {pair.side} half-line, U for the {u.side} half-line")
     g = u.poly(z) @ pair.stacked
     return _divide(g[:u.q], g[u.q:], "denominator", z)
 

@@ -1,5 +1,4 @@
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from stieltjesmp.cli import (
 )
 from stieltjesmp import (
     difference_inverse, interval_point, lft_solve, pair_min, random_stieltjes_pd_sequence,
-    reflect, resolvent_u, sequence, weyl_interval,
+    reflect, resolvent_u, sequence, verify, weyl_interval,
 )
 from stieltjesmp.linalg import min_eig_hermitian_part
 
@@ -238,15 +237,13 @@ def test_one_cut_message_across_the_point_entries(capsys, tmp_path, side):
 
 def test_solve_at_an_overflowing_point_exits_3(capsys, tmp_path):
     # CI's sequence and pair-right.json: at -1e200 solve printed eight NaN
-    # entries and exited 0; numpy's own overflow warnings come before the error
+    # entries and exited 0; no numpy warning leaves main
     assert main(["generate", "--q", "2", "--m", "4", "--seed", "7"]) == EXIT_OK
     seq, pair = tmp_path / "seq.json", tmp_path / "pair-right.json"
     seq.write_text(capsys.readouterr().out)
     pair.write_text('{"kind": "CONSTANT", "phi": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], '
                     '"psi": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}')
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert main(["solve", str(seq), "--pair", str(pair), "--at=-1e200"]) == EXIT_PRECONDITION
+    assert main(["solve", str(seq), "--pair", str(pair), "--at=-1e200"]) == EXIT_PRECONDITION
     out, err = capsys.readouterr()
     assert out == "" and "value at point (-1e+200+0j) overflows float64" in err
 
@@ -254,13 +251,11 @@ def test_solve_at_an_overflowing_point_exits_3(capsys, tmp_path):
 def test_extremal_at_an_overflowing_point_exits_3(capsys, tmp_path):
     # CI's sequence: -1e-320 passes the point rule, but the free end's atom at
     # alpha = 0 overflows its value; extremal printed eight NaN entries and
-    # exited 0
+    # exited 0, and numpy's warnings came before the error line
     assert main(["generate", "--q", "2", "--m", "4", "--seed", "7"]) == EXIT_OK
     seq = tmp_path / "seq.json"
     seq.write_text(capsys.readouterr().out)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert main(["extremal", str(seq), "--at=-1e-320"]) == EXIT_PRECONDITION
+    assert main(["extremal", str(seq), "--at=-1e-320"]) == EXIT_PRECONDITION
     out, err = capsys.readouterr()
     assert out == "" and err == "error: value at point -1e-320 overflows float64\n"
 
@@ -355,11 +350,15 @@ def test_verify_reports_a_degenerate_weyl_interval(capsys, f1_file, monkeypatch,
 
 
 def test_verify_judges_the_extremals_on_the_ladder(capsys, tmp_path):
+    # the verb prints the library's report, check by check
     path = tmp_path / "seq.json"
     for i in range(len(LADDER)):
-        path.write_text(json.dumps(encode_sequence(ladder_fixture(i))))
-        code, payload = run(capsys, "verify", str(path))
-        assert code == EXIT_OK and payload["checks"]["extremal_lft"]
+        for s in (ladder_fixture(i), reflect(ladder_fixture(i))):
+            path.write_text(json.dumps(encode_sequence(s)))
+            code, payload = run(capsys, "verify", str(path))
+            assert code == EXIT_OK and payload["checks"]["extremal_lft"]
+            checks = {name: check.passed for name, check in verify(s).items()}
+            assert payload == {"checks": checks, "passed": True}
 
 
 def _assert_verify_passes_with_an_accurate_difference_inverse(capsys, tmp_path, s):
@@ -417,6 +416,24 @@ def test_solve_names_both_sizes_of_a_pair_that_does_not_fit(capsys, tmp_path):
     pair.write_text(json.dumps({"kind": "CONSTANT", "phi": [[1]], "psi": [[1]]}))
     assert main(["solve", str(seq), "--pair", str(pair), "--at=-1"]) == EXIT_PRECONDITION
     assert "pair is 1 x 1, U has 2 x 2 blocks" in capsys.readouterr().err
+
+
+def test_a_pair_document_is_decoded_as_strictly_as_a_sequence(capsys, f1_file, tmp_path):
+    # a pair file holding a list or a string crashed solve with an
+    # AttributeError, and an unknown or non-string kind was solved as CONSTANT
+    pair = tmp_path / "pair.json"
+    good = {"phi": [[1.0]], "psi": [[1.0]]}
+    for doc, msg in (([1], "pair document must be an object, got list"),
+                     ("text", "pair document must be an object, got str"),
+                     (dict(good, kind="BOGUS"), "got 'BOGUS'"),
+                     (dict(good, kind=["x"]), "got ['x']")):
+        pair.write_text(json.dumps(doc))
+        assert main(["solve", f1_file, "--pair", str(pair), "--at=-1"]) == EXIT_USAGE
+        assert msg in capsys.readouterr().err
+    for kind in ({}, {"kind": "CONSTANT"}):
+        pair.write_text(json.dumps(dict(good, **kind)))
+        assert main(["solve", f1_file, "--pair", str(pair), "--at=-1"]) == EXIT_OK
+        capsys.readouterr()
 
 
 def test_a_q_that_is_not_an_integer_is_a_usage_error(capsys, tmp_path):

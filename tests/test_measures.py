@@ -4,7 +4,7 @@ import pytest
 from stieltjesmp import (
     PD, PSD, MolecularMeasure, ds_param, extremal, hausdorff_solvable, is_psd, measure_moments,
     SingularDenominator, psd_class, random_stieltjes_pd_sequence, recover_max, recover_min,
-    reflect, sequence, stieltjes_transform,
+    reflect, sequence, stieltjes_transform, verify,
 )
 from stieltjesmp.linalg import DEFAULT_TOL, min_eig_hermitian_part, hermitize, sqrt_psd
 from stieltjesmp.measures import _merge_atoms
@@ -399,3 +399,57 @@ def test_residue_extrapolation_divergence_is_an_arithmetic_error():
     s = ladder_fixture(0)
     with pytest.raises(ArithmeticError, match="residue extrapolation diverged at atom"):
         residue_measure(s, s.kappa, lambda z: np.full((s.q, s.q), np.inf))
+
+
+# each measured check of verify, its DEFAULT_TOL field and the field's value
+VERIFY_THRESHOLDS = {
+    "q_roundtrip": ("roundtrip_tol", 1e-9), "ds_roundtrip": ("roundtrip_tol", 1e-9),
+    "det_constant": ("det_constant_tol", 1e-10), "factor_chain": ("factor_chain_tol", 1e-9),
+    "j_symmetry": ("j_symmetry_tol", 1e-8), "j_inner": ("j_inner_tol", 1e-8),
+    "extremal_lft": ("extremal_lft_tol", 1e-8),
+    "difference_inverse": ("difference_inverse_tol", 1e-7),
+    "measure_moments": ("measure_moments_tol", 1e-7),
+}
+
+
+def _assert_checks_follow_their_values(report):
+    for name, check in report.items():
+        if name in ("stieltjes_pd", "weyl_gap_pd"):   # decisions carry passed alone
+            assert check.value is None and check.threshold is None
+            continue
+        field, value = VERIFY_THRESHOLDS[name]
+        assert check.threshold == getattr(DEFAULT_TOL, field) == value
+        # j_inner keeps JInnerReport.passed's strict comparisons
+        held = check.value < check.threshold if name == "j_inner" else check.value <= check.threshold
+        assert check.passed is held
+
+
+def test_verify_holds_each_measured_check_to_its_tolerance_field():
+    order = ["stieltjes_pd", "q_roundtrip", "ds_roundtrip", "det_constant", "factor_chain",
+             "j_symmetry", "j_inner", "weyl_gap_pd", "extremal_lft", "difference_inverse",
+             "measure_moments"]
+    for i in range(len(LADDER)):
+        for s in (ladder_fixture(i), reflect(ladder_fixture(i))):
+            report = verify(s)
+            assert list(report) == order and all(check.passed for check in report.values())
+            _assert_checks_follow_their_values(report)
+    with pytest.raises(TypeError):   # the report is read-only
+        report["extra"] = report["j_inner"]
+
+
+def test_verify_keeps_its_presence_rules(f1, monkeypatch):
+    # a sequence that is not Stieltjes-PD gets stieltjes_pd alone, and kappa = 0
+    # stops after j_inner
+    report = verify(sequence([1.0, -1.0]))
+    assert list(report) == ["stieltjes_pd"] and not report["stieltjes_pd"].passed
+    report = verify(random_stieltjes_pd_sequence(q=2, kappa=0, seed=3))
+    assert list(report)[-1] == "j_inner" and all(check.passed for check in report.values())
+    # both extremals stubbed to one value: weyl_gap_pd fails, difference_inverse
+    # is left out, and extremal_lft fails on its measured value
+    import stieltjesmp.solutions as solutions
+    monkeypatch.setattr(solutions.ExtremalSolution, "__call__",
+                        lambda self, z: np.full(np.shape(z) + (1, 1), 1.0, dtype=complex))
+    report = verify(f1)
+    assert not report["weyl_gap_pd"].passed and "difference_inverse" not in report
+    assert not report["extremal_lft"].passed and report["measure_moments"].passed
+    _assert_checks_follow_their_values(report)

@@ -402,6 +402,22 @@ def test_a_parameter_of_another_size_is_a_value_error():
             lft_solve_schur(sigma(s), np.eye(1), -1.0, q)
 
 
+def test_a_pair_of_the_other_half_line_is_a_value_error():
+    # a right sequence with the left pair (-1, 1): at -1 lft_solve returned
+    # -1.053, outside that point's Weyl interval [0.323, 2.372], with no error
+    s = random_stieltjes_pd_sequence(q=1, kappa=3, seed=1)
+    left = StieltjesPair(kind=CONSTANT, side="left", phi=-np.eye(1), psi=np.eye(1))
+    for seq, pair, x, msg in ((s, left, -1.0, "left half-line, U for the right"),
+                              (reflect(s), pair_max(1), 1.0, "right half-line, U for the left")):
+        with pytest.raises(ValueError, match=f"pair is for the {msg} half-line"):
+            lft_solve(resolvent_u(seq), pair, x)
+    # the cut and the size come before the side
+    with pytest.raises(ValueError, match="lies on the cut"):
+        lft_solve(resolvent_u(s), left, 1.0)
+    with pytest.raises(ValueError, match="pair is 2 x 2, U has 1 x 1 blocks"):
+        lft_solve(resolvent_u(s), pair_max(2, "left"), -1.0)
+
+
 @pytest.mark.parametrize("kappa", [9, 10])
 def test_interval_point_pairs_on_ill_conditioned_lm_draws(kappa):
     # the q = 2 lm-ladder draws of test_cli's verify test
