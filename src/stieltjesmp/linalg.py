@@ -119,7 +119,9 @@ def _psd_classes(stack: Array) -> Array:
     herm = _hermitian_mask(stack)
     # the mask alone classes a non-Hermitian matrix; it is zeroed before
     # eigvalsh so that no non-finite entry reaches LAPACK
-    w = np.linalg.eigvalsh(_hermitize(np.where(herm[:, None, None], stack, 0)))
+    if not herm.all():
+        stack = np.where(herm[:, None, None], stack, 0)
+    w = np.linalg.eigvalsh(_hermitize(stack))
     floor = _psd_floor(w)
     return _CLASS_NAMES[herm * (1 + (w[:, 0] >= -floor) + (w[:, 0] > floor))]
 

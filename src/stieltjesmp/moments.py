@@ -137,13 +137,15 @@ def half(k: int) -> int:
 # they take a MomentSequence or a plain list of moment matrices alike.
 
 def y_stack(seq, j: int, k: int) -> Array:
-    """Column stack (s_j; ...; s_k)."""
-    return np.vstack([seq[i] for i in range(j, k + 1)])
+    """Column stack (s_j; ...; s_k), j <= k."""
+    stack = np.asarray(seq[j:k + 1])
+    return stack.reshape(-1, stack.shape[-1])
 
 
 def z_stack(seq, j: int, k: int) -> Array:
-    """Row stack (s_j ... s_k)."""
-    return np.hstack([seq[i] for i in range(j, k + 1)])
+    """Row stack (s_j ... s_k), j <= k."""
+    stack = np.asarray(seq[j:k + 1])
+    return stack.transpose(1, 0, 2).reshape(stack.shape[-1], -1)
 
 
 def hankel(seq, n: int, offset: int = 0) -> Array:
@@ -193,6 +195,7 @@ def reflect(seq: MomentSequence) -> MomentSequence:
     return MomentSequence(q=seq.q, alpha=-seq.alpha, side=side, moments=freeze(mats))
 
 
+@derived
 def _cholesky_hhats(seq: MomentSequence):
     """The Hhat_n from one Cholesky factor of H_{half(kappa)}, or None where
     that route does not apply."""
@@ -212,6 +215,23 @@ def _cholesky_hhats(seq: MomentSequence):
 
 
 @derived
+def _pinv_hhats(seq: MomentSequence) -> tuple:
+    """The Hhat_n by the pinv formula of schur_complement, and their classes."""
+    values = matrix_stack([schur_complement(seq, n) for n in range(half(seq.kappa) + 1)],
+                          seq.q, "Hhat_n")
+    return values, _psd_classes(values)
+
+
+def _hhats_rule(seq: MomentSequence, values, classes) -> tuple:
+    """hhats of seq from its Cholesky values (None where that route does not
+    apply) and their classes: those two when every class is PD, else
+    _pinv_hhats(seq)."""
+    if values is not None and (classes == PD).all():
+        return values, classes
+    return _pinv_hhats(seq)
+
+
+@derived
 def hhats(seq: MomentSequence) -> tuple:
     """The Schur complements Hhat_0..Hhat_{half(kappa)} and the psd class of each.
 
@@ -224,13 +244,7 @@ def hhats(seq: MomentSequence) -> tuple:
     for the odd Q_j on its own.
     """
     values = _cholesky_hhats(seq)
-    if values is not None:
-        classes = _psd_classes(values)
-        if (classes == PD).all():
-            return values, classes
-    values = matrix_stack([schur_complement(seq, n) for n in range(half(seq.kappa) + 1)],
-                          seq.q, "Hhat_n")
-    return values, _psd_classes(values)
+    return _hhats_rule(seq, values, None if values is None else _psd_classes(values))
 
 
 def require_hankel_pd_prefix(seq: MomentSequence, up_to: int):
@@ -294,20 +308,34 @@ def _kernel_included(q_a: Array, q_b: Array) -> bool:
     return np.linalg.norm(q_b @ proj) <= DEFAULT_TOL.identity_tol * (1.0 + np.linalg.norm(q_b))
 
 
-def _interlaced(seq: MomentSequence, k: int) -> Array:
-    """Part k of hhats (0 values, 1 classes) as one stack, interlaced: Hhat_n
-    at 2n and the shifted sequence's Hhat_n at 2n+1."""
-    even = hhats(seq)[k]
-    odd = hhats(seq.shifted)[k] if seq.kappa else even[:0]
-    out = np.empty((seq.kappa + 1,) + even.shape[1:], dtype=even.dtype)
-    out[0::2], out[1::2] = even, odd
-    return out
-
-
 @derived
+def _interlaced(seq: MomentSequence) -> tuple:
+    """hhats of seq and of seq.shifted as one (values, classes) pair of
+    stacks, interlaced: Hhat_n at 2n and the shifted sequence's Hhat_n at
+    2n+1.  The Cholesky values of both sides are classed in one pass, and
+    each side then takes hhats' rule on its share of the classes."""
+    sides = (seq, seq.shifted) if seq.kappa else (seq,)
+    chol = [_cholesky_hhats(side) for side in sides]
+    found = [values for values in chol if values is not None]
+    pooled = _psd_classes(np.concatenate(found)) if found else None
+    parts, start = [], 0
+    for side, values in zip(sides, chol):
+        share = None
+        if values is not None:
+            share, start = pooled[start:start + len(values)], start + len(values)
+        parts.append(_hhats_rule(side, values, share))
+    out = []
+    for stacks in zip(*parts):   # the values of each side, then the classes
+        both = np.empty((seq.kappa + 1,) + stacks[0].shape[1:], dtype=stacks[0].dtype)
+        for k, stack in enumerate(stacks):
+            both[k::2] = stack
+        out.append(both)
+    return tuple(out)
+
+
 def q_values(seq: MomentSequence) -> Array:
     """Interlaced Schur complements Q_{2n} = Hhat_n, Q_{2n+1} = Hhat_shift_n, one stack."""
-    return _interlaced(seq, 0)
+    return _interlaced(seq)[0]
 
 
 @derived
@@ -319,8 +347,7 @@ def classify(seq: MomentSequence) -> SequenceClass:
     all PD means PD; all PSD plus the kernel-inclusion chain up to j-1
     means the solvability class (NND) resp. the extendability class.
     """
-    qs = q_values(seq)
-    classes = _interlaced(seq, 1)
+    qs, classes = _interlaced(seq)
     # PD is decided through the Schur complements Q_{2n} = Hhat_n (numerically
     # robust and equivalent); NND falls back to the spectrum of the full block
     if np.all(classes[0::2] == PD):

@@ -139,17 +139,19 @@ def seq_from_stieltjes_param(p: StieltjesParam) -> MomentSequence:
 def _seq_from_q_pinv(p: StieltjesParam) -> MomentSequence:
     """The pinv recursion of seq_from_stieltjes_param, for Q_j not all PD."""
     a, qs, sgn = p.alpha, p.values, side_sign(p.side)
-    mats = [qs[0]]
+    # step j reads the moments before it, a view of the stack it fills
+    mats = np.empty_like(qs)
+    mats[0] = qs[0]
     if p.kappa >= 1:
-        mats.append(a * mats[0] + sgn * qs[1])
+        mats[1] = a * mats[0] + sgn * qs[1]
     for j in range(2, p.kappa + 1):
         n = j // 2
         if j % 2 == 0:
-            mats.append(qs[j] + schur_correction(mats, n))
+            mats[j] = qs[j] + schur_correction(mats[:j], n)
         else:
-            corr = schur_correction(shifted_moments(mats, a, p.side), n)
-            mats.append(a * mats[-1] + sgn * (qs[j] + corr))
-    return MomentSequence(q=p.q, alpha=a, side=p.side, moments=mats)
+            corr = schur_correction(shifted_moments(mats[:j], a, p.side), n)
+            mats[j] = a * mats[j - 1] + sgn * (qs[j] + corr)
+    return MomentSequence(q=p.q, alpha=a, side=p.side, moments=freeze(mats))
 
 
 # --- canonical Hankel parametrization ----------------------------------------
@@ -173,16 +175,25 @@ def canonical_hankel_param(seq: MomentSequence) -> CanonicalHankelParam:
 
 def seq_from_canonical(p: CanonicalHankelParam, q: int, alpha: float = 0.0,
                        side: str = RIGHT) -> MomentSequence:
-    """Reconstruction s_0 = D_0, s_{2n-1} = C_n + Lambda_{n-1}, s_{2n} = D_n + corr."""
+    """Reconstruction s_0 = D_0, s_{2n-1} = C_n + Lambda_{n-1}, s_{2n} = D_n + corr.
+
+    The lengths must fit one kappa, as those of a DSParam: len(d) >= 1 and
+    len(d) - len(c) in {0, 1}.
+    """
     c, d = matrix_stack(p.c, q, "C_n"), matrix_stack(p.d, q, "D_n")
-    mats = [d[0]]
-    for j in range(1, len(c) + len(d)):
+    if not len(d) or len(d) - len(c) not in (0, 1):
+        raise ValueError(f"(C, D) lengths do not fit: len(c) = {len(c)}, len(d) = {len(d)}; "
+                         "need len(d) >= 1 and len(d) - len(c) in {0, 1}")
+    # step j reads the moments before it, a view of the stack it fills
+    mats = np.empty((len(c) + len(d), q, q), dtype=complex)
+    mats[0] = d[0]
+    for j in range(1, len(mats)):
         n = (j + 1) // 2
         if j % 2 == 1:
-            mats.append(c[n - 1] + _lambda_term(mats, n - 1))
+            mats[j] = c[n - 1] + _lambda_term(mats[:j], n - 1)
         else:
-            mats.append(d[n] + schur_correction(mats, n))
-    return MomentSequence(q=q, alpha=alpha, side=side, moments=mats)
+            mats[j] = d[n] + schur_correction(mats[:j], n)
+    return MomentSequence(q=q, alpha=alpha, side=side, moments=freeze(mats))
 
 
 # --- Favard pair --------------------------------------------------------------

@@ -9,13 +9,14 @@ from stieltjesmp import (
     psd_class, q_from_ds, random_pd, real_zeros, reflect, seq_from_ds, sequence,
     stieltjes_quadruple,
 )
-from stieltjesmp.linalg import _hermitize
+from stieltjesmp.linalg import _hermitize, matrix_stack
 from stieltjesmp.measures import MolecularMeasure
 from stieltjesmp.moments import (
-    _point, half, hankel, hhats, lower_triangular_S, require_hankel_pd_prefix, y_stack, z_stack,
+    MomentSequence, _point, half, hankel, hhats, lower_triangular_S, require_hankel_pd_prefix,
+    schur_correction, shifted_moments, side_sign, y_stack, z_stack,
 )
 from stieltjesmp.orthopoly import GENERAL, MatrixPolynomial
-from stieltjesmp.params import _door
+from stieltjesmp.params import _door, _lambda_term
 
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_makereport(item, call):
@@ -95,6 +96,20 @@ def ladder_fixture(i: int):
         side = "right" if i % 2 == 0 else "left"
         _cache[i] = random_fixture(q, kappa, alpha, side, seed=i, max_cond=max_cond)
     return _cache[i]
+
+
+def route_cases() -> list:
+    """(sequence, (Hankel class, Stieltjes class)) on every route of the
+    Schur complements: the 50 ladder fixtures and their reflections (both
+    sides Cholesky), an NND sequence (the shift pinv), one PD on one side
+    only (the shift indefinite) and a non-Hermitian q = 2 sequence (both
+    sides pinv)."""
+    fixtures = [ladder_fixture(i) for i in range(50)]
+    return [(s, ("PD", "PD")) for s in fixtures + [reflect(s) for s in fixtures]] + [
+        (sequence([1.0, 0.0, 1.0]), ("PD", "NND")),
+        (sequence([1.0, -1.0, 2.0, -2.5, 5.0]), ("PD", "NO")),
+        (sequence([np.eye(2), [[0.5, 0.2], [0.0, 0.5]], [[1.0, 0.0], [0.3, 1.0]]]), ("NO", "NO")),
+    ]
 
 
 def lm_draw(seed: int, q: int, kappa: int, draw: int):
@@ -479,6 +494,39 @@ def ds_increments(seq) -> DSParam:
         l.append(z_stack(seq, 0, n) @ hankel_inverse(sh, n) @ y_stack(seq, 0, n)
                  - z_stack(seq, 0, n - 1) @ hankel_inverse(sh, n - 1) @ y_stack(seq, 0, n - 1))
     return DSParam(q=q, alpha=a, side=seq.side, l=tuple(l), m=tuple(m))
+
+
+def seq_from_q_pinv_loop(p) -> MomentSequence:
+    """The pinv recursion of seq_from_stieltjes_param as a loop that appends
+    each moment to a list and hands the list to schur_correction and
+    shifted_moments: the reference the stack-filling recursion is held to,
+    bit for bit."""
+    a, qs, sgn = p.alpha, p.values, side_sign(p.side)
+    mats = [qs[0]]
+    if p.kappa >= 1:
+        mats.append(a * mats[0] + sgn * qs[1])
+    for j in range(2, p.kappa + 1):
+        n = j // 2
+        if j % 2 == 0:
+            mats.append(qs[j] + schur_correction(mats, n))
+        else:
+            corr = schur_correction(shifted_moments(mats, a, p.side), n)
+            mats.append(a * mats[-1] + sgn * (qs[j] + corr))
+    return MomentSequence(q=p.q, alpha=a, side=p.side, moments=mats)
+
+
+def seq_from_canonical_loop(p, q: int, alpha: float, side: str) -> MomentSequence:
+    """seq_from_canonical as a loop over a list of moments, the reference its
+    stack-filling reconstruction is held to, bit for bit."""
+    c, d = matrix_stack(p.c, q, "C_n"), matrix_stack(p.d, q, "D_n")
+    mats = [d[0]]
+    for j in range(1, len(c) + len(d)):
+        n = (j + 1) // 2
+        if j % 2 == 1:
+            mats.append(c[n - 1] + _lambda_term(mats, n - 1))
+        else:
+            mats.append(d[n] + schur_correction(mats, n))
+    return MomentSequence(q=q, alpha=alpha, side=side, moments=mats)
 
 
 # --- the quadruple at alpha -------------------------------------------------

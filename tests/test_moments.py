@@ -1,3 +1,4 @@
+import itertools
 import sys
 import warnings
 
@@ -14,7 +15,8 @@ from stieltjesmp import (
 )
 from stieltjesmp.linalg import freeze
 from stieltjesmp.moments import (
-    _cholesky_hhats, half, hankel, hhats, monic_rows, q_values, schur_complement, z_stack,
+    _cholesky_hhats, _interlaced, half, hankel, hhats, monic_rows, q_values, schur_complement,
+    y_stack, z_stack,
 )
 from stieltjesmp import orthopoly, params, solutions
 from stieltjesmp.params import chain_stacks
@@ -22,7 +24,7 @@ from stieltjesmp.solutions import string_rule
 
 from conftest import (
     alternating_signs, block_shift, column_E, first_block_column, ladder_fixture, resolvent_R,
-    shat_matrix, u_shift_vector, writeable_arrays,
+    route_cases, shat_matrix, u_shift_vector, writeable_arrays,
 )
 
 
@@ -239,9 +241,15 @@ def test_non_finite_schur_complements_are_rejected():
             classify(sequence([1e-300, 1e300, 1.0]))
 
 
-@pytest.mark.parametrize("moments", [[1.0, 1.0, 2.0, 3.0, 7.0], [1.0, 0.0, 1.0]])
-def test_classify_classes_each_schur_complement_once(monkeypatch, moments):
-    # one batched class pass per side, in hhats; none on the interlaced Q_j
+@pytest.mark.parametrize("moments, want", [
+    ([1.0, 1.0, 2.0, 3.0, 7.0], [3, 2]),       # the shifted H_1 is indefinite
+    ([1.0, 0.0, 1.0], [2, 1]),                 # the shifted s_0 = 0 is singular
+    ([3.0, 6.0, 14.0, 36.0, 98.0], [5]),       # delta_1 + delta_2 + delta_3: both sides factor
+], ids=["moments0", "moments1", "moments2"])
+def test_classify_classes_each_schur_complement_once(monkeypatch, moments, want):
+    # one batched class pass over the Cholesky values of both sides, then
+    # one over the pinv values of each side that falls back; none on the
+    # interlaced Q_j
     import stieltjesmp.moments as mod
     calls, psd_classes = [], mod._psd_classes
 
@@ -250,9 +258,60 @@ def test_classify_classes_each_schur_complement_once(monkeypatch, moments):
         return psd_classes(stack)
 
     monkeypatch.setattr(mod, "_psd_classes", counted)
+    classify(sequence(moments))
+    assert calls == want
+
+
+@pytest.mark.parametrize("moments", [[3.0, 6.0, 14.0, 36.0, 98.0], [1.0, 1.0, 1.0, 1.0, 1.0]])
+def test_hhats_after_classify_factors_nothing_again(monkeypatch, moments):
+    # both routes are cached per sequence: after classify, hhats of either
+    # side takes no Cholesky factor and no pinv, here on a sequence whose
+    # sides both factor and on a rank-one one whose sides both take the pinv
+    import stieltjesmp.moments as mod
+
+    def refactored(*args):
+        raise AssertionError("a Hankel block was factored again")
+
     s = sequence(moments)
     classify(s)
-    assert calls == [half(s.kappa) + 1, half(s.kappa - 1) + 1]
+    qs = q_values(s)
+    monkeypatch.setattr(np.linalg, "cholesky", refactored)
+    monkeypatch.setattr(mod, "_pinv", refactored)
+    for k, side in enumerate((s, s.shifted)):
+        assert hhats(side)[0].tobytes() == qs[k::2].tobytes()
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_block_stacks_are_the_moments_stacked_one_by_one(q):
+    # y_stack and z_stack reshape the moment stack; they keep the shape and
+    # the bits of np.vstack and np.hstack, on a sequence and on a list
+    rng = np.random.default_rng(q)
+    s = sequence(list(rng.standard_normal((6, q, q)) + 1j * rng.standard_normal((6, q, q))))
+    for seq in (s, list(s.moments)):
+        for j, k in itertools.combinations_with_replacement(range(6), 2):
+            mats = [seq[i] for i in range(j, k + 1)]
+            for got, want in ((y_stack(seq, j, k), np.vstack(mats)),
+                              (z_stack(seq, j, k), np.hstack(mats))):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_one_class_pass_keeps_each_sides_own_hhats():
+    # q_values and classify class the Cholesky values of both sides in one
+    # pass, then apply hhats' rule per side: the Q_j and their classes are
+    # the interlace of hhats of each side alone, bit for bit
+    for s, want in route_cases():
+        def fresh():
+            return MomentSequence(q=s.q, alpha=s.alpha, side=s.side, moments=s.moments)
+
+        alone = fresh()
+        values = np.empty_like(s.moments)
+        classes = np.empty(s.kappa + 1, dtype=object)
+        values[0::2], classes[0::2] = hhats(alone)
+        values[1::2], classes[1::2] = hhats(alone.shifted)
+        assert stieltjes_param(fresh()).values.tobytes() == values.tobytes()
+        fused = fresh()
+        assert (classify(fused).hankel, classify(fused).stieltjes) == want
+        assert list(_interlaced(fused)[1]) == list(classes)
 
 
 def test_potapov_defect_fixture(f1):
@@ -367,13 +426,13 @@ def test_the_solve_pipeline_never_builds_monic_rows(monkeypatch):
 @pytest.mark.parametrize("i", [0, 1])   # ladder fixtures 0 and 1: right and left half-line
 def test_one_solve_keeps_its_lapack_budget(monkeypatch, i):
     # the call sequence of one benchmark solve op on a fresh sequence.  The
-    # budget: a cholesky and an eigvalsh for the Schur complements of the
-    # sequence and of its shift, one inv for Q -> (L, M), one stacked inv of
-    # the leading coefficients of both quadruple families, one stacked
-    # cholesky and inv of (L, M) for both string ends, one eigh per end, one
-    # eigvalsh for the Weyl interval and the eigvals of the top polynomial's
-    # companion.  A new factorization on this path has to raise the pin here
-    # on purpose.
+    # budget: a cholesky for the Schur complements of the sequence and one
+    # of its shift, one eigvalsh that classes both, one inv for Q -> (L, M),
+    # one stacked inv of the leading coefficients of both quadruple
+    # families, one stacked cholesky and inv of (L, M) for both string ends,
+    # one eigh per end, one eigvalsh for the Weyl interval and the eigvals
+    # of the top polynomial's companion.  A new factorization on this path
+    # has to raise the pin here on purpose.
     t = ladder_fixture(i)
     names = ("cholesky", "inv", "eigh", "eigvalsh", "eigvals")
     counts = dict.fromkeys(names, 0)
@@ -395,7 +454,7 @@ def test_one_solve_keeps_its_lapack_budget(monkeypatch, i):
             ext(z)
     weyl_interval(s, s.kappa, s.alpha - sign)
     measure_moments(recover_min(s), s.kappa), measure_moments(recover_max(s), s.kappa)
-    assert counts == {"cholesky": 3, "inv": 3, "eigh": 2, "eigvalsh": 3, "eigvals": 1}
+    assert counts == {"cholesky": 3, "inv": 3, "eigh": 2, "eigvalsh": 2, "eigvals": 1}
 
 
 def test_after_ds_param_the_solve_path_reads_no_moment_class(monkeypatch):

@@ -12,10 +12,11 @@ from stieltjesmp import (
     stieltjes_param, stieltjes_quadruple, weyl_interval,
 )
 from stieltjesmp.moments import _cholesky_hhats, hhats, schur_complement
+from stieltjesmp.params import _seq_from_q_pinv
 
 from conftest import (
     LADDER, ds_increments, favard_pair_row_col, fixture_draws, ladder_fixture, ordered_product,
-    rel_err, seq_rel_err,
+    rel_err, route_cases, seq_from_canonical_loop, seq_from_q_pinv_loop, seq_rel_err,
 )
 
 
@@ -374,6 +375,28 @@ def test_canonical_entries_of_the_wrong_shape_are_rejected():
         seq_from_canonical(CanonicalHankelParam(c=(1.0,), d=(np.eye(2), np.eye(2))), q=2)
     with pytest.raises(ValueError, match=r"D_n has shape \(1, 1\), expected \(2,2\)"):
         seq_from_canonical(CanonicalHankelParam(c=(np.eye(2),), d=(np.eye(2), 3.0)), q=2)
+
+
+def test_canonical_lengths_that_fit_no_kappa_are_rejected():
+    # len(d) - len(c) must be 0 or 1 with len(d) >= 1, as for a DSParam; the
+    # misfits raised numpy's IndexError from inside the reconstruction
+    p = canonical_hankel_param(ladder_fixture(0))   # q = 1, kappa = 4
+    for c, d in ((p.c + p.c, p.d), (p.c, p.d[:1]), ((), p.d), ((), ())):
+        with pytest.raises(ValueError, match=f"len\\(c\\) = {len(c)}, len\\(d\\) = {len(d)}"):
+            seq_from_canonical(CanonicalHankelParam(c=c, d=d), q=1)
+
+
+def test_the_reconstructions_fill_one_stack_bit_for_bit():
+    # the pinv recursion of seq_from_stieltjes_param and seq_from_canonical
+    # fill one preallocated stack and hand views of it on; they keep the
+    # bits of the loops over a list that they replaced
+    for s, _ in route_cases():
+        p = stieltjes_param(s)
+        assert _seq_from_q_pinv(p).moments.tobytes() == seq_from_q_pinv_loop(p).moments.tobytes()
+        ch = canonical_hankel_param(s)
+        got = seq_from_canonical(ch, s.q, s.alpha, s.side)
+        want = seq_from_canonical_loop(ch, s.q, s.alpha, s.side)
+        assert got.moments.tobytes() == want.moments.tobytes()
 
 
 def test_favard_pair_needs_the_hankel_pd_prefix():

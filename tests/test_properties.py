@@ -1,9 +1,10 @@
-"""Property tests of the read-only rule over drawn ladder problems.
+"""Property tests over drawn ladder problems and drawn matrix stacks.
 
-Each example draws a LADDER rung, an ALPHAS value, a side and a seed, builds
-the problem with random_fixture and runs the solve pipeline.  The example
-count is bounded and derandomized, so every run checks the same 30 problems
-in under a second.
+The read-only rule: each example draws a LADDER rung, an ALPHAS value, a
+side and a seed, builds the problem with random_fixture and runs the solve
+pipeline.  The batched classes: each example draws a stack of matrices of
+mixed kinds and scales.  The example counts are bounded and derandomized,
+so every run checks the same examples in under a second each.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from stieltjesmp import (
     recover_max, recover_min, resolvent_u, seq_from_ds, sequence, side_sign,
     stieltjes_param, stieltjes_quadruple, stieltjes_transform,
 )
+from stieltjesmp.linalg import INDEFINITE, NON_HERMITIAN, PD, PSD, _psd_classes, psd_class
 
 from conftest import ALPHAS, LADDER, random_fixture, writeable_arrays
 
@@ -76,3 +78,32 @@ def test_the_solve_pipeline_holds_read_only_arrays_no_caller_can_write(rung, alp
         got = _values(*objs, z)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
         assert writeable_arrays(*objs) == []
+
+
+def _drawn_matrix(kind: str, q: int, scale: float, seed: int) -> np.ndarray:
+    """A q x q matrix of the given kind at the given scale: PD, PSD of rank
+    q - 1, INDEFINITE with eigenvalues of both signs, or NON_HERMITIAN."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q))
+    if kind == NON_HERMITIAN:
+        return scale * g
+    basis = np.linalg.qr(g)[0]
+    eigs = 0.1 + rng.random(q)
+    if kind == PSD:
+        eigs[0] = 0.0
+    elif kind == INDEFINITE:
+        eigs[0] = -eigs[0]
+    return scale * (basis * eigs) @ basis.conj().T
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(q=st.integers(1, 4), draws=st.lists(
+    st.tuples(st.sampled_from([PD, PSD, INDEFINITE, NON_HERMITIAN]),
+              st.sampled_from([1e-12, 1e-3, 1.0, 1e8]), st.integers(0, 2**32 - 1)),
+    min_size=1, max_size=8))
+def test_a_stack_is_classed_per_matrix(q, draws):
+    # the batched pass classes each matrix as psd_class classes it alone,
+    # whatever else and whatever scales share its stack: the one class pass
+    # over both sides of a sequence relies on that
+    stack = np.array([_drawn_matrix(kind, q, scale, seed) for kind, scale, seed in draws])
+    assert list(_psd_classes(stack)) == [psd_class(a) for a in stack]
