@@ -47,11 +47,12 @@ got = smp.difference_inverse(s, s.kappa, complex(x))
 want = np.linalg.inv(iv.gap)
 print(f"difference inverse against inv(gap): error {np.linalg.norm(got - want):.2e}")
 
-# the Schur-class reparametrization: unitary F with PSD imaginary part
-sig = smp.sigma(s)
+# the Schur-class reparametrization: a unitary F with PSD imaginary part
+# enters as the pair sqrt(2) E [F; I], E the schur_rotation of the half-line
 for f, ref, name in ((np.eye(2), s_min, "F = +I -> S_min"),
                      (-np.eye(2), s_max, "F = -I -> S_max")):
-    got = smp.lft_solve_schur(sig, f, complex(x), s.q)
+    pair = smp.StieltjesPair(kind=smp.SCHUR_CONSTANT, f=f)
+    got = smp.lft_solve(u, pair, complex(x))
     print(f"{name}: error {np.linalg.norm(got - ref(complex(x))):.2e}")
 
 # mirroring onto the other half-line swaps the extremals

@@ -25,12 +25,12 @@ from .orthopoly import (
 from .resolvent import (
     DyukarevQuadruple, FactorChain, JInnerReport, ResolventU,
     dyukarev_quadruple, factorize_u, j_inner_check, leading_terms,
-    resolvent_u, schur_rotation, sigma,
+    resolvent_u, schur_rotation,
 )
 from .solutions import (
     CONSTANT, SCHUR_CONSTANT, ExtremalSolution, SingularDenominator,
     StieltjesPair, WeylInterval, difference_inverse, extremal,
-    interval_point, lft_solve, lft_solve_schur, pair_max, pair_min,
+    interval_point, lft_solve, pair_max, pair_min,
     weyl_interval,
 )
 from .measures import (

@@ -64,8 +64,10 @@ def matrix_stack(mats, q: int, what: str) -> Array:
     """mats, a (K, q, q) array or a sequence of q x q matrices or scalars, as
     one read-only finite complex (K, q, q) stack: the format of every matrix
     sequence the package holds.  A read-only complex stack is shared, and
-    anything else copied once; shape and finiteness are checked every time.
+    anything else copied once; q >= 1, shape and finiteness are checked every time.
     """
+    if q < 1:
+        raise ValueError(f"{what} size q={q} is not at least 1")
     if isinstance(mats, np.ndarray) and mats.ndim == 3:
         shapes = [mats.shape[1:]]
     else:

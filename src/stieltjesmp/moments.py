@@ -106,9 +106,9 @@ class MomentSequence:
 
     def __post_init__(self):
         side_sign(self.side)
-        object.__setattr__(self, "moments", matrix_stack(self.moments, self.q, "moment"))
         if not len(self.moments):
             raise ValueError("at least one moment required")
+        object.__setattr__(self, "moments", matrix_stack(self.moments, self.q, "moment"))
 
     @property
     def kappa(self) -> int:

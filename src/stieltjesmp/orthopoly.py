@@ -73,9 +73,6 @@ class MatrixPolynomial:
         exponents, flat = self._stacked
         return ((z[..., None] ** exponents) @ flat).reshape(z.shape + (self.q_rows, self.q_cols))
 
-    def rmul(self, mat: Array) -> "MatrixPolynomial":
-        return MatrixPolynomial([c @ mat for c in self.coeffs])
-
     def conj_star(self) -> "MatrixPolynomial":
         """Polynomial z -> [P(conj(z))]^*: conjugate-transpose coefficients."""
         return MatrixPolynomial([c.conj().T for c in self.coeffs])
@@ -208,8 +205,8 @@ def det_zeros(p: MatrixPolynomial, kind: str = GENERAL) -> np.ndarray:
     """Zeros of det P(z), with multiplicity.
 
     MONIC uses the block companion linearization (leading coefficient must
-    be the identity); GENERAL interpolates det P on scaled roots of unity
-    and root-finds the scalar polynomial.
+    be the identity); GENERAL interpolates det P on roots of unity scaled to
+    the zeros' geometric-mean modulus and root-finds the scalar polynomial.
     """
     if p.q_rows != p.q_cols:
         raise ValueError("determinant needs a square polynomial")
@@ -237,9 +234,15 @@ def det_zeros(p: MatrixPolynomial, kind: str = GENERAL) -> np.ndarray:
     if kind != GENERAL:
         raise ValueError(f"unknown kind: {kind}")
 
-    # determinant degree is at most deg*q; sample on a circle and invert by FFT
+    # determinant degree is at most deg*q; sample on the circle of the zeros'
+    # geometric-mean modulus |det P^[0] / det P^[deg]|^(1/(deg q)), or on the
+    # unit circle where that is 0 or not finite, and invert by FFT
     n_nodes = deg * q + 1
-    radius = 1.0
+    ends = np.linalg.det(p.coeffs[[0, -1]])
+    with np.errstate(all="ignore"):
+        radius = abs(ends[0] / ends[1]) ** (1.0 / (deg * q))
+    if not 0 < radius < np.inf:
+        radius = 1.0
     nodes = radius * np.exp(2j * np.pi * np.arange(n_nodes) / n_nodes)
     vals = np.linalg.det(p(nodes))
     coeffs = (np.fft.fft(vals) / n_nodes) / radius ** np.arange(n_nodes)

@@ -241,10 +241,13 @@ def ds_param(seq: MomentSequence) -> DSParam:
 
 
 def _door(seq: MomentSequence, m: int | None, low: int = 0) -> tuple:
-    """(ds_param(seq), m): the gate, then m (kappa when None) checked in low..kappa.
-    Solve-path entries open here: the class comes before m, m before x, x before K."""
+    """(ds_param(seq), m): the gate, then m (kappa when None) checked to be an
+    integer (numpy's too, but no bool) in low..kappa.  Solve-path entries open
+    here: the class comes before m, m before x, x before K."""
     ds = ds_param(seq)
     m = ds.kappa if m is None else m
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+        raise ValueError(f"index m={m!r} is not an integer")
     if not low <= m <= ds.kappa:
         raise ValueError(f"index m={m} outside {low}..kappa={ds.kappa}")
     return ds, m
@@ -395,6 +398,8 @@ def random_stieltjes_pd_sequence(q: int, kappa: int, alpha: float = 0.0,
     verify are numerically meaningful.  When no draw in 400 meets that
     bound, the sizes are out of its reach: ValueError.
     """
+    if kappa < 0:
+        raise ValueError(f"kappa={kappa} is negative")
     rng = np.random.default_rng(seed)
     if kappa < 1:
         return sequence([random_pd(q, rng)], alpha=alpha, side=side)

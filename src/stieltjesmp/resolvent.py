@@ -5,8 +5,9 @@ and linear lower factors ((alpha - z) M blocks) read off (L, M).  The prefix
 products are expanded once per (L, M) pair into the cached chain stacks of
 params.chain_stacks; U_m is a slice of them, the four q x q families
 (A, B, C, D) are their block columns, and nothing else builds U: the
-Hankel routes to U live on as test oracles only.  U * E turns the
-Stieltjes-pair transformation into a Schur-class one.
+Hankel routes to U live on as test oracles only.  U * E, E the
+schur_rotation, turns the Stieltjes-pair transformation into a Schur-class
+one; a Schur parameter enters through the pair E [F; I] of lft_solve.
 """
 
 from dataclasses import dataclass
@@ -168,12 +169,6 @@ def schur_rotation(q: int, side: str = RIGHT) -> Array:
     """
     eye, sign = np.eye(q), side_sign(side)
     return np.block([[-1j * eye, sign * 1j * eye], [eye, sign * eye]]) / np.sqrt(2.0)
-
-
-def sigma(seq: MomentSequence, m: int | None = None) -> MatrixPolynomial:
-    """Sigma = U * E: the generator of the Schur-class parametrization."""
-    ds, m = _door(seq, m)
-    return _chain_product(ds, m).rmul(schur_rotation(ds.q, ds.side))
 
 
 @dataclass(frozen=True)

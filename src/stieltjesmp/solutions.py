@@ -40,10 +40,11 @@ class StieltjesPair:
     left).  SCHUR_CONSTANT wraps a unitary F with PSD imaginary part; its
     (phi, psi) is set once, here, to sqrt(2) E [F; I] with E the
     schur_rotation of its half-line: (i(I - F), I + F) on the right and
-    (-i(I + F), F - I) on the left, so lft_solve of the pair is
-    lft_solve_schur(sigma, F).  The side is checked on both kinds.  phi, psi
-    (phi's size), F and stacked, the column [phi; psi] lft_solve reads, are
-    held by the one matrix rule before any other check.  Equality is identity.
+    (-i(I + F), F - I) on the left, so lft_solve of the pair is the Schur
+    transformation (S11 F + S12)(S21 F + S22)^{-1} of Sigma = U E.  The side
+    is checked on both kinds.  phi, psi (phi's size), F and stacked, the
+    column [phi; psi] lft_solve reads, are held by the one matrix rule before
+    any other check.  Equality is identity.
     """
 
     kind: str
@@ -125,36 +126,19 @@ def lft_solve(u: ResolventU, pair: StieltjesPair, z: complex) -> Array:
     if pair.side != u.side:
         raise ValueError(f"pair is for the {pair.side} half-line, U for the {u.side} half-line")
     g = u.poly(z) @ pair.stacked
-    return _divide(g[:u.q], g[u.q:], "denominator", z)
-
-
-def lft_solve_schur(sig_poly, f: Array, z: complex, q: int) -> Array:
-    """Schur-route transformation S = (S11 F + S12)(S21 F + S22)^{-1},
-    with lft_solve's rule for a singular denominator and for overflow; F must
-    be q x q and sigma 2q x 2q.  z need only be finite: sigma has no side."""
-    s, f = sig_poly(_point(z)), _matrix(f, what="Schur parameter")
-    if f.shape != (q, q) or s.shape != (2 * q, 2 * q):
-        raise ValueError(f"Schur parameter {f.shape} and sigma {s.shape} do not fit q={q}")
-    num = s[:q, :q] @ f + s[:q, q:]
-    den = s[q:, :q] @ f + s[q:, q:]
-    return _divide(num, den, "Schur denominator", z)
-
-
-def _divide(num: Array, den: Array, name: str, z: complex) -> Array:
-    """num den^{-1}, or SingularDenominator or overflow by the rules of lft_solve."""
-    q = den.shape[0]
-    threshold = DEFAULT_TOL.singular_det * max(1.0, _frobenius(den) ** q)
+    num, den = g[:u.q], g[u.q:]
+    threshold = DEFAULT_TOL.singular_det * max(1.0, _frobenius(den) ** u.q)
     try:
         inv = np.linalg.inv(den)
     except np.linalg.LinAlgError:
         inv = None
     # a NaN bound certifies nothing and falls through to the determinant; an
     # overflow in U(z) leaves NaN in den, so it is never certified
-    if inv is None or not _frobenius(inv) ** -q >= 100 * threshold:
+    if inv is None or not _frobenius(inv) ** -u.q >= 100 * threshold:
         _value(num, z)
         _value(den, z)
         if inv is None or abs(np.linalg.det(den)) < threshold:
-            raise SingularDenominator(f"{name} singular at z={z}")
+            raise SingularDenominator(f"denominator singular at z={z}")
     return num @ inv
 
 
@@ -264,11 +248,18 @@ def weyl_interval(seq: MomentSequence, m: int | None = None,
 
     x defaults to the free point alpha - side_sign(side), one unit off the
     half-line: alpha - 1 on the right, alpha + 1 on the left.  x follows
-    the point rule, and the two extremal values the value rule.
+    the point rule, and the two extremal values the value rule.  A complex x
+    with zero imaginary part is its real part, and a non-real x a ValueError:
+    finiteness, then realness, then the cut.
     """
     ds, m = _door(seq, m, 1)
     sign = side_sign(ds.side)
-    x = _free_point(ds.side, ds.alpha) if x is None else float(_point(x, ds))
+    if x is None:
+        x = _free_point(ds.side, ds.alpha)
+    elif _point(x).imag:
+        raise ValueError(f"point {x} is not real")
+    else:
+        x = float(_point(x.real, ds))
     s_min, s_max = extremal(seq, m)
     lo, hi = _hermitize(_value(np.array([s_min(x), s_max(x)]), x))
     # values are PD left of alpha on the right half-line, negative definite

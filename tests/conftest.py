@@ -6,8 +6,8 @@ import pytest
 
 from stieltjesmp import (
     DEFAULT_TOL, PD, DSParam, FavardPair, ResolventU, SingularDenominator, ds_param, extremal,
-    psd_class, q_from_ds, random_pd, real_zeros, reflect, seq_from_ds, sequence,
-    stieltjes_quadruple,
+    psd_class, q_from_ds, random_pd, real_zeros, reflect, resolvent_u, schur_rotation,
+    seq_from_ds, sequence, stieltjes_quadruple,
 )
 from stieltjesmp.linalg import _hermitize, matrix_stack
 from stieltjesmp.measures import MolecularMeasure
@@ -331,6 +331,27 @@ def lft_blocks(u, pair, z) -> tuple:
         1e-13 * max(1.0, np.linalg.norm(den) ** den.shape[0])
 
 
+def rmul(p: MatrixPolynomial, mat) -> MatrixPolynomial:
+    """z -> P(z) mat, one coefficient at a time."""
+    return MatrixPolynomial([c @ mat for c in p.coeffs])
+
+
+def sigma(seq, m=None) -> MatrixPolynomial:
+    """Sigma = U E, U = resolvent_u(seq, m) and E the schur_rotation of its
+    half-line: the generator of the Schur-class parametrization.  The
+    library takes a Schur parameter F through the pair sqrt(2) E [F; I] of
+    lft_solve; Sigma is the route it is checked against."""
+    u = resolvent_u(seq, m)
+    return rmul(u.poly, schur_rotation(u.q, u.side))
+
+
+def lft_solve_schur(sig, f, z):
+    """The Schur-class transformation (S11 F + S12)(S21 F + S22)^{-1} of
+    S = sig(z), with plain inv and no singularity rule."""
+    s, q = sig(z), len(f)
+    return (s[:q, :q] @ f + s[:q, q:]) @ np.linalg.inv(s[q:, :q] @ f + s[q:, q:])
+
+
 def dyukarev_loop(seq):
     """The quadruple from the moment polynomials: MatrixPolynomial arithmetic
     with Hankel inverses and T^k products with the block-shift matrix, one
@@ -454,12 +475,12 @@ def quadruple_u(seq, m) -> ResolventU:
     n, k = half(m), half(m + 1)
     phat_inv_star = np.linalg.inv(quad["phat"][n](a)).conj().T
     p_inv_star = np.linalg.inv(quad["p"][k](a)).conj().T
-    base = quad["p_shift"][n].conj_star().rmul(phat_inv_star)
+    base = rmul(quad["p_shift"][n].conj_star(), phat_inv_star)
     sign = -1.0 if seq.side == "right" else 1.0
-    poly = block2x2(quad["phat"][n].conj_star().rmul(phat_inv_star),
-                    MatrixPolynomial(-quad["second"][k].conj_star().rmul(p_inv_star).coeffs),
+    poly = block2x2(rmul(quad["phat"][n].conj_star(), phat_inv_star),
+                    MatrixPolynomial(-rmul(quad["second"][k].conj_star(), p_inv_star).coeffs),
                     MatrixPolynomial(times_w(base.coeffs, a, sign)),
-                    quad["p"][k].conj_star().rmul(p_inv_star))
+                    rmul(quad["p"][k].conj_star(), p_inv_star))
     return ResolventU(m=m, side=seq.side, alpha=a, q=seq.q, poly=poly)
 
 

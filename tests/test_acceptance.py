@@ -254,24 +254,26 @@ def test_criterion_09_schur_route():
     rng = np.random.default_rng(9)
     for i in range(N_FIXTURES):
         s = derived(i)["seq"]
-        sig = smp.sigma(s)
+        u, e = smp.resolvent_u(s), smp.schur_rotation(s.q, s.side)
         s_min, s_max = smp.extremal(s)
         eye = np.eye(s.q)
+        pair_i, pair_minus_i = (smp.StieltjesPair(kind=smp.SCHUR_CONSTANT, side=s.side, f=f)
+                                for f in (eye, -eye))
         sign = 1.0 if s.side == "right" else -1.0
         for t in rng.uniform(0.3, 2.5, 3):
             z = complex(s.alpha - sign * t)
-            got_min = smp.lft_solve_schur(sig, eye, z, s.q)
-            got_max = smp.lft_solve_schur(sig, -eye, z, s.q)
+            got_min = smp.lft_solve(u, pair_i, z)
+            got_max = smp.lft_solve(u, pair_minus_i, z)
             assert np.linalg.norm(got_min - s_min(z)) <= 1e-10 * (1 + np.linalg.norm(s_min(z)))
             assert np.linalg.norm(got_max - s_max(z)) <= 1e-10 * (1 + np.linalg.norm(s_max(z)))
         jqq = smp.signature_matrix(smp.JQQ, s.q)
         jt = smp.signature_matrix(smp.JTILDE, s.q)
         for _ in range(4):
-            x = rng.standard_normal()
-            defect = jqq - sig(x).conj().T @ jt @ sig(x)
-            assert np.linalg.norm(defect) <= 1e-9 * (1 + np.linalg.norm(sig(x)) ** 2)
-    _passed(9, "Schur rotation: F = I/-I reproduce the extremals (1e-10) and "
-               "Sigma is j_qq-Jtilde-unitary on the real axis (1e-9)")
+            sig = u(rng.standard_normal()) @ e
+            defect = jqq - sig.conj().T @ jt @ sig
+            assert np.linalg.norm(defect) <= 1e-9 * (1 + np.linalg.norm(sig) ** 2)
+    _passed(9, "Schur rotation: F = I/-I through a Schur pair reproduce the extremals "
+               "(1e-10) and U E is j_qq-Jtilde-unitary on the real axis (1e-9)")
 
 
 def test_criterion_10_hausdorff_bridge():

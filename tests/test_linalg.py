@@ -175,7 +175,7 @@ def _public_callables():
 def test_no_public_callable_takes_a_tolerance():
     # thresholds live in DEFAULT_TOL only: no per-call override anywhere
     names = dict(_public_callables())
-    assert {"psd_class", "random_pd", "MatrixPolynomial.rmul"} <= set(names)
+    assert {"psd_class", "random_pd", "MatrixPolynomial.conj_star"} <= set(names)
     knobs = [f"{name}({p})" for name, fn in names.items()
              for p in inspect.signature(fn).parameters if p in ("tol", "spread")]
     assert knobs == []

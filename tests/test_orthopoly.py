@@ -10,7 +10,7 @@ from stieltjesmp import (
 from stieltjesmp import orthopoly
 from conftest import (
     eval_quadruple_at_alpha, ladder_fixture, lm_draw, q_values_from_quadruple, quadruple_loop,
-    rel_err, shift_identity_defect, stack_sum, times_w,
+    rel_err, rmul, shift_identity_defect, stack_sum, times_w,
 )
 
 
@@ -59,7 +59,7 @@ def test_poly_arithmetic():
     a = MatrixPolynomial([rng.standard_normal((2, 2)) for _ in range(3)])
     m = rng.standard_normal((2, 2))
     z = 0.7 - 0.4j
-    np.testing.assert_allclose(a.rmul(m)(z), a(z) @ m, atol=1e-12)
+    np.testing.assert_allclose(rmul(a, m)(z), a(z) @ m, atol=1e-12)
     np.testing.assert_allclose(a.conj_star()(z), a(np.conj(z)).conj().T, atol=1e-12)
 
 
@@ -209,6 +209,26 @@ def test_det_zeros_trivial():
     np.testing.assert_allclose(zs, [-1.0, 1.0], atol=1e-10)
     zs = np.sort_complex(det_zeros(p, GENERAL))
     np.testing.assert_allclose(zs, [-1.0, 1.0], atol=1e-10)
+
+
+def test_general_det_zeros_agree_with_the_monic_companion():
+    # GENERAL samples det P on the circle of the zeros' geometric-mean
+    # modulus; on the unit circle it was up to 1.1e-8 off the companion's
+    # zeros of these polynomials
+    worst = 0.0
+    for i in range(50):
+        for s in (ladder_fixture(i), reflect(ladder_fixture(i))):
+            for p in stieltjes_quadruple(s).p[1:]:
+                got, want = (np.sort_complex(det_zeros(p, kind)) for kind in (GENERAL, MONIC))
+                worst = max(worst, np.max(np.abs(got - want) / np.abs(want)))
+    assert worst < 3e-10
+    # a singular end coefficient falls back to the unit circle:
+    # det diag(z, z - 1) = z (z - 1) and det diag(z^2 - 1, -1) = 1 - z^2
+    eye = np.eye(2)
+    for coeffs, want in (([np.diag([0.0, -1.0]), eye], [0.0, 1.0]),
+                         ([-eye, np.zeros((2, 2)), np.diag([1.0, 0.0])], [-1.0, 1.0])):
+        got = np.sort_complex(det_zeros(MatrixPolynomial(coeffs), GENERAL))
+        np.testing.assert_allclose(got, want, atol=1e-10)
 
 
 def test_monic_lead_test_decides_as_allclose():

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from stieltjesmp import (
     difference_inverse, ds_from_q, ds_param, dyukarev_quadruple, extremal, factorize_u,
     favard_from_ds, favard_from_q, favard_pair, interval_point, leading_terms, q_from_ds,
     recover_max, recover_min, reflect, random_stieltjes_pd_sequence, resolvent_u,
-    seq_from_canonical, seq_from_ds, seq_from_stieltjes_param, sequence, sigma,
+    seq_from_canonical, seq_from_ds, seq_from_stieltjes_param, sequence,
     stieltjes_param, stieltjes_quadruple, weyl_interval,
 )
 from stieltjesmp.moments import _cholesky_hhats, hhats, schur_complement
@@ -121,7 +122,7 @@ def test_ds_param_requires_pd():
     # the class is named before the index is checked, and before a point or K
     bad = sequence([1.0, -1.0])
     for build in (extremal, recover_min, recover_max, resolvent_u, factorize_u, leading_terms,
-                  sigma, difference_inverse, lambda s, m: weyl_interval(s, m, 1.0),
+                  difference_inverse, lambda s, m: weyl_interval(s, m, 1.0),
                   lambda s, m: interval_point(s, m, None, 2.0)):
         with pytest.raises(ValueError, match="not alpha-Stieltjes positive definite"):
             build(bad, 5)
@@ -138,10 +139,42 @@ def test_one_precedence_gate_index_point_k(f1):
         if "K" not in message:
             with pytest.raises(ValueError, match=message):
                 weyl_interval(f1, m, x)
-    for build in (resolvent_u, factorize_u, leading_terms, sigma, difference_inverse,
+    for build in (resolvent_u, factorize_u, leading_terms, difference_inverse,
                   recover_min, recover_max):
         with pytest.raises(ValueError, match="index m=2 outside 0..kappa=1"):
             build(f1, 2)
+
+
+def test_an_index_that_is_not_an_integer_is_named():
+    # 2.0 and 1.5 leaked "slice indices must be integers" on a fresh sequence,
+    # and 2.0 passed once m = 2 was cached (2.0 == 2 as a key); True built U_1.
+    # A numpy integer is an index
+    s = random_stieltjes_pd_sequence(2, 4, seed=1)
+    entries = (extremal, recover_min, recover_max, resolvent_u, factorize_u, leading_terms,
+               difference_inverse, weyl_interval,
+               lambda s, m: interval_point(s, m, None, 0.5 * np.eye(2)))
+    for build in entries:
+        for _ in range(2):   # fresh, then with m = 2 cached
+            for m in (2.0, 1.5, True, np.float64(2), np.bool_(True), "2"):
+                with pytest.raises(ValueError,
+                                   match=re.escape(f"index m={m!r} is not an integer")):
+                    build(s, m)
+            build(s, np.int64(2))
+    assert resolvent_u(s, np.int64(2)).m == 2
+
+
+def test_empty_input_a_size_below_one_and_a_negative_kappa_are_named():
+    # numpy's "cannot reshape array of size 0 into shape (0,0)" leaked from the
+    # first three, and a negative kappa returned a kappa-0 sequence
+    with pytest.raises(ValueError, match="at least one moment required"):
+        sequence([])
+    with pytest.raises(ValueError, match="size q=0 is not at least 1"):
+        random_stieltjes_pd_sequence(0, 3)
+    with pytest.raises(ValueError, match="L_n size q=0 is not at least 1"):
+        DSParam(q=0, alpha=0.0, side="right", l=[], m=[np.zeros((0, 0))])
+    for kappa in (-1, -5):
+        with pytest.raises(ValueError, match=f"kappa={kappa} is negative"):
+            random_stieltjes_pd_sequence(2, kappa)
 
 
 class _LMOnly:
@@ -173,10 +206,10 @@ def _dump(obj) -> list:
 
 
 def _solve_path(s, k: int, q: int) -> dict:
-    """The twelve entries of the solve path at m = k, and interval_point at
+    """The eleven entries of the solve path at m = k, and interval_point at
     its default point."""
     return {"resolvent_u": lambda: resolvent_u(s, k), "factorize_u": lambda: factorize_u(s, k),
-            "leading_terms": lambda: leading_terms(s, k), "sigma": lambda: sigma(s, k),
+            "leading_terms": lambda: leading_terms(s, k),
             "difference_inverse": lambda: difference_inverse(s, k),
             "extremal": lambda: extremal(s, k), "weyl_interval": lambda: weyl_interval(s, k),
             "interval_point": lambda: interval_point(s, k, None, 0.5 * np.eye(q)),

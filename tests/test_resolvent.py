@@ -3,15 +3,14 @@ import pytest
 
 from stieltjesmp import (
     JTILDE, difference_inverse, ds_param, dyukarev_quadruple, factorize_u, j_defect, j_inner_check,
-    leading_terms, reflect, resolvent_u, schur_rotation, sequence, sigma,
-    signature_matrix,
+    leading_terms, reflect, resolvent_u, schur_rotation, sequence, signature_matrix,
 )
 from stieltjesmp.moments import half, y_stack
 
 from conftest import (
     alternating_signs, dyukarev_loop, first_block_column, hankel_inverse, hankel_u,
     block2x2, ladder_fixture, leading_closed, quadruple_u, rel_err, resolvent_R, scaled_u,
-    u_shift_vector, u_vector,
+    sigma, u_shift_vector, u_vector,
 )
 
 

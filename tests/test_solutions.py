@@ -7,16 +7,16 @@ import pytest
 from stieltjesmp import (
     CONSTANT, SCHUR_CONSTANT, MatrixPolynomial, ResolventU, SingularDenominator, StieltjesPair,
     difference_inverse, dyukarev_quadruple, extremal, hermitize, interval_point, is_psd,
-    lft_solve, lft_solve_schur, pair_max, pair_min, potapov_defect, potapov_defect_psd,
+    lft_solve, pair_max, pair_min, potapov_defect, potapov_defect_psd,
     random_stieltjes_pd_sequence, reflect, resolvent_u, sequence,
-    side_sign, sigma, stieltjes_quadruple, weyl_interval,
+    side_sign, stieltjes_quadruple, weyl_interval,
 )
 from stieltjesmp.linalg import min_eig_hermitian_part
 from stieltjesmp.moments import half, hankel, y_stack
 
 from conftest import (
     block_shift, difference_inverse_closed, first_block_column, ladder_fixture, lft_blocks,
-    lft_solve_det, lm_draw, random_fixture, rel_err,
+    lft_solve_det, lft_solve_schur, lm_draw, random_fixture, rel_err, sigma,
 )
 
 
@@ -396,10 +396,31 @@ def test_a_parameter_of_another_size_is_a_value_error():
     pair = StieltjesPair(kind=CONSTANT, phi=np.eye(1), psi=np.eye(1))
     with pytest.raises(ValueError, match="pair is 1 x 1, U has 2 x 2 blocks"):
         lft_solve(resolvent_u(s), pair, -1.0)
-    for q in (2, 1):   # q must fit both F and sigma
-        with pytest.raises(ValueError, match=rf"Schur parameter \(1, 1\) and sigma \(4, 4\) "
-                                             rf"do not fit q={q}"):
-            lft_solve_schur(sigma(s), np.eye(1), -1.0, q)
+
+
+def test_a_complex_x_is_its_real_part_or_a_value_error():
+    # weyl_interval took the complex128 -1+0.5j as x = -1.0 with a
+    # ComplexWarning, and a Python complex x, -1+0j too, leaked float()'s
+    # TypeError; interval_point built its pair on either
+    s = random_stieltjes_pd_sequence(2, 4, seed=1)
+    k = 0.5 * np.eye(2)
+    iv, (t, pair) = weyl_interval(s, x=-1.0), interval_point(s, None, -1.0, k)
+    for x in (-1 + 0j, np.complex128(-1)):
+        got = weyl_interval(s, x=x)
+        assert type(got.x) is float and got.x == -1.0
+        assert got.lower.tobytes() == iv.lower.tobytes()
+        got_t, got_pair = interval_point(s, None, x, k)
+        assert got_t.tobytes() == t.tobytes() and got_pair.phi.tobytes() == pair.phi.tobytes()
+    calls = (lambda x: weyl_interval(s, x=x), lambda x: interval_point(s, None, x, k))
+    # finiteness, then realness, then the cut
+    for x, message in ((-1 + 0.5j, "point (-1+0.5j) is not real"),
+                       (np.complex128(-1 + 0.5j), "point (-1+0.5j) is not real"),
+                       (complex(np.nan, 0.5), "point (nan+0.5j) is not finite"),
+                       (1 + 0.5j, "point (1+0.5j) is not real"),
+                       (1 + 0j, "point 1.0 lies on the cut")):
+        for call in calls:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call(x)
 
 
 def test_a_pair_of_the_other_half_line_is_a_value_error():
@@ -507,15 +528,18 @@ def test_extremal_duality_on_ladder():
 
 
 def test_schur_route_matches_extremals():
+    # F = I and F = -I: the Sigma oracle and the library's Schur pair both
+    # give the extremals
     for i in range(8):
         s = ladder_fixture(i)
-        sig = sigma(s)
+        u, sig = resolvent_u(s), sigma(s)
         s_min, s_max = extremal(s)
         eye = np.eye(s.q)
-        z = s.alpha - 0.9 if s.side == "right" else s.alpha + 0.9
+        z = complex(s.alpha - 0.9 if s.side == "right" else s.alpha + 0.9)
         for f, ref in ((eye, s_min), (-eye, s_max)):
-            got = lft_solve_schur(sig, f, complex(z), s.q)
-            assert rel_err(got, ref(complex(z))) < 1e-9
+            pair = StieltjesPair(kind=SCHUR_CONSTANT, side=s.side, f=f)
+            assert rel_err(lft_solve_schur(sig, f, z), ref(z)) < 1e-9
+            assert rel_err(lft_solve(u, pair, z), ref(z)) < 1e-9
 
 
 def random_schur_parameter(q, rng):
@@ -542,7 +566,7 @@ def test_schur_pairs_on_both_half_lines():
                     z = complex(rng.standard_normal(),
                                 side_sign(s.side) * (abs(rng.standard_normal()) + 0.2))
                     got = lft_solve(u, pair, z)
-                    assert rel_err(got, lft_solve_schur(sig, f, z, s.q)) < 1e-12, (i, s.side)
+                    assert rel_err(got, lft_solve_schur(sig, f, z)) < 1e-12, (i, s.side)
                     assert potapov_defect_psd(s, got, z), (i, s.side)
                 t = lft_solve(u, pair, complex(iv.x))
                 assert min_eig_hermitian_part(t - iv.lower) >= -tol, (i, s.side)
@@ -562,15 +586,20 @@ def test_weyl_interval_defaults_to_the_free_point():
 
 
 def test_schur_denominator_uses_the_relative_threshold():
-    # det = 1e2 passed the old absolute bound 1e-13; against 1e-13 ||D||_F^q
-    # (= 1e3) this cond-1e14 denominator is singular, as in lft_solve
-    den = np.diag([1e8, 1e-6])
-    sig = np.block([[np.eye(2), np.zeros((2, 2))], [np.zeros((2, 2)), den]])
-    with pytest.raises(SingularDenominator):
-        lft_solve_schur(lambda z: sig, np.eye(2), -1.0, 2)
-    sig[2:, 2:] = np.diag([1e8, 1e-4])    # det 1e4 is above the threshold
-    np.testing.assert_allclose(lft_solve_schur(lambda z: sig, np.eye(2), -1.0, 2),
-                               np.diag([1e-8, 1e4]), rtol=1e-15)
+    # det = 1e2 passes an absolute bound 1e-13; against 1e-13 ||D||_F^q
+    # (= 1e3) this cond-1e14 denominator is singular.  The Schur pair F = I is
+    # [phi; psi] = [0; 2I], so the constant U = [[0, I/2], [0, D/2]] gives
+    # the numerator I and the denominator D
+    pair = StieltjesPair(kind=SCHUR_CONSTANT, f=np.eye(2))
+
+    def solve(den):
+        u = np.block([[np.zeros((2, 2)), np.eye(2) / 2], [np.zeros((2, 2)), den / 2]])
+        const = ResolventU(m=0, side="right", alpha=0.0, q=2, poly=MatrixPolynomial([u]))
+        return lft_solve(const, pair, -1.0)
+    with pytest.raises(SingularDenominator, match=re.escape("denominator singular at z=-1.0")):
+        solve(np.diag([1e8, 1e-6]))
+    # det 1e4 is above the threshold
+    np.testing.assert_allclose(solve(np.diag([1e8, 1e-4])), np.diag([1e-8, 1e4]), rtol=1e-15)
 
 
 def test_solutions_pass_potapov_criterion():
@@ -596,9 +625,8 @@ def test_solutions_pass_potapov_criterion():
 
 def _point_entries(s):
     """Every entry that evaluates a q = 1 sequence at one given point."""
-    u, sig = resolvent_u(s), sigma(s)
+    u = resolvent_u(s)
     return {"lft_solve": lambda z: lft_solve(u, pair_min(1), z),
-            "lft_solve_schur": lambda z: lft_solve_schur(sig, np.eye(1), z, 1),
             "difference_inverse": lambda z: difference_inverse(s, z=z),
             "weyl_interval": lambda z: weyl_interval(s, x=z),
             "interval_point": lambda z: interval_point(s, None, z, 0.5),
@@ -607,8 +635,8 @@ def _point_entries(s):
 
 @pytest.mark.parametrize("z", [np.nan, np.inf, -np.inf, complex(np.nan, 1), complex(1, np.inf)],
                          ids=repr)
-@pytest.mark.parametrize("entry", ["lft_solve", "lft_solve_schur", "difference_inverse",
-                                   "weyl_interval", "interval_point", "potapov_defect"])
+@pytest.mark.parametrize("entry", ["lft_solve", "difference_inverse", "weyl_interval",
+                                   "interval_point", "potapov_defect"])
 def test_a_point_that_is_not_finite_is_named(entry, z):
     # the point rule's first check: nan and -inf used to give [[nan+nanj]] in
     # lft_solve and difference_inverse, nan was "on the cut" in weyl_interval
@@ -627,7 +655,6 @@ def test_an_overflowing_value_is_named_not_returned():
     # non-finite blocks; numpy's own overflow warnings come before the error
     s2, s1 = (random_stieltjes_pd_sequence(q, kappa, seed=1) for q, kappa in ((2, 5), (1, 4)))
     cases = [(-1e200, lambda z: lft_solve(resolvent_u(s2), pair_max(2), z)),
-             (-1e200, lambda z: lft_solve_schur(sigma(s2), np.eye(2), z, 2)),
              (-1e100, lambda z: difference_inverse(s1, z=z)),
              (-1e200, lambda z: difference_inverse(s1, z=z)),
              (-1e-320, lambda z: weyl_interval(s2, x=z)),
