@@ -34,7 +34,7 @@ class ToleranceConfig:
     mass_drop: float = 1e-12     # a mass below this times max(1, largest mass) is dropped
     j_inner_tol: float = 1e-8
     real_sample: float = 1e-14   # a J-inner sample with |Im z| below this is real
-    singular_det: float = 1e-13  # |det D| below this times max(1, ||D||_F^q) is singular
+    singular_det: float = 1e-13  # this times (1 + ||T||) from a pair rule's atom is singular
     real_zero: float = 1e-7      # a det zero with |Im| above this times (1 + |Re|) is non-real
     det_drop: float = 1e-10      # det coefficients below this times the largest are dropped
     monic_rtol: float = 1e-5     # np.allclose's rtol on MONIC's leading coefficient against I
@@ -60,13 +60,22 @@ def freeze(obj):
     return obj
 
 
+def _integer(n, what: str):
+    """n back if it is an int or a numpy integer, and no bool; else a
+    ValueError that names it: the rule of every size and index."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"{what}={n!r} is not an integer")
+    return n
+
+
 def matrix_stack(mats, q: int, what: str) -> Array:
     """mats, a (K, q, q) array or a sequence of q x q matrices or scalars, as
     one read-only finite complex (K, q, q) stack: the format of every matrix
     sequence the package holds.  A read-only complex stack is shared, and
-    anything else copied once; q >= 1, shape and finiteness are checked every time.
+    anything else copied once; q an integer >= 1, shape and finiteness are
+    checked every time.
     """
-    if q < 1:
+    if _integer(q, f"{what} size q") < 1:
         raise ValueError(f"{what} size q={q} is not at least 1")
     if isinstance(mats, np.ndarray) and mats.ndim == 3:
         shapes = [mats.shape[1:]]

@@ -20,10 +20,7 @@ from .linalg import Array, DEFAULT_TOL, PD, PSD, _psd_classes, freeze, is_psd, m
 from .moments import RIGHT, MomentSequence, classify, hankel, side_sign
 from .params import _door, ds_param, seq_from_ds, seq_from_stieltjes_param, stieltjes_param
 from .resolvent import factorize_u, j_inner_check, resolvent_u
-from .solutions import (
-    _partial_fractions, difference_inverse, extremal, lft_solve, pair_max, pair_min, string_rule,
-    weyl_interval,
-)
+from .solutions import _partial_fractions, difference_inverse, extremal, string_rule, weyl_interval
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,7 +135,7 @@ def _recover(seq: MomentSequence, m: int | None, lower: bool) -> MolecularMeasur
                              "measure of mass s_0")
         return MolecularMeasure(atoms=(ds.alpha,), masses=seq.moments[:1],
                                 support_side=ds.side, alpha=ds.alpha)
-    atoms, residues = string_rule(ds, m, wall)
+    atoms, residues, _ = string_rule(ds, m, wall)
     atoms, masses = _merge_atoms(atoms, residues.reshape(-1, ds.q, ds.q), ds.alpha)
     return MolecularMeasure._checked(atoms, masses, ds.side, ds.alpha)
 
@@ -267,12 +264,13 @@ def verify(seq: MomentSequence) -> MappingProxyType:
         except ArithmeticError:   # extremal values not definite, or their gap not PD
             iv = None
         checks["weyl_gap_pd"] = Check(iv is not None)
-        # the production extremals against the LFT of U with the trivial
-        # pairs: (0, I) gives the wall extremal B D^-1, (I, 0) the free A C^-1
+        # the production extremals against one batched division of U(z) by
+        # the trivial pairs: (0, I) gives the wall extremal B D^-1 from U's
+        # right block column, (I, 0) the free A C^-1 from its left one
         errors = []
         for ext in extremal(seq):
-            pair = (pair_min if ext.bd else pair_max)(seq.q, seq.side)
-            want = np.array([lft_solve(u, pair, zk) for zk in z])
+            col = uz[:, :, seq.q:] if ext.bd else uz[:, :, :seq.q]
+            want = col[:, :seq.q] @ np.linalg.inv(col[:, seq.q:])
             errors.append(np.linalg.norm(ext(z) - want, axis=(1, 2))
                           / (1 + np.linalg.norm(want, axis=(1, 2))))
         checks["extremal_lft"] = _measured(errors, tol.extremal_lft_tol)

@@ -47,7 +47,10 @@ def side_sign(side: str) -> float:
 def _point(z, cut=None):
     """The one point rule: z back if it is finite and, when cut (anything
     with side and alpha) is given, off cut's half-line; else a ValueError
-    that names z.  Scalar Python: lft_solve pays it at every point."""
+    that names z.  A bool is no point.  Scalar Python: lft_solve pays it at
+    every point."""
+    if isinstance(z, (bool, np.bool_)):
+        raise ValueError(f"point {z!r} is not a number")
     if not cmath.isfinite(z):
         raise ValueError(f"point {z} is not finite")
     if cut is not None and z.imag == 0:

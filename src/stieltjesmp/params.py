@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Array, PD, _all_pd, _hermitize, _pinv, freeze, matrix_stack
+from .linalg import Array, PD, _all_pd, _hermitize, _integer, _pinv, freeze, matrix_stack
 from .moments import (
     RIGHT, MomentSequence, classify, derived, half, hankel, hhats, monic_rows, q_values,
     require_hankel_pd_prefix, schur_correction, sequence, shifted_moments, side_sign,
@@ -245,9 +245,7 @@ def _door(seq: MomentSequence, m: int | None, low: int = 0) -> tuple:
     integer (numpy's too, but no bool) in low..kappa.  Solve-path entries open
     here: the class comes before m, m before x, x before K."""
     ds = ds_param(seq)
-    m = ds.kappa if m is None else m
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
-        raise ValueError(f"index m={m!r} is not an integer")
+    m = ds.kappa if m is None else _integer(m, "index m")
     if not low <= m <= ds.kappa:
         raise ValueError(f"index m={m} outside {low}..kappa={ds.kappa}")
     return ds, m
@@ -396,9 +394,11 @@ def random_stieltjes_pd_sequence(q: int, kappa: int, alpha: float = 0.0,
     until the top Hankel blocks have condition number at most 1e7, so the
     sequences stay in the regime where the 1e-9/1e-10 identity checks of
     verify are numerically meaningful.  When no draw in 400 meets that
-    bound, the sizes are out of its reach: ValueError.
+    bound, the sizes are out of its reach: ValueError.  q and kappa are
+    integers, as every size and index is (linalg._integer).
     """
-    if kappa < 0:
+    _integer(q, "q")
+    if _integer(kappa, "kappa") < 0:
         raise ValueError(f"kappa={kappa} is negative")
     rng = np.random.default_rng(seed)
     if kappa < 1:

@@ -66,13 +66,17 @@ def _chain_product(ds: DSParam, m: int) -> MatrixPolynomial:
 
 @dataclass(frozen=True)
 class ResolventU:
-    """Block assembly [[A_{half(m)}, B_{half(m+1)}], [C, D]] for index m."""
+    """Block assembly [[A_{half(m)}, B_{half(m+1)}], [C, D]] for index m.
+
+    ds is the (L, M) pair U was built from, on which lft_solve caches the
+    rule of each pair it evaluates; a U assembled by hand has none."""
 
     m: int
     side: str
     alpha: float
     q: int
     poly: MatrixPolynomial
+    ds: DSParam | None = None
 
     def __call__(self, z: complex) -> Array:
         return self.poly(z)
@@ -91,7 +95,8 @@ def resolvent_u(seq: MomentSequence, m: int | None = None) -> ResolventU:
     """The resolvent member for index m: the product W_0 ... W_m of the
     factors of factorize_u, sliced out of the cached chain_stacks."""
     ds, m = _door(seq, m)
-    return ResolventU(m=m, side=ds.side, alpha=ds.alpha, q=ds.q, poly=_chain_product(ds, m))
+    return ResolventU(m=m, side=ds.side, alpha=ds.alpha, q=ds.q, poly=_chain_product(ds, m),
+                      ds=ds)
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,14 @@
 
 Feeding a constant parameter pair (phi, psi) through the resolvent blocks,
 S = (U11 phi + U12 psi)(U21 phi + U22 psi)^{-1}, yields the Stieltjes
-transform of a solution of the truncated moment problem.  The trivial
-pairs give the two extremal solutions; at a real point x off the half-line
-the solution values fill the matrix interval between them exactly, and
-each point T of it is reached by the pair U(x)^{-1} [T; I], read off U by
-its J-symmetry.  The extremals are the partial fractions of the two block
-strings of (L, M), and the inverse of the interval's width is a polynomial
+transform of a solution of the truncated moment problem: the transfer
+function of the block string of (L, M) whose last mass is tied to the wall
+by the pair.  The trivial pairs give the two extremal solutions, the free
+end and the wall; at a real point x off the half-line the solution values
+fill the matrix interval between them exactly, and each point T of it is
+reached by the pair U(x)^{-1} [T; I], read off U by its J-symmetry.  Every
+constant pair is evaluated as the partial fractions of its string's rule,
+cached on (L, M), and the inverse of the interval's width is a polynomial
 sum over the factor chain of (L, M), with no matrix inverted.  Each entry
 opens with params._door (the gate, then m) and reads (L, M) alone after it;
 an entry that evaluates at a caller's point takes the point and the value
@@ -43,8 +45,12 @@ class StieltjesPair:
     (-i(I + F), F - I) on the left, so lft_solve of the pair is the Schur
     transformation (S11 F + S12)(S21 F + S22)^{-1} of Sigma = U E.  The side
     is checked on both kinds.  phi, psi (phi's size), F and stacked, the
-    column [phi; psi] lft_solve reads, are held by the one matrix rule before
-    any other check.  Equality is identity.
+    column [phi; psi], are held by the one matrix rule before any other
+    check.  Each pair is normalized once, to x = psi (psi + s phi)^{-1}, s the
+    side_sign: psi + s phi is invertible for every valid pair, x is Hermitian
+    with 0 <= x <= I and (phi R, psi R) gives the same x; phi = 0 is x = I
+    and psi = 0 is x = 0 exactly, as pair_min and pair_max are.  string_rule
+    reads x alone.  Equality is identity.
     """
 
     kind: str
@@ -77,7 +83,13 @@ class StieltjesPair:
             self.__dict__["f"] = f
         else:
             raise ValueError(f"unknown pair kind: {self.kind}")
-        self.__dict__.update(phi=phi, psi=psi, stacked=g)
+        if not phi.any():   # the wall and the free end, exactly
+            x = np.eye(q, dtype=complex)
+        elif not psi.any():
+            x = np.zeros((q, q), dtype=complex)
+        else:
+            x = _hermitize(psi @ np.linalg.inv(psi + side_sign(self.side) * phi))
+        self.__dict__.update(phi=phi, psi=psi, stacked=g, x=freeze(x))
 
     def values(self):
         """(phi, psi) actually fed into the transformation."""
@@ -103,47 +115,37 @@ def _free_point(side: str, alpha: float) -> float:
 
 
 class SingularDenominator(ValueError):
-    """U21 phi + U22 psi singular at the requested point."""
+    """U21 phi + U22 psi singular at the requested point: z at an atom of the
+    pair's rule."""
 
 
 def lft_solve(u: ResolventU, pair: StieltjesPair, z: complex) -> Array:
     """Evaluate the linear-fractional transformation at one point off the cut.
 
-    z is a scalar only.  U(z) [phi; psi] is one product whose two row
-    blocks are the numerator U11 phi + U12 psi and the denominator
-    D = U21 phi + U22 psi.  D is singular when |det D| <
-    DEFAULT_TOL.singular_det max(1, ||D||_F^q).  inv(D) is taken first:
-    since |det D| >= sigma_min(D)^q >= ||D^{-1}||_F^{-q}, a bound at least
-    100 times the threshold certifies D with no determinant.  Below that, det(D) decides;
-    a D that inv cannot factor at all is singular.  z follows the point rule,
-    and the value rule holds num and D where the certificate fails, so the
-    certified path makes no finiteness test.  Precedence: the cut, the size,
-    the pair's half-line, the singularity.
+    z is a scalar only.  The value is the sum of the partial fractions of
+    string_rule(u.ds, u.m, pair), the rule of the pair's block string, built
+    once per distinct pair and cached on the (L, M) that U carries; the
+    pairs with x = I and x = 0 read the very rules of the two extremals.  The
+    denominator U21 phi + U22 psi is singular when z lies within an atom's
+    reach, |z - x_k| < DEFAULT_TOL.singular_det (1 + rho), rho the rounding
+    scale of the rule (max_j |x_j - alpha| but on a flexibility form; see
+    string_rule).  z follows the point rule and the value the value rule.
+    Precedence: the cut, the size, the pair's half-line, U's (L, M), the
+    singularity.
     """
     _point(z, u)
     if len(pair.stacked) != 2 * u.q:
         raise ValueError(f"pair is {len(pair.phi)} x {len(pair.phi)}, U has {u.q} x {u.q} blocks")
     if pair.side != u.side:
         raise ValueError(f"pair is for the {pair.side} half-line, U for the {u.side} half-line")
-    g = u.poly(z) @ pair.stacked
-    num, den = g[:u.q], g[u.q:]
-    threshold = DEFAULT_TOL.singular_det * max(1.0, _frobenius(den) ** u.q)
-    try:
-        inv = np.linalg.inv(den)
-    except np.linalg.LinAlgError:
-        inv = None
-    # a NaN bound certifies nothing and falls through to the determinant; an
-    # overflow in U(z) leaves NaN in den, so it is never certified
-    if inv is None or not _frobenius(inv) ** -u.q >= 100 * threshold:
-        _value(num, z)
-        _value(den, z)
-        if inv is None or abs(np.linalg.det(den)) < threshold:
-            raise SingularDenominator(f"denominator singular at z={z}")
-    return num @ inv
-
-
-def _frobenius(a: Array) -> float:
-    return np.sqrt(np.vdot(a, a).real)   # np.linalg.norm's wrapper costs more than this
+    if u.ds is None:
+        raise ValueError("U was not built from an (L, M) pair, so no rule evaluates it")
+    atoms, residues, reach = string_rule(u.ds, u.m, pair)
+    gap = atoms - complex(z)
+    # every atom is real: a point that far off the line is past every reach
+    if abs(z.imag) < reach and (np.abs(gap) < reach).any():
+        raise SingularDenominator(f"denominator singular at z={z}")
+    return _value(np.dot(np.reciprocal(gap), residues).reshape(u.q, u.q), z)
 
 
 class ExtremalSolution:
@@ -163,7 +165,7 @@ class ExtremalSolution:
 
     def __init__(self, ds: DSParam, m: int, bd: bool):
         self.m, self.bd, self.q = m, bd, ds.q
-        self.atoms, self.residues = string_rule(ds, m, bd)
+        self.atoms, self.residues, _ = string_rule(ds, m, bd)
 
     def __call__(self, z) -> Array:
         return _partial_fractions(self.atoms, self.residues, z, self.q)
@@ -181,42 +183,114 @@ def _partial_fractions(atoms: Array, residues: Array, z, q: int) -> Array:
 
 @derived
 def _string_factors(ds: DSParam) -> Array:
-    """inv(chol) of the stack (M_0.., L_0..), which the rules of both ends read."""
+    """inv(chol) of the stack (M_0.., L_0..), which the rules of every end read."""
     return np.linalg.inv(np.linalg.cholesky(np.concatenate([ds.m, ds.l])))
 
 
 @derived
-def string_rule(ds: DSParam, m: int, wall: bool) -> tuple:
-    """Atoms x_k and (K, q*q) residue table G_k of one extremal from (L, M).
+def string_rule(ds: DSParam, m: int, end) -> tuple:
+    """Atoms x_k, (K, q*q) residue table G_k and reach of one string of (L, M).
 
-    Masses M_j joined by springs L_j: a free end has half(m)+1 masses and
-    one spring fewer, a wall end half(m-1)+1 of each, the last spring tied
-    to the wall.  With the block difference Delta, M_j = R_j R_j^* and
-    L_j = P_j P_j^* (one stacked Cholesky, shared by both ends), T = R^{-1}
+    end is True (the wall), False (the free end) or a StieltjesPair.  Masses
+    M_j joined by springs L_j: a free end has half(m)+1 masses and one
+    spring fewer, a wall end half(m-1)+1 of each, the last spring tied to
+    the wall.  With the block difference Delta, M_j = R_j R_j^* and
+    L_j = P_j P_j^* (one stacked Cholesky, shared by every end), T = R^{-1}
     Delta^* diag(L_j^{-1}) Delta R^{-*} = W^* W, W = P^{-1} Delta R^{-*} block
     bidiagonal.  One eigh, T = V diag(lambda) V^*, gives x_k = alpha +- lambda_k
     and G_k = g_k g_k^* with g_k = R_0^{-*} v_k, v_k from the first block row
     of V.  The q rigid motions of a free string (the kernel of W) are one node
-    at alpha exactly, with the sum of their residues.  The rule is cached on
-    ds, so a DSParam built from (L, M) directly keeps it too.
+    at alpha exactly, with the sum of their residues.  A pair ties the last
+    mass of the free string to the wall (_pair_string); x = I and x = 0 are
+    the wall and the free end themselves, their rule the very same tuple.
+    The reach is DEFAULT_TOL.singular_det (1 + rho), rho = max_j |x_j - alpha|
+    = ||T||, the rounding scale of the eigh; on the flexibility form of a
+    pair rho is its shift, since only the atoms of near-clamped directions
+    lie past it.  The rule is cached on ds, so a DSParam built from (L, M)
+    directly keeps it too, one per end and one per distinct pair.
     """
-    q = ds.q
-    nm = half(m - 1) + 1 if wall else half(m) + 1
-    nl = nm if wall else nm - 1
-    inv = _string_factors(ds)
+    if isinstance(end, StieltjesPair):
+        if not end.x.any():
+            return string_rule(ds, m, False)
+        if np.array_equal(end.x, np.eye(ds.q)):
+            return string_rule(ds, m, True)
+        return _pair_string(ds, m, end.x)
+    nm = half(m - 1) + 1 if end else half(m) + 1
+    if not nm:   # the wall of m = 0 holds no mass: B_0 D_0^{-1} = 0
+        return np.zeros(0), np.zeros((0, ds.q * ds.q), dtype=complex), 0.0
+    w, ri_star = _string_w(ds, nm, nm if end else nm - 1)
+    lam, v = np.linalg.eigh(w.conj().T @ w)
+    return _rule(ds, lam, v, ri_star[0], 0 if end else ds.q)
+
+
+def _string_w(ds: DSParam, nm: int, nl: int) -> tuple:
+    """(W, R^{-*}) of nm masses and nl springs, the last spring tied to the
+    wall when nl = nm; block (i, k) of W at i nm + k, so the diagonal is
+    every (nm+1)-th block from 0."""
+    q, inv = ds.q, _string_factors(ds)
     ri_star, pi = inv[:nm].conj().swapaxes(-1, -2), inv[len(ds.m):len(ds.m) + nl]
-    # block (i, k) of W at i nm + k: the diagonal is every (nm+1)-th block from 0
     w = np.zeros((nl * nm, q, q), dtype=complex)
     w[::nm + 1] = pi @ ri_star[:nl]
     w[1::nm + 1] = -pi[:nm - 1] @ ri_star[1:]
-    w = w.reshape(nl, nm, q, q).swapaxes(1, 2).reshape(nl * q, nm * q)
-    lam, v = np.linalg.eigh(w.conj().T @ w)
-    g = np.ascontiguousarray((ri_star[0] @ v[:q]).T)   # so the residue table is C-contiguous
+    return w.reshape(nl, nm, q, q).swapaxes(1, 2).reshape(nl * q, nm * q), ri_star
+
+
+def _rule(ds: DSParam, lam: Array, v: Array, r0_star: Array, rigid: int,
+          shift: float = 0.0) -> tuple:
+    """(atoms, residues, reach) from the ascending eigenpairs of T; the rigid
+    smallest lambda are one node at alpha exactly, their residues summed."""
+    q = ds.q
+    g = np.ascontiguousarray((r0_star @ v[:q]).T)   # so the residue table is C-contiguous
     residues = g[:, :, None] * g.conj()[:, None, :]
-    if not wall:   # the q rigid motions: one node at alpha exactly, their residues summed
-        lam[q - 1], residues[q - 1] = 0.0, residues[:q].sum(axis=0)
-        lam, residues = lam[q - 1:], residues[q - 1:]
-    return ds.alpha + side_sign(ds.side) * lam, residues.reshape(-1, q * q)
+    if rigid:
+        lam[rigid - 1], residues[rigid - 1] = 0.0, residues[:rigid].sum(axis=0)
+        lam, residues = lam[rigid - 1:], residues[rigid - 1:]
+    rho = shift or max(-lam[0], lam[-1])   # lam ascends: the largest |lambda| is at an end
+    reach = DEFAULT_TOL.singular_det * (1.0 + float(rho))
+    return ds.alpha + side_sign(ds.side) * lam, residues.reshape(-1, q * q), reach
+
+
+def _pair_string(ds: DSParam, m: int, x: Array) -> tuple:
+    """The rule of a pair x, 0 <= x <= I: the free string of half(m)+1 masses
+    whose last mass M_n is tied to the wall by a boundary spring K.
+
+    With x = V diag(t) V^*, odd m puts the pair's flexibility (I - x) x^{-1}
+    in series with the last spring L_n, K = x (L_n x + I - x)^{-1} =
+    x^{1/2} H^{-1} x^{1/2}, H = x^{1/2} L_n x^{1/2} + I - x, finite for every
+    x.  Even m ties M_n by K = x (I - x)^{-1}.  Directions with t <= 1/2 add
+    K to T; those with t > 1/2 go in the shifted flexibility form, one eigh of
+    (T_soft + sigma I + B C^{-1} B^*)^{-1} by Woodbury, B = R_n^{-1} V_h on the
+    last block, C = (I - x) x^{-1} there, sigma = ||T_soft||_inf, and
+    lambda = 1/mu - sigma; a clamped direction (t = 1) has no atom.  ker x
+    is one node at alpha exactly, as the free end's rigid motions are.
+    """
+    q, n = ds.q, half(m)
+    t, basis = np.linalg.eigh(x)
+    t = np.clip(t, 0.0, 1.0)
+    w, ri_star = _string_w(ds, n + 1, n)
+    stiff, last = w.conj().T @ w, ri_star[n]   # T of the free string, R_n^{-*}
+    hard = (t > 0.5) & (m % 2 == 0)   # the directions of the flexibility form
+    if m % 2:
+        root = basis * np.sqrt(t)
+        chol = np.linalg.cholesky(root.conj().T @ ds.l[n] @ root + np.diag(1.0 - t))
+        row = np.linalg.solve(chol, root.conj().T) @ last
+    else:
+        soft = t[~hard]
+        row = np.sqrt(soft / (1.0 - soft))[:, None] * basis[:, ~hard].conj().T @ last
+    stiff[-q:, -q:] += row.conj().T @ row
+    if not hard.any():
+        lam, v = np.linalg.eigh(stiff)
+        return _rule(ds, lam, v, ri_star[0], np.count_nonzero(t == 0))
+    sigma = np.abs(stiff).sum(axis=1).max() or 1.0
+    a_inv = np.linalg.inv(stiff + sigma * np.eye(len(stiff)))
+    b = last.conj().T @ basis[:, hard]
+    y = a_inv[:, -q:] @ b
+    c = (1.0 - t[hard]) / t[hard]
+    mu, v = np.linalg.eigh(a_inv - y @ np.linalg.solve(np.diag(c) + b.conj().T @ y[-q:],
+                                                       y.conj().T))
+    drop = max(np.count_nonzero(c == 0), np.count_nonzero(mu <= 0))
+    lam = 1.0 / mu[drop:][::-1] - sigma
+    return _rule(ds, lam, v[:, drop:][:, ::-1], ri_star[0], np.count_nonzero(t == 0), sigma)
 
 
 def extremal(seq: MomentSequence, m: int | None = None):

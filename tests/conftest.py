@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from stieltjesmp import (
-    DEFAULT_TOL, PD, DSParam, FavardPair, ResolventU, SingularDenominator, ds_param, extremal,
-    psd_class, q_from_ds, random_pd, real_zeros, reflect, resolvent_u, schur_rotation,
-    seq_from_ds, sequence, stieltjes_quadruple,
+    CONSTANT, DEFAULT_TOL, PD, DSParam, FavardPair, ResolventU, SingularDenominator,
+    StieltjesPair, ds_param, extremal, psd_class, q_from_ds, random_pd, real_zeros, reflect,
+    resolvent_u, schur_rotation, seq_from_ds, sequence, stieltjes_quadruple,
 )
 from stieltjesmp.linalg import _hermitize, matrix_stack
 from stieltjesmp.measures import MolecularMeasure
@@ -311,24 +311,26 @@ def favard_pair_row_col(seq) -> FavardPair:
     return FavardPair(a=tuple(a), b=tuple(b))
 
 
+def random_constant_pair(q, side, rng):
+    """Admissible constant pair: psi = I, phi = +/- PSD."""
+    g = rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q))
+    w = g @ g.conj().T + 0.05 * np.eye(q)
+    phi = w if side == "right" else -w
+    return StieltjesPair(kind=CONSTANT, side=side, phi=phi, psi=np.eye(q))
+
+
 def lft_solve_det(u, pair, z):
-    """The linear-fractional transformation by the determinant test alone:
-    det and inv of the denominator of U(z) [phi; psi].  The library
-    certifies the denominator from its inverse and takes det only below
-    the certificate; this is the route it is checked against."""
+    """The linear-fractional transformation as the division of U(z)
+    [phi; psi], singular by the determinant test: det and inv of its lower
+    block.  The library sums the partial fractions of the pair's string
+    rule; this division, its route before, is the one it is checked
+    against."""
     _point(z, u)
-    num, den, det, threshold = lft_blocks(u, pair, z)
-    if det < threshold:
-        raise SingularDenominator(f"denominator singular at z={z}")
-    return num @ np.linalg.inv(den)
-
-
-def lft_blocks(u, pair, z) -> tuple:
-    """(num, den, |det den|, threshold) of lft_solve_det at z."""
     g = u.poly(z) @ pair.stacked
     num, den = g[:u.q], g[u.q:]
-    return num, den, abs(np.linalg.det(den)), \
-        1e-13 * max(1.0, np.linalg.norm(den) ** den.shape[0])
+    if abs(np.linalg.det(den)) < 1e-13 * max(1.0, np.linalg.norm(den) ** u.q):
+        raise SingularDenominator(f"denominator singular at z={z}")
+    return num @ np.linalg.inv(den)
 
 
 def rmul(p: MatrixPolynomial, mat) -> MatrixPolynomial:

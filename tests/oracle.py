@@ -1,13 +1,14 @@
 """High-precision reference for the (L, M) -> Q -> moments maps, the
-resolvent U, the top monic orthogonal polynomial and the extremals of the
-(L, M) block string.
+resolvent U, the top monic orthogonal polynomial, the extremals of the
+(L, M) block string and the linear-fractional map of a constant pair.
 
 The same alternating products and the same Schur-complement recursion as
 q_from_ds and seq_from_stieltjes_param, U as the product of the factor
-values W_0(z) ... W_m(z), and the string's resolvent (K - wD)^{-1} by its
-definition, evaluated in mpmath with exact inverses at DPS decimal digits,
-then rounded to complex128.  A test that compares the library against these
-values measures its error, not its agreement with itself.
+values W_0(z) ... W_m(z), the string's resolvent (K - wD)^{-1} by its
+definition and U(z) [phi; psi] divided, evaluated in mpmath with exact
+inverses at DPS decimal digits, then rounded to complex128.  A test that
+compares the library against these values measures its error, not its
+agreement with itself.
 """
 
 import mpmath as mp
@@ -152,3 +153,53 @@ def string_value(l, m, alpha: float, side: str, q: int, z: complex):
             schur = diag[j] - springs[j] * mp.inverse(schur) * springs[j]
         block = mp.inverse(schur)
         return _to_np(block if side == "right" else -block)
+
+
+def pair_lft(l, m, alpha: float, side: str, q: int, points, phi, psi) -> np.ndarray:
+    """(U11 phi + U12 psi)(U21 phi + U22 psi)^{-1} at each of the points, at
+    DPS digits, as an (N, q, q) stack rounded to complex128: U(z) = W_0(z) ...
+    W_kappa(z) of chain_product times the column [phi; psi], the factors
+    applied from the last, then the division.  Plain lists of mpc and fdot,
+    a few times faster than mp.matrix at these sizes."""
+    sgn = 1 if side == "right" else -1
+    out = []
+    with mp.workdps(DPS):
+        ls, ms = [_rows(sgn * np.asarray(v)) for v in l], [_rows(v) for v in m]
+        column = _rows(phi), _rows(psi)
+        for z in points:
+            w = mp.mpf(alpha) - mp.mpc(complex(z))
+            top, bottom = column
+            for j in reversed(range(len(ms) + len(ls))):
+                if j % 2 == 0:   # W_{2n}: [[I, 0], [(alpha - z) M_n, I]]
+                    bottom = [[b + w * p for b, p in zip(rb, rp)]
+                              for rb, rp in zip(bottom, _mul(ms[j // 2], top))]
+                else:            # W_{2n+1}: [[I, +-L_n], [0, I]]
+                    top = [[t + p for t, p in zip(rt, rp)]
+                           for rt, rp in zip(top, _mul(ls[j // 2], bottom))]
+            out.append([[complex(v) for v in row] for row in _right_divide(top, bottom)])
+    return np.array(out, dtype=complex).reshape(-1, q, q)
+
+
+def _rows(a) -> list:
+    return [[mp.mpc(complex(x)) for x in row] for row in np.atleast_2d(a)]
+
+
+def _mul(x: list, y: list) -> list:
+    cols = list(zip(*y))
+    return [[mp.fdot(row, col) for col in cols] for row in x]
+
+
+def _right_divide(top: list, bottom: list) -> list:
+    """top bottom^{-1}: Gauss-Jordan elimination with partial pivoting on
+    bottom^T S^T = top^T."""
+    n = len(bottom)
+    a = [[bottom[j][i] for j in range(n)] + [top[k][i] for k in range(n)] for i in range(n)]
+    for c in range(n):
+        p = max(range(c, n), key=lambda r: abs(a[r][c]))
+        a[c], a[p] = a[p], a[c]
+        a[c] = [v / a[c][c] for v in a[c]]
+        for r in range(n):
+            if r != c and a[r][c]:
+                f = a[r][c]
+                a[r] = [v - f * u for v, u in zip(a[r], a[c])]
+    return [[a[j][n + k] for j in range(n)] for k in range(n)]

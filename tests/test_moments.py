@@ -367,7 +367,7 @@ def test_derived_objects_are_cached():
             assert string_rule(d, m, wall) is string_rule(d, m, wall)
     # the extremals read the very arrays of the cached rule
     for ext in extremal(s):
-        atoms, residues = string_rule(ds_param(s), s.kappa, ext.bd)
+        atoms, residues, _ = string_rule(ds_param(s), s.kappa, ext.bd)
         assert ext.atoms is atoms and ext.residues is residues
     # lft_solve reads the block column [phi; psi] its pair built once
     u, pair = resolvent_u(s), pair_min(s.q, s.side)

@@ -1,5 +1,5 @@
-"""The (L, M) maps, the product of the resolvent factors and the
-block-string extremals against the 60-digit mpmath oracle.
+"""The (L, M) maps, the product of the resolvent factors, the block-string
+extremals and the rules of constant pairs against the 60-digit mpmath oracle.
 
 Kept apart from test_params.py so that only this module needs mpmath; it
 is part of the `test` extra and a missing install fails here.
@@ -10,14 +10,18 @@ import functools
 import numpy as np
 import pytest
 
-from stieltjesmp import DSParam, ds_param, seq_from_ds, sequence, stieltjes_param
+from stieltjesmp import (
+    CONSTANT, SCHUR_CONSTANT, DSParam, SingularDenominator, StieltjesPair, ds_param, lft_solve,
+    pair_max, pair_min, reflect, resolvent_u, seq_from_ds, sequence, side_sign, stieltjes_param,
+)
 from stieltjesmp.moments import half
 from stieltjesmp.orthopoly import _chain_families
 from stieltjesmp.params import random_pd
 from stieltjesmp.resolvent import _chain_product
 from stieltjesmp.solutions import string_rule
 
-from oracle import chain_product, monic_top, oracle, string_value
+from conftest import ladder_fixture, random_constant_pair
+from oracle import chain_product, monic_top, oracle, pair_lft, string_value
 
 
 @functools.cache
@@ -69,7 +73,7 @@ def test_string_rule_matches_the_high_precision_string(q, kappa):
         d = DSParam(q=q, alpha=alpha, side=side, l=l, m=m)
         free = 1.0 if side == "right" else -1.0
         for wall in (False, True):
-            atoms, residues = string_rule(d, kappa, wall)
+            atoms, residues, _ = string_rule(d, kappa, wall)
             nm = half(kappa - 1) + 1 if wall else half(kappa) + 1
             for z in (alpha - free, alpha + 0.7 + 1.3j, alpha - 0.4 - 0.9j):
                 got = ((1.0 / (atoms - z)) @ residues).reshape(q, q)
@@ -106,3 +110,65 @@ def test_chain_monic_top_matches_the_high_precision_rows(q, kappa):
             want = monic_top(l, m, alpha, side, q)
             got = _chain_families(DSParam(q=q, alpha=alpha, side=side, l=l, m=m))[0][-1]
             assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
+
+
+# the eigenvalues of x the accuracy table's spectrum pairs take, cycled over q
+SPECTRUM = (0.0, 1e-14, 0.5, 1.0 - 1e-14, 1.0)
+
+
+def _unitary(q: int, rng) -> np.ndarray:
+    return np.linalg.qr(rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q)))[0]
+
+
+def _table_pairs(s, rng) -> list:
+    """pair_min, pair_max, three random CONSTANT pairs, a Schur pair with
+    eigenvalues +1 and -1 (both +-1 over q > 1) and pairs whose x has the
+    eigenvalues of SPECTRUM, each in a random basis: phi = s V (I - t) V^*,
+    psi = V t V^*."""
+    q, side, sign = s.q, s.side, side_sign(s.side)
+    pairs = [pair_min(q, side), pair_max(q, side)]
+    pairs += [random_constant_pair(q, side, rng) for _ in range(3)]
+    v = _unitary(q, rng)
+    pairs.append(StieltjesPair(kind=SCHUR_CONSTANT, side=side,
+                               f=(v * (-1.0) ** np.arange(q)) @ v.conj().T))
+    for j in range(-(-len(SPECTRUM) // q)):
+        t = np.array([SPECTRUM[(j * q + i) % len(SPECTRUM)] for i in range(q)])
+        v = _unitary(q, rng)
+        phi, psi = sign * (v * (1.0 - t)) @ v.conj().T, (v * t) @ v.conj().T
+        pairs.append(StieltjesPair(kind=CONSTANT, side=side, phi=phi, psi=psi))
+    return pairs
+
+
+@pytest.mark.parametrize("i", range(10))
+def test_pair_rules_match_the_high_precision_lft(i):
+    # every pair of _table_pairs on ladder fixture i and its reflection, at
+    # every m >= 1, against the 60-digit U(z) [phi; psi] divided.  With rho =
+    # max_j |x_j - alpha| over the pair's atoms: at z = x_k + d i, d = 1e-2 ..
+    # 1e-12, the relative error is within 1e-12 + 1e-13 (1 + rho) / d, or z is
+    # within the reach and a singular denominator (worst measured: 0.04 of
+    # the bound); at points 1e-2 from alpha and 1e-2 (1 + rho) from every
+    # atom, within 1e-12 (worst 3.8e-14)
+    for s in (ladder_fixture(i), reflect(ladder_fixture(i))):
+        rng, d, sign = np.random.default_rng(i), ds_param(s), side_sign(s.side)
+        pairs = _table_pairs(s, rng)
+        for m in range(1, s.kappa + 1):
+            u, l, ms = resolvent_u(s, m), d.l[:half(m - 1) + 1], d.m[:half(m) + 1]
+            for pair in pairs:
+                atoms, _, reach = string_rule(d, m, pair)
+                rho = np.abs(atoms - s.alpha).max()
+                far = [z for z in (s.alpha - 0.01 * sign, s.alpha - sign, s.alpha + 0.5 + 2j,
+                                   s.alpha + (0.5 * sign + 0.05j) * (1 + rho), s.alpha + 3 - 0.7j)
+                       if np.abs(atoms - z).min() >= 1e-2 * (1 + rho)]
+                near = [(complex(x, dist), dist) for x in atoms
+                        for dist in (1e-2, 1e-6, 1e-9, 1e-12)]
+                for z, dist in near:
+                    if dist < reach:
+                        with pytest.raises(SingularDenominator):
+                            lft_solve(u, pair, z)
+                near = [(z, dist) for z, dist in near if dist >= reach]
+                points = far + [z for z, _ in near]
+                want = pair_lft(l, ms, s.alpha, s.side, s.q, points, pair.phi, pair.psi)
+                got = np.array([lft_solve(u, pair, z) for z in points])
+                err = np.linalg.norm(got - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
+                bound = [1e-12] * len(far) + [1e-12 + 1e-13 * (1 + rho) / dist for _, dist in near]
+                assert (err <= bound).all(), (i, s.side, m, pair.x, np.max(err / bound))

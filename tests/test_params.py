@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from stieltjesmp import (
-    CanonicalHankelParam, DSParam, StieltjesParam, canonical_hankel_param, classify,
-    difference_inverse, ds_from_q, ds_param, dyukarev_quadruple, extremal, factorize_u,
+    CanonicalHankelParam, DSParam, MomentSequence, StieltjesParam, canonical_hankel_param,
+    classify, difference_inverse, ds_from_q, ds_param, dyukarev_quadruple, extremal, factorize_u,
     favard_from_ds, favard_from_q, favard_pair, interval_point, leading_terms, q_from_ds,
     recover_max, recover_min, reflect, random_stieltjes_pd_sequence, resolvent_u,
     seq_from_canonical, seq_from_ds, seq_from_stieltjes_param, sequence,
@@ -175,6 +175,35 @@ def test_empty_input_a_size_below_one_and_a_negative_kappa_are_named():
     for kappa in (-1, -5):
         with pytest.raises(ValueError, match=f"kappa={kappa} is negative"):
             random_stieltjes_pd_sequence(2, kappa)
+
+
+_EYE = np.eye(2)[None]
+
+
+def _named(message, call):
+    return pytest.param(message, call, id=message)
+
+
+@pytest.mark.parametrize("message, call", [
+    _named("kappa=2.5 is not an integer", lambda: random_stieltjes_pd_sequence(2, 2.5)),
+    _named("kappa=3.0 is not an integer", lambda: random_stieltjes_pd_sequence(2, 3.0)),
+    _named("kappa=True is not an integer", lambda: random_stieltjes_pd_sequence(2, True)),
+    _named("q=2.5 is not an integer", lambda: random_stieltjes_pd_sequence(2.5, 3)),
+    _named("q=True is not an integer", lambda: random_stieltjes_pd_sequence(True, 3)),
+    _named("moment size q=2.0 is not an integer",
+           lambda: MomentSequence(q=2.0, alpha=0.0, side="right", moments=_EYE)),
+    _named("Q_j size q=np.float64(2.0) is not an integer",
+           lambda: StieltjesParam(q=np.float64(2), alpha=0.0, side="right", values=_EYE)),
+    _named("L_n size q=1.5 is not an integer",
+           lambda: DSParam(q=1.5, alpha=0.0, side="right", l=[], m=_EYE)),
+    _named("L_n size q=False is not an integer",
+           lambda: DSParam(q=False, alpha=0.0, side="right", l=[], m=_EYE)),
+])
+def test_a_size_that_is_not_an_integer_is_named(message, call):
+    # a float or bool size leaked "'float' object cannot be interpreted as an
+    # integer" (or passed as 1), where _door already refused such an m
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 class _LMOnly:

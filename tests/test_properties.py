@@ -2,9 +2,11 @@
 
 The read-only rule: each example draws a LADDER rung, an ALPHAS value, a
 side and a seed, builds the problem with random_fixture and runs the solve
-pipeline.  The batched classes: each example draws a stack of matrices of
-mixed kinds and scales.  The example counts are bounded and derandomized,
-so every run checks the same examples in under a second each.
+pipeline.  The pair rule: each example draws one of the 50 ladder fixtures,
+its reflection or not, and a seed for the pairs.  The batched classes: each
+example draws a stack of matrices of mixed kinds and scales.  The example
+counts are bounded and derandomized, so every run checks the same examples
+in under a second each.
 """
 
 import numpy as np
@@ -13,12 +15,12 @@ from hypothesis import given, settings, strategies as st
 from stieltjesmp import (
     CONSTANT, DSParam, MatrixPolynomial, MolecularMeasure, ResolventU, StieltjesPair,
     dyukarev_quadruple, ds_param, extremal, factorize_u, lft_solve, pair_max, pair_min,
-    recover_max, recover_min, resolvent_u, seq_from_ds, sequence, side_sign,
+    recover_max, recover_min, reflect, resolvent_u, seq_from_ds, sequence, side_sign,
     stieltjes_param, stieltjes_quadruple, stieltjes_transform,
 )
 from stieltjesmp.linalg import INDEFINITE, NON_HERMITIAN, PD, PSD, _psd_classes, psd_class
 
-from conftest import ALPHAS, LADDER, random_fixture, writeable_arrays
+from conftest import ALPHAS, LADDER, ladder_fixture, random_fixture, writeable_arrays
 
 
 def _build(given: dict, alpha: float, side: str):
@@ -36,12 +38,12 @@ def _build(given: dict, alpha: float, side: str):
 
 
 def _values(seq, d, pair, u, mu, z: complex) -> list:
-    """The arrays the five objects hold and the values lft_solve and the
-    transforms read off them at z."""
+    """The arrays the five objects hold and the values lft_solve, U and the
+    transforms read off them at z.  The hand-built U carries no (L, M), so
+    no rule evaluates a pair on it: it is read at z itself."""
     return [seq.moments, resolvent_u(seq).poly.coeffs, lft_solve(resolvent_u(seq), pair, z),
-            d.l, d.m, seq_from_ds(d).moments, pair.phi, pair.psi, pair.stacked,
-            u.poly.coeffs, lft_solve(u, pair, z), mu.atoms, mu.masses,
-            stieltjes_transform(mu, z)]
+            d.l, d.m, seq_from_ds(d).moments, pair.phi, pair.psi, pair.stacked, pair.x,
+            u.poly.coeffs, u(z), mu.atoms, mu.masses, stieltjes_transform(mu, z)]
 
 
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
@@ -63,7 +65,7 @@ def test_the_solve_pipeline_holds_read_only_arrays_no_caller_can_write(rung, alp
 
     # the five classes copy a writeable input once, so a write after
     # construction, before or after first use, changes neither what the
-    # object holds nor what lft_solve and the transforms read off it
+    # object holds nor what lft_solve, U and the transforms read off it
     source = {"moments": s.moments, "l": d.l, "m": d.m, "phi": side_sign(side) * np.eye(q),
               "psi": np.eye(q), "coeffs": u.poly.coeffs, "atoms": mu.atoms, "masses": mu.masses}
     want = _values(*_build({k: np.array(v) for k, v in source.items()}, alpha, side), z)
@@ -107,3 +109,31 @@ def test_a_stack_is_classed_per_matrix(q, draws):
     # over both sides of a sequence relies on that
     stack = np.array([_drawn_matrix(kind, q, scale, seed) for kind, scale, seed in draws])
     assert list(_psd_classes(stack)) == [psd_class(a) for a in stack]
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(i=st.integers(0, 49), reflected=st.booleans(), seed=st.integers(0, 999))
+def test_a_pair_is_its_normalized_x(i, reflected, seed):
+    # on a ladder fixture or its reflection, (phi R, psi R) gives the values of
+    # (phi, psi) for an invertible R, and the pairs (0, R) and (R, 0), x = I
+    # and x = 0, give the extremals' values bit for bit, at every m
+    s = reflect(ladder_fixture(i)) if reflected else ladder_fixture(i)
+    q, kappa, alpha, side = s.q, s.kappa, s.alpha, s.side
+    rng, sign = np.random.default_rng(seed), side_sign(side)
+    g = rng.standard_normal((q, 3 * q)) + 1j * rng.standard_normal((q, 3 * q))
+    r = np.linalg.qr(g[:, q:2 * q])[0] @ np.diag(rng.uniform(0.5, 2.0, q)) \
+        @ np.linalg.qr(g[:, 2 * q:])[0]
+    pair = StieltjesPair(kind=CONSTANT, side=side, phi=sign * g[:, :q] @ g[:, :q].conj().T,
+                         psi=np.eye(q))
+    scaled = StieltjesPair(kind=CONSTANT, side=side, phi=pair.phi @ r, psi=pair.psi @ r)
+    wall = StieltjesPair(kind=CONSTANT, side=side, phi=np.zeros((q, q)), psi=r)
+    free = StieltjesPair(kind=CONSTANT, side=side, phi=r, psi=np.zeros((q, q)))
+    points = [alpha + 1j, alpha - sign, alpha + 0.3 - 2j]
+    for m in range(1, kappa + 1):
+        u, exts = resolvent_u(s, m), extremal(s, m)
+        for z in points:
+            want = lft_solve(u, pair, z)
+            assert np.linalg.norm(lft_solve(u, scaled, z) - want) <= 1e-12 * np.linalg.norm(want)
+            for ends in (wall, free):
+                ext = exts[0] if (ends is wall) == (side == "right") else exts[1]
+                assert np.array_equal(lft_solve(u, ends, z), ext(z))

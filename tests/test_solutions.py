@@ -5,27 +5,20 @@ import numpy as np
 import pytest
 
 from stieltjesmp import (
-    CONSTANT, SCHUR_CONSTANT, MatrixPolynomial, ResolventU, SingularDenominator, StieltjesPair,
-    difference_inverse, dyukarev_quadruple, extremal, hermitize, interval_point, is_psd,
-    lft_solve, pair_max, pair_min, potapov_defect, potapov_defect_psd,
-    random_stieltjes_pd_sequence, reflect, resolvent_u, sequence,
+    CONSTANT, SCHUR_CONSTANT, DSParam, MatrixPolynomial, ResolventU, SingularDenominator,
+    StieltjesPair, difference_inverse, ds_param, dyukarev_quadruple, extremal, hermitize,
+    interval_point, is_psd, lft_solve, pair_max, pair_min, potapov_defect, potapov_defect_psd,
+    random_stieltjes_pd_sequence, reflect, resolvent_u, seq_from_ds, sequence,
     side_sign, stieltjes_quadruple, weyl_interval,
 )
 from stieltjesmp.linalg import min_eig_hermitian_part
 from stieltjesmp.moments import half, hankel, y_stack
+from stieltjesmp.solutions import string_rule
 
 from conftest import (
-    block_shift, difference_inverse_closed, first_block_column, ladder_fixture, lft_blocks,
-    lft_solve_det, lft_solve_schur, lm_draw, random_fixture, rel_err, sigma,
+    block_shift, difference_inverse_closed, first_block_column, ladder_fixture,
+    lft_solve_det, lft_solve_schur, lm_draw, random_constant_pair, random_fixture, rel_err, sigma,
 )
-
-
-def random_constant_pair(q, side, rng):
-    """Admissible constant pair: psi = I, phi = +/- PSD."""
-    g = rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q))
-    w = g @ g.conj().T + 0.05 * np.eye(q)
-    phi = w if side == "right" else -w
-    return StieltjesPair(kind=CONSTANT, side=side, phi=phi, psi=np.eye(q))
 
 
 def test_pair_validation():
@@ -78,13 +71,34 @@ def test_lft_singular_denominator():
 
 
 def test_lft_exactly_singular_denominator_off_the_cut():
-    # U(z) = [[1, 1], [0, z - i]]: with the pair (0, 1) the denominator is
-    # z - i, exactly zero at z = i, where inv itself fails
+    # the denominator is singular at the atoms of the pair's rule, all on the
+    # half-line: off the cut, z is a singular denominator within an atom's
+    # reach and a value past it.  U(z) = [[1, 1], [0, z - i]] built by hand,
+    # whose (0, 1) denominator vanishes at z = i, carries no (L, M): no rule
+    s = ladder_fixture(3)
+    u, pair = resolvent_u(s), random_constant_pair(s.q, s.side, np.random.default_rng(3))
+    atoms, _, reach = string_rule(ds_param(s), s.kappa, pair)
+    for x in atoms:
+        with pytest.raises(SingularDenominator, match="denominator singular at z="):
+            lft_solve(u, pair, complex(x, 0.5 * reach))
+        assert np.isfinite(lft_solve(u, pair, complex(x, 2.0 * reach))).all()
     coeffs = np.array([[[1, 1], [0, -1j]], [[0, 0], [0, 1]]], dtype=complex)
-    u = ResolventU(m=1, side="right", alpha=0.0, q=1, poly=MatrixPolynomial(coeffs))
-    with pytest.raises(SingularDenominator):
-        lft_solve(u, pair_min(1), 1j)
-    np.testing.assert_allclose(lft_solve(u, pair_min(1), 2j), [[-1j]], atol=1e-15)
+    by_hand = ResolventU(m=1, side="right", alpha=0.0, q=1, poly=MatrixPolynomial(coeffs))
+    with pytest.raises(ValueError, match=r"U was not built from an \(L, M\) pair"):
+        lft_solve(by_hand, pair_min(1), 2j)
+
+
+def test_lft_at_m_0_is_the_one_mass_string():
+    # U_0 = W_0: the wall holds no mass (B_0 D_0^{-1} = 0), the free end is
+    # s_0 at alpha, and any other pair ties the one mass M_0 to the wall
+    rng = np.random.default_rng(6)
+    for i in range(10):
+        for s in (ladder_fixture(i), reflect(ladder_fixture(i))):
+            u, z = resolvent_u(s, 0), s.alpha + 0.3 + 1j
+            assert not lft_solve(u, pair_min(s.q, s.side), z).any()
+            assert rel_err(lft_solve(u, pair_max(s.q, s.side), z), s[0] / (s.alpha - z)) < 1e-14
+            pair = random_constant_pair(s.q, s.side, rng)
+            assert rel_err(lft_solve(u, pair, z), lft_solve_det(u, pair, z)) < 1e-12
 
 
 def test_lft_next_to_an_atom_is_a_singular_denominator():
@@ -100,30 +114,43 @@ def test_lft_next_to_an_atom_is_a_singular_denominator():
 
 
 def test_lft_matches_the_determinant_oracle():
-    # the certified inverse against det and inv of the same denominator: the
-    # same decision away from the threshold, the same value wherever both return
+    # the pair's rule against det and inv of U(z) [phi; psi]: off the cut, at
+    # least 1e-2 from alpha and 1e-2 (1 + rho) from every atom, rho = max_j
+    # |x_j - alpha|, both give a value, the same within 1e-12 (1 + |z - alpha|):
+    # the determinant route rounds U(z) on its evaluation scale, 1e-11 off at
+    # |z - alpha| ~ 30, where the rule is 1e-14 off the 60-digit value.  A
+    # point off the cut is a singular denominator exactly within an atom's
+    # reach.  Nearer the atoms both routes lose digits as an atom's rounding
+    # over the distance, and the determinant route decides by its own
+    # threshold (the 60-digit accuracy table of test_oracle holds the rule)
     rng = np.random.default_rng(14)
-    offsets = [0.0] + [sign * 10.0 ** -k for k in range(2, 17) for sign in (1, -1)]
+    offsets = [0.0] + [sign * 10.0 ** -k for k in range(1, 17) for sign in (1, -1)]
     for i in range(10):
         for s in (ladder_fixture(i), reflect(ladder_fixture(i))):
-            u = resolvent_u(s)
+            u, ds = resolvent_u(s), ds_param(s)
             pairs = [pair_min(s.q, s.side), pair_max(s.q, s.side),
                      StieltjesPair(kind=SCHUR_CONSTANT, side=s.side,
                                    f=np.diag(np.exp(1j * rng.uniform(0.1, 3.0, s.q))))] \
                 + [random_constant_pair(s.q, s.side, rng) for _ in range(3)]
-            atoms = np.concatenate([ext.atoms for ext in extremal(s)])
-            points = {complex(x + d) for x in atoms for d in offsets} \
-                | {complex(x, d) for x in atoms for d in offsets}
             for pair in pairs:
+                atoms, _, reach = string_rule(ds, s.kappa, pair)
+                rho = np.abs(atoms - s.alpha).max()
+                near = np.concatenate([atoms, *(ext.atoms for ext in extremal(s))])
+                points = {complex(x + d) for x in near for d in offsets} \
+                    | {complex(x, d) for x in near for d in offsets}
                 for z in points:
                     got = _outcome(lft_solve, u, pair, z)
-                    want = _outcome(lft_solve_det, u, pair, z)
-                    if isinstance(got, np.ndarray) and isinstance(want, np.ndarray):
-                        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), \
-                            (i, s.side, z)
-                    elif got is not want:
-                        _, _, det, threshold = lft_blocks(u, pair, z)
-                        assert 0.5 <= det / threshold <= 2.0, (i, s.side, z)
+                    dist = np.abs(atoms - z).min()
+                    if side_sign(s.side) * (z.real - s.alpha) >= 0 and z.imag == 0:
+                        assert got is ValueError, (i, s.side, z)
+                    elif dist < reach:
+                        assert got is SingularDenominator, (i, s.side, z)
+                    else:
+                        assert isinstance(got, np.ndarray), (i, s.side, z)
+                        if dist >= 1e-2 * (1 + rho) and abs(z - s.alpha) >= 1e-2:
+                            want = lft_solve_det(u, pair, z)
+                            bound = 1e-12 * (1 + abs(z - s.alpha)) * np.linalg.norm(want)
+                            assert np.linalg.norm(got - want) <= bound, (i, s.side, z)
 
 
 def _outcome(solve, u, pair, z):
@@ -586,20 +613,23 @@ def test_weyl_interval_defaults_to_the_free_point():
 
 
 def test_schur_denominator_uses_the_relative_threshold():
-    # det = 1e2 passes an absolute bound 1e-13; against 1e-13 ||D||_F^q
-    # (= 1e3) this cond-1e14 denominator is singular.  The Schur pair F = I is
-    # [phi; psi] = [0; 2I], so the constant U = [[0, I/2], [0, D/2]] gives
-    # the numerator I and the denominator D
-    pair = StieltjesPair(kind=SCHUR_CONSTANT, f=np.eye(2))
-
-    def solve(den):
-        u = np.block([[np.zeros((2, 2)), np.eye(2) / 2], [np.zeros((2, 2)), den / 2]])
-        const = ResolventU(m=0, side="right", alpha=0.0, q=2, poly=MatrixPolynomial([u]))
-        return lft_solve(const, pair, -1.0)
-    with pytest.raises(SingularDenominator, match=re.escape("denominator singular at z=-1.0")):
-        solve(np.diag([1e8, 1e-6]))
-    # det 1e4 is above the threshold
-    np.testing.assert_allclose(solve(np.diag([1e8, 1e-4])), np.diag([1e-8, 1e4]), rtol=1e-15)
+    # an atom at 1000 is reached within 1e-13 (1 + 1000): 1e-10 above it
+    # passes an absolute bound 1e-13 but is a singular denominator, and 1e-9
+    # above it is a value.  The Schur pair F = I is [phi; psi] = [0; 2I], so
+    # x = I: the wall string of the one mass M_0 = I tied by L_0 = I / 1000,
+    # the very rule of the wall extremal
+    s = seq_from_ds(DSParam(q=2, alpha=0.0, side="right", l=[1e-3 * np.eye(2)],
+                            m=[np.eye(2), np.eye(2)]))
+    u, pair = resolvent_u(s), StieltjesPair(kind=SCHUR_CONSTANT, f=np.eye(2))
+    atoms, _, reach = string_rule(u.ds, u.m, pair)
+    np.testing.assert_allclose(atoms, [1000.0, 1000.0], rtol=1e-15)
+    assert 1e-10 < reach < 1e-9
+    z = complex(atoms[0], 1e-10)
+    with pytest.raises(SingularDenominator, match=re.escape(f"denominator singular at z={z}")):
+        lft_solve(u, pair, z)
+    z = complex(atoms[0], 1e-9)
+    np.testing.assert_allclose(lft_solve(u, pair, z), 1e9j * np.eye(2), rtol=1e-15)
+    assert np.array_equal(lft_solve(u, pair, z), extremal(s)[0](z))
 
 
 def test_solutions_pass_potapov_criterion():
@@ -647,15 +677,28 @@ def test_a_point_that_is_not_finite_is_named(entry, z):
         call(z)
 
 
+@pytest.mark.parametrize("point", [True, False, np.True_], ids=repr)
+@pytest.mark.parametrize("entry", ["lft_solve", "difference_inverse", "weyl_interval",
+                                   "interval_point", "potapov_defect"])
+def test_a_bool_is_no_point(entry, point):
+    # the point rule took a bool for a number: weyl_interval(s, x=True) said
+    # "point 1 lies on the cut" and lft_solve(u, pair_min(1), False) returned
+    # the value at 0
+    call = _point_entries(random_stieltjes_pd_sequence(1, 4, alpha=1.0, seed=1))[entry]
+    with pytest.raises(ValueError, match=re.escape(f"point {point!r} is not a number")):
+        call(point)
+
+
 def test_an_overflowing_value_is_named_not_returned():
-    # finite points where float64 overflows: lft_solve returned NaN,
-    # difference_inverse a non-finite value at -1e100 and a bare OverflowError
-    # at -1e200, weyl_interval next to the free end's atom at alpha = 0 a
-    # "matrix has non-finite entries" that did not name x, and potapov_defect
-    # non-finite blocks; numpy's own overflow warnings come before the error
+    # finite points where float64 overflows: difference_inverse returned a
+    # non-finite value at -1e100 and a bare OverflowError at -1e200,
+    # weyl_interval next to the free end's atom at alpha = 0 a "matrix has
+    # non-finite entries" that did not name x, and potapov_defect non-finite
+    # blocks; numpy's own overflow warnings come before the error.  lft_solve,
+    # which returned NaN at -1e200 and then overflowed in U(z), sums finite
+    # partial fractions there: -s_0 / z to rounding
     s2, s1 = (random_stieltjes_pd_sequence(q, kappa, seed=1) for q, kappa in ((2, 5), (1, 4)))
-    cases = [(-1e200, lambda z: lft_solve(resolvent_u(s2), pair_max(2), z)),
-             (-1e100, lambda z: difference_inverse(s1, z=z)),
+    cases = [(-1e100, lambda z: difference_inverse(s1, z=z)),
              (-1e200, lambda z: difference_inverse(s1, z=z)),
              (-1e-320, lambda z: weyl_interval(s2, x=z)),
              (1e200j, lambda z: potapov_defect(s1, 0.5, z))]
@@ -664,3 +707,5 @@ def test_an_overflowing_value_is_named_not_returned():
         for z, call in cases:
             with pytest.raises(ValueError, match=re.escape(f"value at point {z} overflows")):
                 call(z)
+    far = lft_solve(resolvent_u(s2), pair_max(2), -1e200)
+    assert np.linalg.norm(far * 1e200 - s2[0]) <= 1e-14 * np.linalg.norm(s2[0])
