@@ -34,7 +34,9 @@ class ToleranceConfig:
     mass_drop: float = 1e-12     # a mass below this times max(1, largest mass) is dropped
     j_inner_tol: float = 1e-8
     real_sample: float = 1e-14   # a J-inner sample with |Im z| below this is real
-    singular_det: float = 1e-13  # this times (1 + ||T||) from a pair rule's atom is singular
+    # |det D| below this times max(1, ||D||_F^q) in lft_solve's division, or a
+    # point this times (1 + ||T||) from a pair rule's atom, is singular
+    singular_det: float = 1e-13
     real_zero: float = 1e-7      # a det zero with |Im| above this times (1 + |Re|) is non-real
     det_drop: float = 1e-10      # det coefficients below this times the largest are dropped
     monic_rtol: float = 1e-5     # np.allclose's rtol on MONIC's leading coefficient against I

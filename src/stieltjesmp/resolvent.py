@@ -68,15 +68,15 @@ def _chain_product(ds: DSParam, m: int) -> MatrixPolynomial:
 class ResolventU:
     """Block assembly [[A_{half(m)}, B_{half(m+1)}], [C, D]] for index m.
 
-    ds is the (L, M) pair U was built from, on which lft_solve caches the
-    rule of each pair it evaluates; a U assembled by hand has none."""
+    resolvent_u attaches the (L, M) pair it read as _ds, which is no field:
+    lft_solve sums a pair's rule on it, and a U assembled by hand, which
+    has none, is divided at every point."""
 
     m: int
     side: str
     alpha: float
     q: int
     poly: MatrixPolynomial
-    ds: DSParam | None = None
 
     def __call__(self, z: complex) -> Array:
         return self.poly(z)
@@ -95,8 +95,9 @@ def resolvent_u(seq: MomentSequence, m: int | None = None) -> ResolventU:
     """The resolvent member for index m: the product W_0 ... W_m of the
     factors of factorize_u, sliced out of the cached chain_stacks."""
     ds, m = _door(seq, m)
-    return ResolventU(m=m, side=ds.side, alpha=ds.alpha, q=ds.q, poly=_chain_product(ds, m),
-                      ds=ds)
+    u = ResolventU(m=m, side=ds.side, alpha=ds.alpha, q=ds.q, poly=_chain_product(ds, m))
+    u.__dict__["_ds"] = ds
+    return u
 
 
 @dataclass(frozen=True)

@@ -7,16 +7,21 @@ function of the block string of (L, M) whose last mass is tied to the wall
 by the pair.  The trivial pairs give the two extremal solutions, the free
 end and the wall; at a real point x off the half-line the solution values
 fill the matrix interval between them exactly, and each point T of it is
-reached by the pair U(x)^{-1} [T; I], read off U by its J-symmetry.  Every
-constant pair is evaluated as the partial fractions of its string's rule,
-cached on (L, M), and the inverse of the interval's width is a polynomial
-sum over the factor chain of (L, M), with no matrix inverted.  Each entry
-opens with params._door (the gate, then m) and reads (L, M) alone after it;
-an entry that evaluates at a caller's point takes the point and the value
-rules of moments (_point, _value) and no check of its own.
+reached by the pair U(x)^{-1} [T; I], read off U by its J-symmetry.  The
+two ends are the partial fractions of their strings' rules, cached on
+(L, M); any other constant pair is divided through U(z) at its first point
+on an (L, M) and index, and from its second on summed as the partial
+fractions of its own string's rule, kept on the pair.  The inverse of the
+interval's width is a polynomial sum over the factor chain of (L, M), with
+no matrix inverted.  Each entry opens with params._door (the gate, then m)
+and reads (L, M) alone after it; an entry that evaluates at a caller's
+point takes the point and the value rules of moments (_point, _value) and
+no check of its own.
 """
 
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,11 +51,13 @@ class StieltjesPair:
     transformation (S11 F + S12)(S21 F + S22)^{-1} of Sigma = U E.  The side
     is checked on both kinds.  phi, psi (phi's size), F and stacked, the
     column [phi; psi], are held by the one matrix rule before any other
-    check.  Each pair is normalized once, to x = psi (psi + s phi)^{-1}, s the
-    side_sign: psi + s phi is invertible for every valid pair, x is Hermitian
-    with 0 <= x <= I and (phi R, psi R) gives the same x; phi = 0 is x = I
-    and psi = 0 is x = 0 exactly, as pair_min and pair_max are.  string_rule
-    reads x alone.  Equality is identity.
+    check.  Each pair is normalized once, when its first rule is built, to
+    x = psi (psi + s phi)^{-1}, s the side_sign: psi + s phi is invertible
+    for every valid pair, x is Hermitian with 0 <= x <= I and (phi R, psi R)
+    gives the same x; phi = 0 is x = I and psi = 0 is x = 0 exactly, as
+    pair_min and pair_max are.  string_rule reads x alone, and the pair
+    holds its rules, keyed weakly by the (L, M) they were built on, so that
+    neither keeps the other alive.  Equality is identity.
     """
 
     kind: str
@@ -83,17 +90,33 @@ class StieltjesPair:
             self.__dict__["f"] = f
         else:
             raise ValueError(f"unknown pair kind: {self.kind}")
-        if not phi.any():   # the wall and the free end, exactly
-            x = np.eye(q, dtype=complex)
-        elif not psi.any():
-            x = np.zeros((q, q), dtype=complex)
-        else:
-            x = _hermitize(psi @ np.linalg.inv(psi + side_sign(self.side) * phi))
-        self.__dict__.update(phi=phi, psi=psi, stacked=g, x=freeze(x))
+        self.__dict__.update(phi=phi, psi=psi, stacked=g)
 
     def values(self):
         """(phi, psi) actually fed into the transformation."""
         return self.phi, self.psi
+
+    @cached_property
+    def x(self) -> Array:
+        """psi (psi + s phi)^{-1}, taken at the pair's first rule: exactly I
+        for phi = 0 and 0 for psi = 0."""
+        q = len(self.phi)
+        if not self.phi.any():   # the wall and the free end, exactly
+            return freeze(np.eye(q, dtype=complex))
+        if not self.psi.any():
+            return freeze(np.zeros((q, q), dtype=complex))
+        sign = side_sign(self.side)
+        return freeze(_hermitize(self.psi @ np.linalg.inv(self.psi + sign * self.phi)))
+
+    @cached_property
+    def _mixed(self) -> bool:
+        """Whether the pair is neither end: phi != 0 and psi != 0."""
+        return bool(self.phi.any() and self.psi.any())
+
+    @cached_property
+    def _rules(self) -> weakref.WeakKeyDictionary:
+        """{ds: {m: rule}}, the rule None after the pair's first point there."""
+        return weakref.WeakKeyDictionary()
 
 
 def pair_min(q: int, side: str = RIGHT) -> StieltjesPair:
@@ -115,37 +138,77 @@ def _free_point(side: str, alpha: float) -> float:
 
 
 class SingularDenominator(ValueError):
-    """U21 phi + U22 psi singular at the requested point: z at an atom of the
-    pair's rule."""
+    """U21 phi + U22 psi singular at the requested point."""
 
 
 def lft_solve(u: ResolventU, pair: StieltjesPair, z: complex) -> Array:
     """Evaluate the linear-fractional transformation at one point off the cut.
 
-    z is a scalar only.  The value is the sum of the partial fractions of
-    string_rule(u.ds, u.m, pair), the rule of the pair's block string, built
-    once per distinct pair and cached on the (L, M) that U carries; the
-    pairs with x = I and x = 0 read the very rules of the two extremals.  The
-    denominator U21 phi + U22 psi is singular when z lies within an atom's
-    reach, |z - x_k| < DEFAULT_TOL.singular_det (1 + rho), rho the rounding
-    scale of the rule (max_j |x_j - alpha| but on a flexibility form; see
-    string_rule).  z follows the point rule and the value the value rule.
-    Precedence: the cut, the size, the pair's half-line, U's (L, M), the
-    singularity.
+    z is a scalar only.  The route is read off what the pair has seen: a
+    pair with x = I or x = 0 sums the partial fractions of the wall or the
+    free extremal, bit for bit theirs, and so does every other pair from its
+    second point on U's (L, M) and index, with string_rule built at that
+    point and kept on the pair.  The first point of such a pair, and every
+    point of a U assembled by hand, divide U(z) [phi; psi] instead
+    (_divide), as a caller of one point per pair would pay more for the
+    rule than for the division.  On the rule the denominator U21 phi + U22
+    psi is singular when z lies within an atom's reach, |z - x_k| <
+    DEFAULT_TOL.singular_det (1 + rho), rho the rounding scale of the rule
+    (max_j |x_j - alpha| but on a flexibility form; see string_rule).  z
+    follows the point rule and the value the value rule.  Precedence: the
+    cut, the size, the pair's half-line, the singularity.
     """
     _point(z, u)
     if len(pair.stacked) != 2 * u.q:
         raise ValueError(f"pair is {len(pair.phi)} x {len(pair.phi)}, U has {u.q} x {u.q} blocks")
     if pair.side != u.side:
         raise ValueError(f"pair is for the {pair.side} half-line, U for the {u.side} half-line")
-    if u.ds is None:
-        raise ValueError("U was not built from an (L, M) pair, so no rule evaluates it")
-    atoms, residues, reach = string_rule(u.ds, u.m, pair)
+    ds = u.__dict__.get("_ds")
+    if ds is None:
+        return _divide(u, pair, z)
+    rules = pair._rules.get(ds)
+    rule = rules.get(u.m) if rules else None
+    if rule is None:
+        if pair._mixed and (rules is None or u.m not in rules):
+            pair._rules.setdefault(ds, {})[u.m] = None   # string_rule builds it at the next point
+            return _divide(u, pair, z)
+        rule = string_rule(ds, u.m, pair)
+    atoms, residues, reach = rule
     gap = atoms - complex(z)
     # every atom is real: a point that far off the line is past every reach
     if abs(z.imag) < reach and (np.abs(gap) < reach).any():
         raise SingularDenominator(f"denominator singular at z={z}")
     return _value(np.dot(np.reciprocal(gap), residues).reshape(u.q, u.q), z)
+
+
+def _divide(u: ResolventU, pair: StieltjesPair, z: complex) -> Array:
+    """U(z) [phi; psi], one product whose row blocks are the numerator U11
+    phi + U12 psi and the denominator D = U21 phi + U22 psi, divided.  D is
+    singular when |det D| < DEFAULT_TOL.singular_det max(1, ||D||_F^q).
+    inv(D) is taken first: since |det D| >= sigma_min(D)^q >=
+    ||D^{-1}||_F^{-q}, a bound at least 100 times the threshold certifies D
+    with no determinant.  Below that, det(D) decides; a D that inv cannot
+    factor at all is singular.  The value rule holds num and D where the
+    certificate fails, so the certified path makes no finiteness test."""
+    g = u.poly(z) @ pair.stacked
+    num, den = g[:u.q], g[u.q:]
+    threshold = DEFAULT_TOL.singular_det * max(1.0, _frobenius(den) ** u.q)
+    try:
+        inv = np.linalg.inv(den)
+    except np.linalg.LinAlgError:
+        inv = None
+    # a NaN bound certifies nothing and falls through to the determinant; an
+    # overflow in U(z) leaves NaN in den, so it is never certified
+    if inv is None or not _frobenius(inv) ** -u.q >= 100 * threshold:
+        _value(num, z)
+        _value(den, z)
+        if inv is None or abs(np.linalg.det(den)) < threshold:
+            raise SingularDenominator(f"denominator singular at z={z}")
+    return num @ inv
+
+
+def _frobenius(a: Array) -> float:
+    return np.sqrt(np.vdot(a, a).real)   # np.linalg.norm's wrapper costs more than this
 
 
 class ExtremalSolution:
@@ -187,7 +250,6 @@ def _string_factors(ds: DSParam) -> Array:
     return np.linalg.inv(np.linalg.cholesky(np.concatenate([ds.m, ds.l])))
 
 
-@derived
 def string_rule(ds: DSParam, m: int, end) -> tuple:
     """Atoms x_k, (K, q*q) residue table G_k and reach of one string of (L, M).
 
@@ -206,21 +268,32 @@ def string_rule(ds: DSParam, m: int, end) -> tuple:
     The reach is DEFAULT_TOL.singular_det (1 + rho), rho = max_j |x_j - alpha|
     = ||T||, the rounding scale of the eigh; on the flexibility form of a
     pair rho is its shift, since only the atoms of near-clamped directions
-    lie past it.  The rule is cached on ds, so a DSParam built from (L, M)
-    directly keeps it too, one per end and one per distinct pair.
+    lie past it.  The rules of the two ends are cached on ds, so a DSParam
+    built from (L, M) directly keeps them too; the rule of any other pair is
+    kept on the pair, under ds weakly, and goes when the pair goes.
     """
-    if isinstance(end, StieltjesPair):
+    if not isinstance(end, StieltjesPair):
+        return _end_rule(ds, m, end)
+    rules = end._rules.setdefault(ds, {})
+    if rules.get(m) is None:
         if not end.x.any():
-            return string_rule(ds, m, False)
-        if np.array_equal(end.x, np.eye(ds.q)):
-            return string_rule(ds, m, True)
-        return _pair_string(ds, m, end.x)
-    nm = half(m - 1) + 1 if end else half(m) + 1
+            rules[m] = _end_rule(ds, m, False)
+        elif np.array_equal(end.x, np.eye(ds.q)):
+            rules[m] = _end_rule(ds, m, True)
+        else:
+            rules[m] = freeze(_pair_string(ds, m, end.x))
+    return rules[m]
+
+
+@derived
+def _end_rule(ds: DSParam, m: int, wall: bool) -> tuple:
+    """The rule of the wall (wall=True) or the free end of string_rule."""
+    nm = half(m - 1) + 1 if wall else half(m) + 1
     if not nm:   # the wall of m = 0 holds no mass: B_0 D_0^{-1} = 0
         return np.zeros(0), np.zeros((0, ds.q * ds.q), dtype=complex), 0.0
-    w, ri_star = _string_w(ds, nm, nm if end else nm - 1)
+    w, ri_star = _string_w(ds, nm, nm if wall else nm - 1)
     lam, v = np.linalg.eigh(w.conj().T @ w)
-    return _rule(ds, lam, v, ri_star[0], 0 if end else ds.q)
+    return _rule(ds, lam, v, ri_star[0], 0 if wall else ds.q)
 
 
 def _string_w(ds: DSParam, nm: int, nl: int) -> tuple:

@@ -8,11 +8,10 @@ from stieltjesmp.cli import (
     decode_matrix, decode_sequence, encode_matrix, encode_sequence, main,
 )
 from stieltjesmp import (
-    StieltjesPair, difference_inverse, ds_param, interval_point, lft_solve, pair_min,
-    random_stieltjes_pd_sequence, reflect, resolvent_u, sequence, verify, weyl_interval,
+    difference_inverse, interval_point, lft_solve, pair_min, random_stieltjes_pd_sequence,
+    reflect, resolvent_u, sequence, verify, weyl_interval,
 )
 from stieltjesmp.linalg import min_eig_hermitian_part
-from stieltjesmp.solutions import string_rule
 
 from conftest import LADDER, ladder_fixture, lm_draw, random_fixture
 
@@ -236,26 +235,32 @@ def test_one_cut_message_across_the_point_entries(capsys, tmp_path, side):
         assert err == f"error: point {z} lies on the cut, the {side} half-line {span}\n"
 
 
-def test_solve_far_out_is_finite_and_at_an_atom_exits_3(capsys, tmp_path):
+def test_solve_at_an_overflowing_point_exits_3(capsys, tmp_path):
     # CI's sequence and pair-right.json: at -1e200 solve printed eight NaN
-    # entries and exited 0, and then the U(z) division overflowed (exit 3);
-    # the pair's rule sums finite partial fractions there, -s_0 / z to
-    # rounding.  Within an atom's reach the denominator is singular: exit 3
+    # entries and exited 0; no numpy warning leaves main
     assert main(["generate", "--q", "2", "--m", "4", "--seed", "7"]) == EXIT_OK
     seq, pair = tmp_path / "seq.json", tmp_path / "pair-right.json"
     seq.write_text(capsys.readouterr().out)
     pair.write_text('{"kind": "CONSTANT", "phi": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], '
                     '"psi": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}')
-    code, payload = run(capsys, "solve", str(seq), "--pair", str(pair), "--at=-1e200")
-    s = decode_sequence(json.loads(seq.read_text()))
-    value = decode_matrix(payload["values"][0]["s"])
-    assert code == EXIT_OK and np.linalg.norm(value * 1e200 - s[0]) <= 1e-12 * np.linalg.norm(s[0])
-    rule = string_rule(ds_param(s), s.kappa, StieltjesPair(kind="CONSTANT", phi=np.eye(2),
-                                                              psi=np.eye(2)))
-    at = f"--at={rule[0][0]}+{rule[2] / 2}i"
-    assert main(["solve", str(seq), "--pair", str(pair), at]) == EXIT_PRECONDITION
+    assert main(["solve", str(seq), "--pair", str(pair), "--at=-1e200"]) == EXIT_PRECONDITION
     out, err = capsys.readouterr()
-    assert out == "" and "denominator singular at z=" in err
+    assert out == "" and "value at point (-1e+200+0j) overflows float64" in err
+
+
+def test_solve_sums_the_pair_rule_after_its_first_point(capsys, tmp_path):
+    # solve divides U(z) at the pair's first point and sums the pair's rule
+    # at the points after it, whose partial fractions stay finite at -1e200:
+    # -s_0 / z to rounding
+    assert main(["generate", "--q", "2", "--m", "4", "--seed", "7"]) == EXIT_OK
+    seq, pair = tmp_path / "seq.json", tmp_path / "pair-right.json"
+    seq.write_text(capsys.readouterr().out)
+    pair.write_text('{"kind": "CONSTANT", "phi": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], '
+                    '"psi": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}')
+    code, payload = run(capsys, "solve", str(seq), "--pair", str(pair), "--at=-1,-1e200")
+    s0 = decode_sequence(json.loads(seq.read_text()))[0]
+    far = decode_matrix(payload["values"][1]["s"])
+    assert code == EXIT_OK and np.linalg.norm(far * 1e200 - s0) <= 1e-12 * np.linalg.norm(s0)
 
 
 def test_extremal_at_an_overflowing_point_exits_3(capsys, tmp_path):

@@ -139,6 +139,34 @@ def _table_pairs(s, rng) -> list:
     return pairs
 
 
+def _table(i: int):
+    """(s, m, u, pair, atoms, reach, rho, (L, M) up to m) over ladder fixture i
+    and its reflection, every m >= 1 and every pair of _table_pairs, each
+    pair's rule built first, so that every point sums it."""
+    for s in (ladder_fixture(i), reflect(ladder_fixture(i))):
+        rng, d = np.random.default_rng(i), ds_param(s)
+        pairs = _table_pairs(s, rng)
+        for m in range(1, s.kappa + 1):
+            u, lm = resolvent_u(s, m), (d.l[:half(m - 1) + 1], d.m[:half(m) + 1])
+            for pair in pairs:
+                atoms, _, reach = string_rule(d, m, pair)
+                yield s, m, u, pair, atoms, reach, np.abs(atoms - s.alpha).max(), lm
+
+
+def _far_points(s, rho: float) -> list:
+    """Points off the line: 1e-2 and 1 from alpha on the free side, three in
+    the plane, one of them on the scale of the atoms."""
+    sign = side_sign(s.side)
+    return [s.alpha - 0.01 * sign, s.alpha - sign, s.alpha + 0.5 + 2j,
+            s.alpha + (0.5 * sign + 0.05j) * (1 + rho), s.alpha + 3 - 0.7j]
+
+
+def _rel_errors(s, u, pair, lm, points) -> np.ndarray:
+    want = pair_lft(*lm, s.alpha, s.side, s.q, points, pair.phi, pair.psi)
+    got = np.array([lft_solve(u, pair, z) for z in points])
+    return np.linalg.norm(got - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
+
+
 @pytest.mark.parametrize("i", range(10))
 def test_pair_rules_match_the_high_precision_lft(i):
     # every pair of _table_pairs on ladder fixture i and its reflection, at
@@ -146,29 +174,39 @@ def test_pair_rules_match_the_high_precision_lft(i):
     # max_j |x_j - alpha| over the pair's atoms: at z = x_k + d i, d = 1e-2 ..
     # 1e-12, the relative error is within 1e-12 + 1e-13 (1 + rho) / d, or z is
     # within the reach and a singular denominator (worst measured: 0.04 of
-    # the bound); at points 1e-2 from alpha and 1e-2 (1 + rho) from every
-    # atom, within 1e-12 (worst 3.8e-14)
-    for s in (ladder_fixture(i), reflect(ladder_fixture(i))):
-        rng, d, sign = np.random.default_rng(i), ds_param(s), side_sign(s.side)
-        pairs = _table_pairs(s, rng)
-        for m in range(1, s.kappa + 1):
-            u, l, ms = resolvent_u(s, m), d.l[:half(m - 1) + 1], d.m[:half(m) + 1]
-            for pair in pairs:
-                atoms, _, reach = string_rule(d, m, pair)
-                rho = np.abs(atoms - s.alpha).max()
-                far = [z for z in (s.alpha - 0.01 * sign, s.alpha - sign, s.alpha + 0.5 + 2j,
-                                   s.alpha + (0.5 * sign + 0.05j) * (1 + rho), s.alpha + 3 - 0.7j)
-                       if np.abs(atoms - z).min() >= 1e-2 * (1 + rho)]
-                near = [(complex(x, dist), dist) for x in atoms
-                        for dist in (1e-2, 1e-6, 1e-9, 1e-12)]
-                for z, dist in near:
-                    if dist < reach:
-                        with pytest.raises(SingularDenominator):
-                            lft_solve(u, pair, z)
-                near = [(z, dist) for z, dist in near if dist >= reach]
-                points = far + [z for z, _ in near]
-                want = pair_lft(l, ms, s.alpha, s.side, s.q, points, pair.phi, pair.psi)
-                got = np.array([lft_solve(u, pair, z) for z in points])
-                err = np.linalg.norm(got - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
-                bound = [1e-12] * len(far) + [1e-12 + 1e-13 * (1 + rho) / dist for _, dist in near]
-                assert (err <= bound).all(), (i, s.side, m, pair.x, np.max(err / bound))
+    # the bound).  At points 1e-2 from alpha and 1e-2 (1 + rho) from every
+    # atom, within 1e-12 (worst 3.8e-14); the next test holds the points
+    # nearer an atom, down to 1e-2, to 1e-12 and records where that misses
+    for s, m, u, pair, atoms, reach, rho, lm in _table(i):
+        far = [z for z in _far_points(s, rho) if np.abs(atoms - z).min() >= 1e-2 * (1 + rho)]
+        near = [(complex(x, dist), dist) for x in atoms for dist in (1e-2, 1e-6, 1e-9, 1e-12)]
+        for z, dist in near:
+            if dist < reach:
+                with pytest.raises(SingularDenominator):
+                    lft_solve(u, pair, z)
+        near = [(z, dist) for z, dist in near if dist >= reach]
+        err = _rel_errors(s, u, pair, lm, far + [z for z, _ in near])
+        bound = [1e-12] * len(far) + [1e-12 + 1e-13 * (1 + rho) / dist for _, dist in near]
+        assert (err <= bound).all(), (i, s.side, m, pair.x, np.max(err / bound))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a rule rounds to 1e-13 (1 + rho) / d relative at d from an atom, "
+                   "so 1e-12 at d = 1e-2 fails for a large rho; the extremals' own rules, "
+                   "kept bit for bit, miss it too")
+def test_pair_rules_within_1e_12_at_1e_2_from_every_atom():
+    # the accuracy table's far criterion, 1e-12 relative at every point at
+    # least 1e-2 from alpha and from every atom: the previous test's points
+    # that are 1e-2 from every atom, however large rho, and z = x_k + 1e-2 i
+    # for every atom of every pair of the table.  Measured: 419 of 5,830
+    # points miss, the worst 6.6e-11 next to an atom at 2e14; 64 misses are
+    # at pairs whose rule is an extremal's, kept bit for bit; the division of
+    # U(z) misses at 393 of the points (it is singular or overflows at some)
+    misses, total = [], 0
+    for i in range(10):
+        for s, m, u, pair, atoms, reach, rho, lm in _table(i):
+            points = [z for z in _far_points(s, rho) + [complex(x, 1e-2) for x in atoms]
+                      if abs(z - s.alpha) >= 1e-2 and np.abs(atoms - z).min() >= 1e-2]
+            err, total = _rel_errors(s, u, pair, lm, points), total + len(points)
+            misses += [(e, i, s.side, m, z) for e, z in zip(err, points) if e > 1e-12]
+    assert not misses, f"{len(misses)} of {total} points miss; worst {max(misses)}"

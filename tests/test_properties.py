@@ -19,6 +19,7 @@ from stieltjesmp import (
     stieltjes_param, stieltjes_quadruple, stieltjes_transform,
 )
 from stieltjesmp.linalg import INDEFINITE, NON_HERMITIAN, PD, PSD, _psd_classes, psd_class
+from stieltjesmp.solutions import string_rule
 
 from conftest import ALPHAS, LADDER, ladder_fixture, random_fixture, writeable_arrays
 
@@ -38,12 +39,12 @@ def _build(given: dict, alpha: float, side: str):
 
 
 def _values(seq, d, pair, u, mu, z: complex) -> list:
-    """The arrays the five objects hold and the values lft_solve, U and the
-    transforms read off them at z.  The hand-built U carries no (L, M), so
-    no rule evaluates a pair on it: it is read at z itself."""
+    """The arrays the five objects hold and the values lft_solve and the
+    transforms read off them at z."""
     return [seq.moments, resolvent_u(seq).poly.coeffs, lft_solve(resolvent_u(seq), pair, z),
             d.l, d.m, seq_from_ds(d).moments, pair.phi, pair.psi, pair.stacked, pair.x,
-            u.poly.coeffs, u(z), mu.atoms, mu.masses, stieltjes_transform(mu, z)]
+            u.poly.coeffs, lft_solve(u, pair, z), mu.atoms, mu.masses,
+            stieltjes_transform(mu, z)]
 
 
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
@@ -65,19 +66,22 @@ def test_the_solve_pipeline_holds_read_only_arrays_no_caller_can_write(rung, alp
 
     # the five classes copy a writeable input once, so a write after
     # construction, before or after first use, changes neither what the
-    # object holds nor what lft_solve, U and the transforms read off it
+    # object holds nor what lft_solve and the transforms read off it.  The
+    # objects the write misses go through the same calls: a mixed pair's
+    # first point on (L, M) is divided, and its second sums the pair's rule
     source = {"moments": s.moments, "l": d.l, "m": d.m, "phi": side_sign(side) * np.eye(q),
               "psi": np.eye(q), "coeffs": u.poly.coeffs, "atoms": mu.atoms, "masses": mu.masses}
-    want = _values(*_build({k: np.array(v) for k, v in source.items()}, alpha, side), z)
     for first_use in (False, True):
+        fresh = _build({k: np.array(v) for k, v in source.items()}, alpha, side)
         given = {k: np.array(v, dtype=complex if k != "atoms" else float)
                  for k, v in source.items()}
         objs = _build(given, alpha, side)
         if first_use:
             _values(*objs, z)
+            _values(*fresh, z)
         for a in given.values():
             a[...] = np.nan
-        got = _values(*objs, z)
+        got, want = _values(*objs, z), _values(*fresh, z)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
         assert writeable_arrays(*objs) == []
 
@@ -131,6 +135,8 @@ def test_a_pair_is_its_normalized_x(i, reflected, seed):
     points = [alpha + 1j, alpha - sign, alpha + 0.3 - 2j]
     for m in range(1, kappa + 1):
         u, exts = resolvent_u(s, m), extremal(s, m)
+        for p in (pair, scaled):   # built now, so that every point sums the rule
+            string_rule(ds_param(s), m, p)
         for z in points:
             want = lft_solve(u, pair, z)
             assert np.linalg.norm(lft_solve(u, scaled, z) - want) <= 1e-12 * np.linalg.norm(want)

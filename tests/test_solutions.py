@@ -1,5 +1,7 @@
+import gc
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -71,10 +73,19 @@ def test_lft_singular_denominator():
 
 
 def test_lft_exactly_singular_denominator_off_the_cut():
-    # the denominator is singular at the atoms of the pair's rule, all on the
-    # half-line: off the cut, z is a singular denominator within an atom's
-    # reach and a value past it.  U(z) = [[1, 1], [0, z - i]] built by hand,
-    # whose (0, 1) denominator vanishes at z = i, carries no (L, M): no rule
+    # U(z) = [[1, 1], [0, z - i]]: with the pair (0, 1) the denominator is
+    # z - i, exactly zero at z = i, where inv itself fails
+    coeffs = np.array([[[1, 1], [0, -1j]], [[0, 0], [0, 1]]], dtype=complex)
+    u = ResolventU(m=1, side="right", alpha=0.0, q=1, poly=MatrixPolynomial(coeffs))
+    with pytest.raises(SingularDenominator):
+        lft_solve(u, pair_min(1), 1j)
+    np.testing.assert_allclose(lft_solve(u, pair_min(1), 2j), [[-1j]], atol=1e-15)
+
+
+def test_lft_within_an_atom_reach_is_a_singular_denominator():
+    # on its rule a pair's denominator is singular at the rule's atoms, all
+    # on the half-line: off the cut, z is a singular denominator within an
+    # atom's reach and a value past it
     s = ladder_fixture(3)
     u, pair = resolvent_u(s), random_constant_pair(s.q, s.side, np.random.default_rng(3))
     atoms, _, reach = string_rule(ds_param(s), s.kappa, pair)
@@ -82,10 +93,48 @@ def test_lft_exactly_singular_denominator_off_the_cut():
         with pytest.raises(SingularDenominator, match="denominator singular at z="):
             lft_solve(u, pair, complex(x, 0.5 * reach))
         assert np.isfinite(lft_solve(u, pair, complex(x, 2.0 * reach))).all()
-    coeffs = np.array([[[1, 1], [0, -1j]], [[0, 0], [0, 1]]], dtype=complex)
-    by_hand = ResolventU(m=1, side="right", alpha=0.0, q=1, poly=MatrixPolynomial(coeffs))
-    with pytest.raises(ValueError, match=r"U was not built from an \(L, M\) pair"):
-        lft_solve(by_hand, pair_min(1), 2j)
+
+
+def test_a_mixed_pair_is_divided_at_its_first_point_and_sums_its_rule_after():
+    # a caller of one point per pair builds no rule: the first point of a pair
+    # on U's (L, M) and m is U(z) [phi; psi] divided, as lft_solve_det does;
+    # the second builds the rule, on the pair alone, and every later point
+    # sums it.  pair_min and pair_max sum the extremals' rules from the first
+    s = random_stieltjes_pd_sequence(2, 5, seed=1)
+    u, ds, z = resolvent_u(s), ds_param(s), -1.0 + 0.5j
+    pair = random_constant_pair(2, s.side, np.random.default_rng(1))
+    assert np.array_equal(lft_solve(u, pair, z), lft_solve_det(u, pair, z))
+    assert pair._rules[ds] == {s.kappa: None}
+    value = lft_solve(u, pair, z)
+    assert pair._rules[ds][s.kappa] is string_rule(ds, s.kappa, pair)
+    assert rel_err(value, lft_solve_det(u, pair, z)) < 1e-13
+    s_min, s_max = extremal(s)
+    assert np.array_equal(lft_solve(u, pair_min(2), z), s_min(z))
+    assert np.array_equal(lft_solve(u, pair_max(2), z), s_max(z))
+
+
+def test_a_pair_keeps_its_rules_and_frees_them_with_itself():
+    # the rule of a mixed pair lives on the pair, under its (L, M) held
+    # weakly: 1,000 fresh pairs of the same (phi, psi), each evaluated at two
+    # points, leave the DSParam's cache as it was; a dropped pair takes its
+    # rule along, and a pair kept outlives no (L, M)
+    s = random_stieltjes_pd_sequence(2, 5, seed=1)
+    u, ds = resolvent_u(s), ds_param(s)
+    lft_solve(u, pair_min(2), -1.0), lft_solve(u, pair_max(2), -1.0)
+    size = len(ds.__dict__)
+    for _ in range(1000):
+        pair = StieltjesPair(kind=CONSTANT, phi=np.eye(2), psi=np.eye(2))
+        lft_solve(u, pair, -1.0), lft_solve(u, pair, -1.0 + 1j)
+    assert len(ds.__dict__) == size
+    rule = weakref.ref(pair._rules[ds][s.kappa][1])
+    del pair
+    gc.collect()
+    assert rule() is None
+    pair, held = StieltjesPair(kind=CONSTANT, phi=np.eye(2), psi=np.eye(2)), weakref.ref(ds)
+    lft_solve(u, pair, -1.0), lft_solve(u, pair, -1.0 + 1j)
+    del s, u, ds
+    gc.collect()
+    assert held() is None and not pair._rules
 
 
 def test_lft_at_m_0_is_the_one_mass_string():
@@ -98,6 +147,7 @@ def test_lft_at_m_0_is_the_one_mass_string():
             assert not lft_solve(u, pair_min(s.q, s.side), z).any()
             assert rel_err(lft_solve(u, pair_max(s.q, s.side), z), s[0] / (s.alpha - z)) < 1e-14
             pair = random_constant_pair(s.q, s.side, rng)
+            string_rule(ds_param(s), 0, pair)   # so that the point sums the rule
             assert rel_err(lft_solve(u, pair, z), lft_solve_det(u, pair, z)) < 1e-12
 
 
@@ -116,13 +166,15 @@ def test_lft_next_to_an_atom_is_a_singular_denominator():
 def test_lft_matches_the_determinant_oracle():
     # the pair's rule against det and inv of U(z) [phi; psi]: off the cut, at
     # least 1e-2 from alpha and 1e-2 (1 + rho) from every atom, rho = max_j
-    # |x_j - alpha|, both give a value, the same within 1e-12 (1 + |z - alpha|):
-    # the determinant route rounds U(z) on its evaluation scale, 1e-11 off at
-    # |z - alpha| ~ 30, where the rule is 1e-14 off the 60-digit value.  A
-    # point off the cut is a singular denominator exactly within an atom's
-    # reach.  Nearer the atoms both routes lose digits as an atom's rounding
-    # over the distance, and the determinant route decides by its own
-    # threshold (the 60-digit accuracy table of test_oracle holds the rule)
+    # |x_j - alpha|, both give a value, the same within 1e-12 relative where
+    # |z - alpha| <= 1 and 1e-12 |z - alpha| beyond: the determinant route
+    # rounds U(z) on its evaluation scale, 1e-11 off the 60-digit value at
+    # |z - alpha| ~ 20, where the rule is 1e-13 off it.  A point off the cut
+    # is a singular denominator exactly within an atom's reach.  Nearer the
+    # atoms both routes lose digits as an atom's rounding over the distance,
+    # and the determinant route decides by its own threshold (the 60-digit
+    # accuracy table of test_oracle holds the rule).  string_rule builds each
+    # pair's rule first, so that every point sums it
     rng = np.random.default_rng(14)
     offsets = [0.0] + [sign * 10.0 ** -k for k in range(1, 17) for sign in (1, -1)]
     for i in range(10):
@@ -149,7 +201,7 @@ def test_lft_matches_the_determinant_oracle():
                         assert isinstance(got, np.ndarray), (i, s.side, z)
                         if dist >= 1e-2 * (1 + rho) and abs(z - s.alpha) >= 1e-2:
                             want = lft_solve_det(u, pair, z)
-                            bound = 1e-12 * (1 + abs(z - s.alpha)) * np.linalg.norm(want)
+                            bound = 1e-12 * max(1, abs(z - s.alpha)) * np.linalg.norm(want)
                             assert np.linalg.norm(got - want) <= bound, (i, s.side, z)
 
 
@@ -384,7 +436,8 @@ def _assert_interval_pairs_reproduce(s, m, x, ks):
     for k in ks:
         t, pair = interval_point(s, m, x, k)
         assert isinstance(pair, StieltjesPair) and pair.side == s.side
-        assert rel_err(lft_solve(u, pair, complex(x)), t) < 1e-12
+        for _ in range(2):   # the pair's first point divides, its second sums its rule
+            assert rel_err(lft_solve(u, pair, complex(x)), t) < 1e-12
         assert min(min_eig_hermitian_part(t - iv.lower),
                    min_eig_hermitian_part(iv.upper - t)) >= -tol
 
@@ -613,6 +666,23 @@ def test_weyl_interval_defaults_to_the_free_point():
 
 
 def test_schur_denominator_uses_the_relative_threshold():
+    # det = 1e2 passes an absolute bound 1e-13; against 1e-13 ||D||_F^q
+    # (= 1e3) this cond-1e14 denominator is singular.  The Schur pair F = I is
+    # [phi; psi] = [0; 2I], so the constant U = [[0, I/2], [0, D/2]] gives
+    # the numerator I and the denominator D
+    pair = StieltjesPair(kind=SCHUR_CONSTANT, f=np.eye(2))
+
+    def solve(den):
+        u = np.block([[np.zeros((2, 2)), np.eye(2) / 2], [np.zeros((2, 2)), den / 2]])
+        const = ResolventU(m=0, side="right", alpha=0.0, q=2, poly=MatrixPolynomial([u]))
+        return lft_solve(const, pair, -1.0)
+    with pytest.raises(SingularDenominator, match=re.escape("denominator singular at z=-1.0")):
+        solve(np.diag([1e8, 1e-6]))
+    # det 1e4 is above the threshold
+    np.testing.assert_allclose(solve(np.diag([1e8, 1e-4])), np.diag([1e-8, 1e4]), rtol=1e-15)
+
+
+def test_a_rule_reach_is_relative():
     # an atom at 1000 is reached within 1e-13 (1 + 1000): 1e-10 above it
     # passes an absolute bound 1e-13 but is a singular denominator, and 1e-9
     # above it is a value.  The Schur pair F = I is [phi; psi] = [0; 2I], so
@@ -621,7 +691,7 @@ def test_schur_denominator_uses_the_relative_threshold():
     s = seq_from_ds(DSParam(q=2, alpha=0.0, side="right", l=[1e-3 * np.eye(2)],
                             m=[np.eye(2), np.eye(2)]))
     u, pair = resolvent_u(s), StieltjesPair(kind=SCHUR_CONSTANT, f=np.eye(2))
-    atoms, _, reach = string_rule(u.ds, u.m, pair)
+    atoms, _, reach = string_rule(ds_param(s), u.m, pair)
     np.testing.assert_allclose(atoms, [1000.0, 1000.0], rtol=1e-15)
     assert 1e-10 < reach < 1e-9
     z = complex(atoms[0], 1e-10)
@@ -690,15 +760,19 @@ def test_a_bool_is_no_point(entry, point):
 
 
 def test_an_overflowing_value_is_named_not_returned():
-    # finite points where float64 overflows: difference_inverse returned a
-    # non-finite value at -1e100 and a bare OverflowError at -1e200,
-    # weyl_interval next to the free end's atom at alpha = 0 a "matrix has
-    # non-finite entries" that did not name x, and potapov_defect non-finite
-    # blocks; numpy's own overflow warnings come before the error.  lft_solve,
-    # which returned NaN at -1e200 and then overflowed in U(z), sums finite
-    # partial fractions there: -s_0 / z to rounding
+    # finite points where float64 overflows: lft_solve returned NaN,
+    # difference_inverse a non-finite value at -1e100 and a bare OverflowError
+    # at -1e200, weyl_interval next to the free end's atom at alpha = 0 a
+    # "matrix has non-finite entries" that did not name x, and potapov_defect
+    # non-finite blocks; numpy's own overflow warnings come before the error.
+    # lft_solve overflows so where it divides U(z), at a mixed pair's first
+    # point; a rule sums finite partial fractions there, -s_0 / z to rounding
     s2, s1 = (random_stieltjes_pd_sequence(q, kappa, seed=1) for q, kappa in ((2, 5), (1, 4)))
-    cases = [(-1e100, lambda z: difference_inverse(s1, z=z)),
+
+    def mixed():
+        return StieltjesPair(kind=CONSTANT, phi=np.eye(2), psi=np.eye(2))
+    cases = [(-1e200, lambda z: lft_solve(resolvent_u(s2), mixed(), z)),
+             (-1e100, lambda z: difference_inverse(s1, z=z)),
              (-1e200, lambda z: difference_inverse(s1, z=z)),
              (-1e-320, lambda z: weyl_interval(s2, x=z)),
              (1e200j, lambda z: potapov_defect(s1, 0.5, z))]
