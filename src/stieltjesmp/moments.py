@@ -47,11 +47,16 @@ def side_sign(side: str) -> float:
 def _point(z, cut=None):
     """The one point rule: z back if it is finite and, when cut (anything
     with side and alpha) is given, off cut's half-line; else a ValueError
-    that names z.  A bool is no point.  Scalar Python: lft_solve pays it at
-    every point."""
-    if isinstance(z, (bool, np.bool_)):
+    that names z.  A bool, a str, None and an array of ndim >= 1 are no
+    point; a 0-d array or a numpy scalar is one.  Scalar Python: lft_solve
+    pays it at every point."""
+    if isinstance(z, (bool, np.bool_)) or getattr(z, "ndim", 0):
         raise ValueError(f"point {z!r} is not a number")
-    if not cmath.isfinite(z):
+    try:
+        finite = cmath.isfinite(z)
+    except TypeError:   # a str, None, any other object
+        raise ValueError(f"point {z!r} is not a number") from None
+    if not finite:
         raise ValueError(f"point {z} is not finite")
     if cut is not None and z.imag == 0:
         sign = side_sign(cut.side)
@@ -65,7 +70,7 @@ def _value(a: Array, z) -> Array:
     """The one value rule: a, computed at the point z, back if every entry is
     finite; else a ValueError that names z, since at a point that passed the
     point rule only a float64 overflow leaves a non-finite entry."""
-    if not np.isfinite(a).all():
+    if np.count_nonzero(np.isfinite(a)) < a.size:   # half the cost of .all() on a q x q value
         raise ValueError(f"value at point {z} overflows float64")
     return a
 

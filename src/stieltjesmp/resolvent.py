@@ -69,8 +69,8 @@ class ResolventU:
     """Block assembly [[A_{half(m)}, B_{half(m+1)}], [C, D]] for index m.
 
     resolvent_u attaches the (L, M) pair it read as _ds, which is no field:
-    lft_solve sums a pair's rule on it, and a U assembled by hand, which
-    has none, is divided at every point."""
+    lft_solve sums a pair's rule on it, and refuses a U assembled by hand,
+    which has none.  Such a U still evaluates (a call, inverse_at)."""
 
     m: int
     side: str

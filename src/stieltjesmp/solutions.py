@@ -9,14 +9,14 @@ end and the wall; at a real point x off the half-line the solution values
 fill the matrix interval between them exactly, and each point T of it is
 reached by the pair U(x)^{-1} [T; I], read off U by its J-symmetry.  The
 two ends are the partial fractions of their strings' rules, cached on
-(L, M); any other constant pair is divided through U(z) at its first point
-on an (L, M) and index, and from its second on summed as the partial
-fractions of its own string's rule, kept on the pair.  The inverse of the
-interval's width is a polynomial sum over the factor chain of (L, M), with
-no matrix inverted.  Each entry opens with params._door (the gate, then m)
-and reads (L, M) alone after it; an entry that evaluates at a caller's
-point takes the point and the value rules of moments (_point, _value) and
-no check of its own.
+(L, M); any other constant pair is the partial fractions of its own
+string's rule, built at its first point on an (L, M) and index and kept on
+the pair, so no U(z) is divided.  The inverse of the interval's width is a
+polynomial sum over the factor chain of (L, M), with no matrix inverted.
+Each entry opens with params._door (the gate, then m) and reads (L, M)
+alone after it; an entry that evaluates at a caller's point takes the
+point and the value rules of moments (_point, _value) and no check of its
+own.
 """
 
 import weakref
@@ -36,6 +36,7 @@ from .resolvent import ResolventU, resolvent_u, schur_rotation
 
 CONSTANT = "CONSTANT"
 SCHUR_CONSTANT = "SCHUR_CONSTANT"
+_NEEDS = {CONSTANT: ("phi", "psi"), SCHUR_CONSTANT: ("f",)}   # the fields each kind reads
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,6 +68,9 @@ class StieltjesPair:
     f: Array | None = None
 
     def __post_init__(self):
+        for name in _NEEDS.get(self.kind, ()):
+            if getattr(self, name) is None:
+                raise ValueError(f"{self.kind} pair needs {name}")
         if self.kind == CONSTANT:
             phi = _matrix(self.phi, what="phi")
             psi = _matrix(self.psi, len(phi), "psi")
@@ -109,13 +113,9 @@ class StieltjesPair:
         return freeze(_hermitize(self.psi @ np.linalg.inv(self.psi + sign * self.phi)))
 
     @cached_property
-    def _mixed(self) -> bool:
-        """Whether the pair is neither end: phi != 0 and psi != 0."""
-        return bool(self.phi.any() and self.psi.any())
-
-    @cached_property
     def _rules(self) -> weakref.WeakKeyDictionary:
-        """{ds: {m: rule}}, the rule None after the pair's first point there."""
+        """{ds: {m: rule}}: string_rule's rule of the pair on each (L, M) and
+        index it was built on, the (L, M) held weakly."""
         return weakref.WeakKeyDictionary()
 
 
@@ -144,19 +144,17 @@ class SingularDenominator(ValueError):
 def lft_solve(u: ResolventU, pair: StieltjesPair, z: complex) -> Array:
     """Evaluate the linear-fractional transformation at one point off the cut.
 
-    z is a scalar only.  The route is read off what the pair has seen: a
-    pair with x = I or x = 0 sums the partial fractions of the wall or the
-    free extremal, bit for bit theirs, and so does every other pair from its
-    second point on U's (L, M) and index, with string_rule built at that
-    point and kept on the pair.  The first point of such a pair, and every
-    point of a U assembled by hand, divide U(z) [phi; psi] instead
-    (_divide), as a caller of one point per pair would pay more for the
-    rule than for the division.  On the rule the denominator U21 phi + U22
-    psi is singular when z lies within an atom's reach, |z - x_k| <
+    z is a scalar only.  Every pair takes one route: the partial fractions of
+    its string_rule on U's (L, M) and index, built at the pair's first point
+    there and kept on the pair; x = I and x = 0 sum the wall and the free
+    extremal, bit for bit theirs.  U must come from resolvent_u, which
+    attaches the (L, M) it read; a U assembled by hand has none to build a
+    rule on and is a ValueError.  The denominator U21 phi + U22 psi is
+    singular when z lies within an atom's reach, |z - x_k| <
     DEFAULT_TOL.singular_det (1 + rho), rho the rounding scale of the rule
     (max_j |x_j - alpha| but on a flexibility form; see string_rule).  z
     follows the point rule and the value the value rule.  Precedence: the
-    cut, the size, the pair's half-line, the singularity.
+    cut, the size, the pair's half-line, U's origin, the singularity.
     """
     _point(z, u)
     if len(pair.stacked) != 2 * u.q:
@@ -165,50 +163,12 @@ def lft_solve(u: ResolventU, pair: StieltjesPair, z: complex) -> Array:
         raise ValueError(f"pair is for the {pair.side} half-line, U for the {u.side} half-line")
     ds = u.__dict__.get("_ds")
     if ds is None:
-        return _divide(u, pair, z)
-    rules = pair._rules.get(ds)
-    rule = rules.get(u.m) if rules else None
-    if rule is None:
-        if pair._mixed and (rules is None or u.m not in rules):
-            pair._rules.setdefault(ds, {})[u.m] = None   # string_rule builds it at the next point
-            return _divide(u, pair, z)
-        rule = string_rule(ds, u.m, pair)
-    atoms, residues, reach = rule
-    gap = atoms - complex(z)
+        raise ValueError("U was not built by resolvent_u: lft_solve needs the (L, M) it reads")
+    atoms, residues, reach = string_rule(ds, u.m, pair)
     # every atom is real: a point that far off the line is past every reach
-    if abs(z.imag) < reach and (np.abs(gap) < reach).any():
+    if abs(z.imag) < reach and (np.abs(atoms - complex(z)) < reach).any():
         raise SingularDenominator(f"denominator singular at z={z}")
-    return _value(np.dot(np.reciprocal(gap), residues).reshape(u.q, u.q), z)
-
-
-def _divide(u: ResolventU, pair: StieltjesPair, z: complex) -> Array:
-    """U(z) [phi; psi], one product whose row blocks are the numerator U11
-    phi + U12 psi and the denominator D = U21 phi + U22 psi, divided.  D is
-    singular when |det D| < DEFAULT_TOL.singular_det max(1, ||D||_F^q).
-    inv(D) is taken first: since |det D| >= sigma_min(D)^q >=
-    ||D^{-1}||_F^{-q}, a bound at least 100 times the threshold certifies D
-    with no determinant.  Below that, det(D) decides; a D that inv cannot
-    factor at all is singular.  The value rule holds num and D where the
-    certificate fails, so the certified path makes no finiteness test."""
-    g = u.poly(z) @ pair.stacked
-    num, den = g[:u.q], g[u.q:]
-    threshold = DEFAULT_TOL.singular_det * max(1.0, _frobenius(den) ** u.q)
-    try:
-        inv = np.linalg.inv(den)
-    except np.linalg.LinAlgError:
-        inv = None
-    # a NaN bound certifies nothing and falls through to the determinant; an
-    # overflow in U(z) leaves NaN in den, so it is never certified
-    if inv is None or not _frobenius(inv) ** -u.q >= 100 * threshold:
-        _value(num, z)
-        _value(den, z)
-        if inv is None or abs(np.linalg.det(den)) < threshold:
-            raise SingularDenominator(f"denominator singular at z={z}")
-    return num @ inv
-
-
-def _frobenius(a: Array) -> float:
-    return np.sqrt(np.vdot(a, a).real)   # np.linalg.norm's wrapper costs more than this
+    return _value(_partial_fractions(atoms, residues, z, u.q), z)
 
 
 class ExtremalSolution:
@@ -274,8 +234,10 @@ def string_rule(ds: DSParam, m: int, end) -> tuple:
     """
     if not isinstance(end, StieltjesPair):
         return _end_rule(ds, m, end)
-    rules = end._rules.setdefault(ds, {})
-    if rules.get(m) is None:
+    rules = end._rules.get(ds)
+    if rules is None:   # not setdefault: it would make a weakref at every point
+        rules = end._rules[ds] = {}
+    if m not in rules:
         if not end.x.any():
             rules[m] = _end_rule(ds, m, False)
         elif np.array_equal(end.x, np.eye(ds.q)):

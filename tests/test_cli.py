@@ -236,31 +236,38 @@ def test_one_cut_message_across_the_point_entries(capsys, tmp_path, side):
 
 
 def test_solve_at_an_overflowing_point_exits_3(capsys, tmp_path):
-    # CI's sequence and pair-right.json: at -1e200 solve printed eight NaN
-    # entries and exited 0; no numpy warning leaves main
+    # CI's sequence scaled to a largest entry of 1e307, and the pair x = I,
+    # whose rule is the free extremal with its atom at alpha = 0: at -1e-10,
+    # past the atom's reach, s_0 / 1e-10 overflows; no numpy warning leaves main
     assert main(["generate", "--q", "2", "--m", "4", "--seed", "7"]) == EXIT_OK
-    seq, pair = tmp_path / "seq.json", tmp_path / "pair-right.json"
-    seq.write_text(capsys.readouterr().out)
+    doc = json.loads(capsys.readouterr().out)
+    top = max(abs(x) for s in doc["moments"] for row in s for entry in row for x in entry)
+    doc["moments"] = [[[[x * (1e307 / top) for x in entry] for entry in row] for row in s]
+                      for s in doc["moments"]]
+    seq, pair = tmp_path / "seq.json", tmp_path / "pair-free.json"
+    seq.write_text(json.dumps(doc))
     pair.write_text('{"kind": "CONSTANT", "phi": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], '
-                    '"psi": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}')
-    assert main(["solve", str(seq), "--pair", str(pair), "--at=-1e200"]) == EXIT_PRECONDITION
+                    '"psi": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]}')
+    assert main(["solve", str(seq), "--pair", str(pair), "--at=-1e-10"]) == EXIT_PRECONDITION
     out, err = capsys.readouterr()
-    assert out == "" and "value at point (-1e+200+0j) overflows float64" in err
+    assert out == "" and err == "error: value at point (-1e-10+0j) overflows float64\n"
 
 
 def test_solve_sums_the_pair_rule_after_its_first_point(capsys, tmp_path):
-    # solve divides U(z) at the pair's first point and sums the pair's rule
-    # at the points after it, whose partial fractions stay finite at -1e200:
-    # -s_0 / z to rounding
+    # CI's sequence and pair-right.json: at -1e200 solve printed eight NaN
+    # entries and exited 0, then exited 3 where it divided U(z) at the pair's
+    # first point.  Every point sums the pair's rule now, whose partial
+    # fractions stay finite there: -s_0 / z to rounding, first point or later
     assert main(["generate", "--q", "2", "--m", "4", "--seed", "7"]) == EXIT_OK
     seq, pair = tmp_path / "seq.json", tmp_path / "pair-right.json"
     seq.write_text(capsys.readouterr().out)
     pair.write_text('{"kind": "CONSTANT", "phi": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], '
                     '"psi": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}')
-    code, payload = run(capsys, "solve", str(seq), "--pair", str(pair), "--at=-1,-1e200")
     s0 = decode_sequence(json.loads(seq.read_text()))[0]
-    far = decode_matrix(payload["values"][1]["s"])
-    assert code == EXIT_OK and np.linalg.norm(far * 1e200 - s0) <= 1e-12 * np.linalg.norm(s0)
+    for at, k in (("--at=-1,-1e200", 1), ("--at=-1e200", 0)):
+        code, payload = run(capsys, "solve", str(seq), "--pair", str(pair), at)
+        far = decode_matrix(payload["values"][k]["s"])
+        assert code == EXIT_OK and np.linalg.norm(far * 1e200 - s0) <= 1e-12 * np.linalg.norm(s0)
 
 
 def test_extremal_at_an_overflowing_point_exits_3(capsys, tmp_path):

@@ -510,9 +510,9 @@ def test_every_array_the_solve_path_holds_is_read_only():
         pairs = [pair_min(s.q, s.side), pair_max(s.q, s.side),
                  StieltjesPair(kind=CONSTANT, side=s.side, phi=given["phi"], psi=given["psi"]),
                  StieltjesPair(kind=SCHUR_CONSTANT, side=s.side, f=given["f"])]
-        # a mixed pair's first point is divided and its second sums the rule it
-        # builds: both routes run before the write, the rule is compared after
-        values = [(lft_solve(u, pair, z), lft_solve(u, pair, z))[1] for pair in pairs]
+        # a mixed pair's first point builds its rule: before the write, and
+        # every point after it sums that rule
+        values = [lft_solve(u, pair, z) for pair in pairs]
         for a in given.values():
             a[...] = np.nan
         for pair in pairs[2:]:

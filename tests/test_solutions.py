@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from stieltjesmp import (
-    CONSTANT, SCHUR_CONSTANT, DSParam, MatrixPolynomial, ResolventU, SingularDenominator,
-    StieltjesPair, difference_inverse, ds_param, dyukarev_quadruple, extremal, hermitize,
+    CONSTANT, SCHUR_CONSTANT, DSParam, ResolventU, SingularDenominator, StieltjesPair,
+    difference_inverse, ds_param, dyukarev_quadruple, extremal, hermitize,
     interval_point, is_psd, lft_solve, pair_max, pair_min, potapov_defect, potapov_defect_psd,
     random_stieltjes_pd_sequence, reflect, resolvent_u, seq_from_ds, sequence,
     side_sign, stieltjes_quadruple, weyl_interval,
@@ -36,6 +36,21 @@ def test_pair_validation():
     phi, psi = ok.values()
     np.testing.assert_allclose(phi, 0)
     np.testing.assert_allclose(psi, 2 * np.eye(1))
+
+
+@pytest.mark.parametrize("kind, given, field", [
+    (CONSTANT, {"psi": np.eye(2)}, "phi"),
+    (CONSTANT, {"phi": np.eye(2)}, "psi"),
+    (CONSTANT, {}, "phi"),
+    (CONSTANT, {"f": np.eye(2)}, "phi"),
+    (SCHUR_CONSTANT, {}, "f"),
+    (SCHUR_CONSTANT, {"phi": np.eye(2), "psi": np.eye(2)}, "f"),
+])
+def test_a_pair_names_the_field_it_misses(kind, given, field):
+    # a missing field reached the matrix rule as None and was "matrix has
+    # non-finite entries", which named neither the field nor the kind
+    with pytest.raises(ValueError, match=f"^{kind} pair needs {field}$"):
+        StieltjesPair(kind=kind, **given)
 
 
 def test_pair_equality_is_identity():
@@ -72,14 +87,20 @@ def test_lft_singular_denominator():
         lft_solve(u, pair_max(1), 0.0)
 
 
-def test_lft_exactly_singular_denominator_off_the_cut():
-    # U(z) = [[1, 1], [0, z - i]]: with the pair (0, 1) the denominator is
-    # z - i, exactly zero at z = i, where inv itself fails
-    coeffs = np.array([[[1, 1], [0, -1j]], [[0, 0], [0, 1]]], dtype=complex)
-    u = ResolventU(m=1, side="right", alpha=0.0, q=1, poly=MatrixPolynomial(coeffs))
-    with pytest.raises(SingularDenominator):
-        lft_solve(u, pair_min(1), 1j)
-    np.testing.assert_allclose(lft_solve(u, pair_min(1), 2j), [[-1j]], atol=1e-15)
+def test_lft_refuses_a_u_assembled_by_hand():
+    # lft_solve sums a pair's rule on the (L, M) that resolvent_u attaches to
+    # its U; a U assembled by hand has none and is a ValueError that says so,
+    # before any rule or value.  It still evaluates: a call and inverse_at
+    s = ladder_fixture(3)
+    built = resolvent_u(s)
+    u = ResolventU(m=built.m, side=built.side, alpha=built.alpha, q=built.q, poly=built.poly)
+    z, rng = s.alpha - side_sign(s.side) + 0.5j, np.random.default_rng(3)
+    for pair in (pair_min(s.q, s.side), random_constant_pair(s.q, s.side, rng)):
+        with pytest.raises(ValueError, match="^U was not built by resolvent_u"):
+            lft_solve(u, pair, z)
+        assert not pair._rules
+    assert np.array_equal(u(z), built(z))
+    assert np.array_equal(u.inverse_at(z), built.inverse_at(z))
 
 
 def test_lft_within_an_atom_reach_is_a_singular_denominator():
@@ -95,19 +116,21 @@ def test_lft_within_an_atom_reach_is_a_singular_denominator():
         assert np.isfinite(lft_solve(u, pair, complex(x, 2.0 * reach))).all()
 
 
-def test_a_mixed_pair_is_divided_at_its_first_point_and_sums_its_rule_after():
-    # a caller of one point per pair builds no rule: the first point of a pair
-    # on U's (L, M) and m is U(z) [phi; psi] divided, as lft_solve_det does;
-    # the second builds the rule, on the pair alone, and every later point
-    # sums it.  pair_min and pair_max sum the extremals' rules from the first
+def test_a_mixed_pair_sums_its_rule_from_its_first_point():
+    # one route for every pair: the first point of a pair on U's (L, M) and m
+    # builds its rule, on the pair alone, and every point sums it, so one
+    # (u, pair, z) gives the same bits at every call, the first included.
+    # The first point divided U(z) [phi; psi] before, and its value differed
+    # from the later ones in the last bits.  A 0-d array and a numpy scalar
+    # are the same point.  pair_min and pair_max sum the extremals' rules
     s = random_stieltjes_pd_sequence(2, 5, seed=1)
     u, ds, z = resolvent_u(s), ds_param(s), -1.0 + 0.5j
     pair = random_constant_pair(2, s.side, np.random.default_rng(1))
-    assert np.array_equal(lft_solve(u, pair, z), lft_solve_det(u, pair, z))
-    assert pair._rules[ds] == {s.kappa: None}
-    value = lft_solve(u, pair, z)
+    first = lft_solve(u, pair, z)
     assert pair._rules[ds][s.kappa] is string_rule(ds, s.kappa, pair)
-    assert rel_err(value, lft_solve_det(u, pair, z)) < 1e-13
+    assert all(np.array_equal(lft_solve(u, pair, w), first)
+               for w in (z, z, np.array(z), np.complex128(z)))
+    assert rel_err(first, lft_solve_det(u, pair, z)) < 1e-13
     s_min, s_max = extremal(s)
     assert np.array_equal(lft_solve(u, pair_min(2), z), s_min(z))
     assert np.array_equal(lft_solve(u, pair_max(2), z), s_max(z))
@@ -147,7 +170,6 @@ def test_lft_at_m_0_is_the_one_mass_string():
             assert not lft_solve(u, pair_min(s.q, s.side), z).any()
             assert rel_err(lft_solve(u, pair_max(s.q, s.side), z), s[0] / (s.alpha - z)) < 1e-14
             pair = random_constant_pair(s.q, s.side, rng)
-            string_rule(ds_param(s), 0, pair)   # so that the point sums the rule
             assert rel_err(lft_solve(u, pair, z), lft_solve_det(u, pair, z)) < 1e-12
 
 
@@ -173,8 +195,7 @@ def test_lft_matches_the_determinant_oracle():
     # is a singular denominator exactly within an atom's reach.  Nearer the
     # atoms both routes lose digits as an atom's rounding over the distance,
     # and the determinant route decides by its own threshold (the 60-digit
-    # accuracy table of test_oracle holds the rule).  string_rule builds each
-    # pair's rule first, so that every point sums it
+    # accuracy table of test_oracle holds the rule)
     rng = np.random.default_rng(14)
     offsets = [0.0] + [sign * 10.0 ** -k for k in range(1, 17) for sign in (1, -1)]
     for i in range(10):
@@ -436,8 +457,7 @@ def _assert_interval_pairs_reproduce(s, m, x, ks):
     for k in ks:
         t, pair = interval_point(s, m, x, k)
         assert isinstance(pair, StieltjesPair) and pair.side == s.side
-        for _ in range(2):   # the pair's first point divides, its second sums its rule
-            assert rel_err(lft_solve(u, pair, complex(x)), t) < 1e-12
+        assert rel_err(lft_solve(u, pair, complex(x)), t) < 1e-12
         assert min(min_eig_hermitian_part(t - iv.lower),
                    min_eig_hermitian_part(iv.upper - t)) >= -tol
 
@@ -665,23 +685,6 @@ def test_weyl_interval_defaults_to_the_free_point():
             np.testing.assert_array_equal(iv.upper, explicit.upper)
 
 
-def test_schur_denominator_uses_the_relative_threshold():
-    # det = 1e2 passes an absolute bound 1e-13; against 1e-13 ||D||_F^q
-    # (= 1e3) this cond-1e14 denominator is singular.  The Schur pair F = I is
-    # [phi; psi] = [0; 2I], so the constant U = [[0, I/2], [0, D/2]] gives
-    # the numerator I and the denominator D
-    pair = StieltjesPair(kind=SCHUR_CONSTANT, f=np.eye(2))
-
-    def solve(den):
-        u = np.block([[np.zeros((2, 2)), np.eye(2) / 2], [np.zeros((2, 2)), den / 2]])
-        const = ResolventU(m=0, side="right", alpha=0.0, q=2, poly=MatrixPolynomial([u]))
-        return lft_solve(const, pair, -1.0)
-    with pytest.raises(SingularDenominator, match=re.escape("denominator singular at z=-1.0")):
-        solve(np.diag([1e8, 1e-6]))
-    # det 1e4 is above the threshold
-    np.testing.assert_allclose(solve(np.diag([1e8, 1e-4])), np.diag([1e-8, 1e4]), rtol=1e-15)
-
-
 def test_a_rule_reach_is_relative():
     # an atom at 1000 is reached within 1e-13 (1 + 1000): 1e-10 above it
     # passes an absolute bound 1e-13 but is a singular denominator, and 1e-9
@@ -747,16 +750,23 @@ def test_a_point_that_is_not_finite_is_named(entry, z):
         call(z)
 
 
-@pytest.mark.parametrize("point", [True, False, np.True_], ids=repr)
+@pytest.mark.parametrize("point", [True, False, np.True_, "1j", None, np.array([-1.0, -2.0]),
+                                   np.array([1j, 2j]), np.array([-1.0])], ids=repr)
 @pytest.mark.parametrize("entry", ["lft_solve", "difference_inverse", "weyl_interval",
                                    "interval_point", "potapov_defect"])
 def test_a_bool_is_no_point(entry, point):
     # the point rule took a bool for a number: weyl_interval(s, x=True) said
     # "point 1 lies on the cut" and lft_solve(u, pair_min(1), False) returned
-    # the value at 0
+    # the value at 0.  A str, None and an array of points leaked a TypeError
+    # that named no point ("must be real number, not str", "only 0-dimensional
+    # arrays can be converted").  None is the free point of the three entries
+    # that default to it
     call = _point_entries(random_stieltjes_pd_sequence(1, 4, alpha=1.0, seed=1))[entry]
-    with pytest.raises(ValueError, match=re.escape(f"point {point!r} is not a number")):
+    if point is None and entry in ("difference_inverse", "weyl_interval", "interval_point"):
         call(point)
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"point {point!r} is not a number")):
+            call(point)
 
 
 def test_an_overflowing_value_is_named_not_returned():
@@ -765,14 +775,10 @@ def test_an_overflowing_value_is_named_not_returned():
     # at -1e200, weyl_interval next to the free end's atom at alpha = 0 a
     # "matrix has non-finite entries" that did not name x, and potapov_defect
     # non-finite blocks; numpy's own overflow warnings come before the error.
-    # lft_solve overflows so where it divides U(z), at a mixed pair's first
-    # point; a rule sums finite partial fractions there, -s_0 / z to rounding
+    # lft_solve overflowed so at a mixed pair's first point, where it divided
+    # U(z); every pair sums finite partial fractions there, -s_0 / z to rounding
     s2, s1 = (random_stieltjes_pd_sequence(q, kappa, seed=1) for q, kappa in ((2, 5), (1, 4)))
-
-    def mixed():
-        return StieltjesPair(kind=CONSTANT, phi=np.eye(2), psi=np.eye(2))
-    cases = [(-1e200, lambda z: lft_solve(resolvent_u(s2), mixed(), z)),
-             (-1e100, lambda z: difference_inverse(s1, z=z)),
+    cases = [(-1e100, lambda z: difference_inverse(s1, z=z)),
              (-1e200, lambda z: difference_inverse(s1, z=z)),
              (-1e-320, lambda z: weyl_interval(s2, x=z)),
              (1e200j, lambda z: potapov_defect(s1, 0.5, z))]
@@ -781,5 +787,6 @@ def test_an_overflowing_value_is_named_not_returned():
         for z, call in cases:
             with pytest.raises(ValueError, match=re.escape(f"value at point {z} overflows")):
                 call(z)
-    far = lft_solve(resolvent_u(s2), pair_max(2), -1e200)
-    assert np.linalg.norm(far * 1e200 - s2[0]) <= 1e-14 * np.linalg.norm(s2[0])
+    for pair in (pair_max(2), StieltjesPair(kind=CONSTANT, phi=np.eye(2), psi=np.eye(2))):
+        far = lft_solve(resolvent_u(s2), pair, -1e200)   # the mixed pair's first point
+        assert np.linalg.norm(far * 1e200 - s2[0]) <= 1e-14 * np.linalg.norm(s2[0])
