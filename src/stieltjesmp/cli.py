@@ -11,6 +11,7 @@ NaN or Infinity: a verb prints its whole result or nothing.
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -91,8 +92,12 @@ def _load_doc(path: str) -> dict:
 
 
 def _parse_complex(text: str) -> complex:
+    """A point of --at: Python's complex syntax, spaces dropped, with i for j
+    where it is the imaginary unit, an i no letter follows ("2i", "1-i", not
+    the i of "inf"), so that inf, -inf and infj are read and refused as not
+    finite."""
     try:
-        z = complex(text.replace("i", "j").replace(" ", ""))
+        z = complex(re.sub(r"i(?![A-Za-z])", "j", text.replace(" ", "")))
     except ValueError:
         raise UsageError(f"cannot parse complex number {text!r}")
     if not math.isfinite(z.real) or not math.isfinite(z.imag):

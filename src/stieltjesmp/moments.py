@@ -39,6 +39,16 @@ def side_sign(side: str) -> float:
     raise ValueError(f"side must be '{RIGHT}' or '{LEFT}'")
 
 
+_NUMBERS = (complex, float, int, np.number)
+
+
+def _scalar(z) -> bool:
+    """True for one point, a Python or numpy number or a 0-d array; False for
+    points in an array of ndim >= 1 or a list.  The per-point evaluators take
+    their scalar path on it and broadcast otherwise."""
+    return isinstance(z, _NUMBERS) or getattr(z, "ndim", None) == 0
+
+
 # The two rules of every entry that evaluates at a caller's point: the point
 # rule before the evaluation, the value rule on what it computed there.  The
 # per-point evaluators of the hot path (ExtremalSolution, stieltjes_transform,

@@ -20,8 +20,8 @@ import numpy as np
 
 from .linalg import Array, DEFAULT_TOL, freeze
 from .moments import (
-    MomentSequence, derived, half, lower_triangular_S, monic_rows, require_hankel_pd_prefix,
-    side_sign,
+    MomentSequence, _scalar, derived, half, lower_triangular_S, monic_rows,
+    require_hankel_pd_prefix, side_sign,
 )
 from .params import DSParam, chain_stacks, ds_param
 
@@ -66,11 +66,14 @@ class MatrixPolynomial:
     def __call__(self, z) -> Array:
         """P(z) as one product of the powers of z with the stacked coefficients.
 
-        A scalar z gives a complex (rows, cols) matrix; a 1-D array of N
-        points gives the (N, rows, cols) stack of values.
+        A scalar z (moments._scalar) gives a complex (rows, cols) matrix, its
+        powers taken of one complex number with no array made of z; a 1-D
+        array (or a list) of N points gives the (N, rows, cols) stack of values.
         """
-        z = np.asarray(z, dtype=complex)
         exponents, flat = self._stacked
+        if _scalar(z):
+            return ((complex(z) ** exponents) @ flat).reshape(self.q_rows, self.q_cols)
+        z = np.asarray(z, dtype=complex)
         return ((z[..., None] ** exponents) @ flat).reshape(z.shape + (self.q_rows, self.q_cols))
 
     def conj_star(self) -> "MatrixPolynomial":

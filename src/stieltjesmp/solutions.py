@@ -29,7 +29,7 @@ from .linalg import (
     Array, DEFAULT_TOL, NON_HERMITIAN, PD, PSD, _hermitize, _matrix, _psd_classes, freeze,
     is_psd, psd_class, sqrt_psd,
 )
-from .moments import RIGHT, MomentSequence, _point, _value, derived, half, side_sign
+from .moments import RIGHT, MomentSequence, _point, _scalar, _value, derived, half, side_sign
 from .orthopoly import chain_d_e
 from .params import DSParam, _door
 from .resolvent import ResolventU, resolvent_u, schur_rotation
@@ -154,7 +154,12 @@ def lft_solve(u: ResolventU, pair: StieltjesPair, z: complex) -> Array:
     DEFAULT_TOL.singular_det (1 + rho), rho the rounding scale of the rule
     (max_j |x_j - alpha| but on a flexibility form; see string_rule).  z
     follows the point rule and the value the value rule.  Precedence: the
-    cut, the size, the pair's half-line, U's origin, the singularity.
+    cut, the size, the pair's half-line, U's origin, the singularity.  The
+    atoms are subtracted from z once, as one complex number: that one gap
+    serves the reach test and the sum.  The sum needs no exact-atom test of
+    its own: the atoms lie on the cut, up to rounding, which the point rule
+    refuses, and the reach is positive wherever the rule has an atom, so a z
+    at an atom fails the reach test first.
     """
     _point(z, u)
     if len(pair.stacked) != 2 * u.q:
@@ -165,10 +170,13 @@ def lft_solve(u: ResolventU, pair: StieltjesPair, z: complex) -> Array:
     if ds is None:
         raise ValueError("U was not built by resolvent_u: lft_solve needs the (L, M) it reads")
     atoms, residues, reach = string_rule(ds, u.m, pair)
-    # every atom is real: a point that far off the line is past every reach
-    if abs(z.imag) < reach and (np.abs(atoms - complex(z)) < reach).any():
+    point = complex(z)
+    gap = atoms - point
+    # every atom is real: a point that far off the line is past every reach;
+    # a z at an atom is within it, so the sum below meets no zero gap
+    if abs(point.imag) < reach and np.count_nonzero(np.abs(gap) < reach):
         raise SingularDenominator(f"denominator singular at z={z}")
-    return _value(_partial_fractions(atoms, residues, z, u.q), z)
+    return _value(np.dot(np.reciprocal(gap), residues).reshape(u.q, u.q), z)
 
 
 class ExtremalSolution:
@@ -178,30 +186,45 @@ class ExtremalSolution:
     is the transfer function of the block string of (L, M), which ends
     at a wall for bd=True (the ratio B D^{-1}) and is free, with an atom at
     alpha, for bd=False (A C^{-1}).  A call sums the partial fractions of
-    the residue table of string_rule, cached on (L, M).  z is not checked
-    against the cut: off the atoms the sum is the Stieltjes transform of
-    the extremal's measure, finite on the half-line too.  A call is one of
-    the unchecked hot evaluators: it takes neither the point rule nor the
-    value rule of moments, and the entries that evaluate it at a caller's
-    point (weyl_interval and the CLI's extremal) apply both.
+    the residue table of string_rule, cached on (L, M).  atoms stays the
+    float rule that recover_* reads; the call subtracts z from a complex copy
+    made once here, which is faster than numpy's cast of the float atoms at
+    every call and gives the same bits.  z is not checked against the cut:
+    off the atoms the sum is the Stieltjes transform of the extremal's
+    measure, finite on the half-line too.  A call is one of the unchecked
+    hot evaluators: it takes neither the point rule nor the value rule of
+    moments, and the entries that evaluate it at a caller's point
+    (weyl_interval and the CLI's extremal) apply both.
     """
 
     def __init__(self, ds: DSParam, m: int, bd: bool):
         self.m, self.bd, self.q = m, bd, ds.q
         self.atoms, self.residues, _ = string_rule(ds, m, bd)
+        self._nodes = freeze(self.atoms.astype(complex))
 
     def __call__(self, z) -> Array:
-        return _partial_fractions(self.atoms, self.residues, z, self.q)
+        return _partial_fractions(self._nodes, self.residues, z, self.q)
 
 
-def _partial_fractions(atoms: Array, residues: Array, z, q: int) -> Array:
-    """sum_k G_k / (x_k - z) over a (K, q*q) residue table: a q x q value at a
-    scalar z, an (N, q, q) stack at N points; z at an atom: SingularDenominator."""
-    z = np.asarray(z, dtype=complex)
-    gap = atoms - z[..., None]
+def _partial_fractions(nodes: Array, residues: Array, z, q: int) -> Array:
+    """sum_k G_k / (x_k - z) over the nodes x_k and a (K, q*q) residue table:
+    a q x q value at a scalar z, an (N, q, q) stack at N points (an array or
+    a list); z at a node: SingularDenominator.
+
+    A scalar z (moments._scalar) is subtracted as one complex number, with no
+    array made of it and no broadcast, and gives the same bits in each of its
+    forms; an array or a list of points keeps the broadcast.  Both paths keep
+    the exact-node test, and neither takes the point or the value rule.
+    """
+    if _scalar(z):
+        z = complex(z)
+        gap, shape = nodes - z, (q, q)
+    else:
+        z = np.asarray(z, dtype=complex)
+        gap, shape = nodes - z[..., None], z.shape + (q, q)
     if np.count_nonzero(gap) < gap.size:
         raise SingularDenominator(f"an atom lies in z={z}")
-    return np.dot(np.reciprocal(gap), residues).reshape(z.shape + (q, q))
+    return np.dot(np.reciprocal(gap), residues).reshape(shape)
 
 
 @derived

@@ -489,8 +489,14 @@ def test_decoders_reject_non_finite_and_booleans(capsys, tmp_path):
     pair.write_text(json.dumps({"kind": "CONSTANT", "phi": [[nan]], "psi": [[1.0]]}))
     code, _ = run(capsys, "solve", str(path), "--pair", str(pair), "--at=-1")
     assert code == EXIT_USAGE
-    for argv in (("solve", str(path), "--pair", str(pair), "--at=nan"),
-                 ("extremal", str(path), "--at=nan"), ("extremal", str(path), "--at=x"),
+    # a valid pair, so that solve reaches its points; the i of inf is no imaginary unit
+    pair.write_text(json.dumps({"kind": "CONSTANT", "phi": [[1.0]], "psi": [[1.0]]}))
+    for at in ("nan", "inf", "-inf", "infj"):
+        assert main(["solve", str(path), "--pair", str(pair), f"--at={at}"]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: point {at!r} is not finite\n"
+    for argv in (("extremal", str(path), "--at=nan"), ("extremal", str(path), "--at=x"),
                  ("hausdorff", str(path), "--beta=inf"), ("generate", "--alpha=nan")):
         code, _ = run(capsys, *argv)
         assert code == EXIT_USAGE
+    code, payload = run(capsys, "solve", str(path), "--pair", str(pair), "--at=-1+2i,-i")
+    assert code == EXIT_OK and [v["z"] for v in payload["values"]] == [[-1.0, 2.0], [0.0, -1.0]]

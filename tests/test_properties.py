@@ -140,3 +140,36 @@ def test_a_pair_is_its_normalized_x(i, reflected, seed):
             for ends in (wall, free):
                 ext = exts[0] if (ends is wall) == (side == "right") else exts[1]
                 assert np.array_equal(lft_solve(u, ends, z), ext(z))
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(i=st.integers(0, 49), reflected=st.booleans(), seed=st.integers(0, 999))
+def test_one_point_in_every_form(i, reflected, seed):
+    # every per-point evaluator gives the same bits at a point in each of its
+    # forms, a Python complex, a numpy complex and a 0-d array, and at a real
+    # point a float and a numpy float too; the scalar value is the row of the
+    # (N,) array evaluation, and a list of points is the array of them
+    s = reflect(ladder_fixture(i)) if reflected else ladder_fixture(i)
+    q, alpha, side = s.q, s.alpha, s.side
+    rng, sign = np.random.default_rng(seed), side_sign(side)
+    g = rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q))
+    pair = StieltjesPair(kind=CONSTANT, side=side, phi=sign * g @ g.conj().T, psi=np.eye(q))
+    u, mus = resolvent_u(s), (recover_min(s), recover_max(s))
+    batched = [*extremal(s), u, *(lambda z, mu=mu: stieltjes_transform(mu, z) for mu in mus)]
+    im = (0.05 + 3.0 * rng.random(4)) * rng.choice([-1.0, 1.0], 4)
+    points = [complex(x, y) for x, y in zip(alpha + 4.0 * rng.standard_normal(4), im)]
+    points += [complex(alpha - sign * x) for x in 0.1 + 4.0 * rng.random(3)]
+    for z in points:
+        forms = [z, np.complex128(z), np.array(z)]
+        if not z.imag:
+            forms += [z.real, np.float64(z.real)]
+        for f in [*batched, lambda z: lft_solve(u, pair, z)]:
+            want = f(z)
+            assert want.shape == (len(want), len(want)) and want.dtype == complex
+            assert all(np.array_equal(f(w), want) for w in forms[1:])
+    grid = np.array(points)
+    for f in batched:
+        stack = f(grid)
+        assert stack.shape[0] == len(points) and np.array_equal(f(points), stack)
+        for z, row in zip(points, stack):
+            assert np.linalg.norm(f(z) - row) <= 1e-14 * np.linalg.norm(row)
