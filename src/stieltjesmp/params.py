@@ -240,15 +240,20 @@ def ds_param(seq: MomentSequence) -> DSParam:
     return _ds_from_q(stieltjes_param(seq))
 
 
-def _door(seq: MomentSequence, m: int | None, low: int = 0) -> tuple:
-    """(ds_param(seq), m): the gate, then m (kappa when None) checked to be an
-    integer (numpy's too, but no bool) in low..kappa.  Solve-path entries open
-    here: the class comes before m, m before x, x before K."""
-    ds = ds_param(seq)
+def _index(ds: DSParam, m: int | None, low: int = 0) -> int:
+    """The one index rule, of _door and of every (ds, m) view: m (kappa when
+    None) back if it is an integer (numpy's too, but no bool) in low..kappa."""
     m = ds.kappa if m is None else _integer(m, "index m")
     if not low <= m <= ds.kappa:
         raise ValueError(f"index m={m} outside {low}..kappa={ds.kappa}")
-    return ds, m
+    return m
+
+
+def _door(seq: MomentSequence, m: int | None, low: int = 0) -> tuple:
+    """(ds_param(seq), m): the gate, then the index rule.  Solve-path entries
+    open here: the class comes before m, m before x, x before K."""
+    ds = ds_param(seq)
+    return ds, _index(ds, m, low)
 
 
 def _require_pd(stack: Array, what: str):

@@ -3,9 +3,9 @@
 U is the ordered product of the chain of constant upper factors (L blocks)
 and linear lower factors ((alpha - z) M blocks) read off (L, M).  The prefix
 products are expanded once per (L, M) pair into the cached chain stacks of
-params.chain_stacks; U_m is a slice of them, the four q x q families
-(A, B, C, D) are their block columns, and nothing else builds U: the
-Hankel routes to U live on as test oracles only.  U * E, E the
+params.chain_stacks; U_m, a view of (L, M) at m, is a slice of them, the
+four q x q families (A, B, C, D) are their block columns, and nothing else
+builds U: the Hankel routes to U live on as test oracles only.  U * E, E the
 schur_rotation, turns the Stieltjes-pair transformation into a Schur-class
 one; a Schur parameter enters through the pair E [F; I] of lft_solve.
 """
@@ -20,7 +20,7 @@ from .linalg import (
 )
 from .moments import RIGHT, MomentSequence, derived, half, side_sign
 from .orthopoly import MatrixPolynomial
-from .params import DSParam, _door, chain_stacks, ds_param
+from .params import DSParam, _door, _index, chain_stacks, ds_param
 
 
 @dataclass(frozen=True)
@@ -54,32 +54,32 @@ def dyukarev_quadruple(seq: MomentSequence) -> DyukarevQuadruple:
                              d=tuple(MatrixPolynomial(c[:n + 1, q:]) for n, c in enumerate(y)))
 
 
-def _chain_product(ds: DSParam, m: int) -> MatrixPolynomial:
-    """P_m = W_0 ... W_m expanded: [x[half(m)] | y[half(m+1)]] of chain_stacks."""
-    x, y = chain_stacks(ds)
-    n, k = half(m), half(m + 1)   # y[k] has k+1 <= n+2 coefficients
-    u = np.zeros((n + 2, 2 * ds.q, 2 * ds.q), dtype=complex)
-    u[:, :, :ds.q] = x[n, :n + 2]
-    u[:k + 1, :, ds.q:] = y[k, :k + 1]
-    return MatrixPolynomial(freeze(u))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResolventU:
-    """Block assembly [[A_{half(m)}, B_{half(m+1)}], [C, D]] for index m.
+    """U_m = W_0 ... W_m of the factors of factorize_u: a view of (L, M) at
+    index m, which follows params._index (None is kappa).  Its side, alpha
+    and q are those of ds.  poly, the block assembly [[A_{half(m)},
+    B_{half(m+1)}], [C, D]], is sliced out of the cached chain_stacks at
+    first use; lft_solve reads ds and m alone.  Equality is identity."""
 
-    resolvent_u attaches the (L, M) pair it read as _ds, which is no field:
-    lft_solve sums a pair's rule on it, and refuses a U assembled by hand,
-    which has none.  Such a U still evaluates (a call, inverse_at)."""
+    ds: DSParam
+    m: int | None
 
-    m: int
-    side: str
-    alpha: float
-    q: int
-    poly: MatrixPolynomial
+    def __post_init__(self):
+        object.__setattr__(self, "m", _index(self.ds, self.m))
 
     def __call__(self, z: complex) -> Array:
         return self.poly(z)
+
+    @cached_property
+    def poly(self) -> MatrixPolynomial:
+        """[x[half(m)] | y[half(m+1)]] of chain_stacks, as one polynomial."""
+        (x, y), q = chain_stacks(self.ds), self.ds.q
+        n, k = half(self.m), half(self.m + 1)   # y[k] has k+1 <= n+2 coefficients
+        u = np.zeros((n + 2, 2 * q, 2 * q), dtype=complex)
+        u[:, :, :q] = x[n, :n + 2]
+        u[:k + 1, :, q:] = y[k, :k + 1]
+        return MatrixPolynomial(freeze(u))
 
     @cached_property
     def _conj_star(self) -> MatrixPolynomial:
@@ -87,17 +87,13 @@ class ResolventU:
 
     def inverse_at(self, z: complex) -> Array:
         """J-symmetry inverse: U^{-1}(z) = Jtilde U^*(conj z) Jtilde."""
-        jt = signature_matrix(JTILDE, self.q)
+        jt = signature_matrix(JTILDE, self.ds.q)
         return jt @ self._conj_star(z) @ jt
 
 
 def resolvent_u(seq: MomentSequence, m: int | None = None) -> ResolventU:
-    """The resolvent member for index m: the product W_0 ... W_m of the
-    factors of factorize_u, sliced out of the cached chain_stacks."""
-    ds, m = _door(seq, m)
-    u = ResolventU(m=m, side=ds.side, alpha=ds.alpha, q=ds.q, poly=_chain_product(ds, m))
-    u.__dict__["_ds"] = ds
-    return u
+    """The resolvent member for index m: the gate, then the view of its (L, M)."""
+    return ResolventU(ds_param(seq), m)
 
 
 @dataclass(frozen=True)

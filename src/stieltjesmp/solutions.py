@@ -10,13 +10,13 @@ fill the matrix interval between them exactly, and each point T of it is
 reached by the pair U(x)^{-1} [T; I], read off U by its J-symmetry.  The
 two ends are the partial fractions of their strings' rules, cached on
 (L, M); any other constant pair is the partial fractions of its own
-string's rule, built at its first point on an (L, M) and index and kept on
-the pair, so no U(z) is divided.  The inverse of the interval's width is a
+string's rule, built at its first point on the (L, M) and index that U
+views and kept on the pair.  The inverse of the interval's width is a
 polynomial sum over the factor chain of (L, M), with no matrix inverted.
-Each entry opens with params._door (the gate, then m) and reads (L, M)
-alone after it; an entry that evaluates at a caller's point takes the
-point and the value rules of moments (_point, _value) and no check of its
-own.
+Each entry takes the gate, then the index rule (params._door, or a view of
+(L, M)), and reads (L, M) alone after it; an entry that evaluates at a
+caller's point takes the point and the value rules of moments (_point,
+_value) and no check of its own.
 """
 
 import weakref
@@ -31,7 +31,7 @@ from .linalg import (
 )
 from .moments import RIGHT, MomentSequence, _point, _scalar, _value, derived, half, side_sign
 from .orthopoly import chain_d_e
-from .params import DSParam, _door
+from .params import DSParam, _door, _index, ds_param
 from .resolvent import ResolventU, resolvent_u, schur_rotation
 
 CONSTANT = "CONSTANT"
@@ -50,15 +50,15 @@ class StieltjesPair:
     schur_rotation of its half-line: (i(I - F), I + F) on the right and
     (-i(I + F), F - I) on the left, so lft_solve of the pair is the Schur
     transformation (S11 F + S12)(S21 F + S22)^{-1} of Sigma = U E.  The side
-    is checked on both kinds.  phi, psi (phi's size), F and stacked, the
-    column [phi; psi], are held by the one matrix rule before any other
-    check.  Each pair is normalized once, when its first rule is built, to
-    x = psi (psi + s phi)^{-1}, s the side_sign: psi + s phi is invertible
-    for every valid pair, x is Hermitian with 0 <= x <= I and (phi R, psi R)
-    gives the same x; phi = 0 is x = I and psi = 0 is x = 0 exactly, as
-    pair_min and pair_max are.  string_rule reads x alone, and the pair
-    holds its rules, keyed weakly by the (L, M) they were built on, so that
-    neither keeps the other alive.  Equality is identity.
+    is checked on both kinds.  phi, psi (phi's size) and F are held by the
+    one matrix rule before any other check; the phi and psi of F are views
+    of one frozen column.  Each pair is normalized once, when its first rule
+    is built, to x = psi (psi + s phi)^{-1}, s the side_sign: psi + s phi is
+    invertible for every valid pair, x is Hermitian with 0 <= x <= I and
+    (phi R, psi R) gives the same x; phi = 0 is x = I and psi = 0 is x = 0
+    exactly, as pair_min and pair_max are.  string_rule reads x alone, and
+    the pair holds its rules, keyed weakly by the (L, M) they were built on,
+    so that neither keeps the other alive.  Equality is identity.
     """
 
     kind: str
@@ -74,8 +74,7 @@ class StieltjesPair:
         if self.kind == CONSTANT:
             phi = _matrix(self.phi, what="phi")
             psi = _matrix(self.psi, len(phi), "psi")
-            g, q = freeze(np.vstack([phi, psi])), len(phi)
-            if np.linalg.matrix_rank(g) < q:
+            if np.linalg.matrix_rank(np.vstack([phi, psi])) < len(phi):
                 raise ValueError("pair is rank deficient")
             cls = psd_class(side_sign(self.side) * (psi.conj().T @ phi))
             if cls == NON_HERMITIAN:
@@ -94,7 +93,7 @@ class StieltjesPair:
             self.__dict__["f"] = f
         else:
             raise ValueError(f"unknown pair kind: {self.kind}")
-        self.__dict__.update(phi=phi, psi=psi, stacked=g)
+        self.__dict__.update(phi=phi, psi=psi)
 
     def values(self):
         """(phi, psi) actually fed into the transformation."""
@@ -138,37 +137,33 @@ def _free_point(side: str, alpha: float) -> float:
 
 
 class SingularDenominator(ValueError):
-    """U21 phi + U22 psi singular at the requested point."""
+    """The requested point lies within an atom's reach of the rule summed there."""
 
 
 def lft_solve(u: ResolventU, pair: StieltjesPair, z: complex) -> Array:
     """Evaluate the linear-fractional transformation at one point off the cut.
 
     z is a scalar only.  Every pair takes one route: the partial fractions of
-    its string_rule on U's (L, M) and index, built at the pair's first point
-    there and kept on the pair; x = I and x = 0 sum the wall and the free
-    extremal, bit for bit theirs.  U must come from resolvent_u, which
-    attaches the (L, M) it read; a U assembled by hand has none to build a
-    rule on and is a ValueError.  The denominator U21 phi + U22 psi is
+    its string_rule on u.ds and u.m, built at the pair's first point there
+    and kept on the pair; x = I and x = 0 sum the wall and the free
+    extremal, bit for bit theirs.  The denominator U21 phi + U22 psi is
     singular when z lies within an atom's reach, |z - x_k| <
     DEFAULT_TOL.singular_det (1 + rho), rho the rounding scale of the rule
     (max_j |x_j - alpha| but on a flexibility form; see string_rule).  z
-    follows the point rule and the value the value rule.  Precedence: the
-    cut, the size, the pair's half-line, U's origin, the singularity.  The
-    atoms are subtracted from z once, as one complex number: that one gap
-    serves the reach test and the sum.  The sum needs no exact-atom test of
-    its own: the atoms lie on the cut, up to rounding, which the point rule
-    refuses, and the reach is positive wherever the rule has an atom, so a z
-    at an atom fails the reach test first.
+    follows the point rule, with u.ds as its cut, and the value the value
+    rule.  Precedence: the cut, the size, the pair's half-line, the
+    singularity.  The atoms are subtracted from z once, as one complex
+    number: that one gap serves the reach test and the sum.  The sum needs
+    no exact-atom test of its own: the atoms lie on the cut, up to rounding,
+    which the point rule refuses, and the reach is positive wherever the
+    rule has an atom, so a z at an atom fails the reach test first.
     """
-    _point(z, u)
-    if len(pair.stacked) != 2 * u.q:
-        raise ValueError(f"pair is {len(pair.phi)} x {len(pair.phi)}, U has {u.q} x {u.q} blocks")
-    if pair.side != u.side:
-        raise ValueError(f"pair is for the {pair.side} half-line, U for the {u.side} half-line")
-    ds = u.__dict__.get("_ds")
-    if ds is None:
-        raise ValueError("U was not built by resolvent_u: lft_solve needs the (L, M) it reads")
+    ds, q = u.ds, u.ds.q
+    _point(z, ds)
+    if len(pair.phi) != q:
+        raise ValueError(f"pair is {len(pair.phi)} x {len(pair.phi)}, U has {q} x {q} blocks")
+    if pair.side != ds.side:
+        raise ValueError(f"pair is for the {pair.side} half-line, U for the {ds.side} half-line")
     atoms, residues, reach = string_rule(ds, u.m, pair)
     point = complex(z)
     gap = atoms - point
@@ -176,30 +171,30 @@ def lft_solve(u: ResolventU, pair: StieltjesPair, z: complex) -> Array:
     # a z at an atom is within it, so the sum below meets no zero gap
     if abs(point.imag) < reach and np.count_nonzero(np.abs(gap) < reach):
         raise SingularDenominator(f"denominator singular at z={z}")
-    return _value(np.dot(np.reciprocal(gap), residues).reshape(u.q, u.q), z)
+    return _value(np.dot(np.reciprocal(gap), residues).reshape(q, q), z)
 
 
 class ExtremalSolution:
     """One extremal solution of the truncated problem up to index m.
 
-    Built from (L, M), it holds the rule, m, bd and q and no sequence.  It
-    is the transfer function of the block string of (L, M), which ends
-    at a wall for bd=True (the ratio B D^{-1}) and is free, with an atom at
-    alpha, for bd=False (A C^{-1}).  A call sums the partial fractions of
-    the residue table of string_rule, cached on (L, M).  atoms stays the
-    float rule that recover_* reads; the call subtracts z from a complex copy
-    made once here, which is faster than numpy's cast of the float atoms at
-    every call and gives the same bits.  z is not checked against the cut:
-    off the atoms the sum is the Stieltjes transform of the extremal's
-    measure, finite on the half-line too.  A call is one of the unchecked
-    hot evaluators: it takes neither the point rule nor the value rule of
-    moments, and the entries that evaluate it at a caller's point
+    A view of (L, M) at m in 1..kappa (params._index) that holds the rule, m,
+    bd and q.  It is the transfer function of the block string of (L, M),
+    which ends at a wall for bd=True (the ratio B D^{-1}) and is free, with
+    an atom at alpha, for bd=False (A C^{-1}).  A call sums the partial
+    fractions of the residue table of string_rule, cached on (L, M).  atoms
+    stays the float rule that recover_* reads; the call subtracts z from a
+    complex copy made once here, which is faster than numpy's cast of the
+    float atoms at every call and gives the same bits.  z is not checked
+    against the cut: off the atoms the sum is the Stieltjes transform of the
+    extremal's measure, finite on the half-line too.  A call is one of the
+    unchecked hot evaluators: it takes neither the point rule nor the value
+    rule of moments, and the entries that evaluate it at a caller's point
     (weyl_interval and the CLI's extremal) apply both.
     """
 
     def __init__(self, ds: DSParam, m: int, bd: bool):
-        self.m, self.bd, self.q = m, bd, ds.q
-        self.atoms, self.residues, _ = string_rule(ds, m, bd)
+        self.m, self.bd, self.q = _index(ds, m, 1), bd, ds.q
+        self.atoms, self.residues, _ = string_rule(ds, self.m, bd)
         self._nodes = freeze(self.atoms.astype(complex))
 
     def __call__(self, z) -> Array:
@@ -358,7 +353,7 @@ def extremal(seq: MomentSequence, m: int | None = None):
     right half-line S_min = B D^{-1} (the wall) and S_max = A C^{-1} (the
     free end, with an atom at alpha); the left half-line swaps the two.
     """
-    ds, m = _door(seq, m, 1)
+    ds = ds_param(seq)   # the gate; each view then takes the index rule
     bd, ac = ExtremalSolution(ds, m, True), ExtremalSolution(ds, m, False)
     return (bd, ac) if ds.side == RIGHT else (ac, bd)
 

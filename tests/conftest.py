@@ -1,13 +1,14 @@
 import functools
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from stieltjesmp import (
-    CONSTANT, DEFAULT_TOL, PD, DSParam, FavardPair, ResolventU, SingularDenominator,
+    CONSTANT, DEFAULT_TOL, JTILDE, PD, DSParam, FavardPair, ResolventU, SingularDenominator,
     StieltjesPair, ds_param, extremal, psd_class, q_from_ds, random_pd, real_zeros, reflect,
-    resolvent_u, schur_rotation, seq_from_ds, sequence, stieltjes_quadruple,
+    resolvent_u, schur_rotation, seq_from_ds, sequence, signature_matrix, stieltjes_quadruple,
 )
 from stieltjesmp.linalg import _hermitize, matrix_stack
 from stieltjesmp.measures import MolecularMeasure
@@ -325,10 +326,11 @@ def lft_solve_det(u, pair, z):
     block.  The library sums the partial fractions of the pair's string
     rule; this division, its route before, is the one it is checked
     against."""
-    _point(z, u)
-    g = u.poly(z) @ pair.stacked
-    num, den = g[:u.q], g[u.q:]
-    if abs(np.linalg.det(den)) < 1e-13 * max(1.0, np.linalg.norm(den) ** u.q):
+    q = u.ds.q
+    _point(z, u.ds)
+    g = u.poly(z) @ np.vstack(pair.values())
+    num, den = g[:q], g[q:]
+    if abs(np.linalg.det(den)) < 1e-13 * max(1.0, np.linalg.norm(den) ** q):
         raise SingularDenominator(f"denominator singular at z={z}")
     return num @ np.linalg.inv(den)
 
@@ -344,7 +346,7 @@ def sigma(seq, m=None) -> MatrixPolynomial:
     library takes a Schur parameter F through the pair sqrt(2) E [F; I] of
     lft_solve; Sigma is the route it is checked against."""
     u = resolvent_u(seq, m)
-    return rmul(u.poly, schur_rotation(u.q, u.side))
+    return rmul(u.poly, schur_rotation(u.ds.q, u.ds.side))
 
 
 def lft_solve_schur(sig, f, z):
@@ -462,7 +464,22 @@ def hankel_u(seq) -> MatrixPolynomial:
     return block2x2(f["a"][half(m)], f["b"][half(m + 1)], f["c"][half(m)], f["d"][half(m + 1)])
 
 
-def quadruple_u(seq, m) -> ResolventU:
+@dataclass(frozen=True)
+class PolynomialU:
+    """A 2q x 2q polynomial U built by a test route, with the call and the
+    J-symmetry inverse of ResolventU, for the routes it is checked against."""
+
+    poly: MatrixPolynomial
+
+    def __call__(self, z):
+        return self.poly(z)
+
+    def inverse_at(self, z):
+        jt = signature_matrix(JTILDE, self.poly.q_rows // 2)
+        return jt @ self.poly.conj_star()(z) @ jt
+
+
+def quadruple_u(seq, m) -> PolynomialU:
     """U_m assembled from the Hankel families of quadruple_loop.
 
     Right half-line:
@@ -483,13 +500,14 @@ def quadruple_u(seq, m) -> ResolventU:
                     MatrixPolynomial(-rmul(quad["second"][k].conj_star(), p_inv_star).coeffs),
                     MatrixPolynomial(times_w(base.coeffs, a, sign)),
                     rmul(quad["p"][k].conj_star(), p_inv_star))
-    return ResolventU(m=m, side=seq.side, alpha=a, q=seq.q, poly=poly)
+    return PolynomialU(poly)
 
 
 def scaled_u(u: ResolventU, z: complex):
     """diag(w I, I) U(z) diag(I / w, I), w = z - alpha (right) resp. alpha - z
     (left): U12 scaled by w and U21 by 1/w, off the base point."""
-    q, w = u.q, (z - u.alpha) if u.side == "right" else (u.alpha - z)
+    q, alpha = u.ds.q, u.ds.alpha
+    w = (z - alpha) if u.ds.side == "right" else (alpha - z)
     out = u(z)
     out[:q, q:] *= w
     out[q:, :q] /= w

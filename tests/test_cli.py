@@ -255,8 +255,7 @@ def test_solve_at_an_overflowing_point_exits_3(capsys, tmp_path):
 
 def test_solve_sums_the_pair_rule_after_its_first_point(capsys, tmp_path):
     # CI's sequence and pair-right.json: at -1e200 solve printed eight NaN
-    # entries and exited 0, then exited 3 where it divided U(z) at the pair's
-    # first point.  Every point sums the pair's rule now, whose partial
+    # entries and exited 0.  Every point sums the pair's rule, whose partial
     # fractions stay finite there: -s_0 / z to rounding, first point or later
     assert main(["generate", "--q", "2", "--m", "4", "--seed", "7"]) == EXIT_OK
     seq, pair = tmp_path / "seq.json", tmp_path / "pair-right.json"

@@ -369,11 +369,9 @@ def test_derived_objects_are_cached():
     for ext in extremal(s):
         atoms, residues, _ = string_rule(ds_param(s), s.kappa, ext.bd)
         assert ext.atoms is atoms and ext.residues is residues
-    # lft_solve reads the block column [phi; psi] its pair built once
-    u, pair = resolvent_u(s), pair_min(s.q, s.side)
-    column = pair.stacked
-    lft_solve(u, pair, s.alpha + 1j)
-    assert pair.stacked is column
+    # U is a view of (L, M): its polynomial is expanded once, at first use
+    u = resolvent_u(s)
+    assert u.ds is ds_param(s) and "poly" not in vars(u) and u.poly is u.poly
 
 
 def test_monic_rows_hold_the_one_hankel_inverse(monkeypatch):
@@ -516,7 +514,7 @@ def test_every_array_the_solve_path_holds_is_read_only():
         for a in given.values():
             a[...] = np.nan
         for pair in pairs[2:]:
-            assert np.isfinite(pair.stacked).all() and np.isfinite(pair.phi).all()
+            assert np.isfinite(pair.phi).all() and np.isfinite(pair.psi).all()
         assert all(np.array_equal(lft_solve(u, pair, z), v) for pair, v in zip(pairs, values))
         held += [s, ds_param(s), *pairs]
     assert writeable_arrays(*held) == []

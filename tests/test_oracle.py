@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 from stieltjesmp import (
-    CONSTANT, SCHUR_CONSTANT, DSParam, SingularDenominator, StieltjesPair, ds_param, lft_solve,
-    pair_max, pair_min, reflect, resolvent_u, seq_from_ds, sequence, side_sign, stieltjes_param,
+    CONSTANT, SCHUR_CONSTANT, DSParam, ResolventU, SingularDenominator, StieltjesPair, ds_param,
+    lft_solve, pair_max, pair_min, reflect, resolvent_u, seq_from_ds, sequence, side_sign,
+    stieltjes_param,
 )
 from stieltjesmp.moments import half
 from stieltjesmp.orthopoly import _chain_families
 from stieltjesmp.params import random_pd
-from stieltjesmp.resolvent import _chain_product
 from stieltjesmp.solutions import string_rule
 
 from conftest import ladder_fixture, random_constant_pair
@@ -89,7 +89,7 @@ def test_chain_product_matches_the_high_precision_product(q, kappa):
     m = tuple(random_pd(q, rng) for _ in range(half(kappa) + 1))
     l = tuple(random_pd(q, rng) for _ in range(half(kappa - 1) + 1))
     for alpha, side in ((0.5, "right"), (-0.25, "left")):
-        u = _chain_product(DSParam(q=q, alpha=alpha, side=side, l=l, m=m), kappa)
+        u = ResolventU(DSParam(q=q, alpha=alpha, side=side, l=l, m=m), kappa)
         free = 1.0 if side == "right" else -1.0
         for z in (alpha - free, alpha + 0.7 + 1.3j, alpha - 0.4 - 0.9j):
             want = chain_product(l, m, alpha, side, q, z)

@@ -24,26 +24,24 @@ from conftest import ALPHAS, LADDER, ladder_fixture, random_fixture, writeable_a
 
 
 def _build(given: dict, alpha: float, side: str):
-    """A MomentSequence, a DSParam, a CONSTANT pair, a MatrixPolynomial (as
-    the U of a ResolventU) and a MolecularMeasure, each built from the
+    """A MomentSequence, a DSParam, the ResolventU view of it, a CONSTANT
+    pair, a MatrixPolynomial and a MolecularMeasure, each built from the
     arrays of given."""
     seq = sequence(given["moments"], alpha=alpha, side=side)
     d = DSParam(q=seq.q, alpha=alpha, side=side, l=given["l"], m=given["m"])
     pair = StieltjesPair(kind=CONSTANT, side=side, phi=given["phi"], psi=given["psi"])
-    u = ResolventU(m=seq.kappa, side=side, alpha=alpha, q=seq.q,
-                   poly=MatrixPolynomial(given["coeffs"]))
     mu = MolecularMeasure(atoms=given["atoms"], masses=given["masses"], support_side=side,
                           alpha=alpha)
-    return seq, d, pair, u, mu
+    return seq, d, ResolventU(d, d.kappa), pair, MatrixPolynomial(given["coeffs"]), mu
 
 
-def _values(seq, d, pair, u, mu, z: complex) -> list:
-    """The arrays the five objects hold and the values lft_solve and the
-    transforms read off them at z; lft_solve takes the U of resolvent_u, as
-    it refuses one assembled by hand."""
+def _values(seq, d, u, pair, poly, mu, z: complex) -> list:
+    """The arrays the six objects hold and the values lft_solve and the
+    transforms read off them at z."""
     return [seq.moments, resolvent_u(seq).poly.coeffs, lft_solve(resolvent_u(seq), pair, z),
-            d.l, d.m, seq_from_ds(d).moments, pair.phi, pair.psi, pair.stacked, pair.x,
-            u.poly.coeffs, mu.atoms, mu.masses, stieltjes_transform(mu, z)]
+            d.l, d.m, seq_from_ds(d).moments, u.poly.coeffs, lft_solve(u, pair, z),
+            pair.phi, pair.psi, pair.x, poly.coeffs, mu.atoms, mu.masses,
+            stieltjes_transform(mu, z)]
 
 
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)

@@ -87,22 +87,6 @@ def test_lft_singular_denominator():
         lft_solve(u, pair_max(1), 0.0)
 
 
-def test_lft_refuses_a_u_assembled_by_hand():
-    # lft_solve sums a pair's rule on the (L, M) that resolvent_u attaches to
-    # its U; a U assembled by hand has none and is a ValueError that says so,
-    # before any rule or value.  It still evaluates: a call and inverse_at
-    s = ladder_fixture(3)
-    built = resolvent_u(s)
-    u = ResolventU(m=built.m, side=built.side, alpha=built.alpha, q=built.q, poly=built.poly)
-    z, rng = s.alpha - side_sign(s.side) + 0.5j, np.random.default_rng(3)
-    for pair in (pair_min(s.q, s.side), random_constant_pair(s.q, s.side, rng)):
-        with pytest.raises(ValueError, match="^U was not built by resolvent_u"):
-            lft_solve(u, pair, z)
-        assert not pair._rules
-    assert np.array_equal(u(z), built(z))
-    assert np.array_equal(u.inverse_at(z), built.inverse_at(z))
-
-
 def test_lft_within_an_atom_reach_is_a_singular_denominator():
     # on its rule a pair's denominator is singular at the rule's atoms, all
     # on the half-line: off the cut, z is a singular denominator within an
@@ -119,10 +103,9 @@ def test_lft_within_an_atom_reach_is_a_singular_denominator():
 def test_a_mixed_pair_sums_its_rule_from_its_first_point():
     # one route for every pair: the first point of a pair on U's (L, M) and m
     # builds its rule, on the pair alone, and every point sums it, so one
-    # (u, pair, z) gives the same bits at every call, the first included.
-    # The first point divided U(z) [phi; psi] before, and its value differed
-    # from the later ones in the last bits.  A 0-d array and a numpy scalar
-    # are the same point.  pair_min and pair_max sum the extremals' rules
+    # (u, pair, z) gives the same bits at every call, the first included.  A
+    # 0-d array and a numpy scalar are the same point.  pair_min and pair_max
+    # sum the extremals' rules
     s = random_stieltjes_pd_sequence(2, 5, seed=1)
     u, ds, z = resolvent_u(s), ds_param(s), -1.0 + 0.5j
     pair = random_constant_pair(2, s.side, np.random.default_rng(1))
@@ -775,8 +758,7 @@ def test_an_overflowing_value_is_named_not_returned():
     # at -1e200, weyl_interval next to the free end's atom at alpha = 0 a
     # "matrix has non-finite entries" that did not name x, and potapov_defect
     # non-finite blocks; numpy's own overflow warnings come before the error.
-    # lft_solve overflowed so at a mixed pair's first point, where it divided
-    # U(z); every pair sums finite partial fractions there, -s_0 / z to rounding
+    # Every pair sums finite partial fractions there, -s_0 / z to rounding
     s2, s1 = (random_stieltjes_pd_sequence(q, kappa, seed=1) for q, kappa in ((2, 5), (1, 4)))
     cases = [(-1e100, lambda z: difference_inverse(s1, z=z)),
              (-1e200, lambda z: difference_inverse(s1, z=z)),
