@@ -10,6 +10,7 @@ function takes one, so a matrix has one class wherever the package asks for
 it.
 """
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,23 @@ def _integer(n, what: str):
     return n
 
 
+def _size(q, what: str):
+    """q back if it is an integer (_integer) of at least 1; else a ValueError
+    that names it as the size of what: the rule of every block size q."""
+    if _integer(q, f"{what} size q") < 1:
+        raise ValueError(f"{what} size q={q} is not at least 1")
+    return q
+
+
+def _real(x, what: str) -> float:
+    """x as a float if it is a finite real number, an int or a float (numpy's
+    too, but no bool); else a ValueError that names it: the rule of alpha."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)) \
+            or not abs(x) <= sys.float_info.max:   # NaN compares false; a huge int is past it
+        raise ValueError(f"{what}={x!r} is not a finite real number")
+    return float(x)
+
+
 def matrix_stack(mats, q: int, what: str) -> Array:
     """mats, a (K, q, q) array or a sequence of q x q matrices or scalars, as
     one read-only finite complex (K, q, q) stack: the format of every matrix
@@ -77,8 +95,7 @@ def matrix_stack(mats, q: int, what: str) -> Array:
     anything else copied once; q an integer >= 1, shape and finiteness are
     checked every time.
     """
-    if _integer(q, f"{what} size q") < 1:
-        raise ValueError(f"{what} size q={q} is not at least 1")
+    _size(q, what)
     if isinstance(mats, np.ndarray) and mats.ndim == 3:
         shapes = [mats.shape[1:]]
     else:
@@ -220,6 +237,7 @@ def signature_matrix(kind: str, q: int) -> Array:
 
     JTILDE = [[0, -iI], [iI, 0]], JQ = [[0, -I], [-I, 0]], JQQ = diag(I, -I).
     """
+    _size(q, "signature matrix")
     z = np.zeros((q, q), dtype=complex)
     eye = np.eye(q, dtype=complex)
     if kind == JTILDE:

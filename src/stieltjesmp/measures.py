@@ -16,7 +16,9 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .linalg import Array, DEFAULT_TOL, PD, PSD, _psd_classes, freeze, is_psd, matrix_stack
+from .linalg import (
+    Array, DEFAULT_TOL, PD, PSD, _integer, _psd_classes, _real, freeze, is_psd, matrix_stack,
+)
 from .moments import RIGHT, MomentSequence, classify, hankel, side_sign
 from .params import _door, ds_param, seq_from_ds, seq_from_stieltjes_param, stieltjes_param
 from .resolvent import factorize_u, j_inner_check, resolvent_u
@@ -54,17 +56,19 @@ class MolecularMeasure:
     def _check_fields(self):
         """Every check but the PSD test; sets atoms and masses to their stacks."""
         sign = side_sign(self.support_side)   # an empty measure checks its side too
+        alpha = _real(self.alpha, "alpha")
         x, masses = freeze(np.array(self.atoms, dtype=float)), self.masses
         if x.ndim != 1 or len(x) != len(masses):
             raise ValueError("atoms and masses must align")
         shape = np.shape(masses[0]) if len(masses) else np.shape(masses)[1:]
-        self.__dict__.update(atoms=x, masses=matrix_stack(masses, shape[0] if shape else 1, "mass"))
-        slack = DEFAULT_TOL.atom_slack * (1 + abs(self.alpha))
-        off = ~np.isfinite(x) | (sign * x < sign * self.alpha - slack)
+        self.__dict__.update(atoms=x, masses=matrix_stack(masses, shape[0] if shape else 1, "mass"),
+                             alpha=alpha)
+        slack = DEFAULT_TOL.atom_slack * (1 + abs(alpha))
+        off = ~np.isfinite(x) | (sign * x < sign * alpha - slack)
         if off.any():
             x = x[int(np.argmax(off))]
-            raise ValueError(f"atom {x} outside [{self.alpha}, inf)" if sign > 0
-                             else f"atom {x} outside (-inf, {self.alpha}]")
+            raise ValueError(f"atom {x} outside [{alpha}, inf)" if sign > 0
+                             else f"atom {x} outside (-inf, {alpha}]")
 
 
 def stieltjes_transform(mu: MolecularMeasure, z) -> Array:
@@ -80,7 +84,9 @@ def stieltjes_transform(mu: MolecularMeasure, z) -> Array:
 def measure_moments(mu: MolecularMeasure, up_to: int) -> Array:
     """Power moments sum_k x_k^j M_k for j = 0..up_to as one (up_to+1, q, q)
     stack, from one power table; a moment that overflows float64 raises
-    OverflowError naming its index."""
+    OverflowError naming its index.  up_to is an integer >= 0."""
+    if _integer(up_to, "up_to") < 0:
+        raise ValueError(f"up_to={up_to} is negative")
     with np.errstate(over="ignore", invalid="ignore"):
         powers = mu.atoms ** np.arange(up_to + 1)[:, None]
         moments = (powers[:, :, None, None] * mu.masses).sum(axis=1)
@@ -183,6 +189,7 @@ def hausdorff_solvable(seq: MomentSequence, alpha: float, beta: float) -> Hausdo
     and, for n >= 1, -alpha*beta*H_{n-1} + (alpha+beta)*K_{n-1} - Ktilde_{n-1}
     PSD.
     """
+    alpha, beta = _real(alpha, "alpha"), _real(beta, "beta")
     if not alpha < beta:
         raise ValueError("need alpha < beta")
     kappa = seq.kappa

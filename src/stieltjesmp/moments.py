@@ -20,7 +20,7 @@ from functools import cached_property, wraps
 import numpy as np
 
 from .linalg import (
-    Array, DEFAULT_TOL, _hermitian_mask, _matrix, _pinv, _psd_classes, block_psd, freeze,
+    Array, DEFAULT_TOL, _hermitian_mask, _matrix, _pinv, _psd_classes, _real, block_psd, freeze,
     matrix_stack, psd_class, PD, PSD,
 )
 
@@ -124,6 +124,7 @@ class MomentSequence:
 
     def __post_init__(self):
         side_sign(self.side)
+        object.__setattr__(self, "alpha", _real(self.alpha, "alpha"))
         if not len(self.moments):
             raise ValueError("at least one moment required")
         object.__setattr__(self, "moments", matrix_stack(self.moments, self.q, "moment"))
@@ -143,7 +144,7 @@ class MomentSequence:
 def sequence(moments, alpha: float = 0.0, side: str = RIGHT) -> MomentSequence:
     """Build a MomentSequence from scalars or matrices, inferring q."""
     q = np.atleast_2d(moments[0]).shape[0] if len(moments) else 0
-    return MomentSequence(q=q, alpha=float(alpha), side=side, moments=moments)
+    return MomentSequence(q=q, alpha=alpha, side=side, moments=moments)
 
 
 def half(k: int) -> int:

@@ -19,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Array, PD, _all_pd, _hermitize, _integer, _pinv, freeze, matrix_stack
+from .linalg import (
+    Array, PD, _all_pd, _hermitize, _integer, _pinv, _real, _size, freeze, matrix_stack,
+)
 from .moments import (
     RIGHT, MomentSequence, classify, derived, half, hankel, hhats, monic_rows, q_values,
     require_hankel_pd_prefix, schur_correction, sequence, shifted_moments, side_sign,
@@ -41,6 +43,7 @@ class StieltjesParam:
 
     def __post_init__(self):
         side_sign(self.side)
+        object.__setattr__(self, "alpha", _real(self.alpha, "alpha"))
         object.__setattr__(self, "values", matrix_stack(self.values, self.q, "Q_j"))
         if not len(self.values):
             raise ValueError("at least one Q_j required")
@@ -83,11 +86,12 @@ class DSParam:
 
     def __post_init__(self):
         side_sign(self.side)
+        alpha = _real(self.alpha, "alpha")
         l, m = matrix_stack(self.l, self.q, "L_n"), matrix_stack(self.m, self.q, "M_n")
         if not len(m) or len(m) - len(l) not in (0, 1):
             raise ValueError(f"(L, M) lengths do not fit: len(l) = {len(l)}, len(m) = {len(m)}; "
                              "need len(m) >= 1 and len(m) - len(l) in {0, 1}")
-        self.__dict__.update(l=l, m=m)
+        self.__dict__.update(alpha=alpha, l=l, m=m)
 
     @property
     def kappa(self) -> int:
@@ -387,6 +391,7 @@ def random_pd(q: int, rng: np.random.Generator) -> Array:
     hence the Hankel blocks of generated sequences) well enough conditioned
     for 1e-9 round-trips at desk sizes.
     """
+    _size(q, "random PD matrix")
     g = 0.3 * (rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q)))
     return g @ g.conj().T + 0.1 * np.eye(q)
 

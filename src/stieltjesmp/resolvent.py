@@ -16,7 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
-    Array, DEFAULT_TOL, JTILDE, freeze, j_defect, min_eig_hermitian_part, signature_matrix,
+    Array, DEFAULT_TOL, JTILDE, _size, freeze, j_defect, min_eig_hermitian_part,
+    signature_matrix,
 )
 from .moments import RIGHT, MomentSequence, derived, half, side_sign
 from .orthopoly import MatrixPolynomial
@@ -169,7 +170,7 @@ def schur_rotation(q: int, side: str = RIGHT) -> Array:
     identity actually holds (a harmless column sign normalizes the usual
     left-side convention).
     """
-    eye, sign = np.eye(q), side_sign(side)
+    eye, sign = np.eye(_size(q, "Schur rotation")), side_sign(side)
     return np.block([[-1j * eye, sign * 1j * eye], [eye, sign * eye]]) / np.sqrt(2.0)
 
 

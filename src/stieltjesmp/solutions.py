@@ -26,8 +26,8 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
-    Array, DEFAULT_TOL, NON_HERMITIAN, PD, PSD, _hermitize, _matrix, _psd_classes, freeze,
-    is_psd, psd_class, sqrt_psd,
+    Array, DEFAULT_TOL, NON_HERMITIAN, PD, PSD, _hermitize, _matrix, _psd_classes, _size,
+    freeze, is_psd, psd_class, sqrt_psd,
 )
 from .moments import RIGHT, MomentSequence, _point, _scalar, _value, derived, half, side_sign
 from .orthopoly import chain_d_e
@@ -122,12 +122,14 @@ def pair_min(q: int, side: str = RIGHT) -> StieltjesPair:
     """(0, I), the pair of the wall extremal B D^{-1}: the lower one on the
     right half-line, the upper one on the left.  side only validates: the
     pair is (0, I) on both half-lines."""
+    _size(q, "phi")   # the size rule and message of the phi it builds
     return StieltjesPair(kind=CONSTANT, side=side, phi=np.zeros((q, q)), psi=np.eye(q))
 
 
 def pair_max(q: int, side: str = RIGHT) -> StieltjesPair:
     """(I, 0), the pair of the free extremal A C^{-1}: the upper one on the
     right half-line, the lower one on the left.  side only validates."""
+    _size(q, "phi")   # the size rule and message of the phi it builds
     return StieltjesPair(kind=CONSTANT, side=side, phi=np.eye(q), psi=np.zeros((q, q)))
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -232,6 +234,18 @@ def test_hausdorff_scalar_examples():
 def test_hausdorff_rejects_bad_interval():
     with pytest.raises(ValueError):
         hausdorff_solvable(sequence([1.0]), 1.0, 0.0)
+
+
+@pytest.mark.parametrize("alpha, beta, name", [
+    (0.0, np.inf, "beta=inf"), (0.0, 1j, "beta=1j"), (0.0, "1", "beta='1'"),
+    (True, 2.0, "alpha=True"), (np.nan, 1.0, "alpha=nan"), (2.0, 1j, "beta=1j"),
+])
+def test_hausdorff_ends_take_the_alpha_rule(alpha, beta, name):
+    # beta = inf was "matrix has non-finite entries", 1j leaked TypeError
+    # from alpha < beta, True was taken as 1 and nan failed as "need alpha <
+    # beta"; each end is named, before the order of the two is checked
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} is not a finite real number$"):
+        hausdorff_solvable(sequence([1.0, 0.5, 1.0]), alpha, beta)
 
 
 def test_hausdorff_odd_decomposition():

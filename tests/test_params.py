@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 
 from stieltjesmp import (
-    CanonicalHankelParam, DSParam, MomentSequence, StieltjesParam, canonical_hankel_param,
-    classify, difference_inverse, ds_from_q, ds_param, dyukarev_quadruple, extremal, factorize_u,
-    favard_from_ds, favard_from_q, favard_pair, interval_point, leading_terms, q_from_ds,
-    recover_max, recover_min, reflect, random_stieltjes_pd_sequence, resolvent_u,
-    seq_from_canonical, seq_from_ds, seq_from_stieltjes_param, sequence,
-    stieltjes_param, stieltjes_quadruple, weyl_interval,
+    JTILDE, CanonicalHankelParam, DSParam, ExtremalSolution, MolecularMeasure, MomentSequence,
+    ResolventU, StieltjesParam, canonical_hankel_param, classify, difference_inverse, ds_from_q,
+    ds_param, dyukarev_quadruple, extremal, factorize_u, favard_from_ds, favard_from_q,
+    favard_pair, interval_point, leading_terms, measure_moments, pair_max, pair_min, q_from_ds,
+    random_pd, recover_max, recover_min, reflect, random_stieltjes_pd_sequence, resolvent_u,
+    schur_rotation, seq_from_canonical, seq_from_ds, seq_from_stieltjes_param, sequence,
+    signature_matrix, stieltjes_param, stieltjes_quadruple, weyl_interval,
 )
 from stieltjesmp.moments import _cholesky_hhats, hhats, schur_complement
-from stieltjesmp.params import _seq_from_q_pinv
+from stieltjesmp.params import _door, _seq_from_q_pinv
 
 from conftest import (
     LADDER, ds_increments, favard_pair_row_col, fixture_draws, ladder_fixture, ordered_product,
@@ -163,6 +164,23 @@ def test_an_index_that_is_not_an_integer_is_named():
     assert resolvent_u(s, np.int64(2)).m == 2
 
 
+@pytest.mark.parametrize("view, low", [
+    (lambda ds, m: ResolventU(ds, m), 0),
+    (lambda ds, m: ExtremalSolution(ds, m, True), 1),
+    (lambda ds, m: ExtremalSolution(ds, m, False), 1),
+], ids=["ResolventU", "ExtremalSolution-wall", "ExtremalSolution-free"])
+@pytest.mark.parametrize("m", [-1, 5, 2.0, True], ids=repr)
+def test_a_view_of_lm_takes_the_index_rule_of_the_door(view, low, m):
+    # ExtremalSolution(ds, -1, True) evaluated to 0 and took True as 1; at
+    # kappa + 1 it leaked numpy's "operands could not be broadcast" and at 2.0
+    # a TypeError.  A view of (L, M) refuses what _door refuses, as it words it
+    s = random_stieltjes_pd_sequence(2, 4, seed=1)
+    with pytest.raises(ValueError) as door:
+        _door(s, m, low)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(door.value))}$"):
+        view(ds_param(s), m)
+
+
 def test_empty_input_a_size_below_one_and_a_negative_kappa_are_named():
     # numpy's "cannot reshape array of size 0 into shape (0,0)" leaked from the
     # first three, and a negative kappa returned a kappa-0 sequence
@@ -204,6 +222,61 @@ def test_a_size_that_is_not_an_integer_is_named(message, call):
     # integer" (or passed as 1), where _door already refused such an m
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+def _one_atom():
+    return MolecularMeasure(atoms=[1.0], masses=_EYE, support_side="right", alpha=0.0)
+
+
+@pytest.mark.parametrize("message, call", [
+    _named("phi size q=2.0 is not an integer", lambda: pair_min(2.0)),
+    _named("phi size q=np.float64(2.0) is not an integer", lambda: pair_max(np.float64(2))),
+    _named("random PD matrix size q=2.0 is not an integer",
+           lambda: random_pd(2.0, np.random.default_rng(0))),
+    _named("random PD matrix size q=0 is not at least 1",
+           lambda: random_pd(0, np.random.default_rng(0))),
+    _named("Schur rotation size q=True is not an integer", lambda: schur_rotation(True)),
+    _named("signature matrix size q=0 is not at least 1", lambda: signature_matrix(JTILDE, 0)),
+    _named("up_to=2.5 is not an integer", lambda: measure_moments(_one_atom(), 2.5)),
+    _named("up_to=True is not an integer", lambda: measure_moments(_one_atom(), True)),
+    _named("up_to=-1 is negative", lambda: measure_moments(_one_atom(), -1)),
+])
+def test_every_size_and_count_takes_the_integer_rule(message, call):
+    # pair_min, pair_max and random_pd leaked TypeError at q = 2.0, as did
+    # schur_rotation at True; signature_matrix returned a 0 x 0 matrix at
+    # q = 0, and measure_moments returned 4 moments up to 2.5, 2 up to True
+    # and an empty stack up to -1
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+_ALPHA_HOLDERS = {
+    "MomentSequence": lambda a: MomentSequence(q=2, alpha=a, side="right", moments=_EYE),
+    "StieltjesParam": lambda a: StieltjesParam(q=2, alpha=a, side="right", values=_EYE),
+    "DSParam": lambda a: DSParam(q=2, alpha=a, side="right", l=[], m=_EYE),
+    "MolecularMeasure": lambda a: MolecularMeasure(atoms=[-5.0], masses=_EYE,
+                                                   support_side="right", alpha=a),
+    "sequence": lambda a: sequence([1.0, 0.5, 1.0], alpha=a),
+}
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf, 1j, "0", True, np.bool_(False)],
+                         ids=repr)
+@pytest.mark.parametrize("holder", list(_ALPHA_HOLDERS))
+def test_alpha_is_a_finite_real_number(holder, alpha):
+    # nothing checked alpha: nan and inf were "matrix has non-finite entries"
+    # later, 1j classed valid moments NO, "0" leaked numpy's UFuncTypeError,
+    # True was taken as 1 and sequence() float()ed "0"; a MolecularMeasure at
+    # alpha = nan took an atom at -5 for the right half-line
+    with pytest.raises(ValueError, match=f"^{re.escape(f'alpha={alpha!r}')} is not a finite real"):
+        _ALPHA_HOLDERS[holder](alpha)
+
+
+@pytest.mark.parametrize("holder", list(_ALPHA_HOLDERS))
+def test_alpha_is_held_as_a_float(holder):
+    for alpha in (-6, np.int64(-7), np.float64(-5.5)):   # the measure's atom -5 lies right of each
+        held = _ALPHA_HOLDERS[holder](alpha)
+        assert type(held.alpha) is float and held.alpha == alpha
 
 
 class _LMOnly:

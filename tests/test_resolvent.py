@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from stieltjesmp import (
-    JTILDE, difference_inverse, ds_param, dyukarev_quadruple, factorize_u, j_defect, j_inner_check,
-    leading_terms, reflect, resolvent_u, schur_rotation, sequence, signature_matrix,
+    JTILDE, DSParam, ResolventU, difference_inverse, ds_param, dyukarev_quadruple, factorize_u,
+    j_defect, j_inner_check, leading_terms, lft_solve, pair_min, reflect, resolvent_u,
+    schur_rotation, sequence, side_sign, signature_matrix,
 )
 from stieltjesmp.moments import half, y_stack
 
 from conftest import (
     alternating_signs, dyukarev_loop, first_block_column, hankel_inverse, hankel_u,
-    block2x2, ladder_fixture, leading_closed, quadruple_u, rel_err, resolvent_R, scaled_u,
-    sigma, u_shift_vector, u_vector,
+    block2x2, ladder_fixture, leading_closed, quadruple_u, random_constant_pair, rel_err,
+    resolvent_R, scaled_u, sigma, u_shift_vector, u_vector,
 )
 
 
@@ -102,6 +103,29 @@ def test_inverse_at_reuses_one_conjugate_star_polynomial():
     assert u._conj_star is u._conj_star
     np.testing.assert_array_equal(u.inverse_at(z), first)
     np.testing.assert_array_equal(u._conj_star(z), u.poly.conj_star()(z))
+
+
+def test_a_view_built_by_hand_is_resolvent_u_bit_for_bit():
+    # ResolventU(ds, m) is the one construction of U: on the DSParam that
+    # resolvent_u reads and on one built from its (L, M) directly, a call,
+    # inverse_at and lft_solve give the bits of resolvent_u(s, m) at every m
+    rng = np.random.default_rng(5)
+    for i in (0, 3, 7):
+        for s in (ladder_fixture(i), reflect(ladder_fixture(i))):
+            ds = ds_param(s)
+            direct = DSParam(q=ds.q, alpha=ds.alpha, side=ds.side, l=np.array(ds.l),
+                             m=np.array(ds.m))
+            pairs = [pair_min(s.q, s.side), random_constant_pair(s.q, s.side, rng)]
+            points = [s.alpha + 0.3 - 1.1j, s.alpha - 0.7 * side_sign(s.side)]
+            for m in range(s.kappa + 1):
+                u = resolvent_u(s, m)
+                for view in (ResolventU(ds, m), ResolventU(direct, m)):
+                    assert view.m == m
+                    for z in points:
+                        assert np.array_equal(view(z), u(z))
+                        assert np.array_equal(view.inverse_at(z), u.inverse_at(z))
+                        assert all(np.array_equal(lft_solve(view, p, z), lft_solve(u, p, z))
+                                   for p in pairs)
 
 
 def test_factor_chain_fixture(f1, f2):

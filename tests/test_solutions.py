@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from stieltjesmp import (
-    CONSTANT, SCHUR_CONSTANT, DSParam, ResolventU, SingularDenominator, StieltjesPair,
+    CONSTANT, SCHUR_CONSTANT, DSParam, SingularDenominator, StieltjesPair,
     difference_inverse, ds_param, dyukarev_quadruple, extremal, hermitize,
     interval_point, is_psd, lft_solve, pair_max, pair_min, potapov_defect, potapov_defect_psd,
     random_stieltjes_pd_sequence, reflect, resolvent_u, seq_from_ds, sequence,
