@@ -416,7 +416,7 @@ def random_stieltjes_pd_sequence(q: int, kappa: int, alpha: float = 0.0,
     for attempt in range(400):
         m = [random_pd(q, rng) for _ in range(half(kappa) + 1)]
         l = [random_pd(q, rng) for _ in range(half(kappa - 1) + 1)]
-        seq = seq_from_ds(DSParam(q=q, alpha=float(alpha), side=side, l=l, m=m))
+        seq = seq_from_ds(DSParam(q=q, alpha=alpha, side=side, l=l, m=m))
         worst = max(np.linalg.cond(hankel(seq, half(kappa))),
                     np.linalg.cond(hankel(seq.shifted, half(kappa - 1))))
         if worst <= 1e7:
