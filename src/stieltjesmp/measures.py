@@ -12,6 +12,7 @@ holds a float array of atoms and one read-only (K, q, q) stack of masses.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -70,6 +71,11 @@ class MolecularMeasure:
             raise ValueError(f"atom {x} outside [{alpha}, inf)" if sign > 0
                              else f"atom {x} outside (-inf, {alpha}]")
 
+    @cached_property
+    def _exact(self) -> frozenset:
+        """The atoms as a set: stieltjes_transform's exact-atom test at a scalar."""
+        return frozenset(self.atoms.tolist())
+
 
 def stieltjes_transform(mu: MolecularMeasure, z) -> Array:
     """sum_k M_k / (x_k - z) at a scalar z or a 1-D array, as an extremal is evaluated.
@@ -78,7 +84,7 @@ def stieltjes_transform(mu: MolecularMeasure, z) -> Array:
     the point rule nor the value rule of moments (_point, _value), and a
     caller that evaluates it at a point of its own caller applies both."""
     q = mu.masses.shape[-1]
-    return _partial_fractions(mu.atoms, mu.masses.reshape(-1, q * q), z, q)
+    return _partial_fractions(mu.atoms, mu._exact, mu.masses.reshape(-1, q * q), z, q)
 
 
 def measure_moments(mu: MolecularMeasure, up_to: int) -> Array:

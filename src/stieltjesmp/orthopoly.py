@@ -4,8 +4,10 @@ Polynomials carry their coefficients as a degree-indexed stack of matrices
 (coeffs[j] multiplies z^j).  The monic left-orthogonal system, the second
 kind system, the shifted system and the associated polynomials of the
 shifted system form the quadruple that rebuilds the resolvent blocks.
-stieltjes_quadruple normalises the cached factor chain of (L, M)
-(params.chain_stacks) into it, with no Hankel inverse; it is the only
+The quadruple is a view of (L, M), as U is: stieltjes_quadruple takes the
+gate and wraps the pair, and each family is normalised from the cached
+factor chain (params.chain_stacks) at its first read, with no Hankel
+inverse, so a caller that reads P alone builds P alone.  That is the only
 construction of the quadruple, and after ds_param it reads no moment.  The
 shift identity that couples P and P_shift is checked by the tests, against
 the coupling of (L, M), not at run time.  The public systems, which take
@@ -23,7 +25,7 @@ from .moments import (
     MomentSequence, _scalar, derived, half, lower_triangular_S, monic_rows,
     require_hankel_pd_prefix, side_sign,
 )
-from .params import DSParam, chain_stacks, ds_param
+from .params import DSParam, _lm, chain_stacks, ds_param
 
 MONIC = "MONIC"
 GENERAL = "GENERAL"
@@ -129,18 +131,6 @@ def second_kind_system(seq: MomentSequence) -> list:
     return list(_polynomials(_associated(seq, _checked_monic_rows(seq)), lag=1))
 
 
-@dataclass(frozen=True)
-class StieltjesQuadruple:
-    """First kind / second kind / shifted / associated-shifted systems."""
-
-    side: str
-    alpha: float
-    p: tuple
-    second: tuple
-    p_shift: tuple
-    phat: tuple
-
-
 def _cs(stack: Array) -> Array:
     """Coefficients of cs(P)(z) = P(conj z)^*: each one conjugate-transposed."""
     return stack.conj().swapaxes(-1, -2)
@@ -155,53 +145,89 @@ def chain_d_e(ds: DSParam) -> tuple:
     return d, np.cumsum(d[:len(x), :len(x)] @ ds.m[:, None], axis=0)
 
 
-def _chain_families(ds: DSParam) -> tuple:
-    """The (p, second, p_shift, phat) coefficient stacks of the quadruple,
-    normalised from the chain stacks of (L, M).
+def _lead_inv(leads: Array) -> Array:
+    """lead(cs F_n)^{-1} of a (K, q, q) stack of leading coefficients, one
+    per row of a (K, D, q, q) family stack, frozen."""
+    return freeze(np.linalg.inv(_cs(leads))[:, None])
 
-    With [A_n; C_n] and [B_n; D_n] the block columns of chain_stacks,
-    lead(.) the top coefficient and E_n = sum_{j<=n} D_j M_j, the factor
-    that C_n = (alpha - z) E_n carries:
+
+def _monic(stack: Array) -> Array:
+    """The family stack with its monic leads, entries [n, n], set to I exactly."""
+    n = np.arange(len(stack))
+    stack[n, n] = np.eye(stack.shape[-1])
+    return stack
+
+
+@dataclass(frozen=True, eq=False)
+class StieltjesQuadruple:
+    """First kind / second kind / shifted / associated-shifted systems of
+    (L, M): a view of ds, as ResolventU is, whose side and alpha are those
+    of ds.  Each family is normalised from the cached chain_stacks at its
+    first read and frozen.  With [A_n; C_n] and [B_n; D_n] the block
+    columns of chain_stacks, lead(.) the top coefficient and E_n =
+    sum_{j<=n} D_j M_j, the factor that C_n = (alpha - z) E_n carries:
 
         P_k = lead(cs D_k)^{-1} cs(D_k)     second_k = -lead(cs D_k)^{-1} cs(B_k)
         P_shift_n = lead(cs E_n)^{-1} cs(E_n) = -lead(cs C_n)^{-1} cs(E_n)
         phat_n = -+lead(cs C_n)^{-1} cs(A_n)   (- right, + left)
 
-    The leading coefficients of both families are inverted in one stacked
-    inv, and the monic leads are set to I exactly.
+    Each lead is inverted once, by the first family that needs it, and the
+    monic leads are set to I exactly.  P and P_shift are the monic
+    orthogonal polynomials of the sequence and of its shift; second and
+    phat are the polynomials attached (w.r.t. the base sequence) to P_n and
+    to (z - alpha) P_shift_n on the right half-line, resp. (alpha - z)
+    P_shift_n on the left one.  Equality is identity.
     """
-    q = ds.q
-    x, y = chain_stacks(ds)
-    d, e = chain_d_e(ds)
-    nx = len(x)
-    n, k = np.arange(nx), np.arange(len(y))
-    norm = np.linalg.inv(_cs(np.concatenate([d[k, k], x[n, n + 1, q:]])))[:, None]
-    d_norm, c_norm = norm[:len(y)], norm[len(y):]
-    p = d_norm @ _cs(d)
-    second = -(d_norm @ _cs(y[:, :, :q]))
-    p_shift = -(c_norm @ _cs(e))
-    phat = (c_norm @ _cs(x[:, :nx, :q])) * -side_sign(ds.side)
-    p[k, k] = p_shift[n, n] = np.eye(q)
-    return p, second, p_shift, phat
+
+    ds: DSParam
+
+    def __post_init__(self):
+        _lm(self.ds)
+
+    @cached_property
+    def _d_inv(self) -> Array:
+        """lead(cs D_k)^{-1}, the normaliser of p and second."""
+        y = chain_stacks(self.ds)[1]
+        k = np.arange(len(y))
+        return _lead_inv(y[k, k, self.ds.q:])
+
+    @cached_property
+    def _c_inv(self) -> Array:
+        """lead(cs C_n)^{-1}, the normaliser of p_shift and phat."""
+        x = chain_stacks(self.ds)[0]
+        n = np.arange(len(x))
+        return _lead_inv(x[n, n + 1, self.ds.q:])
+
+    @cached_property
+    def p(self) -> tuple:
+        y = chain_stacks(self.ds)[1]
+        return _polynomials(freeze(_monic(self._d_inv @ _cs(y[:, :, self.ds.q:]))))
+
+    @cached_property
+    def second(self) -> tuple:
+        y = chain_stacks(self.ds)[1]
+        return _polynomials(freeze(-(self._d_inv @ _cs(y[:, :, :self.ds.q]))), lag=1)
+
+    @cached_property
+    def p_shift(self) -> tuple:
+        return _polynomials(freeze(_monic(-(self._c_inv @ _cs(chain_d_e(self.ds)[1])))))
+
+    @cached_property
+    def phat(self) -> tuple:
+        x = chain_stacks(self.ds)[0]
+        sign = -side_sign(self.ds.side)
+        return _polynomials(freeze((self._c_inv @ _cs(x[:, :len(x), :self.ds.q])) * sign))
 
 
 @derived
 def stieltjes_quadruple(seq: MomentSequence) -> StieltjesQuadruple:
-    """All four polynomial families of a Stieltjes-PD sequence, read off
-    the cached factor chain of (L, M) (see _chain_families).
-
-    P and P_shift are the monic orthogonal polynomials of the sequence and
-    of its shift; second and phat are the polynomials attached (w.r.t. the
-    base sequence) to P_n and to (z - alpha) P_shift_n on the right
-    half-line, resp. (alpha - z) P_shift_n on the left one.  No Hankel
-    block is inverted, and after ds_param no moment is read; the result is
-    cached on the sequence.
+    """All four polynomial families of a Stieltjes-PD sequence: the gate
+    (ds_param), then the view of its (L, M), cached on the sequence.  Each
+    family is read off the cached factor chain at its first read (see
+    StieltjesQuadruple); no Hankel block is inverted, and after ds_param no
+    moment is read.
     """
-    ds = ds_param(seq)
-    p, second, p_shift, phat = freeze(_chain_families(ds))
-    return StieltjesQuadruple(side=ds.side, alpha=ds.alpha, p=_polynomials(p),
-                              second=_polynomials(second, lag=1),
-                              p_shift=_polynomials(p_shift), phat=_polynomials(phat))
+    return StieltjesQuadruple(ds_param(seq))
 
 
 def det_zeros(p: MatrixPolynomial, kind: str = GENERAL) -> np.ndarray:

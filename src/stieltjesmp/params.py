@@ -244,9 +244,18 @@ def ds_param(seq: MomentSequence) -> DSParam:
     return _ds_from_q(stieltjes_param(seq))
 
 
+def _lm(ds):
+    """A ValueError that names ds unless it is a DSParam: the rule of every
+    view of (L, M), for which a sequence does not pass."""
+    if not isinstance(ds, DSParam):
+        raise ValueError(f"ds is a {type(ds).__name__}, not a DSParam")
+
+
 def _index(ds: DSParam, m: int | None, low: int = 0) -> int:
-    """The one index rule, of _door and of every (ds, m) view: m (kappa when
-    None) back if it is an integer (numpy's too, but no bool) in low..kappa."""
+    """The one index rule, of _door and of every (ds, m) view: ds a DSParam
+    (_lm), then m (kappa when None) back if it is an integer (numpy's too,
+    but no bool) in low..kappa."""
+    _lm(ds)
     m = ds.kappa if m is None else _integer(m, "index m")
     if not low <= m <= ds.kappa:
         raise ValueError(f"index m={m} outside {low}..kappa={ds.kappa}")

@@ -186,7 +186,8 @@ class ExtremalSolution:
     fractions of the residue table of string_rule, cached on (L, M).  atoms
     stays the float rule that recover_* reads; the call subtracts z from a
     complex copy made once here, which is faster than numpy's cast of the
-    float atoms at every call and gives the same bits.  z is not checked
+    float atoms at every call and gives the same bits, and looks a scalar z
+    up in the set of that copy for its exact-atom test.  z is not checked
     against the cut: off the atoms the sum is the Stieltjes transform of the
     extremal's measure, finite on the half-line too.  A call is one of the
     unchecked hot evaluators: it takes neither the point rule nor the value
@@ -198,36 +199,45 @@ class ExtremalSolution:
         self.m, self.bd, self.q = _index(ds, m, 1), bd, ds.q
         self.atoms, self.residues, _ = string_rule(ds, self.m, bd)
         self._nodes = freeze(self.atoms.astype(complex))
+        self._exact = frozenset(self._nodes.tolist())
 
     def __call__(self, z) -> Array:
-        return _partial_fractions(self._nodes, self.residues, z, self.q)
+        return _partial_fractions(self._nodes, self._exact, self.residues, z, self.q)
 
 
-def _partial_fractions(nodes: Array, residues: Array, z, q: int) -> Array:
+def _partial_fractions(nodes: Array, exact: frozenset, residues: Array, z, q: int) -> Array:
     """sum_k G_k / (x_k - z) over the nodes x_k and a (K, q*q) residue table:
     a q x q value at a scalar z, an (N, q, q) stack at N points (an array or
     a list); z at a node: SingularDenominator.
 
     A scalar z (moments._scalar) is subtracted as one complex number, with no
     array made of it and no broadcast, and gives the same bits in each of its
-    forms; an array or a list of points keeps the broadcast.  Both paths keep
-    the exact-node test, and neither takes the point or the value rule.
+    forms; it is at a node when it is in exact, the set of the nodes, since
+    x - z is zero exactly when x == z.  An array or a list of points keeps
+    the broadcast and counts the zero gaps.  Neither path takes the point or
+    the value rule.
     """
     if _scalar(z):
         z = complex(z)
-        gap, shape = nodes - z, (q, q)
-    else:
-        z = np.asarray(z, dtype=complex)
-        gap, shape = nodes - z[..., None], z.shape + (q, q)
+        if z in exact:
+            raise SingularDenominator(f"an atom lies in z={z}")
+        return np.dot(np.reciprocal(nodes - z), residues).reshape(q, q)
+    z = np.asarray(z, dtype=complex)
+    gap = nodes - z[..., None]
     if np.count_nonzero(gap) < gap.size:
         raise SingularDenominator(f"an atom lies in z={z}")
-    return np.dot(np.reciprocal(gap), residues).reshape(shape)
+    return np.dot(np.reciprocal(gap), residues).reshape(z.shape + (q, q))
 
 
 @derived
 def _string_factors(ds: DSParam) -> Array:
-    """inv(chol) of the stack (M_0.., L_0..), which the rules of every end read."""
-    return np.linalg.inv(np.linalg.cholesky(np.concatenate([ds.m, ds.l])))
+    """inv(chol) of the stack (M_0.., L_0..), which the rules of every end
+    read; an L_n or M_n that is not PD has no factor: q_from_ds's ValueError."""
+    try:
+        chol = np.linalg.cholesky(np.concatenate([ds.m, ds.l]))
+    except np.linalg.LinAlgError:
+        raise ValueError("all L_n, M_n must be PD") from None
+    return np.linalg.inv(chol)
 
 
 def string_rule(ds: DSParam, m: int, end) -> tuple:
@@ -239,8 +249,9 @@ def string_rule(ds: DSParam, m: int, end) -> tuple:
     the wall.  With the block difference Delta, M_j = R_j R_j^* and
     L_j = P_j P_j^* (one stacked Cholesky, shared by every end), T = R^{-1}
     Delta^* diag(L_j^{-1}) Delta R^{-*} = W^* W, W = P^{-1} Delta R^{-*} block
-    bidiagonal.  One eigh, T = V diag(lambda) V^*, gives x_k = alpha +- lambda_k
-    and G_k = g_k g_k^* with g_k = R_0^{-*} v_k, v_k from the first block row
+    bidiagonal; an L_j or M_j that is not PD is q_from_ds's ValueError.
+    One eigh, T = V diag(lambda) V^*, gives x_k = alpha +- lambda_k and
+    G_k = g_k g_k^* with g_k = R_0^{-*} v_k, v_k from the first block row
     of V.  The q rigid motions of a free string (the kernel of W) are one node
     at alpha exactly, with the sum of their residues.  A pair ties the last
     mass of the free string to the wall (_pair_string); x = I and x = 0 are

@@ -16,8 +16,8 @@ from stieltjesmp.moments import (
     MomentSequence, _point, half, hankel, hhats, lower_triangular_S, require_hankel_pd_prefix,
     schur_correction, shifted_moments, side_sign, y_stack, z_stack,
 )
-from stieltjesmp.orthopoly import GENERAL, MatrixPolynomial
-from stieltjesmp.params import _door, _lambda_term
+from stieltjesmp.orthopoly import GENERAL, MatrixPolynomial, _cs, chain_d_e
+from stieltjesmp.params import _door, _lambda_term, chain_stacks
 
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_makereport(item, call):
@@ -427,6 +427,34 @@ def quadruple_loop(seq):
             "points": points}
 
 
+def chain_families(ds) -> tuple:
+    """The (p, second, p_shift, phat) coefficient stacks of the quadruple,
+    normalised eagerly from the chain stacks of (L, M), the leading
+    coefficients of both families inverted in one stacked inv: the oracle
+    the lazy families of StieltjesQuadruple are held to, bit for bit.
+
+    With [A_n; C_n] and [B_n; D_n] the block columns of chain_stacks, lead(.)
+    the top coefficient and E_n = sum_{j<=n} D_j M_j:
+
+        P_k = lead(cs D_k)^{-1} cs(D_k)     second_k = -lead(cs D_k)^{-1} cs(B_k)
+        P_shift_n = -lead(cs C_n)^{-1} cs(E_n)
+        phat_n = -+lead(cs C_n)^{-1} cs(A_n)   (- right, + left)
+    """
+    q = ds.q
+    x, y = chain_stacks(ds)
+    d, e = chain_d_e(ds)
+    nx = len(x)
+    n, k = np.arange(nx), np.arange(len(y))
+    norm = np.linalg.inv(_cs(np.concatenate([d[k, k], x[n, n + 1, q:]])))[:, None]
+    d_norm, c_norm = norm[:len(y)], norm[len(y):]
+    p = d_norm @ _cs(d)
+    second = -(d_norm @ _cs(y[:, :, :q]))
+    p_shift = -(c_norm @ _cs(e))
+    phat = (c_norm @ _cs(x[:, :nx, :q])) * -side_sign(ds.side)
+    p[k, k] = p_shift[n, n] = np.eye(q)
+    return p, second, p_shift, phat
+
+
 def shift_identity_defect(seq) -> float:
     """Worst defect of the shift identity of stieltjes_quadruple(seq),
 
@@ -574,7 +602,7 @@ def seq_from_canonical_loop(p, q: int, alpha: float, side: str) -> MomentSequenc
 
 def quadruple_values_at_alpha(quad) -> dict:
     """Direct evaluations of all four families at the base point."""
-    a = quad.alpha
+    a = quad.ds.alpha
     return {
         "p": [pn(a) for pn in quad.p],
         "second": [pn(a) for pn in quad.second],
@@ -640,8 +668,8 @@ def q_values_from_quadruple(quad) -> list:
     Right: Q_{2n} = P_n(a) Phat_n(a)^*, Q_{2n+1} = -Phat_n(a) P_{n+1}(a)^*.
     Left:  Q_{2n} = -P_n(a) Phat_n(a)^*, Q_{2n+1} = -Phat_n(a) P_{n+1}(a)^*.
     """
-    a = quad.alpha
-    sgn_even = 1.0 if quad.side == "right" else -1.0
+    a = quad.ds.alpha
+    sgn_even = 1.0 if quad.ds.side == "right" else -1.0
     out = []
     for n in range(len(quad.phat)):
         out.append(sgn_even * quad.p[n](a) @ quad.phat[n](a).conj().T)

@@ -377,8 +377,8 @@ def test_derived_objects_are_cached():
 def test_monic_rows_hold_the_one_hankel_inverse(monkeypatch):
     # once the rows are cached, favard_pair reads them and inverts nothing
     # larger than q x q; the quadruple, read off the chain, inverts only q x q
-    # leading coefficients, and difference_inverse, a sum over the chain,
-    # inverts nothing
+    # leading coefficients (one stack per lead, at the first family that
+    # needs it), and difference_inverse, a sum over the chain, inverts nothing
     s = random_stieltjes_pd_sequence(q=2, kappa=5, alpha=0.5, seed=4)
     rows = monic_rows(s), monic_rows(s.shifted)
     inv, sizes = np.linalg.inv, []
@@ -388,7 +388,10 @@ def test_monic_rows_hold_the_one_hankel_inverse(monkeypatch):
         return inv(a)
 
     monkeypatch.setattr(np.linalg, "inv", spy)
-    stieltjes_quadruple(s)
+    quad = stieltjes_quadruple(s)
+    n_gate = len(sizes)
+    quad.p, quad.second, quad.p_shift, quad.phat
+    assert len(sizes) == n_gate + 2
     favard_pair(s)
     n_inv = len(sizes)
     for m in range(s.kappa + 1):
@@ -426,8 +429,8 @@ def test_one_solve_keeps_its_lapack_budget(monkeypatch, i):
     # the call sequence of one benchmark solve op on a fresh sequence.  The
     # budget: a cholesky for the Schur complements of the sequence and one
     # of its shift, one eigvalsh that classes both, one inv for Q -> (L, M),
-    # one stacked inv of the leading coefficients of both quadruple
-    # families, one stacked cholesky and inv of (L, M) for both string ends,
+    # one stacked inv of the leading coefficients of P, the one family the
+    # solve reads, one stacked cholesky and inv of (L, M) for both string ends,
     # one eigh per end, one eigvalsh for the Weyl interval and the eigvals
     # of the top polynomial's companion.  A new factorization on this path
     # has to raise the pin here on purpose.
@@ -484,10 +487,11 @@ def test_after_ds_param_the_solve_path_reads_no_moment_class(monkeypatch):
 
 def test_every_array_the_solve_path_holds_is_read_only():
     # read-only at birth: every array held by a sequence (its cache and its
-    # shift's included), its (L, M) pair with the cached chain and string
-    # rules, U after inverse_at, the factor chain, both extremals, both
-    # recovered measures and four pairs is read-only, and a pair built from
-    # the caller's writeable arrays holds copies that a later write misses
+    # shift's included, the four families of its quadruple read), its (L, M)
+    # pair with the cached chain and string rules, U after inverse_at, the
+    # factor chain, both extremals, both recovered measures and four pairs is
+    # read-only, and a pair built from the caller's writeable arrays holds
+    # copies that a later write misses
     d_direct = lm_fixture(q=2, kappa=4, seed=2)
     for m in range(1, 5):
         for wall in (False, True):
@@ -495,7 +499,9 @@ def test_every_array_the_solve_path_holds_is_read_only():
     held = [d_direct]
     for s in [ladder_fixture(i) for i in range(50)] + [reflect(ladder_fixture(i)) for i in range(50)]:
         stieltjes_param(s), q_values(s), monic_rows(s), monic_rows(s.shifted)
-        stieltjes_quadruple(s), dyukarev_quadruple(s), chain_stacks(ds_param(s))
+        quad = stieltjes_quadruple(s)   # a view: each family is built at its first read
+        quad.p, quad.second, quad.p_shift, quad.phat
+        dyukarev_quadruple(s), chain_stacks(ds_param(s))
         z = s.alpha + 1j
         for m in range(s.kappa + 1):
             u = resolvent_u(s, m)

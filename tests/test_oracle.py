@@ -11,12 +11,11 @@ import numpy as np
 import pytest
 
 from stieltjesmp import (
-    CONSTANT, SCHUR_CONSTANT, DSParam, ResolventU, SingularDenominator, StieltjesPair, ds_param,
-    lft_solve, pair_max, pair_min, reflect, resolvent_u, seq_from_ds, sequence, side_sign,
-    stieltjes_param,
+    CONSTANT, SCHUR_CONSTANT, DSParam, ResolventU, SingularDenominator, StieltjesPair,
+    StieltjesQuadruple, ds_param, lft_solve, pair_max, pair_min, reflect, resolvent_u, seq_from_ds,
+    sequence, side_sign, stieltjes_param,
 )
 from stieltjesmp.moments import half
-from stieltjesmp.orthopoly import _chain_families
 from stieltjesmp.params import random_pd
 from stieltjesmp.solutions import string_rule
 
@@ -108,7 +107,7 @@ def test_chain_monic_top_matches_the_high_precision_rows(q, kappa):
             m = tuple(random_pd(q, rng) for _ in range(half(kappa) + 1))
             l = tuple(random_pd(q, rng) for _ in range(half(kappa - 1) + 1))
             want = monic_top(l, m, alpha, side, q)
-            got = _chain_families(DSParam(q=q, alpha=alpha, side=side, l=l, m=m))[0][-1]
+            got = StieltjesQuadruple(DSParam(q=q, alpha=alpha, side=side, l=l, m=m)).p[-1].coeffs
             assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
 
 

@@ -9,8 +9,8 @@ from stieltjesmp import (
 )
 from stieltjesmp import orthopoly
 from conftest import (
-    eval_quadruple_at_alpha, ladder_fixture, lm_draw, q_values_from_quadruple, quadruple_loop,
-    rel_err, rmul, shift_identity_defect, stack_sum, times_w,
+    chain_families, eval_quadruple_at_alpha, ladder_fixture, lm_draw, q_values_from_quadruple,
+    quadruple_loop, rel_err, rmul, shift_identity_defect, stack_sum, times_w, writeable_arrays,
 )
 
 
@@ -422,20 +422,57 @@ def test_quadruple_builds_on_ill_conditioned_lm_draws(seed, q, kappa, draw):
     assert shift_identity_defect(lm_draw(seed, q, kappa, draw)) <= 1e-6   # builds the quadruple
 
 
+FAMILIES = ("p", "second", "p_shift", "phat")
+
+
+def test_the_lazy_families_are_the_eager_ones_bit_for_bit():
+    # each family normalised at its first read, with its own lead inverted,
+    # against the eager oracle that inverts the leads of both in one stack
+    for i in range(50):
+        for s in (ladder_fixture(i), reflect(ladder_fixture(i))):
+            quad = stieltjes_quadruple(s)
+            for name, stack in zip(FAMILIES, chain_families(ds_param(s))):
+                want = orthopoly._polynomials(stack, lag=int(name == "second"))
+                got = getattr(quad, name)
+                assert len(got) == len(want), (i, name)
+                for g, w in zip(got, want):
+                    assert g.coeffs.shape == w.coeffs.shape, (i, name)
+                    assert g.coeffs.tobytes() == w.coeffs.tobytes(), (i, name)
+
+
+def test_reading_p_builds_p_alone():
+    # the solve path reads det P_top: the other three families and the
+    # normaliser of P_shift and phat stay unbuilt
+    s = random_stieltjes_pd_sequence(q=2, kappa=5, alpha=0.5, side="left", seed=4)
+    quad = stieltjes_quadruple(s)
+    assert quad.ds is ds_param(s) and set(vars(quad)) == {"ds"}
+    real_zeros(quad.p[-1], MONIC)
+    assert set(vars(quad)) == {"ds", "_d_inv", "p"}
+
+
+def test_each_family_is_built_once_and_read_only():
+    for s in (ladder_fixture(7), reflect(ladder_fixture(7))):
+        quad = stieltjes_quadruple(s)
+        for name in reversed(FAMILIES):   # p_shift and phat before the lead of D is inverted
+            family = getattr(quad, name)
+            assert getattr(quad, name) is family
+            assert all(not pn.coeffs.flags.writeable for pn in family)
+        assert set(FAMILIES) <= set(vars(quad))
+        assert writeable_arrays(quad) == []
+
+
 @pytest.mark.parametrize("family,n", [("p", 0), ("p", 1), ("p", 2), ("p_shift", 0),
                                       ("p_shift", 1)])
 def test_shift_identity_check_catches_a_wrong_row(monkeypatch, family, n):
     # a fresh sequence, so no cached quadruple; q=2, kappa=4 checks P_0..P_2
-    # and P_shift_0, P_shift_1 of the stacks normalised from the chain
+    # and P_shift_0, P_shift_1 of the stacks normalised from the chain.  The
+    # wrong family, one row of the oracle stacks off, takes the place of the
+    # view's own before its first read
     s = random_stieltjes_pd_sequence(q=2, kappa=4, alpha=0.5, side="right", seed=3)
-    families = orthopoly._chain_families
-
-    def wrong_row(ds):
-        p, second, p_shift, phat = (a.copy() for a in families(ds))
-        (p if family == "p" else p_shift)[n, 0] += 0.5 * np.eye(ds.q)
-        return p, second, p_shift, phat
-
-    monkeypatch.setattr(orthopoly, "_chain_families", wrong_row)
+    p, _, p_shift, _ = (a.copy() for a in chain_families(ds_param(s)))
+    (p if family == "p" else p_shift)[n, 0] += 0.5 * np.eye(s.q)
+    monkeypatch.setitem(vars(stieltjes_quadruple(s)), family,
+                        orthopoly._polynomials(p if family == "p" else p_shift))
     assert shift_identity_defect(s) > 1e-6
 
 

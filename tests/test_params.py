@@ -5,16 +5,18 @@ import numpy as np
 import pytest
 
 from stieltjesmp import (
-    JTILDE, CanonicalHankelParam, DSParam, ExtremalSolution, MolecularMeasure, MomentSequence,
-    ResolventU, StieltjesParam, canonical_hankel_param, classify, difference_inverse, ds_from_q,
-    ds_param, dyukarev_quadruple, extremal, factorize_u, favard_from_ds, favard_from_q,
-    favard_pair, interval_point, leading_terms, measure_moments, pair_max, pair_min, q_from_ds,
+    CONSTANT, JTILDE, CanonicalHankelParam, DSParam, ExtremalSolution, MolecularMeasure,
+    MomentSequence, ResolventU, StieltjesPair, StieltjesParam, StieltjesQuadruple,
+    canonical_hankel_param, classify, difference_inverse, ds_from_q, ds_param,
+    dyukarev_quadruple, extremal, factorize_u, favard_from_ds, favard_from_q, favard_pair,
+    interval_point, leading_terms, lft_solve, measure_moments, pair_max, pair_min, q_from_ds,
     random_pd, recover_max, recover_min, reflect, random_stieltjes_pd_sequence, resolvent_u,
     schur_rotation, seq_from_canonical, seq_from_ds, seq_from_stieltjes_param, sequence,
     signature_matrix, stieltjes_param, stieltjes_quadruple, weyl_interval,
 )
 from stieltjesmp.moments import _cholesky_hhats, hhats, schur_complement
 from stieltjesmp.params import _door, _seq_from_q_pinv
+from stieltjesmp.solutions import string_rule
 
 from conftest import (
     LADDER, ds_increments, favard_pair_row_col, fixture_draws, ladder_fixture, ordered_product,
@@ -114,10 +116,11 @@ def test_ds_param_matches_increment_definition():
 
 def test_ds_param_requires_pd():
     # indefinite (Q_1 = -1) and NND (Q_1 = 0) input; the builders that read
-    # (L, M) through ds_param name the class with no check of their own
+    # (L, M) through ds_param name the class with no check of their own, the
+    # Stieltjes quadruple when it is asked for, not at a family's first read
     for moments in ([1.0, -1.0], [1.0, 0.0, 1.0]):
-        for build in (ds_param, dyukarev_quadruple, difference_inverse, extremal,
-                      weyl_interval, recover_min, recover_max):
+        for build in (ds_param, dyukarev_quadruple, stieltjes_quadruple, difference_inverse,
+                      extremal, weyl_interval, recover_min, recover_max):
             with pytest.raises(ValueError, match="not alpha-Stieltjes positive definite"):
                 build(sequence(moments))
     # the class is named before the index is checked, and before a point or K
@@ -179,6 +182,53 @@ def test_a_view_of_lm_takes_the_index_rule_of_the_door(view, low, m):
         _door(s, m, low)
     with pytest.raises(ValueError, match=f"^{re.escape(str(door.value))}$"):
         view(ds_param(s), m)
+
+
+_VIEWS = {
+    "ResolventU": lambda ds, m: ResolventU(ds, m),
+    "ExtremalSolution-wall": lambda ds, m: ExtremalSolution(ds, m, True),
+    "ExtremalSolution-free": lambda ds, m: ExtremalSolution(ds, m, False),
+    "StieltjesQuadruple": lambda ds, m: StieltjesQuadruple(ds),
+}
+_NOT_LM = {
+    "MomentSequence": lambda: random_stieltjes_pd_sequence(2, 4, seed=1),
+    "None": lambda: None,
+    "tuple": lambda: (np.eye(2)[None], np.eye(2)[None]),
+}
+
+
+@pytest.mark.parametrize("m", [2, -1], ids=repr)
+@pytest.mark.parametrize("given", list(_NOT_LM))
+@pytest.mark.parametrize("view", list(_VIEWS))
+def test_a_view_of_lm_takes_a_dsparam_alone(view, given, m):
+    # ResolventU and ExtremalSolution took a MomentSequence (the index rule
+    # read only its kappa) and their first evaluation leaked "'MomentSequence'
+    # object has no attribute 'm'".  The argument is named at construction,
+    # before the index rule
+    ds = _NOT_LM[given]()
+    with pytest.raises(ValueError, match=f"^ds is a {type(ds).__name__}, not a DSParam$"):
+        _VIEWS[view](ds, m)
+
+
+def test_an_lm_pair_that_is_not_pd_is_named_where_a_rule_is_built():
+    # the string rule's Cholesky leaked numpy's "Matrix is not positive
+    # definite" through ExtremalSolution and lft_solve; the message is
+    # q_from_ds's, and U itself, a product of the factors, still evaluates
+    d = DSParam(q=1, alpha=0.0, side="right", l=[[[1.0]]], m=[[[1.0]], [[-1.0]]])
+    message = "^all L_n, M_n must be PD$"
+    with pytest.raises(ValueError, match=message):
+        q_from_ds(d)
+    for bd in (True, False):
+        with pytest.raises(ValueError, match=message):
+            string_rule(d, 2, bd)
+        with pytest.raises(ValueError, match=message):
+            ExtremalSolution(d, 2, bd)
+    u = ResolventU(d, 2)
+    assert np.isfinite(u(1j)).all()
+    eye = np.eye(1)
+    for pair in (pair_min(1), pair_max(1), StieltjesPair(kind=CONSTANT, phi=eye, psi=eye)):
+        with pytest.raises(ValueError, match=message):
+            lft_solve(u, pair, 1j)
 
 
 def test_empty_input_a_size_below_one_and_a_negative_kappa_are_named():
@@ -317,7 +367,14 @@ def _solve_path(s, k: int, q: int) -> dict:
             "interval_point": lambda: interval_point(s, k, None, 0.5 * np.eye(q)),
             "recover_min": lambda: recover_min(s, k), "recover_max": lambda: recover_max(s, k),
             "dyukarev_quadruple": lambda: dyukarev_quadruple(s),
-            "stieltjes_quadruple": lambda: stieltjes_quadruple(s)}
+            "stieltjes_quadruple": lambda: _read_families(stieltjes_quadruple(s))}
+
+
+def _read_families(quad):
+    """The quadruple with its four families read, in one order: a view builds
+    each at its first read, and _dump sees the ones built."""
+    quad.p, quad.second, quad.p_shift, quad.phat
+    return quad
 
 
 def test_the_solve_path_reads_lm_alone():

@@ -56,8 +56,9 @@ def test_the_solve_pipeline_holds_read_only_arrays_no_caller_can_write(rung, alp
     pairs = [pair_min(q, side), pair_max(q, side)]
     for pair in pairs:
         lft_solve(u, pair, z)
-    d, mu = ds_param(s), recover_max(s)
-    out = [s, d, stieltjes_param(s), stieltjes_quadruple(s), dyukarev_quadruple(s), u,
+    d, mu, quad = ds_param(s), recover_max(s), stieltjes_quadruple(s)
+    quad.p, quad.second, quad.p_shift, quad.phat   # a view builds each family at its first read
+    out = [s, d, stieltjes_param(s), quad, dyukarev_quadruple(s), u,
            factorize_u(s), *extremal(s), recover_min(s), mu, *pairs]
     assert writeable_arrays(*out) == []
 

@@ -1,3 +1,4 @@
+import functools
 import gc
 import re
 import warnings
@@ -10,8 +11,8 @@ from stieltjesmp import (
     CONSTANT, SCHUR_CONSTANT, DSParam, SingularDenominator, StieltjesPair,
     difference_inverse, ds_param, dyukarev_quadruple, extremal, hermitize,
     interval_point, is_psd, lft_solve, pair_max, pair_min, potapov_defect, potapov_defect_psd,
-    random_stieltjes_pd_sequence, reflect, resolvent_u, seq_from_ds, sequence,
-    side_sign, stieltjes_quadruple, weyl_interval,
+    random_stieltjes_pd_sequence, recover_max, recover_min, reflect, resolvent_u, seq_from_ds,
+    sequence, side_sign, stieltjes_quadruple, stieltjes_transform, weyl_interval,
 )
 from stieltjesmp.linalg import min_eig_hermitian_part
 from stieltjesmp.moments import half, hankel, y_stack
@@ -250,6 +251,26 @@ def test_extremal_at_an_atom_is_a_singular_denominator(f1):
                     ext(x)
                 with pytest.raises(SingularDenominator):
                     ext(np.array([s.alpha + 2j, x]))
+
+
+def test_a_scalar_is_at_an_atom_exactly_when_it_equals_one():
+    # the scalar call looks z up in the set of the nodes, where the array
+    # call counts zero gaps: the same atoms, in every scalar form, and the
+    # same message; a point 1e-12 (1 + |x|) off it sums
+    for i in range(10):
+        for s in (ladder_fixture(i), reflect(ladder_fixture(i))):
+            for ev in (*extremal(s), recover_min(s), recover_max(s)):
+                call = ev if callable(ev) else functools.partial(stieltjes_transform, ev)
+                for x in ev.atoms:
+                    for z in (x, complex(x), np.float64(x), np.complex128(x), complex(x, -0.0)):
+                        message = re.escape(f"an atom lies in z={complex(z)}")
+                        with pytest.raises(SingularDenominator, match=f"^{message}$"):
+                            call(z)
+                    with pytest.raises(SingularDenominator, match="^an atom lies in z="):
+                        call(np.array([x + 1j, x]))
+                    eps = 1e-12 * (1.0 + abs(x))
+                    for z in (x + eps, x - eps, x + 1j * eps):
+                        assert np.isfinite(call(z)).all()
 
 
 # Oracle routes to the extremals, none of which goes through (L, M): the
