@@ -6,7 +6,17 @@ documents with complex entries encoded as [re, im]; matrices are row-major
 nested lists.  Exit codes: 0 ok, 2 negative classification, 3 precondition
 violation, 4 internal inconsistency, 64 usage/parse error.  No verb prints
 NaN or Infinity: a verb prints its whole result or nothing.
+
+A CLI process, `python -m stieltjesmp.cli` or the stieltjesmp console
+script, runs BLAS on one thread unless OPENBLAS_NUM_THREADS or
+OMP_NUM_THREADS is set (stieltjesmp._launch); it sets that before numpy
+loads, which the lazy package __init__ allows.  Importing this module
+writes nothing in os.environ.
 """
+
+if __name__ == "__main__":   # before any import that loads numpy
+    from ._launch import single_blas_thread
+    single_blas_thread()
 
 import argparse
 import json

@@ -25,7 +25,7 @@ from .moments import (
     MomentSequence, _scalar, derived, half, lower_triangular_S, monic_rows,
     require_hankel_pd_prefix, side_sign,
 )
-from .params import DSParam, _lm, chain_stacks, ds_param
+from .params import DSParam, _lm, _string_factors, chain_stacks, ds_param
 
 MONIC = "MONIC"
 GENERAL = "GENERAL"
@@ -176,7 +176,9 @@ class StieltjesQuadruple:
     orthogonal polynomials of the sequence and of its shift; second and
     phat are the polynomials attached (w.r.t. the base sequence) to P_n and
     to (z - alpha) P_shift_n on the right half-line, resp. (alpha - z)
-    P_shift_n on the left one.  Equality is identity.
+    P_shift_n on the left one.  An (L, M) that is not PD has no quadruple:
+    the first read of any family raises string_rule's ValueError.  Equality
+    is identity.
     """
 
     ds: DSParam
@@ -184,28 +186,34 @@ class StieltjesQuadruple:
     def __post_init__(self):
         _lm(self.ds)
 
+    def _chain(self) -> tuple:
+        """chain_stacks of ds, which every family reads first, once (L, M) is
+        known PD: _string_factors' "all L_n, M_n must be PD" otherwise."""
+        _string_factors(self.ds)
+        return chain_stacks(self.ds)
+
     @cached_property
     def _d_inv(self) -> Array:
         """lead(cs D_k)^{-1}, the normaliser of p and second."""
-        y = chain_stacks(self.ds)[1]
+        y = self._chain()[1]
         k = np.arange(len(y))
         return _lead_inv(y[k, k, self.ds.q:])
 
     @cached_property
     def _c_inv(self) -> Array:
         """lead(cs C_n)^{-1}, the normaliser of p_shift and phat."""
-        x = chain_stacks(self.ds)[0]
+        x = self._chain()[0]
         n = np.arange(len(x))
         return _lead_inv(x[n, n + 1, self.ds.q:])
 
     @cached_property
     def p(self) -> tuple:
-        y = chain_stacks(self.ds)[1]
+        y = self._chain()[1]
         return _polynomials(freeze(_monic(self._d_inv @ _cs(y[:, :, self.ds.q:]))))
 
     @cached_property
     def second(self) -> tuple:
-        y = chain_stacks(self.ds)[1]
+        y = self._chain()[1]
         return _polynomials(freeze(-(self._d_inv @ _cs(y[:, :, :self.ds.q]))), lag=1)
 
     @cached_property
@@ -214,7 +222,7 @@ class StieltjesQuadruple:
 
     @cached_property
     def phat(self) -> tuple:
-        x = chain_stacks(self.ds)[0]
+        x = self._chain()[0]
         sign = -side_sign(self.ds.side)
         return _polynomials(freeze((self._c_inv @ _cs(x[:, :len(x), :self.ds.q])) * sign))
 

@@ -11,8 +11,11 @@ cross-maps are alternating-product formulas in the Q_j; every map comes
 with its inverse, and the (L, M) -> sequence map doubles as the random
 generator of Stieltjes-PD fixtures.  The prefix products of the factor
 chain of (L, M), which U and both polynomial quadruples read, are built
-here (chain_stacks), next to the pair they are cached on.  Each solve-path
-entry opens with the gate ds_param (_door) and then reads the DSParam alone.
+here (chain_stacks), next to the pair they are cached on, and so are the
+inverse Cholesky factors of L and M (_string_factors), which the string
+rules and the orthogonal quadruple read, and which refuse an (L, M) that is
+not PD.  Each solve-path entry opens with the gate ds_param (_door) and then
+reads the DSParam alone.
 """
 
 from dataclasses import dataclass
@@ -355,6 +358,17 @@ def chain_stacks(ds: DSParam) -> tuple:
     return x, y
 
 
+@derived
+def _string_factors(ds: DSParam) -> Array:
+    """inv(chol) of the stack (M_0.., L_0..), which the rules of every end
+    read; an L_n or M_n that is not PD has no factor: q_from_ds's ValueError."""
+    try:
+        chol = np.linalg.cholesky(np.concatenate([ds.m, ds.l]))
+    except np.linalg.LinAlgError:
+        raise ValueError("all L_n, M_n must be PD") from None
+    return np.linalg.inv(chol)
+
+
 def seq_from_ds(d: DSParam) -> MomentSequence:
     """Sequence whose DS-parametrization is d; always Stieltjes-PD."""
     return seq_from_stieltjes_param(q_from_ds(d))
@@ -393,7 +407,7 @@ def favard_from_ds(d: DSParam):
 
 # --- random fixtures ----------------------------------------------------------
 
-def random_pd(q: int, rng: np.random.Generator) -> Array:
+def random_pd(q: int, rng: "np.random.Generator") -> Array:
     """G G^* + 0.1 I with seeded complex Gaussian G: strictly PD.
 
     The Gaussian scale 0.3 keeps long products of these matrices (and

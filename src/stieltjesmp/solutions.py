@@ -31,7 +31,7 @@ from .linalg import (
 )
 from .moments import RIGHT, MomentSequence, _point, _scalar, _value, derived, half, side_sign
 from .orthopoly import chain_d_e
-from .params import DSParam, _door, _index, ds_param
+from .params import DSParam, _door, _index, _string_factors, ds_param
 from .resolvent import ResolventU, resolvent_u, schur_rotation
 
 CONSTANT = "CONSTANT"
@@ -227,17 +227,6 @@ def _partial_fractions(nodes: Array, exact: frozenset, residues: Array, z, q: in
     if np.count_nonzero(gap) < gap.size:
         raise SingularDenominator(f"an atom lies in z={z}")
     return np.dot(np.reciprocal(gap), residues).reshape(z.shape + (q, q))
-
-
-@derived
-def _string_factors(ds: DSParam) -> Array:
-    """inv(chol) of the stack (M_0.., L_0..), which the rules of every end
-    read; an L_n or M_n that is not PD has no factor: q_from_ds's ValueError."""
-    try:
-        chol = np.linalg.cholesky(np.concatenate([ds.m, ds.l]))
-    except np.linalg.LinAlgError:
-        raise ValueError("all L_n, M_n must be PD") from None
-    return np.linalg.inv(chol)
 
 
 def string_rule(ds: DSParam, m: int, end) -> tuple:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -499,3 +503,83 @@ def test_decoders_reject_non_finite_and_booleans(capsys, tmp_path):
         assert code == EXIT_USAGE
     code, payload = run(capsys, "solve", str(path), "--pair", str(pair), "--at=-1+2i,-i")
     assert code == EXIT_OK and [v["z"] for v in payload["values"]] == [[-1.0, 2.0], [0.0, -1.0]]
+
+
+# --- the CLI process: one BLAS thread, set before numpy loads ----------------
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def child(*argv, **env):
+    """A Python child on src/ with neither thread variable set but those in
+    env: its stdout, once it exits 0."""
+    base = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    res = subprocess.run([sys.executable, *argv], env={**base, "PYTHONPATH": SRC, **env},
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    return res.stdout
+
+
+def test_import_stieltjesmp_loads_no_numpy_until_a_name_is_read():
+    # the package is a table until its first read; that read binds every
+    # export, so vars() is complete and the next read is a plain lookup
+    child("-c", """
+import sys
+import stieltjesmp as smp
+assert "numpy" not in sys.modules and "stieltjesmp.linalg" not in sys.modules
+assert "lft_solve" not in vars(smp) and set(smp.__all__) <= set(dir(smp))
+smp.lft_solve
+assert "numpy" in sys.modules and set(smp.__all__) <= set(vars(smp))
+assert smp.linalg is sys.modules["stieltjesmp.linalg"]
+""")
+
+
+def test_an_import_of_the_cli_module_writes_no_environment():
+    # the tests, the demos and the bench import the CLI in process: a child
+    # they start must inherit the environment they were given
+    out = child("-c", """
+import os
+before = dict(os.environ)
+import stieltjesmp.cli
+assert dict(os.environ) == before
+print(os.environ.get("OPENBLAS_NUM_THREADS"))
+""")
+    assert out.split() == ["None"]
+
+
+# the two CLI entries, each started the way its process starts, with no verb:
+# a usage error (exit 64) after the pin, then the two variables as it left them
+ENTRIES = {
+    "-m stieltjesmp.cli": 'import runpy; runpy.run_module("stieltjesmp.cli", run_name="__main__")',
+    "console script": "from stieltjesmp._launch import main; sys.exit(main())",
+}
+
+
+@pytest.mark.parametrize("given, want", [
+    ({}, ["1", "None"]),
+    ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "None"]),
+    ({"OMP_NUM_THREADS": "2"}, ["None", "2"]),
+], ids=["unset", "openblas-2", "omp-2"])
+@pytest.mark.parametrize("entry", list(ENTRIES))
+def test_a_cli_process_runs_blas_on_one_thread_unless_the_user_chose(entry, given, want):
+    out = child("-c", f"""
+import os, sys
+sys.argv = ["stieltjesmp"]
+try:
+    {ENTRIES[entry]}
+except SystemExit as exc:
+    assert exc.code == 64, exc.code
+print(*(os.environ.get(k) for k in {THREAD_VARS!r}))
+""", **given)
+    assert out.split() == want
+
+
+@pytest.mark.parametrize("i", [0, 3])
+def test_verify_prints_the_same_bytes_with_and_without_the_pin(tmp_path, i):
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps(encode_sequence(ladder_fixture(i))))
+    pinned = child("-m", "stieltjesmp.cli", "verify", str(path))
+    pool = child("-m", "stieltjesmp.cli", "verify", str(path),
+                 OPENBLAS_NUM_THREADS=str(max(2, os.cpu_count() or 2)))
+    assert json.loads(pinned)["passed"] and pinned == pool

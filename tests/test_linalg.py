@@ -164,6 +164,13 @@ def _public_surface():
                     yield f"{name}.{attr}", member
 
 
+def test_the_public_surface_is_the_export_table():
+    # the lazy package binds every name of its table at the first read, and
+    # nothing else: 86 exported names, each of them in __all__
+    names = [name for name, _ in _public_surface() if "." not in name]
+    assert len(names) == 86 and sorted(names) == sorted(stieltjesmp.__all__)
+
+
 def _public_callables():
     """The functions of the public surface: exported functions, methods and
     constructors."""

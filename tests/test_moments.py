@@ -378,7 +378,9 @@ def test_monic_rows_hold_the_one_hankel_inverse(monkeypatch):
     # once the rows are cached, favard_pair reads them and inverts nothing
     # larger than q x q; the quadruple, read off the chain, inverts only q x q
     # leading coefficients (one stack per lead, at the first family that
-    # needs it), and difference_inverse, a sum over the chain, inverts nothing
+    # needs it) and the Cholesky factors of (L, M) (one stack, cached on the
+    # pair, which the first family builds to refuse an (L, M) not PD), and
+    # difference_inverse, a sum over the chain, inverts nothing
     s = random_stieltjes_pd_sequence(q=2, kappa=5, alpha=0.5, seed=4)
     rows = monic_rows(s), monic_rows(s.shifted)
     inv, sizes = np.linalg.inv, []
@@ -391,7 +393,7 @@ def test_monic_rows_hold_the_one_hankel_inverse(monkeypatch):
     quad = stieltjes_quadruple(s)
     n_gate = len(sizes)
     quad.p, quad.second, quad.p_shift, quad.phat
-    assert len(sizes) == n_gate + 2
+    assert len(sizes) == n_gate + 3
     favard_pair(s)
     n_inv = len(sizes)
     for m in range(s.kappa + 1):

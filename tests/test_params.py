@@ -231,6 +231,18 @@ def test_an_lm_pair_that_is_not_pd_is_named_where_a_rule_is_built():
             lft_solve(u, pair, 1j)
 
 
+@pytest.mark.parametrize("family", ["p", "second", "p_shift", "phat"])
+@pytest.mark.parametrize("m1", [0.0, -1.0], ids=["singular", "indefinite"])
+def test_a_quadruple_of_an_lm_pair_that_is_not_pd_is_refused_at_first_read(m1, family):
+    # a singular M_1 leaked numpy's "Singular matrix" at the first read of
+    # p_shift or phat, and an indefinite one gave all four families with no
+    # error; every family now reads the Cholesky factors of string_rule first
+    quad = StieltjesQuadruple(DSParam(q=1, alpha=0.0, side="right", l=[[[1.0]]],
+                                      m=[[[1.0]], [[m1]]]))
+    with pytest.raises(ValueError, match="^all L_n, M_n must be PD$"):
+        getattr(quad, family)
+
+
 def test_empty_input_a_size_below_one_and_a_negative_kappa_are_named():
     # numpy's "cannot reshape array of size 0 into shape (0,0)" leaked from the
     # first three, and a negative kappa returned a kappa-0 sequence
