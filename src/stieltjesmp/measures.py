@@ -8,7 +8,8 @@ Jacobi matrix are the atoms, its first eigenvector blocks give the masses
 (Gauss nodes for the wall end, Gauss-Radau for the free end: one node at
 alpha with the summed mass of the q rigid motions).  The rule reads (L, M)
 only, and its Gram sums are the masses as they are, not rebuilt: a measure
-holds a float array of atoms and one read-only (K, q, q) stack of masses.
+holds a float array of atoms and one read-only (K, q, q) stack of masses,
+and its transform is the call of a Rule of them, as an extremal's is.
 """
 
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from .linalg import (
 from .moments import RIGHT, MomentSequence, classify, hankel, side_sign
 from .params import _door, ds_param, seq_from_ds, seq_from_stieltjes_param, stieltjes_param
 from .resolvent import factorize_u, j_inner_check, resolvent_u
-from .solutions import _partial_fractions, difference_inverse, extremal, string_rule, weyl_interval
+from .solutions import Rule, difference_inverse, extremal, string_rule, weyl_interval
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,19 +73,16 @@ class MolecularMeasure:
                              else f"atom {x} outside (-inf, {alpha}]")
 
     @cached_property
-    def _exact(self) -> frozenset:
-        """The atoms as a set: stieltjes_transform's exact-atom test at a scalar."""
-        return frozenset(self.atoms.tolist())
+    def _rule(self) -> Rule:
+        """The Rule of the atoms and masses, built at the first stieltjes_transform."""
+        q = self.masses.shape[-1]
+        return Rule(self.atoms, self.masses.reshape(-1, q * q), 0.0, q)
 
 
 def stieltjes_transform(mu: MolecularMeasure, z) -> Array:
-    """sum_k M_k / (x_k - z) at a scalar z or a 1-D array, as an extremal is evaluated.
-
-    Like an extremal's call it is an unchecked hot evaluator: it takes neither
-    the point rule nor the value rule of moments (_point, _value), and a
-    caller that evaluates it at a point of its own caller applies both."""
-    q = mu.masses.shape[-1]
-    return _partial_fractions(mu.atoms, mu._exact, mu.masses.reshape(-1, q * q), z, q)
+    """sum_k M_k / (x_k - z) at a scalar z or a 1-D array: the call of mu's
+    Rule, an unchecked hot evaluator like an extremal's (see moments._point)."""
+    return mu._rule(z)
 
 
 def measure_moments(mu: MolecularMeasure, up_to: int) -> Array:
@@ -147,8 +145,8 @@ def _recover(seq: MomentSequence, m: int | None, lower: bool) -> MolecularMeasur
                              "measure of mass s_0")
         return MolecularMeasure(atoms=(ds.alpha,), masses=seq.moments[:1],
                                 support_side=ds.side, alpha=ds.alpha)
-    atoms, residues, _ = string_rule(ds, m, wall)
-    atoms, masses = _merge_atoms(atoms, residues.reshape(-1, ds.q, ds.q), ds.alpha)
+    rule = string_rule(ds, m, wall)
+    atoms, masses = _merge_atoms(rule.atoms, rule.residues.reshape(-1, ds.q, ds.q), ds.alpha)
     return MolecularMeasure._checked(atoms, masses, ds.side, ds.alpha)
 
 
@@ -222,6 +220,31 @@ def hausdorff_solvable(seq: MomentSequence, alpha: float, beta: float) -> Hausdo
                            conditions=cond, one_sided=None)
 
 
+# verify's points, default_rng(0)'s draws as a table, so that verify imports no numpy.random:
+# 20 points z = re + i im as (re, im) pairs, then 10 samples re + i (|im| + 0.1) and 5 real
+_POINTS = (
+    0.1257302210933933, -0.1321048632913019, 0.6404226504432821, 0.10490011715303971,
+    -0.535669373161111, 0.36159505490948474, 1.3040000451301372, 0.9470809631292422,
+    -0.7037352358069926, -1.2654214710460525, -0.6232744625373522, 0.0413259793472436,
+    -2.3250307746388343, -0.21879166393254573, -1.2459109472530652, -0.7322673547034516,
+    -0.5442589828573099, -0.31630015636915454, 0.4116305363741328, 1.0425133694426776,
+    -0.12853466294403426, 1.3664634705496859, -0.6651946734866135, 0.3515100700930197,
+    0.9034701816518086, 0.09401229776087457, -0.7434992493538084, -0.9217253762584194,
+    -0.45772582566733916, 0.2201951234700494, -1.009618183538736, -0.20917557487171307,
+    -0.15922500991447772, 0.5408455846858077, 0.2146591225063409, 0.3553727090399214,
+    -0.6538286094183394, -0.12961363369276946, 0.7839754700613295, 1.4934311452207607,
+)
+_SAMPLES = (
+    (-1.2590655321041202+1.6139237747390627j), (1.3458754237823045+0.8813114007004275j),
+    (0.2644556303293035+0.41392281453642776j), (1.4580206835369587+2.0602583164499646j),
+    (1.801634869866125+1.41510376473437j), (0.357380410658956+1.3083186322821716j),
+    (-0.004454133120083229+0.7564749350763358j), (-1.2883614637495544+0.4951220601820082j),
+    (0.42986369482223+0.7960427239628685j), (-1.184117966757189+0.7617025720390349j),
+    -0.43643524714322124, -1.169801907772864, 1.739367877130134,
+    -0.4959107284421519, 0.3289696294602021,
+)
+
+
 @dataclass(frozen=True)
 class Check:
     """One check of verify; a measured one also holds its worst relative
@@ -241,11 +264,11 @@ def verify(seq: MomentSequence) -> MappingProxyType:
     """Full invariant sweep over one sequence: a read-only map from the name of each check,
     in the order they run, to its Check.  A sequence that is not Stieltjes-PD gets
     stieltjes_pd alone, kappa = 0 stops after j_inner, and a failed weyl_gap_pd drops
-    difference_inverse, which needs the gap.  The points are drawn from default_rng(0)."""
+    difference_inverse, which needs the gap.  The points are the fixed table _POINTS."""
     checks = {"stieltjes_pd": Check(classify(seq).stieltjes == PD)}
     if not checks["stieltjes_pd"].passed:
         return MappingProxyType(checks)
-    tol, rng = DEFAULT_TOL, np.random.default_rng(0)
+    tol = DEFAULT_TOL
     scale = np.linalg.norm(seq.moments, axis=(1, 2)).max()
     for name, back in (("q_roundtrip", seq_from_stieltjes_param(stieltjes_param(seq))),
                        ("ds_roundtrip", seq_from_ds(ds_param(seq)))):
@@ -254,8 +277,7 @@ def verify(seq: MomentSequence) -> MappingProxyType:
 
     u, chain = resolvent_u(seq), factorize_u(seq)
     det_ref = np.linalg.det(u(seq.alpha))
-    # 20 points z = re + i im, drawn as (re, im) pairs; each check holds at every point
-    z = rng.standard_normal(40).view(complex)
+    z = np.array(_POINTS).view(complex)   # 20 points; each check holds at every point
     uz = u(z)
     ui = np.linalg.inv(uz)
     checks["det_constant"] = _measured(np.abs(np.linalg.det(uz) - det_ref) / (1 + abs(det_ref)),
@@ -265,9 +287,7 @@ def verify(seq: MomentSequence) -> MappingProxyType:
     checks["j_symmetry"] = _measured(np.linalg.norm(ui - u.inverse_at(z), axis=(1, 2))
                                      / np.linalg.norm(ui, axis=(1, 2)), tol.j_symmetry_tol)
 
-    samples = [complex(rng.standard_normal(), abs(rng.standard_normal()) + 0.1)
-               for _ in range(10)] + [rng.standard_normal() for _ in range(5)]
-    inner = j_inner_check(u, samples, seq.q)   # passed compares strictly
+    inner = j_inner_check(u, _SAMPLES, seq.q)   # passed compares strictly
     checks["j_inner"] = Check(inner.passed, max(inner.max_real_defect, -inner.min_upper_eig),
                               tol.j_inner_tol)
 

@@ -51,8 +51,9 @@ def _scalar(z) -> bool:
 
 # The two rules of every entry that evaluates at a caller's point: the point
 # rule before the evaluation, the value rule on what it computed there.  The
-# per-point evaluators of the hot path (ExtremalSolution, stieltjes_transform,
-# ResolventU, MatrixPolynomial) take neither; their callers do.
+# per-point evaluators of the hot path (solutions.Rule, which ExtremalSolution
+# and stieltjes_transform call, ResolventU, MatrixPolynomial) take neither;
+# their callers do.
 
 def _point(z, cut=None):
     """The one point rule: z back if it is finite and, when cut (anything
@@ -91,7 +92,7 @@ def derived(build):
     value.  derived only caches: it freezes the arrays a builder returns,
     alone or in a tuple, and nothing deeper, since every object of the
     package freezes the arrays it holds when it is built (matrix_stack,
-    MatrixPolynomial, StieltjesPair).
+    MatrixPolynomial, StieltjesPair, Rule).
     """
     @wraps(build)
     def cached(obj, *args):

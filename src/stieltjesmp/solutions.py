@@ -7,12 +7,11 @@ function of the block string of (L, M) whose last mass is tied to the wall
 by the pair.  The trivial pairs give the two extremal solutions, the free
 end and the wall; at a real point x off the half-line the solution values
 fill the matrix interval between them exactly, and each point T of it is
-reached by the pair U(x)^{-1} [T; I], read off U by its J-symmetry.  The
-two ends are the partial fractions of their strings' rules, cached on
-(L, M); any other constant pair is the partial fractions of its own
-string's rule, built at its first point on the (L, M) and index that U
-views and kept on the pair.  The inverse of the interval's width is a
-polynomial sum over the factor chain of (L, M), with no matrix inverted.
+reached by the pair U(x)^{-1} [T; I], read off U by its J-symmetry.  A
+solution is its measure, string_rule's Rule, which every evaluator calls;
+lft_solve is a pair's rule plus the reach test.  The inverse of the
+interval's width is a polynomial sum over the factor chain of (L, M), with
+no matrix inverted.
 Each entry takes the gate, then the index rule (params._door, or a view of
 (L, M)), and reads (L, M) alone after it; an entry that evaluates at a
 caller's point takes the point and the value rules of moments (_point,
@@ -32,7 +31,7 @@ from .linalg import (
 from .moments import RIGHT, MomentSequence, _point, _scalar, _value, derived, half, side_sign
 from .orthopoly import chain_d_e
 from .params import DSParam, _door, _index, _string_factors, ds_param
-from .resolvent import ResolventU, resolvent_u, schur_rotation
+from .resolvent import ResolventU, schur_rotation
 
 CONSTANT = "CONSTANT"
 SCHUR_CONSTANT = "SCHUR_CONSTANT"
@@ -142,23 +141,57 @@ class SingularDenominator(ValueError):
     """The requested point lies within an atom's reach of the rule summed there."""
 
 
+@dataclass(frozen=True, eq=False)
+class Rule:
+    """A molecular measure as a rule: real atoms x_k and a (K, q*q) table of
+    residues G_k, the Gauss-type rule of a block string (Golub and Welsch 1969).
+
+    Its call is the Stieltjes transform sum_k G_k / (x_k - z), q x q at a
+    scalar z and (N, q, q) at N points, an unchecked hot evaluator.  nodes,
+    the one complex copy of the atoms, and exact, the one set of them, are
+    built once, here: a scalar z at an atom is found in exact, N points by
+    their zero gaps (SingularDenominator).  reach is lft_solve's (see
+    string_rule), 0 for a measure.
+    """
+
+    atoms: Array
+    residues: Array
+    reach: float
+    q: int
+
+    def __post_init__(self):
+        nodes = freeze(self.atoms.astype(complex))
+        freeze((self.atoms, self.residues))
+        # object.__setattr__, not __dict__.update: touching __dict__ costs
+        # CPython's fast attribute reads in every call
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "exact", frozenset(nodes.tolist()))
+
+    def __call__(self, z) -> Array:
+        if _scalar(z):
+            z = complex(z)
+            if z in self.exact:
+                raise SingularDenominator(f"an atom lies in z={z}")
+            return np.dot(np.reciprocal(self.nodes - z), self.residues).reshape(self.q, self.q)
+        z = np.asarray(z, dtype=complex)
+        gap = self.nodes - z[..., None]
+        if np.count_nonzero(gap) < gap.size:
+            raise SingularDenominator(f"an atom lies in z={z}")
+        return np.dot(np.reciprocal(gap), self.residues).reshape(z.shape + (self.q, self.q))
+
+
 def lft_solve(u: ResolventU, pair: StieltjesPair, z: complex) -> Array:
     """Evaluate the linear-fractional transformation at one point off the cut.
 
-    z is a scalar only.  Every pair takes one route: the partial fractions of
-    its string_rule on u.ds and u.m, built at the pair's first point there
-    and kept on the pair; x = I and x = 0 sum the wall and the free
-    extremal, bit for bit theirs.  The denominator U21 phi + U22 psi is
-    singular when z lies within an atom's reach, |z - x_k| <
-    DEFAULT_TOL.singular_det (1 + rho), rho the rounding scale of the rule
-    (max_j |x_j - alpha| but on a flexibility form; see string_rule).  z
-    follows the point rule, with u.ds as its cut, and the value the value
-    rule.  Precedence: the cut, the size, the pair's half-line, the
-    singularity.  The atoms are subtracted from z once, as one complex
-    number: that one gap serves the reach test and the sum.  The sum needs
-    no exact-atom test of its own: the atoms lie on the cut, up to rounding,
-    which the point rule refuses, and the reach is positive wherever the
-    rule has an atom, so a z at an atom fails the reach test first.
+    z is a scalar only.  Every pair takes one route, its string_rule on u.ds
+    and u.m plus the reach test; x = I and x = 0 read the rules of the wall
+    and the free extremal, bit for bit theirs.  The denominator U21 phi +
+    U22 psi is singular when z lies within the rule's reach of an atom (see
+    string_rule).  z follows the point rule, with u.ds as its cut, and the
+    value the value rule.  Precedence: the cut, the size, the pair's
+    half-line, the singularity.  z is subtracted once from the rule's nodes:
+    that one gap serves the reach test and the sum, which needs no exact-atom
+    test, since a z at an atom is on the cut or within the reach.
     """
     ds, q = u.ds, u.ds.q
     _point(z, ds)
@@ -166,71 +199,40 @@ def lft_solve(u: ResolventU, pair: StieltjesPair, z: complex) -> Array:
         raise ValueError(f"pair is {len(pair.phi)} x {len(pair.phi)}, U has {q} x {q} blocks")
     if pair.side != ds.side:
         raise ValueError(f"pair is for the {pair.side} half-line, U for the {ds.side} half-line")
-    atoms, residues, reach = string_rule(ds, u.m, pair)
+    rule = string_rule(ds, u.m, pair)
     point = complex(z)
-    gap = atoms - point
+    gap = rule.nodes - point
     # every atom is real: a point that far off the line is past every reach;
     # a z at an atom is within it, so the sum below meets no zero gap
-    if abs(point.imag) < reach and np.count_nonzero(np.abs(gap) < reach):
+    if abs(point.imag) < rule.reach and np.count_nonzero(np.abs(gap) < rule.reach):
         raise SingularDenominator(f"denominator singular at z={z}")
-    return _value(np.dot(np.reciprocal(gap), residues).reshape(q, q), z)
+    return _value(np.dot(np.reciprocal(gap), rule.residues).reshape(q, q), z)
 
 
 class ExtremalSolution:
     """One extremal solution of the truncated problem up to index m.
 
-    A view of (L, M) at m in 1..kappa (params._index) that holds the rule, m,
-    bd and q.  It is the transfer function of the block string of (L, M),
-    which ends at a wall for bd=True (the ratio B D^{-1}) and is free, with
-    an atom at alpha, for bd=False (A C^{-1}).  A call sums the partial
-    fractions of the residue table of string_rule, cached on (L, M).  atoms
-    stays the float rule that recover_* reads; the call subtracts z from a
-    complex copy made once here, which is faster than numpy's cast of the
-    float atoms at every call and gives the same bits, and looks a scalar z
-    up in the set of that copy for its exact-atom test.  z is not checked
-    against the cut: off the atoms the sum is the Stieltjes transform of the
-    extremal's measure, finite on the half-line too.  A call is one of the
-    unchecked hot evaluators: it takes neither the point rule nor the value
-    rule of moments, and the entries that evaluate it at a caller's point
-    (weyl_interval and the CLI's extremal) apply both.
+    A view of (L, M) at m in 1..kappa (params._index) that holds its rule,
+    m, bd and q: the string_rule of the wall (bd=True, the ratio B D^{-1})
+    or of the free end, with an atom at alpha (A C^{-1}), cached on (L, M).
+    A call is the rule's, finite on the half-line too off the atoms, so z is
+    not checked against the cut; the entries that evaluate it at a caller's
+    point (weyl_interval, the CLI's extremal) apply the point and value rules.
     """
+
+    atoms = property(lambda self: self.rule.atoms, doc="The rule's float atoms.")
+    residues = property(lambda self: self.rule.residues, doc="The rule's (K, q*q) residues.")
 
     def __init__(self, ds: DSParam, m: int, bd: bool):
         self.m, self.bd, self.q = _index(ds, m, 1), bd, ds.q
-        self.atoms, self.residues, _ = string_rule(ds, self.m, bd)
-        self._nodes = freeze(self.atoms.astype(complex))
-        self._exact = frozenset(self._nodes.tolist())
+        self.rule = string_rule(ds, self.m, bd)
 
     def __call__(self, z) -> Array:
-        return _partial_fractions(self._nodes, self._exact, self.residues, z, self.q)
+        return self.rule(z)
 
 
-def _partial_fractions(nodes: Array, exact: frozenset, residues: Array, z, q: int) -> Array:
-    """sum_k G_k / (x_k - z) over the nodes x_k and a (K, q*q) residue table:
-    a q x q value at a scalar z, an (N, q, q) stack at N points (an array or
-    a list); z at a node: SingularDenominator.
-
-    A scalar z (moments._scalar) is subtracted as one complex number, with no
-    array made of it and no broadcast, and gives the same bits in each of its
-    forms; it is at a node when it is in exact, the set of the nodes, since
-    x - z is zero exactly when x == z.  An array or a list of points keeps
-    the broadcast and counts the zero gaps.  Neither path takes the point or
-    the value rule.
-    """
-    if _scalar(z):
-        z = complex(z)
-        if z in exact:
-            raise SingularDenominator(f"an atom lies in z={z}")
-        return np.dot(np.reciprocal(nodes - z), residues).reshape(q, q)
-    z = np.asarray(z, dtype=complex)
-    gap = nodes - z[..., None]
-    if np.count_nonzero(gap) < gap.size:
-        raise SingularDenominator(f"an atom lies in z={z}")
-    return np.dot(np.reciprocal(gap), residues).reshape(z.shape + (q, q))
-
-
-def string_rule(ds: DSParam, m: int, end) -> tuple:
-    """Atoms x_k, (K, q*q) residue table G_k and reach of one string of (L, M).
+def string_rule(ds: DSParam, m: int, end) -> Rule:
+    """The Rule of one string of (L, M): atoms x_k, (K, q*q) residues G_k, reach.
 
     end is True (the wall), False (the free end) or a StieltjesPair.  Masses
     M_j joined by springs L_j: a free end has half(m)+1 masses and one
@@ -244,13 +246,12 @@ def string_rule(ds: DSParam, m: int, end) -> tuple:
     of V.  The q rigid motions of a free string (the kernel of W) are one node
     at alpha exactly, with the sum of their residues.  A pair ties the last
     mass of the free string to the wall (_pair_string); x = I and x = 0 are
-    the wall and the free end themselves, their rule the very same tuple.
+    the wall and the free end themselves, their rule the very same Rule.
     The reach is DEFAULT_TOL.singular_det (1 + rho), rho = max_j |x_j - alpha|
     = ||T||, the rounding scale of the eigh; on the flexibility form of a
     pair rho is its shift, since only the atoms of near-clamped directions
-    lie past it.  The rules of the two ends are cached on ds, so a DSParam
-    built from (L, M) directly keeps them too; the rule of any other pair is
-    kept on the pair, under ds weakly, and goes when the pair goes.
+    lie past it.  The rules of the two ends are cached on ds; any other
+    pair's is kept on the pair, under ds weakly.
     """
     if not isinstance(end, StieltjesPair):
         return _end_rule(ds, m, end)
@@ -263,16 +264,16 @@ def string_rule(ds: DSParam, m: int, end) -> tuple:
         elif np.array_equal(end.x, np.eye(ds.q)):
             rules[m] = _end_rule(ds, m, True)
         else:
-            rules[m] = freeze(_pair_string(ds, m, end.x))
+            rules[m] = _pair_string(ds, m, end.x)
     return rules[m]
 
 
 @derived
-def _end_rule(ds: DSParam, m: int, wall: bool) -> tuple:
+def _end_rule(ds: DSParam, m: int, wall: bool) -> Rule:
     """The rule of the wall (wall=True) or the free end of string_rule."""
     nm = half(m - 1) + 1 if wall else half(m) + 1
     if not nm:   # the wall of m = 0 holds no mass: B_0 D_0^{-1} = 0
-        return np.zeros(0), np.zeros((0, ds.q * ds.q), dtype=complex), 0.0
+        return Rule(np.zeros(0), np.zeros((0, ds.q * ds.q), dtype=complex), 0.0, ds.q)
     w, ri_star = _string_w(ds, nm, nm if wall else nm - 1)
     lam, v = np.linalg.eigh(w.conj().T @ w)
     return _rule(ds, lam, v, ri_star[0], 0 if wall else ds.q)
@@ -291,8 +292,8 @@ def _string_w(ds: DSParam, nm: int, nl: int) -> tuple:
 
 
 def _rule(ds: DSParam, lam: Array, v: Array, r0_star: Array, rigid: int,
-          shift: float = 0.0) -> tuple:
-    """(atoms, residues, reach) from the ascending eigenpairs of T; the rigid
+          shift: float = 0.0) -> Rule:
+    """The Rule of the ascending eigenpairs of T; the rigid
     smallest lambda are one node at alpha exactly, their residues summed."""
     q = ds.q
     g = np.ascontiguousarray((r0_star @ v[:q]).T)   # so the residue table is C-contiguous
@@ -302,10 +303,10 @@ def _rule(ds: DSParam, lam: Array, v: Array, r0_star: Array, rigid: int,
         lam, residues = lam[rigid - 1:], residues[rigid - 1:]
     rho = shift or max(-lam[0], lam[-1])   # lam ascends: the largest |lambda| is at an end
     reach = DEFAULT_TOL.singular_det * (1.0 + float(rho))
-    return ds.alpha + side_sign(ds.side) * lam, residues.reshape(-1, q * q), reach
+    return Rule(ds.alpha + side_sign(ds.side) * lam, residues.reshape(-1, q * q), reach, q)
 
 
-def _pair_string(ds: DSParam, m: int, x: Array) -> tuple:
+def _pair_string(ds: DSParam, m: int, x: Array) -> Rule:
     """The rule of a pair x, 0 <= x <= I: the free string of half(m)+1 masses
     whose last mass M_n is tied to the wall by a boundary spring K.
 
@@ -351,11 +352,15 @@ def _pair_string(ds: DSParam, m: int, x: Array) -> tuple:
 def extremal(seq: MomentSequence, m: int | None = None):
     """(S_min, S_max) evaluators for the solution set up to index m.
 
-    Each evaluator sums the partial fractions of its block string.  On the
-    right half-line S_min = B D^{-1} (the wall) and S_max = A C^{-1} (the
-    free end, with an atom at alpha); the left half-line swaps the two.
+    Each evaluator calls the Rule of its block string.  On the right
+    half-line S_min = B D^{-1} (the wall) and S_max = A C^{-1} (the free end,
+    with an atom at alpha); the left half-line swaps the two.
     """
-    ds = ds_param(seq)   # the gate; each view then takes the index rule
+    return _extremals(ds_param(seq), m)   # the gate; each view then takes the index rule
+
+
+def _extremals(ds: DSParam, m: int | None) -> tuple:
+    """(S_min, S_max), the ExtremalSolution views of ds at m."""
     bd, ac = ExtremalSolution(ds, m, True), ExtremalSolution(ds, m, False)
     return (bd, ac) if ds.side == RIGHT else (ac, bd)
 
@@ -381,7 +386,11 @@ def weyl_interval(seq: MomentSequence, m: int | None = None,
     with zero imaginary part is its real part, and a non-real x a ValueError:
     finiteness, then realness, then the cut.
     """
-    ds, m = _door(seq, m, 1)
+    return _weyl_interval(*_door(seq, m, 1), x)
+
+
+def _weyl_interval(ds: DSParam, m: int, x: float | None) -> WeylInterval:
+    """weyl_interval past the door, on the extremal views of (ds, m)."""
     sign = side_sign(ds.side)
     if x is None:
         x = _free_point(ds.side, ds.alpha)
@@ -389,7 +398,7 @@ def weyl_interval(seq: MomentSequence, m: int | None = None,
         raise ValueError(f"point {x} is not real")
     else:
         x = float(_point(x.real, ds))
-    s_min, s_max = extremal(seq, m)
+    s_min, s_max = _extremals(ds, m)
     lo, hi = _hermitize(_value(np.array([s_min(x), s_max(x)]), x))
     # values are PD left of alpha on the right half-line, negative definite
     # right of alpha on the left one
@@ -412,13 +421,13 @@ def interval_point(seq: MomentSequence, m: int | None, x: float | None, k: Array
     free point, where the pair is then built; weyl_interval checks x before K.
     """
     ds, m = _door(seq, m, 1)
-    q, iv = ds.q, weyl_interval(seq, m, x)
+    q, iv = ds.q, _weyl_interval(ds, m, x)
     k = _matrix(k, q, "K")
     if not set(_psd_classes(np.array([k, np.eye(q) - k]))) <= {PD, PSD}:
         raise ValueError("K must satisfy 0 <= K <= I")
     root = sqrt_psd(iv.gap)
     t = _hermitize(iv.upper - root @ k @ root)
-    g = resolvent_u(seq, m).inverse_at(iv.x) @ np.vstack([t, np.eye(q)])
+    g = ResolventU(ds, m).inverse_at(iv.x) @ np.vstack([t, np.eye(q)])
     return t, StieltjesPair(kind=CONSTANT, side=ds.side, phi=g[:q], psi=g[q:])
 
 

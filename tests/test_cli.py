@@ -420,10 +420,17 @@ def test_verify_passes_on_ill_conditioned_lm_draws(capsys, tmp_path, kappa):
 
 def test_verify_draws_its_points_in_re_im_pairs():
     # verify evaluates its 20 sample points as one array; the array must hold
-    # the points a loop of complex(re, im) draws made, in the same order
+    # the points a loop of complex(re, im) draws made, in the same order.  It
+    # reads them, and then its 15 j_inner samples, from a fixed table, which
+    # must be default_rng(0)'s draws bit for bit, Python complex and float
+    from stieltjesmp.measures import _POINTS, _SAMPLES
     rng = np.random.default_rng(0)
     loop = [complex(rng.standard_normal(), rng.standard_normal()) for _ in range(20)]
+    samples = [complex(rng.standard_normal(), abs(rng.standard_normal()) + 0.1)
+               for _ in range(10)] + [rng.standard_normal() for _ in range(5)]
     np.testing.assert_array_equal(np.random.default_rng(0).standard_normal(40).view(complex), loop)
+    assert np.array(_POINTS).view(complex).tolist() == loop
+    assert _SAMPLES == tuple(samples) and list(map(type, _SAMPLES)) == list(map(type, samples))
 
 
 def test_the_class_is_named_before_the_index(capsys, tmp_path):

@@ -365,12 +365,22 @@ def test_derived_objects_are_cached():
     for m in range(1, 6):
         for wall in (False, True):
             assert string_rule(d, m, wall) is string_rule(d, m, wall)
-    # the extremals read the very arrays of the cached rule
-    for ext in extremal(s):
-        atoms, residues, _ = string_rule(ds_param(s), s.kappa, ext.bd)
-        assert ext.atoms is atoms and ext.residues is residues
-    # U is a view of (L, M): its polynomial is expanded once, at first use
+    # the extremals of every call hold the one cached Rule of their end, and
+    # lft_solve of the trivial pairs reads that very Rule
     u = resolvent_u(s)
+    for ext, again in zip(extremal(s), extremal(s)):
+        rule = string_rule(ds_param(s), s.kappa, ext.bd)
+        assert ext.rule is again.rule is rule
+        assert ext.atoms is rule.atoms and ext.residues is rule.residues
+        pair = (pair_min if ext.bd else pair_max)(s.q, s.side)   # the wall's pair is (0, I)
+        lft_solve(u, pair, s.alpha + 1j)
+        assert pair._rules[ds_param(s)][s.kappa] is rule
+    # the read-only walk reaches a rule's nodes (on a throwaway (L, M))
+    ext = solutions.ExtremalSolution(lm_fixture(q=1, kappa=2, seed=0), 2, True)
+    ext.rule.nodes.setflags(write=True)
+    assert writeable_arrays(ext) == ["<0: ExtremalSolution>.rule.nodes"]
+    # U is a view of (L, M): lft_solve reads u.ds and u.m alone, and the
+    # polynomial is expanded once, at first use
     assert u.ds is ds_param(s) and "poly" not in vars(u) and u.poly is u.poly
 
 

@@ -72,10 +72,10 @@ def test_string_rule_matches_the_high_precision_string(q, kappa):
         d = DSParam(q=q, alpha=alpha, side=side, l=l, m=m)
         free = 1.0 if side == "right" else -1.0
         for wall in (False, True):
-            atoms, residues, _ = string_rule(d, kappa, wall)
+            rule = string_rule(d, kappa, wall)
             nm = half(kappa - 1) + 1 if wall else half(kappa) + 1
             for z in (alpha - free, alpha + 0.7 + 1.3j, alpha - 0.4 - 0.9j):
-                got = ((1.0 / (atoms - z)) @ residues).reshape(q, q)
+                got = ((1.0 / (rule.atoms - z)) @ rule.residues).reshape(q, q)
                 want = string_value(l[:nm if wall else nm - 1], m[:nm], alpha, side, q, z)
                 assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
 
@@ -139,17 +139,19 @@ def _table_pairs(s, rng) -> list:
 
 
 def _table(i: int):
-    """(s, m, u, pair, atoms, reach, rho, (L, M) up to m) over ladder fixture i
-    and its reflection, every m >= 1 and every pair of _table_pairs, each
-    pair's rule built first, so that every point sums it."""
+    """(key, s, m, u, pair, atoms, reach, rho, (L, M) up to m) over ladder
+    fixture i and its reflection, every m >= 1 and every pair of
+    _table_pairs, each pair's rule built first, so that every point sums it;
+    key is (i, side, m, the pair's index)."""
     for s in (ladder_fixture(i), reflect(ladder_fixture(i))):
         rng, d = np.random.default_rng(i), ds_param(s)
         pairs = _table_pairs(s, rng)
         for m in range(1, s.kappa + 1):
             u, lm = resolvent_u(s, m), (d.l[:half(m - 1) + 1], d.m[:half(m) + 1])
-            for pair in pairs:
-                atoms, _, reach = string_rule(d, m, pair)
-                yield s, m, u, pair, atoms, reach, np.abs(atoms - s.alpha).max(), lm
+            for j, pair in enumerate(pairs):
+                rule = string_rule(d, m, pair)
+                yield ((i, s.side, m, j), s, m, u, pair, rule.atoms, rule.reach,
+                       np.abs(rule.atoms - s.alpha).max(), lm)
 
 
 def _far_points(s, rho: float) -> list:
@@ -160,8 +162,16 @@ def _far_points(s, rho: float) -> list:
             s.alpha + (0.5 * sign + 0.05j) * (1 + rho), s.alpha + 3 - 0.7j]
 
 
-def _rel_errors(s, u, pair, lm, points) -> np.ndarray:
-    want = pair_lft(*lm, s.alpha, s.side, s.q, points, pair.phi, pair.psi)
+# the 60-digit value of every point of the table, under its key and the point:
+# the two tests below share most of their points, and each is evaluated once
+_PAIR_LFT = {}
+
+
+def _rel_errors(key, s, u, pair, lm, points) -> np.ndarray:
+    todo = [z for z in points if (*key, z) not in _PAIR_LFT]
+    for z, value in zip(todo, pair_lft(*lm, s.alpha, s.side, s.q, todo, pair.phi, pair.psi)):
+        _PAIR_LFT[(*key, z)] = value
+    want = np.array([_PAIR_LFT[(*key, z)] for z in points], dtype=complex).reshape(-1, s.q, s.q)
     got = np.array([lft_solve(u, pair, z) for z in points])
     return np.linalg.norm(got - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
 
@@ -176,7 +186,7 @@ def test_pair_rules_match_the_high_precision_lft(i):
     # the bound).  At points 1e-2 from alpha and 1e-2 (1 + rho) from every
     # atom, within 1e-12 (worst 3.8e-14); the next test holds the points
     # nearer an atom, down to 1e-2, to 1e-12 and records where that misses
-    for s, m, u, pair, atoms, reach, rho, lm in _table(i):
+    for key, s, m, u, pair, atoms, reach, rho, lm in _table(i):
         far = [z for z in _far_points(s, rho) if np.abs(atoms - z).min() >= 1e-2 * (1 + rho)]
         near = [(complex(x, dist), dist) for x in atoms for dist in (1e-2, 1e-6, 1e-9, 1e-12)]
         for z, dist in near:
@@ -184,7 +194,7 @@ def test_pair_rules_match_the_high_precision_lft(i):
                 with pytest.raises(SingularDenominator):
                     lft_solve(u, pair, z)
         near = [(z, dist) for z, dist in near if dist >= reach]
-        err = _rel_errors(s, u, pair, lm, far + [z for z, _ in near])
+        err = _rel_errors(key, s, u, pair, lm, far + [z for z, _ in near])
         bound = [1e-12] * len(far) + [1e-12 + 1e-13 * (1 + rho) / dist for _, dist in near]
         assert (err <= bound).all(), (i, s.side, m, pair.x, np.max(err / bound))
 
@@ -203,9 +213,9 @@ def test_pair_rules_within_1e_12_at_1e_2_from_every_atom():
     # U(z) misses at 393 of the points (it is singular or overflows at some)
     misses, total = [], 0
     for i in range(10):
-        for s, m, u, pair, atoms, reach, rho, lm in _table(i):
+        for key, s, m, u, pair, atoms, reach, rho, lm in _table(i):
             points = [z for z in _far_points(s, rho) + [complex(x, 1e-2) for x in atoms]
                       if abs(z - s.alpha) >= 1e-2 and np.abs(atoms - z).min() >= 1e-2]
-            err, total = _rel_errors(s, u, pair, lm, points), total + len(points)
+            err, total = _rel_errors(key, s, u, pair, lm, points), total + len(points)
             misses += [(e, i, s.side, m, z) for e, z in zip(err, points) if e > 1e-12]
     assert not misses, f"{len(misses)} of {total} points miss; worst {max(misses)}"

@@ -94,7 +94,8 @@ def test_lft_within_an_atom_reach_is_a_singular_denominator():
     # atom's reach and a value past it
     s = ladder_fixture(3)
     u, pair = resolvent_u(s), random_constant_pair(s.q, s.side, np.random.default_rng(3))
-    atoms, _, reach = string_rule(ds_param(s), s.kappa, pair)
+    rule = string_rule(ds_param(s), s.kappa, pair)
+    atoms, reach = rule.atoms, rule.reach
     for x in atoms:
         with pytest.raises(SingularDenominator, match="denominator singular at z="):
             lft_solve(u, pair, complex(x, 0.5 * reach))
@@ -133,7 +134,7 @@ def test_a_pair_keeps_its_rules_and_frees_them_with_itself():
         pair = StieltjesPair(kind=CONSTANT, phi=np.eye(2), psi=np.eye(2))
         lft_solve(u, pair, -1.0), lft_solve(u, pair, -1.0 + 1j)
     assert len(ds.__dict__) == size
-    rule = weakref.ref(pair._rules[ds][s.kappa][1])
+    rule = weakref.ref(pair._rules[ds][s.kappa])
     del pair
     gc.collect()
     assert rule() is None
@@ -190,7 +191,8 @@ def test_lft_matches_the_determinant_oracle():
                                    f=np.diag(np.exp(1j * rng.uniform(0.1, 3.0, s.q))))] \
                 + [random_constant_pair(s.q, s.side, rng) for _ in range(3)]
             for pair in pairs:
-                atoms, _, reach = string_rule(ds, s.kappa, pair)
+                rule = string_rule(ds, s.kappa, pair)
+                atoms, reach = rule.atoms, rule.reach
                 rho = np.abs(atoms - s.alpha).max()
                 near = np.concatenate([atoms, *(ext.atoms for ext in extremal(s))])
                 points = {complex(x + d) for x in near for d in offsets} \
@@ -698,7 +700,8 @@ def test_a_rule_reach_is_relative():
     s = seq_from_ds(DSParam(q=2, alpha=0.0, side="right", l=[1e-3 * np.eye(2)],
                             m=[np.eye(2), np.eye(2)]))
     u, pair = resolvent_u(s), StieltjesPair(kind=SCHUR_CONSTANT, f=np.eye(2))
-    atoms, _, reach = string_rule(ds_param(s), u.m, pair)
+    rule = string_rule(ds_param(s), u.m, pair)
+    atoms, reach = rule.atoms, rule.reach
     np.testing.assert_allclose(atoms, [1000.0, 1000.0], rtol=1e-15)
     assert 1e-10 < reach < 1e-9
     z = complex(atoms[0], 1e-10)
