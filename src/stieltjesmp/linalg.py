@@ -12,6 +12,7 @@ it.
 
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,6 +62,13 @@ def freeze(obj):
         if isinstance(a, np.ndarray):
             a.setflags(write=False)   # half the cost of assigning a.flags.writeable
     return obj
+
+
+@lru_cache(maxsize=None)
+def _eye(q: int) -> Array:
+    """The frozen complex q x q identity, one per q: the builders that seed a
+    stack or a product with I read it instead of making a new np.eye."""
+    return freeze(np.eye(q, dtype=complex))
 
 
 def _integer(n, what: str):
@@ -129,10 +137,18 @@ def _hermitize(a: Array) -> Array:
 # stack alike; _psd_classes is the one definition of the classes, and
 # psd_class and the stacked _all_pd are uses of it.
 
-def _hermitian_mask(a: Array):
-    """||a - a^*||_F <= herm_tol (1 + ||a||_F), per matrix of a stack."""
-    defect = np.linalg.norm(a - a.conj().swapaxes(-1, -2), axis=(-2, -1))
-    return defect <= DEFAULT_TOL.herm_tol * (1.0 + np.linalg.norm(a, axis=(-2, -1)))
+def _frobenius(a: Array) -> Array:
+    """||a||_F per matrix of a stack: the expression np.linalg.norm(a,
+    axis=(-2, -1)) evaluates, bit for bit, without its dispatch."""
+    return np.sqrt(np.add.reduce((a.conj() * a).real, axis=(-2, -1)))
+
+
+def _hermitian_mask(a: Array, a_star: Array | None = None):
+    """||a - a^*||_F <= herm_tol (1 + ||a||_F), per matrix of a stack; a_star
+    is a^*, when the caller has formed it already."""
+    if a_star is None:
+        a_star = a.conj().swapaxes(-1, -2)
+    return _frobenius(a - a_star) <= DEFAULT_TOL.herm_tol * (1.0 + _frobenius(a))
 
 
 def _psd_floor(w: Array):
@@ -145,13 +161,17 @@ _CLASS_NAMES = np.array([NON_HERMITIAN, INDEFINITE, PSD, PD])
 
 
 def _psd_classes(stack: Array) -> Array:
-    """psd_class of each matrix of a (K, q, q) stack, with one batched eigvalsh."""
-    herm = _hermitian_mask(stack)
+    """psd_class of each matrix of a (K, q, q) stack, with one batched eigvalsh.
+    The conjugate transpose is formed once, for the Hermitian test and the
+    Hermitian part."""
+    star = stack.conj().swapaxes(-1, -2)
+    herm = _hermitian_mask(stack, star)
     # the mask alone classes a non-Hermitian matrix; it is zeroed before
     # eigvalsh so that no non-finite entry reaches LAPACK
     if not herm.all():
-        stack = np.where(herm[:, None, None], stack, 0)
-    w = np.linalg.eigvalsh(_hermitize(stack))
+        keep = herm[:, None, None]
+        stack, star = np.where(keep, stack, 0), np.where(keep, star, 0)
+    w = np.linalg.eigvalsh(0.5 * (stack + star))   # _hermitize(stack), its star formed once
     floor = _psd_floor(w)
     return _CLASS_NAMES[herm * (1 + (w[:, 0] >= -floor) + (w[:, 0] > floor))]
 

@@ -19,7 +19,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .linalg import (
-    Array, DEFAULT_TOL, PD, PSD, _integer, _psd_classes, _real, freeze, is_psd, matrix_stack,
+    Array, DEFAULT_TOL, PD, PSD, _frobenius, _integer, _psd_classes, _real, freeze, is_psd,
+    matrix_stack,
 )
 from .moments import RIGHT, MomentSequence, classify, hankel, side_sign
 from .params import _door, ds_param, seq_from_ds, seq_from_stieltjes_param, stieltjes_param
@@ -43,23 +44,26 @@ class MolecularMeasure:
     alpha: float
 
     def __post_init__(self):
-        self._check_fields()
+        self._check_fields(np.array)
         if not set(_psd_classes(self.masses)) <= {PD, PSD}:
             raise ValueError("mass matrices must be PSD")
 
     @classmethod
     def _checked(cls, atoms, masses: Array, support_side: str, alpha: float):
-        """Measure of a stack of Gram sums g g^*, PSD to rounding: all checks but PSD."""
+        """Measure of a stack of Gram sums g g^*, PSD to rounding: all checks but
+        PSD.  A float array of atoms is held as it is, not copied."""
         mu = object.__new__(cls)
         mu.__dict__.update(atoms=atoms, masses=masses, support_side=support_side, alpha=alpha)
-        mu._check_fields()
+        mu._check_fields(np.asarray)
         return mu
 
-    def _check_fields(self):
-        """Every check but the PSD test; sets atoms and masses to their stacks."""
+    def _check_fields(self, as_floats):
+        """Every check but the PSD test; sets atoms, as_floats(atoms, dtype=float)
+        (np.array copies, np.asarray holds a float array), and masses to their
+        stacks."""
         sign = side_sign(self.support_side)   # an empty measure checks its side too
         alpha = _real(self.alpha, "alpha")
-        x, masses = freeze(np.array(self.atoms, dtype=float)), self.masses
+        x, masses = freeze(as_floats(self.atoms, dtype=float)), self.masses
         if x.ndim != 1 or len(x) != len(masses):
             raise ValueError("atoms and masses must align")
         shape = np.shape(masses[0]) if len(masses) else np.shape(masses)[1:]
@@ -93,9 +97,9 @@ def measure_moments(mu: MolecularMeasure, up_to: int) -> Array:
         raise ValueError(f"up_to={up_to} is negative")
     with np.errstate(over="ignore", invalid="ignore"):
         powers = mu.atoms ** np.arange(up_to + 1)[:, None]
-        moments = (powers[:, :, None, None] * mu.masses).sum(axis=1)
-    finite = np.isfinite(moments).all(axis=(1, 2))
-    if not finite.all():
+        moments = np.add.reduce(powers[:, :, None, None] * mu.masses, axis=1)   # .sum(axis=1)
+    if np.count_nonzero(np.isfinite(moments)) < moments.size:   # the index only on a miss
+        finite = np.isfinite(moments).all(axis=(1, 2))
         raise OverflowError(f"power moment {int(np.argmin(finite))} overflows float64")
     return moments
 
@@ -110,7 +114,7 @@ def _merge_atoms(atoms, masses: Array, alpha: float):
     order = np.argsort(atoms)
     x, masses = np.asarray(atoms, dtype=float)[order], masses[order]
     merge_dist = DEFAULT_TOL.atom_merge * (1 + abs(alpha))
-    if np.count_nonzero(np.diff(x) < merge_dist):
+    if np.count_nonzero(x[1:] - x[:-1] < merge_dist):   # np.diff(x), without its dispatch
         traces = np.trace(masses, axis1=1, axis2=2).real.tolist()
         merged_a, merged_m = [], []
         for x_new, m, w_new in zip(x.tolist(), masses, traces):
@@ -123,7 +127,7 @@ def _merge_atoms(atoms, masses: Array, alpha: float):
                 merged_a.append(x_new)
                 merged_m.append(m)
         x, masses = np.array(merged_a), np.array(merged_m)
-    norms = np.linalg.norm(masses, axis=(1, 2))
+    norms = _frobenius(masses)
     keep = ~(norms < DEFAULT_TOL.mass_drop * norms.max(initial=1.0))   # scale max(1, largest norm)
     return freeze(x[keep]), freeze(masses[keep])
 

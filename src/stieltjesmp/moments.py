@@ -10,7 +10,8 @@ object everything else consumes.  The block Hankel matrices H_n =
 parametrizations downstream.  The Schur complements with their psd classes
 (hhats) and the monic orthogonal rows (monic_rows), which hold the
 package's one Hankel-block inverse, are cached on the sequence by their
-builders (derived) like everything else derived from it.
+builders (derived) like everything else derived from it; the Cholesky
+values of a sequence and of its shift are built together (_cholesky_sides).
 """
 
 import cmath
@@ -215,22 +216,63 @@ def reflect(seq: MomentSequence) -> MomentSequence:
     return MomentSequence(q=seq.q, alpha=-seq.alpha, side=side, moments=freeze(mats))
 
 
-@derived
+_CHOLESKY = ("_cholesky_hhats",)   # the key of each side's values in its cache
+
+
 def _cholesky_hhats(seq: MomentSequence):
     """The Hhat_n from one Cholesky factor of H_{half(kappa)}, or None where
-    that route does not apply."""
-    # np.linalg.cholesky reads only the lower triangle, so the Hermitian
-    # test comes first, per moment: one large moment must not hide the
-    # asymmetry of a small one
-    if not _hermitian_mask(seq.moments).all():
-        return None
-    try:
-        c = np.linalg.cholesky(hankel(seq, half(seq.kappa)))
-    except np.linalg.LinAlgError:
-        return None
-    n, q = half(seq.kappa) + 1, seq.q
+    that route does not apply: _cholesky_sides of seq alone."""
+    return _cholesky_sides((seq,))[0]
+
+
+def _cholesky_sides(sides: tuple) -> list:
+    """The Cholesky Hhats of each of sides, a sequence or a sequence and its
+    shift, cached on each side: None for a side with a non-Hermitian moment
+    or whose Hankel block H_{half(kappa)} refuses the factor.  The sides not
+    yet cached take one Hermitian test together, and their Hankel blocks
+    _factored_hhats."""
+    todo = [side for side in sides if _CHOLESKY not in side.__dict__]
+    if todo:
+        # np.linalg.cholesky reads only the lower triangle, so the Hermitian
+        # test comes first, per moment: one large moment must not hide the
+        # asymmetry of a small one
+        cut = len(todo[0].moments)
+        herm = _hermitian_mask(np.concatenate([side.moments for side in todo]))
+        hermitian = [side for side, ok in zip(todo, (herm[:cut].all(), herm[cut:].all())) if ok]
+        found = dict(zip(hermitian, _factored_hhats(hermitian))) if hermitian else {}
+        for side in todo:
+            side.__dict__[_CHOLESKY] = freeze(found.get(side))
+    return [side.__dict__[_CHOLESKY] for side in sides]
+
+
+def _factored_hhats(sides: list) -> list:
+    """The Cholesky Hhats of each of sides, whose moments are Hermitian, or
+    None for a side whose Hankel block refuses the factor.  Two blocks of one
+    size (a sequence and its shift at odd kappa) take one stacked Cholesky;
+    one call per side is made when the sizes differ or that call refuses."""
+    q, sizes = sides[0].q, [half(side.kappa) + 1 for side in sides]
+    if len(sides) == 2 and sizes[0] == sizes[1]:
+        try:
+            c = np.linalg.cholesky(np.array([hankel(side, sizes[0] - 1) for side in sides]))
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            return list(_diagonal_hhats(c, sizes[0], q))
+    out = []
+    for side, n in zip(sides, sizes):
+        try:
+            out.append(_diagonal_hhats(np.linalg.cholesky(hankel(side, n - 1)), n, q))
+        except np.linalg.LinAlgError:
+            out.append(None)
+    return out
+
+
+def _diagonal_hhats(c: Array, n: int, q: int) -> Array:
+    """Hhat_k = C_kk C_kk^*, k < n, from the diagonal blocks of a Cholesky
+    factor c of H_{n-1}, or of each factor of a stack of them."""
     idx = np.arange(n)
-    diag = c.reshape(n, q, n, q)[idx, :, idx, :]
+    # the index pair puts its axis first: swapped back behind a stack axis
+    diag = c.reshape(c.shape[:-2] + (n, q, n, q))[..., idx, :, idx, :].swapaxes(0, -3)
     return diag @ diag.conj().swapaxes(-1, -2)
 
 
@@ -332,10 +374,11 @@ def _kernel_included(q_a: Array, q_b: Array) -> bool:
 def _interlaced(seq: MomentSequence) -> tuple:
     """hhats of seq and of seq.shifted as one (values, classes) pair of
     stacks, interlaced: Hhat_n at 2n and the shifted sequence's Hhat_n at
-    2n+1.  The Cholesky values of both sides are classed in one pass, and
-    each side then takes hhats' rule on its share of the classes."""
+    2n+1.  The Cholesky values of both sides are built together
+    (_cholesky_sides) and classed in one pass, and each side then takes
+    hhats' rule on its share of the classes."""
     sides = (seq, seq.shifted) if seq.kappa else (seq,)
-    chol = [_cholesky_hhats(side) for side in sides]
+    chol = _cholesky_sides(sides)
     found = [values for values in chol if values is not None]
     pooled = _psd_classes(np.concatenate(found)) if found else None
     parts, start = [], 0
@@ -368,14 +411,15 @@ def classify(seq: MomentSequence) -> SequenceClass:
     means the solvability class (NND) resp. the extendability class.
     """
     qs, classes = _interlaced(seq)
+    pd = classes == PD
     # PD is decided through the Schur complements Q_{2n} = Hhat_n (numerically
     # robust and equivalent); NND falls back to the spectrum of the full block
-    if np.all(classes[0::2] == PD):
+    if pd[0::2].all():
         hankel_cls = PD
     else:
         hankel_cls = NND if psd_class(hankel(seq, half(seq.kappa))) in (PD, PSD) else NO
 
-    if np.all(classes == PD):
+    if pd.all():
         return SequenceClass(hankel=hankel_cls, stieltjes=PD, side=seq.side)
     if set(classes) <= {PD, PSD}:
         chain = [_kernel_included(qs[j], qs[j + 1]) for j in range(seq.kappa)]

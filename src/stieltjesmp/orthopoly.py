@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import Array, DEFAULT_TOL, freeze
+from .linalg import Array, DEFAULT_TOL, _eye, freeze
 from .moments import (
     MomentSequence, _scalar, derived, half, lower_triangular_S, monic_rows,
     require_hankel_pd_prefix, side_sign,
@@ -127,8 +127,9 @@ def monic_orthogonal_system(seq: MomentSequence) -> list:
 
 
 def second_kind_system(seq: MomentSequence) -> list:
-    """Second kind system: P_0 = 0, deg P_n = n-1 afterwards."""
-    return list(_polynomials(_associated(seq, _checked_monic_rows(seq)), lag=1))
+    """Second kind system: P_0 = 0, deg P_n = n-1 afterwards.  The members
+    are views of one frozen coefficient stack, as the monic system's are."""
+    return list(_polynomials(freeze(_associated(seq, _checked_monic_rows(seq))), lag=1))
 
 
 def _cs(stack: Array) -> Array:
@@ -154,7 +155,7 @@ def _lead_inv(leads: Array) -> Array:
 def _monic(stack: Array) -> Array:
     """The family stack with its monic leads, entries [n, n], set to I exactly."""
     n = np.arange(len(stack))
-    stack[n, n] = np.eye(stack.shape[-1])
+    stack[n, n] = _eye(stack.shape[-1])
     return stack
 
 

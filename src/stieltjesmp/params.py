@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    Array, PD, _all_pd, _hermitize, _integer, _pinv, _real, _size, freeze, matrix_stack,
+    Array, PD, _all_pd, _eye, _hermitize, _integer, _pinv, _real, _size, freeze, matrix_stack,
 )
 from .moments import (
     RIGHT, MomentSequence, classify, derived, half, hankel, hhats, monic_rows, q_values,
@@ -294,8 +294,7 @@ def _ds_from_q(p: StieltjesParam) -> DSParam:
     """ds_from_q of p, whose values are already known PD."""
     qs = p.values
     qi = np.linalg.inv(qs)
-    eye = np.eye(p.q, dtype=complex)
-    g, f = [eye], [eye]
+    g, f = [_eye(p.q)], [_eye(p.q)]
     for j in range(1, p.kappa + 1, 2):
         g.append(g[-1] @ qi[j - 1] @ qs[j])
         f.append(f[-1] @ qs[j - 1] @ qi[j])
@@ -313,7 +312,7 @@ def q_from_ds(d: DSParam) -> StieltjesParam:
     The G_n are one running product and are inverted together, as are the M_n.
     """
     _require_pd(np.concatenate([d.l, d.m]), "L_n, M_n")
-    g = [np.eye(d.q, dtype=complex)]
+    g = [_eye(d.q)]
     for m, l in zip(d.m, d.l):
         g.append(g[-1] @ (m @ l))
     gi = np.linalg.inv(np.array(g))
@@ -343,7 +342,8 @@ def chain_stacks(ds: DSParam) -> tuple:
     sgn = side_sign(ds.side)
     x = np.zeros((half(kappa) + 1, half(kappa) + 2, 2 * q, q), dtype=complex)
     y = np.zeros((half(kappa + 1) + 1, half(kappa + 1) + 1, 2 * q, q), dtype=complex)
-    x[0, 0, :q] = y[0, 0, q:] = np.eye(q)
+    x[0, 0, :q] = y[0, 0, q:] = _eye(q)
+    springs = sgn * ds.l   # the +-L_n of the constant factors, signed together
     for j in range(kappa + 1):
         n = j // 2
         if j % 2 == 0:
@@ -354,7 +354,7 @@ def chain_stacks(ds: DSParam) -> tuple:
             x[n, :n + 1] += alpha * ym
             x[n, 1:n + 2] -= ym
         else:
-            y[n + 1, :n + 2] = y[n, :n + 2] + x[n, :n + 2] @ (sgn * ds.l[n])
+            y[n + 1, :n + 2] = y[n, :n + 2] + x[n, :n + 2] @ springs[n]
     return x, y
 
 

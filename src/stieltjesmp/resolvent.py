@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
-    Array, DEFAULT_TOL, JTILDE, _size, freeze, j_defect, min_eig_hermitian_part,
+    Array, DEFAULT_TOL, JTILDE, _eye, _size, freeze, j_defect, min_eig_hermitian_part,
     signature_matrix,
 )
 from .moments import RIGHT, MomentSequence, derived, half, side_sign
@@ -124,7 +124,7 @@ def factorize_u(seq: MomentSequence, m: int | None = None) -> FactorChain:
     # the coefficients of all m+1 factors as one frozen stack: the odd ones are
     # constant, so each polynomial trims to its own view of it
     w = np.zeros((m + 1, 2, 2 * q, 2 * q), dtype=complex)
-    w[:, 0] = np.eye(2 * q)
+    w[:, 0] = _eye(2 * q)
     w[0::2, 0, q:, :q] = alpha * ms
     w[0::2, 1, q:, :q] = -ms
     w[1::2, 0, :q, q:] = side_sign(ds.side) * ls

@@ -160,8 +160,8 @@ class Rule:
     q: int
 
     def __post_init__(self):
-        nodes = freeze(self.atoms.astype(complex))
-        freeze((self.atoms, self.residues))
+        nodes = self.atoms.astype(complex)
+        freeze((self.atoms, self.residues, nodes))
         # object.__setattr__, not __dict__.update: touching __dict__ costs
         # CPython's fast attribute reads in every call
         object.__setattr__(self, "nodes", nodes)
@@ -268,15 +268,28 @@ def string_rule(ds: DSParam, m: int, end) -> Rule:
     return rules[m]
 
 
-@derived
 def _end_rule(ds: DSParam, m: int, wall: bool) -> Rule:
     """The rule of the wall (wall=True) or the free end of string_rule."""
-    nm = half(m - 1) + 1 if wall else half(m) + 1
-    if not nm:   # the wall of m = 0 holds no mass: B_0 D_0^{-1} = 0
-        return Rule(np.zeros(0), np.zeros((0, ds.q * ds.q), dtype=complex), 0.0, ds.q)
-    w, ri_star = _string_w(ds, nm, nm if wall else nm - 1)
-    lam, v = np.linalg.eigh(w.conj().T @ w)
-    return _rule(ds, lam, v, ri_star[0], 0 if wall else ds.q)
+    return _end_rules(ds, m)[0 if wall else 1]
+
+
+@derived
+def _end_rules(ds: DSParam, m: int) -> tuple:
+    """The rules of the wall and of the free end at m, from one W.  At even
+    m the wall's W is the free string's without its last mass column (and
+    holds no mass at m = 0: B_0 D_0^{-1} = 0); at odd m the free string's W
+    is the wall's without its last spring row, and the two T = W^* W, of one
+    size, take one stacked eigh."""
+    q, nm = ds.q, half(m) + 1   # the masses of the free string
+    w, ri_star = _string_w(ds, nm, nm - 1 + m % 2)
+    ts = [end.conj().T @ end for end in ((w, w[:-q]) if m % 2 else (w[:, :-q], w))]
+    if m % 2:
+        lam, v = np.linalg.eigh(np.array(ts))
+        return _rule(ds, lam[0], v[0], ri_star[0], 0), _rule(ds, lam[1], v[1], ri_star[0], q)
+    free = _rule(ds, *np.linalg.eigh(ts[1]), ri_star[0], q)
+    if not m:
+        return Rule(np.zeros(0), np.zeros((0, q * q), dtype=complex), 0.0, q), free
+    return _rule(ds, *np.linalg.eigh(ts[0]), ri_star[0], 0), free
 
 
 def _string_w(ds: DSParam, nm: int, nl: int) -> tuple:

@@ -10,7 +10,7 @@ from stieltjesmp import (
     StieltjesPair, ds_param, extremal, psd_class, q_from_ds, random_pd, real_zeros, reflect,
     resolvent_u, schur_rotation, seq_from_ds, sequence, signature_matrix, stieltjes_quadruple,
 )
-from stieltjesmp.linalg import _hermitize, matrix_stack
+from stieltjesmp.linalg import _hermitian_mask, _hermitize, matrix_stack
 from stieltjesmp.measures import MolecularMeasure
 from stieltjesmp.moments import (
     MomentSequence, _point, half, hankel, hhats, lower_triangular_S, require_hankel_pd_prefix,
@@ -18,6 +18,7 @@ from stieltjesmp.moments import (
 )
 from stieltjesmp.orthopoly import GENERAL, MatrixPolynomial, _cs, chain_d_e
 from stieltjesmp.params import _door, _lambda_term, chain_stacks
+from stieltjesmp.solutions import _rule, _string_w
 
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_makereport(item, call):
@@ -111,6 +112,35 @@ def route_cases() -> list:
         (sequence([1.0, -1.0, 2.0, -2.5, 5.0]), ("PD", "NO")),
         (sequence([np.eye(2), [[0.5, 0.2], [0.0, 0.5]], [[1.0, 0.0], [0.3, 1.0]]]), ("NO", "NO")),
     ]
+
+
+def cholesky_hhats_one_side(seq):
+    """The Cholesky Hhats of one side alone: the Hermitian test of its own
+    moments, its own Cholesky of H_{half(kappa)} and the products of the
+    diagonal blocks; None where that route does not apply.  The oracle of the
+    gate, which tests and factors a sequence and its shift together."""
+    if not _hermitian_mask(seq.moments).all():
+        return None
+    n, q = half(seq.kappa) + 1, seq.q
+    try:
+        c = np.linalg.cholesky(hankel(seq, n - 1))
+    except np.linalg.LinAlgError:
+        return None
+    idx = np.arange(n)
+    diag = c.reshape(n, q, n, q)[idx, :, idx, :]
+    return diag @ diag.conj().swapaxes(-1, -2)
+
+
+def end_rule_one_at_a_time(ds, m: int, wall: bool):
+    """The rule of one end of string_rule built alone: the end's own W
+    (_string_w) and its own eigh, the oracle of the paired build, which takes
+    both ends from one W; None for the wall at m = 0, which holds no mass."""
+    nm = half(m - 1) + 1 if wall else half(m) + 1
+    if not nm:
+        return None
+    w, ri_star = _string_w(ds, nm, nm if wall else nm - 1)
+    lam, v = np.linalg.eigh(w.conj().T @ w)
+    return _rule(ds, lam, v, ri_star[0], 0 if wall else ds.q)
 
 
 def lm_draw(seed: int, q: int, kappa: int, draw: int):

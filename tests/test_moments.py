@@ -13,7 +13,7 @@ from stieltjesmp import (
     recover_min, reflect, resolvent_u, schur_rotation, seq_from_ds, sequence, shift_sequence,
     side_sign, stieltjes_param, stieltjes_quadruple, weyl_interval,
 )
-from stieltjesmp.linalg import freeze
+from stieltjesmp.linalg import PD, _psd_classes, freeze
 from stieltjesmp.moments import (
     _cholesky_hhats, _interlaced, half, hankel, hhats, monic_rows, q_values, schur_complement,
     y_stack, z_stack,
@@ -23,8 +23,8 @@ from stieltjesmp.params import chain_stacks
 from stieltjesmp.solutions import string_rule
 
 from conftest import (
-    alternating_signs, block_shift, column_E, first_block_column, ladder_fixture, resolvent_R,
-    route_cases, shat_matrix, u_shift_vector, writeable_arrays,
+    alternating_signs, block_shift, cholesky_hhats_one_side, column_E, first_block_column,
+    ladder_fixture, resolvent_R, route_cases, shat_matrix, u_shift_vector, writeable_arrays,
 )
 
 
@@ -232,6 +232,45 @@ def test_non_hermitian_moments_keep_the_pinv_schur_complements(moments, want, sh
             np.testing.assert_array_equal(v, schur_complement(side, n))
 
 
+def test_the_paired_gate_has_the_bits_of_one_side_at_a_time(monkeypatch):
+    # the gate tests the moments of a sequence and of its shift in one
+    # Hermitian test and factors both Hankel blocks in one stacked cholesky
+    # when they have one size (odd kappa), one call per side when the sizes
+    # differ or the stacked call refuses.  Each side's Cholesky Hhats, its
+    # Hhats and its classes are those of the side taken alone, bit for bit:
+    # on ladder fixtures 0-9 and their reflections, the NND, one-side and
+    # non-Hermitian route cases, and two odd-kappa cases where the stacked
+    # path falls back: a shift whose Hankel block is indefinite, and a
+    # non-Hermitian s_0 whose shift is Hermitian and PD
+    fixtures = [ladder_fixture(i) for i in range(10)]
+    cases = fixtures + [reflect(s) for s in fixtures] + [s for s, _ in route_cases()[-3:]] + [
+        sequence([1.0, 0.0, 1.0, 0.0]),
+        sequence([[[1.0, 0.5], [0.0, 1.0]], np.eye(2), np.zeros((2, 2)), np.eye(2)]),
+    ]
+    ranks = []
+    cholesky = np.linalg.cholesky
+
+    def spy(a):
+        ranks.append(np.ndim(a))
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    for t in cases:
+        s = sequence(list(t.moments), alpha=t.alpha, side=t.side)
+        values, classes = _interlaced(s)
+        for k, side in enumerate((s, s.shifted)):
+            want, got = cholesky_hhats_one_side(side), _cholesky_hhats(side)
+            assert (got is None) == (want is None)
+            if want is not None:
+                np.testing.assert_array_equal(got, want)
+                if (_psd_classes(want) == PD).all():
+                    np.testing.assert_array_equal(hhats(side)[0], want)
+                    np.testing.assert_array_equal(hhats(side)[1], _psd_classes(want))
+            np.testing.assert_array_equal(values[k::2], hhats(side)[0])
+            np.testing.assert_array_equal(classes[k::2], hhats(side)[1])
+    assert 3 in ranks and 2 in ranks   # stacked calls, and calls of one side
+
+
 def test_non_finite_schur_complements_are_rejected():
     # the pinv Schur complement 1 - 1e300 * 1e300 * 1e300 overflows; the
     # Hankel data are checked finite where they are built
@@ -436,16 +475,19 @@ def test_the_solve_pipeline_never_builds_monic_rows(monkeypatch):
             difference_inverse(s, m, s.alpha - 1.0 + 0.3j)
 
 
-@pytest.mark.parametrize("i", [0, 1])   # ladder fixtures 0 and 1: right and left half-line
+@pytest.mark.parametrize("i", [0, 1])   # ladder fixtures 0 (kappa 4, right) and 1 (kappa 5, left)
 def test_one_solve_keeps_its_lapack_budget(monkeypatch, i):
     # the call sequence of one benchmark solve op on a fresh sequence.  The
-    # budget: a cholesky for the Schur complements of the sequence and one
-    # of its shift, one eigvalsh that classes both, one inv for Q -> (L, M),
-    # one stacked inv of the leading coefficients of P, the one family the
-    # solve reads, one stacked cholesky and inv of (L, M) for both string ends,
-    # one eigh per end, one eigvalsh for the Weyl interval and the eigvals
-    # of the top polynomial's companion.  A new factorization on this path
-    # has to raise the pin here on purpose.
+    # budget: the cholesky of the Hankel blocks of the sequence and of its
+    # shift, one eigvalsh that classes both sides' Schur complements, one inv
+    # for Q -> (L, M), one stacked inv of the leading coefficients of P, the
+    # one family the solve reads, one stacked cholesky and inv of (L, M) for
+    # both string ends, the eigh of both ends' T = W^* W, one eigvalsh for the
+    # Weyl interval and the eigvals of the top polynomial's companion.  At
+    # odd kappa the two Hankel blocks have one size and take one stacked
+    # cholesky, and the two T at m = kappa have one size and take one stacked
+    # eigh: 9 calls.  At even kappa the sizes differ, one call each: 11.  A
+    # new factorization on this path has to raise the pin here on purpose.
     t = ladder_fixture(i)
     names = ("cholesky", "inv", "eigh", "eigvalsh", "eigvals")
     counts = dict.fromkeys(names, 0)
@@ -467,7 +509,9 @@ def test_one_solve_keeps_its_lapack_budget(monkeypatch, i):
             ext(z)
     weyl_interval(s, s.kappa, s.alpha - sign)
     measure_moments(recover_min(s), s.kappa), measure_moments(recover_max(s), s.kappa)
-    assert counts == {"cholesky": 3, "inv": 3, "eigh": 2, "eigvalsh": 2, "eigvals": 1}
+    paired = s.kappa % 2   # one stacked call per pair of one size
+    assert counts == {"cholesky": 3 - paired, "inv": 3, "eigh": 2 - paired, "eigvalsh": 2,
+                      "eigvals": 1}
 
 
 def test_after_ds_param_the_solve_path_reads_no_moment_class(monkeypatch):

@@ -8,6 +8,7 @@ from stieltjesmp import (
     random_stieltjes_pd_sequence, reflect, resolvent_u, stieltjes_quadruple,
 )
 from stieltjesmp import orthopoly
+from stieltjesmp.moments import monic_rows
 from conftest import (
     chain_families, eval_quadruple_at_alpha, ladder_fixture, lm_draw, q_values_from_quadruple,
     quadruple_loop, rel_err, rmul, shift_identity_defect, stack_sum, times_w, writeable_arrays,
@@ -128,6 +129,24 @@ def test_second_kind_fixture(f1):
     np.testing.assert_allclose(p2[1](0.77), [[1.0]])
     p2 = second_kind_system(sequence([5.0, 0.0]))
     np.testing.assert_allclose(p2[1](2.3), [[5.0]])
+
+
+def test_second_kind_members_are_views_of_one_frozen_stack():
+    # every member of second_kind_system is a view of one frozen coefficient
+    # stack, as the monic system's members are, and its coefficients and
+    # values are those of a member copied out of a writeable stack
+    for i in range(10):
+        s = ladder_fixture(i)
+        system = second_kind_system(s)
+        base = system[-1].coeffs.base
+        assert base is not None and all(np.shares_memory(p.coeffs, base) for p in system)
+        stack = orthopoly._associated(s, monic_rows(s))
+        for n, p in enumerate(system):
+            want = MatrixPolynomial(stack[n, :max(n, 1)])   # writeable: copied
+            assert not p.coeffs.flags.writeable
+            np.testing.assert_array_equal(p.coeffs, want.coeffs)
+            for z in (s.alpha + 0.3 - 1.1j, s.alpha - 2.0):
+                np.testing.assert_array_equal(p(z), want(z))
 
 
 def test_second_kind_favard_recursion():

@@ -19,8 +19,9 @@ from stieltjesmp.moments import half, hankel, y_stack
 from stieltjesmp.solutions import string_rule
 
 from conftest import (
-    block_shift, difference_inverse_closed, first_block_column, ladder_fixture,
-    lft_solve_det, lft_solve_schur, lm_draw, random_constant_pair, random_fixture, rel_err, sigma,
+    block_shift, difference_inverse_closed, end_rule_one_at_a_time, first_block_column,
+    ladder_fixture, lft_solve_det, lft_solve_schur, lm_draw, random_constant_pair, random_fixture,
+    rel_err, sigma,
 )
 
 
@@ -218,6 +219,31 @@ def _outcome(solve, u, pair, z):
         return solve(u, pair, z)
     except ValueError as exc:
         return type(exc)
+
+
+def test_both_ends_have_the_bits_of_one_end_at_a_time():
+    # string_rule builds the wall and the free end at m from one W, with one
+    # stacked eigh when both T = W^* W have one size (odd m): each end's
+    # atoms, residues and reach are those of the end built alone, at every m,
+    # on ladder fixtures 0-9 and their reflections; the extremals and the
+    # trivial pairs read those same two rules
+    fixtures = [ladder_fixture(i) for i in range(10)]
+    for t in fixtures + [reflect(s) for s in fixtures]:
+        s = sequence(list(t.moments), alpha=t.alpha, side=t.side)
+        ds = ds_param(s)
+        for m in range(ds.kappa + 1):
+            for wall, pair in ((True, pair_min(ds.q, ds.side)), (False, pair_max(ds.q, ds.side))):
+                got, want = string_rule(ds, m, wall), end_rule_one_at_a_time(ds, m, wall)
+                assert string_rule(ds, m, pair) is got
+                if want is None:   # the wall of m = 0 holds no mass
+                    assert got.atoms.shape == (0,) and got.residues.shape == (0, ds.q * ds.q)
+                    continue
+                np.testing.assert_array_equal(got.atoms, want.atoms)
+                np.testing.assert_array_equal(got.residues, want.residues)
+                assert got.reach == want.reach
+            if m:
+                bd, ac = extremal(s, m)[::1 if ds.side == "right" else -1]
+                assert bd.rule is string_rule(ds, m, True) and ac.rule is string_rule(ds, m, False)
 
 
 def test_extremal_fixture_values(f1, f2):
